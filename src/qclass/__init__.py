@@ -10,14 +10,11 @@ from .qubit_core import (
     ATOL,
     BlochVector,
     DensityMatrix,
-    HermitianOperator,
     InvalidStateError,
     Projector,
     bloch_to_density,
     density_to_bloch,
-    positive_eigenprojector,
     sample_pauli,
-    trace_norm,
 )
 from .helstrom import (
     ClassificationProblem,
@@ -27,11 +24,13 @@ from .helstrom import (
     excess_risk,
     helstrom_projector,
     helstrom_risk,
+    pauli_data,
+    positive_part,
     triviality_check,
-    weighted_operator,
 )
 from .local_geometry import (
     LocalFrame,
+    NumericalError,
     PerpEstimate,
     TrivialConfigurationError,
     build_frame,
@@ -53,15 +52,11 @@ from .asymptotics import (
 )
 from .gaussian_model import (
     GaussianShiftModel,
-    HeterodyneRecord,
-    JointRecord,
     StrategyKind,
     build_gaussian_model,
     monte_carlo_risk,
     optimal_estimate,
     plugin_estimate,
-    sample_heterodyne,
-    sample_optimal_joint,
 )
 from .montecarlo import CHUNK_SIZE, ExperimentResult
 from .qubit_experiment import (

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .local_geometry import LocalFrame
+from .local_geometry import LocalFrame, NumericalError
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ def risk_gap(frame: LocalFrame, pi0: float) -> float:
     """plugin_risk - optimal_minimax_risk in closed form.
 
     The sign pattern follows the sign of c; at c = 0 both patterns coincide
-    (asserted) and the upper one is returned.
+    (checked: NumericalError otherwise) and the upper one is returned.
     """
     pi1 = 1.0 - pi0
     r0 = frame.r0_norm
@@ -110,7 +108,8 @@ def risk_gap(frame: LocalFrame, pi0: float) -> float:
     upper = pi0 * r0 * (1.0 - frame.sin_phi0) ** 2 + pi1 * s0 * (1.0 + frame.sin_phi1) ** 2
     lower = pi0 * r0 * (1.0 + frame.sin_phi0) ** 2 + pi1 * s0 * (1.0 - frame.sin_phi1) ** 2
     if c == 0.0:
-        assert abs(upper - lower) <= 1e-12, "sign branches must agree at c = 0"
+        if not abs(upper - lower) <= 1e-12:
+            raise NumericalError("risk gap sign branches disagree at c = 0")
         num = upper
     else:
         num = upper if c > 0.0 else lower
@@ -130,7 +129,11 @@ def prior_correction(frame: LocalFrame, pi0: float) -> float:
 
 
 def risk_report(frame: LocalFrame, pi0: float) -> RiskReport:
-    """Assemble every constant; checks the decomposition identity."""
+    """Assemble every constant; checks the decomposition identity.
+
+    Raises NumericalError when (classical + quantum)/(4|d0|) misses the
+    optimal risk by more than 1e-12.
+    """
     classical = classical_risk_term(frame, pi0)
     quantum = quantum_risk_term(frame, pi0)
     optimal = optimal_minimax_risk(frame, pi0)
@@ -144,5 +147,6 @@ def risk_report(frame: LocalFrame, pi0: float) -> RiskReport:
         gap=risk_gap(frame, pi0),
         prior_correction=prior_correction(frame, pi0),
     )
-    assert abs((classical + quantum) / (4.0 * frame.d0_norm) - optimal) <= 1e-12
+    if not abs((classical + quantum) / (4.0 * frame.d0_norm) - optimal) <= 1e-12:
+        raise NumericalError("classical + quantum terms miss the optimal risk")
     return report

@@ -45,7 +45,6 @@ from .helstrom import (
     triviality_check,
 )
 from .local_geometry import build_frame
-from .qubit_core import InvalidStateError
 from .qubit_experiment import LabelMode, rescaled_risk_curve
 
 
@@ -80,15 +79,17 @@ def _require(cfg: dict, key: str, kind, what: str):
     value = cfg[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or isinstance(value, bool) or (
+            kind is float and not math.isfinite(value)):
         raise ConfigError(f"config field '{key}' must be {what}, got {value!r}")
     return value
 
 
 def _parse_vec3(cfg: dict, key: str) -> np.ndarray:
-    raw = _require(cfg, key, list, "a list of 3 numbers")
-    if len(raw) != 3 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw):
-        raise ConfigError(f"config field '{key}' must be a list of 3 numbers, got {raw!r}")
+    raw = _require(cfg, key, list, "a list of 3 finite numbers")
+    if len(raw) != 3 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                                and math.isfinite(x) for x in raw):
+        raise ConfigError(f"config field '{key}' must be a list of 3 finite numbers, got {raw!r}")
     return np.array(raw, dtype=float)
 
 
@@ -96,7 +97,7 @@ def _parse_problem(cfg: dict) -> tuple[np.ndarray, np.ndarray, float]:
     problem = _require(cfg, "problem", dict, "an object with r0, s0, pi0")
     r0 = _parse_vec3(problem, "r0")
     s0 = _parse_vec3(problem, "s0")
-    pi0 = _require(problem, "pi0", float, "a number")
+    pi0 = _require(problem, "pi0", float, "a finite number")
     if not 0.0 < pi0 < 1.0:
         raise ConfigError(f"pi0 must lie strictly in (0, 1), got {pi0}")
     for name, vec in (("r0", r0), ("s0", s0)):
@@ -181,7 +182,7 @@ def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
     seed = _parse_seed(cfg, args)
     u = _parse_vec3(cfg, "u") if "u" in cfg else np.zeros(3)
     v = _parse_vec3(cfg, "v") if "v" in cfg else np.zeros(3)
-    delta = float(cfg.get("delta", 0.0))
+    delta = _require(cfg, "delta", float, "a finite number") if "delta" in cfg else 0.0
 
     frame = build_frame(r0, s0, pi0)
     closed_form = {
@@ -342,7 +343,8 @@ def main(argv=None) -> int:
 
     if args.workers is None:
         args.workers = cfg.get("workers", 1)
-    if not isinstance(args.workers, int) or args.workers < 1:
+    if (not isinstance(args.workers, int) or isinstance(args.workers, bool)
+            or args.workers < 1):
         print(f"error: workers must be a positive integer, got {args.workers!r}",
               file=sys.stderr)
         return 2
@@ -354,11 +356,8 @@ def main(argv=None) -> int:
 
     try:
         rows = _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidStateError, ValueError) as exc:
-        # module preconditions violated by config values
+    except ValueError as exc:
+        # ConfigError, or a module precondition violated by config values
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

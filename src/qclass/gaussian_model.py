@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .local_geometry import LocalFrame, PerpEstimate, relative_perp
+from .local_geometry import LocalFrame, perp_components, relative_perp
 from .montecarlo import ExperimentResult, run_chunked, summarize
 from .qubit_core import as_vector3
 
@@ -65,31 +65,6 @@ class GaussianShiftModel:
     mean_q2: float
     mean_p2: float
     var_mode2: float
-
-
-@dataclass(frozen=True)
-class HeterodyneRecord:
-    """One heterodyne outcome: classical pair plus both quadratures of each mode."""
-
-    x_r: float
-    x_s: float
-    q1: float
-    p1: float
-    q2: float
-    p2: float
-
-
-@dataclass(frozen=True)
-class JointRecord:
-    """One optimal-joint outcome: classical pair plus the (Q_l, Q_k) readings."""
-
-    x_r: float
-    x_s: float
-    y_l: float
-    y_k: float
-
-
-MeasurementRecord = HeterodyneRecord | JointRecord
 
 
 def build_gaussian_model(frame: LocalFrame, u, v, pi0: float) -> GaussianShiftModel:
@@ -154,41 +129,36 @@ def _joint_params(model: GaussianShiftModel, frame: LocalFrame, pi0: float):
     return means, sds
 
 
-def sample_heterodyne(model: GaussianShiftModel, rng: np.random.Generator) -> HeterodyneRecord:
-    """Draw one heterodyne record; quadrature variances are thermal + 1/2."""
-    means, sds = _heterodyne_params(model)
-    vals = [rng.normal(m, s) for m, s in zip(means, sds)]
-    return HeterodyneRecord(*vals)
+def _draw(rng: np.random.Generator, params, size: int) -> list[np.ndarray]:
+    """One array of ``size`` normal draws per channel, channel by channel."""
+    means, sds = params
+    return [rng.normal(m, sd, size) for m, sd in zip(means, sds)]
 
 
-def sample_optimal_joint(
-    model: GaussianShiftModel, frame: LocalFrame, pi0: float, rng: np.random.Generator
-) -> JointRecord:
-    """Draw one outcome of the optimal joint (Q_l, Q_k) measurement."""
-    means, sds = _joint_params(model, frame, pi0)
-    vals = [rng.normal(m, s) for m, s in zip(means, sds)]
-    return JointRecord(*vals)
+def optimal_estimate(x_r, x_s, y_l, y_k, frame: LocalFrame, pi0: float):
+    """(z_l, z_k) from the classical pair and the joint (Q_l, Q_k) readings.
 
-
-def optimal_estimate(record: JointRecord, frame: LocalFrame, pi0: float) -> PerpEstimate:
-    """Combine the classical estimator with the joint quadrature readings."""
+    Elementwise over equal-shape arrays (or scalars) of outcomes.
+    """
     pi1 = 1.0 - pi0
-    z_l = (
-        math.sqrt(pi0) * frame.cos_phi0 * record.x_r
-        - math.sqrt(pi1) * frame.cos_phi1 * record.x_s
-        + record.y_l
-    )
-    return PerpEstimate(z_l, record.y_k)
+    z_l = math.sqrt(pi0) * frame.cos_phi0 * x_r - math.sqrt(pi1) * frame.cos_phi1 * x_s + y_l
+    return z_l, y_k
 
 
-def plugin_estimate(record: HeterodyneRecord, frame: LocalFrame, pi0: float) -> PerpEstimate:
-    """Invert the mean maps to (u~, v~) and project pi0 u~ - pi1 v~."""
+def plugin_estimate(x_r, x_s, q1, p1, q2, p2, frame: LocalFrame, pi0: float):
+    """Invert the mean maps to (u~, v~) and project pi0 u~ - pi1 v~.
+
+    Elementwise over equal-shape arrays (or scalars) of heterodyne
+    outcomes; returns (z_l, z_k).
+    """
     pi1 = 1.0 - pi0
     inv1 = math.sqrt(2.0 * frame.r0_norm / pi0)
     inv2 = math.sqrt(2.0 * frame.s0_norm / pi1)
-    u_tilde = (record.q1 * inv1, record.p1 * inv1, record.x_r / math.sqrt(pi0))
-    v_tilde = (record.q2 * inv2, record.p2 * inv2, record.x_s / math.sqrt(pi1))
-    return relative_perp(u_tilde, v_tilde, frame, pi0)
+    return perp_components(
+        q1 * inv1, p1 * inv1, x_r / math.sqrt(pi0),
+        q2 * inv2, p2 * inv2, x_s / math.sqrt(pi1),
+        frame, pi0,
+    )
 
 
 def _prior_direction(frame: LocalFrame) -> tuple[float, float]:
@@ -222,52 +192,29 @@ def monte_carlo_risk(
     model = build_gaussian_model(frame, u, v, pi0)
     z = relative_perp(u, v, frame, pi0)
     inv4d = 1.0 / (4.0 * frame.d0_norm)
-    pi1 = 1.0 - pi0
-    sqrt_pi0 = math.sqrt(pi0)
-    sqrt_pi1 = math.sqrt(pi1)
 
     if strategy is StrategyKind.HETERODYNE_PLUGIN:
-        means, sds = _heterodyne_params(model)
-        inv1 = math.sqrt(2.0 * frame.r0_norm / pi0)
-        inv2 = math.sqrt(2.0 * frame.s0_norm / pi1)
+        params = _heterodyne_params(model)
 
         def chunk_fn(rng, size):
-            # draw order matches sample_heterodyne: x_r, x_s, q1, p1, q2, p2
-            x_r = rng.normal(means[0], sds[0], size)
-            x_s = rng.normal(means[1], sds[1], size)
-            q1 = rng.normal(means[2], sds[2], size)
-            p1 = rng.normal(means[3], sds[3], size)
-            q2 = rng.normal(means[4], sds[4], size)
-            p2 = rng.normal(means[5], sds[5], size)
-            zl = (
-                pi0 * frame.cos_phi0 * (x_r / sqrt_pi0)
-                - pi1 * frame.cos_phi1 * (x_s / sqrt_pi1)
-                + pi0 * frame.sin_phi0 * (q1 * inv1)
-                + pi1 * frame.sin_phi1 * (q2 * inv2)
-            )
-            zk = pi0 * (p1 * inv1) - pi1 * (p2 * inv2)
+            zl, zk = plugin_estimate(*_draw(rng, params, size), frame, pi0)
             return ((zl - z.z_l) ** 2 + (zk - z.z_k) ** 2) * inv4d
 
     else:
-        means, sds = _joint_params(model, frame, pi0)
+        params = _joint_params(model, frame, pi0)
         unknown = strategy is StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS
         if unknown:
             w_l, w_k = _prior_direction(frame)
-            prior_sd = math.sqrt(pi0 * pi1)
+            prior_sd = math.sqrt(pi0 * (1.0 - pi0))
             target_l = z.z_l + delta * w_l
             target_k = z.z_k + delta * w_k
         else:
             target_l, target_k = z.z_l, z.z_k
 
         def chunk_fn(rng, size):
-            # draw order matches sample_optimal_joint: x_r, x_s, y_l, y_k
-            x_r = rng.normal(means[0], sds[0], size)
-            x_s = rng.normal(means[1], sds[1], size)
-            y_l = rng.normal(means[2], sds[2], size)
-            y_k = rng.normal(means[3], sds[3], size)
-            zl = sqrt_pi0 * frame.cos_phi0 * x_r - sqrt_pi1 * frame.cos_phi1 * x_s + y_l
-            zk = y_k
+            zl, zk = optimal_estimate(*_draw(rng, params, size), frame, pi0)
             if unknown:
+                # the prior count is drawn after the four measurement channels
                 z_count = rng.normal(delta, prior_sd, size)
                 zl = zl + z_count * w_l
                 zk = zk + z_count * w_k

@@ -5,7 +5,10 @@ measurement accepts rho on the strictly-positive eigenspace of
 A = pi0*rho - pi1*sigma, and its error probability is (1 - Tr|A|)/2.
 Writing A = alpha*I + (d/2).sigma with alpha = (pi0 - pi1)/2 and
 d = pi0*r - pi1*s, every quantity below reduces to scalar arithmetic in
-(alpha, d), which keeps the hot paths allocation-free.
+(alpha, d), which keeps the hot paths allocation-free.  ``pauli_data`` is
+the one place that computes (alpha, d, |d|) and ``positive_part`` the one
+rule for the strictly-positive eigenspace; the oracle, the triviality
+verdict, the excess risk and the qubit plug-in all read from them.
 
 When |d| < |pi0 - pi1| the operator A is definite and the best strategy is
 to always guess the higher-prior label without measuring; the boundary
@@ -21,10 +24,8 @@ from enum import Enum
 
 from .qubit_core import (
     DensityMatrix,
-    HermitianOperator,
     BlochVector,
     Projector,
-    as_vector3,
     bloch_to_density,
 )
 
@@ -67,11 +68,12 @@ class ClassificationProblem:
         return cls(bloch_to_density(r), bloch_to_density(s), pi0)
 
 
-def _alpha_d(problem: ClassificationProblem):
-    """Pauli data of pi0*rho - pi1*sigma: (alpha, dx, dy, dz, |d|)."""
-    r = problem.rho.bloch
-    s = problem.sigma.bloch
-    pi0 = problem.pi0
+def pauli_data(r: BlochVector, s: BlochVector, pi0: float):
+    """Pauli data of A = pi0*rho - pi1*sigma = alpha*I + (d/2).sigma.
+
+    Returns (alpha, dx, dy, dz, |d|); the eigenvalues of A are
+    alpha -/+ |d|/2.
+    """
     pi1 = 1.0 - pi0
     alpha = 0.5 * (pi0 - pi1)
     dx = pi0 * r.x - pi1 * s.x
@@ -80,11 +82,34 @@ def _alpha_d(problem: ClassificationProblem):
     return alpha, dx, dy, dz, math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def weighted_operator(problem: ClassificationProblem) -> HermitianOperator:
-    """pi0*rho - pi1*sigma as an explicit operator."""
-    return HermitianOperator(
-        problem.pi0 * problem.rho.matrix - problem.pi1 * problem.sigma.matrix
-    )
+def _positive_rank(alpha: float, dn: float) -> int:
+    """Number of strictly positive eigenvalues of alpha*I + (d/2).sigma."""
+    if alpha - 0.5 * dn > 0.0:
+        return 2
+    if alpha + 0.5 * dn <= 0.0:
+        return 0
+    return 1
+
+
+def positive_part(alpha: float, dx: float, dy: float, dz: float, dn: float) -> Projector:
+    """Projector onto the strictly-positive eigenspace of alpha*I + (d/2).sigma.
+
+    Zero eigenvalues never count as positive: rank 0 when both eigenvalues
+    are <= 0, rank 2 when both are > 0, and otherwise the rank-1 projector
+    with Bloch vector d/|d|.  Takes the output of ``pauli_data``.
+    """
+    rank = _positive_rank(alpha, dn)
+    if rank != 1:
+        return Projector(rank=rank)
+    return Projector(rank=1, bloch=BlochVector(dx / dn, dy / dn, dz / dn))
+
+
+# verdict of a non-boundary configuration, indexed by the rank of P*
+_VERDICT_BY_RANK = (
+    TrivialityVerdict.TRIVIAL_GUESS_SIGMA,
+    TrivialityVerdict.NONTRIVIAL,
+    TrivialityVerdict.TRIVIAL_GUESS_RHO,
+)
 
 
 def triviality_check(r0, s0, pi0: float) -> TrivialityVerdict:
@@ -97,21 +122,12 @@ def triviality_check(r0, s0, pi0: float) -> TrivialityVerdict:
     """
     if not (0.0 < pi0 < 1.0):
         raise ValueError(f"pi0 must lie strictly in (0, 1), got {pi0!r}")
-    r = BlochVector.from_array(as_vector3(r0))
-    s = BlochVector.from_array(as_vector3(s0))
-    pi1 = 1.0 - pi0
-    dx = pi0 * r.x - pi1 * s.x
-    dy = pi0 * r.y - pi1 * s.y
-    dz = pi0 * r.z - pi1 * s.z
-    dn = math.sqrt(dx * dx + dy * dy + dz * dz)
-    gap = abs(pi0 - pi1)
-    if dn > gap:
-        return TrivialityVerdict.NONTRIVIAL
-    if dn == gap:
+    r = BlochVector.from_array(r0)
+    s = BlochVector.from_array(s0)
+    alpha, _, _, _, dn = pauli_data(r, s, pi0)
+    if dn == 2.0 * abs(alpha):  # 2|alpha| is |pi0 - pi1| exactly
         return TrivialityVerdict.DEGENERATE
-    if pi0 > pi1:
-        return TrivialityVerdict.TRIVIAL_GUESS_RHO
-    return TrivialityVerdict.TRIVIAL_GUESS_SIGMA
+    return _VERDICT_BY_RANK[_positive_rank(alpha, dn)]
 
 
 def helstrom_projector(problem: ClassificationProblem) -> Projector:
@@ -122,20 +138,13 @@ def helstrom_projector(problem: ClassificationProblem) -> Projector:
     operator is definite.  Raises DegenerateProblemError when the operator
     vanishes identically (equal priors, coinciding states).
     """
-    alpha, dx, dy, dz, dn = _alpha_d(problem)
+    data = pauli_data(problem.rho.bloch, problem.sigma.bloch, problem.pi0)
+    alpha, _, _, _, dn = data
     if dn == 0.0 and alpha == 0.0:
         raise DegenerateProblemError(
             "coinciding states with equal priors: no unique optimal projector"
         )
-    lo = alpha - 0.5 * dn
-    hi = alpha + 0.5 * dn
-    if lo > 0.0:
-        return Projector(rank=2)
-    if hi <= 0.0:
-        return Projector(rank=0)
-    return Projector(
-        rank=1, bloch=BlochVector(dx / dn, dy / dn, dz / dn)
-    )
+    return positive_part(*data)
 
 
 def helstrom_risk(problem: ClassificationProblem) -> float:
@@ -144,7 +153,7 @@ def helstrom_risk(problem: ClassificationProblem) -> float:
     Always in [0, min(pi0, pi1)]; equals pi1 (resp. pi0) in the trivial
     guess-rho (resp. guess-sigma) regime.
     """
-    alpha, _, _, _, dn = _alpha_d(problem)
+    alpha, _, _, _, dn = pauli_data(problem.rho.bloch, problem.sigma.bloch, problem.pi0)
     tn = abs(alpha + 0.5 * dn) + abs(alpha - 0.5 * dn)
     return 0.5 * (1.0 - tn)
 
@@ -174,10 +183,10 @@ def excess_risk(p_hat: Projector, problem: ClassificationProblem) -> float:
     eigenvalues share a sign the two traces use the same summands, so a
     matching trivial estimate yields exactly 0.0.
     """
-    alpha, dx, dy, dz, dn = _alpha_d(problem)
+    alpha, dx, dy, dz, dn = pauli_data(problem.rho.bloch, problem.sigma.bloch, problem.pi0)
     lo = alpha - 0.5 * dn
     hi = alpha + 0.5 * dn
-    tr_opt = (lo if lo > 0.0 else 0.0) + (hi if hi > 0.0 else 0.0)
+    tr_opt = (0.0, hi, lo + hi)[_positive_rank(alpha, dn)]
     if p_hat.rank == 0:
         tr_hat = 0.0
     elif p_hat.rank == 2:

@@ -56,6 +56,10 @@ class TrivialConfigurationError(ValueError):
     """The configuration is trivial or degenerate: no local frame exists."""
 
 
+class NumericalError(ArithmeticError):
+    """A construction invariant failed: rounding destroyed the result."""
+
+
 @dataclass(frozen=True)
 class LocalFrame:
     """Reference frames, angles and norms of a nontrivial configuration."""
@@ -114,14 +118,15 @@ def _fallback_l0(p0: np.ndarray) -> np.ndarray:
         if abs(float(axis @ p0)) < 1.0 - 1e-9:
             w = axis - (axis @ p0) * p0
             return w / float(np.linalg.norm(w))
-    raise AssertionError("unreachable: p0 cannot be parallel to all three axes")
+    raise NumericalError("p0 is parallel to all three coordinate axes")
 
 
 def build_frame(r0, s0, pi0: float) -> LocalFrame:
     """Construct the local frame of a nontrivial configuration.
 
-    Raises ValueError for zero-length state vectors and
-    TrivialConfigurationError when (r0, s0, pi0) is trivial or degenerate.
+    Raises ValueError for zero-length state vectors,
+    TrivialConfigurationError when (r0, s0, pi0) is trivial or degenerate,
+    and NumericalError when rounding breaks a frame identity.
     """
     r = as_vector3(r0)
     s = as_vector3(s0)
@@ -175,20 +180,23 @@ def build_frame(r0, s0, pi0: float) -> LocalFrame:
 
 
 def _check_frame(frame: LocalFrame, pi0: float) -> None:
-    """Construction invariants; violations mean rounding blew up."""
+    """Construction invariants; a violation raises NumericalError."""
     pi1 = 1.0 - pi0
     tol = 1e-9
-    assert abs(frame.sin_phi0 ** 2 + frame.cos_phi0 ** 2 - 1.0) < tol
-    assert abs(frame.sin_phi1 ** 2 + frame.cos_phi1 ** 2 - 1.0) < tol
-    # d0 has no l0 component
-    assert abs(
-        pi0 * frame.r0_norm * frame.cos_phi0 - pi1 * frame.s0_norm * frame.cos_phi1
-    ) < tol
-    assert abs(
-        frame.d0_norm
-        - (pi0 * frame.r0_norm * frame.sin_phi0 + pi1 * frame.s0_norm * frame.sin_phi1)
-    ) < tol
-    assert frame.cos_phi0 >= -tol and frame.cos_phi1 >= -tol
+    residuals = {
+        "sin^2 + cos^2 = 1 for phi0": frame.sin_phi0 ** 2 + frame.cos_phi0 ** 2 - 1.0,
+        "sin^2 + cos^2 = 1 for phi1": frame.sin_phi1 ** 2 + frame.cos_phi1 ** 2 - 1.0,
+        "d0 has no l0 component":
+            pi0 * frame.r0_norm * frame.cos_phi0 - pi1 * frame.s0_norm * frame.cos_phi1,
+        "|d0| = pi0 r0 sin(phi0) + pi1 s0 sin(phi1)": frame.d0_norm - (
+            pi0 * frame.r0_norm * frame.sin_phi0 + pi1 * frame.s0_norm * frame.sin_phi1
+        ),
+    }
+    for identity, residual in residuals.items():
+        if not abs(residual) < tol:
+            raise NumericalError(f"local frame violates {identity}")
+    if not (frame.cos_phi0 >= -tol and frame.cos_phi1 >= -tol):
+        raise NumericalError("local frame has a negative cos(phi0) or cos(phi1)")
 
 
 def relative_perp(u, v, frame: LocalFrame, pi0: float) -> PerpEstimate:
@@ -200,15 +208,23 @@ def relative_perp(u, v, frame: LocalFrame, pi0: float) -> PerpEstimate:
     """
     u = as_vector3(u)
     v = as_vector3(v)
+    z_l, z_k = perp_components(u[0], u[1], u[2], v[0], v[1], v[2], frame, pi0)
+    return PerpEstimate(float(z_l), float(z_k))
+
+
+def perp_components(u1, u2, u3, v1, v2, v3, frame: LocalFrame, pi0: float):
+    """(z_l, z_k) of ``relative_perp`` from the six coordinates.
+
+    Elementwise, so the coordinates may be scalars or equal-shape arrays.
+    """
     pi1 = 1.0 - pi0
     z_l = (
-        pi0 * frame.cos_phi0 * u[2]
-        - pi1 * frame.cos_phi1 * v[2]
-        + pi0 * frame.sin_phi0 * u[0]
-        + pi1 * frame.sin_phi1 * v[0]
+        pi0 * frame.cos_phi0 * u3
+        - pi1 * frame.cos_phi1 * v3
+        + pi0 * frame.sin_phi0 * u1
+        + pi1 * frame.sin_phi1 * v1
     )
-    z_k = pi0 * u[1] - pi1 * v[1]
-    return PerpEstimate(float(z_l), float(z_k))
+    return z_l, pi0 * u2 - pi1 * v2
 
 
 def quadratic_loss(z_perp: PerpEstimate, z_hat: PerpEstimate, d0_norm: float) -> float:

@@ -1,9 +1,10 @@
 """Exact 2x2 qubit algebra: Bloch vectors, density matrices, projectors.
 
 Every Hermitian 2x2 matrix decomposes as A = alpha*I + beta.sigma with real
-alpha and a real 3-vector beta, and has eigenvalues alpha +/- |beta|.  All
-eigen-quantities in this module use that closed form; no iterative solver
-is involved, so results are exact up to a handful of rounding operations.
+alpha and a real 3-vector beta, and has eigenvalues alpha +/- |beta|.  The
+package uses that closed form throughout (the positive-part rule lives in
+qclass.helstrom); no iterative solver is involved, so results are exact up
+to a handful of rounding operations.
 
 States are Bloch vectors r with |r| <= 1 and rho = (I + r.sigma)/2.
 Direction and difference vectors (measurement axes, d = pi0*r - pi1*s, ...)
@@ -70,9 +71,7 @@ class BlochVector:
 
     @classmethod
     def from_array(cls, arr) -> "BlochVector":
-        a = np.asarray(arr, dtype=float)
-        if a.shape != (3,):
-            raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+        a = as_vector3(arr)
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
@@ -121,37 +120,6 @@ class DensityMatrix:
         return f"DensityMatrix(bloch=({b.x:.6g}, {b.y:.6g}, {b.z:.6g}))"
 
 
-class HermitianOperator:
-    """2x2 Hermitian operator A = alpha*I + beta.sigma, no further constraint."""
-
-    __slots__ = ("matrix", "alpha", "beta")
-
-    def __init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=complex)
-        _check_2x2_hermitian(m, "Hermitian operator")
-        self.matrix = m
-        self.alpha = 0.5 * (m[0, 0].real + m[1, 1].real)
-        self.beta = np.array(
-            [m[0, 1].real, -m[0, 1].imag, 0.5 * (m[0, 0].real - m[1, 1].real)]
-        )
-
-    @classmethod
-    def from_pauli(cls, alpha: float, beta) -> "HermitianOperator":
-        b = as_vector3(beta)
-        m = (
-            alpha * IDENTITY
-            + b[0] * SIGMA_X
-            + b[1] * SIGMA_Y
-            + b[2] * SIGMA_Z
-        )
-        return cls(m)
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """Closed-form eigenvalues, ordered (alpha - |beta|, alpha + |beta|)."""
-        b = float(np.linalg.norm(self.beta))
-        return (self.alpha - b, self.alpha + b)
-
-
 @dataclass(frozen=True)
 class Projector:
     """Orthogonal projector on C^2: rank 0, rank 1 (with Bloch vector), or rank 2.
@@ -176,14 +144,6 @@ class Projector:
         elif self.bloch is not None:
             raise ValueError("rank-0/2 projectors carry no Bloch vector")
 
-    def matrix(self) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros((2, 2), dtype=complex)
-        if self.rank == 2:
-            return IDENTITY.copy()
-        p = self.bloch
-        return 0.5 * (IDENTITY + p.x * SIGMA_X + p.y * SIGMA_Y + p.z * SIGMA_Z)
-
 
 def bloch_to_density(r) -> DensityMatrix:
     """rho = (I + r.sigma)/2.  Raises InvalidStateError when |r| > 1."""
@@ -198,33 +158,6 @@ def density_to_bloch(rho) -> BlochVector:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     return rho.bloch
-
-
-def positive_eigenprojector(a) -> Projector:
-    """Projector onto the strictly-positive eigenspace of a Hermitian A.
-
-    Zero eigenvalues never count as positive, so the rank is exactly the
-    number of eigenvalues > 0: rank 0 when both are <= 0, rank 2 when both
-    are > 0, and otherwise the rank-1 projector with Bloch vector beta/|beta|.
-    """
-    if not isinstance(a, HermitianOperator):
-        a = HermitianOperator(a)
-    bnorm = float(np.linalg.norm(a.beta))
-    lo = a.alpha - bnorm
-    hi = a.alpha + bnorm
-    if lo > 0.0:
-        return Projector(rank=2)
-    if hi <= 0.0:
-        return Projector(rank=0)
-    return Projector(rank=1, bloch=BlochVector.from_array(a.beta / bnorm))
-
-
-def trace_norm(a) -> float:
-    """Tr|A| = |lambda_1| + |lambda_2| for a Hermitian 2x2 operator."""
-    if not isinstance(a, HermitianOperator):
-        a = HermitianOperator(a)
-    lo, hi = a.eigenvalues()
-    return abs(lo) + abs(hi)
 
 
 def sample_pauli(r, axis, rng: np.random.Generator, size: int | None = None):

@@ -26,18 +26,15 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr
 
-from .helstrom import ClassificationProblem, excess_risk
+from .helstrom import ClassificationProblem, excess_risk, pauli_data, positive_part
 from .montecarlo import ExperimentResult, run_chunked, summarize
-from .qubit_core import BlochVector, Projector, sample_pauli
+from .qubit_core import BlochVector, sample_pauli
 
 _AXES = (
     np.array([1.0, 0.0, 0.0]),
     np.array([0.0, 1.0, 0.0]),
     np.array([0.0, 0.0, 1.0]),
 )
-
-# exponent for the optional rough-localization stage
-_LOCALIZE_EPS = 0.1
 
 
 class DegenerateTrainingSetError(ValueError):
@@ -51,19 +48,12 @@ class LabelMode(Enum):
 
 @dataclass(frozen=True)
 class TrainingSetSpec:
-    """Configuration of one finite-n training experiment.
-
-    localize=True reserves floor(m^0.9) copies of each class for a rough
-    preliminary estimate before the main tomography, mirroring the
-    two-stage protocol; it does not change the plug-in asymptotics and
-    defaults off.
-    """
+    """Configuration of one finite-n training experiment."""
 
     n: int
     problem: ClassificationProblem
     label_mode: LabelMode = LabelMode.RANDOM_LABELS
     known_priors: bool = False
-    localize: bool = False
 
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
@@ -118,23 +108,6 @@ def tomographic_estimate(r: BlochVector, m: int, rng: np.random.Generator) -> Bl
     return BlochVector.from_array(est)
 
 
-def _plugin_projector(pi_hat: float, r_hat: BlochVector, s_hat: BlochVector) -> Projector:
-    """Positive eigenspace of pi_hat*rho_hat - (1-pi_hat)*sigma_hat, in scalars."""
-    pi1 = 1.0 - pi_hat
-    alpha = 0.5 * (pi_hat - pi1)
-    dx = pi_hat * r_hat.x - pi1 * s_hat.x
-    dy = pi_hat * r_hat.y - pi1 * s_hat.y
-    dz = pi_hat * r_hat.z - pi1 * s_hat.z
-    dn = math.sqrt(dx * dx + dy * dy + dz * dz)
-    lo = alpha - 0.5 * dn
-    hi = alpha + 0.5 * dn
-    if lo > 0.0:
-        return Projector(rank=2)
-    if hi <= 0.0:
-        return Projector(rank=0)
-    return Projector(rank=1, bloch=BlochVector(dx / dn, dy / dn, dz / dn))
-
-
 def plugin_strategy_run(spec: TrainingSetSpec, rng: np.random.Generator) -> float:
     """One trial of the tomography plug-in; returns its exact excess risk."""
     n0, n1 = sample_labels(spec.n, spec.pi0, rng, spec.label_mode)
@@ -142,25 +115,10 @@ def plugin_strategy_run(spec: TrainingSetSpec, rng: np.random.Generator) -> floa
         raise DegenerateTrainingSetError(
             f"training set has an empty class (n0={n0}, n1={n1})"
         )
-    r_true = spec.problem.rho.bloch
-    s_true = spec.problem.sigma.bloch
-    m0, m1 = n0, n1
-    if spec.localize:
-        # rough stage: spend floor(m^0.9) copies per class on a preliminary
-        # estimate; Pauli tomography needs no localisation, so the rough
-        # estimates only consume copies (and rng draws) here
-        rough0 = min(int(n0 ** (1.0 - _LOCALIZE_EPS)), n0 - 3)
-        rough1 = min(int(n1 ** (1.0 - _LOCALIZE_EPS)), n1 - 3)
-        if rough0 >= 3:
-            tomographic_estimate(r_true, rough0, rng)
-            m0 = n0 - rough0
-        if rough1 >= 3:
-            tomographic_estimate(s_true, rough1, rng)
-            m1 = n1 - rough1
-    r_hat = tomographic_estimate(r_true, m0, rng)
-    s_hat = tomographic_estimate(s_true, m1, rng)
+    r_hat = tomographic_estimate(spec.problem.rho.bloch, n0, rng)
+    s_hat = tomographic_estimate(spec.problem.sigma.bloch, n1, rng)
     pi_hat = spec.pi0 if spec.known_priors else n0 / spec.n
-    p_hat = _plugin_projector(pi_hat, r_hat, s_hat)
+    p_hat = positive_part(*pauli_data(r_hat, s_hat, pi_hat))
     return excess_risk(p_hat, spec.problem)
 
 
@@ -192,7 +150,6 @@ def rescaled_risk_curve(
     *,
     label_mode: LabelMode = LabelMode.RANDOM_LABELS,
     known_priors: bool = False,
-    localize: bool = False,
     workers: int = 1,
 ) -> list[ExperimentResult]:
     """One ExperimentResult per n in ascending n_list (independent seeds)."""
@@ -204,11 +161,7 @@ def rescaled_risk_curve(
     results = []
     for idx, n in enumerate(n_list):
         spec = TrainingSetSpec(
-            n=n,
-            problem=problem,
-            label_mode=label_mode,
-            known_priors=known_priors,
-            localize=localize,
+            n=n, problem=problem, label_mode=label_mode, known_priors=known_priors
         )
         results.append(run_experiment(spec, trials, (seed, idx), workers=workers))
     return results

@@ -1,10 +1,79 @@
-"""Shared random generators for property-style tests (all seeded by callers)."""
+"""Shared random generators and matrix-route oracles for the tests.
+
+The library computes every eigen-quantity of a 2x2 operator from its Pauli
+data (qclass.helstrom.pauli_data / positive_part).  The oracles below take
+the explicit-matrix route instead, so the tests can check one against the
+other.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from qclass import BlochVector, ClassificationProblem, Projector
+from qclass.qubit_core import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _check_2x2_hermitian
+
+
+class HermitianOperator:
+    """2x2 Hermitian operator A = alpha*I + beta.sigma, no further constraint."""
+
+    __slots__ = ("matrix", "alpha", "beta")
+
+    def __init__(self, matrix) -> None:
+        m = np.asarray(matrix, dtype=complex)
+        _check_2x2_hermitian(m, "Hermitian operator")
+        self.matrix = m
+        self.alpha = 0.5 * (m[0, 0].real + m[1, 1].real)
+        self.beta = np.array(
+            [m[0, 1].real, -m[0, 1].imag, 0.5 * (m[0, 0].real - m[1, 1].real)]
+        )
+
+    @classmethod
+    def from_pauli(cls, alpha: float, beta) -> "HermitianOperator":
+        b = np.asarray(beta, dtype=float)
+        return cls(alpha * IDENTITY + b[0] * SIGMA_X + b[1] * SIGMA_Y + b[2] * SIGMA_Z)
+
+    def eigenvalues(self) -> tuple[float, float]:
+        """Closed-form eigenvalues, ordered (alpha - |beta|, alpha + |beta|)."""
+        b = float(np.linalg.norm(self.beta))
+        return (self.alpha - b, self.alpha + b)
+
+
+def weighted_operator(problem: ClassificationProblem) -> HermitianOperator:
+    """pi0*rho - pi1*sigma as an explicit operator."""
+    return HermitianOperator(
+        problem.pi0 * problem.rho.matrix - problem.pi1 * problem.sigma.matrix
+    )
+
+
+def positive_eigenprojector(a) -> Projector:
+    """Projector onto the strictly-positive eigenspace of a Hermitian A."""
+    if not isinstance(a, HermitianOperator):
+        a = HermitianOperator(a)
+    lo, hi = a.eigenvalues()
+    if lo > 0.0:
+        return Projector(rank=2)
+    if hi <= 0.0:
+        return Projector(rank=0)
+    return Projector(rank=1, bloch=BlochVector.from_array(a.beta / np.linalg.norm(a.beta)))
+
+
+def trace_norm(a) -> float:
+    """Tr|A| = |lambda_1| + |lambda_2| for a Hermitian 2x2 operator."""
+    if not isinstance(a, HermitianOperator):
+        a = HermitianOperator(a)
+    lo, hi = a.eigenvalues()
+    return abs(lo) + abs(hi)
+
+
+def projector_matrix(p: Projector) -> np.ndarray:
+    """Matrix of a projector: 0, I, or (I + p.sigma)/2."""
+    if p.rank == 0:
+        return np.zeros((2, 2), dtype=complex)
+    if p.rank == 2:
+        return IDENTITY.copy()
+    b = p.bloch
+    return 0.5 * (IDENTITY + b.x * SIGMA_X + b.y * SIGMA_Y + b.z * SIGMA_Z)
 
 
 def random_state_vector(rng, lo=0.05, hi=0.95) -> np.ndarray:
@@ -81,7 +150,7 @@ def tomography_constant(r0, s0, pi0, *, with_prior_term=False) -> float:
 
 def sampled_error_probability(p_hat, problem, copies, rng) -> float:
     """Test-copy estimate of the misclassification probability of (P, 1-P)."""
-    pm = p_hat.matrix()
+    pm = projector_matrix(p_hat)
     acc_rho = float(np.trace(problem.rho.matrix @ pm).real)
     acc_sigma = float(np.trace(problem.sigma.matrix @ pm).real)
     n1 = int(rng.binomial(copies, problem.pi1))

@@ -1,9 +1,12 @@
 """Regression and identity tests for the closed-form risk constants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qclass import (
+    NumericalError,
     build_frame,
     classical_risk_term,
     commutator_c,
@@ -103,6 +106,13 @@ class TestIdentities:
             (rep.classical_term + rep.quantum_term) / (4 * f.d0_norm), abs=1e-12
         )
         assert rep.gap == pytest.approx(rep.plugin_risk - rep.optimal_risk, abs=1e-12)
+
+    def test_broken_identity_raises_numerical_error(self):
+        """A frame whose angles no longer satisfy the identities is refused."""
+        frame, pi0 = frame_of(PLANAR)
+        broken = dataclasses.replace(frame, cos_phi0=frame.cos_phi0 + 1e-6)
+        with pytest.raises(NumericalError):
+            risk_report(broken, pi0)
 
 
 class TestGapGeometry:

@@ -1,11 +1,18 @@
 """End-to-end tests of the qclass command line driver."""
 
 import csv
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qclass
+from qclass import montecarlo
 from qclass.cli import main
 
 PLANAR_PROBLEM = {"r0": [0.8, 0.0, 0.0], "s0": [0.0, 0.6, 0.0], "pi0": 0.5}
@@ -65,6 +72,50 @@ class TestReport:
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["report", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+class TestNumericalFailure:
+    # r0 = 0.7 n and s0 = -0.4 n + 1e-9 noise: rounding breaks the frame
+    # identities of this valid nontrivial, near-antiparallel configuration
+    NEAR_ANTIPARALLEL = {
+        "r0": [-0.3579992576259912, -0.5912220450961072, -0.1108739145679261],
+        "s0": [0.2045710047781545, 0.33784116976239353, 0.06335652271994989],
+        "pi0": 0.5,
+    }
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_broken_frame_exits_3(self, tmp_path, flags):
+        """Exit 3 without a traceback, also when python -O strips asserts."""
+        cfg = write_config(tmp_path, {"problem": self.NEAR_ANTIPARALLEL})
+        env = dict(os.environ, PYTHONPATH=str(Path(qclass.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "qclass.cli", "report", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "numerical error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("delta", [1]),
+        ("delta", True),
+        ("delta", float("nan")),
+        ("delta", float("inf")),
+        ("u", [0.0, float("nan"), 0.0]),
+        ("v", [float("-inf"), 0.0, 0.0]),
+        ("workers", True),
+    ])
+    def test_bad_gaussian_sim_field_exits_2(self, tmp_path, capsys, field, value):
+        cfg = {"problem": PLANAR_PROBLEM, "strategy": "optimal_joint",
+               "trials": 100, "seed": 1, field: value}
+        assert main(["gaussian-sim", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert field in captured.err
 
 
 class TestGaussianSim:
@@ -196,6 +247,35 @@ class TestDeterminismAndFormats:
                          "--workers", workers]) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    # sha256 of the CSV output; a change of the RNG stream or of the
+    # arithmetic behind any printed value changes these on purpose only
+    PINNED_PROBLEM = {"r0": [0.5, 0.2, -0.3], "s0": [-0.1, 0.6, 0.2], "pi0": 0.4}
+    PINNED = {
+        "qubit-sim": (
+            {"n_list": [60, 200], "trials": 300, "seed": 13},
+            64,
+            "c49eb36b57c991a8094f5ea81003abbd2d15aac599e9205c24a1820d7d3f029a",
+        ),
+        "gaussian-sim": (
+            {"strategy": ["optimal_joint", "heterodyne_plugin",
+                          "optimal_joint_unknown_priors"],
+             "trials": 5000, "seed": 7,
+             "u": [0.2, -0.1, 0.4], "v": [0.3, 0.2, -0.2], "delta": 0.3},
+            1024,
+            "c7bea4bd32d03e8f68c745962d0fa6880810db771425a53b04db959840c55e48",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(PINNED))
+    def test_pinned_stream(self, tmp_path, monkeypatch, command):
+        """Small multi-chunk runs reproduce their recorded output bytes."""
+        extra, chunk, digest = self.PINNED[command]
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
+        cfg_path = write_config(tmp_path, {"problem": self.PINNED_PROBLEM, **extra})
+        out = tmp_path / "pinned.csv"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_json_format_round_trip(self, tmp_path):
         cfg = {"problem": PLANAR_PROBLEM, "format": "json"}

@@ -1,4 +1,4 @@
-"""Tests for the Gaussian limit model: samplers, estimators, MC risks."""
+"""Tests for the Gaussian limit model: chunk draws, estimators, MC risks."""
 
 import math
 
@@ -17,10 +17,9 @@ from qclass import (
     prior_correction,
     quantum_risk_term,
     relative_perp,
-    sample_heterodyne,
-    sample_optimal_joint,
 )
-from qclass.gaussian_model import HeterodyneRecord, JointRecord, _joint_params
+from qclass.gaussian_model import _draw, _heterodyne_params, _joint_params
+from qclass.montecarlo import chunk_rng
 
 from helpers import random_nontrivial_config
 
@@ -53,9 +52,8 @@ class TestBuildGaussianModel:
         assert model.var_xr == 0.0
         assert model.var_mode1 == pytest.approx(0.5)
         # deterministic classical component sampled as its mean
-        rng = np.random.default_rng(0)
-        rec = sample_heterodyne(model, rng)
-        assert rec.x_r == model.mean_xr
+        x_r = _draw(np.random.default_rng(0), _heterodyne_params(model), 100)[0]
+        assert np.all(x_r == model.mean_xr)
 
 
 class TestSampleHeterodyne:
@@ -65,12 +63,7 @@ class TestSampleHeterodyne:
         model = build_gaussian_model(f, (0.7, -0.4, 0.2), (0.3, 0.5, -0.6), 0.5)
         rng = np.random.default_rng(211)
         n = 50_000
-        recs = np.array(
-            [
-                (r.x_r, r.x_s, r.q1, r.p1, r.q2, r.p2)
-                for r in (sample_heterodyne(model, rng) for _ in range(n))
-            ]
-        )
+        recs = np.column_stack(_draw(rng, _heterodyne_params(model), n))
         means = (model.mean_xr, model.mean_xs, model.mean_q1,
                  model.mean_p1, model.mean_q2, model.mean_p2)
         het1 = model.var_mode1 + 0.5
@@ -108,10 +101,8 @@ class TestSampleOptimalJoint:
         model = build_gaussian_model(f, (0, 0, 0), (0, 0, 0), 0.5)
         rng = np.random.default_rng(223)
         n = 50_000
-        ys = np.array(
-            [(r.y_l, r.y_k) for r in (sample_optimal_joint(model, f, 0.5, rng) for _ in range(n))]
-        )
-        total = (ys**2).sum(axis=1).mean()
+        _, _, y_l, y_k = _draw(rng, _joint_params(model, f, 0.5), n)
+        total = (y_l**2 + y_k**2).mean()
         assert total == pytest.approx(1.78, rel=0.02)
 
     def test_heisenberg_penalty(self):
@@ -131,18 +122,18 @@ class TestSampleOptimalJoint:
 
 class TestOptimalEstimate:
     def test_zero_record(self):
-        z = optimal_estimate(JointRecord(0, 0, 0, 0), planar_frame(), 0.5)
-        assert z.z_l == 0.0 and z.z_k == 0.0
+        zeros = np.zeros(4)
+        z_l, z_k = optimal_estimate(zeros, zeros, zeros, zeros, planar_frame(), 0.5)
+        assert np.all(z_l == 0.0) and np.all(z_k == 0.0)
 
     def test_noiseless_record_at_means(self):
         """Record frozen at the means recovers the classical piece exactly."""
         f = planar_frame()
         u, v = (0, 0, 1.0), (0, 0, 0)
         model = build_gaussian_model(f, u, v, 0.5)
-        rec = JointRecord(x_r=model.mean_xr, x_s=model.mean_xs, y_l=0.0, y_k=0.0)
-        z = optimal_estimate(rec, f, 0.5)
+        z_l, _ = optimal_estimate(model.mean_xr, model.mean_xs, 0.0, 0.0, f, 0.5)
         # sqrt(pi0) cos(phi0) * sqrt(pi0) u3 = pi0 cos(phi0) u3 = 0.3
-        assert z.z_l == pytest.approx(0.3, abs=1e-12)
+        assert z_l == pytest.approx(0.3, abs=1e-12)
 
     def test_unbiasedness(self):
         f = planar_frame()
@@ -151,39 +142,28 @@ class TestOptimalEstimate:
         z_true = relative_perp(u, v, f, 0.5)
         rng = np.random.default_rng(229)
         n = 100_000
-        ests = np.array(
-            [
-                (e.z_l, e.z_k)
-                for e in (
-                    optimal_estimate(sample_optimal_joint(model, f, 0.5, rng), f, 0.5)
-                    for _ in range(n)
-                )
-            ]
-        )
-        for j, truth in enumerate((z_true.z_l, z_true.z_k)):
-            sd = ests[:, j].std()
-            assert ests[:, j].mean() == pytest.approx(truth, abs=4 * sd / math.sqrt(n))
+        draws = _draw(rng, _joint_params(model, f, 0.5), n)
+        ests = optimal_estimate(*draws, f, 0.5)
+        for est, truth in zip(ests, (z_true.z_l, z_true.z_k)):
+            assert est.mean() == pytest.approx(truth, abs=4 * est.std() / math.sqrt(n))
 
 
 class TestPluginEstimate:
     def test_zero_record(self):
-        z = plugin_estimate(HeterodyneRecord(0, 0, 0, 0, 0, 0), planar_frame(), 0.5)
-        assert z.z_l == 0.0 and z.z_k == 0.0
+        zeros = [np.zeros(4)] * 6
+        z_l, z_k = plugin_estimate(*zeros, planar_frame(), 0.5)
+        assert np.all(z_l == 0.0) and np.all(z_k == 0.0)
 
     def test_noiseless_inversion_identity(self):
         """A record frozen at the model means reproduces z_perp exactly."""
         f = planar_frame()
         u, v = (0.4, -0.8, 1.2), (0.9, 0.2, -0.5)
         model = build_gaussian_model(f, u, v, 0.5)
-        rec = HeterodyneRecord(
-            x_r=model.mean_xr, x_s=model.mean_xs,
-            q1=model.mean_q1, p1=model.mean_p1,
-            q2=model.mean_q2, p2=model.mean_p2,
-        )
-        z = plugin_estimate(rec, f, 0.5)
+        means, _ = _heterodyne_params(model)
+        z_l, z_k = plugin_estimate(*means, f, 0.5)
         z_true = relative_perp(u, v, f, 0.5)
-        assert z.z_l == pytest.approx(z_true.z_l, abs=1e-12)
-        assert z.z_k == pytest.approx(z_true.z_k, abs=1e-12)
+        assert z_l == pytest.approx(z_true.z_l, abs=1e-12)
+        assert z_k == pytest.approx(z_true.z_k, abs=1e-12)
 
     def test_zk_variance(self):
         """Var(z_k~) = pi0 (1 + r0) + pi1 (1 + s0)."""
@@ -191,12 +171,7 @@ class TestPluginEstimate:
         model = build_gaussian_model(f, (0, 0, 0), (0, 0, 0), 0.5)
         rng = np.random.default_rng(233)
         n = 100_000
-        zks = np.array(
-            [
-                plugin_estimate(sample_heterodyne(model, rng), f, 0.5).z_k
-                for _ in range(n)
-            ]
-        )
+        _, zks = plugin_estimate(*_draw(rng, _heterodyne_params(model), n), f, 0.5)
         expected = 0.5 * 1.8 + 0.5 * 1.6
         assert zks.var() == pytest.approx(expected, rel=0.02)
 
@@ -259,6 +234,22 @@ class TestMonteCarloRisk:
         ]
         gap = abs(rs[0].mean_rescaled_excess - rs[1].mean_rescaled_excess)
         assert gap <= 3 * math.hypot(rs[0].stderr, rs[1].stderr)
+
+    def test_chunk_loss_is_estimator_loss(self):
+        """A one-chunk run is the mean loss of the estimators on the chunk draws."""
+        f = planar_frame()
+        u, v = (0.2, -0.1, 0.4), (0.3, 0.2, -0.2)
+        model = build_gaussian_model(f, u, v, 0.5)
+        z = relative_perp(u, v, f, 0.5)
+        cases = (
+            (StrategyKind.HETERODYNE_PLUGIN, plugin_estimate, _heterodyne_params(model)),
+            (StrategyKind.OPTIMAL_JOINT, optimal_estimate, _joint_params(model, f, 0.5)),
+        )
+        for strategy, estimate, params in cases:
+            res = monte_carlo_risk(strategy, f, 0.5, u, v, trials=1000, seed=61)
+            z_l, z_k = estimate(*_draw(chunk_rng(61, 0), params, 1000), f, 0.5)
+            loss = ((z_l - z.z_l) ** 2 + (z_k - z.z_k) ** 2) / (4.0 * f.d0_norm)
+            assert res.mean_rescaled_excess == pytest.approx(loss.mean(), rel=1e-12)
 
     def test_invalid_trials(self):
         with pytest.raises(ValueError):

@@ -7,20 +7,25 @@ from qclass import (
     BlochVector,
     ClassificationProblem,
     DegenerateProblemError,
-    HermitianOperator,
     Projector,
     TrivialityVerdict,
     error_probability,
     excess_risk,
     helstrom_projector,
     helstrom_risk,
-    positive_eigenprojector,
-    trace_norm,
     triviality_check,
-    weighted_operator,
 )
 
-from helpers import random_problem, random_projector, random_rotation
+from helpers import (
+    HermitianOperator,
+    positive_eigenprojector,
+    projector_matrix,
+    random_problem,
+    random_projector,
+    random_rotation,
+    trace_norm,
+    weighted_operator,
+)
 
 ANTIPODAL = ClassificationProblem.from_bloch((0, 0, 1), (0, 0, -1), 0.5)
 PLANAR = ClassificationProblem.from_bloch((0.8, 0, 0), (0, 0.6, 0), 0.5)
@@ -48,10 +53,13 @@ class TestHelstromProjector:
             helstrom_projector(same)
 
     def test_matches_operator_route(self):
-        """Scalar path must agree with positive_eigenprojector on the matrix."""
+        """Pauli path must agree with the matrix-route oracle, every rank."""
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            prob = random_problem(rng)
+        problems = [random_problem(rng) for _ in range(200)] + [
+            TRIVIAL,  # rank 2: always guess rho
+            ClassificationProblem.from_bloch((0, 0, 0.5), (0, 0, 0.1), 0.1),  # rank 0
+        ]
+        for prob in problems:
             direct = helstrom_projector(prob)
             via_op = positive_eigenprojector(weighted_operator(prob))
             assert direct.rank == via_op.rank
@@ -59,6 +67,13 @@ class TestHelstromProjector:
                 np.testing.assert_allclose(
                     direct.bloch.as_array(), via_op.bloch.as_array(), atol=1e-9
                 )
+        assert [helstrom_projector(p).rank for p in problems[-2:]] == [2, 0]
+        # pi0 = 1/2 with r = s: the operator vanishes; the oracle's rank-0
+        # answer is one of many optima, so the Helstrom projector refuses
+        same = ClassificationProblem.from_bloch((0.3, -0.2, 0.1), (0.3, -0.2, 0.1), 0.5)
+        assert positive_eigenprojector(weighted_operator(same)).rank == 0
+        with pytest.raises(DegenerateProblemError):
+            helstrom_projector(same)
 
 
 class TestHelstromRisk:
@@ -128,7 +143,7 @@ class TestErrorProbability:
         for _ in range(200):
             prob = random_problem(rng)
             p_hat = random_projector(rng)
-            pm = p_hat.matrix()
+            pm = projector_matrix(p_hat)
             oracle = (
                 prob.pi0 * np.trace(prob.rho.matrix @ (np.eye(2) - pm)).real
                 + prob.pi1 * np.trace(prob.sigma.matrix @ pm).real

@@ -8,18 +8,22 @@ import pytest
 from qclass import (
     BlochVector,
     DensityMatrix,
-    HermitianOperator,
     InvalidStateError,
     Projector,
     bloch_to_density,
     density_to_bloch,
-    positive_eigenprojector,
     sample_pauli,
-    trace_norm,
 )
 from qclass.qubit_core import SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY
 
-from helpers import random_projector, random_unit
+from helpers import (
+    HermitianOperator,
+    positive_eigenprojector,
+    projector_matrix,
+    random_projector,
+    random_unit,
+    trace_norm,
+)
 
 
 class TestBlochDensityRoundTrip:
@@ -66,6 +70,8 @@ class TestBlochDensityRoundTrip:
 
 
 class TestPositiveEigenprojector:
+    """The matrix-route oracle of tests/helpers.py, checked on its own."""
+
     def test_sigma_z(self):
         proj = positive_eigenprojector(HermitianOperator(SIGMA_Z))
         assert proj.rank == 1
@@ -90,16 +96,16 @@ class TestPositiveEigenprojector:
         rng = np.random.default_rng(5)
         for _ in range(200):
             a = HermitianOperator.from_pauli(rng.normal(), rng.normal(size=3))
-            p = positive_eigenprojector(a).matrix()
+            p = projector_matrix(positive_eigenprojector(a))
             np.testing.assert_allclose(a.matrix @ p, p @ a.matrix, atol=1e-12)
 
     def test_maximizes_trace_over_projectors(self):
         """Tr[A P_+] >= Tr[A Q] for every projector Q."""
         rng = np.random.default_rng(17)
         a = HermitianOperator.from_pauli(rng.normal(), rng.normal(size=3))
-        best = float(np.trace(a.matrix @ positive_eigenprojector(a).matrix()).real)
+        best = float(np.trace(a.matrix @ projector_matrix(positive_eigenprojector(a))).real)
         for _ in range(1000):
-            q = random_projector(rng).matrix()
+            q = projector_matrix(random_projector(rng))
             assert best - float(np.trace(a.matrix @ q).real) >= -1e-12
 
 
@@ -175,5 +181,5 @@ class TestProjectorType:
     def test_idempotence(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            p = random_projector(rng).matrix()
+            p = projector_matrix(random_projector(rng))
             np.testing.assert_allclose(p @ p, p, atol=1e-12)

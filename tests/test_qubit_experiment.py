@@ -17,15 +17,20 @@ from qclass import (
     error_probability,
     gaussian_error_probability,
     helstrom_risk,
+    pauli_data,
     plugin_strategy_run,
+    positive_part,
     rescaled_risk_curve,
     run_experiment,
     sample_labels,
     tomographic_estimate,
 )
-from qclass.qubit_experiment import _plugin_projector
-
-from helpers import sampled_error_probability, tomography_constant
+from helpers import (
+    positive_eigenprojector,
+    sampled_error_probability,
+    tomography_constant,
+    weighted_operator,
+)
 
 PLANAR = ClassificationProblem.from_bloch((0.8, 0, 0), (0, 0.6, 0), 0.5)
 TRIVIAL = ClassificationProblem.from_bloch((0, 0, 0.1), (0, 0, 0.5), 0.9)
@@ -116,28 +121,32 @@ class TestPluginStrategyRun:
             assert plugin_strategy_run(spec, rng) >= -1e-15
 
     def test_projector_matches_operator_route(self):
-        from qclass import positive_eigenprojector, HermitianOperator
-
+        """The plug-in rule on estimates agrees with the matrix-route oracle."""
         rng = np.random.default_rng(17)
-        for _ in range(200):
-            pi_hat = rng.uniform(0.05, 0.95)
-            r_hat = BlochVector.from_array(rng.uniform(-0.5, 0.5, 3))
-            s_hat = BlochVector.from_array(rng.uniform(-0.5, 0.5, 3))
-            direct = _plugin_projector(pi_hat, r_hat, s_hat)
-            op = HermitianOperator(
-                pi_hat * (np.eye(2) + r_hat.x * np.array([[0, 1], [1, 0]])
-                          + r_hat.y * np.array([[0, -1j], [1j, 0]])
-                          + r_hat.z * np.diag([1, -1])) / 2
-                - (1 - pi_hat) * (np.eye(2) + s_hat.x * np.array([[0, 1], [1, 0]])
-                                  + s_hat.y * np.array([[0, -1j], [1j, 0]])
-                                  + s_hat.z * np.diag([1, -1])) / 2
-            )
+        cases = [
+            (rng.uniform(0.05, 0.95),
+             BlochVector.from_array(rng.uniform(-0.5, 0.5, 3)),
+             BlochVector.from_array(rng.uniform(-0.5, 0.5, 3)))
+            for _ in range(200)
+        ]
+        small_r, small_s = BlochVector(0.1, 0, 0), BlochVector(0, 0.1, 0)
+        same = BlochVector(0.3, -0.2, 0.1)
+        cases += [
+            (0.95, small_r, small_s),  # rank 2: guess rho
+            (0.05, small_r, small_s),  # rank 0: guess sigma
+            (0.5, same, same),  # the operator vanishes: rank 0
+        ]
+        for pi_hat, r_hat, s_hat in cases:
+            direct = positive_part(*pauli_data(r_hat, s_hat, pi_hat))
+            op = weighted_operator(ClassificationProblem.from_bloch(r_hat, s_hat, pi_hat))
             via_op = positive_eigenprojector(op)
             assert direct.rank == via_op.rank
             if direct.rank == 1:
                 np.testing.assert_allclose(
                     direct.bloch.as_array(), via_op.bloch.as_array(), atol=1e-9
                 )
+        assert [positive_part(*pauli_data(r, s, pi)).rank
+                for pi, r, s in cases[-3:]] == [2, 0, 0]
 
     def test_exact_evaluation_vs_sampled_test_copies(self):
         """The trace-formula excess agrees with a 1e6-copy empirical estimate."""
@@ -148,7 +157,7 @@ class TestPluginStrategyRun:
         n0, n1 = sample_labels(spec.n, spec.pi0, rng, spec.label_mode)
         r_hat = tomographic_estimate(PLANAR.rho.bloch, n0, rng)
         s_hat = tomographic_estimate(PLANAR.sigma.bloch, n1, rng)
-        p_hat = _plugin_projector(spec.pi0, r_hat, s_hat)
+        p_hat = positive_part(*pauli_data(r_hat, s_hat, spec.pi0))
         exact = error_probability(p_hat, PLANAR)
         copies = 10**6
         sampled = sampled_error_probability(p_hat, PLANAR, copies, rng)
@@ -204,21 +213,6 @@ class TestRunExperiment:
         b = run_experiment(spec, 300, 41)
         c = run_experiment(spec, 300, 41, workers=3)
         assert a == b == c
-
-    def test_localize_flag_keeps_asymptotics(self):
-        n = 10**4
-        spec = TrainingSetSpec(
-            n=n, problem=PLANAR, label_mode=LabelMode.FIXED_COUNTS,
-            known_priors=True, localize=True,
-        )
-        res = run_experiment(spec, 2000, 43)
-        # the rough stage consumes floor(m^0.9) copies per class, scaling the
-        # constant by m/(m - m^0.9); the factor tends to 1, so the rate and
-        # limiting constant are untouched
-        m = n // 2
-        factor = m / (m - int(m**0.9))
-        oracle = factor * tomography_constant((0.8, 0, 0), (0, 0.6, 0), 0.5)
-        assert res.mean_rescaled_excess == pytest.approx(oracle, rel=0.1)
 
 
 class TestRescaledRiskCurve:
