@@ -14,7 +14,6 @@ from .qubit_core import (
     Projector,
     bloch_to_density,
     density_to_bloch,
-    sample_pauli,
 )
 from .helstrom import (
     ClassificationProblem,
@@ -22,10 +21,12 @@ from .helstrom import (
     TrivialityVerdict,
     error_probability,
     excess_risk,
+    excess_trace,
     helstrom_projector,
     helstrom_risk,
     pauli_data,
     positive_part,
+    positive_rank,
     triviality_check,
 )
 from .local_geometry import (
@@ -49,6 +50,7 @@ from .asymptotics import (
     quantum_risk_term,
     risk_gap,
     risk_report,
+    tomography_constant,
 )
 from .gaussian_model import (
     GaussianShiftModel,
@@ -67,11 +69,8 @@ from .qubit_experiment import (
     classical_coin_example,
     classical_gaussian_example,
     gaussian_error_probability,
-    plugin_strategy_run,
     rescaled_risk_curve,
     run_experiment,
-    sample_labels,
-    tomographic_estimate,
 )
 
 __version__ = "0.1.0"

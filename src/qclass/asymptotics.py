@@ -19,13 +19,19 @@ d0 = |d0|:
                    exactly for parallel same-direction states
 * prior correction (unknown priors): pi0 pi1 |(r0 + s0)_perp|^2 / (4 d0),
                    the extra variance from estimating pi0 at rate n^{-1/2}
+
+``tomography_constant`` is the delta-method constant of the finite-n
+Pauli-tomography plug-in that ``qubit-sim`` simulates; it is specific to
+that measurement and is not the heterodyne plug-in constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .local_geometry import LocalFrame, NumericalError
+import numpy as np
+
+from .local_geometry import LocalFrame, NumericalError, build_frame
 
 
 @dataclass(frozen=True)
@@ -150,3 +156,27 @@ def risk_report(frame: LocalFrame, pi0: float) -> RiskReport:
     if not abs((classical + quantum) / (4.0 * frame.d0_norm) - optimal) <= 1e-12:
         raise NumericalError("classical + quantum terms miss the optimal risk")
     return report
+
+
+def tomography_constant(r0, s0, pi0: float, *, with_prior_term: bool = False) -> float:
+    """Delta-method constant of the Pauli-tomography plug-in rescaled excess.
+
+    Per Cartesian coordinate j the tomography error of r has variance
+    3(1 - r_j^2)/(pi0 n) (a third of the class copies per axis), and only
+    the components along l0 and k0 survive the projection, so
+
+        C = [3 pi0 sum_j (1-r_j^2) w_j + 3 pi1 sum_j (1-s_j^2) w_j] / (4 |d0|)
+
+    with w_j = l0_j^2 + k0_j^2.  Estimating the prior from the label counts
+    adds ``prior_correction``.  Takes the Bloch vectors and builds the frame.
+    """
+    frame = build_frame(r0, s0, pi0)
+    r = np.asarray(r0, dtype=float)
+    s = np.asarray(s0, dtype=float)
+    w = frame.l0**2 + frame.k0**2
+    pi1 = 1.0 - pi0
+    num = 3.0 * pi0 * float(((1 - r**2) * w).sum()) + 3.0 * pi1 * float(((1 - s**2) * w).sum())
+    c = num / (4.0 * frame.d0_norm)
+    if with_prior_term:
+        c += prior_correction(frame, pi0)
+    return c

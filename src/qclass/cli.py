@@ -73,22 +73,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _finite_number(x) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _require(cfg: dict, key: str, kind, what: str):
     if key not in cfg:
         raise ConfigError(f"missing required config field '{key}' ({what})")
     value = cfg[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) or (
-            kind is float and not math.isfinite(value)):
+    if kind is float:
+        ok = _finite_number(value)
+    else:
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+    if not ok:
         raise ConfigError(f"config field '{key}' must be {what}, got {value!r}")
-    return value
+    return float(value) if kind is float else value
 
 
 def _parse_vec3(cfg: dict, key: str) -> np.ndarray:
     raw = _require(cfg, key, list, "a list of 3 finite numbers")
-    if len(raw) != 3 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                                and math.isfinite(x) for x in raw):
+    if len(raw) != 3 or not all(_finite_number(x) for x in raw):
         raise ConfigError(f"config field '{key}' must be a list of 3 finite numbers, got {raw!r}")
     return np.array(raw, dtype=float)
 
@@ -255,10 +265,8 @@ def cmd_sweep(cfg: dict, args) -> list[ResultRow]:
     grids = {}
     for key in ("r0_len", "s0_len", "angle", "pi0"):
         raw = sweep.get(key)
-        if not isinstance(raw, list) or not raw or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-        ):
-            raise ConfigError(f"sweep grid '{key}' must be a nonempty list of numbers")
+        if not isinstance(raw, list) or not raw or not all(_finite_number(x) for x in raw):
+            raise ConfigError(f"sweep grid '{key}' must be a nonempty list of finite numbers")
         grids[key] = [float(x) for x in raw]
     rows = []
     for r_len, s_len, angle, pi0 in itertools.product(
@@ -334,7 +342,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int literal
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     if not isinstance(cfg, dict):

@@ -4,11 +4,15 @@ For states (rho, sigma) with priors (pi0, pi1) the optimal ("oracle")
 measurement accepts rho on the strictly-positive eigenspace of
 A = pi0*rho - pi1*sigma, and its error probability is (1 - Tr|A|)/2.
 Writing A = alpha*I + (d/2).sigma with alpha = (pi0 - pi1)/2 and
-d = pi0*r - pi1*s, every quantity below reduces to scalar arithmetic in
-(alpha, d), which keeps the hot paths allocation-free.  ``pauli_data`` is
-the one place that computes (alpha, d, |d|) and ``positive_part`` the one
-rule for the strictly-positive eigenspace; the oracle, the triviality
-verdict, the excess risk and the qubit plug-in all read from them.
+d = pi0*r - pi1*s, every quantity below reduces to elementwise arithmetic
+in (alpha, d).  ``pauli_data`` is the one place that computes
+(alpha, d, |d|), ``positive_rank`` the one rule for the strictly-positive
+eigenspace and ``excess_trace`` the one trace formula for the regret; the
+oracle, the triviality verdict, the excess risk and the vectorised qubit
+plug-in all read from them.  These three are array-first: they accept
+floats or equal-shape arrays (a scalar is the size-1 case) and write every
+sum out elementwise in the same order, so a trial evaluated in a batch is
+bit-identical to the same trial evaluated alone.
 
 When |d| < |pi0 - pi1| the operator A is definite and the best strategy is
 to always guess the higher-prior label without measuring; the boundary
@@ -18,9 +22,10 @@ regime covers it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .qubit_core import (
     DensityMatrix,
@@ -68,27 +73,29 @@ class ClassificationProblem:
         return cls(bloch_to_density(r), bloch_to_density(s), pi0)
 
 
-def pauli_data(r: BlochVector, s: BlochVector, pi0: float):
+def pauli_data(r, s, pi0):
     """Pauli data of A = pi0*rho - pi1*sigma = alpha*I + (d/2).sigma.
 
-    Returns (alpha, dx, dy, dz, |d|); the eigenvalues of A are
+    r and s are BlochVectors, or any objects whose x, y, z attributes are
+    equal-shape arrays (one entry per problem); pi0 is a float or such an
+    array.  Returns (alpha, dx, dy, dz, |d|); the eigenvalues of A are
     alpha -/+ |d|/2.
     """
     pi1 = 1.0 - pi0
-    alpha = 0.5 * (pi0 - pi1)
     dx = pi0 * r.x - pi1 * s.x
     dy = pi0 * r.y - pi1 * s.y
     dz = pi0 * r.z - pi1 * s.z
-    return alpha, dx, dy, dz, math.sqrt(dx * dx + dy * dy + dz * dz)
+    dn = np.sqrt(dx * dx + dy * dy + dz * dz)
+    return 0.5 * (pi0 - pi1), dx, dy, dz, dn
 
 
-def _positive_rank(alpha: float, dn: float) -> int:
-    """Number of strictly positive eigenvalues of alpha*I + (d/2).sigma."""
-    if alpha - 0.5 * dn > 0.0:
-        return 2
-    if alpha + 0.5 * dn <= 0.0:
-        return 0
-    return 1
+def positive_rank(alpha, dn):
+    """Number of strictly positive eigenvalues of alpha*I + (d/2).sigma.
+
+    Elementwise: an int for floats, an int array for arrays.  Zero
+    eigenvalues never count, so a vanishing operator has rank 0.
+    """
+    return (alpha - 0.5 * dn > 0.0) * 1 + (alpha + 0.5 * dn > 0.0)
 
 
 def positive_part(alpha: float, dx: float, dy: float, dz: float, dn: float) -> Projector:
@@ -96,13 +103,35 @@ def positive_part(alpha: float, dx: float, dy: float, dz: float, dn: float) -> P
 
     Zero eigenvalues never count as positive: rank 0 when both eigenvalues
     are <= 0, rank 2 when both are > 0, and otherwise the rank-1 projector
-    with Bloch vector d/|d|.  Takes the output of ``pauli_data``.
+    with Bloch vector d/|d|.  Takes the scalar output of ``pauli_data``.
     """
-    rank = _positive_rank(alpha, dn)
+    rank = int(positive_rank(alpha, dn))
     if rank != 1:
         return Projector(rank=rank)
     return Projector(rank=1, bloch=BlochVector(dx / dn, dy / dn, dz / dn))
 
+
+def excess_trace(data, rank, px, py, pz):
+    """Tr[A P*] - Tr[A P], elementwise, for A with Pauli data ``data``.
+
+    P* is the positive part of A and P the projector of rank ``rank`` with
+    Bloch vector (px, py, pz), which is read at rank 1 only.  ``data`` is
+    one ``pauli_data`` result; rank and p are floats or equal-shape arrays.
+    When both eigenvalues of A share a sign, P* and a matching P use the
+    same summands, so the trivial regime yields exactly 0.0.
+    """
+    alpha, dx, dy, dz, dn = data
+    lo = alpha - 0.5 * dn
+    hi = alpha + 0.5 * dn
+    rank_opt = positive_rank(alpha, dn)
+    tr_opt = np.where(rank_opt == 2, lo + hi, np.where(rank_opt == 1, hi, 0.0))
+    tr_rank1 = alpha + 0.5 * (dx * px + dy * py + dz * pz)
+    tr_hat = np.where(rank == 2, lo + hi, np.where(rank == 1, tr_rank1, 0.0))
+    return tr_opt - tr_hat
+
+
+# stands in for the Bloch vector that rank-0/2 projectors do not have
+_NO_BLOCH = BlochVector(0.0, 0.0, 0.0)
 
 # verdict of a non-boundary configuration, indexed by the rank of P*
 _VERDICT_BY_RANK = (
@@ -127,7 +156,7 @@ def triviality_check(r0, s0, pi0: float) -> TrivialityVerdict:
     alpha, _, _, _, dn = pauli_data(r, s, pi0)
     if dn == 2.0 * abs(alpha):  # 2|alpha| is |pi0 - pi1| exactly
         return TrivialityVerdict.DEGENERATE
-    return _VERDICT_BY_RANK[_positive_rank(alpha, dn)]
+    return _VERDICT_BY_RANK[positive_rank(alpha, dn)]
 
 
 def helstrom_projector(problem: ClassificationProblem) -> Projector:
@@ -177,21 +206,12 @@ def error_probability(p_hat: Projector, problem: ClassificationProblem) -> float
 def excess_risk(p_hat: Projector, problem: ClassificationProblem) -> float:
     """Tr[(pi1*sigma - pi0*rho)(P - P*)], the regret against the oracle.
 
-    Computed as Tr[A P*] - Tr[A P] with A = pi0*rho - pi1*sigma, never as a
-    difference of error probabilities (that form survives only as a test
-    oracle); nonnegative for every projector up to rounding.  When both
-    eigenvalues share a sign the two traces use the same summands, so a
-    matching trivial estimate yields exactly 0.0.
+    Computed by ``excess_trace`` as Tr[A P*] - Tr[A P] with
+    A = pi0*rho - pi1*sigma, never as a difference of error probabilities
+    (that form survives only as a test oracle); nonnegative for every
+    projector up to rounding, and exactly 0.0 for a matching trivial
+    estimate.
     """
-    alpha, dx, dy, dz, dn = pauli_data(problem.rho.bloch, problem.sigma.bloch, problem.pi0)
-    lo = alpha - 0.5 * dn
-    hi = alpha + 0.5 * dn
-    tr_opt = (0.0, hi, lo + hi)[_positive_rank(alpha, dn)]
-    if p_hat.rank == 0:
-        tr_hat = 0.0
-    elif p_hat.rank == 2:
-        tr_hat = lo + hi
-    else:
-        p = p_hat.bloch
-        tr_hat = alpha + 0.5 * (dx * p.x + dy * p.y + dz * p.z)
-    return tr_opt - tr_hat
+    data = pauli_data(problem.rho.bloch, problem.sigma.bloch, problem.pi0)
+    p = p_hat.bloch or _NO_BLOCH
+    return float(excess_trace(data, p_hat.rank, p.x, p.y, p.z))

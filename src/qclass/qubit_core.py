@@ -158,21 +158,3 @@ def density_to_bloch(rho) -> BlochVector:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     return rho.bloch
-
-
-def sample_pauli(r, axis, rng: np.random.Generator, size: int | None = None):
-    """Outcome(s) of measuring axis.sigma on the state with Bloch vector r.
-
-    Born rule: P(+1) = (1 + r.axis)/2.  The axis must be a unit vector.
-    Returns a single int for ``size=None``, otherwise an int array of +/-1.
-    """
-    if not isinstance(r, BlochVector):
-        r = BlochVector.from_array(r)
-    av = as_vector3(axis)
-    if abs(float(np.linalg.norm(av)) - 1.0) > ATOL:
-        raise ValueError("measurement axis must be a unit vector")
-    p = 0.5 * (1.0 + r.x * av[0] + r.y * av[1] + r.z * av[2])
-    p = min(max(p, 0.0), 1.0)
-    if size is None:
-        return 1 if rng.random() < p else -1
-    return np.where(rng.random(size) < p, 1, -1)

@@ -1,16 +1,25 @@
 """Finite-n qubit experiments and the classical warm-up examples.
 
 The measurable plug-in strategy at the qubit level: split the n labelled
-copies by class, run per-copy Pauli tomography on each class (copies of a
-class divided equally over the x, y, z axes, remainder to x then y), clip
-the averaged outcomes radially to the Bloch ball, estimate the prior from
-the label counts (or use the known one), and classify with the projector
-onto the positive eigenspace of pi0_hat*rho_hat - pi1_hat*sigma_hat.
+copies by class, run Pauli tomography on each class (copies of a class
+divided equally over the x, y, z axes, remainder to x then y), clip the
+averaged outcomes radially to the Bloch ball, estimate the prior from the
+label counts (or use the known one), and classify with the projector onto
+the positive eigenspace of pi0_hat*rho_hat - pi1_hat*sigma_hat.
+
+The average of the m_j outcomes +/-1 on axis j depends on them only
+through the number k_j of +1 outcomes, k_j ~ Binomial(m_j, (1 + r_j)/2),
+so each trial draws six counts instead of n outcomes and costs the same
+at every n; a whole chunk of trials is evaluated as arrays.  An axis
+measured on zero copies (a class with fewer than three copies) estimates
+0, so every trial has a defined outcome: with no copies of a class its
+estimate is the maximally mixed state, and an estimated prior of 0 or 1
+gives the rank-0 or rank-2 plug-in by the usual rule.
 
 The excess risk of the resulting projector is evaluated exactly through
 the trace formula (conditional on the projector it is a deterministic
-number, so no test copies are sampled); the sampled-test-copy estimate
-survives as a test oracle.
+number, so no test copies are sampled); the per-outcome sampler and the
+sampled-test-copy estimate survive as test oracles.
 
 Two classical baselines with the same rescaled-risk interface: the
 two-Gaussian location problem (excess risk of rate 1/n, midpoint plug-in)
@@ -22,19 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from .helstrom import ClassificationProblem, excess_risk, pauli_data, positive_part
+from .helstrom import ClassificationProblem, excess_trace, pauli_data, positive_rank
 from .montecarlo import ExperimentResult, run_chunked, summarize
-from .qubit_core import BlochVector, sample_pauli
-
-_AXES = (
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0]),
-    np.array([0.0, 0.0, 1.0]),
-)
+from .qubit_core import BlochVector
 
 
 class DegenerateTrainingSetError(ValueError):
@@ -64,62 +68,62 @@ class TrainingSetSpec:
         return self.problem.pi0
 
 
-def sample_labels(
-    n: int,
-    pi0: float,
-    rng: np.random.Generator,
-    mode: LabelMode = LabelMode.RANDOM_LABELS,
-) -> tuple[int, int]:
-    """Class sizes (n0, n1) of a training set of n labelled copies.
+class _Columns(NamedTuple):
+    """Bloch vectors of a batch of trials, one 1-D array per coordinate."""
 
-    RANDOM_LABELS draws n0 ~ Binomial(n, pi0); FIXED_COUNTS uses the
-    deterministic n0 = round(pi0 * n) (half-integers round up).
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+
+
+# Trials per pass of the plug-in kernel over a chunk's estimates.  The
+# kernel's arrays then stay small next to the estimates themselves, so the
+# chunk's peak memory is set by the six count draws, not by the kernel.
+_KERNEL_BLOCK = 8192
+
+
+def _tomography(r: BlochVector, m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Pauli-tomography estimates of r, one column per entry of the copy counts m.
+
+    Axis j (x, y, z in turn) gets m_j = (m + 2 - j) // 3 copies and draws
+    one count k_j ~ Binomial(m_j, (1 + r_j)/2) per trial; its estimate is
+    the outcome average (2 k_j - m_j)/m_j, or 0 when m_j = 0.  Estimates
+    outside the Bloch ball are clipped radially to the unit sphere.
+    Returns a (3, len(m)) array whose rows are the x, y, z estimates.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    if mode is LabelMode.FIXED_COUNTS:
-        n0 = int(math.floor(pi0 * n + 0.5))
-    else:
-        n0 = int(rng.binomial(n, pi0))
-    return n0, n - n0
+    est = np.empty((3, m.size))
+    for j, r_j in enumerate((r.x, r.y, r.z)):
+        m_j = (m + (2 - j)) // 3
+        np.multiply(rng.binomial(m_j, min(max(0.5 * (1.0 + r_j), 0.0), 1.0)), 2.0, out=est[j])
+        est[j] -= m_j
+        est[j] /= np.maximum(m_j, 1, out=m_j)
+        del m_j  # before the next axis allocates its own
+    x, y, z = est
+    norm = x * x
+    norm += y * y
+    norm += z * z
+    np.sqrt(norm, out=norm)
+    est /= np.maximum(norm, 1.0, out=norm)
+    return est
 
 
-def _axis_counts(m: int) -> tuple[int, int, int]:
-    base, rem = divmod(m, 3)
-    return base + (1 if rem >= 1 else 0), base + (1 if rem >= 2 else 0), base
+def _plugin_excess(truth, r_hat: _Columns, s_hat: _Columns, pi_hat):
+    """Exact excess risk of the plug-in projector, one value per estimate.
 
-
-def tomographic_estimate(r: BlochVector, m: int, rng: np.random.Generator) -> BlochVector:
-    """Pauli tomography of the state with Bloch vector r from m copies.
-
-    Each coordinate is the average of the +/-1 outcomes on its third of
-    the copies; an estimate outside the Bloch ball is clipped radially to
-    the unit sphere so the result is always a valid state.
+    The projector is the positive part of pi_hat*rho_hat - pi1_hat*sigma_hat
+    and ``truth`` the ``pauli_data`` of the problem.  Elementwise, so each
+    entry equals the scalar
+    ``excess_risk(positive_part(*pauli_data(r_hat, s_hat, pi_hat)), problem)``
+    bit for bit.
     """
-    if m < 3:
-        raise ValueError(f"tomography needs at least 3 copies, got {m!r}")
-    est = np.empty(3)
-    for j, m_j in enumerate(_axis_counts(m)):
-        outcomes = sample_pauli(r, _AXES[j], rng, size=m_j)
-        est[j] = outcomes.mean()
-    norm = float(np.linalg.norm(est))
-    if norm > 1.0:
-        est /= norm
-    return BlochVector.from_array(est)
-
-
-def plugin_strategy_run(spec: TrainingSetSpec, rng: np.random.Generator) -> float:
-    """One trial of the tomography plug-in; returns its exact excess risk."""
-    n0, n1 = sample_labels(spec.n, spec.pi0, rng, spec.label_mode)
-    if n0 == 0 or n1 == 0:
-        raise DegenerateTrainingSetError(
-            f"training set has an empty class (n0={n0}, n1={n1})"
-        )
-    r_hat = tomographic_estimate(spec.problem.rho.bloch, n0, rng)
-    s_hat = tomographic_estimate(spec.problem.sigma.bloch, n1, rng)
-    pi_hat = spec.pi0 if spec.known_priors else n0 / spec.n
-    p_hat = positive_part(*pauli_data(r_hat, s_hat, pi_hat))
-    return excess_risk(p_hat, spec.problem)
+    alpha, dx, dy, dz, dn = pauli_data(r_hat, s_hat, pi_hat)
+    # d/|d|, the Bloch vector of a rank-1 positive part (as in positive_part);
+    # ranks 0 and 2 ignore it, also where |d| = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx /= dn
+        dy /= dn
+        dz /= dn
+    return excess_trace(truth, positive_rank(alpha, dn), dx, dy, dz)
 
 
 def run_experiment(
@@ -127,15 +131,36 @@ def run_experiment(
 ) -> ExperimentResult:
     """Seeded trials of the plug-in strategy at one n.
 
+    Each chunk is evaluated as arrays over its trials, with no loop over
+    trials (the kernel after the draws takes _KERNEL_BLOCK trials per
+    pass).  Draw order per chunk, each draw one array of the chunk's
+    length: the class sizes n0 ~ Binomial(n, pi0) (random labels only;
+    fixed counts use n0 = round(pi0 * n) with halves rounded up), then the
+    x, y, z counts of rho, then the x, y, z counts of sigma.
+
     mean_rescaled_excess is n * (sample mean excess risk); fraction_exact
     counts trials whose excess is exactly zero (the learned projector
     reproduced the oracle, the generic event in the trivial regime).
     """
+    n, pi0 = spec.n, spec.pi0
+    rho, sigma = spec.problem.rho.bloch, spec.problem.sigma.bloch
+    truth = pauli_data(rho, sigma, pi0)
 
     def chunk_fn(rng, size):
+        if spec.label_mode is LabelMode.FIXED_COUNTS:
+            n0 = np.full(size, math.floor(pi0 * n + 0.5))
+        else:
+            n0 = rng.binomial(n, pi0, size)
+        r_hat = _tomography(rho, n0, rng)
+        n1 = np.subtract(n, n0, out=n0)  # reuses n0's memory
+        s_hat = _tomography(sigma, n1, rng)
         out = np.empty(size)
-        for i in range(size):
-            out[i] = plugin_strategy_run(spec, rng)
+        for lo in range(0, size, _KERNEL_BLOCK):
+            b = slice(lo, lo + _KERNEL_BLOCK)
+            pi_hat = pi0 if spec.known_priors else (n - n1[b]) / n
+            out[b] = _plugin_excess(
+                truth, _Columns(*r_hat[:, b]), _Columns(*s_hat[:, b]), pi_hat
+            )
         return out
 
     losses = run_chunked(trials, seed, chunk_fn, workers=workers)

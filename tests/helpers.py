@@ -1,17 +1,39 @@
-"""Shared random generators and matrix-route oracles for the tests.
+"""Shared random generators, matrix-route and per-outcome oracles for the tests.
 
 The library computes every eigen-quantity of a 2x2 operator from its Pauli
-data (qclass.helstrom.pauli_data / positive_part).  The oracles below take
+data (qclass.helstrom.pauli_data / positive_rank).  The oracles below take
 the explicit-matrix route instead, so the tests can check one against the
 other.
+
+The library's qubit-sim draws six binomial counts per trial for a whole
+chunk at once.  The per-trial plug-in below draws every +/-1 outcome
+instead, one trial at a time, and is the reference it is tested against.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from qclass import BlochVector, ClassificationProblem, Projector
-from qclass.qubit_core import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _check_2x2_hermitian
+from qclass import (
+    BlochVector,
+    ClassificationProblem,
+    LabelMode,
+    Projector,
+    excess_risk,
+    pauli_data,
+    positive_part,
+)
+from qclass.qubit_core import (
+    ATOL,
+    IDENTITY,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _check_2x2_hermitian,
+    as_vector3,
+)
 
 
 class HermitianOperator:
@@ -122,32 +144,6 @@ def random_rotation(rng) -> np.ndarray:
     return q
 
 
-def tomography_constant(r0, s0, pi0, *, with_prior_term=False) -> float:
-    """Delta-method oracle for the Pauli plug-in rescaled excess risk.
-
-    Per Cartesian coordinate j the tomography error of r has variance
-    3(1 - r_j^2)/(pi0 n) (a third of the class copies per axis), and only
-    the components along l0 and k0 survive the projection, so
-
-        C = [3 pi0 sum_j (1-r_j^2) w_j + 3 pi1 sum_j (1-s_j^2) w_j] / (4 |d0|)
-
-    with w_j = l0_j^2 + k0_j^2.  Estimating the prior from the label counts
-    adds the usual prior-correction term.
-    """
-    from qclass import build_frame, prior_correction
-
-    frame = build_frame(r0, s0, pi0)
-    r = np.asarray(r0, dtype=float)
-    s = np.asarray(s0, dtype=float)
-    w = frame.l0**2 + frame.k0**2
-    pi1 = 1.0 - pi0
-    num = 3.0 * pi0 * float(((1 - r**2) * w).sum()) + 3.0 * pi1 * float(((1 - s**2) * w).sum())
-    c = num / (4.0 * frame.d0_norm)
-    if with_prior_term:
-        c += prior_correction(frame, pi0)
-    return c
-
-
 def sampled_error_probability(p_hat, problem, copies, rng) -> float:
     """Test-copy estimate of the misclassification probability of (P, 1-P)."""
     pm = projector_matrix(p_hat)
@@ -157,3 +153,66 @@ def sampled_error_probability(p_hat, problem, copies, rng) -> float:
     mis_rho = int(rng.binomial(copies - n1, min(max(1.0 - acc_rho, 0.0), 1.0)))
     mis_sigma = int(rng.binomial(n1, min(max(acc_sigma, 0.0), 1.0)))
     return (mis_rho + mis_sigma) / copies
+
+
+def sample_pauli(r, axis, rng: np.random.Generator, size: int | None = None):
+    """Outcome(s) of measuring axis.sigma on the state with Bloch vector r.
+
+    Born rule: P(+1) = (1 + r.axis)/2.  The axis must be a unit vector.
+    Returns a single int for ``size=None``, otherwise an int array of +/-1.
+    """
+    if not isinstance(r, BlochVector):
+        r = BlochVector.from_array(r)
+    av = as_vector3(axis)
+    if abs(float(np.linalg.norm(av)) - 1.0) > ATOL:
+        raise ValueError("measurement axis must be a unit vector")
+    p = 0.5 * (1.0 + r.x * av[0] + r.y * av[1] + r.z * av[2])
+    p = min(max(p, 0.0), 1.0)
+    if size is None:
+        return 1 if rng.random() < p else -1
+    return np.where(rng.random(size) < p, 1, -1)
+
+
+def sample_labels(n: int, pi0: float, rng, mode: LabelMode = LabelMode.RANDOM_LABELS):
+    """Class sizes (n0, n1): n0 ~ Binomial(n, pi0), or round(pi0 * n) with
+    halves rounded up for FIXED_COUNTS."""
+    if mode is LabelMode.FIXED_COUNTS:
+        n0 = int(math.floor(pi0 * n + 0.5))
+    else:
+        n0 = int(rng.binomial(n, pi0))
+    return n0, n - n0
+
+
+def axis_counts(m: int) -> tuple[int, int, int]:
+    """Copies per Pauli axis: an equal split, remainder to x, then y."""
+    base, rem = divmod(m, 3)
+    return base + (1 if rem >= 1 else 0), base + (1 if rem >= 2 else 0), base
+
+
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def tomographic_estimate(r: BlochVector, m: int, rng) -> BlochVector:
+    """Per-outcome Pauli tomography of r from m copies.
+
+    Each coordinate is the average of the +/-1 outcomes on its share of the
+    copies, or 0 for an axis that got none; an estimate outside the Bloch
+    ball is clipped radially to the unit sphere.
+    """
+    est = np.zeros(3)
+    for j, m_j in enumerate(axis_counts(m)):
+        if m_j:
+            est[j] = sample_pauli(r, _AXES[j], rng, size=m_j).mean()
+    norm = float(np.linalg.norm(est))
+    if norm > 1.0:
+        est /= norm
+    return BlochVector.from_array(est)
+
+
+def plugin_strategy_run(spec, rng) -> float:
+    """One trial of the tomography plug-in, outcome by outcome; its exact excess."""
+    n0, n1 = sample_labels(spec.n, spec.pi0, rng, spec.label_mode)
+    r_hat = tomographic_estimate(spec.problem.rho.bloch, n0, rng)
+    s_hat = tomographic_estimate(spec.problem.sigma.bloch, n1, rng)
+    pi_hat = spec.pi0 if spec.known_priors else n0 / spec.n
+    return excess_risk(positive_part(*pauli_data(r_hat, s_hat, pi_hat)), spec.problem)

@@ -34,6 +34,7 @@ from qclass import (
     risk_gap,
     risk_report,
     run_experiment,
+    tomography_constant,
 )
 from qclass.cli import main
 
@@ -41,7 +42,6 @@ from helpers import (
     random_nontrivial_config,
     random_problem,
     random_projector,
-    tomography_constant,
 )
 
 

@@ -118,6 +118,45 @@ class TestConfigValidation:
         assert field in captured.err
 
 
+    HUGE = 10**400  # a JSON integer too large for a float
+
+    @pytest.mark.parametrize("command, field", [
+        ("gaussian-sim", "r0"), ("gaussian-sim", "pi0"), ("gaussian-sim", "delta"),
+        ("sweep", "angle"),
+    ])
+    def test_integer_too_large_for_float_exits_2(self, tmp_path, capsys, command, field):
+        if command == "sweep":
+            grid = {"r0_len": [0.9], "s0_len": [0.3], "angle": [0.0], "pi0": [0.5]}
+            cfg = {"sweep": {**grid, field: [self.HUGE]}}
+        else:
+            problem = dict(PLANAR_PROBLEM)
+            cfg = {"problem": problem, "strategy": "optimal_joint", "trials": 100, "seed": 1}
+            if field == "r0":
+                problem["r0"] = [self.HUGE, 0, 0]
+            elif field == "pi0":
+                problem["pi0"] = self.HUGE
+            else:
+                cfg[field] = self.HUGE
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert field in captured.err
+
+
+    @pytest.mark.parametrize("raw", [
+        b'{"problem": {"r0": [1' + b"0" * 5000 + b', 0, 0], "s0": [0, 0.6, 0], "pi0": 0.5}}',
+        b'{"problem": "\xff"}',
+    ], ids=["int-literal-too-long", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "config.json"
+        path.write_bytes(raw)
+        assert main(["report", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read config")
+
+
 class TestGaussianSim:
     def test_mc_within_three_stderr_of_closed_form(self, tmp_path):
         cfg = {
@@ -183,6 +222,14 @@ class TestQubitSim:
             ("rescaled_excess_mc", "200"), ("fraction_exact", "200"),
             ("rescaled_excess_mc", "400"), ("fraction_exact", "400"),
         ]
+
+    def test_small_classes_have_a_defined_outcome(self, tmp_path):
+        """At n=6 some trials draw fewer than 3 copies of a class; the run
+        still succeeds (an axis without copies estimates 0)."""
+        cfg = {"problem": PLANAR_PROBLEM, "n_list": [6], "trials": 200, "seed": 3}
+        rows = run_to_rows(tmp_path, "qubit-sim", cfg)
+        assert [r["metric"] for r in rows] == ["rescaled_excess_mc", "fraction_exact"]
+        assert all(math.isfinite(float(r["value"])) for r in rows)
 
     def test_bad_n_list_exits_2(self, tmp_path):
         cfg = {"problem": PLANAR_PROBLEM, "n_list": [400, 200],
@@ -255,7 +302,7 @@ class TestDeterminismAndFormats:
         "qubit-sim": (
             {"n_list": [60, 200], "trials": 300, "seed": 13},
             64,
-            "c49eb36b57c991a8094f5ea81003abbd2d15aac599e9205c24a1820d7d3f029a",
+            "bfe22d873ff73e606326a2056526db3a737f7819aad2bb121516f7a2082d4079",
         ),
         "gaussian-sim": (
             {"strategy": ["optimal_joint", "heterodyne_plugin",

@@ -12,7 +12,6 @@ from qclass import (
     Projector,
     bloch_to_density,
     density_to_bloch,
-    sample_pauli,
 )
 from qclass.qubit_core import SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY
 
@@ -22,6 +21,7 @@ from helpers import (
     projector_matrix,
     random_projector,
     random_unit,
+    sample_pauli,
     trace_norm,
 )
 

@@ -8,32 +8,35 @@ import pytest
 from qclass import (
     BlochVector,
     ClassificationProblem,
-    DegenerateTrainingSetError,
     LabelMode,
     TrainingSetSpec,
     bayes_risk_gaussian,
     classical_coin_example,
     classical_gaussian_example,
     error_probability,
+    excess_risk,
     gaussian_error_probability,
     helstrom_risk,
     pauli_data,
-    plugin_strategy_run,
     positive_part,
     rescaled_risk_curve,
     run_experiment,
-    sample_labels,
-    tomographic_estimate,
-)
-from helpers import (
-    positive_eigenprojector,
-    sampled_error_probability,
     tomography_constant,
+)
+from qclass.qubit_experiment import _Columns, _plugin_excess, _tomography
+from helpers import (
+    axis_counts,
+    plugin_strategy_run,
+    positive_eigenprojector,
+    sample_labels,
+    sampled_error_probability,
+    tomographic_estimate,
     weighted_operator,
 )
 
 PLANAR = ClassificationProblem.from_bloch((0.8, 0, 0), (0, 0.6, 0), 0.5)
 TRIVIAL = ClassificationProblem.from_bloch((0, 0, 0.1), (0, 0, 0.5), 0.9)
+SKEWED = ClassificationProblem.from_bloch((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
 
 
 class TestSampleLabels:
@@ -62,6 +65,10 @@ class TestTomographicEstimate:
         est = tomographic_estimate(BlochVector(0.8, 0, 0), m, rng)
         sigma = math.sqrt((1 - 0.64) / (m / 3))
         assert est.x == pytest.approx(0.8, abs=4 * sigma)
+        # the count-based estimates are unbiased too: 10^4 trials of 3000 copies
+        batch = _tomography(BlochVector(0.8, 0, 0), np.full(10_000, 3000), rng)
+        sigma = math.sqrt((1 - 0.64) / 1000 / 10_000)
+        assert batch[0].mean() == pytest.approx(0.8, abs=4 * sigma)
 
     def test_pure_state_estimate_is_clipped_to_sphere(self):
         """A +z pure state gives a raw z-average of exactly 1, so any x/y
@@ -74,15 +81,29 @@ class TestTomographicEstimate:
             assert est.z > 0.0
 
     def test_minimum_copies(self):
-        with pytest.raises(ValueError):
-            tomographic_estimate(BlochVector(0, 0, 0), 2, np.random.default_rng(0))
+        """Below three copies the axes without a copy estimate 0."""
+        rng = np.random.default_rng(0)
+        up = BlochVector(0, 0, 1)
+        assert tomographic_estimate(up, 0, rng) == BlochVector(0, 0, 0)
+        assert tomographic_estimate(up, 2, rng).z == 0.0
+        est = _tomography(up, np.array([0, 1, 2, 3]), rng)
+        np.testing.assert_array_equal(est[:, 0], 0.0)
+        np.testing.assert_array_equal(est[1:, 1], 0.0)
+        assert est[2, 2] == 0.0
+        assert est[2, 3] > 0.0  # the one z copy of |0> gives +1
 
     def test_remainder_to_x_then_y(self):
-        from qclass.qubit_experiment import _axis_counts
-
-        assert _axis_counts(3) == (1, 1, 1)
-        assert _axis_counts(4) == (2, 1, 1)
-        assert _axis_counts(5) == (2, 2, 1)
+        assert axis_counts(3) == (1, 1, 1)
+        assert axis_counts(4) == (2, 1, 1)
+        assert axis_counts(5) == (2, 2, 1)
+        # the vectorised split is the same: measured along its own axis j, a
+        # pure state gives +1 every time, so estimate j is positive exactly
+        # when axis j got a copy
+        m = np.arange(12)
+        rng = np.random.default_rng(1)
+        for j in range(3):
+            est = _tomography(BlochVector.from_array(np.eye(3)[j]), m, rng)
+            np.testing.assert_array_equal(est[j] > 0.0, [axis_counts(k)[j] > 0 for k in m])
 
     def test_clipping_inactive_for_interior_states(self):
         """At mixed states the raw estimate stays interior for large m."""
@@ -106,13 +127,21 @@ class TestPluginStrategyRun:
             assert plugin_strategy_run(spec, rng) == 0.0
 
     def test_degenerate_training_set(self):
-        spec = TrainingSetSpec(
-            n=10,
-            problem=ClassificationProblem.from_bloch((0.5, 0, 0), (0, 0.5, 0), 0.01),
-            label_mode=LabelMode.FIXED_COUNTS,
-        )
-        with pytest.raises(DegenerateTrainingSetError):
-            plugin_strategy_run(spec, np.random.default_rng(0))
+        """A class with no copies estimates the maximally mixed state and an
+        estimated prior of 0, so the plug-in guesses sigma (rank 0) and the
+        excess is Tr[A P*] exactly, whatever the draws."""
+        for r0, s0, expected_positive in (((0.5, 0, 0), (0, 0.5, 0), False),
+                                          ((1, 0, 0), (0, -1, 0), True)):
+            problem = ClassificationProblem.from_bloch(r0, s0, 0.04)
+            spec = TrainingSetSpec(n=10, problem=problem, label_mode=LabelMode.FIXED_COUNTS)
+            alpha, _, _, _, dn = pauli_data(problem.rho.bloch, problem.sigma.bloch, 0.04)
+            expected = max(alpha + 0.5 * dn, 0.0)  # n0 = round(0.4) = 0
+            assert (expected > 0.0) == expected_positive
+            rng = np.random.default_rng(0)
+            assert [plugin_strategy_run(spec, rng) for _ in range(20)] == [expected] * 20
+            res = run_experiment(spec, 500, 3)
+            assert res.mean_rescaled_excess == pytest.approx(10 * expected, rel=1e-12)
+            assert res.fraction_exact == (0.0 if expected_positive else 1.0)
 
     def test_excess_nonnegative(self):
         rng = np.random.default_rng(13)
@@ -165,6 +194,68 @@ class TestPluginStrategyRun:
         assert sampled == pytest.approx(exact, abs=4 * sigma)
         # and the excess definition is consistent with the Helstrom floor
         assert exact - helstrom_risk(PLANAR) >= -1e-12
+
+
+class TestVectorisedChunk:
+    """The chunk's array kernel against the per-trial, per-outcome oracle."""
+
+    @staticmethod
+    def _estimate_batch(rng):
+        cases = [
+            (rng.uniform(0.0, 1.0),
+             rng.uniform(-0.55, 0.55, 3),
+             rng.uniform(-0.55, 0.55, 3))
+            for _ in range(300)
+        ]
+        small_r, small_s = np.array([0.1, 0, 0]), np.array([0, 0.1, 0])
+        same = np.array([0.3, -0.2, 0.1])
+        cases += [
+            (0.95, small_r, small_s),  # rank 2: guess rho
+            (0.05, small_r, small_s),  # rank 0: guess sigma
+            (0.5, same, same),  # the operator vanishes: rank 0
+            (0.0, np.zeros(3), small_s),  # no rho copies, prior estimated 0
+            (1.0, small_r, np.zeros(3)),  # no sigma copies, prior estimated 1
+        ]
+        pi_hat = np.array([c[0] for c in cases])
+        r_hat = np.array([c[1] for c in cases])
+        s_hat = np.array([c[2] for c in cases])
+        return pi_hat, r_hat, s_hat
+
+    @pytest.mark.parametrize("problem", [PLANAR, TRIVIAL, SKEWED],
+                             ids=["planar", "trivial", "skewed"])
+    def test_bit_exact_kernel(self, problem):
+        """Array excess == scalar excess_risk(positive_part(pauli_data(...)))."""
+        pi_hat, r_hat, s_hat = self._estimate_batch(np.random.default_rng(5))
+        truth = pauli_data(problem.rho.bloch, problem.sigma.bloch, problem.pi0)
+        r_cols, s_cols = _Columns(*r_hat.T.copy()), _Columns(*s_hat.T.copy())
+        # a known prior is the scalar-broadcast case of the same kernel
+        for pi in (0.3, pi_hat):
+            projectors = [
+                positive_part(*pauli_data(BlochVector.from_array(r),
+                                          BlochVector.from_array(s), p))
+                for p, r, s in zip(np.broadcast_to(pi, pi_hat.shape), r_hat, s_hat)
+            ]
+            batch = _plugin_excess(truth, r_cols, s_cols, pi)
+            assert batch.tolist() == [excess_risk(p, problem) for p in projectors]
+        assert {p.rank for p in projectors} == {0, 1, 2}  # of the pi_hat batch
+
+    @pytest.mark.parametrize("n", [30, 300])
+    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
+    def test_same_distribution_as_per_outcome_oracle(self, n, mode):
+        """Mean rescaled excess agrees within 4 combined standard errors."""
+        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
+        fast = run_experiment(spec, 20_000, (101, n))
+        rng = np.random.default_rng((102, n))
+        oracle = n * np.array([plugin_strategy_run(spec, rng) for _ in range(3000)])
+        se = math.hypot(fast.stderr, oracle.std(ddof=1) / math.sqrt(oracle.size))
+        assert abs(fast.mean_rescaled_excess - oracle.mean()) <= 4 * se
+
+    def test_trivial_regime_every_trial_exactly_zero(self):
+        for mode in LabelMode:
+            spec = TrainingSetSpec(n=2000, problem=TRIVIAL, label_mode=mode)
+            res = run_experiment(spec, 20_000, 7)
+            assert res.fraction_exact == 1.0
+            assert res.mean_rescaled_excess == 0.0
 
 
 class TestRunExperiment:
