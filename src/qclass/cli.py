@@ -317,6 +317,21 @@ _COMMANDS = {
 }
 
 
+def _parse_run_options(cfg: dict, args) -> tuple[str, str | None]:
+    """Workers (stored on args), format and output path; flags beat config."""
+    if args.workers is None:
+        args.workers = cfg.get("workers", 1)
+    if (not isinstance(args.workers, int) or isinstance(args.workers, bool)
+            or args.workers < 1):
+        raise ConfigError(f"workers must be a positive integer, got {args.workers!r}")
+    fmt = args.format or cfg.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
+    if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
+        raise ConfigError(f"config field 'out' must be a nonempty path, got {cfg['out']!r}")
+    return fmt, args.out or cfg.get("out")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qclass",
@@ -349,20 +364,8 @@ def main(argv=None) -> int:
         print("error: config must be a JSON object", file=sys.stderr)
         return 2
 
-    if args.workers is None:
-        args.workers = cfg.get("workers", 1)
-    if (not isinstance(args.workers, int) or isinstance(args.workers, bool)
-            or args.workers < 1):
-        print(f"error: workers must be a positive integer, got {args.workers!r}",
-              file=sys.stderr)
-        return 2
-    fmt = args.format or cfg.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        print(f"error: format must be 'csv' or 'json', got {fmt!r}", file=sys.stderr)
-        return 2
-    out_path = args.out or cfg.get("out")
-
     try:
+        fmt, out_path = _parse_run_options(cfg, args)
         rows = _COMMANDS[args.command](cfg, args)
     except ValueError as exc:
         # ConfigError, or a module precondition violated by config values
@@ -374,8 +377,12 @@ def main(argv=None) -> int:
 
     text = render_csv(rows) if fmt == "csv" else render_json(rows)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -34,11 +34,17 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .helstrom import ClassificationProblem, excess_trace, pauli_data, positive_rank
 from .montecarlo import ExperimentResult, run_chunked, summarize
 from .qubit_core import BlochVector
+
+
+# Largest n a TrainingSetSpec accepts.  Above it the exact excess, of order
+# 1/n, sinks to the rounding error of the trace formula Tr[A P*] - Tr[A P]
+# (at n = 1e15 the mean is already biased low), so results would be wrong
+# without any error being raised.
+MAX_N = 10**12
 
 
 class DegenerateTrainingSetError(ValueError):
@@ -62,6 +68,9 @@ class TrainingSetSpec:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if self.n > MAX_N:
+            raise ValueError(f"n must be at most 10**12 (the excess risk falls to "
+                             f"rounding error above it), got {self.n!r}")
 
     @property
     def pi0(self) -> float:
@@ -192,12 +201,20 @@ def rescaled_risk_curve(
     return results
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _normal_cdf(x):
+    """Standard normal CDF Phi(x) = erfc(-x/sqrt(2))/2, elementwise."""
+    return 0.5 * _erfc(np.negative(x) / math.sqrt(2.0))
+
+
 def gaussian_error_probability(t, a: float, b: float):
     """Error probability of guessing the b-class when x >= t (equal priors).
 
     0.5*(1 - Phi(t - a)) + 0.5*Phi(t - b); vectorised in t.
     """
-    return 0.5 * (1.0 - ndtr(t - a)) + 0.5 * ndtr(t - b)
+    return 0.5 * (1.0 - _normal_cdf(t - a)) + 0.5 * _normal_cdf(t - b)
 
 
 def bayes_risk_gaussian(a: float, b: float) -> float:

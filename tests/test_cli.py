@@ -157,6 +157,44 @@ class TestConfigValidation:
         assert captured.err.startswith("error: cannot read config")
 
 
+    @pytest.mark.parametrize("out", [123, True, "", None, ["x.csv"]])
+    def test_bad_out_field_exits_2(self, tmp_path, capsys, out):
+        cfg = {"problem": PLANAR_PROBLEM, "out": out}
+        assert main(["report", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config field 'out'")
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory", "nul"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, where, target):
+        path = {"missing-dir": str(tmp_path / "nonexistent" / "x.csv"),
+                "directory": str(tmp_path),
+                "nul": str(tmp_path / "x\0.csv")}[target]
+        cfg = {"problem": PLANAR_PROBLEM}
+        argv = ["report", "--config"]
+        if where == "flag":
+            argv += [write_config(tmp_path, cfg), "--out", path]
+        else:
+            argv += [write_config(tmp_path, {**cfg, "out": path})]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output: ")
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        """The start-up path is numpy and the standard library only."""
+        env = dict(os.environ, PYTHONPATH=str(Path(qclass.__file__).parents[1]))
+        code = ("import qclass.cli, sys; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestGaussianSim:
     def test_mc_within_three_stderr_of_closed_form(self, tmp_path):
         cfg = {
@@ -235,6 +273,18 @@ class TestQubitSim:
         cfg = {"problem": PLANAR_PROBLEM, "n_list": [400, 200],
                "trials": 10, "seed": 1}
         assert main(["qubit-sim", "--config", write_config(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize("n_list", [[2**62], [10**30], [100, 10**12 + 1]],
+                             ids=["2**62", "10**30", "just-over-limit"])
+    def test_n_above_limit_exits_2(self, tmp_path, capsys, n_list):
+        """Above 10**12 the excess risk is lost in rounding: a bad config,
+        not a silently wrong result or a numerical failure."""
+        cfg = {"problem": PLANAR_PROBLEM, "n_list": n_list, "trials": 10, "seed": 1,
+               "label_mode": "fixed", "known_priors": True}
+        assert main(["qubit-sim", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n must be at most 10**12")
 
 
 class TestSweep:

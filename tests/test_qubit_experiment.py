@@ -258,6 +258,17 @@ class TestVectorisedChunk:
             assert res.mean_rescaled_excess == 0.0
 
 
+class TestTrainingSetSpec:
+    def test_n_limit(self):
+        """n up to 10**12 runs; above it the spec is refused by name."""
+        spec = TrainingSetSpec(n=10**12, problem=PLANAR, known_priors=True)
+        res = run_experiment(spec, 100, 5)
+        assert math.isfinite(res.mean_rescaled_excess)
+        for n in (10**12 + 1, 2**62, 10**30):
+            with pytest.raises(ValueError, match=r"at most 10\*\*12"):
+                TrainingSetSpec(n=n, problem=PLANAR)
+
+
 class TestRunExperiment:
     def test_matches_delta_method_oracle(self):
         spec = TrainingSetSpec(
@@ -344,6 +355,23 @@ class TestClassicalGaussianExample:
         assert gaussian_error_probability(t_star, 0.0, 3.0) == bayes_risk_gaussian(0.0, 3.0)
         for t in (1.2, 1.8):
             assert gaussian_error_probability(t, 0.0, 3.0) > bayes_risk_gaussian(0.0, 3.0)
+
+    def test_matches_scipy_normal_cdf(self):
+        """Oracle: the scipy ndtr formula, on a grid reaching both tails."""
+        ndtr = pytest.importorskip("scipy.special").ndtr
+        t = np.linspace(-12.0, 12.0, 48_001)
+        for a, b in ((0.0, 3.0), (0.0, 2.0), (-1.5, 4.0), (2.0, 2.25)):
+            want = 0.5 * (1.0 - ndtr(t - a)) + 0.5 * ndtr(t - b)
+            got = gaussian_error_probability(t, a, b)
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_scalar_and_array_types(self):
+        scalar = gaussian_error_probability(0.7, 0.0, 2.0)
+        assert np.ndim(scalar) == 0
+        assert isinstance(float(scalar), float)
+        arr = gaussian_error_probability(np.array([0.7, 1.0, 1.3]), 0.0, 2.0)
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.shape == (3,)
+        assert arr[0] == scalar
 
     def test_rescaled_excess_constant_in_n(self):
         means = [
