@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -171,9 +172,10 @@ def _parse_strategies(cfg: dict) -> list[StrategyKind]:
 
 
 def _parse_seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _require(cfg, "seed", int, "an integer")
+    seed = args.seed if args.seed is not None else _require(cfg, "seed", int, "an integer")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
@@ -332,7 +334,10 @@ def _parse_run_options(cfg: dict, args) -> tuple[str, str | None]:
     return fmt, args.out or cfg.get("out")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first call and reused: parse_args leaves the parser as it
+    # was and returns a fresh Namespace, so no state passes between calls.
     parser = argparse.ArgumentParser(
         prog="qclass",
         description="Optimal classification of two unknown qubit states: "

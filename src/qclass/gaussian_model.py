@@ -78,11 +78,13 @@ def build_gaussian_model(frame: LocalFrame, u, v, pi0: float) -> GaussianShiftMo
     pi1 = 1.0 - pi0
     c1 = math.sqrt(pi0 / (2.0 * r0))
     c2 = math.sqrt(pi1 / (2.0 * s0))
+    # a pure state normalised in floating point can have |r0| = 1 + 2e-16;
+    # its classical variance is 0, as for |r0| = 1
     return GaussianShiftModel(
         mean_xr=math.sqrt(pi0) * u[2],
-        var_xr=1.0 - r0 ** 2,
+        var_xr=max(0.0, 1.0 - r0 ** 2),
         mean_xs=math.sqrt(pi1) * v[2],
-        var_xs=1.0 - s0 ** 2,
+        var_xs=max(0.0, 1.0 - s0 ** 2),
         mean_q1=c1 * u[0],
         mean_p1=c1 * u[1],
         var_mode1=1.0 / (2.0 * r0),

@@ -1,5 +1,6 @@
 """End-to-end tests of the qclass command line driver."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -9,11 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qclass
 from qclass import montecarlo
-from qclass.cli import main
+from qclass.cli import _build_parser, main
 
 PLANAR_PROBLEM = {"r0": [0.8, 0.0, 0.0], "s0": [0.0, 0.6, 0.0], "pi0": 0.5}
 
@@ -117,6 +119,21 @@ class TestConfigValidation:
         assert captured.err.startswith("error: ")
         assert field in captured.err
 
+    @pytest.mark.parametrize("command", ["gaussian-sim", "qubit-sim"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, where):
+        cfg = {"problem": PLANAR_PROBLEM, "trials": 10, "seed": 1,
+               "strategy": "optimal_joint", "n_list": [10]}
+        argv = [command, "--config"]
+        if where == "flag":
+            argv += [write_config(tmp_path, cfg), "--seed", "-5"]
+        else:
+            argv += [write_config(tmp_path, {**cfg, "seed": -3})]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed must be a non-negative integer")
+
 
     HUGE = 10**400  # a JSON integer too large for a float
 
@@ -195,6 +212,70 @@ class TestImports:
         assert proc.stdout == "[]\n"
 
 
+class TestParserReuse:
+    """The argument parser is built once per process; calls stay independent."""
+
+    @staticmethod
+    def call(capsys, argv):
+        """(exit code, stdout, stderr, bytes written to --out or None)."""
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        written = None
+        if "--out" in argv:
+            path = Path(argv[argv.index("--out") + 1])
+            written = path.read_bytes()
+            path.unlink()
+        return rc, captured.out, captured.err, written
+
+    @pytest.mark.parametrize("first, second", [
+        (["report", "--config", "{report}", "--format", "json"],
+         ["report", "--config", "{report}"]),
+        (["gaussian-sim", "--config", "{gaussian}", "--seed", "5"],
+         ["gaussian-sim", "--config", "{gaussian}"]),
+        (["report", "--config", "{report}", "--out", "{out}"],
+         ["report", "--config", "{report}"]),
+        (["nope"], ["report", "--config", "{report}"]),
+    ], ids=["format-then-default", "seed-then-config-seed", "out-then-stdout",
+            "argparse-error-then-report"])
+    def test_each_call_matches_the_call_alone(self, tmp_path, capsys, first, second):
+        paths = {
+            "report": write_config(tmp_path, {"problem": PLANAR_PROBLEM}, "report.json"),
+            "gaussian": write_config(tmp_path, {"problem": PLANAR_PROBLEM, "trials": 200,
+                                                "seed": 1, "strategy": "optimal_joint"},
+                                     "gaussian.json"),
+            "out": str(tmp_path / "out.txt"),
+        }
+        argvs = [[arg.format(**paths) for arg in template] for template in (first, second)]
+        alone = []
+        for argv in argvs:
+            _build_parser.cache_clear()
+            alone.append(self.call(capsys, argv))
+        in_sequence = [self.call(capsys, argv) for argv in argvs]
+        assert in_sequence == alone
+        assert alone[0][0] == (2 if first == ["nope"] else 0)
+        assert alone[1][0] == 0
+        assert alone[0][1:] != alone[1][1:]
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        """Guards the saving: main builds no parser after the first call."""
+        argv = ["report", "--config", write_config(tmp_path, {"problem": PLANAR_PROBLEM})]
+        assert main(argv) == 0
+        built = []
+
+        class CountingParser(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(argparse, "ArgumentParser", CountingParser)
+        for _ in range(3):
+            assert main(argv) == 0
+        assert built == []
+
+
 class TestGaussianSim:
     def test_mc_within_three_stderr_of_closed_form(self, tmp_path):
         cfg = {
@@ -213,6 +294,21 @@ class TestGaussianSim:
             stderr = float(row["stderr"])
             theory = float(row["param.closed_form"])
             assert abs(mean - theory) <= 3 * stderr
+
+    def test_pure_state_normalised_in_floating_point(self, tmp_path):
+        """|r0| = 1 + 2.2e-16 passes the Bloch-ball check; the classical
+        variance 1 - |r0|^2 is then clamped at 0, not a math domain error."""
+        v = [0.9698243673082586, -0.03271874667890908, -0.24159921396994988]
+        assert float(np.linalg.norm(v)) > 1.0
+        cfg = {
+            "problem": {"r0": v, "s0": [0, 0.6, 0], "pi0": 0.7},
+            "strategy": ["optimal_joint", "heterodyne_plugin",
+                         "optimal_joint_unknown_priors"],
+            "trials": 2000, "seed": 1,
+        }
+        rows = run_to_rows(tmp_path, "gaussian-sim", cfg)
+        assert [r["param.strategy"] for r in rows] == cfg["strategy"]
+        assert all(math.isfinite(float(r[k])) for r in rows for k in ("value", "stderr"))
 
     def test_requires_seed_and_trials(self, tmp_path, capsys):
         cfg = {"problem": PLANAR_PROBLEM, "strategy": "optimal_joint", "trials": 100}
@@ -372,6 +468,40 @@ class TestDeterminismAndFormats:
         cfg_path = write_config(tmp_path, {"problem": self.PINNED_PROBLEM, **extra})
         out = tmp_path / "pinned.csv"
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # sha256 of closed-form outputs: a faster CLI must print the same bytes
+    SWEEP_GRID = {"r0_len": [0.9], "s0_len": [0.3],
+                  "angle": [0.0, 0.7, math.pi / 2, math.pi], "pi0": [0.4]}
+    PINNED_CLOSED_FORM = {
+        "report-planar": (
+            "report", {"problem": PLANAR_PROBLEM}, "csv",
+            "0daae251ae1ae6079db58dbbfc9ffd1c763678c53904776f40a173cc2c4cb55c",
+        ),
+        "report-trivial": (
+            "report", {"problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9}}, "csv",
+            "7df1d7d7e99ea2e571815f7c0324945f6133d9e1ea2ef5d30090f84b692acf4b",
+        ),
+        "report-antiparallel": (
+            "report", {"problem": {"r0": [0, 0, 0.9], "s0": [0, 0, -0.3], "pi0": 0.4}}, "csv",
+            "ce487064b2ff19fe43e3ad7b84b6a6de19ffd303a35b1174420e638f26564db3",
+        ),
+        "sweep-csv": (
+            "sweep", {"sweep": SWEEP_GRID}, "csv",
+            "1a96d1ab615eef7e2a6a5130db7a6fb48ae934af29de07227e5f37e3a87796ad",
+        ),
+        "sweep-json": (
+            "sweep", {"sweep": SWEEP_GRID}, "json",
+            "762f2a5c7232aceea2f571498133bb1ae61aae550c973841905433d4d38a0110",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_CLOSED_FORM))
+    def test_pinned_closed_form(self, tmp_path, case):
+        command, cfg, fmt, digest = self.PINNED_CLOSED_FORM[case]
+        out = tmp_path / "pinned.out"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out), "--format", fmt]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_json_format_round_trip(self, tmp_path):
