@@ -9,11 +9,8 @@ qubit simulations) that reproduce the constants.
 from .qubit_core import (
     ATOL,
     BlochVector,
-    DensityMatrix,
     InvalidStateError,
     Projector,
-    bloch_to_density,
-    density_to_bloch,
 )
 from .helstrom import (
     ClassificationProblem,
@@ -32,12 +29,8 @@ from .helstrom import (
 from .local_geometry import (
     LocalFrame,
     NumericalError,
-    PerpEstimate,
     TrivialConfigurationError,
     build_frame,
-    estimator_to_projector,
-    local_states,
-    quadratic_loss,
     relative_perp,
 )
 from .asymptotics import (

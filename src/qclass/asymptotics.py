@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .local_geometry import LocalFrame, NumericalError, build_frame
+from .qubit_core import as_float3
 
 
 @dataclass(frozen=True)
@@ -126,12 +125,12 @@ def prior_correction(frame: LocalFrame, pi0: float) -> float:
     """Additional rescaled risk when the priors are unknown.
 
     pi0 pi1 |(r0 + s0)_perp|^2 / (4 |d0|), with the perp taken against p0;
-    zero exactly when r0 + s0 is parallel to p0.
+    zero exactly when r0 + s0 is parallel to p0.  Both states lie in the
+    (p0, l0) plane, so (r0 + s0)_perp = (r0 cos(phi0) + s0 cos(phi1)) l0.
     """
     pi1 = 1.0 - pi0
-    t = frame.r0_vec + frame.s0_vec
-    t_perp = t - (t @ frame.p0) * frame.p0
-    return pi0 * pi1 * float(t_perp @ t_perp) / (4.0 * frame.d0_norm)
+    t_l = frame.r0_norm * frame.cos_phi0 + frame.s0_norm * frame.cos_phi1
+    return pi0 * pi1 * t_l * t_l / (4.0 * frame.d0_norm)
 
 
 def risk_report(frame: LocalFrame, pi0: float) -> RiskReport:
@@ -167,15 +166,17 @@ def tomography_constant(r0, s0, pi0: float, *, with_prior_term: bool = False) ->
 
         C = [3 pi0 sum_j (1-r_j^2) w_j + 3 pi1 sum_j (1-s_j^2) w_j] / (4 |d0|)
 
-    with w_j = l0_j^2 + k0_j^2.  Estimating the prior from the label counts
-    adds ``prior_correction``.  Takes the Bloch vectors and builds the frame.
+    with w_j = l0_j^2 + k0_j^2 = 1 - p0_j^2 (the frame is orthonormal).
+    Estimating the prior from the label counts adds ``prior_correction``.
+    Takes the Bloch vectors and builds the frame.
     """
     frame = build_frame(r0, s0, pi0)
-    r = np.asarray(r0, dtype=float)
-    s = np.asarray(s0, dtype=float)
-    w = frame.l0**2 + frame.k0**2
     pi1 = 1.0 - pi0
-    num = 3.0 * pi0 * float(((1 - r**2) * w).sum()) + 3.0 * pi1 * float(((1 - s**2) * w).sum())
+    w = [1.0 - p * p for p in frame.p0.tolist()]
+    num = (
+        3.0 * pi0 * sum((1.0 - x * x) * w_j for x, w_j in zip(as_float3(r0), w))
+        + 3.0 * pi1 * sum((1.0 - x * x) * w_j for x, w_j in zip(as_float3(s0), w))
+    )
     c = num / (4.0 * frame.d0_norm)
     if with_prior_term:
         c += prior_correction(frame, pi0)

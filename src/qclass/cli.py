@@ -28,11 +28,12 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .asymptotics import (
+    RiskReport,
     optimal_minimax_risk,
     plugin_risk,
     prior_correction,
@@ -126,25 +127,20 @@ def _problem_params(r0, s0, pi0) -> dict:
     }
 
 
+# RiskReport fields in row order
+_REPORT_METRICS = tuple(f.name for f in fields(RiskReport))
+
+
 def _report_rows(r0, s0, pi0, params: dict) -> list[ResultRow]:
-    verdict = triviality_check(r0, s0, pi0)
     problem = ClassificationProblem.from_bloch(r0, s0, pi0)
+    verdict = triviality_check(problem.r, problem.s, pi0)
     rows = [
         ResultRow(params, "verdict", verdict.value),
         ResultRow(params, "helstrom_risk", helstrom_risk(problem)),
     ]
     if verdict is TrivialityVerdict.NONTRIVIAL:
-        frame = build_frame(r0, s0, pi0)
-        rep = risk_report(frame, pi0)
-        rows += [
-            ResultRow(params, "classical_term", rep.classical_term),
-            ResultRow(params, "quantum_term", rep.quantum_term),
-            ResultRow(params, "commutator_c", rep.commutator_c),
-            ResultRow(params, "optimal_risk", rep.optimal_risk),
-            ResultRow(params, "plugin_risk", rep.plugin_risk),
-            ResultRow(params, "gap", rep.gap),
-            ResultRow(params, "prior_correction", rep.prior_correction),
-        ]
+        rep = risk_report(build_frame(problem.r, problem.s, pi0), pi0)
+        rows += [ResultRow(params, name, getattr(rep, name)) for name in _REPORT_METRICS]
     return rows
 
 
@@ -293,10 +289,13 @@ def render_csv(rows: list[ResultRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(param_keys + ["metric", "value", "stderr", "n"])
+    params = None
     for row in rows:
-        cells = [_fmt(row.params.get(k)) for k in param_keys]
-        cells += [row.metric, _fmt(row.value), _fmt(row.stderr), _fmt(row.n)]
-        writer.writerow(cells)
+        if row.params is not params:  # rows of one config share its dict
+            params = row.params
+            param_cells = [_fmt(params.get(k)) for k in param_keys]
+        writer.writerow(param_cells + [row.metric, _fmt(row.value), _fmt(row.stderr),
+                                       _fmt(row.n)])
     return buf.getvalue()
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .local_geometry import LocalFrame, perp_components, relative_perp
 from .montecarlo import ExperimentResult, run_chunked, summarize
-from .qubit_core import as_vector3
+from .qubit_core import as_float3
 
 
 class StrategyKind(Enum):
@@ -69,8 +69,8 @@ class GaussianShiftModel:
 
 def build_gaussian_model(frame: LocalFrame, u, v, pi0: float) -> GaussianShiftModel:
     """Gaussian model at local parameters (u, v) in frame coordinates."""
-    u = as_vector3(u)
-    v = as_vector3(v)
+    u = as_float3(u)
+    v = as_float3(v)
     r0 = frame.r0_norm
     s0 = frame.s0_norm
     if r0 <= 0.0 or s0 <= 0.0:
@@ -165,9 +165,7 @@ def plugin_estimate(x_r, x_s, q1, p1, q2, p2, frame: LocalFrame, pi0: float):
 
 def _prior_direction(frame: LocalFrame) -> tuple[float, float]:
     """(l0, k0) components of (r0 + s0)_perp; the k0 part vanishes by geometry."""
-    t = frame.r0_vec + frame.s0_vec
-    t_perp = t - (t @ frame.p0) * frame.p0
-    return float(t_perp @ frame.l0), float(t_perp @ frame.k0)
+    return frame.r0_norm * frame.cos_phi0 + frame.s0_norm * frame.cos_phi1, 0.0
 
 
 def monte_carlo_risk(
@@ -192,7 +190,7 @@ def monte_carlo_risk(
     """
     strategy = StrategyKind(strategy)
     model = build_gaussian_model(frame, u, v, pi0)
-    z = relative_perp(u, v, frame, pi0)
+    z_l, z_k = relative_perp(u, v, frame, pi0)
     inv4d = 1.0 / (4.0 * frame.d0_norm)
 
     if strategy is StrategyKind.HETERODYNE_PLUGIN:
@@ -200,7 +198,7 @@ def monte_carlo_risk(
 
         def chunk_fn(rng, size):
             zl, zk = plugin_estimate(*_draw(rng, params, size), frame, pi0)
-            return ((zl - z.z_l) ** 2 + (zk - z.z_k) ** 2) * inv4d
+            return ((zl - z_l) ** 2 + (zk - z_k) ** 2) * inv4d
 
     else:
         params = _joint_params(model, frame, pi0)
@@ -208,10 +206,10 @@ def monte_carlo_risk(
         if unknown:
             w_l, w_k = _prior_direction(frame)
             prior_sd = math.sqrt(pi0 * (1.0 - pi0))
-            target_l = z.z_l + delta * w_l
-            target_k = z.z_k + delta * w_k
+            target_l = z_l + delta * w_l
+            target_k = z_k + delta * w_k
         else:
-            target_l, target_k = z.z_l, z.z_k
+            target_l, target_k = z_l, z_k
 
         def chunk_fn(rng, size):
             zl, zk = optimal_estimate(*_draw(rng, params, size), frame, pi0)

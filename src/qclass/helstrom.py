@@ -22,17 +22,13 @@ regime covers it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .qubit_core import (
-    DensityMatrix,
-    BlochVector,
-    Projector,
-    bloch_to_density,
-)
+from .qubit_core import BlochVector, Projector
 
 
 class DegenerateProblemError(ValueError):
@@ -50,19 +46,15 @@ class TrivialityVerdict(Enum):
 
 @dataclass(frozen=True)
 class ClassificationProblem:
-    """Pair of states with prior pi0 for rho (pi1 = 1 - pi0)."""
+    """Bloch vectors r of rho and s of sigma, with prior pi0 for rho (pi1 = 1 - pi0)."""
 
-    rho: DensityMatrix
-    sigma: DensityMatrix
+    r: BlochVector
+    s: BlochVector
     pi0: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.pi0 < 1.0):
             raise ValueError(f"pi0 must lie strictly in (0, 1), got {self.pi0!r}")
-        if not isinstance(self.rho, DensityMatrix):
-            object.__setattr__(self, "rho", DensityMatrix(self.rho))
-        if not isinstance(self.sigma, DensityMatrix):
-            object.__setattr__(self, "sigma", DensityMatrix(self.sigma))
 
     @property
     def pi1(self) -> float:
@@ -70,7 +62,8 @@ class ClassificationProblem:
 
     @classmethod
     def from_bloch(cls, r, s, pi0: float) -> "ClassificationProblem":
-        return cls(bloch_to_density(r), bloch_to_density(s), pi0)
+        """The problem with states r, s given as BlochVectors or 3-sequences."""
+        return cls(BlochVector.from_array(r), BlochVector.from_array(s), pi0)
 
 
 def pauli_data(r, s, pi0):
@@ -85,7 +78,9 @@ def pauli_data(r, s, pi0):
     dx = pi0 * r.x - pi1 * s.x
     dy = pi0 * r.y - pi1 * s.y
     dz = pi0 * r.z - pi1 * s.z
-    dn = np.sqrt(dx * dx + dy * dy + dz * dz)
+    dd = dx * dx + dy * dy + dz * dz
+    # both square roots are correctly rounded, so the two routes agree bitwise
+    dn = math.sqrt(dd) if isinstance(dd, float) else np.sqrt(dd)
     return 0.5 * (pi0 - pi1), dx, dy, dz, dn
 
 
@@ -151,9 +146,14 @@ def triviality_check(r0, s0, pi0: float) -> TrivialityVerdict:
     """
     if not (0.0 < pi0 < 1.0):
         raise ValueError(f"pi0 must lie strictly in (0, 1), got {pi0!r}")
-    r = BlochVector.from_array(r0)
-    s = BlochVector.from_array(s0)
-    alpha, _, _, _, dn = pauli_data(r, s, pi0)
+    alpha, _, _, _, dn = pauli_data(
+        BlochVector.from_array(r0), BlochVector.from_array(s0), pi0
+    )
+    return verdict_of(alpha, dn)
+
+
+def verdict_of(alpha: float, dn: float) -> TrivialityVerdict:
+    """Verdict of ``triviality_check`` from the scalar ``pauli_data`` (alpha, |d|)."""
     if dn == 2.0 * abs(alpha):  # 2|alpha| is |pi0 - pi1| exactly
         return TrivialityVerdict.DEGENERATE
     return _VERDICT_BY_RANK[positive_rank(alpha, dn)]
@@ -167,7 +167,7 @@ def helstrom_projector(problem: ClassificationProblem) -> Projector:
     operator is definite.  Raises DegenerateProblemError when the operator
     vanishes identically (equal priors, coinciding states).
     """
-    data = pauli_data(problem.rho.bloch, problem.sigma.bloch, problem.pi0)
+    data = pauli_data(problem.r, problem.s, problem.pi0)
     alpha, _, _, _, dn = data
     if dn == 0.0 and alpha == 0.0:
         raise DegenerateProblemError(
@@ -182,7 +182,7 @@ def helstrom_risk(problem: ClassificationProblem) -> float:
     Always in [0, min(pi0, pi1)]; equals pi1 (resp. pi0) in the trivial
     guess-rho (resp. guess-sigma) regime.
     """
-    alpha, _, _, _, dn = pauli_data(problem.rho.bloch, problem.sigma.bloch, problem.pi0)
+    alpha, _, _, _, dn = pauli_data(problem.r, problem.s, problem.pi0)
     tn = abs(alpha + 0.5 * dn) + abs(alpha - 0.5 * dn)
     return 0.5 * (1.0 - tn)
 
@@ -196,8 +196,8 @@ def error_probability(p_hat: Projector, problem: ClassificationProblem) -> float
     if p_hat.rank == 2:
         return pi1
     p = p_hat.bloch
-    r = problem.rho.bloch
-    s = problem.sigma.bloch
+    r = problem.r
+    s = problem.s
     acc_rho = 0.5 * (1.0 + r.x * p.x + r.y * p.y + r.z * p.z)
     acc_sigma = 0.5 * (1.0 + s.x * p.x + s.y * p.y + s.z * p.z)
     return pi0 * (1.0 - acc_rho) + pi1 * acc_sigma
@@ -212,6 +212,6 @@ def excess_risk(p_hat: Projector, problem: ClassificationProblem) -> float:
     projector up to rounding, and exactly 0.0 for a matching trivial
     estimate.
     """
-    data = pauli_data(problem.rho.bloch, problem.sigma.bloch, problem.pi0)
+    data = pauli_data(problem.r, problem.s, problem.pi0)
     p = p_hat.bloch or _NO_BLOCH
     return float(excess_trace(data, p_hat.rank, p.x, p.y, p.z))

@@ -29,7 +29,18 @@ A candidate classifier with per-sample-size n is parametrised by a
 p_hat = (d0 + z_hat/sqrt(n)) / |...| (the same map that sends the local
 parameters to the oracle direction), and its rescaled excess risk
 converges to the quadratic loss |z_perp - z_hat|^2 / (4|d0|), where
-z_perp collects the (l0, k0) components of pi0*u - pi1*v.
+z_perp collects the (l0, k0) components of pi0*u - pi1*v
+(``relative_perp``; the map and the loss themselves are test oracles in
+tests/helpers.py).
+
+l0 comes from one of two routes.  While r0_hat is well away from +/-p0
+(|w| > 1e-4 for w = r0_hat - (r0_hat.p0) p0), l0 = w/|w| with w projected
+against p0 twice: the rounding one projection leaves along p0 would tilt
+l0 out of the plane orthogonal to p0 by about 1e-16/|w|.  Closer to
+(anti)parallel, k0 = (p0 x r0_hat)/|...| and l0 = k0 x p0, which stays
+orthogonal to p0 to rounding however small the angle.  Only an exactly
+zero cross product (parallel to working precision) falls back to the
+first coordinate axis not parallel to p0.
 """
 
 from __future__ import annotations
@@ -39,17 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit_core import (
-    BlochVector,
-    DensityMatrix,
-    Projector,
-    as_vector3,
-    bloch_to_density,
-)
-from .helstrom import TrivialityVerdict, triviality_check
+from .helstrom import TrivialityVerdict, pauli_data, verdict_of
+from .qubit_core import BlochVector, as_float3
 
-# r0_hat is parallel to p0 (degenerate plane) below this tolerance.
-_PARALLEL_TOL = 1e-12
+# Below this |w|, l0 comes from the cross-product route (see module doc).
+_PARALLEL_TOL = 1e-4
 
 
 class TrivialConfigurationError(ValueError):
@@ -62,7 +67,11 @@ class NumericalError(ArithmeticError):
 
 @dataclass(frozen=True)
 class LocalFrame:
-    """Reference frames, angles and norms of a nontrivial configuration."""
+    """Reference frames, angles and norms of a nontrivial configuration.
+
+    The unit vectors are length-3 numpy arrays; the angles and norms are
+    floats and are all that the closed-form constants read.
+    """
 
     p0: np.ndarray
     l0: np.ndarray
@@ -91,34 +100,44 @@ class LocalFrame:
 
     def u_to_cartesian(self, u) -> np.ndarray:
         """Perturbation of r0 from a-frame coordinates to Cartesian."""
-        u = as_vector3(u)
-        return u[0] * self.a1 + u[1] * self.a2 + u[2] * self.a3
+        u1, u2, u3 = as_float3(u)
+        return u1 * self.a1 + u2 * self.a2 + u3 * self.a3
 
     def v_to_cartesian(self, v) -> np.ndarray:
         """Perturbation of s0 from b-frame coordinates to Cartesian."""
-        v = as_vector3(v)
-        return v[0] * self.b1 + v[1] * self.b2 + v[2] * self.b3
+        v1, v2, v3 = as_float3(v)
+        return v1 * self.b1 + v2 * self.b2 + v3 * self.b3
 
 
-@dataclass(frozen=True)
-class PerpEstimate:
-    """Components (z_l, z_k) of a vector in the plane orthogonal to p0."""
-
-    z_l: float
-    z_k: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.z_l, self.z_k])
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _fallback_l0(p0: np.ndarray) -> np.ndarray:
+def _cross(a, b) -> tuple[float, float, float]:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _reject(a, ap: float, p) -> tuple[float, float, float]:
+    """a - ap p: a without its component ap along the unit vector p."""
+    return a[0] - ap * p[0], a[1] - ap * p[1], a[2] - ap * p[2]
+
+
+def _unit(a) -> tuple[float, float, float]:
+    n = math.sqrt(_dot(a, a))
+    return a[0] / n, a[1] / n, a[2] / n
+
+
+def _fallback_l0(p0) -> tuple[float, float, float]:
     # r0 and s0 parallel: any in-plane choice works, pick the first
-    # coordinate axis not parallel to p0 and project p0 out (deterministic).
-    for axis in np.eye(3):
-        if abs(float(axis @ p0)) < 1.0 - 1e-9:
-            w = axis - (axis @ p0) * p0
-            return w / float(np.linalg.norm(w))
-    raise NumericalError("p0 is parallel to all three coordinate axes")
+    # coordinate axis not parallel to p0 and project p0 out (deterministic);
+    # a unit p0 has some component below 1/sqrt(3) in size
+    j = next(j for j in range(3) if abs(p0[j]) < 1.0 - 1e-9)
+    axis = tuple(float(i == j) for i in range(3))
+    return _unit(_reject(axis, p0[j], p0))
 
 
 def build_frame(r0, s0, pi0: float) -> LocalFrame:
@@ -128,49 +147,56 @@ def build_frame(r0, s0, pi0: float) -> LocalFrame:
     TrivialConfigurationError when (r0, s0, pi0) is trivial or degenerate,
     and NumericalError when rounding breaks a frame identity.
     """
-    r = as_vector3(r0)
-    s = as_vector3(s0)
-    r0n = float(np.linalg.norm(r))
-    s0n = float(np.linalg.norm(s))
+    r = BlochVector.from_array(r0)
+    s = BlochVector.from_array(s0)
+    r0n = r.norm
+    s0n = s.norm
     if r0n == 0.0 or s0n == 0.0:
         raise ValueError("state Bloch vectors must be nonzero to define a frame")
-    verdict = triviality_check(r, s, pi0)
+    if not (0.0 < pi0 < 1.0):
+        raise ValueError(f"pi0 must lie strictly in (0, 1), got {pi0!r}")
+    alpha, dx, dy, dz, d0n = pauli_data(r, s, pi0)
+    verdict = verdict_of(alpha, d0n)
     if verdict is not TrivialityVerdict.NONTRIVIAL:
         raise TrivialConfigurationError(
             f"configuration is {verdict.value}; the local frame needs the "
             "nontrivial regime"
         )
-    pi1 = 1.0 - pi0
-    d0 = pi0 * r - pi1 * s
-    d0n = float(np.linalg.norm(d0))
-    p0 = d0 / d0n
+    p0 = (dx / d0n, dy / d0n, dz / d0n)
+    r_hat = (r.x / r0n, r.y / r0n, r.z / r0n)
+    s_hat = (s.x / s0n, s.y / s0n, s.z / s0n)
 
-    r_hat = r / r0n
-    s_hat = s / s0n
-    w = r_hat - (r_hat @ p0) * p0
-    wn = float(np.linalg.norm(w))
+    rp = _dot(r_hat, p0)
+    w = _reject(r_hat, rp, p0)
+    wn = math.sqrt(_dot(w, w))
     if wn > _PARALLEL_TOL:
-        l0 = w / wn  # r_hat.l0 = wn > 0, so cos(phi0) >= 0 automatically
+        w = _reject(w, _dot(w, p0), p0)  # the second projection (module doc)
+        wn = math.sqrt(_dot(w, w))
+        l0 = (w[0] / wn, w[1] / wn, w[2] / wn)  # r_hat.l0 = wn > 0
+        k0 = _cross(p0, l0)
     else:
-        l0 = _fallback_l0(p0)
-    k0 = np.cross(p0, l0)
+        k0 = _cross(p0, r_hat)
+        big = max(abs(k0[0]), abs(k0[1]), abs(k0[2]))
+        if big == 0.0:
+            l0 = _fallback_l0(p0)
+            k0 = _cross(p0, l0)
+        else:
+            # scaled first, so a tiny cross product cannot underflow in _unit
+            k0 = _unit((k0[0] / big, k0[1] / big, k0[2] / big))
+            l0 = _cross(k0, p0)  # r_hat.l0 = |p0 x r_hat| >= 0
 
-    sin_phi0 = float(r_hat @ p0)
-    cos_phi0 = float(r_hat @ l0)
-    sin_phi1 = -float(s_hat @ p0)
-    cos_phi1 = float(s_hat @ l0)
+    sin_phi0 = rp
+    cos_phi0 = _dot(r_hat, l0)
+    sin_phi1 = -_dot(s_hat, p0)
+    cos_phi1 = _dot(s_hat, l0)
+    a1 = tuple(-cos_phi0 * p + sin_phi0 * l for p, l in zip(p0, l0))
+    b1 = tuple(-cos_phi1 * p - sin_phi1 * l for p, l in zip(p0, l0))
 
-    a3 = r_hat
-    a2 = k0
-    a1 = -cos_phi0 * p0 + sin_phi0 * l0
-    b3 = s_hat
-    b2 = k0
-    b1 = -cos_phi1 * p0 - sin_phi1 * l0
-
+    p0, l0, k0, a1, a3, b1, b3 = np.array((p0, l0, k0, a1, r_hat, b1, s_hat))
     frame = LocalFrame(
         p0=p0, l0=l0, k0=k0,
-        a1=a1, a2=a2, a3=a3,
-        b1=b1, b2=b2, b3=b3,
+        a1=a1, a2=k0, a3=a3,
+        b1=b1, b2=k0, b3=b3,
         sin_phi0=sin_phi0, cos_phi0=cos_phi0,
         sin_phi1=sin_phi1, cos_phi1=cos_phi1,
         d0_norm=d0n, r0_norm=r0n, s0_norm=s0n,
@@ -199,17 +225,14 @@ def _check_frame(frame: LocalFrame, pi0: float) -> None:
         raise NumericalError("local frame has a negative cos(phi0) or cos(phi1)")
 
 
-def relative_perp(u, v, frame: LocalFrame, pi0: float) -> PerpEstimate:
-    """(l0, k0) components of z = pi0*u - pi1*v for frame-coordinate u, v.
+def relative_perp(u, v, frame: LocalFrame, pi0: float) -> tuple[float, float]:
+    """(l0, k0) components (z_l, z_k) of z = pi0*u - pi1*v for frame-coordinate u, v.
 
         z_l = (pi0 cos(phi0) u3 - pi1 cos(phi1) v3)
               + (pi0 sin(phi0) u1 + pi1 sin(phi1) v1)
         z_k = pi0 u2 - pi1 v2
     """
-    u = as_vector3(u)
-    v = as_vector3(v)
-    z_l, z_k = perp_components(u[0], u[1], u[2], v[0], v[1], v[2], frame, pi0)
-    return PerpEstimate(float(z_l), float(z_k))
+    return perp_components(*as_float3(u), *as_float3(v), frame, pi0)
 
 
 def perp_components(u1, u2, u3, v1, v2, v3, frame: LocalFrame, pi0: float):
@@ -225,44 +248,3 @@ def perp_components(u1, u2, u3, v1, v2, v3, frame: LocalFrame, pi0: float):
         + pi1 * frame.sin_phi1 * v1
     )
     return z_l, pi0 * u2 - pi1 * v2
-
-
-def quadratic_loss(z_perp: PerpEstimate, z_hat: PerpEstimate, d0_norm: float) -> float:
-    """|z_perp - z_hat|^2 / (4 |d0|), the limit of n * excess risk."""
-    if d0_norm <= 0.0:
-        raise ValueError("d0_norm must be positive")
-    dl = z_perp.z_l - z_hat.z_l
-    dk = z_perp.z_k - z_hat.z_k
-    return (dl * dl + dk * dk) / (4.0 * d0_norm)
-
-
-def estimator_to_projector(z_hat: PerpEstimate, frame: LocalFrame, n: int) -> Projector:
-    """Rank-1 projector with Bloch vector (d0 + z_hat/sqrt(n)) normalised.
-
-    The estimate perturbs d0 (not the unit vector p0): the oracle direction
-    is (d0 + z/sqrt(n))/|...|, and only the matching parametrisation makes
-    n * excess_risk converge to quadratic_loss(z_perp, z_hat).  To leading
-    order the result is p0 + z_hat/(sqrt(n)|d0|), so it stays within
-    O(|z_hat|/sqrt(n)) of p0.
-    """
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    vec = frame.d0_norm * frame.p0 + (
-        z_hat.z_l * frame.l0 + z_hat.z_k * frame.k0
-    ) / math.sqrt(n)
-    vec = vec / float(np.linalg.norm(vec))
-    return Projector(rank=1, bloch=BlochVector.from_array(vec))
-
-
-def local_states(frame: LocalFrame, u, v, n: int) -> tuple[DensityMatrix, DensityMatrix]:
-    """States at Bloch vectors r0 + u/sqrt(n) and s0 + v/sqrt(n).
-
-    u and v are in a-/b-frame coordinates.  A perturbation that leaves the
-    Bloch ball raises InvalidStateError.
-    """
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    root = math.sqrt(n)
-    r = frame.r0_vec + frame.u_to_cartesian(u) / root
-    s = frame.s0_vec + frame.v_to_cartesian(v) / root
-    return bloch_to_density(r), bloch_to_density(s)

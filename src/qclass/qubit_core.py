@@ -1,15 +1,15 @@
-"""Exact 2x2 qubit algebra: Bloch vectors, density matrices, projectors.
+"""Qubit states and projectors as Bloch vectors.
 
-Every Hermitian 2x2 matrix decomposes as A = alpha*I + beta.sigma with real
-alpha and a real 3-vector beta, and has eigenvalues alpha +/- |beta|.  The
-package uses that closed form throughout (the positive-part rule lives in
-qclass.helstrom); no iterative solver is involved, so results are exact up
-to a handful of rounding operations.
+A state is a Bloch vector r with |r| <= 1 (rho = (I + r.sigma)/2) and a
+rank-1 projector is a unit Bloch vector p (P = (I + p.sigma)/2).  Every
+Hermitian 2x2 matrix decomposes as A = alpha*I + beta.sigma and has
+eigenvalues alpha +/- |beta|, so the package works on Bloch components
+alone: no 2x2 matrix is ever built, and results are exact up to a handful
+of rounding operations (the positive-part rule lives in qclass.helstrom).
 
-States are Bloch vectors r with |r| <= 1 and rho = (I + r.sigma)/2.
 Direction and difference vectors (measurement axes, d = pi0*r - pi1*s, ...)
-carry no norm constraint and are passed around as plain length-3 numpy
-arrays throughout the package.
+carry no norm constraint and are passed around as plain float triples or
+length-3 numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,28 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Absolute tolerance for Hermiticity / trace / positivity checks.  All
-# inputs are analytically constructed, so 1e-12 only absorbs rounding.
+# Absolute tolerance for norm checks.  All inputs are analytically
+# constructed, so 1e-12 only absorbs rounding.
 ATOL = 1e-12
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
 
 
 class InvalidStateError(ValueError):
     """Input does not describe a valid qubit state or operator."""
 
 
-def as_vector3(x) -> np.ndarray:
-    """Coerce a BlochVector or any length-3 sequence to a float array."""
+def as_float3(x) -> tuple[float, float, float]:
+    """A BlochVector or any length-3 sequence of numbers as three floats."""
     if isinstance(x, BlochVector):
-        return x.as_array()
-    a = np.asarray(x, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    return a
+        return x.x, x.y, x.z
+    try:
+        a, b, c = x
+        return float(a), float(b), float(c)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a 3-vector, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,7 @@ class BlochVector:
     """Bloch vector of a qubit state; the norm must not exceed 1.
 
     Only state vectors are wrapped in this type.  Unconstrained 3-vectors
-    (directions, differences) stay plain numpy arrays.
+    (directions, differences) stay plain float triples or numpy arrays.
     """
 
     x: float
@@ -71,53 +67,10 @@ class BlochVector:
 
     @classmethod
     def from_array(cls, arr) -> "BlochVector":
-        a = as_vector3(arr)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-
-def _check_2x2_hermitian(m: np.ndarray, what: str) -> None:
-    if m.shape != (2, 2):
-        raise InvalidStateError(f"{what} must be 2x2, got shape {m.shape}")
-    if (
-        abs(m[0, 0].imag) > ATOL
-        or abs(m[1, 1].imag) > ATOL
-        or abs(m[0, 1] - m[1, 0].conjugate()) > ATOL
-    ):
-        raise InvalidStateError(f"{what} is not Hermitian to {ATOL}")
-
-
-class DensityMatrix:
-    """2x2 density matrix: Hermitian, unit trace, positive semidefinite.
-
-    The Bloch vector is extracted once at construction and cached as
-    ``.bloch``; the eigenvalues are (1 +/- |r|)/2.
-    """
-
-    __slots__ = ("matrix", "bloch")
-
-    def __init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=complex)
-        _check_2x2_hermitian(m, "density matrix")
-        trace = m[0, 0].real + m[1, 1].real
-        if abs(trace - 1.0) > ATOL:
-            raise InvalidStateError(f"density matrix trace {trace!r} != 1")
-        rx = 2.0 * m[0, 1].real
-        ry = -2.0 * m[0, 1].imag
-        rz = m[0, 0].real - m[1, 1].real
-        norm = math.sqrt(rx * rx + ry * ry + rz * rz)
-        if 0.5 * (1.0 - norm) < -ATOL:
-            raise InvalidStateError(
-                f"density matrix has eigenvalue {0.5 * (1.0 - norm)!r} < 0"
-            )
-        if norm > 1.0:
-            # rounding fuzz at the pure-state boundary only
-            rx, ry, rz = rx / norm, ry / norm, rz / norm
-        self.matrix = m
-        self.bloch = BlochVector(rx, ry, rz)
-
-    def __repr__(self) -> str:
-        b = self.bloch
-        return f"DensityMatrix(bloch=({b.x:.6g}, {b.y:.6g}, {b.z:.6g}))"
+        """The state with Bloch components ``arr``; a BlochVector is returned as is."""
+        if isinstance(arr, BlochVector):
+            return arr
+        return cls(*as_float3(arr))
 
 
 @dataclass(frozen=True)
@@ -143,18 +96,3 @@ class Projector:
                 )
         elif self.bloch is not None:
             raise ValueError("rank-0/2 projectors carry no Bloch vector")
-
-
-def bloch_to_density(r) -> DensityMatrix:
-    """rho = (I + r.sigma)/2.  Raises InvalidStateError when |r| > 1."""
-    if not isinstance(r, BlochVector):
-        r = BlochVector.from_array(r)
-    m = 0.5 * (IDENTITY + r.x * SIGMA_X + r.y * SIGMA_Y + r.z * SIGMA_Z)
-    return DensityMatrix(m)
-
-
-def density_to_bloch(rho) -> BlochVector:
-    """Bloch vector of a density matrix (validates non-DensityMatrix input)."""
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(rho)
-    return rho.bloch

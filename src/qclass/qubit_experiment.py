@@ -152,7 +152,7 @@ def run_experiment(
     reproduced the oracle, the generic event in the trivial regime).
     """
     n, pi0 = spec.n, spec.pi0
-    rho, sigma = spec.problem.rho.bloch, spec.problem.sigma.bloch
+    rho, sigma = spec.problem.r, spec.problem.s
     truth = pauli_data(rho, sigma, pi0)
 
     def chunk_fn(rng, size):

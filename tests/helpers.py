@@ -1,9 +1,12 @@
 """Shared random generators, matrix-route and per-outcome oracles for the tests.
 
-The library computes every eigen-quantity of a 2x2 operator from its Pauli
-data (qclass.helstrom.pauli_data / positive_rank).  The oracles below take
-the explicit-matrix route instead, so the tests can check one against the
-other.
+The library works on Bloch vectors alone and computes every eigen-quantity
+of a 2x2 operator from its Pauli data (qclass.helstrom.pauli_data /
+positive_rank).  The oracles below take the explicit-matrix route instead
+(density matrices, Pauli matrices, matrix projectors), so the tests can
+check one against the other.  The local-expansion helpers (perturbed
+states, the estimate -> projector map and the quadratic loss) live here
+too, as only the tests use them.
 
 The library's qubit-sim draws six binomial counts per trial for a whole
 chunk at once.  The per-trial plug-in below draws every +/-1 outcome
@@ -13,27 +16,139 @@ instead, one trial at a time, and is the reference it is tested against.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from qclass import (
     BlochVector,
     ClassificationProblem,
+    InvalidStateError,
     LabelMode,
     Projector,
     excess_risk,
     pauli_data,
     positive_part,
 )
-from qclass.qubit_core import (
-    ATOL,
-    IDENTITY,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    _check_2x2_hermitian,
-    as_vector3,
-)
+from qclass.qubit_core import ATOL
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+IDENTITY = np.eye(2, dtype=complex)
+
+
+def _check_2x2_hermitian(m: np.ndarray, what: str) -> None:
+    if m.shape != (2, 2):
+        raise InvalidStateError(f"{what} must be 2x2, got shape {m.shape}")
+    if (
+        abs(m[0, 0].imag) > ATOL
+        or abs(m[1, 1].imag) > ATOL
+        or abs(m[0, 1] - m[1, 0].conjugate()) > ATOL
+    ):
+        raise InvalidStateError(f"{what} is not Hermitian to {ATOL}")
+
+
+class DensityMatrix:
+    """2x2 density matrix: Hermitian, unit trace, positive semidefinite.
+
+    The Bloch vector is extracted once at construction and cached as
+    ``.bloch``; the eigenvalues are (1 +/- |r|)/2.
+    """
+
+    __slots__ = ("matrix", "bloch")
+
+    def __init__(self, matrix) -> None:
+        m = np.asarray(matrix, dtype=complex)
+        _check_2x2_hermitian(m, "density matrix")
+        trace = m[0, 0].real + m[1, 1].real
+        if abs(trace - 1.0) > ATOL:
+            raise InvalidStateError(f"density matrix trace {trace!r} != 1")
+        rx = 2.0 * m[0, 1].real
+        ry = -2.0 * m[0, 1].imag
+        rz = m[0, 0].real - m[1, 1].real
+        norm = math.sqrt(rx * rx + ry * ry + rz * rz)
+        if 0.5 * (1.0 - norm) < -ATOL:
+            raise InvalidStateError(
+                f"density matrix has eigenvalue {0.5 * (1.0 - norm)!r} < 0"
+            )
+        if norm > 1.0:
+            # rounding fuzz at the pure-state boundary only
+            rx, ry, rz = rx / norm, ry / norm, rz / norm
+        self.matrix = m
+        self.bloch = BlochVector(rx, ry, rz)
+
+    def __repr__(self) -> str:
+        b = self.bloch
+        return f"DensityMatrix(bloch=({b.x:.6g}, {b.y:.6g}, {b.z:.6g}))"
+
+
+def bloch_to_density(r) -> DensityMatrix:
+    """rho = (I + r.sigma)/2.  Raises InvalidStateError when |r| > 1."""
+    r = BlochVector.from_array(r)
+    m = 0.5 * (IDENTITY + r.x * SIGMA_X + r.y * SIGMA_Y + r.z * SIGMA_Z)
+    return DensityMatrix(m)
+
+
+def density_to_bloch(rho) -> BlochVector:
+    """Bloch vector of a density matrix (validates non-DensityMatrix input)."""
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho)
+    return rho.bloch
+
+
+class PerpEstimate(NamedTuple):
+    """Components (z_l, z_k) of a vector in the plane orthogonal to p0."""
+
+    z_l: float
+    z_k: float
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.z_l, self.z_k])
+
+
+def quadratic_loss(z_perp, z_hat, d0_norm: float) -> float:
+    """|z_perp - z_hat|^2 / (4 |d0|), the limit of n * excess risk.
+
+    z_perp and z_hat are (z_l, z_k) pairs, such as ``relative_perp`` results
+    or PerpEstimates.
+    """
+    if d0_norm <= 0.0:
+        raise ValueError("d0_norm must be positive")
+    dl = z_perp[0] - z_hat[0]
+    dk = z_perp[1] - z_hat[1]
+    return (dl * dl + dk * dk) / (4.0 * d0_norm)
+
+
+def estimator_to_projector(z_hat, frame, n: int) -> Projector:
+    """Rank-1 projector with Bloch vector (d0 + z_hat/sqrt(n)) normalised.
+
+    The estimate perturbs d0 (not the unit vector p0): the oracle direction
+    is (d0 + z/sqrt(n))/|...|, and only the matching parametrisation makes
+    n * excess_risk converge to quadratic_loss(z_perp, z_hat).  To leading
+    order the result is p0 + z_hat/(sqrt(n)|d0|), so it stays within
+    O(|z_hat|/sqrt(n)) of p0.
+    """
+    if int(n) != n or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    z_l, z_k = z_hat
+    vec = frame.d0_norm * frame.p0 + (z_l * frame.l0 + z_k * frame.k0) / math.sqrt(n)
+    vec = vec / float(np.linalg.norm(vec))
+    return Projector(rank=1, bloch=BlochVector.from_array(vec))
+
+
+def local_states(frame, u, v, n: int) -> tuple[DensityMatrix, DensityMatrix]:
+    """States at Bloch vectors r0 + u/sqrt(n) and s0 + v/sqrt(n).
+
+    u and v are in a-/b-frame coordinates.  A perturbation that leaves the
+    Bloch ball raises InvalidStateError.
+    """
+    if int(n) != n or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    root = math.sqrt(n)
+    r = frame.r0_vec + frame.u_to_cartesian(u) / root
+    s = frame.s0_vec + frame.v_to_cartesian(v) / root
+    return bloch_to_density(r), bloch_to_density(s)
 
 
 class HermitianOperator:
@@ -64,7 +179,8 @@ class HermitianOperator:
 def weighted_operator(problem: ClassificationProblem) -> HermitianOperator:
     """pi0*rho - pi1*sigma as an explicit operator."""
     return HermitianOperator(
-        problem.pi0 * problem.rho.matrix - problem.pi1 * problem.sigma.matrix
+        problem.pi0 * bloch_to_density(problem.r).matrix
+        - problem.pi1 * bloch_to_density(problem.s).matrix
     )
 
 
@@ -147,8 +263,8 @@ def random_rotation(rng) -> np.ndarray:
 def sampled_error_probability(p_hat, problem, copies, rng) -> float:
     """Test-copy estimate of the misclassification probability of (P, 1-P)."""
     pm = projector_matrix(p_hat)
-    acc_rho = float(np.trace(problem.rho.matrix @ pm).real)
-    acc_sigma = float(np.trace(problem.sigma.matrix @ pm).real)
+    acc_rho = float(np.trace(bloch_to_density(problem.r).matrix @ pm).real)
+    acc_sigma = float(np.trace(bloch_to_density(problem.s).matrix @ pm).real)
     n1 = int(rng.binomial(copies, problem.pi1))
     mis_rho = int(rng.binomial(copies - n1, min(max(1.0 - acc_rho, 0.0), 1.0)))
     mis_sigma = int(rng.binomial(n1, min(max(acc_sigma, 0.0), 1.0)))
@@ -163,7 +279,7 @@ def sample_pauli(r, axis, rng: np.random.Generator, size: int | None = None):
     """
     if not isinstance(r, BlochVector):
         r = BlochVector.from_array(r)
-    av = as_vector3(axis)
+    av = np.asarray(axis, dtype=float)
     if abs(float(np.linalg.norm(av)) - 1.0) > ATOL:
         raise ValueError("measurement axis must be a unit vector")
     p = 0.5 * (1.0 + r.x * av[0] + r.y * av[1] + r.z * av[2])
@@ -212,7 +328,7 @@ def tomographic_estimate(r: BlochVector, m: int, rng) -> BlochVector:
 def plugin_strategy_run(spec, rng) -> float:
     """One trial of the tomography plug-in, outcome by outcome; its exact excess."""
     n0, n1 = sample_labels(spec.n, spec.pi0, rng, spec.label_mode)
-    r_hat = tomographic_estimate(spec.problem.rho.bloch, n0, rng)
-    s_hat = tomographic_estimate(spec.problem.sigma.bloch, n1, rng)
+    r_hat = tomographic_estimate(spec.problem.r, n0, rng)
+    s_hat = tomographic_estimate(spec.problem.s, n1, rng)
     pi_hat = spec.pi0 if spec.known_priors else n0 / spec.n
     return excess_risk(positive_part(*pauli_data(r_hat, s_hat, pi_hat)), spec.problem)

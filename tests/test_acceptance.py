@@ -14,21 +14,17 @@ import pytest
 from qclass import (
     ClassificationProblem,
     LabelMode,
-    PerpEstimate,
     StrategyKind,
     TrainingSetSpec,
     build_frame,
     classical_coin_example,
     classical_gaussian_example,
     classical_risk_term,
-    estimator_to_projector,
     excess_risk,
-    local_states,
     monte_carlo_risk,
     optimal_minimax_risk,
     plugin_risk,
     prior_correction,
-    quadratic_loss,
     quantum_risk_term,
     relative_perp,
     risk_gap,
@@ -39,6 +35,10 @@ from qclass import (
 from qclass.cli import main
 
 from helpers import (
+    PerpEstimate,
+    estimator_to_projector,
+    local_states,
+    quadratic_loss,
     random_nontrivial_config,
     random_problem,
     random_projector,
@@ -154,7 +154,7 @@ def test_criterion_5_local_expansion():
         errs = []
         for n in (10**2, 10**4, 10**6):
             rho_n, sigma_n = local_states(f, u, v, n)
-            prob = ClassificationProblem(rho_n, sigma_n, pi0)
+            prob = ClassificationProblem(rho_n.bloch, sigma_n.bloch, pi0)
             errs.append(abs(n * excess_risk(estimator_to_projector(z_hat, f, n), prob)
                             - loss))
         monotone &= errs[0] > errs[1] > errs[2]

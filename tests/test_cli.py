@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 import qclass
 from qclass import montecarlo
 from qclass.cli import _build_parser, main
@@ -77,8 +78,19 @@ class TestReport:
 
 
 class TestNumericalFailure:
-    # r0 = 0.7 n and s0 = -0.4 n + 1e-9 noise: rounding breaks the frame
-    # identities of this valid nontrivial, near-antiparallel configuration
+    # runs the CLI with _check_frame fed a frame whose cos(phi1) is off by
+    # 1e-6, so the frame identities fail on purpose
+    BROKEN_CHECK = (
+        "import dataclasses, sys\n"
+        "import qclass.cli, qclass.local_geometry as lg\n"
+        "check = lg._check_frame\n"
+        "def broken(frame, pi0):\n"
+        "    return check(dataclasses.replace(frame, cos_phi1=frame.cos_phi1 + 1e-6), pi0)\n"
+        "lg._check_frame = broken\n"
+        "sys.exit(qclass.cli.main(sys.argv[1:]))\n"
+    )
+    # r0 = 0.7 n and s0 = -0.4 n + 1e-9 noise: a valid nontrivial,
+    # near-antiparallel configuration whose frame once failed these checks
     NEAR_ANTIPARALLEL = {
         "r0": [-0.3579992576259912, -0.5912220450961072, -0.1108739145679261],
         "s0": [0.2045710047781545, 0.33784116976239353, 0.06335652271994989],
@@ -88,16 +100,32 @@ class TestNumericalFailure:
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
     def test_broken_frame_exits_3(self, tmp_path, flags):
         """Exit 3 without a traceback, also when python -O strips asserts."""
-        cfg = write_config(tmp_path, {"problem": self.NEAR_ANTIPARALLEL})
+        cfg = write_config(tmp_path, {"problem": PLANAR_PROBLEM})
         env = dict(os.environ, PYTHONPATH=str(Path(qclass.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "qclass.cli", "report", "--config", cfg],
+            [sys.executable, *flags, "-c", self.BROKEN_CHECK, "report", "--config", cfg],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "numerical error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_near_antiparallel_report(self, tmp_path):
+        rows = run_to_rows(tmp_path, "report", {"problem": self.NEAR_ANTIPARALLEL})
+        assert metric_value(rows, "verdict")["value"] == "nontrivial"
+        assert len(rows) == 9
+        assert all(math.isfinite(float(r["value"])) for r in rows[1:])
+
+    def test_near_antiparallel_gaussian_sim(self, tmp_path):
+        strategies = ["optimal_joint", "heterodyne_plugin", "optimal_joint_unknown_priors"]
+        cfg = {"problem": self.NEAR_ANTIPARALLEL, "strategy": strategies,
+               "trials": 20_000, "seed": 3}
+        rows = run_to_rows(tmp_path, "gaussian-sim", cfg)
+        assert len(rows) == 3
+        for row in rows:
+            z = (float(row["value"]) - float(row["param.closed_form"])) / float(row["stderr"])
+            assert abs(z) <= 4.0
 
 
 class TestConfigValidation:
@@ -274,6 +302,38 @@ class TestParserReuse:
         for _ in range(3):
             assert main(argv) == 0
         assert built == []
+
+
+class TestFloatReportPath:
+    """A report is computed in plain floats, from Bloch vectors alone."""
+
+    def test_report_builds_no_matrix_and_no_numpy_vector(self, tmp_path, monkeypatch):
+        """Guards the saving: after a warm-up call, one report per frame route
+        (w/|w|, cross product, coordinate axis) builds no DensityMatrix and
+        calls np.linalg.norm, np.cross and np.dot only in the config check
+        of _parse_problem (its Bloch-ball norm), outside the closed-form layers."""
+        problems = [PLANAR_PROBLEM, TestNumericalFailure.NEAR_ANTIPARALLEL,
+                    {"r0": [0, 0, 0.9], "s0": [0, 0, -0.3], "pi0": 0.4}]
+        argvs = [["report", "--config", write_config(tmp_path, {"problem": p}, f"{i}.json")]
+                 for i, p in enumerate(problems)]
+        assert main(argvs[0]) == 0
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, sys._getframe(1).f_code.co_name))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm))
+        monkeypatch.setattr(np, "cross", counting("cross", np.cross))
+        monkeypatch.setattr(np, "dot", counting("dot", np.dot))
+        monkeypatch.setattr(helpers.DensityMatrix, "__init__",
+                            counting("DensityMatrix", helpers.DensityMatrix.__init__))
+        for argv in argvs:
+            assert main(argv) == 0
+        assert calls  # the counters are live
+        assert {caller for _, caller in calls} == {"_parse_problem"}
 
 
 class TestGaussianSim:
@@ -456,7 +516,7 @@ class TestDeterminismAndFormats:
              "trials": 5000, "seed": 7,
              "u": [0.2, -0.1, 0.4], "v": [0.3, 0.2, -0.2], "delta": 0.3},
             1024,
-            "c7bea4bd32d03e8f68c745962d0fa6880810db771425a53b04db959840c55e48",
+            "fe6368a8abd548717f116f12d03423a11e61979abf8f25592f73f9d757af6826",
         ),
     }
 
@@ -471,12 +531,14 @@ class TestDeterminismAndFormats:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # sha256 of closed-form outputs: a faster CLI must print the same bytes
+    # (tests/test_high_precision.py checks every printed number of these
+    # cases against a 50-digit evaluation)
     SWEEP_GRID = {"r0_len": [0.9], "s0_len": [0.3],
                   "angle": [0.0, 0.7, math.pi / 2, math.pi], "pi0": [0.4]}
     PINNED_CLOSED_FORM = {
         "report-planar": (
             "report", {"problem": PLANAR_PROBLEM}, "csv",
-            "0daae251ae1ae6079db58dbbfc9ffd1c763678c53904776f40a173cc2c4cb55c",
+            "a63b066da6df9e43b9133f6e75e25c9c8feca6a78409faf0ca1d2b9c3fa8f6be",
         ),
         "report-trivial": (
             "report", {"problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9}}, "csv",
@@ -488,11 +550,11 @@ class TestDeterminismAndFormats:
         ),
         "sweep-csv": (
             "sweep", {"sweep": SWEEP_GRID}, "csv",
-            "1a96d1ab615eef7e2a6a5130db7a6fb48ae934af29de07227e5f37e3a87796ad",
+            "87efac1f25f84628e2b5ac97d2c9f61c4bdedfccc9c301c5db7b9be9c39c67b9",
         ),
         "sweep-json": (
             "sweep", {"sweep": SWEEP_GRID}, "json",
-            "762f2a5c7232aceea2f571498133bb1ae61aae550c973841905433d4d38a0110",
+            "f6485767aec1516430786a96fa708d8bdeb61b783643995bb9cbc134ce090aa8",
         ),
     }
 

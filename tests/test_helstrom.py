@@ -18,6 +18,7 @@ from qclass import (
 
 from helpers import (
     HermitianOperator,
+    bloch_to_density,
     positive_eigenprojector,
     projector_matrix,
     random_problem,
@@ -91,20 +92,21 @@ class TestHelstromRisk:
         rng = np.random.default_rng(13)
         for _ in range(300):
             prob = random_problem(rng, pi_lo=0.5, pi_hi=0.5)
-            r = prob.rho.bloch.as_array()
-            s = prob.sigma.bloch.as_array()
+            r = prob.r.as_array()
+            s = prob.s.as_array()
             closed = 0.5 * (1 - np.linalg.norm(r - s) / 2)
             assert helstrom_risk(prob) == pytest.approx(closed, abs=1e-12)
             tn = trace_norm(
-                HermitianOperator(prob.pi1 * prob.sigma.matrix - prob.pi0 * prob.rho.matrix)
+                HermitianOperator(prob.pi1 * bloch_to_density(prob.s).matrix
+                                  - prob.pi0 * bloch_to_density(prob.r).matrix)
             )
             assert helstrom_risk(prob) == pytest.approx(0.5 * (1 - tn), abs=1e-12)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(19)
         base = random_problem(rng)
-        r = base.rho.bloch.as_array()
-        s = base.sigma.bloch.as_array()
+        r = base.r.as_array()
+        s = base.s.as_array()
         risk = helstrom_risk(base)
         for _ in range(100):
             rot = random_rotation(rng)
@@ -145,8 +147,8 @@ class TestErrorProbability:
             p_hat = random_projector(rng)
             pm = projector_matrix(p_hat)
             oracle = (
-                prob.pi0 * np.trace(prob.rho.matrix @ (np.eye(2) - pm)).real
-                + prob.pi1 * np.trace(prob.sigma.matrix @ pm).real
+                prob.pi0 * np.trace(bloch_to_density(prob.r).matrix @ (np.eye(2) - pm)).real
+                + prob.pi1 * np.trace(bloch_to_density(prob.s).matrix @ pm).real
             )
             assert error_probability(p_hat, prob) == pytest.approx(oracle, abs=1e-12)
 

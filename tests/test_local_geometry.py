@@ -1,23 +1,33 @@
-"""Tests for the local frames, angles, quadratic loss and the expansion."""
+"""Tests for the local frames, angles, quadratic loss and the expansion,
+with hypothesis property tests for the configurations that stress the frame."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qclass import (
     ClassificationProblem,
-    PerpEstimate,
     TrivialConfigurationError,
+    TrivialityVerdict,
     build_frame,
-    estimator_to_projector,
     excess_risk,
-    local_states,
-    quadratic_loss,
+    local_geometry,
     relative_perp,
+    risk_report,
+    triviality_check,
 )
 
-from helpers import random_nontrivial_config
+from helpers import (
+    PerpEstimate,
+    estimator_to_projector,
+    local_states,
+    quadratic_loss,
+    random_nontrivial_config,
+)
 
 PLANAR = ((0.8, 0.0, 0.0), (0.0, 0.6, 0.0), 0.5)
 
@@ -103,19 +113,19 @@ class TestBuildFrame:
 class TestRelativePerp:
     def test_zero(self):
         f = build_frame(*PLANAR)
-        z = relative_perp((0, 0, 0), (0, 0, 0), f, 0.5)
-        assert z.z_l == 0.0 and z.z_k == 0.0
+        z_l, z_k = relative_perp((0, 0, 0), (0, 0, 0), f, 0.5)
+        assert z_l == 0.0 and z_k == 0.0
 
     def test_planar_example(self):
         f = build_frame(*PLANAR)
-        z = relative_perp((1, 0, 0), (0, 0, 0), f, 0.5)
-        assert z.z_l == pytest.approx(0.4, abs=1e-12)  # pi0 sin(phi0) u1
-        assert z.z_k == 0.0
+        z_l, z_k = relative_perp((1, 0, 0), (0, 0, 0), f, 0.5)
+        assert z_l == pytest.approx(0.4, abs=1e-12)  # pi0 sin(phi0) u1
+        assert z_k == 0.0
 
     def test_k_cancellation(self):
         f = build_frame(*PLANAR)
-        z = relative_perp((0, 1, 0), (0, 1, 0), f, 0.5)
-        assert z.z_k == pytest.approx(0.0, abs=1e-15)
+        _, z_k = relative_perp((0, 1, 0), (0, 1, 0), f, 0.5)
+        assert z_k == pytest.approx(0.0, abs=1e-15)
 
     def test_geometric_oracle(self):
         """Formula vs explicit Cartesian projection of pi0 u - pi1 v."""
@@ -125,10 +135,10 @@ class TestRelativePerp:
             f = build_frame(r, s, pi0)
             u = rng.normal(size=3)
             v = rng.normal(size=3)
-            z = relative_perp(u, v, f, pi0)
+            z_l, z_k = relative_perp(u, v, f, pi0)
             z_cart = pi0 * f.u_to_cartesian(u) - (1 - pi0) * f.v_to_cartesian(v)
-            assert z.z_l == pytest.approx(float(z_cart @ f.l0), abs=1e-9)
-            assert z.z_k == pytest.approx(float(z_cart @ f.k0), abs=1e-9)
+            assert z_l == pytest.approx(float(z_cart @ f.l0), abs=1e-9)
+            assert z_k == pytest.approx(float(z_cart @ f.k0), abs=1e-9)
 
 
 class TestQuadraticLoss:
@@ -233,7 +243,7 @@ class TestLocalExpansion:
             errs = []
             for n in (10**2, 10**4, 10**6):
                 rho_n, sigma_n = local_states(f, u, v, n)
-                prob = ClassificationProblem(rho_n, sigma_n, pi0)
+                prob = ClassificationProblem(rho_n.bloch, sigma_n.bloch, pi0)
                 p_hat = estimator_to_projector(zh, f, n)
                 errs.append(abs(n * excess_risk(p_hat, prob) - loss))
             # each decade shrinks the deviation by ~sqrt(n) (slack 1.5); the
@@ -242,3 +252,110 @@ class TestLocalExpansion:
             for a, b in zip(errs, errs[1:]):
                 assert b <= max(1.5 * a / 10.0, 0.01 * loss) + 1e-12
             assert errs[2] < 0.01 * loss
+
+
+# ---------------------------------------------------------------- properties
+# Property tests over the configurations that stress the frame: pairs close
+# to (anti)parallel, pure states and pairs just off the |d0| = |pi0 - pi1|
+# boundary.  Every nontrivial draw must give a frame whose identities hold.
+# The report is exercised by the route-switch test (|d0| >= 0.05 there): its
+# own decomposition check still fails for |d0| below about 2e-4 (ROADMAP).
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+REPORT_FIELDS = ("classical_term", "quantum_term", "commutator_c", "optimal_risk",
+                 "plugin_risk", "gap", "prior_correction")
+
+coordinate = st.floats(-1.0, 1.0, allow_nan=False)
+direction = st.tuples(coordinate, coordinate, coordinate).filter(
+    lambda v: 0.1 < math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2))
+length = st.floats(0.05, 1.0)
+prior = st.floats(0.05, 0.95)
+tilt = st.floats(-13.0, -3.0).map(lambda e: 10.0 ** e)
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def orthonormal_pair(v, other):
+    """Unit n along v and unit m orthogonal to n, in the plane of v and other."""
+    n = unit(v)
+    m = np.cross(n, other)
+    if np.linalg.norm(m) < 1e-3:
+        m = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.9 else [0.0, 1.0, 0.0])
+    return n, unit(np.cross(m, n))
+
+
+def assert_frame_identities(r0, s0, pi0):
+    """build_frame succeeds and its four identities hold to 1e-9."""
+    f = build_frame(r0, s0, pi0)
+    pi1 = 1.0 - pi0
+    assert abs(f.sin_phi0 ** 2 + f.cos_phi0 ** 2 - 1.0) < 1e-9
+    assert abs(f.sin_phi1 ** 2 + f.cos_phi1 ** 2 - 1.0) < 1e-9
+    assert abs(pi0 * f.r0_norm * f.cos_phi0 - pi1 * f.s0_norm * f.cos_phi1) < 1e-9
+    assert abs(f.d0_norm - (pi0 * f.r0_norm * f.sin_phi0
+                            + pi1 * f.s0_norm * f.sin_phi1)) < 1e-9
+    assert f.cos_phi0 >= -1e-9 and f.cos_phi1 >= -1e-9
+    return f
+
+
+class TestFrameProperties:
+    @PROPERTY
+    @given(v=direction, other=direction, a=length, b=length, pi0=prior, eps=tilt,
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_near_parallel_and_antiparallel(self, v, other, a, b, pi0, eps, sign):
+        n, m = orthonormal_pair(v, other)
+        r0 = a * n
+        s0 = sign * b * unit(n + eps * m)
+        assume(triviality_check(r0, s0, pi0) is TrivialityVerdict.NONTRIVIAL)
+        assert_frame_identities(r0, s0, pi0)
+
+    @PROPERTY
+    @given(v=direction, other=direction, b=length, pi0=prior,
+           s_pure=st.booleans(), eps=st.one_of(st.just(0.0), tilt))
+    def test_pure_states(self, v, other, b, pi0, s_pure, eps):
+        r0 = unit(v)
+        s0 = unit(np.asarray(other) + eps * r0) * (1.0 if s_pure else b)
+        assume(np.linalg.norm(r0) <= 1.0 + 1e-12 and np.linalg.norm(s0) <= 1.0 + 1e-12)
+        assume(triviality_check(r0, s0, pi0) is TrivialityVerdict.NONTRIVIAL)
+        assert_frame_identities(r0, s0, pi0)
+
+    @PROPERTY
+    @given(v=direction, other=direction, b=length, pi0=prior,
+           gap=st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e))
+    def test_just_off_the_triviality_boundary(self, v, other, b, pi0, gap):
+        """|d0| = |pi0 - pi1| (1 + gap): r0 is solved from d0 and s0."""
+        assume(abs(2.0 * pi0 - 1.0) > 0.02)
+        pi1 = 1.0 - pi0
+        s0 = b * unit(other)
+        d0 = abs(pi0 - pi1) * (1.0 + gap) * unit(v)
+        r0 = (d0 + pi1 * s0) / pi0
+        assume(np.linalg.norm(r0) <= 1.0)
+        assume(triviality_check(r0, s0, pi0) is TrivialityVerdict.NONTRIVIAL)
+        assert_frame_identities(r0, s0, pi0)
+
+    @PROPERTY
+    @given(v=direction, other=direction, a=length, d=st.floats(0.05, 1.0), pi0=prior,
+           tilt=st.floats(-1e-6, 1e-6))
+    def test_report_continuous_through_route_switch(self, v, other, a, d, pi0, tilt):
+        """A config with |w| within 1e-6 relative of the 1e-4 switch reports
+        alike on the w/|w| route and on the cross-product route.
+
+        The switch is moved to either side of the config, so the route is
+        the only difference.  r0_hat is tilted from p0 by an angle with sine
+        1e-4 (1 + tilt); s0 is solved so that d0 points along p0 with norm d.
+        """
+        n, m = orthonormal_pair(v, other)
+        sin_t = 1e-4 * (1.0 + tilt)
+        r0 = a * (math.sqrt(1.0 - sin_t ** 2) * n + sin_t * m)
+        s0 = (pi0 * r0 - d * n) / (1.0 - pi0)
+        assume(np.linalg.norm(s0) <= 1.0)
+        assume(triviality_check(r0, s0, pi0) is TrivialityVerdict.NONTRIVIAL)
+        reports = []
+        for switch in (0.999e-4, 1.001e-4):  # the w/|w| route, then the cross product
+            with mock.patch.object(local_geometry, "_PARALLEL_TOL", switch):
+                reports.append(risk_report(assert_frame_identities(r0, s0, pi0), pi0))
+        for name in REPORT_FIELDS:
+            w_route, cross_route = getattr(reports[0], name), getattr(reports[1], name)
+            assert abs(w_route - cross_route) <= 1e-8 * max(abs(w_route), abs(cross_route)), name

@@ -7,16 +7,19 @@ import pytest
 
 from qclass import (
     BlochVector,
-    DensityMatrix,
     InvalidStateError,
     Projector,
-    bloch_to_density,
-    density_to_bloch,
 )
-from qclass.qubit_core import SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY
 
 from helpers import (
+    IDENTITY,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    DensityMatrix,
     HermitianOperator,
+    bloch_to_density,
+    density_to_bloch,
     positive_eigenprojector,
     projector_matrix,
     random_projector,

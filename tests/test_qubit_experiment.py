@@ -134,7 +134,7 @@ class TestPluginStrategyRun:
                                           ((1, 0, 0), (0, -1, 0), True)):
             problem = ClassificationProblem.from_bloch(r0, s0, 0.04)
             spec = TrainingSetSpec(n=10, problem=problem, label_mode=LabelMode.FIXED_COUNTS)
-            alpha, _, _, _, dn = pauli_data(problem.rho.bloch, problem.sigma.bloch, 0.04)
+            alpha, _, _, _, dn = pauli_data(problem.r, problem.s, 0.04)
             expected = max(alpha + 0.5 * dn, 0.0)  # n0 = round(0.4) = 0
             assert (expected > 0.0) == expected_positive
             rng = np.random.default_rng(0)
@@ -184,8 +184,8 @@ class TestPluginStrategyRun:
             n=1000, problem=PLANAR, label_mode=LabelMode.FIXED_COUNTS, known_priors=True
         )
         n0, n1 = sample_labels(spec.n, spec.pi0, rng, spec.label_mode)
-        r_hat = tomographic_estimate(PLANAR.rho.bloch, n0, rng)
-        s_hat = tomographic_estimate(PLANAR.sigma.bloch, n1, rng)
+        r_hat = tomographic_estimate(PLANAR.r, n0, rng)
+        s_hat = tomographic_estimate(PLANAR.s, n1, rng)
         p_hat = positive_part(*pauli_data(r_hat, s_hat, spec.pi0))
         exact = error_probability(p_hat, PLANAR)
         copies = 10**6
@@ -226,7 +226,7 @@ class TestVectorisedChunk:
     def test_bit_exact_kernel(self, problem):
         """Array excess == scalar excess_risk(positive_part(pauli_data(...)))."""
         pi_hat, r_hat, s_hat = self._estimate_batch(np.random.default_rng(5))
-        truth = pauli_data(problem.rho.bloch, problem.sigma.bloch, problem.pi0)
+        truth = pauli_data(problem.r, problem.s, problem.pi0)
         r_cols, s_cols = _Columns(*r_hat.T.copy()), _Columns(*s_hat.T.copy())
         # a known prior is the scalar-broadcast case of the same kernel
         for pi in (0.3, pi_hat):
