@@ -53,6 +53,9 @@ class ClassificationProblem:
     pi0: float
 
     def __post_init__(self) -> None:
+        # a BlochVector passes through as is; a 3-sequence is checked here
+        object.__setattr__(self, "r", BlochVector.from_array(self.r))
+        object.__setattr__(self, "s", BlochVector.from_array(self.s))
         if not (0.0 < self.pi0 < 1.0):
             raise ValueError(f"pi0 must lie strictly in (0, 1), got {self.pi0!r}")
 
@@ -63,7 +66,7 @@ class ClassificationProblem:
     @classmethod
     def from_bloch(cls, r, s, pi0: float) -> "ClassificationProblem":
         """The problem with states r, s given as BlochVectors or 3-sequences."""
-        return cls(BlochVector.from_array(r), BlochVector.from_array(s), pi0)
+        return cls(r, s, pi0)
 
 
 def pauli_data(r, s, pi0):

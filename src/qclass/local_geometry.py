@@ -33,14 +33,10 @@ z_perp collects the (l0, k0) components of pi0*u - pi1*v
 (``relative_perp``; the map and the loss themselves are test oracles in
 tests/helpers.py).
 
-l0 comes from one of two routes.  While r0_hat is well away from +/-p0
-(|w| > 1e-4 for w = r0_hat - (r0_hat.p0) p0), l0 = w/|w| with w projected
-against p0 twice: the rounding one projection leaves along p0 would tilt
-l0 out of the plane orthogonal to p0 by about 1e-16/|w|.  Closer to
-(anti)parallel, k0 = (p0 x r0_hat)/|...| and l0 = k0 x p0, which stays
-orthogonal to p0 to rounding however small the angle.  Only an exactly
-zero cross product (parallel to working precision) falls back to the
-first coordinate axis not parallel to p0.
+k0 = (p0 x r0_hat)/|...| and l0 = k0 x p0, so r0_hat.l0 = |p0 x r0_hat| >= 0
+and l0 stays orthogonal to p0 to rounding however close r0 comes to
++/-p0.  Only an exactly zero cross product (parallel to working precision)
+falls back to the first coordinate axis not parallel to p0.
 """
 
 from __future__ import annotations
@@ -52,9 +48,6 @@ import numpy as np
 
 from .helstrom import TrivialityVerdict, pauli_data, verdict_of
 from .qubit_core import BlochVector, as_float3
-
-# Below this |w|, l0 comes from the cross-product route (see module doc).
-_PARALLEL_TOL = 1e-4
 
 
 class TrivialConfigurationError(ValueError):
@@ -121,11 +114,6 @@ def _cross(a, b) -> tuple[float, float, float]:
     )
 
 
-def _reject(a, ap: float, p) -> tuple[float, float, float]:
-    """a - ap p: a without its component ap along the unit vector p."""
-    return a[0] - ap * p[0], a[1] - ap * p[1], a[2] - ap * p[2]
-
-
 def _unit(a) -> tuple[float, float, float]:
     n = math.sqrt(_dot(a, a))
     return a[0] / n, a[1] / n, a[2] / n
@@ -136,8 +124,7 @@ def _fallback_l0(p0) -> tuple[float, float, float]:
     # coordinate axis not parallel to p0 and project p0 out (deterministic);
     # a unit p0 has some component below 1/sqrt(3) in size
     j = next(j for j in range(3) if abs(p0[j]) < 1.0 - 1e-9)
-    axis = tuple(float(i == j) for i in range(3))
-    return _unit(_reject(axis, p0[j], p0))
+    return _unit(tuple(float(i == j) - p0[j] * p for i, p in enumerate(p0)))
 
 
 def build_frame(r0, s0, pi0: float) -> LocalFrame:
@@ -166,26 +153,17 @@ def build_frame(r0, s0, pi0: float) -> LocalFrame:
     r_hat = (r.x / r0n, r.y / r0n, r.z / r0n)
     s_hat = (s.x / s0n, s.y / s0n, s.z / s0n)
 
-    rp = _dot(r_hat, p0)
-    w = _reject(r_hat, rp, p0)
-    wn = math.sqrt(_dot(w, w))
-    if wn > _PARALLEL_TOL:
-        w = _reject(w, _dot(w, p0), p0)  # the second projection (module doc)
-        wn = math.sqrt(_dot(w, w))
-        l0 = (w[0] / wn, w[1] / wn, w[2] / wn)  # r_hat.l0 = wn > 0
+    k0 = _cross(p0, r_hat)
+    big = max(abs(k0[0]), abs(k0[1]), abs(k0[2]))
+    if big == 0.0:
+        l0 = _fallback_l0(p0)
         k0 = _cross(p0, l0)
     else:
-        k0 = _cross(p0, r_hat)
-        big = max(abs(k0[0]), abs(k0[1]), abs(k0[2]))
-        if big == 0.0:
-            l0 = _fallback_l0(p0)
-            k0 = _cross(p0, l0)
-        else:
-            # scaled first, so a tiny cross product cannot underflow in _unit
-            k0 = _unit((k0[0] / big, k0[1] / big, k0[2] / big))
-            l0 = _cross(k0, p0)  # r_hat.l0 = |p0 x r_hat| >= 0
+        # scaled first, so a tiny cross product cannot underflow in _unit
+        k0 = _unit((k0[0] / big, k0[1] / big, k0[2] / big))
+        l0 = _cross(k0, p0)  # r_hat.l0 = |p0 x r_hat| >= 0
 
-    sin_phi0 = rp
+    sin_phi0 = _dot(r_hat, p0)
     cos_phi0 = _dot(r_hat, l0)
     sin_phi1 = -_dot(s_hat, p0)
     cos_phi1 = _dot(s_hat, l0)

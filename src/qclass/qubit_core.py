@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -34,9 +35,13 @@ def as_float3(x) -> tuple[float, float, float]:
         return x.x, x.y, x.z
     try:
         a, b, c = x
-        return float(a), float(b), float(c)
     except (TypeError, ValueError):
         raise ValueError(f"expected a 3-vector, got {x!r}") from None
+    # real numbers only: a (3, 1) array, a 3-key dict or a 3-character
+    # string has three elements but is no 3-vector
+    if isinstance(a, Real) and isinstance(b, Real) and isinstance(c, Real):
+        return float(a), float(b), float(c)
+    raise ValueError(f"expected a 3-vector of real numbers, got {x!r}")
 
 
 @dataclass(frozen=True)

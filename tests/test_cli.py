@@ -3,9 +3,11 @@
 import argparse
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import helpers
 import qclass
 from qclass import montecarlo
 from qclass.cli import _build_parser, main
@@ -308,10 +309,11 @@ class TestFloatReportPath:
     """A report is computed in plain floats, from Bloch vectors alone."""
 
     def test_report_builds_no_matrix_and_no_numpy_vector(self, tmp_path, monkeypatch):
-        """Guards the saving: after a warm-up call, one report per frame route
-        (w/|w|, cross product, coordinate axis) builds no DensityMatrix and
-        calls np.linalg.norm, np.cross and np.dot only in the config check
-        of _parse_problem (its Bloch-ball norm), outside the closed-form layers."""
+        """Guards the saving: after a warm-up call, three reports (a generic,
+        a near-antiparallel and an exactly antiparallel pair, the last on the
+        coordinate-axis fallback) call np.linalg.norm, np.cross and np.dot
+        only in the config check of _parse_problem (its Bloch-ball norm),
+        outside the closed-form layers."""
         problems = [PLANAR_PROBLEM, TestNumericalFailure.NEAR_ANTIPARALLEL,
                     {"r0": [0, 0, 0.9], "s0": [0, 0, -0.3], "pi0": 0.4}]
         argvs = [["report", "--config", write_config(tmp_path, {"problem": p}, f"{i}.json")]
@@ -328,12 +330,19 @@ class TestFloatReportPath:
         monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm))
         monkeypatch.setattr(np, "cross", counting("cross", np.cross))
         monkeypatch.setattr(np, "dot", counting("dot", np.dot))
-        monkeypatch.setattr(helpers.DensityMatrix, "__init__",
-                            counting("DensityMatrix", helpers.DensityMatrix.__init__))
         for argv in argvs:
             assert main(argv) == 0
         assert calls  # the counters are live
         assert {caller for _, caller in calls} == {"_parse_problem"}
+
+    def test_library_has_no_matrix_route(self):
+        """No qclass module defines a density matrix or a Pauli matrix; the
+        matrix route lives only in the test oracle (tests/helpers.py)."""
+        for info in pkgutil.iter_modules(qclass.__path__):
+            module = importlib.import_module(f"qclass.{info.name}")
+            names = [n for n in vars(module)
+                     if n.startswith("SIGMA_") or n in ("DensityMatrix", "IDENTITY")]
+            assert names == [], info.name
 
 
 class TestGaussianSim:
@@ -516,7 +525,7 @@ class TestDeterminismAndFormats:
              "trials": 5000, "seed": 7,
              "u": [0.2, -0.1, 0.4], "v": [0.3, 0.2, -0.2], "delta": 0.3},
             1024,
-            "fe6368a8abd548717f116f12d03423a11e61979abf8f25592f73f9d757af6826",
+            "660858edeb9d8b2e51383f0d2d802ff7ff05c01d22a36a9a7ac3d06d522e35a1",
         ),
     }
 
@@ -550,11 +559,11 @@ class TestDeterminismAndFormats:
         ),
         "sweep-csv": (
             "sweep", {"sweep": SWEEP_GRID}, "csv",
-            "87efac1f25f84628e2b5ac97d2c9f61c4bdedfccc9c301c5db7b9be9c39c67b9",
+            "1cefcc8fe471e3290054b2ed701101041edf3299ada92f5982120fbc9df73304",
         ),
         "sweep-json": (
             "sweep", {"sweep": SWEEP_GRID}, "json",
-            "f6485767aec1516430786a96fa708d8bdeb61b783643995bb9cbc134ce090aa8",
+            "ace486da042b4d07a8b6011da1d92cbb040990e2086b5ee62ba7cbd8a58bb411",
         ),
     }
 

@@ -7,6 +7,7 @@ from qclass import (
     BlochVector,
     ClassificationProblem,
     DegenerateProblemError,
+    InvalidStateError,
     Projector,
     TrivialityVerdict,
     error_probability,
@@ -75,6 +76,21 @@ class TestHelstromProjector:
         assert positive_eigenprojector(weighted_operator(same)).rank == 0
         with pytest.raises(DegenerateProblemError):
             helstrom_projector(same)
+
+
+class TestClassificationProblem:
+    def test_states_checked_at_construction(self):
+        """A 3-sequence is coerced to a BlochVector, a BlochVector is kept as
+        is, and a vector outside the Bloch ball fails at construction."""
+        r = BlochVector(0.8, 0.0, 0.0)
+        prob = ClassificationProblem(r, np.array([0.0, 0.6, 0.0]), 0.5)
+        assert prob.r is r
+        assert prob.s == BlochVector(0.0, 0.6, 0.0)
+        assert prob == PLANAR
+        with pytest.raises(InvalidStateError):
+            ClassificationProblem((0.9, 0.9, 0.0), (0.0, 0.0, 0.0), 0.5)
+        with pytest.raises(ValueError):
+            ClassificationProblem((0.1, 0.2), (0.0, 0.0, 0.0), 0.5)
 
 
 class TestHelstromRisk:

@@ -2,7 +2,6 @@
 with hypothesis property tests for the configurations that stress the frame."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +14,7 @@ from qclass import (
     TrivialityVerdict,
     build_frame,
     excess_risk,
-    local_geometry,
     relative_perp,
-    risk_report,
     triviality_check,
 )
 
@@ -258,12 +255,8 @@ class TestLocalExpansion:
 # Property tests over the configurations that stress the frame: pairs close
 # to (anti)parallel, pure states and pairs just off the |d0| = |pi0 - pi1|
 # boundary.  Every nontrivial draw must give a frame whose identities hold.
-# The report is exercised by the route-switch test (|d0| >= 0.05 there): its
-# own decomposition check still fails for |d0| below about 2e-4 (ROADMAP).
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
-REPORT_FIELDS = ("classical_term", "quantum_term", "commutator_c", "optimal_risk",
-                 "plugin_risk", "gap", "prior_correction")
 
 coordinate = st.floats(-1.0, 1.0, allow_nan=False)
 direction = st.tuples(coordinate, coordinate, coordinate).filter(
@@ -334,28 +327,3 @@ class TestFrameProperties:
         assume(np.linalg.norm(r0) <= 1.0)
         assume(triviality_check(r0, s0, pi0) is TrivialityVerdict.NONTRIVIAL)
         assert_frame_identities(r0, s0, pi0)
-
-    @PROPERTY
-    @given(v=direction, other=direction, a=length, d=st.floats(0.05, 1.0), pi0=prior,
-           tilt=st.floats(-1e-6, 1e-6))
-    def test_report_continuous_through_route_switch(self, v, other, a, d, pi0, tilt):
-        """A config with |w| within 1e-6 relative of the 1e-4 switch reports
-        alike on the w/|w| route and on the cross-product route.
-
-        The switch is moved to either side of the config, so the route is
-        the only difference.  r0_hat is tilted from p0 by an angle with sine
-        1e-4 (1 + tilt); s0 is solved so that d0 points along p0 with norm d.
-        """
-        n, m = orthonormal_pair(v, other)
-        sin_t = 1e-4 * (1.0 + tilt)
-        r0 = a * (math.sqrt(1.0 - sin_t ** 2) * n + sin_t * m)
-        s0 = (pi0 * r0 - d * n) / (1.0 - pi0)
-        assume(np.linalg.norm(s0) <= 1.0)
-        assume(triviality_check(r0, s0, pi0) is TrivialityVerdict.NONTRIVIAL)
-        reports = []
-        for switch in (0.999e-4, 1.001e-4):  # the w/|w| route, then the cross product
-            with mock.patch.object(local_geometry, "_PARALLEL_TOL", switch):
-                reports.append(risk_report(assert_frame_identities(r0, s0, pi0), pi0))
-        for name in REPORT_FIELDS:
-            w_route, cross_route = getattr(reports[0], name), getattr(reports[1], name)
-            assert abs(w_route - cross_route) <= 1e-8 * max(abs(w_route), abs(cross_route)), name

@@ -63,6 +63,15 @@ class TestBlochDensityRoundTrip:
         with pytest.raises(InvalidStateError):
             bloch_to_density(np.array([0.9, 0.9, 0.0]))
 
+    def test_shape_validation(self):
+        """Only three real numbers make a 3-vector: a (3, 1) array, a 3-key
+        dict or a 3-character string is rejected before float()."""
+        assert BlochVector.from_array(np.array([0.1, 0.2, 0.3])) == BlochVector(0.1, 0.2, 0.3)
+        for bad in (np.array([[0.1], [0.2], [0.3]]), {"x": 0.1, "y": 0.2, "z": 0.3},
+                    "123", (0.1, 0.2), np.zeros(4)):
+            with pytest.raises(ValueError):
+                BlochVector.from_array(bad)
+
     def test_density_validation(self):
         with pytest.raises(InvalidStateError):
             DensityMatrix(np.array([[0.5, 0.3], [0.1, 0.5]]))  # not Hermitian
