@@ -24,6 +24,10 @@ import numpy as np
 # constructed, so 1e-12 only absorbs rounding.
 ATOL = 1e-12
 
+# float and int first: they are cheap to test and cover Python and numpy
+# float64 scalars; the abstract Real admits the other numpy scalar types
+_REAL = (float, int, Real)
+
 
 class InvalidStateError(ValueError):
     """Input does not describe a valid qubit state or operator."""
@@ -39,7 +43,7 @@ def as_float3(x) -> tuple[float, float, float]:
         raise ValueError(f"expected a 3-vector, got {x!r}") from None
     # real numbers only: a (3, 1) array, a 3-key dict or a 3-character
     # string has three elements but is no 3-vector
-    if isinstance(a, Real) and isinstance(b, Real) and isinstance(c, Real):
+    if isinstance(a, _REAL) and isinstance(b, _REAL) and isinstance(c, _REAL):
         return float(a), float(b), float(c)
     raise ValueError(f"expected a 3-vector of real numbers, got {x!r}")
 
