@@ -519,6 +519,14 @@ class TestDeterminismAndFormats:
             64,
             "bfe22d873ff73e606326a2056526db3a737f7819aad2bb121516f7a2082d4079",
         ),
+        # fixed labels draw every count against one shared copy count; a
+        # scalar count and a constant count array give the same variates
+        "qubit-sim-fixed": (
+            {"n_list": [60, 10000], "trials": 300, "seed": 13,
+             "label_mode": "fixed", "known_priors": True},
+            64,
+            "9a8c9cca2ee753ad18cbda56fd5b5754b5e20d9672fdc57b11c3d8727aae5e1b",
+        ),
         "gaussian-sim": (
             {"strategy": ["optimal_joint", "heterodyne_plugin",
                           "optimal_joint_unknown_priors"],
@@ -529,14 +537,14 @@ class TestDeterminismAndFormats:
         ),
     }
 
-    @pytest.mark.parametrize("command", sorted(PINNED))
-    def test_pinned_stream(self, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_stream(self, tmp_path, monkeypatch, case):
         """Small multi-chunk runs reproduce their recorded output bytes."""
-        extra, chunk, digest = self.PINNED[command]
+        extra, chunk, digest = self.PINNED[case]
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
         cfg_path = write_config(tmp_path, {"problem": self.PINNED_PROBLEM, **extra})
         out = tmp_path / "pinned.csv"
-        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        assert main([case.removesuffix("-fixed"), "--config", cfg_path, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # sha256 of closed-form outputs: a faster CLI must print the same bytes
