@@ -78,13 +78,18 @@ def quantum_risk_term(frame: LocalFrame, pi0: float) -> float:
     )
 
 
-def optimal_minimax_risk(frame: LocalFrame, pi0: float) -> float:
-    """Rescaled excess-risk constant of the optimal learning strategy."""
+def _optimal_numerator(frame: LocalFrame, pi0: float) -> float:
+    """2 + |c| - r0 s0 cos(phi0) cos(phi1), the O(1) numerator of the optimal risk."""
     return (
         2.0
         + abs(commutator_c(frame, pi0))
         - frame.r0_norm * frame.s0_norm * frame.cos_phi0 * frame.cos_phi1
-    ) / (4.0 * frame.d0_norm)
+    )
+
+
+def optimal_minimax_risk(frame: LocalFrame, pi0: float) -> float:
+    """Rescaled excess-risk constant of the optimal learning strategy."""
+    return _optimal_numerator(frame, pi0) / (4.0 * frame.d0_norm)
 
 
 def plugin_risk(frame: LocalFrame, pi0: float) -> float:
@@ -136,12 +141,15 @@ def prior_correction(frame: LocalFrame, pi0: float) -> float:
 def risk_report(frame: LocalFrame, pi0: float) -> RiskReport:
     """Assemble every constant; checks the decomposition identity.
 
-    Raises NumericalError when (classical + quantum)/(4|d0|) misses the
-    optimal risk by more than 1e-12.
+    Raises NumericalError when classical + quantum misses the optimal
+    risk's numerator 2 + |c| - r0 s0 cos(phi0) cos(phi1) by more than
+    1e-12.  Both are O(1); the risks themselves grow like 1/|d0|, so an
+    absolute tolerance on them would fail at small |d0| on rounding alone.
     """
     classical = classical_risk_term(frame, pi0)
     quantum = quantum_risk_term(frame, pi0)
-    optimal = optimal_minimax_risk(frame, pi0)
+    numerator = _optimal_numerator(frame, pi0)
+    optimal = numerator / (4.0 * frame.d0_norm)
     plug = plugin_risk(frame, pi0)
     report = RiskReport(
         classical_term=classical,
@@ -152,7 +160,7 @@ def risk_report(frame: LocalFrame, pi0: float) -> RiskReport:
         gap=risk_gap(frame, pi0),
         prior_correction=prior_correction(frame, pi0),
     )
-    if not abs((classical + quantum) / (4.0 * frame.d0_norm) - optimal) <= 1e-12:
+    if not abs(classical + quantum - numerator) <= 1e-12:
         raise NumericalError("classical + quantum terms miss the optimal risk")
     return report
 

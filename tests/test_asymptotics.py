@@ -1,9 +1,12 @@
 """Regression and identity tests for the closed-form risk constants."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qclass import (
     NumericalError,
@@ -174,3 +177,30 @@ class TestGapGeometry:
             assert pc >= 0.0
             if np.linalg.norm(t_perp) > 1e-6:
                 assert pc > 0.0
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+coordinate = st.floats(-1.0, 1.0, allow_nan=False)
+direction = st.tuples(coordinate, coordinate, coordinate).filter(
+    lambda v: 0.1 < math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2))
+
+
+class TestSmallD0:
+    """At pi0 = 1/2 every |d0| > 0 is nontrivial; the report's constants
+    grow like 1/|d0|, and its decomposition check must not grow with them."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(v=direction, t=direction, a=st.floats(0.05, 0.95),
+           d0=st.floats(-8.0, -3.0).map(lambda e: 10.0 ** e))
+    def test_no_numerical_error(self, v, t, a, d0):
+        r0 = a * unit(v)
+        s0 = r0 + 2.0 * d0 * unit(t)  # pi0 r0 - pi1 s0 = -d0 t
+        assume(np.linalg.norm(s0) <= 1.0)
+        f = build_frame(r0, s0, 0.5)
+        rep = risk_report(f, 0.5)
+        num = rep.classical_term + rep.quantum_term
+        assert rep.optimal_risk == pytest.approx(num / (4.0 * f.d0_norm), rel=1e-12)
