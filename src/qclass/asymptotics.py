@@ -16,7 +16,8 @@ d0 = |d0|:
                       + pi1 (s0 sin^2(phi1) + s0 - s0^2 cos^2(phi1))] / (4 d0)
 * gap:             [pi0 r0 (1 -+ sin(phi0))^2 + pi1 s0 (1 +- sin(phi1))^2] / (4 d0),
                    upper signs for c > 0; equals plug-in - optimal, vanishes
-                   exactly for parallel same-direction states
+                   exactly for parallel same-direction states; 1 - sin(phi)
+                   is taken as cos^2(phi)/(1 + sin(phi)) when sin(phi) > 0
 * prior correction (unknown priors): pi0 pi1 |(r0 + s0)_perp|^2 / (4 d0),
                    the extra variance from estimating pi0 at rate n^{-1/2}
 
@@ -105,18 +106,26 @@ def plugin_risk(frame: LocalFrame, pi0: float) -> float:
     return num / (4.0 * frame.d0_norm)
 
 
+def _one_minus(sin: float, cos: float) -> float:
+    """1 - sin of an angle, as cos^2/(1 + sin) where 1 - sin would cancel."""
+    return cos * cos / (1.0 + sin) if sin > 0.0 else 1.0 - sin
+
+
 def risk_gap(frame: LocalFrame, pi0: float) -> float:
     """plugin_risk - optimal_minimax_risk in closed form.
 
     The sign pattern follows the sign of c; at c = 0 both patterns coincide
     (checked: NumericalError otherwise) and the upper one is returned.
+    Each 1 -+ sin(phi) is taken without cancellation, so the gap of a
+    nearly parallel same-direction pair keeps its relative accuracy.
     """
     pi1 = 1.0 - pi0
     r0 = frame.r0_norm
     s0 = frame.s0_norm
+    sin0, cos0, sin1, cos1 = frame.sin_phi0, frame.cos_phi0, frame.sin_phi1, frame.cos_phi1
     c = commutator_c(frame, pi0)
-    upper = pi0 * r0 * (1.0 - frame.sin_phi0) ** 2 + pi1 * s0 * (1.0 + frame.sin_phi1) ** 2
-    lower = pi0 * r0 * (1.0 + frame.sin_phi0) ** 2 + pi1 * s0 * (1.0 - frame.sin_phi1) ** 2
+    upper = pi0 * r0 * _one_minus(sin0, cos0) ** 2 + pi1 * s0 * _one_minus(-sin1, cos1) ** 2
+    lower = pi0 * r0 * _one_minus(-sin0, cos0) ** 2 + pi1 * s0 * _one_minus(sin1, cos1) ** 2
     if c == 0.0:
         if not abs(upper - lower) <= 1e-12:
             raise NumericalError("risk gap sign branches disagree at c = 0")

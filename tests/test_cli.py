@@ -567,11 +567,11 @@ class TestDeterminismAndFormats:
         ),
         "sweep-csv": (
             "sweep", {"sweep": SWEEP_GRID}, "csv",
-            "1cefcc8fe471e3290054b2ed701101041edf3299ada92f5982120fbc9df73304",
+            "8dea6499ba8f46ef90cb3aedb582afca7608d535d8a8c7640f04c978a6cfc59f",
         ),
         "sweep-json": (
             "sweep", {"sweep": SWEEP_GRID}, "json",
-            "ace486da042b4d07a8b6011da1d92cbb040990e2086b5ee62ba7cbd8a58bb411",
+            "752f45aa9b98385471dc0850bb5bb42ba1cd05f39f952f4f675efae68014fdc0",
         ),
     }
 

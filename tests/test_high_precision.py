@@ -122,6 +122,24 @@ def test_seeded_nontrivial_configs():
         check_library(r, s, pi0, mp_report(r, s, pi0))
 
 
+@pytest.mark.parametrize("tilt", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_gap_of_nearly_parallel_pairs(tilt):
+    """The tiny gap of a nearly parallel same-direction pair keeps its
+    relative accuracy (|r0| = 0.9, |s0| = 0.3, pi0 = 1/2)."""
+    rng = np.random.default_rng(1357)
+    for _ in range(100):
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        m = rng.normal(size=3)
+        m -= (m @ n) * n
+        m /= np.linalg.norm(m)
+        u = n + tilt * m
+        r0, s0 = 0.9 * n, 0.3 * u / np.linalg.norm(u)
+        want = float(mp_report(r0, s0, 0.5)["gap"])
+        got = risk_report(build_frame(r0, s0, 0.5), 0.5).gap
+        assert abs(got - want) <= 1e-8 * want, (got, want)
+
+
 SWEEP_GRID = {"r0_len": [0.9], "s0_len": [0.3],
               "angle": [0.0, 0.7, math.pi / 2, math.pi], "pi0": [0.4]}
 PINNED_CASES = {
