@@ -91,22 +91,28 @@ class _Columns(NamedTuple):
 _KERNEL_BLOCK = 8192
 
 
-def _tomography(r: BlochVector, m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Pauli-tomography estimates of r, one column per entry of the copy counts m.
+def _tomography(r: BlochVector, m, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Pauli-tomography estimates of r for ``size`` trials with m copies each.
 
+    m is an int shared by every trial or an int array of length ``size``.
     Axis j (x, y, z in turn) gets m_j = (m + 2 - j) // 3 copies and draws
-    one count k_j ~ Binomial(m_j, (1 + r_j)/2) per trial; its estimate is
-    the outcome average (2 k_j - m_j)/m_j, or 0 when m_j = 0.  Estimates
-    outside the Bloch ball are clipped radially to the unit sphere.
-    Returns a (3, len(m)) array whose rows are the x, y, z estimates.
+    one count k_j ~ Binomial(m_j, (1 + r_j)/2) per trial, all ``size``
+    counts in one call; its estimate is the outcome average
+    (2 k_j - m_j)/m_j, or 0 when m_j = 0.  numpy draws the same variates
+    for an int m as for a constant array of it, so the shape of m changes
+    only the cost: a shared int, or equal sizes next to each other, spares
+    the sampler its per-(m_j, p) set-up.  Estimates outside the Bloch ball
+    are clipped radially to the unit sphere.  Returns a (3, size) array
+    whose rows are the x, y, z estimates.
     """
-    est = np.empty((3, m.size))
+    est = np.empty((3, size))
     for j, r_j in enumerate((r.x, r.y, r.z)):
         m_j = (m + (2 - j)) // 3
-        np.multiply(rng.binomial(m_j, min(max(0.5 * (1.0 + r_j), 0.0), 1.0)), 2.0, out=est[j])
+        k_j = rng.binomial(m_j, min(max(0.5 * (1.0 + r_j), 0.0), 1.0), size)
+        np.multiply(k_j, 2.0, out=est[j])
+        del k_j  # before the next axis allocates its own
         est[j] -= m_j
-        est[j] /= np.maximum(m_j, 1, out=m_j)
-        del m_j  # before the next axis allocates its own
+        est[j] /= np.maximum(m_j, 1)
     x, y, z = est
     norm = x * x
     norm += y * y
@@ -142,10 +148,15 @@ def run_experiment(
 
     Each chunk is evaluated as arrays over its trials, with no loop over
     trials (the kernel after the draws takes _KERNEL_BLOCK trials per
-    pass).  Draw order per chunk, each draw one array of the chunk's
-    length: the class sizes n0 ~ Binomial(n, pi0) (random labels only;
-    fixed counts use n0 = round(pi0 * n) with halves rounded up), then the
-    x, y, z counts of rho, then the x, y, z counts of sigma.
+    pass).  Draw order per chunk, each draw one call for the whole chunk:
+    the class sizes n0 ~ Binomial(n, pi0) (random labels only), then the
+    x, y, z counts of rho, then the x, y, z counts of sigma.  Fixed counts
+    use the one int n0 = round(pi0 * n) (halves rounded up) for every
+    trial.  Random labels sort the chunk's n0 draw before the counts are
+    drawn, so trials with equal class sizes sit next to each other and the
+    count sampler reuses its set-up across them; a chunk's trials are
+    therefore ordered by class size, and a trial's value is fixed by
+    (seed, CHUNK_SIZE, its index), not by its index alone.
 
     mean_rescaled_excess is n * (sample mean excess risk); fraction_exact
     counts trials whose excess is exactly zero (the learned projector
@@ -157,18 +168,19 @@ def run_experiment(
 
     def chunk_fn(rng, size):
         if spec.label_mode is LabelMode.FIXED_COUNTS:
-            n0 = np.full(size, math.floor(pi0 * n + 0.5))
+            n0 = math.floor(pi0 * n + 0.5)
         else:
             n0 = rng.binomial(n, pi0, size)
-        r_hat = _tomography(rho, n0, rng)
-        n1 = np.subtract(n, n0, out=n0)  # reuses n0's memory
-        s_hat = _tomography(sigma, n1, rng)
+            n0.sort()
+        r_hat = _tomography(rho, n0, size, rng)
+        s_hat = _tomography(sigma, n - n0, size, rng)
+        pi_hat = pi0 if spec.known_priors else n0 / n
         out = np.empty(size)
         for lo in range(0, size, _KERNEL_BLOCK):
             b = slice(lo, lo + _KERNEL_BLOCK)
-            pi_hat = pi0 if spec.known_priors else (n - n1[b]) / n
             out[b] = _plugin_excess(
-                truth, _Columns(*r_hat[:, b]), _Columns(*s_hat[:, b]), pi_hat
+                truth, _Columns(*r_hat[:, b]), _Columns(*s_hat[:, b]),
+                pi_hat[b] if isinstance(pi_hat, np.ndarray) else pi_hat,
             )
         return out
 

@@ -517,7 +517,7 @@ class TestDeterminismAndFormats:
         "qubit-sim": (
             {"n_list": [60, 200], "trials": 300, "seed": 13},
             64,
-            "bfe22d873ff73e606326a2056526db3a737f7819aad2bb121516f7a2082d4079",
+            "325844c820e2119eb0afac4d09dab034532874fe4bc23c976382d9f1ed4d536c",
         ),
         # fixed labels draw every count against one shared copy count; a
         # scalar count and a constant count array give the same variates

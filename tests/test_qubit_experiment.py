@@ -23,6 +23,7 @@ from qclass import (
     run_experiment,
     tomography_constant,
 )
+from qclass import montecarlo
 from qclass.qubit_experiment import _Columns, _plugin_excess, _tomography
 from helpers import (
     axis_counts,
@@ -66,7 +67,7 @@ class TestTomographicEstimate:
         sigma = math.sqrt((1 - 0.64) / (m / 3))
         assert est.x == pytest.approx(0.8, abs=4 * sigma)
         # the count-based estimates are unbiased too: 10^4 trials of 3000 copies
-        batch = _tomography(BlochVector(0.8, 0, 0), np.full(10_000, 3000), rng)
+        batch = _tomography(BlochVector(0.8, 0, 0), 3000, 10_000, rng)
         sigma = math.sqrt((1 - 0.64) / 1000 / 10_000)
         assert batch[0].mean() == pytest.approx(0.8, abs=4 * sigma)
 
@@ -86,7 +87,7 @@ class TestTomographicEstimate:
         up = BlochVector(0, 0, 1)
         assert tomographic_estimate(up, 0, rng) == BlochVector(0, 0, 0)
         assert tomographic_estimate(up, 2, rng).z == 0.0
-        est = _tomography(up, np.array([0, 1, 2, 3]), rng)
+        est = _tomography(up, np.array([0, 1, 2, 3]), 4, rng)
         np.testing.assert_array_equal(est[:, 0], 0.0)
         np.testing.assert_array_equal(est[1:, 1], 0.0)
         assert est[2, 2] == 0.0
@@ -102,7 +103,7 @@ class TestTomographicEstimate:
         m = np.arange(12)
         rng = np.random.default_rng(1)
         for j in range(3):
-            est = _tomography(BlochVector.from_array(np.eye(3)[j]), m, rng)
+            est = _tomography(BlochVector.from_array(np.eye(3)[j]), m, m.size, rng)
             np.testing.assert_array_equal(est[j] > 0.0, [axis_counts(k)[j] > 0 for k in m])
 
     def test_clipping_inactive_for_interior_states(self):
@@ -116,6 +117,69 @@ class TestTomographicEstimate:
         a = tomographic_estimate(BlochVector(0.5, 0.2, -0.3), 999, np.random.default_rng(7))
         b = tomographic_estimate(BlochVector(0.5, 0.2, -0.3), 999, np.random.default_rng(7))
         assert a == b
+
+
+class _SpyGenerator:
+    """A Generator that records the copy count and size of each binomial draw."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def binomial(self, n, p, size=None):
+        self._calls.append((n, size))
+        return self._rng.binomial(n, p, size)
+
+
+class TestCountSampler:
+    def test_scalar_count_draws_equal_constant_array_draws(self):
+        """numpy draws the same variates for an int count as for a constant
+        array of it, and leaves the generator in the same state; the
+        fixed-label stream rests on this."""
+        scalar = np.random.Generator(np.random.PCG64(2024))
+        array = np.random.Generator(np.random.PCG64(2024))
+        for m in (0, 1, 5, 17, 1666, 16666, 33333):
+            for p in (0.0, 0.2, 0.5, 0.8, 0.9, 1.0):
+                got = scalar.binomial(m, p, 257)
+                want = array.binomial(np.full(257, m), p)
+                np.testing.assert_array_equal(got, want)
+                assert scalar.bit_generator.state == array.bit_generator.state
+        assert scalar.random() == array.random()
+
+    def _spy_run(self, monkeypatch, mode, trials=1200, chunk=500):
+        calls = []
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
+        chunk_rng = montecarlo.chunk_rng
+        monkeypatch.setattr(montecarlo, "chunk_rng",
+                            lambda seed, c: _SpyGenerator(chunk_rng(seed, c), calls))
+        spec = TrainingSetSpec(n=1000, problem=SKEWED, label_mode=mode)
+        spied = run_experiment(spec, trials, 3)
+        monkeypatch.setattr(montecarlo, "chunk_rng", chunk_rng)
+        assert spied == run_experiment(spec, trials, 3)
+        sizes = [chunk] * (trials // chunk) + [trials % chunk]
+        return calls, sizes
+
+    def test_fixed_labels_draw_against_an_int_count(self, monkeypatch):
+        calls, sizes = self._spy_run(monkeypatch, LabelMode.FIXED_COUNTS)
+        assert [size for _, size in calls] == [s for s in sizes for _ in range(6)]
+        n0 = math.floor(0.4 * 1000 + 0.5)
+        counts = [(n0 + 2) // 3, (n0 + 1) // 3, n0 // 3,
+                  (1000 - n0 + 2) // 3, (1000 - n0 + 1) // 3, (1000 - n0) // 3]
+        assert [m for m, _ in calls] == counts * len(sizes)
+        assert all(type(m) is int for m, _ in calls)
+
+    def test_random_labels_draw_against_sorted_counts(self, monkeypatch):
+        calls, sizes = self._spy_run(monkeypatch, LabelMode.RANDOM_LABELS)
+        assert len(calls) == 7 * len(sizes)
+        for c, size in enumerate(sizes):
+            labels, rho, sigma = calls[7 * c], calls[7 * c + 1:7 * c + 4], calls[7 * c + 4:7 * c + 7]
+            assert labels == (1000, size)
+            for m, s in rho + sigma:
+                assert isinstance(m, np.ndarray) and m.shape == (size,) and s == size
+            for m, _ in rho:
+                assert np.all(np.diff(m) >= 0)
+            for m, _ in sigma:
+                assert np.all(np.diff(m) <= 0)
+            assert rho[0][0][0] < rho[0][0][-1]  # the class sizes do vary
 
 
 class TestPluginStrategyRun:
