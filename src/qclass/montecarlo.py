@@ -3,9 +3,11 @@
 Trials are evaluated in fixed chunks of CHUNK_SIZE.  Chunk c draws from a
 fresh Generator(PCG64(SeedSequence((*seed, c)))), and every sampler draws
 its variates in a documented fixed column order, so the value attributed
-to trial i is a deterministic function of (seed, i) alone.  Chunks are
-independent and concatenated in index order, which makes the result
-independent of how many workers evaluate them.
+to trial i is a deterministic function of (seed, CHUNK_SIZE, i).  A
+sampler may also order the trials within a chunk (a random-label qubit
+chunk sorts them by class size), which the chunk size alone fixes.
+Chunks are independent and concatenated in index order, which makes the
+result independent of how many workers evaluate them.
 """
 
 from __future__ import annotations
