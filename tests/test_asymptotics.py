@@ -1,11 +1,10 @@
 """Regression and identity tests for the closed-form risk constants."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qclass import (
@@ -22,6 +21,7 @@ from qclass import (
 )
 
 from helpers import random_nontrivial_config
+from strategies import PROPERTY, direction, unit
 
 ANTIPODAL = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), 0.5)
 PARALLEL = ((0.0, 0.0, 0.9), (0.0, 0.0, 0.3), 0.5)
@@ -179,21 +179,11 @@ class TestGapGeometry:
                 assert pc > 0.0
 
 
-def unit(v):
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
-
-
-coordinate = st.floats(-1.0, 1.0, allow_nan=False)
-direction = st.tuples(coordinate, coordinate, coordinate).filter(
-    lambda v: 0.1 < math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2))
-
-
 class TestSmallD0:
     """At pi0 = 1/2 every |d0| > 0 is nontrivial; the report's constants
     grow like 1/|d0|, and its decomposition check must not grow with them."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @PROPERTY
     @given(v=direction, t=direction, a=st.floats(0.05, 0.95),
            d0=st.floats(-8.0, -3.0).map(lambda e: 10.0 ** e))
     def test_no_numerical_error(self, v, t, a, d0):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qclass import (
@@ -25,6 +25,7 @@ from helpers import (
     quadratic_loss,
     random_nontrivial_config,
 )
+from strategies import PROPERTY, direction, unit
 
 PLANAR = ((0.8, 0.0, 0.0), (0.0, 0.6, 0.0), 0.5)
 
@@ -256,19 +257,9 @@ class TestLocalExpansion:
 # to (anti)parallel, pure states and pairs just off the |d0| = |pi0 - pi1|
 # boundary.  Every nontrivial draw must give a frame whose identities hold.
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
-
-coordinate = st.floats(-1.0, 1.0, allow_nan=False)
-direction = st.tuples(coordinate, coordinate, coordinate).filter(
-    lambda v: 0.1 < math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2))
 length = st.floats(0.05, 1.0)
 prior = st.floats(0.05, 0.95)
 tilt = st.floats(-13.0, -3.0).map(lambda e: 10.0 ** e)
-
-
-def unit(v):
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
 
 
 def orthonormal_pair(v, other):
