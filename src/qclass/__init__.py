@@ -55,13 +55,8 @@ from .gaussian_model import (
 )
 from .montecarlo import CHUNK_SIZE, ExperimentResult
 from .qubit_experiment import (
-    DegenerateTrainingSetError,
     LabelMode,
     TrainingSetSpec,
-    bayes_risk_gaussian,
-    classical_coin_example,
-    classical_gaussian_example,
-    gaussian_error_probability,
     rescaled_risk_curve,
     run_experiment,
 )

@@ -8,8 +8,8 @@ modes, all with means linear in the local parameters (u, v):
     mode 1: quadrature means sqrt(pi0 / 2 r0) (u1, u2), variance 1/(2 r0)
     mode 2: quadrature means sqrt(pi1 / 2 s0) (v1, v2), variance 1/(2 s0)
 
-Two measurement strategies are simulated at the level of their (exactly
-Gaussian) outcome laws:
+Two measurement strategies are described by their (exactly Gaussian)
+outcome laws:
 
 * Heterodyne plug-in: measure both quadratures of each mode, which adds
   1/2 to every quadrature variance, invert the mean maps to estimates
@@ -28,8 +28,15 @@ Gaussian) outcome laws:
 With unknown priors the training labels add an independent prior count
 Z ~ N(delta, pi0 pi1) and the target becomes z_perp + delta*(r0 + s0)_perp.
 
-Pure states (r0 = 1) make the classical component deterministic
-(variance 0); it is then sampled as its mean.
+The loss reads the outcomes only through the residual z_hat - target, and
+both estimators are linear in independent normal outcomes.  Each residual
+component is therefore exactly normal, and the two are independent: the
+l0 component reads only X_r, X_s, the Q quadratures (or Q_l) and the prior
+count, the k0 component only the P quadratures (or Q_k), since
+(r0 + s0)_perp has no k0 part.  So ``monte_carlo_risk`` draws two standard
+normals per trial from this exact law instead of every outcome channel;
+no approximation is involved.  A pure state (r0 = 1) has a deterministic
+classical channel (variance 0), which adds nothing to the residual spread.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .local_geometry import LocalFrame, perp_components, relative_perp
+from .local_geometry import LocalFrame, NumericalError, perp_components, relative_perp
 from .montecarlo import ExperimentResult, run_chunked, summarize
 from .qubit_core import as_float3
 
@@ -131,12 +138,6 @@ def _joint_params(model: GaussianShiftModel, frame: LocalFrame, pi0: float):
     return means, sds
 
 
-def _draw(rng: np.random.Generator, params, size: int) -> list[np.ndarray]:
-    """One array of ``size`` normal draws per channel, channel by channel."""
-    means, sds = params
-    return [rng.normal(m, sd, size) for m, sd in zip(means, sds)]
-
-
 def optimal_estimate(x_r, x_s, y_l, y_k, frame: LocalFrame, pi0: float):
     """(z_l, z_k) from the classical pair and the joint (Q_l, Q_k) readings.
 
@@ -168,6 +169,56 @@ def _prior_direction(frame: LocalFrame) -> tuple[float, float]:
     return frame.r0_norm * frame.cos_phi0 + frame.s0_norm * frame.cos_phi1, 0.0
 
 
+def _residual_rows(strategy: StrategyKind, frame: LocalFrame, pi0: float, u, v,
+                   delta: float):
+    """(c_l, b_l, c_k, b_k): the estimator residual z_hat - target as C z + b.
+
+    z holds one independent standard normal per channel, in the order of
+    ``_heterodyne_params``/``_joint_params`` (the prior count of unknown
+    priors last).  The estimator maps applied
+    to the unit outcomes and scaled by the channel sds give the coefficient
+    rows c_l, c_k; applied to the channel means, minus the target, they
+    give the offsets b_l, b_k.
+    """
+    model = build_gaussian_model(frame, u, v, pi0)
+    target_l, target_k = relative_perp(u, v, frame, pi0)
+    if strategy is StrategyKind.HETERODYNE_PLUGIN:
+        means, sds = _heterodyne_params(model)
+        estimate = plugin_estimate
+    else:
+        means, sds = _joint_params(model, frame, pi0)
+        estimate = optimal_estimate
+    c_l, c_k = estimate(*np.eye(len(means)), frame, pi0)
+    c_l = c_l * sds
+    c_k = c_k * sds
+    b_l, b_k = estimate(*means, frame, pi0)
+    if strategy is StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS:
+        w_l, w_k = _prior_direction(frame)
+        prior_sd = math.sqrt(pi0 * (1.0 - pi0))
+        c_l = np.append(c_l, prior_sd * w_l)
+        c_k = np.append(c_k, prior_sd * w_k)
+        b_l, b_k = b_l + delta * w_l, b_k + delta * w_k
+        target_l, target_k = target_l + delta * w_l, target_k + delta * w_k
+    return c_l, b_l - target_l, c_k, b_k - target_k
+
+
+def _residual_law(strategy: StrategyKind, frame: LocalFrame, pi0: float, u, v,
+                  delta: float) -> tuple[float, float, float, float]:
+    """(b_l, sigma_l, b_k, sigma_k): the residual's l0 and k0 components are
+    independent N(b_l, sigma_l^2) and N(b_k, sigma_k^2).
+
+    sigma is the norm of the coefficient row.  A cross term fsum(c_l*c_k)
+    that does not vanish would make the two components dependent and
+    raises NumericalError.
+    """
+    c_l, b_l, c_k, b_k = _residual_rows(strategy, frame, pi0, u, v, delta)
+    sigma_l = math.sqrt(math.fsum(c_l * c_l))
+    sigma_k = math.sqrt(math.fsum(c_k * c_k))
+    if not abs(math.fsum(c_l * c_k)) <= 1e-12 * sigma_l * sigma_k:
+        raise NumericalError("the l0 and k0 estimator residuals are correlated")
+    return b_l, sigma_l, b_k, sigma_k
+
+
 def monte_carlo_risk(
     strategy: StrategyKind,
     frame: LocalFrame,
@@ -185,40 +236,26 @@ def monte_carlo_risk(
     The loss is |z_perp - z_hat|^2 / (4 |d0|); with unknown priors the
     target shifts to z_perp + delta*(r0 + s0)_perp and the estimator adds
     the prior count Z ~ N(delta, pi0 pi1) times the same direction (the
-    risk is flat in delta, which defaults to 0).  Deterministic for fixed
-    seed regardless of ``workers``.
+    risk is flat in delta, which defaults to 0).  Each chunk draws one
+    (2, size) array of standard normals, row 0 for the l0 and row 1 for the
+    k0 residual component, and evaluates the loss elementwise from the
+    exact residual law (``_residual_law``).  Deterministic for fixed seed
+    regardless of ``workers``.
     """
     strategy = StrategyKind(strategy)
-    model = build_gaussian_model(frame, u, v, pi0)
-    z_l, z_k = relative_perp(u, v, frame, pi0)
+    b_l, sigma_l, b_k, sigma_k = _residual_law(strategy, frame, pi0, u, v, delta)
+    scale = np.array([[sigma_l], [sigma_k]])
+    shift = np.array([[b_l], [b_k]])
     inv4d = 1.0 / (4.0 * frame.d0_norm)
 
-    if strategy is StrategyKind.HETERODYNE_PLUGIN:
-        params = _heterodyne_params(model)
-
-        def chunk_fn(rng, size):
-            zl, zk = plugin_estimate(*_draw(rng, params, size), frame, pi0)
-            return ((zl - z_l) ** 2 + (zk - z_k) ** 2) * inv4d
-
-    else:
-        params = _joint_params(model, frame, pi0)
-        unknown = strategy is StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS
-        if unknown:
-            w_l, w_k = _prior_direction(frame)
-            prior_sd = math.sqrt(pi0 * (1.0 - pi0))
-            target_l = z_l + delta * w_l
-            target_k = z_k + delta * w_k
-        else:
-            target_l, target_k = z_l, z_k
-
-        def chunk_fn(rng, size):
-            zl, zk = optimal_estimate(*_draw(rng, params, size), frame, pi0)
-            if unknown:
-                # the prior count is drawn after the four measurement channels
-                z_count = rng.normal(delta, prior_sd, size)
-                zl = zl + z_count * w_l
-                zk = zk + z_count * w_k
-            return ((zl - target_l) ** 2 + (zk - target_k) ** 2) * inv4d
+    def chunk_fn(rng, size):
+        z = rng.normal(size=(2, size))
+        z *= scale
+        z += shift
+        np.square(z, out=z)
+        loss = np.add(z[0], z[1])
+        loss *= inv4d
+        return loss
 
     losses = run_chunked(trials, seed, chunk_fn, workers=workers)
     return summarize(losses, n=None)

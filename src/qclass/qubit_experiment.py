@@ -1,4 +1,4 @@
-"""Finite-n qubit experiments and the classical warm-up examples.
+"""Finite-n qubit experiments.
 
 The measurable plug-in strategy at the qubit level: split the n labelled
 copies by class, run Pauli tomography on each class (copies of a class
@@ -20,10 +20,6 @@ The excess risk of the resulting projector is evaluated exactly through
 the trace formula (conditional on the projector it is a deterministic
 number, so no test copies are sampled); the per-outcome sampler and the
 sampled-test-copy estimate survive as test oracles.
-
-Two classical baselines with the same rescaled-risk interface: the
-two-Gaussian location problem (excess risk of rate 1/n, midpoint plug-in)
-and the two-cell coin problem (exponentially small excess).
 """
 
 from __future__ import annotations
@@ -45,10 +41,6 @@ from .qubit_core import BlochVector
 # (at n = 1e15 the mean is already biased low), so results would be wrong
 # without any error being raised.
 MAX_N = 10**12
-
-
-class DegenerateTrainingSetError(ValueError):
-    """A class ended up with no training copies."""
 
 
 class LabelMode(Enum):
@@ -211,98 +203,3 @@ def rescaled_risk_curve(
         )
         results.append(run_experiment(spec, trials, (seed, idx), workers=workers))
     return results
-
-
-_erfc = np.vectorize(math.erfc, otypes=[float])
-
-
-def _normal_cdf(x):
-    """Standard normal CDF Phi(x) = erfc(-x/sqrt(2))/2, elementwise."""
-    return 0.5 * _erfc(np.negative(x) / math.sqrt(2.0))
-
-
-def gaussian_error_probability(t, a: float, b: float):
-    """Error probability of guessing the b-class when x >= t (equal priors).
-
-    0.5*(1 - Phi(t - a)) + 0.5*Phi(t - b); vectorised in t.
-    """
-    return 0.5 * (1.0 - _normal_cdf(t - a)) + 0.5 * _normal_cdf(t - b)
-
-
-def bayes_risk_gaussian(a: float, b: float) -> float:
-    """Minimal error probability, attained at the midpoint threshold."""
-    return float(gaussian_error_probability(0.5 * (a + b), a, b))
-
-
-def classical_gaussian_example(
-    a: float, b: float, n: int, trials: int, seed: int, workers: int = 1
-) -> ExperimentResult:
-    """Midpoint plug-in classifier for N(a,1) vs N(b,1), equal priors.
-
-    Each trial draws the class counts and the class means from their exact
-    laws (the means are sufficient), forms the threshold (a_hat+b_hat)/2
-    and evaluates its excess error by the exact Gaussian integral.
-    Returns the n-rescaled summary; the excess has rate 1/n.
-    """
-    if not a < b:
-        raise ValueError(f"require a < b, got a={a!r}, b={b!r}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n!r}")
-    bayes = bayes_risk_gaussian(a, b)
-
-    def chunk_fn(rng, size):
-        n0 = rng.binomial(n, 0.5, size)
-        if np.any((n0 == 0) | (n0 == n)):
-            raise DegenerateTrainingSetError("a class received no samples")
-        a_hat = a + rng.standard_normal(size) / np.sqrt(n0)
-        b_hat = b + rng.standard_normal(size) / np.sqrt(n - n0)
-        t_hat = 0.5 * (a_hat + b_hat)
-        # the midpoint is the exact minimiser, so clamp rounding dust
-        return np.maximum(gaussian_error_probability(t_hat, a, b) - bayes, 0.0)
-
-    losses = run_chunked(trials, seed, chunk_fn, workers=workers)
-    return summarize(losses, n=n, scale=float(n), with_fraction_exact=True)
-
-
-def classical_coin_example(
-    eta0: float,
-    eta1: float,
-    p_x0: float,
-    n: int,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> ExperimentResult:
-    """Two-cell plug-in classifier with regression values bounded away from 1/2.
-
-    X in {0, 1} with P(X=0) = p_x0 and eta(x) = P(Y=1|X=x); requires
-    eta0 < 1/2 < eta1, so the oracle predicts the cell index.  The plug-in
-    classifies by the empirical eta_hat (empty cells fall back to the
-    predict-0 rule) and its excess is exactly zero unless an empirical
-    frequency crosses 1/2, which happens with exponentially small
-    probability; 1 - fraction_exact is the nonzero-excess fraction.
-    """
-    if not eta0 < 0.5:
-        raise ValueError(f"require eta0 < 1/2, got {eta0!r}")
-    if not eta1 > 0.5:
-        raise ValueError(f"require eta1 > 1/2, got {eta1!r}")
-    if not 0.0 < p_x0 < 1.0:
-        raise ValueError(f"require 0 < p_x0 < 1, got {p_x0!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    margin0 = p_x0 * (1.0 - 2.0 * eta0)
-    margin1 = (1.0 - p_x0) * (2.0 * eta1 - 1.0)
-
-    def chunk_fn(rng, size):
-        m0 = rng.binomial(n, p_x0, size)
-        m1 = n - m0
-        k0 = rng.binomial(m0, eta0)
-        k1 = rng.binomial(m1, eta1)
-        eta0_hat = np.where(m0 > 0, k0 / np.maximum(m0, 1), 0.5)
-        eta1_hat = np.where(m1 > 0, k1 / np.maximum(m1, 1), 0.5)
-        wrong0 = eta0_hat > 0.5
-        wrong1 = eta1_hat <= 0.5
-        return wrong0 * margin0 + wrong1 * margin1
-
-    losses = run_chunked(trials, seed, chunk_fn, workers=workers)
-    return summarize(losses, n=n, scale=float(n), with_fraction_exact=True)

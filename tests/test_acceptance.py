@@ -6,10 +6,8 @@ suite is deterministic.
 """
 
 import json
-import math
 
 import numpy as np
-import pytest
 
 from qclass import (
     ClassificationProblem,
@@ -17,8 +15,6 @@ from qclass import (
     StrategyKind,
     TrainingSetSpec,
     build_frame,
-    classical_coin_example,
-    classical_gaussian_example,
     classical_risk_term,
     excess_risk,
     monte_carlo_risk,
@@ -36,6 +32,8 @@ from qclass.cli import main
 
 from helpers import (
     PerpEstimate,
+    classical_coin_example,
+    classical_gaussian_example,
     estimator_to_projector,
     local_states,
     quadratic_loss,

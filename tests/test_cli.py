@@ -527,13 +527,14 @@ class TestDeterminismAndFormats:
             64,
             "9a8c9cca2ee753ad18cbda56fd5b5754b5e20d9672fdc57b11c3d8727aae5e1b",
         ),
+        # two standard normals per trial, drawn from the exact residual law
         "gaussian-sim": (
             {"strategy": ["optimal_joint", "heterodyne_plugin",
                           "optimal_joint_unknown_priors"],
              "trials": 5000, "seed": 7,
              "u": [0.2, -0.1, 0.4], "v": [0.3, 0.2, -0.2], "delta": 0.3},
             1024,
-            "660858edeb9d8b2e51383f0d2d802ff7ff05c01d22a36a9a7ac3d06d522e35a1",
+            "89a8382ec14281947b297ba3cb7dc1c08fd401270bcc036ba6ee9e3f3a21ebb1",
         ),
     }
 

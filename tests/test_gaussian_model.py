@@ -1,4 +1,5 @@
-"""Tests for the Gaussian limit model: chunk draws, estimators, MC risks."""
+"""Tests for the Gaussian limit model: outcome laws, estimators, the exact
+residual law behind the chunk draws, MC risks."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from qclass import (
+    NumericalError,
     StrategyKind,
     build_frame,
     build_gaussian_model,
@@ -18,17 +20,57 @@ from qclass import (
     quantum_risk_term,
     relative_perp,
 )
-from qclass.gaussian_model import _draw, _heterodyne_params, _joint_params
+from qclass.gaussian_model import (
+    _heterodyne_params,
+    _joint_params,
+    _prior_direction,
+    _residual_law,
+    _residual_rows,
+)
+from qclass import gaussian_model
 from qclass.montecarlo import chunk_rng
 
-from helpers import random_nontrivial_config
+from helpers import draw_outcomes, random_nontrivial_config
 
 PLANAR = ((0.8, 0.0, 0.0), (0.0, 0.6, 0.0), 0.5)
 ANTIPODAL = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), 0.5)
+SKEWED = ((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
+PURE = ((0.0, 0.0, 1.0), (0.6, 0.0, 0.0), 0.5)
+U, V = (0.2, -0.1, 0.4), (0.3, 0.2, -0.2)
+
+CLOSED_FORM = {
+    StrategyKind.HETERODYNE_PLUGIN: plugin_risk,
+    StrategyKind.OPTIMAL_JOINT: optimal_minimax_risk,
+    StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS:
+        lambda f, pi0: optimal_minimax_risk(f, pi0) + prior_correction(f, pi0),
+}
 
 
 def planar_frame():
     return build_frame(*PLANAR)
+
+
+def oracle_residuals(strategy, frame, pi0, u, v, delta, rng, size):
+    """z_hat - target from every measurement channel drawn separately.
+
+    Channels in the library's draw order, then the prior count of
+    unknown priors; the estimates go through the library's estimators.
+    """
+    model = build_gaussian_model(frame, u, v, pi0)
+    target_l, target_k = relative_perp(u, v, frame, pi0)
+    if strategy is StrategyKind.HETERODYNE_PLUGIN:
+        outcomes = draw_outcomes(rng, _heterodyne_params(model), size)
+        z_l, z_k = plugin_estimate(*outcomes, frame, pi0)
+    else:
+        outcomes = draw_outcomes(rng, _joint_params(model, frame, pi0), size)
+        z_l, z_k = optimal_estimate(*outcomes, frame, pi0)
+    if strategy is StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS:
+        w_l, w_k = _prior_direction(frame)
+        count = rng.normal(delta, math.sqrt(pi0 * (1.0 - pi0)), size)
+        z_l = z_l + count * w_l
+        z_k = z_k + count * w_k
+        target_l, target_k = target_l + delta * w_l, target_k + delta * w_k
+    return z_l - target_l, z_k - target_k
 
 
 class TestBuildGaussianModel:
@@ -52,7 +94,7 @@ class TestBuildGaussianModel:
         assert model.var_xr == 0.0
         assert model.var_mode1 == pytest.approx(0.5)
         # deterministic classical component sampled as its mean
-        x_r = _draw(np.random.default_rng(0), _heterodyne_params(model), 100)[0]
+        x_r = draw_outcomes(np.random.default_rng(0), _heterodyne_params(model), 100)[0]
         assert np.all(x_r == model.mean_xr)
 
 
@@ -63,7 +105,7 @@ class TestSampleHeterodyne:
         model = build_gaussian_model(f, (0.7, -0.4, 0.2), (0.3, 0.5, -0.6), 0.5)
         rng = np.random.default_rng(211)
         n = 50_000
-        recs = np.column_stack(_draw(rng, _heterodyne_params(model), n))
+        recs = np.column_stack(draw_outcomes(rng, _heterodyne_params(model), n))
         means = (model.mean_xr, model.mean_xs, model.mean_q1,
                  model.mean_p1, model.mean_q2, model.mean_p2)
         het1 = model.var_mode1 + 0.5
@@ -101,7 +143,7 @@ class TestSampleOptimalJoint:
         model = build_gaussian_model(f, (0, 0, 0), (0, 0, 0), 0.5)
         rng = np.random.default_rng(223)
         n = 50_000
-        _, _, y_l, y_k = _draw(rng, _joint_params(model, f, 0.5), n)
+        _, _, y_l, y_k = draw_outcomes(rng, _joint_params(model, f, 0.5), n)
         total = (y_l**2 + y_k**2).mean()
         assert total == pytest.approx(1.78, rel=0.02)
 
@@ -142,7 +184,7 @@ class TestOptimalEstimate:
         z_true = relative_perp(u, v, f, 0.5)
         rng = np.random.default_rng(229)
         n = 100_000
-        draws = _draw(rng, _joint_params(model, f, 0.5), n)
+        draws = draw_outcomes(rng, _joint_params(model, f, 0.5), n)
         ests = optimal_estimate(*draws, f, 0.5)
         for est, truth in zip(ests, z_true):
             assert est.mean() == pytest.approx(truth, abs=4 * est.std() / math.sqrt(n))
@@ -171,9 +213,68 @@ class TestPluginEstimate:
         model = build_gaussian_model(f, (0, 0, 0), (0, 0, 0), 0.5)
         rng = np.random.default_rng(233)
         n = 100_000
-        _, zks = plugin_estimate(*_draw(rng, _heterodyne_params(model), n), f, 0.5)
+        _, zks = plugin_estimate(*draw_outcomes(rng, _heterodyne_params(model), n), f, 0.5)
         expected = 0.5 * 1.8 + 0.5 * 1.6
         assert zks.var() == pytest.approx(expected, rel=0.02)
+
+
+class TestResidualLaw:
+    """The two-normal law that gaussian-sim draws from."""
+
+    @staticmethod
+    def exact_risk(strategy, frame, pi0, u, v, delta):
+        b_l, sigma_l, b_k, sigma_k = _residual_law(strategy, frame, pi0, u, v, delta)
+        return (b_l**2 + b_k**2 + sigma_l**2 + sigma_k**2) / (4.0 * frame.d0_norm)
+
+    def test_expectation_is_closed_form(self):
+        """E loss = (b_l^2 + b_k^2 + sigma_l^2 + sigma_k^2)/(4|d0|) is each
+        strategy's constant, at generic, pure-state and delta != 0 configs."""
+        rng = np.random.default_rng(251)
+        configs = [PLANAR, ANTIPODAL, SKEWED, PURE]
+        configs += [random_nontrivial_config(rng) for _ in range(60)]
+        configs += [random_nontrivial_config(rng, norm_lo=1.0, norm_hi=1.0)
+                    for _ in range(20)]
+        for r, s, pi0 in configs:
+            f = build_frame(r, s, pi0)
+            u, v = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
+            delta = rng.uniform(-2, 2)
+            for strategy, closed_form in CLOSED_FORM.items():
+                assert self.exact_risk(strategy, f, pi0, u, v, delta) == pytest.approx(
+                    closed_form(f, pi0), rel=1e-12, abs=0)
+
+    def test_oracle_residual_is_linear_in_channel_normals(self):
+        """The per-channel oracle's residual equals C z + b, with z the
+        channel normals that drew it."""
+        for config in (SKEWED, PURE):
+            f = build_frame(*config)
+            pi0 = config[2]
+            for strategy in StrategyKind:
+                c_l, b_l, c_k, b_k = _residual_rows(strategy, f, pi0, U, V, 0.3)
+                res_l, res_k = oracle_residuals(
+                    strategy, f, pi0, U, V, 0.3, np.random.default_rng(71), 500)
+                z = np.random.default_rng(71).normal(size=(c_l.size, 500))
+                for res, c, b in ((res_l, c_l, b_l), (res_k, c_k, b_k)):
+                    expected = b + sum(c_j * z_j for c_j, z_j in zip(c, z))
+                    np.testing.assert_allclose(res, expected, rtol=0, atol=1e-12)
+
+    def test_collapsed_mc_matches_oracle_mc(self):
+        f = build_frame(*SKEWED)
+        pi0 = SKEWED[2]
+        n = 200_000
+        for i, strategy in enumerate(StrategyKind):
+            res = monte_carlo_risk(strategy, f, pi0, U, V, trials=n, seed=81 + i, delta=0.3)
+            res_l, res_k = oracle_residuals(
+                strategy, f, pi0, U, V, 0.3, np.random.default_rng(91 + i), n)
+            loss = (res_l**2 + res_k**2) / (4.0 * f.d0_norm)
+            gap = abs(res.mean_rescaled_excess - loss.mean())
+            assert gap <= 4 * math.hypot(res.stderr, loss.std(ddof=1) / math.sqrt(n))
+
+    def test_correlated_residuals_raise(self, monkeypatch):
+        """A prior direction with a k0 part would couple the two components."""
+        monkeypatch.setattr(gaussian_model, "_prior_direction", lambda frame: (0.5, 0.5))
+        with pytest.raises(NumericalError, match="correlated"):
+            monte_carlo_risk(StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS, planar_frame(),
+                             0.5, U, V, trials=10, seed=1)
 
 
 class TestMonteCarloRisk:
@@ -236,20 +337,20 @@ class TestMonteCarloRisk:
         assert gap <= 3 * math.hypot(rs[0].stderr, rs[1].stderr)
 
     def test_chunk_loss_is_estimator_loss(self):
-        """A one-chunk run is the mean loss of the estimators on the chunk draws."""
-        f = planar_frame()
-        u, v = (0.2, -0.1, 0.4), (0.3, 0.2, -0.2)
-        model = build_gaussian_model(f, u, v, 0.5)
-        true_l, true_k = relative_perp(u, v, f, 0.5)
-        cases = (
-            (StrategyKind.HETERODYNE_PLUGIN, plugin_estimate, _heterodyne_params(model)),
-            (StrategyKind.OPTIMAL_JOINT, optimal_estimate, _joint_params(model, f, 0.5)),
-        )
-        for strategy, estimate, params in cases:
-            res = monte_carlo_risk(strategy, f, 0.5, u, v, trials=1000, seed=61)
-            z_l, z_k = estimate(*_draw(chunk_rng(61, 0), params, 1000), f, 0.5)
-            loss = ((z_l - true_l) ** 2 + (z_k - true_k) ** 2) / (4.0 * f.d0_norm)
-            assert res.mean_rescaled_excess == pytest.approx(loss.mean(), rel=1e-12)
+        """A one-chunk run is the estimator loss under the residual law,
+        evaluated on the chunk's two rows of standard normals, bit for bit
+        (the law itself is checked against the per-channel oracle in
+        TestResidualLaw)."""
+        f = build_frame(*SKEWED)
+        pi0 = SKEWED[2]
+        for strategy in StrategyKind:
+            res = monte_carlo_risk(strategy, f, pi0, U, V, trials=1000, seed=61, delta=0.3)
+            b_l, sigma_l, b_k, sigma_k = _residual_law(strategy, f, pi0, U, V, 0.3)
+            z_l, z_k = chunk_rng(61, 0).normal(size=(2, 1000))
+            loss = ((b_l + sigma_l * z_l) ** 2 + (b_k + sigma_k * z_k) ** 2) * (
+                1.0 / (4.0 * f.d0_norm))
+            assert res.mean_rescaled_excess == loss.mean()
+            assert res.stderr == loss.std(ddof=1) / math.sqrt(1000)
 
     def test_invalid_trials(self):
         with pytest.raises(ValueError):

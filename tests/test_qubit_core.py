@@ -13,7 +13,6 @@ from qclass import (
 
 from helpers import (
     IDENTITY,
-    SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,

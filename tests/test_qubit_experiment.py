@@ -10,12 +10,8 @@ from qclass import (
     ClassificationProblem,
     LabelMode,
     TrainingSetSpec,
-    bayes_risk_gaussian,
-    classical_coin_example,
-    classical_gaussian_example,
     error_probability,
     excess_risk,
-    gaussian_error_probability,
     helstrom_risk,
     pauli_data,
     positive_part,
@@ -27,6 +23,10 @@ from qclass import montecarlo
 from qclass.qubit_experiment import _Columns, _plugin_excess, _tomography
 from helpers import (
     axis_counts,
+    bayes_risk_gaussian,
+    classical_coin_example,
+    classical_gaussian_example,
+    gaussian_error_probability,
     plugin_strategy_run,
     positive_eigenprojector,
     sample_labels,
