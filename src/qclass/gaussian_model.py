@@ -257,5 +257,5 @@ def monte_carlo_risk(
         loss *= inv4d
         return loss
 
-    losses = run_chunked(trials, seed, chunk_fn, workers=workers)
-    return summarize(losses, n=None)
+    moments = run_chunked(trials, seed, chunk_fn, workers=workers)
+    return summarize(moments, n=None)

@@ -6,15 +6,19 @@ its variates in a documented fixed column order, so the value attributed
 to trial i is a deterministic function of (seed, CHUNK_SIZE, i).  A
 sampler may also order the trials within a chunk (a random-label qubit
 chunk sorts them by class size), which the chunk size alone fixes.
-Chunks are independent and concatenated in index order, which makes the
-result independent of how many workers evaluate them.
+Each chunk is reduced to its Moments inside its task, and the Moments are
+merged in chunk-index order, which makes the result independent of how
+many workers evaluate the chunks; a run holds one chunk's values per
+worker thread, not one value per trial.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -43,6 +47,38 @@ class ExperimentResult:
     fraction_exact: float | None = None
 
 
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean, sum of squared deviations from the mean (m2) and number
+    of exact zeros of a batch of per-trial values."""
+
+    count: int
+    mean: float
+    m2: float
+    zeros: int
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> Moments:
+        """Moments of one array, in numpy's order: ``mean`` is bit-identical
+        to ``values.mean()`` and ``m2 / (count - 1)`` to ``values.var(ddof=1)``."""
+        mean = values.mean()
+        dev = values - mean
+        np.square(dev, out=dev)
+        zeros = int(np.count_nonzero(values == 0.0))
+        return cls(int(values.size), float(mean), float(dev.sum()), zeros)
+
+    def merge(self, other: Moments) -> Moments:
+        """Moments of both batches (Chan, Golub and LeVeque's pairwise update)."""
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return Moments(
+            count,
+            self.mean + delta * (other.count / count),
+            self.m2 + other.m2 + delta * delta * (self.count * other.count / count),
+            self.zeros + other.zeros,
+        )
+
+
 def chunk_rng(seed: Seed, chunk_index: int) -> np.random.Generator:
     """Generator for one chunk; entropy is the flattened (seed..., chunk)."""
     entropy = (*seed, chunk_index) if isinstance(seed, tuple) else (seed, chunk_index)
@@ -54,45 +90,46 @@ def run_chunked(
     seed: Seed,
     chunk_fn: Callable[[np.random.Generator, int], np.ndarray],
     workers: int = 1,
-) -> np.ndarray:
-    """Per-trial values of chunk_fn(rng, size) over all chunks, in order."""
+) -> Moments:
+    """Moments of chunk_fn(rng, size) over all chunks, merged in chunk order.
+
+    Each chunk's values are reduced and released inside its task.  At most
+    ``min(workers, chunks, os.cpu_count())`` threads evaluate the chunks.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     n_chunks = (trials + CHUNK_SIZE - 1) // CHUNK_SIZE
 
-    def one(c: int) -> np.ndarray:
+    def one(c: int) -> Moments:
         size = min(CHUNK_SIZE, trials - c * CHUNK_SIZE)
         out = np.asarray(chunk_fn(chunk_rng(seed, c), size), dtype=float)
         if out.shape != (size,):
             raise ValueError(f"chunk_fn returned shape {out.shape}, expected ({size},)")
-        return out
+        return Moments.of(out)
 
-    if workers == 1 or n_chunks == 1:
-        parts = [one(c) for c in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(n_chunks)))
-    return parts[0] if n_chunks == 1 else np.concatenate(parts)
+    threads = min(workers, n_chunks, os.cpu_count() or 1)
+    if threads == 1:
+        return reduce(Moments.merge, map(one, range(n_chunks)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return reduce(Moments.merge, pool.map(one, range(n_chunks)))
 
 
 def summarize(
-    values: np.ndarray,
+    moments: Moments,
     *,
     n: int | None = None,
     scale: float = 1.0,
     with_fraction_exact: bool = False,
 ) -> ExperimentResult:
-    """Mean / stderr summary of per-trial values, rescaled by ``scale``."""
-    m = int(values.size)
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1)) if m > 1 else 0.0
-    fraction = float(np.mean(values == 0.0)) if with_fraction_exact else None
+    """Mean / stderr summary of per-trial moments, rescaled by ``scale``."""
+    m = moments.count
+    sd = math.sqrt(moments.m2 / (m - 1)) if m > 1 else 0.0
     return ExperimentResult(
         n=n,
         trials=m,
-        mean_rescaled_excess=scale * mean,
+        mean_rescaled_excess=scale * moments.mean,
         stderr=scale * sd / math.sqrt(m),
-        fraction_exact=fraction,
+        fraction_exact=moments.zeros / m if with_fraction_exact else None,
     )

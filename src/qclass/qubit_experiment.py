@@ -176,8 +176,8 @@ def run_experiment(
             )
         return out
 
-    losses = run_chunked(trials, seed, chunk_fn, workers=workers)
-    return summarize(losses, n=spec.n, scale=float(spec.n), with_fraction_exact=True)
+    moments = run_chunked(trials, seed, chunk_fn, workers=workers)
+    return summarize(moments, n=spec.n, scale=float(spec.n), with_fraction_exact=True)
 
 
 def rescaled_risk_curve(

@@ -525,7 +525,7 @@ class TestDeterminismAndFormats:
             {"n_list": [60, 10000], "trials": 300, "seed": 13,
              "label_mode": "fixed", "known_priors": True},
             64,
-            "9a8c9cca2ee753ad18cbda56fd5b5754b5e20d9672fdc57b11c3d8727aae5e1b",
+            "55fabf84257f57b6097644b175d9f9e9c35886358f2cde87d9a7195214727afb",
         ),
         # two standard normals per trial, drawn from the exact residual law
         "gaussian-sim": (
@@ -534,7 +534,7 @@ class TestDeterminismAndFormats:
              "trials": 5000, "seed": 7,
              "u": [0.2, -0.1, 0.4], "v": [0.3, 0.2, -0.2], "delta": 0.3},
             1024,
-            "89a8382ec14281947b297ba3cb7dc1c08fd401270bcc036ba6ee9e3f3a21ebb1",
+            "43a0e249fbbae416ddefd8dc0fa5c0d91cced8b67d458d1fbe4624f5403d4a9f",
         ),
     }
 

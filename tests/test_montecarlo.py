@@ -1,0 +1,161 @@
+"""Tests for the chunked Monte Carlo driver and its streaming summary."""
+
+import math
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qclass import build_frame, montecarlo
+from qclass.gaussian_model import StrategyKind, monte_carlo_risk
+from qclass.montecarlo import Moments, run_chunked, summarize
+
+
+def _values(rng, size):
+    """Per-trial values with exact zeros and a wide dynamic range."""
+    v = rng.lognormal(0.0, 2.0, size)
+    v[rng.random(size) < 0.3] = 0.0
+    return v
+
+
+def _recording(seen):
+    """A chunk function that also keeps a copy of every chunk it returns."""
+
+    def chunk_fn(rng, size):
+        v = _values(rng, size)
+        seen.append(v.copy())
+        return v
+
+    return chunk_fn
+
+
+def _one_array(values, **kw):
+    return summarize(Moments.of(values), **kw)
+
+
+class TestSummary:
+    @pytest.mark.parametrize("trials", [2, 3, 17, 1000, 65_536])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_chunk_is_numpy_bit_for_bit(self, trials, seed):
+        seen = []
+        res = summarize(run_chunked(trials, seed, _recording(seen)),
+                        n=7, scale=3.0, with_fraction_exact=True)
+        (values,) = seen
+        assert res.trials == trials and res.n == 7
+        assert res.mean_rescaled_excess == 3.0 * float(values.mean())
+        assert res.stderr == 3.0 * float(values.std(ddof=1)) / math.sqrt(trials)
+        assert res.fraction_exact == float(np.mean(values == 0.0))
+
+    def test_single_trial_has_zero_stderr(self):
+        for v in (0.0, 2.5):
+            res = summarize(run_chunked(1, 0, lambda rng, size: np.full(size, v)),
+                            with_fraction_exact=True)
+            assert (res.trials, res.mean_rescaled_excess, res.stderr) == (1, v, 0.0)
+            assert res.fraction_exact == float(v == 0.0)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("trials", [1, 2, 7, 50, 101])
+    def test_multi_chunk_matches_one_array(self, monkeypatch, chunk, trials):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
+        seen = []
+        res = summarize(run_chunked(trials, 11, _recording(seen)), with_fraction_exact=True)
+        assert len(seen) == -(-trials // chunk)
+        want = _one_array(np.concatenate(seen), with_fraction_exact=True)
+        assert res.trials == want.trials == trials
+        assert res.fraction_exact == want.fraction_exact
+        assert res.mean_rescaled_excess == pytest.approx(want.mean_rescaled_excess, rel=1e-13)
+        assert res.stderr == pytest.approx(want.stderr, rel=1e-13)
+        if trials == 1:
+            assert res.stderr == 0.0
+
+    def test_ragged_last_chunk_of_many(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 1000)
+        seen = []
+        res = summarize(run_chunked(200_001, 12, _recording(seen)), with_fraction_exact=True)
+        assert [v.size for v in seen[-2:]] == [1000, 1]
+        want = _one_array(np.concatenate(seen), with_fraction_exact=True)
+        assert res.fraction_exact == want.fraction_exact
+        assert res.mean_rescaled_excess == pytest.approx(want.mean_rescaled_excess, rel=1e-13)
+        assert res.stderr == pytest.approx(want.stderr, rel=1e-13)
+
+    def test_merge_of_a_constant_batch_has_zero_spread(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 3)
+        m = run_chunked(10, 0, lambda rng, size: np.full(size, 0.25))
+        assert m == Moments(10, 0.25, 0.0, 0)
+
+    def test_workers_give_equal_results(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
+        results = {summarize(run_chunked(5000, 4, _values, workers=w), with_fraction_exact=True)
+                   for w in (1, 2, 3)}
+        assert len(results) == 1
+        frame = build_frame((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
+        gaussian = {monte_carlo_risk(StrategyKind.HETERODYNE_PLUGIN, frame, 0.4,
+                                     (0.2, -0.1, 0.4), (0.3, 0.2, -0.2),
+                                     trials=3000, seed=5, workers=w)
+                    for w in (1, 2, 3)}
+        assert len(gaussian) == 1
+
+    def test_chunk_of_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match="expected"):
+            run_chunked(10, 0, lambda rng, size: np.zeros(size + 1))
+
+    def test_memory_is_bounded_by_chunks_not_trials(self, monkeypatch):
+        """64 chunks of 4096 trials hold less than four chunk arrays at once;
+        keeping every trial's value would hold 64 of them."""
+        chunk = 4096
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
+        montecarlo.chunk_rng(0, 0)  # numpy.random loads on first use
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            summarize(run_chunked(64 * chunk, 5, lambda rng, size: rng.random(size)))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * chunk * 8
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records its size, maps in the caller."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+class TestThreadCap:
+    def _sizes(self, monkeypatch, cpus, workers, trials):
+        sizes = []
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 4)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
+                            lambda max_workers: _SerialPool(sizes, max_workers))
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = run_chunked(trials, 8, _values, workers=workers)
+        assert got == run_chunked(trials, 8, _values)
+        return sizes
+
+    @pytest.mark.parametrize("cpus, workers, trials, pool", [
+        (4, 5000, 40, 4),    # capped by the cores
+        (64, 5000, 40, 10),  # capped by the 10 chunks
+        (64, 3, 40, 3),      # as asked
+        (4, 2, 40, 2),
+    ])
+    def test_pool_size(self, monkeypatch, cpus, workers, trials, pool):
+        assert self._sizes(monkeypatch, cpus, workers, trials) == [pool]
+
+    @pytest.mark.parametrize("cpus, workers, trials", [
+        (4, 5000, 4),   # one chunk
+        (1, 5000, 40),  # one core
+        (None, 8, 40),  # core count unknown
+    ])
+    def test_one_thread_runs_without_a_pool(self, monkeypatch, cpus, workers, trials):
+        assert self._sizes(monkeypatch, cpus, workers, trials) == []
