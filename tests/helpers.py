@@ -8,9 +8,10 @@ check one against the other.  The local-expansion helpers (perturbed
 states, the estimate -> projector map and the quadratic loss) live here
 too, as only the tests use them.
 
-The library's qubit-sim draws six binomial counts per trial for a whole
-chunk at once.  The per-trial plug-in below draws every +/-1 outcome
-instead, one trial at a time, and is the reference it is tested against.
+The library's qubit-sim draws six Pauli counts per trial for a whole
+chunk at once, as histograms or as binomials.  The per-trial plug-in
+below draws every +/-1 outcome instead, one trial at a time, and is the
+reference it is tested against.
 Likewise gaussian-sim draws two normals per trial from the exact law of
 the estimator residual; ``draw_outcomes`` draws every measurement channel
 of the Gaussian model instead.

@@ -514,18 +514,32 @@ class TestDeterminismAndFormats:
     # arithmetic behind any printed value changes these on purpose only
     PINNED_PROBLEM = {"r0": [0.5, 0.2, -0.3], "s0": [-0.1, 0.6, 0.2], "pi0": 0.4}
     PINNED = {
+        # n up to _HISTOGRAM_MAX_N draws each chunk as histograms
         "qubit-sim": (
             {"n_list": [60, 200], "trials": 300, "seed": 13},
             64,
-            "325844c820e2119eb0afac4d09dab034532874fe4bc23c976382d9f1ed4d536c",
+            "f894692583ac267aba3c93df6704c9525f0c4d854a6d0ed0f2534d4d22c12683",
         ),
-        # fixed labels draw every count against one shared copy count; a
-        # scalar count and a constant count array give the same variates
         "qubit-sim-fixed": (
             {"n_list": [60, 10000], "trials": 300, "seed": 13,
              "label_mode": "fixed", "known_priors": True},
             64,
-            "55fabf84257f57b6097644b175d9f9e9c35886358f2cde87d9a7195214727afb",
+            "be1514908ebbd6fea10d29a7103c8dce8c4808c7417848ea8939ddd2c7408eed",
+        ),
+        # larger n draws per-trial binomials; these two digests were taken
+        # before the histogram sampler was added, and must not move.  Fixed
+        # labels draw every count against one shared copy count (a scalar
+        # count and a constant count array give the same variates).
+        "qubit-sim-large-n": (
+            {"n_list": [3000], "trials": 300, "seed": 13},
+            64,
+            "3ab896cd0ae2ec1f1e1a6419c711dd60073df1fe1425ad9d225ca15b883e8587",
+        ),
+        "qubit-sim-large-n-fixed": (
+            {"n_list": [10000], "trials": 300, "seed": 13,
+             "label_mode": "fixed", "known_priors": True},
+            64,
+            "7e063506494937e47310ab07f261ba44d86cd20f98fb2a9cfe3ab0a173c2802b",
         ),
         # two standard normals per trial, drawn from the exact residual law
         "gaussian-sim": (
@@ -545,7 +559,8 @@ class TestDeterminismAndFormats:
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
         cfg_path = write_config(tmp_path, {"problem": self.PINNED_PROBLEM, **extra})
         out = tmp_path / "pinned.csv"
-        assert main([case.removesuffix("-fixed"), "--config", cfg_path, "--out", str(out)]) == 0
+        command = "gaussian-sim" if case.startswith("gaussian") else "qubit-sim"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # sha256 of closed-form outputs: a faster CLI must print the same bytes

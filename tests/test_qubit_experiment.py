@@ -1,9 +1,12 @@
 """Tests for the finite-n qubit experiments and classical baselines."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qclass import (
     BlochVector,
@@ -20,7 +23,13 @@ from qclass import (
     tomography_constant,
 )
 from qclass import montecarlo
-from qclass.qubit_experiment import _Columns, _plugin_excess, _tomography
+from qclass.qubit_experiment import (
+    _HISTOGRAM_MAX_N,
+    _Columns,
+    _binomial_pmf_rows,
+    _plugin_excess,
+    _tomography,
+)
 from helpers import (
     axis_counts,
     bayes_risk_gaussian,
@@ -34,10 +43,13 @@ from helpers import (
     tomographic_estimate,
     weighted_operator,
 )
+from strategies import PROPERTY
 
 PLANAR = ClassificationProblem.from_bloch((0.8, 0, 0), (0, 0.6, 0), 0.5)
 TRIVIAL = ClassificationProblem.from_bloch((0, 0, 0.1), (0, 0, 0.5), 0.9)
 SKEWED = ClassificationProblem.from_bloch((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
+# pure states along an axis: each draws its own axis's counts from a point mass
+PURE_AXES = ClassificationProblem.from_bloch((0, 0, 1), (-1, 0, 0), 0.4)
 
 
 class TestSampleLabels:
@@ -120,14 +132,23 @@ class TestTomographicEstimate:
 
 
 class _SpyGenerator:
-    """A Generator that records the copy count and size of each binomial draw."""
+    """A Generator that records each binomial draw as ("binomial", count,
+    size) and each multinomial draw as ("multinomial", count, pvals shape),
+    and passes every other call through."""
 
     def __init__(self, rng, calls):
         self._rng, self._calls = rng, calls
 
     def binomial(self, n, p, size=None):
-        self._calls.append((n, size))
+        self._calls.append(("binomial", n, size))
         return self._rng.binomial(n, p, size)
+
+    def multinomial(self, n, pvals, size=None):
+        self._calls.append(("multinomial", n, np.shape(pvals)))
+        return self._rng.multinomial(n, pvals, size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 class TestCountSampler:
@@ -145,13 +166,16 @@ class TestCountSampler:
                 assert scalar.bit_generator.state == array.bit_generator.state
         assert scalar.random() == array.random()
 
-    def _spy_run(self, monkeypatch, mode, trials=1200, chunk=500):
+    # the smallest n drawn by per-trial binomials
+    BINOMIAL_N = _HISTOGRAM_MAX_N + 1
+
+    def _spy_run(self, monkeypatch, mode, n=BINOMIAL_N, trials=1200, chunk=500):
         calls = []
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
         chunk_rng = montecarlo.chunk_rng
         monkeypatch.setattr(montecarlo, "chunk_rng",
                             lambda seed, c: _SpyGenerator(chunk_rng(seed, c), calls))
-        spec = TrainingSetSpec(n=1000, problem=SKEWED, label_mode=mode)
+        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
         spied = run_experiment(spec, trials, 3)
         monkeypatch.setattr(montecarlo, "chunk_rng", chunk_rng)
         assert spied == run_experiment(spec, trials, 3)
@@ -160,19 +184,23 @@ class TestCountSampler:
 
     def test_fixed_labels_draw_against_an_int_count(self, monkeypatch):
         calls, sizes = self._spy_run(monkeypatch, LabelMode.FIXED_COUNTS)
-        assert [size for _, size in calls] == [s for s in sizes for _ in range(6)]
-        n0 = math.floor(0.4 * 1000 + 0.5)
+        n = self.BINOMIAL_N
+        assert {name for name, _, _ in calls} == {"binomial"}
+        assert [size for _, _, size in calls] == [s for s in sizes for _ in range(6)]
+        n0 = math.floor(0.4 * n + 0.5)
         counts = [(n0 + 2) // 3, (n0 + 1) // 3, n0 // 3,
-                  (1000 - n0 + 2) // 3, (1000 - n0 + 1) // 3, (1000 - n0) // 3]
-        assert [m for m, _ in calls] == counts * len(sizes)
-        assert all(type(m) is int for m, _ in calls)
+                  (n - n0 + 2) // 3, (n - n0 + 1) // 3, (n - n0) // 3]
+        assert [m for _, m, _ in calls] == counts * len(sizes)
+        assert all(type(m) is int for _, m, _ in calls)
 
     def test_random_labels_draw_against_sorted_counts(self, monkeypatch):
         calls, sizes = self._spy_run(monkeypatch, LabelMode.RANDOM_LABELS)
+        assert {name for name, _, _ in calls} == {"binomial"}
+        calls = [(m, size) for _, m, size in calls]
         assert len(calls) == 7 * len(sizes)
         for c, size in enumerate(sizes):
             labels, rho, sigma = calls[7 * c], calls[7 * c + 1:7 * c + 4], calls[7 * c + 4:7 * c + 7]
-            assert labels == (1000, size)
+            assert labels == (self.BINOMIAL_N, size)
             for m, s in rho + sigma:
                 assert isinstance(m, np.ndarray) and m.shape == (size,) and s == size
             for m, _ in rho:
@@ -180,6 +208,76 @@ class TestCountSampler:
             for m, _ in sigma:
                 assert np.all(np.diff(m) <= 0)
             assert rho[0][0][0] < rho[0][0][-1]  # the class sizes do vary
+
+    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
+    def test_histogram_path_draws_no_per_trial_count(self, monkeypatch, mode):
+        """Up to _HISTOGRAM_MAX_N a chunk makes no binomial call: one
+        multinomial for the class sizes (random labels) and one per axis,
+        over one pmf row per class size drawn."""
+        calls, sizes = self._spy_run(monkeypatch, mode, n=_HISTOGRAM_MAX_N)
+        assert {name for name, _, _ in calls} == {"multinomial"}
+        per_chunk = 6 if mode is LabelMode.FIXED_COUNTS else 7
+        assert len(calls) == per_chunk * len(sizes)
+        for c, size in enumerate(sizes):
+            chunk = calls[per_chunk * c:per_chunk * (c + 1)]
+            if mode is LabelMode.RANDOM_LABELS:
+                _, count, shape = chunk.pop(0)
+                assert count == size and shape == (_HISTOGRAM_MAX_N + 1,)
+            # every axis draws over the same class-size groups
+            h = chunk[0][1]
+            assert h.sum() == size
+            if mode is LabelMode.FIXED_COUNTS:
+                assert h.tolist() == [size]
+            for _, count, shape in chunk:
+                assert count.tolist() == h.tolist() and shape[0] == h.size
+
+
+def _exact_pmf(m: int, p: float) -> list[float]:
+    """Binomial(m, p) pmf in exact rational arithmetic, rounded once.
+
+    p is the fraction a/d exactly; Python rounds an int quotient correctly.
+    """
+    a, d = Fraction(p).as_integer_ratio()
+    return [math.comb(m, k) * a**k * (d - a) ** (m - k) / d**m for k in range(m + 1)]
+
+
+class TestBinomialPmfRows:
+    LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(_HISTOGRAM_MAX_N + 1)])
+
+    def _check(self, m, p):
+        k, rows = _binomial_pmf_rows(np.array(m), p, self.LOG_FACTORIAL)
+        assert k.shape == rows.shape == (len(m), max(m) + 1)
+        for k_g, row, m_g in zip(k, rows, m):
+            pad = max(m) - m_g
+            assert k_g.tolist() == list(range(-pad, m_g + 1))
+            assert not row[:pad].any()
+            np.testing.assert_allclose(row[pad:], _exact_pmf(m_g, p), rtol=1e-11, atol=1e-300)
+            # numpy's multinomial refuses a row whose leading entries sum
+            # to more than 1 + 1e-12
+            assert math.fsum(row) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 0.5, 0.7, 0.999, 1.0])
+    def test_against_exact_rational_pmf(self, p):
+        self._check([0, 1, 2, 17, 341], p)
+
+    def test_largest_class_size(self):
+        """The rounding of log k! grows with k; the class sizes reach n."""
+        self._check([_HISTOGRAM_MAX_N], 0.4)
+
+    def test_point_masses_are_exact(self):
+        m = np.array([0, 3, 5])
+        for p, k in ((0.0, 0 * m), (1.0, m)):
+            want = np.zeros((3, 6))
+            want[np.arange(3), k + 5 - m] = 1.0
+            assert _binomial_pmf_rows(m, p, self.LOG_FACTORIAL)[1].tolist() == want.tolist()
+        # no copies: a point mass at any p
+        assert _binomial_pmf_rows(m, 0.3, self.LOG_FACTORIAL)[1][0].tolist() == [0] * 5 + [1]
+
+    @PROPERTY
+    @given(m=st.lists(st.integers(0, 60), min_size=1, max_size=4),
+           p=st.floats(0.0, 1.0))
+    def test_any_probability(self, m, p):
+        self._check(m, p)
 
 
 class TestPluginStrategyRun:
@@ -303,16 +401,27 @@ class TestVectorisedChunk:
             assert batch.tolist() == [excess_risk(p, problem) for p in projectors]
         assert {p.rank for p in projectors} == {0, 1, 2}  # of the pi_hat batch
 
-    @pytest.mark.parametrize("n", [30, 300])
+    # n = 1, 2, 3 leave axes without copies; _HISTOGRAM_MAX_N is the last n
+    # drawn as histograms and the next one the first drawn per trial
+    @pytest.mark.parametrize("n, problem", [
+        *(pytest.param(n, SKEWED, id=str(n))
+          for n in (1, 2, 3, 30, 300, _HISTOGRAM_MAX_N, _HISTOGRAM_MAX_N + 1)),
+        *(pytest.param(n, PURE_AXES, id=f"pure-{n}") for n in (5, 30)),
+    ])
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
-    def test_same_distribution_as_per_outcome_oracle(self, n, mode):
-        """Mean rescaled excess agrees within 4 combined standard errors."""
-        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
+    def test_same_distribution_as_per_outcome_oracle(self, n, problem, mode):
+        """Mean rescaled excess and the fraction of exact recoveries agree
+        within 4 combined standard errors."""
+        spec = TrainingSetSpec(n=n, problem=problem, label_mode=mode)
         fast = run_experiment(spec, 20_000, (101, n))
         rng = np.random.default_rng((102, n))
         oracle = n * np.array([plugin_strategy_run(spec, rng) for _ in range(3000)])
         se = math.hypot(fast.stderr, oracle.std(ddof=1) / math.sqrt(oracle.size))
         assert abs(fast.mean_rescaled_excess - oracle.mean()) <= 4 * se
+        exact = np.mean(oracle == 0.0)
+        se = math.sqrt(fast.fraction_exact * (1 - fast.fraction_exact) / fast.trials
+                       + exact * (1 - exact) / oracle.size)
+        assert abs(fast.fraction_exact - exact) <= 4 * se
 
     def test_trivial_regime_every_trial_exactly_zero(self):
         for mode in LabelMode:
@@ -330,6 +439,16 @@ class TestTrainingSetSpec:
         assert math.isfinite(res.mean_rescaled_excess)
         for n in (10**12 + 1, 2**62, 10**30):
             with pytest.raises(ValueError, match=r"at most 10\*\*12"):
+                TrainingSetSpec(n=n, problem=PLANAR)
+
+    def test_n_is_stored_as_int(self):
+        """An integral n of another type is stored as an int; a bool, a
+        fraction or a nonpositive n is refused."""
+        for n in (100.0, np.int64(100), np.float64(100.0)):
+            spec = TrainingSetSpec(n=n, problem=PLANAR)
+            assert spec.n == 100 and type(spec.n) is int
+        for n in (True, False, np.bool_(True), 100.5, 0, -3):
+            with pytest.raises(ValueError, match="positive integer"):
                 TrainingSetSpec(n=n, problem=PLANAR)
 
 
