@@ -46,9 +46,7 @@ from .asymptotics import (
     tomography_constant,
 )
 from .gaussian_model import (
-    GaussianShiftModel,
     StrategyKind,
-    build_gaussian_model,
     monte_carlo_risk,
     optimal_estimate,
     plugin_estimate,

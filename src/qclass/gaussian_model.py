@@ -25,6 +25,10 @@ outcome laws:
   and the classical part contributes the estimator
   sqrt(pi0) cos(phi0) X_r - sqrt(pi1) cos(phi1) X_s.
 
+``_heterodyne_params`` and ``_joint_params`` give each law as the
+(means, sds) of its independent channels in a fixed draw order, computed
+from the frame, (u, v) and pi0.
+
 With unknown priors the training labels add an independent prior count
 Z ~ N(delta, pi0 pi1) and the target becomes z_perp + delta*(r0 + s0)_perp.
 
@@ -42,7 +46,6 @@ classical channel (variance 0), which adds nothing to the residual spread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -58,24 +61,10 @@ class StrategyKind(Enum):
     OPTIMAL_JOINT_UNKNOWN_PRIORS = "optimal_joint_unknown_priors"
 
 
-@dataclass(frozen=True)
-class GaussianShiftModel:
-    """Means and variances of the classical pair and the two modes."""
-
-    mean_xr: float
-    var_xr: float
-    mean_xs: float
-    var_xs: float
-    mean_q1: float
-    mean_p1: float
-    var_mode1: float
-    mean_q2: float
-    mean_p2: float
-    var_mode2: float
-
-
-def build_gaussian_model(frame: LocalFrame, u, v, pi0: float) -> GaussianShiftModel:
-    """Gaussian model at local parameters (u, v) in frame coordinates."""
+def _channel_means(frame: LocalFrame, u, v, pi0: float):
+    """Means (x_r, x_s, q1, p1, q2, p2) of the classical pair and of the two
+    modes' quadratures at local parameters (u, v) in frame coordinates, and
+    the std devs of the classical pair."""
     u = as_float3(u)
     v = as_float3(v)
     r0 = frame.r0_norm
@@ -85,56 +74,40 @@ def build_gaussian_model(frame: LocalFrame, u, v, pi0: float) -> GaussianShiftMo
     pi1 = 1.0 - pi0
     c1 = math.sqrt(pi0 / (2.0 * r0))
     c2 = math.sqrt(pi1 / (2.0 * s0))
+    means = (math.sqrt(pi0) * u[2], math.sqrt(pi1) * v[2],
+             c1 * u[0], c1 * u[1], c2 * v[0], c2 * v[1])
     # a pure state normalised in floating point can have |r0| = 1 + 2e-16;
     # its classical variance is 0, as for |r0| = 1
-    return GaussianShiftModel(
-        mean_xr=math.sqrt(pi0) * u[2],
-        var_xr=max(0.0, 1.0 - r0 ** 2),
-        mean_xs=math.sqrt(pi1) * v[2],
-        var_xs=max(0.0, 1.0 - s0 ** 2),
-        mean_q1=c1 * u[0],
-        mean_p1=c1 * u[1],
-        var_mode1=1.0 / (2.0 * r0),
-        mean_q2=c2 * v[0],
-        mean_p2=c2 * v[1],
-        var_mode2=1.0 / (2.0 * s0),
-    )
-
-
-def _heterodyne_params(model: GaussianShiftModel):
-    """Means and std devs in draw order (x_r, x_s, q1, p1, q2, p2)."""
-    sd_het1 = math.sqrt(model.var_mode1 + 0.5)
-    sd_het2 = math.sqrt(model.var_mode2 + 0.5)
-    means = (
-        model.mean_xr, model.mean_xs,
-        model.mean_q1, model.mean_p1,
-        model.mean_q2, model.mean_p2,
-    )
-    sds = (
-        math.sqrt(model.var_xr), math.sqrt(model.var_xs),
-        sd_het1, sd_het1, sd_het2, sd_het2,
-    )
+    sds = (math.sqrt(max(0.0, 1.0 - r0 ** 2)), math.sqrt(max(0.0, 1.0 - s0 ** 2)))
     return means, sds
 
 
-def _joint_params(model: GaussianShiftModel, frame: LocalFrame, pi0: float):
+def _heterodyne_params(frame: LocalFrame, u, v, pi0: float):
+    """Means and std devs in draw order (x_r, x_s, q1, p1, q2, p2).
+
+    Heterodyne adds 1/2 to each quadrature variance 1/(2 r0), 1/(2 s0).
+    """
+    means, (sd_xr, sd_xs) = _channel_means(frame, u, v, pi0)
+    sd_het1 = math.sqrt(1.0 / (2.0 * frame.r0_norm) + 0.5)
+    sd_het2 = math.sqrt(1.0 / (2.0 * frame.s0_norm) + 0.5)
+    return means, (sd_xr, sd_xs, sd_het1, sd_het1, sd_het2, sd_het2)
+
+
+def _joint_params(frame: LocalFrame, u, v, pi0: float):
     """Means and std devs in draw order (x_r, x_s, y_l, y_k)."""
+    (mean_xr, mean_xs, mean_q1, mean_p1, mean_q2, mean_p2), (sd_xr, sd_xs) = (
+        _channel_means(frame, u, v, pi0))
     pi1 = 1.0 - pi0
     cl = math.sqrt(2.0 * frame.r0_norm * pi0)
     cs = math.sqrt(2.0 * frame.s0_norm * pi1)
-    mean_yl = cl * frame.sin_phi0 * model.mean_q1 + cs * frame.sin_phi1 * model.mean_q2
-    mean_yk = cl * model.mean_p1 - cs * model.mean_p2
+    mean_yl = cl * frame.sin_phi0 * mean_q1 + cs * frame.sin_phi1 * mean_q2
+    mean_yk = cl * mean_p1 - cs * mean_p2
     var_ql = pi0 * frame.sin_phi0 ** 2 + pi1 * frame.sin_phi1 ** 2
     var_qk = 1.0
     c = 2.0 * (pi0 * frame.r0_norm * frame.sin_phi0 - pi1 * frame.s0_norm * frame.sin_phi1)
     penalty = 0.5 * abs(c)
-    means = (model.mean_xr, model.mean_xs, mean_yl, mean_yk)
-    sds = (
-        math.sqrt(model.var_xr),
-        math.sqrt(model.var_xs),
-        math.sqrt(var_ql + penalty),
-        math.sqrt(var_qk + penalty),
-    )
+    means = (mean_xr, mean_xs, mean_yl, mean_yk)
+    sds = (sd_xr, sd_xs, math.sqrt(var_ql + penalty), math.sqrt(var_qk + penalty))
     return means, sds
 
 
@@ -180,13 +153,12 @@ def _residual_rows(strategy: StrategyKind, frame: LocalFrame, pi0: float, u, v,
     rows c_l, c_k; applied to the channel means, minus the target, they
     give the offsets b_l, b_k.
     """
-    model = build_gaussian_model(frame, u, v, pi0)
     target_l, target_k = relative_perp(u, v, frame, pi0)
     if strategy is StrategyKind.HETERODYNE_PLUGIN:
-        means, sds = _heterodyne_params(model)
+        means, sds = _heterodyne_params(frame, u, v, pi0)
         estimate = plugin_estimate
     else:
-        means, sds = _joint_params(model, frame, pi0)
+        means, sds = _joint_params(frame, u, v, pi0)
         estimate = optimal_estimate
     c_l, c_k = estimate(*np.eye(len(means)), frame, pi0)
     c_l = c_l * sds

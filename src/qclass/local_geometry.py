@@ -2,14 +2,16 @@
 
 Around a pair (r0, s0) with prior pi0 satisfying the nontriviality
 condition, the optimal projector has Bloch vector p0 = d0/|d0| with
-d0 = pi0*r0 - pi1*s0.  Three orthonormal frames organise the local
-analysis (all unit 3-vectors in Cartesian coordinates):
-
-* (p0, l0, k0): l0 spans the (r0, s0) plane together with p0, and
-  k0 = p0 x l0 is the plane normal.
-* (a1, a2, a3): a3 along r0, a2 = k0; local perturbations u of r0 are
-  written in this frame, u = u1*a1 + u2*a2 + u3*a3.
-* (b1, b2, b3): the same for s0, with b2 = k0.
+d0 = pi0*r0 - pi1*s0.  The orthonormal frame (p0, l0, k0) of unit
+3-vectors in Cartesian coordinates organises the local analysis: l0 spans
+the (r0, s0) plane together with p0, and k0 = p0 x l0 is the plane
+normal.  Local perturbations u of r0 and v of s0 are coordinates in one
+orthonormal frame per state: the third axis along the state, the second
+along k0 and the first in the (r0, s0) plane, with the sign that
+``relative_perp`` fixes.  The library reads u and v only through the
+angles below, so it never builds these two frames; the tests build them
+from a LocalFrame and the two states (``cartesian_frames`` in
+tests/helpers.py).
 
 Angle conventions (these pin every sign downstream):
 
@@ -20,9 +22,7 @@ l0 is oriented so cos(phi0) >= 0, which forces cos(phi1) >= 0 through the
 constraint pi0*r0*cos(phi0) = pi1*s0*cos(phi1) (d0 has no l0 component),
 and gives |d0| = pi0*r0*sin(phi0) + pi1*s0*sin(phi1).  Parallel vectors
 pointing the same way get (sin(phi0), sin(phi1)) = (+1, -1); antiparallel
-vectors get (+1, +1).  The in-plane axes a1, b1 are fixed by
-a1.l0 = +sin(phi0) and b1.l0 = -sin(phi1); both frames then come out
-right-handed.
+vectors get (+1, +1).
 
 A candidate classifier with per-sample-size n is parametrised by a
 2-vector z_hat in the (l0, k0) plane through
@@ -60,7 +60,7 @@ class NumericalError(ArithmeticError):
 
 @dataclass(frozen=True)
 class LocalFrame:
-    """Reference frames, angles and norms of a nontrivial configuration.
+    """Reference frame, angles and norms of a nontrivial configuration.
 
     The unit vectors are length-3 numpy arrays; the angles and norms are
     floats and are all that the closed-form constants read.
@@ -69,12 +69,6 @@ class LocalFrame:
     p0: np.ndarray
     l0: np.ndarray
     k0: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    b3: np.ndarray
     sin_phi0: float
     cos_phi0: float
     sin_phi1: float
@@ -82,24 +76,6 @@ class LocalFrame:
     d0_norm: float
     r0_norm: float
     s0_norm: float
-
-    @property
-    def r0_vec(self) -> np.ndarray:
-        return self.r0_norm * self.a3
-
-    @property
-    def s0_vec(self) -> np.ndarray:
-        return self.s0_norm * self.b3
-
-    def u_to_cartesian(self, u) -> np.ndarray:
-        """Perturbation of r0 from a-frame coordinates to Cartesian."""
-        u1, u2, u3 = as_float3(u)
-        return u1 * self.a1 + u2 * self.a2 + u3 * self.a3
-
-    def v_to_cartesian(self, v) -> np.ndarray:
-        """Perturbation of s0 from b-frame coordinates to Cartesian."""
-        v1, v2, v3 = as_float3(v)
-        return v1 * self.b1 + v2 * self.b2 + v3 * self.b3
 
 
 def _dot(a, b) -> float:
@@ -167,14 +143,10 @@ def build_frame(r0, s0, pi0: float) -> LocalFrame:
     cos_phi0 = _dot(r_hat, l0)
     sin_phi1 = -_dot(s_hat, p0)
     cos_phi1 = _dot(s_hat, l0)
-    a1 = tuple(-cos_phi0 * p + sin_phi0 * l for p, l in zip(p0, l0))
-    b1 = tuple(-cos_phi1 * p - sin_phi1 * l for p, l in zip(p0, l0))
 
-    p0, l0, k0, a1, a3, b1, b3 = np.array((p0, l0, k0, a1, r_hat, b1, s_hat))
+    p0, l0, k0 = np.array((p0, l0, k0))
     frame = LocalFrame(
         p0=p0, l0=l0, k0=k0,
-        a1=a1, a2=k0, a3=a3,
-        b1=b1, b2=k0, b3=b3,
         sin_phi0=sin_phi0, cos_phi0=cos_phi0,
         sin_phi1=sin_phi1, cos_phi1=cos_phi1,
         d0_norm=d0n, r0_norm=r0n, s0_norm=s0n,

@@ -4,9 +4,10 @@ The library works on Bloch vectors alone and computes every eigen-quantity
 of a 2x2 operator from its Pauli data (qclass.helstrom.pauli_data /
 positive_rank).  The oracles below take the explicit-matrix route instead
 (density matrices, Pauli matrices, matrix projectors), so the tests can
-check one against the other.  The local-expansion helpers (perturbed
-states, the estimate -> projector map and the quadratic loss) live here
-too, as only the tests use them.
+check one against the other.  The local-expansion helpers (the a- and
+b-frames of the perturbations, perturbed states, the estimate ->
+projector map and the quadratic loss) live here too, as only the tests
+use them.
 
 The library's qubit-sim draws six Pauli counts per trial for a whole
 chunk at once, as histograms or as binomials.  The per-trial plug-in
@@ -40,7 +41,7 @@ from qclass import (
     positive_part,
 )
 from qclass.montecarlo import run_chunked, summarize
-from qclass.qubit_core import ATOL
+from qclass.qubit_core import ATOL, as_float3
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -147,17 +148,57 @@ def estimator_to_projector(z_hat, frame, n: int) -> Projector:
     return Projector(rank=1, bloch=BlochVector.from_array(vec))
 
 
-def local_states(frame, u, v, n: int) -> tuple[DensityMatrix, DensityMatrix]:
+class CartesianFrames(NamedTuple):
+    """The a-frame of r0 and the b-frame of s0, and the two states.
+
+    a3 and b3 point along r0 and s0, a2 = b2 = k0, and the in-plane axes
+    are fixed by a1.l0 = +sin(phi0) and b1.l0 = -sin(phi1), so both frames
+    are right-handed (angles as in qclass.local_geometry).  Local
+    parameters u, v are coordinates in these frames:
+    u = u1*a1 + u2*a2 + u3*a3 and v = v1*b1 + v2*b2 + v3*b3.
+    """
+
+    a1: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    b3: np.ndarray
+    r0_vec: np.ndarray
+    s0_vec: np.ndarray
+
+    def u_to_cartesian(self, u) -> np.ndarray:
+        """Perturbation of r0 from a-frame coordinates to Cartesian."""
+        u1, u2, u3 = as_float3(u)
+        return u1 * self.a1 + u2 * self.a2 + u3 * self.a3
+
+    def v_to_cartesian(self, v) -> np.ndarray:
+        """Perturbation of s0 from b-frame coordinates to Cartesian."""
+        v1, v2, v3 = as_float3(v)
+        return v1 * self.b1 + v2 * self.b2 + v3 * self.b3
+
+
+def cartesian_frames(frame, r0, s0) -> CartesianFrames:
+    """The a- and b-frames of the LocalFrame ``frame`` built from r0 and s0."""
+    r0 = np.asarray(r0, dtype=float)
+    s0 = np.asarray(s0, dtype=float)
+    a1 = -frame.cos_phi0 * frame.p0 + frame.sin_phi0 * frame.l0
+    b1 = -frame.cos_phi1 * frame.p0 - frame.sin_phi1 * frame.l0
+    return CartesianFrames(a1, frame.k0, r0 / frame.r0_norm,
+                           b1, frame.k0, s0 / frame.s0_norm, r0, s0)
+
+
+def local_states(frames: CartesianFrames, u, v, n: int) -> tuple[DensityMatrix, DensityMatrix]:
     """States at Bloch vectors r0 + u/sqrt(n) and s0 + v/sqrt(n).
 
-    u and v are in a-/b-frame coordinates.  A perturbation that leaves the
-    Bloch ball raises InvalidStateError.
+    u and v are in a-/b-frame coordinates (``cartesian_frames``).  A
+    perturbation that leaves the Bloch ball raises InvalidStateError.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     root = math.sqrt(n)
-    r = frame.r0_vec + frame.u_to_cartesian(u) / root
-    s = frame.s0_vec + frame.v_to_cartesian(v) / root
+    r = frames.r0_vec + frames.u_to_cartesian(u) / root
+    s = frames.s0_vec + frames.v_to_cartesian(v) / root
     return bloch_to_density(r), bloch_to_density(s)
 
 
@@ -347,8 +388,9 @@ def plugin_strategy_run(spec, rng) -> float:
 def draw_outcomes(rng: np.random.Generator, params, size: int) -> list[np.ndarray]:
     """One array of ``size`` normal draws per channel, channel by channel.
 
-    ``params`` is a (means, sds) pair from ``qclass.gaussian_model``'s
-    ``_heterodyne_params`` or ``_joint_params``.
+    ``params`` is the (means, sds) pair that ``qclass.gaussian_model``'s
+    ``_heterodyne_params`` or ``_joint_params`` returns for a frame, (u, v)
+    and pi0.
     """
     means, sds = params
     return [rng.normal(m, sd, size) for m, sd in zip(means, sds)]

@@ -32,6 +32,7 @@ from qclass.cli import main
 
 from helpers import (
     PerpEstimate,
+    cartesian_frames,
     classical_coin_example,
     classical_gaussian_example,
     estimator_to_projector,
@@ -143,6 +144,7 @@ def test_criterion_5_local_expansion():
             rng, norm_lo=0.2, norm_hi=0.7, pi_lo=0.3, pi_hi=0.7, margin=0.05
         )
         f = build_frame(r, s, pi0)
+        frames = cartesian_frames(f, r, s)
         u = rng.uniform(-1, 1, 3)
         u *= rng.uniform(0, 2) / max(np.linalg.norm(u), 1e-9)
         v = rng.uniform(-1, 1, 3)
@@ -151,7 +153,7 @@ def test_criterion_5_local_expansion():
         loss = quadratic_loss(relative_perp(u, v, f, pi0), z_hat, f.d0_norm)
         errs = []
         for n in (10**2, 10**4, 10**6):
-            rho_n, sigma_n = local_states(f, u, v, n)
+            rho_n, sigma_n = local_states(frames, u, v, n)
             prob = ClassificationProblem(rho_n.bloch, sigma_n.bloch, pi0)
             errs.append(abs(n * excess_risk(estimator_to_projector(z_hat, f, n), prob)
                             - loss))

@@ -20,7 +20,7 @@ from qclass import (
     risk_report,
 )
 
-from helpers import random_nontrivial_config
+from helpers import cartesian_frames, random_nontrivial_config
 from strategies import PROPERTY, direction, unit
 
 ANTIPODAL = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), 0.5)
@@ -171,7 +171,8 @@ class TestGapGeometry:
         for _ in range(200):
             r, s, pi0 = random_nontrivial_config(rng)
             f = build_frame(r, s, pi0)
-            t = f.r0_vec + f.s0_vec
+            g = cartesian_frames(f, r, s)
+            t = g.r0_vec + g.s0_vec
             t_perp = t - (t @ f.p0) * f.p0
             pc = prior_correction(f, pi0)
             assert pc >= 0.0

@@ -148,6 +148,22 @@ class TestConfigValidation:
         assert captured.err.startswith("error: ")
         assert field in captured.err
 
+    @pytest.mark.parametrize("command, change", [
+        ("gaussian-sim", {"trials": 0}),
+        ("qubit-sim", {"trials": 0}),
+        ("gaussian-sim", {"problem": {**PLANAR_PROBLEM, "r0": [0, 0, 0]}}),
+        ("gaussian-sim", {"problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9}}),
+    ], ids=["gaussian-zero-trials", "qubit-zero-trials", "zero-length-r0", "trivial"])
+    def test_library_precondition_exits_2(self, tmp_path, capsys, command, change):
+        """Preconditions that the library checks (run_chunked, build_frame)
+        are bad configs, not tracebacks."""
+        cfg = {"problem": PLANAR_PROBLEM, "strategy": "optimal_joint",
+               "n_list": [10], "trials": 10, "seed": 1, **change}
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("command", ["gaussian-sim", "qubit-sim"])
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command, where):
@@ -434,10 +450,14 @@ class TestQubitSim:
         assert [r["metric"] for r in rows] == ["rescaled_excess_mc", "fraction_exact"]
         assert all(math.isfinite(float(r["value"])) for r in rows)
 
-    def test_bad_n_list_exits_2(self, tmp_path):
-        cfg = {"problem": PLANAR_PROBLEM, "n_list": [400, 200],
+    @pytest.mark.parametrize("n_list", [[400, 200], [], [0], [100, 100], [10.0], [True]])
+    def test_bad_n_list_exits_2(self, tmp_path, capsys, n_list):
+        cfg = {"problem": PLANAR_PROBLEM, "n_list": n_list,
                "trials": 10, "seed": 1}
         assert main(["qubit-sim", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("n_list", [[2**62], [10**30], [100, 10**12 + 1]],
                              ids=["2**62", "10**30", "just-over-limit"])

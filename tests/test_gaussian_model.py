@@ -1,6 +1,7 @@
 """Tests for the Gaussian limit model: outcome laws, estimators, the exact
 residual law behind the chunk draws, MC risks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from qclass import (
     NumericalError,
     StrategyKind,
     build_frame,
-    build_gaussian_model,
     monte_carlo_risk,
     optimal_estimate,
     optimal_minimax_risk,
@@ -37,6 +37,7 @@ ANTIPODAL = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), 0.5)
 SKEWED = ((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
 PURE = ((0.0, 0.0, 1.0), (0.6, 0.0, 0.0), 0.5)
 U, V = (0.2, -0.1, 0.4), (0.3, 0.2, -0.2)
+ZERO = (0, 0, 0)
 
 CLOSED_FORM = {
     StrategyKind.HETERODYNE_PLUGIN: plugin_risk,
@@ -56,13 +57,12 @@ def oracle_residuals(strategy, frame, pi0, u, v, delta, rng, size):
     Channels in the library's draw order, then the prior count of
     unknown priors; the estimates go through the library's estimators.
     """
-    model = build_gaussian_model(frame, u, v, pi0)
     target_l, target_k = relative_perp(u, v, frame, pi0)
     if strategy is StrategyKind.HETERODYNE_PLUGIN:
-        outcomes = draw_outcomes(rng, _heterodyne_params(model), size)
+        outcomes = draw_outcomes(rng, _heterodyne_params(frame, u, v, pi0), size)
         z_l, z_k = plugin_estimate(*outcomes, frame, pi0)
     else:
-        outcomes = draw_outcomes(rng, _joint_params(model, frame, pi0), size)
+        outcomes = draw_outcomes(rng, _joint_params(frame, u, v, pi0), size)
         z_l, z_k = optimal_estimate(*outcomes, frame, pi0)
     if strategy is StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS:
         w_l, w_k = _prior_direction(frame)
@@ -73,77 +73,76 @@ def oracle_residuals(strategy, frame, pi0, u, v, delta, rng, size):
     return z_l - target_l, z_k - target_k
 
 
-class TestBuildGaussianModel:
+class TestChannelParams:
+    """(means, sds) of the outcome channels, in draw order."""
+
     def test_zero_parameters_zero_means(self):
-        model = build_gaussian_model(planar_frame(), (0, 0, 0), (0, 0, 0), 0.5)
-        assert model.mean_xr == 0 and model.mean_xs == 0
-        assert model.mean_q1 == 0 and model.mean_p1 == 0
-        assert model.mean_q2 == 0 and model.mean_p2 == 0
+        for params in (_heterodyne_params, _joint_params):
+            means, _ = params(planar_frame(), ZERO, ZERO, 0.5)
+            assert all(m == 0 for m in means)
 
     def test_planar_values(self):
-        model = build_gaussian_model(planar_frame(), (1, 0, 0), (0, 0, 0), 0.5)
-        assert model.mean_q1 == pytest.approx(math.sqrt(0.5 / 1.6))
-        assert model.var_mode1 == pytest.approx(1 / 1.6)
-        assert model.var_mode2 == pytest.approx(1 / 1.2)
-        assert model.var_xr == pytest.approx(0.36)
-        assert model.var_xs == pytest.approx(0.64)
+        means, sds = _heterodyne_params(planar_frame(), (1, 0, 0), ZERO, 0.5)
+        assert means[2] == pytest.approx(math.sqrt(0.5 / 1.6))  # q1
+        # heterodyne sd: mode variance 1/(2 r0) plus 1/2
+        assert sds[2] == sds[3] == pytest.approx(math.sqrt(1 / 1.6 + 0.5))
+        assert sds[4] == sds[5] == pytest.approx(math.sqrt(1 / 1.2 + 0.5))
+        assert sds[0] ** 2 == pytest.approx(0.36)
+        assert sds[1] ** 2 == pytest.approx(0.64)
+        _, joint_sds = _joint_params(planar_frame(), (1, 0, 0), ZERO, 0.5)
+        assert joint_sds[:2] == sds[:2]
 
     def test_pure_state_limit(self):
         f = build_frame((0, 0, 1.0), (0.6, 0, 0), 0.5)
-        model = build_gaussian_model(f, (0, 0, 0.3), (0, 0, 0), 0.5)
-        assert model.var_xr == 0.0
-        assert model.var_mode1 == pytest.approx(0.5)
+        means, sds = _heterodyne_params(f, (0, 0, 0.3), ZERO, 0.5)
+        assert sds[0] == 0.0
+        assert sds[2] == pytest.approx(math.sqrt(0.5 + 0.5))
         # deterministic classical component sampled as its mean
-        x_r = draw_outcomes(np.random.default_rng(0), _heterodyne_params(model), 100)[0]
-        assert np.all(x_r == model.mean_xr)
+        x_r = draw_outcomes(np.random.default_rng(0), (means, sds), 100)[0]
+        assert np.all(x_r == means[0])
+
+    def test_zero_length_state_raises(self):
+        f = dataclasses.replace(planar_frame(), s0_norm=0.0)
+        for params in (_heterodyne_params, _joint_params):
+            with pytest.raises(ValueError, match="zero-length"):
+                params(f, ZERO, ZERO, 0.5)
 
 
 class TestSampleHeterodyne:
     def test_moments(self):
         """Empirical means and variances of all six channels at 5e4 draws."""
-        f = planar_frame()
-        model = build_gaussian_model(f, (0.7, -0.4, 0.2), (0.3, 0.5, -0.6), 0.5)
+        means, sds = _heterodyne_params(
+            planar_frame(), (0.7, -0.4, 0.2), (0.3, 0.5, -0.6), 0.5)
         rng = np.random.default_rng(211)
         n = 50_000
-        recs = np.column_stack(draw_outcomes(rng, _heterodyne_params(model), n))
-        means = (model.mean_xr, model.mean_xs, model.mean_q1,
-                 model.mean_p1, model.mean_q2, model.mean_p2)
-        het1 = model.var_mode1 + 0.5
-        het2 = model.var_mode2 + 0.5
-        variances = (model.var_xr, model.var_xs, het1, het1, het2, het2)
+        recs = np.column_stack(draw_outcomes(rng, (means, sds), n))
         for j in range(6):
-            sd = math.sqrt(variances[j])
-            assert recs[:, j].mean() == pytest.approx(means[j], abs=4 * sd / math.sqrt(n))
-            assert recs[:, j].var() == pytest.approx(variances[j], rel=0.02)
+            assert recs[:, j].mean() == pytest.approx(means[j], abs=4 * sds[j] / math.sqrt(n))
+            assert recs[:, j].var() == pytest.approx(sds[j] ** 2, rel=0.02)
 
     def test_planar_q1_variance_value(self):
         # 1/(2*0.8) + 1/2 = 1.125
-        model = build_gaussian_model(planar_frame(), (0, 0, 0), (0, 0, 0), 0.5)
-        assert model.var_mode1 + 0.5 == pytest.approx(1.125)
+        _, sds = _heterodyne_params(planar_frame(), ZERO, ZERO, 0.5)
+        assert sds[2] ** 2 == pytest.approx(1.125)
 
 
 class TestSampleOptimalJoint:
     def test_total_mse_commuting_case(self):
         """c = 0 means no added noise: summed MSE equals Var(Ql) + Var(Qk) = 2."""
-        f = build_frame(*ANTIPODAL)
-        model = build_gaussian_model(f, (0, 0, 0), (0, 0, 0), 0.5)
-        _, sds = _joint_params(model, f, 0.5)
+        _, sds = _joint_params(build_frame(*ANTIPODAL), ZERO, ZERO, 0.5)
         assert sds[2] ** 2 + sds[3] ** 2 == pytest.approx(2.0, abs=1e-12)
 
     def test_total_mse_planar_matches_quantum_term(self):
         f = planar_frame()
-        model = build_gaussian_model(f, (0, 0, 0), (0, 0, 0), 0.5)
-        _, sds = _joint_params(model, f, 0.5)
+        _, sds = _joint_params(f, ZERO, ZERO, 0.5)
         assert sds[2] ** 2 + sds[3] ** 2 == pytest.approx(
             quantum_risk_term(f, 0.5), abs=1e-12
         )
 
     def test_empirical_mse(self):
-        f = planar_frame()
-        model = build_gaussian_model(f, (0, 0, 0), (0, 0, 0), 0.5)
         rng = np.random.default_rng(223)
         n = 50_000
-        _, _, y_l, y_k = draw_outcomes(rng, _joint_params(model, f, 0.5), n)
+        _, _, y_l, y_k = draw_outcomes(rng, _joint_params(planar_frame(), ZERO, ZERO, 0.5), n)
         total = (y_l**2 + y_k**2).mean()
         assert total == pytest.approx(1.78, rel=0.02)
 
@@ -153,8 +152,7 @@ class TestSampleOptimalJoint:
         for _ in range(50):
             r, s, pi0 = random_nontrivial_config(rng)
             f = build_frame(r, s, pi0)
-            model = build_gaussian_model(f, (0, 0, 0), (0, 0, 0), pi0)
-            _, sds = _joint_params(model, f, pi0)
+            _, sds = _joint_params(f, ZERO, ZERO, pi0)
             var_sum = pi0 * f.sin_phi0**2 + (1 - pi0) * f.sin_phi1**2 + 1.0
             c = 2 * (pi0 * f.r0_norm * f.sin_phi0 - (1 - pi0) * f.s0_norm * f.sin_phi1)
             total = sds[2] ** 2 + sds[3] ** 2
@@ -171,20 +169,18 @@ class TestOptimalEstimate:
     def test_noiseless_record_at_means(self):
         """Record frozen at the means recovers the classical piece exactly."""
         f = planar_frame()
-        u, v = (0, 0, 1.0), (0, 0, 0)
-        model = build_gaussian_model(f, u, v, 0.5)
-        z_l, _ = optimal_estimate(model.mean_xr, model.mean_xs, 0.0, 0.0, f, 0.5)
+        means, _ = _joint_params(f, (0, 0, 1.0), ZERO, 0.5)
+        z_l, _ = optimal_estimate(means[0], means[1], 0.0, 0.0, f, 0.5)
         # sqrt(pi0) cos(phi0) * sqrt(pi0) u3 = pi0 cos(phi0) u3 = 0.3
         assert z_l == pytest.approx(0.3, abs=1e-12)
 
     def test_unbiasedness(self):
         f = planar_frame()
         u, v = (0.5, -0.7, 0.9), (-0.3, 0.4, 0.6)
-        model = build_gaussian_model(f, u, v, 0.5)
         z_true = relative_perp(u, v, f, 0.5)
         rng = np.random.default_rng(229)
         n = 100_000
-        draws = draw_outcomes(rng, _joint_params(model, f, 0.5), n)
+        draws = draw_outcomes(rng, _joint_params(f, u, v, 0.5), n)
         ests = optimal_estimate(*draws, f, 0.5)
         for est, truth in zip(ests, z_true):
             assert est.mean() == pytest.approx(truth, abs=4 * est.std() / math.sqrt(n))
@@ -200,8 +196,7 @@ class TestPluginEstimate:
         """A record frozen at the model means reproduces z_perp exactly."""
         f = planar_frame()
         u, v = (0.4, -0.8, 1.2), (0.9, 0.2, -0.5)
-        model = build_gaussian_model(f, u, v, 0.5)
-        means, _ = _heterodyne_params(model)
+        means, _ = _heterodyne_params(f, u, v, 0.5)
         z_l, z_k = plugin_estimate(*means, f, 0.5)
         true_l, true_k = relative_perp(u, v, f, 0.5)
         assert z_l == pytest.approx(true_l, abs=1e-12)
@@ -210,10 +205,10 @@ class TestPluginEstimate:
     def test_zk_variance(self):
         """Var(z_k~) = pi0 (1 + r0) + pi1 (1 + s0)."""
         f = planar_frame()
-        model = build_gaussian_model(f, (0, 0, 0), (0, 0, 0), 0.5)
         rng = np.random.default_rng(233)
         n = 100_000
-        _, zks = plugin_estimate(*draw_outcomes(rng, _heterodyne_params(model), n), f, 0.5)
+        _, zks = plugin_estimate(*draw_outcomes(rng, _heterodyne_params(f, ZERO, ZERO, 0.5), n),
+                                 f, 0.5)
         expected = 0.5 * 1.8 + 0.5 * 1.6
         assert zks.var() == pytest.approx(expected, rel=0.02)
 

@@ -20,6 +20,7 @@ from qclass import (
 
 from helpers import (
     PerpEstimate,
+    cartesian_frames,
     estimator_to_projector,
     local_states,
     quadratic_loss,
@@ -76,14 +77,19 @@ class TestBuildFrame:
         for _ in range(500):
             r, s, pi0 = random_nontrivial_config(rng)
             f = build_frame(r, s, pi0)
+            g = cartesian_frames(f, r, s)
             pi1 = 1 - pi0
-            for triple in ((f.p0, f.l0, f.k0), (f.a1, f.a2, f.a3), (f.b1, f.b2, f.b3)):
+            for triple in ((f.p0, f.l0, f.k0), (g.a1, g.a2, g.a3), (g.b1, g.b2, g.b3)):
                 gram = np.array(triple) @ np.array(triple).T
                 np.testing.assert_allclose(gram, np.eye(3), atol=1e-9)
-            np.testing.assert_allclose(f.a3, np.asarray(r) / f.r0_norm, atol=1e-12)
-            np.testing.assert_allclose(f.b3, np.asarray(s) / f.s0_norm, atol=1e-12)
-            np.testing.assert_allclose(f.a2, f.k0, atol=1e-12)
-            np.testing.assert_allclose(f.b2, f.k0, atol=1e-12)
+                # right-handed
+                np.testing.assert_allclose(np.cross(triple[0], triple[1]), triple[2],
+                                           atol=1e-9)
+            # the states lie in the (p0, l0) plane at the frame's angles
+            np.testing.assert_allclose(
+                g.a3, f.sin_phi0 * f.p0 + f.cos_phi0 * f.l0, atol=1e-12)
+            np.testing.assert_allclose(
+                g.b3, -f.sin_phi1 * f.p0 + f.cos_phi1 * f.l0, atol=1e-12)
             assert f.sin_phi0**2 + f.cos_phi0**2 == pytest.approx(1.0, abs=1e-12)
             assert f.sin_phi1**2 + f.cos_phi1**2 == pytest.approx(1.0, abs=1e-12)
             assert f.cos_phi0 >= 0 and f.cos_phi1 >= 0
@@ -134,7 +140,8 @@ class TestRelativePerp:
             u = rng.normal(size=3)
             v = rng.normal(size=3)
             z_l, z_k = relative_perp(u, v, f, pi0)
-            z_cart = pi0 * f.u_to_cartesian(u) - (1 - pi0) * f.v_to_cartesian(v)
+            g = cartesian_frames(f, r, s)
+            z_cart = pi0 * g.u_to_cartesian(u) - (1 - pi0) * g.v_to_cartesian(v)
             assert z_l == pytest.approx(float(z_cart @ f.l0), abs=1e-9)
             assert z_k == pytest.approx(float(z_cart @ f.k0), abs=1e-9)
 
@@ -203,24 +210,27 @@ class TestEstimatorToProjector:
 
 
 class TestLocalStates:
+    @staticmethod
+    def frames(r0, s0, pi0):
+        return cartesian_frames(build_frame(r0, s0, pi0), r0, s0)
+
     def test_zero_perturbation(self):
-        f = build_frame(*PLANAR)
-        rho, sigma = local_states(f, (0, 0, 0), (0, 0, 0), 100)
+        rho, sigma = local_states(self.frames(*PLANAR), (0, 0, 0), (0, 0, 0), 100)
         np.testing.assert_allclose(rho.bloch.as_array(), [0.8, 0, 0], atol=1e-12)
         np.testing.assert_allclose(sigma.bloch.as_array(), [0, 0.6, 0], atol=1e-12)
 
     def test_radial_perturbation(self):
-        f = build_frame((0, 0, 0.5), (0.4, 0, 0), 0.5)
-        rho, _ = local_states(f, (0, 0, 1.0), (0, 0, 0), 100)
+        frames = self.frames((0, 0, 0.5), (0.4, 0, 0), 0.5)
+        rho, _ = local_states(frames, (0, 0, 1.0), (0, 0, 0), 100)
         # u3 along a3 = r0_hat: 0.5 + 1/10
         assert rho.bloch.z == pytest.approx(0.6, abs=1e-12)
 
     def test_ball_exit_rejected(self):
-        f = build_frame((0, 0, 1.0), (0, 0, -1.0), 0.5)
+        frames = self.frames((0, 0, 1.0), (0, 0, -1.0), 0.5)
         from qclass import InvalidStateError
 
         with pytest.raises(InvalidStateError):
-            local_states(f, (0, 0, 1.0), (0, 0, 0), 100)
+            local_states(frames, (0, 0, 1.0), (0, 0, 0), 100)
 
 
 class TestLocalExpansion:
@@ -232,6 +242,7 @@ class TestLocalExpansion:
                 rng, norm_lo=0.2, norm_hi=0.7, pi_lo=0.3, pi_hi=0.7, margin=0.05
             )
             f = build_frame(r, s, pi0)
+            frames = cartesian_frames(f, r, s)
             u = rng.uniform(-1, 1, 3)
             u *= rng.uniform(0, 2) / max(np.linalg.norm(u), 1e-9)
             v = rng.uniform(-1, 1, 3)
@@ -240,7 +251,7 @@ class TestLocalExpansion:
             loss = quadratic_loss(relative_perp(u, v, f, pi0), zh, f.d0_norm)
             errs = []
             for n in (10**2, 10**4, 10**6):
-                rho_n, sigma_n = local_states(f, u, v, n)
+                rho_n, sigma_n = local_states(frames, u, v, n)
                 prob = ClassificationProblem(rho_n.bloch, sigma_n.bloch, pi0)
                 p_hat = estimator_to_projector(zh, f, n)
                 errs.append(abs(n * excess_risk(p_hat, prob) - loss))
