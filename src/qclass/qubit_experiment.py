@@ -10,15 +10,16 @@ the positive eigenspace of pi0_hat*rho_hat - pi1_hat*sigma_hat.
 The average of the m_j outcomes +/-1 on axis j depends on them only
 through the number k_j of +1 outcomes, k_j ~ Binomial(m_j, (1 + r_j)/2),
 so each trial needs six counts instead of n outcomes; a whole chunk of
-trials is evaluated as arrays.  Up to n = _HISTOGRAM_MAX_N a chunk's
-counts are drawn as histograms over the class sizes and the counts, one
-multinomial per axis, then paired at random within each class size;
-above it each axis draws one binomial count per trial, at a cost that is
-the same at every n (run_experiment gives the draw order of both).  An axis
-measured on zero copies (a class with fewer than three copies) estimates
-0, so every trial has a defined outcome: with no copies of a class its
-estimate is the maximally mixed state, and an estimated prior of 0 or 1
-gives the rank-0 or rank-2 plug-in by the usual rule.
+trials is evaluated as arrays.  A chunk's trials come in groups of equal
+class size, and one sampler draws each axis's counts for all of them: up
+to n = _HISTOGRAM_MAX_N as one multinomial over the groups' count
+histograms, paired at random within each group, above it as one binomial
+call at a cost that is the same at every n (see _tomography;
+run_experiment gives the draw order).  An axis measured on zero copies (a
+class with fewer than three copies) estimates 0, so every trial has a
+defined outcome: with no copies of a class its estimate is the maximally
+mixed state, and an estimated prior of 0 or 1 gives the rank-0 or rank-2
+plug-in by the usual rule.
 
 The excess risk of the resulting projector is evaluated exactly through
 the trace formula (conditional on the projector it is a deterministic
@@ -62,8 +63,10 @@ class TrainingSetSpec:
     known_priors: bool = False
 
     def __post_init__(self) -> None:
-        # a bool is an int to Python, but never a copy count
-        if isinstance(self.n, (bool, np.bool_)) or int(self.n) != self.n or self.n < 1:
+        # a bool is an int to Python, but never a copy count; the range test
+        # comes first, as int() of inf or NaN raises an error that names no n
+        if (isinstance(self.n, (bool, np.bool_)) or not 1 <= self.n < math.inf
+                or int(self.n) != self.n):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if self.n > MAX_N:
             raise ValueError(f"n must be at most 10**12 (the excess risk falls to "
@@ -89,7 +92,7 @@ class _Columns(NamedTuple):
 # chunk's peak memory is set by the six count draws, not by the kernel.
 _KERNEL_BLOCK = 8192
 
-# Largest n whose chunks are drawn as histograms (see run_experiment).  A
+# Largest n whose counts are drawn as histograms (see _tomography).  A
 # histogram chunk costs a multinomial step per (class size, count) cell,
 # O(n^1.5) cells per axis with random labels, plus O(size) repeats and
 # shuffles; numpy's per-trial binomial costs grow with m * min(p, 1 - p)
@@ -125,28 +128,7 @@ def _clip_to_ball(est: np.ndarray) -> np.ndarray:
     return est
 
 
-def _tomography(r: BlochVector, m, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Pauli-tomography estimates of r for ``size`` trials with m copies each.
-
-    m is an int shared by every trial or an int array of length ``size``.
-    Axis j (x, y, z in turn) gets m_j = (m + 2 - j) // 3 copies and draws
-    one count k_j ~ Binomial(m_j, (1 + r_j)/2) per trial, all ``size``
-    counts in one call; its estimate is the outcome average
-    (2 k_j - m_j)/m_j, or 0 when m_j = 0.  numpy draws the same variates
-    for an int m as for a constant array of it, so the shape of m changes
-    only the cost: a shared int, or equal sizes next to each other, spares
-    the sampler its per-(m_j, p) set-up.  Estimates outside the Bloch ball
-    are clipped radially to the unit sphere.  Returns a (3, size) array
-    whose rows are the x, y, z estimates.
-    """
-    est = np.empty((3, size))
-    for j, r_j in enumerate((r.x, r.y, r.z)):
-        m_j = (m + (2 - j)) // 3
-        est[j] = _outcome_average(rng.binomial(m_j, _axis_probability(r_j), size), m_j)
-    return _clip_to_ball(est)
-
-
-def _binomial_pmf_rows(m: np.ndarray, p: float, log_factorial: np.ndarray):
+def _binomial_pmf_rows(m: np.ndarray, p: float):
     """Binomial(m_g, p) pmf for each entry m_g of m, one row each.
 
     Returns (k, pmf), two (len(m), max(m) + 1) arrays: row g holds the
@@ -154,14 +136,15 @@ def _binomial_pmf_rows(m: np.ndarray, p: float, log_factorial: np.ndarray):
     after padding with k < 0 and probability 0.  numpy's multinomial gives
     the last column whatever the earlier ones leave, and that column is
     always a possible count, so rounding of the pmf cannot put a draw in
-    the padding.  ``log_factorial[k]`` is log k!.  p in {0, 1} and m_g = 0
-    are exact point masses, and no padding entry is exponentiated.
+    the padding.  The log k! come from math.lgamma.  p in {0, 1} and
+    m_g = 0 are exact point masses, and no padding entry is exponentiated.
     """
     width = int(m.max()) + 1
     k = np.arange(width) - (width - 1 - m)[:, None]
     mk = np.broadcast_to(m[:, None], k.shape)
     if p == 0.0 or p == 1.0:
         return k, (k == (0 if p == 0.0 else mk)).astype(float)
+    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(width)])
     pmf = np.zeros(k.shape)
     valid = k >= 0
     kv, mv = k[valid], mk[valid]
@@ -171,27 +154,48 @@ def _binomial_pmf_rows(m: np.ndarray, p: float, log_factorial: np.ndarray):
     return k, pmf
 
 
-def _histogram_tomography(r: BlochVector, m: np.ndarray, h: np.ndarray, log_factorial,
-                          rng: np.random.Generator, keep_first: bool) -> np.ndarray:
-    """``_tomography`` drawn as histograms: h[g] trials have m[g] copies.
+def _tomography(r: BlochVector, m: np.ndarray, h: np.ndarray, rng: np.random.Generator,
+                n: int, keep_first: bool = False) -> np.ndarray:
+    """Pauli-tomography estimates of r for class-size groups: h[g] trials
+    have m[g] copies each, out of a training set of n copies.
 
-    Axis j draws one multinomial of h over the Binomial(m_j, p_j) pmf rows
-    of the groups and expands the outcome averages of the cells with
-    np.repeat, so a group's estimates come out sorted.  Each axis is then
-    shuffled within each group (group by group, in the order of m), except
-    the first when ``keep_first``, so the three axes pair independently.
-    The trials come out grouped as np.repeat(m, h).
+    Axis j (x, y, z in turn) gets m_j = (m + 2 - j) // 3 copies and
+    estimates (2 k_j - m_j)/m_j, or 0 when m_j = 0, from a count k_j ~
+    Binomial(m_j, (1 + r_j)/2).  How the counts are drawn depends on n.
+    Up to _HISTOGRAM_MAX_N one multinomial of h over the groups' pmf rows
+    gives the number of trials in each (group, count) cell, so no trial
+    draws a count of its own; each axis but the first (when ``keep_first``)
+    is then shuffled within each group, in the order of m, so the axes pair
+    independently.  Above it one binomial call draws every trial's count,
+    against np.repeat(m_j, h) or the int m_j of a single group: numpy draws
+    the same variates for both, and a shared int or sorted counts spare it
+    its per-(m_j, p) set-up.  Estimates outside the Bloch ball are clipped
+    radially to the unit sphere.  Returns a (3, h.sum()) array of x, y, z
+    estimates, with the trials grouped as np.repeat(m, h).
     """
-    est = np.empty((3, int(h.sum())))
-    ends = np.cumsum(h)
+    size = int(h.sum())
+    est = np.empty((3, size))
+    histogram = n <= _HISTOGRAM_MAX_N
+    if not histogram:
+        # the binomial draw takes the copy count of each trial, or one int
+        m = int(m[0]) if m.size == 1 else np.repeat(m, h)
     for j, r_j in enumerate((r.x, r.y, r.z)):
         m_j = (m + (2 - j)) // 3
-        k, pmf = _binomial_pmf_rows(m_j, _axis_probability(r_j), log_factorial)
-        est[j] = np.repeat(_outcome_average(k, m_j[:, None]).ravel(),
-                           rng.multinomial(h, pmf).ravel())
-        if j > 0 or not keep_first:
-            for lo, hi in zip(ends - h, ends):
-                rng.shuffle(est[j, lo:hi])
+        p = _axis_probability(r_j)
+        if histogram:
+            # the number of trials that take each (group, count) cell
+            k, pmf = _binomial_pmf_rows(m_j, p)
+            m_j, taken = m_j[:, None], rng.multinomial(h, pmf).ravel()
+        else:
+            k = rng.binomial(m_j, p, size)
+        avg = _outcome_average(k, m_j)
+        if histogram:
+            avg = np.repeat(avg.ravel(), taken)
+            if j > 0 or not keep_first:
+                ends = np.cumsum(h)
+                for lo, hi in zip(ends - h, ends):
+                    rng.shuffle(avg[lo:hi])
+        est[j] = avg
     return _clip_to_ball(est)
 
 
@@ -221,24 +225,15 @@ def run_experiment(
 
     Each chunk is evaluated as arrays over its trials, with no loop over
     trials (the kernel after the draws takes _KERNEL_BLOCK trials per
-    pass).  Fixed counts use the one class size n0 = round(pi0 * n) (halves
-    rounded up) for every trial; random labels draw n0 ~ Binomial(n, pi0).
-    The chunk's trials come out ordered by class size, so a trial's value
-    is fixed by (seed, CHUNK_SIZE, its index), not by its index alone.  Two
-    samplers draw the counts, chosen by n:
-
-    * n <= _HISTOGRAM_MAX_N draws histograms.  Random labels first draw the
-      class-size histogram h ~ Multinomial(size, Binomial(n, pi0) pmf); the
-      n0 values with h > 0 are the groups (fixed counts: one group of
-      size).  Then the x, y, z axes of rho, then of sigma, each draw one
-      multinomial over the groups' count pmfs and shuffle the estimates
-      within each group, except rho's x axis (see _histogram_tomography).
-      No trial draws a count of its own.
-    * Larger n draws per trial: the class sizes with one binomial call,
-      sorted (random labels only), then the x, y, z counts of rho, then of
-      sigma, one binomial call each for the whole chunk (see _tomography).
-
-    Both give every trial the same law, and the chunk is reduced to its
+    pass).  A chunk first draws its class sizes as groups: h[g] trials have
+    n0[g] copies of rho, in ascending n0.  Fixed counts are one group, n0 =
+    round(pi0 * n) (halves rounded up).  Random labels draw n0 ~
+    Binomial(n, pi0): up to _HISTOGRAM_MAX_N as the class-size histogram h
+    ~ Multinomial(size, Binomial(n, pi0) pmf), above it as one binomial
+    call, sorted and counted.  Then the x, y, z counts of rho, then of
+    sigma, are drawn over the groups (see _tomography), so a trial's value
+    is fixed by (seed, CHUNK_SIZE, its index), not by its index alone.
+    Every trial has the same law, and the chunk is reduced to its
     order-free Moments.
 
     mean_rescaled_excess is n * (sample mean excess risk); fraction_exact
@@ -249,35 +244,24 @@ def run_experiment(
     rho, sigma = spec.problem.r, spec.problem.s
     truth = pauli_data(rho, sigma, pi0)
     fixed = spec.label_mode is LabelMode.FIXED_COUNTS
-    fixed_n0 = math.floor(pi0 * n + 0.5)
+    if not fixed and n <= _HISTOGRAM_MAX_N:
+        labels_pmf = _binomial_pmf_rows(np.array([n]), pi0)[1][0]
 
-    if n <= _HISTOGRAM_MAX_N:
-        log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-        labels_pmf = _binomial_pmf_rows(np.array([n]), pi0, log_factorial)[1][0]
-
-        def draw(rng, size):
-            if fixed:
-                n0, h = np.array([fixed_n0]), np.array([size])
-            else:
-                h = rng.multinomial(size, labels_pmf)
-                n0 = np.flatnonzero(h)
-                h = h[n0]
-            r_hat = _histogram_tomography(rho, n0, h, log_factorial, rng, keep_first=True)
-            s_hat = _histogram_tomography(sigma, n - n0, h, log_factorial, rng,
-                                          keep_first=False)
-            return r_hat, s_hat, fixed_n0 if fixed else np.repeat(n0, h)
-    else:
-        def draw(rng, size):
-            if fixed:
-                n0 = fixed_n0
-            else:
-                n0 = rng.binomial(n, pi0, size)
-                n0.sort()
-            return _tomography(rho, n0, size, rng), _tomography(sigma, n - n0, size, rng), n0
+    def draw(rng, size):
+        if fixed:
+            n0, h = np.array([math.floor(pi0 * n + 0.5)]), np.array([size])
+        elif n <= _HISTOGRAM_MAX_N:
+            h = rng.multinomial(size, labels_pmf)
+            n0 = np.flatnonzero(h)
+            h = h[n0]
+        else:
+            n0, h = np.unique(rng.binomial(n, pi0, size), return_counts=True)
+        r_hat = _tomography(rho, n0, h, rng, n, keep_first=True)
+        return r_hat, _tomography(sigma, n - n0, h, rng, n), n0, h
 
     def chunk_fn(rng, size):
-        r_hat, s_hat, n0 = draw(rng, size)
-        pi_hat = pi0 if spec.known_priors else n0 / n
+        r_hat, s_hat, n0, h = draw(rng, size)
+        pi_hat = pi0 if spec.known_priors else np.repeat(n0 / n, h)
         out = np.empty(size)
         for lo in range(0, size, _KERNEL_BLOCK):
             b = slice(lo, lo + _KERNEL_BLOCK)
@@ -307,10 +291,8 @@ def rescaled_risk_curve(
         raise ValueError("n_list must be nonempty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
-    results = []
-    for idx, n in enumerate(n_list):
-        spec = TrainingSetSpec(
-            n=n, problem=problem, label_mode=label_mode, known_priors=known_priors
-        )
-        results.append(run_experiment(spec, trials, (seed, idx), workers=workers))
-    return results
+    # every n is checked before the first one runs
+    specs = [TrainingSetSpec(n=n, problem=problem, label_mode=label_mode,
+                             known_priors=known_priors) for n in n_list]
+    return [run_experiment(spec, trials, (seed, idx), workers=workers)
+            for idx, spec in enumerate(specs)]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qclass
-from qclass import montecarlo
+from qclass import montecarlo, qubit_experiment
 from qclass.cli import _build_parser, main
 
 PLANAR_PROBLEM = {"r0": [0.8, 0.0, 0.0], "s0": [0.0, 0.6, 0.0], "pi0": 0.5}
@@ -461,15 +461,20 @@ class TestQubitSim:
 
     @pytest.mark.parametrize("n_list", [[2**62], [10**30], [100, 10**12 + 1]],
                              ids=["2**62", "10**30", "just-over-limit"])
-    def test_n_above_limit_exits_2(self, tmp_path, capsys, n_list):
+    def test_n_above_limit_exits_2(self, tmp_path, capsys, monkeypatch, n_list):
         """Above 10**12 the excess risk is lost in rounding: a bad config,
-        not a silently wrong result or a numerical failure."""
+        not a silently wrong result or a numerical failure.  Every n is
+        checked before the first one runs."""
+        runs = []
+        monkeypatch.setattr(qubit_experiment, "run_experiment",
+                            lambda *args, **kwargs: runs.append(args))
         cfg = {"problem": PLANAR_PROBLEM, "n_list": n_list, "trials": 10, "seed": 1,
                "label_mode": "fixed", "known_priors": True}
         assert main(["qubit-sim", "--config", write_config(tmp_path, cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: n must be at most 10**12")
+        assert runs == []
 
 
 class TestSweep:

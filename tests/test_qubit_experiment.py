@@ -79,7 +79,8 @@ class TestTomographicEstimate:
         sigma = math.sqrt((1 - 0.64) / (m / 3))
         assert est.x == pytest.approx(0.8, abs=4 * sigma)
         # the count-based estimates are unbiased too: 10^4 trials of 3000 copies
-        batch = _tomography(BlochVector(0.8, 0, 0), 3000, 10_000, rng)
+        batch = _tomography(BlochVector(0.8, 0, 0), np.array([3000]), np.array([10_000]),
+                            rng, 3000)
         sigma = math.sqrt((1 - 0.64) / 1000 / 10_000)
         assert batch[0].mean() == pytest.approx(0.8, abs=4 * sigma)
 
@@ -93,19 +94,22 @@ class TestTomographicEstimate:
             assert est.norm <= 1 + 1e-12
             assert est.z > 0.0
 
-    def test_minimum_copies(self):
+    # both count draws: histograms up to _HISTOGRAM_MAX_N, binomials above
+    @pytest.mark.parametrize("n", [12, _HISTOGRAM_MAX_N + 1])
+    def test_minimum_copies(self, n):
         """Below three copies the axes without a copy estimate 0."""
         rng = np.random.default_rng(0)
         up = BlochVector(0, 0, 1)
         assert tomographic_estimate(up, 0, rng) == BlochVector(0, 0, 0)
         assert tomographic_estimate(up, 2, rng).z == 0.0
-        est = _tomography(up, np.array([0, 1, 2, 3]), 4, rng)
+        est = _tomography(up, np.array([0, 1, 2, 3]), np.ones(4, dtype=int), rng, n)
         np.testing.assert_array_equal(est[:, 0], 0.0)
         np.testing.assert_array_equal(est[1:, 1], 0.0)
         assert est[2, 2] == 0.0
         assert est[2, 3] > 0.0  # the one z copy of |0> gives +1
 
-    def test_remainder_to_x_then_y(self):
+    @pytest.mark.parametrize("n", [12, _HISTOGRAM_MAX_N + 1])
+    def test_remainder_to_x_then_y(self, n):
         assert axis_counts(3) == (1, 1, 1)
         assert axis_counts(4) == (2, 1, 1)
         assert axis_counts(5) == (2, 2, 1)
@@ -115,7 +119,7 @@ class TestTomographicEstimate:
         m = np.arange(12)
         rng = np.random.default_rng(1)
         for j in range(3):
-            est = _tomography(BlochVector.from_array(np.eye(3)[j]), m, m.size, rng)
+            est = _tomography(BlochVector.from_array(np.eye(3)[j]), m, np.ones_like(m), rng, n)
             np.testing.assert_array_equal(est[j] > 0.0, [axis_counts(k)[j] > 0 for k in m])
 
     def test_clipping_inactive_for_interior_states(self):
@@ -165,6 +169,26 @@ class TestCountSampler:
                 np.testing.assert_array_equal(got, want)
                 assert scalar.bit_generator.state == array.bit_generator.state
         assert scalar.random() == array.random()
+
+    def test_grouped_binomial_draw_equals_per_trial_draw(self):
+        """Above _HISTOGRAM_MAX_N the class-size groups (m, h) draw the same
+        variates as the per-trial copy counts np.repeat(m_j, h), and leave
+        the generator in the same state; the large-n streams rest on this."""
+        r = BlochVector(0.5, 0.2, -0.3)
+        for m, h in (([7], [300]), ([400, 401, 405], [100, 200, 50]),
+                     ([0, 1, 2, 5, 40, 1000], [3, 1, 4, 1, 5, 9])):
+            m, h = np.array(m), np.array(h)
+            grouped = np.random.Generator(np.random.PCG64(2024))
+            per_trial = np.random.Generator(np.random.PCG64(2024))
+            got = _tomography(r, m, h, grouped, _HISTOGRAM_MAX_N + 1)
+            want = np.empty_like(got)
+            for j, r_j in enumerate((r.x, r.y, r.z)):
+                m_j = np.repeat((m + 2 - j) // 3, h)
+                k = per_trial.binomial(m_j, (1 + r_j) / 2)
+                want[j] = (2 * k - m_j) / np.maximum(m_j, 1)
+            want /= np.maximum(np.sqrt(want[0] ** 2 + want[1] ** 2 + want[2] ** 2), 1.0)
+            np.testing.assert_array_equal(got, want)
+            assert grouped.bit_generator.state == per_trial.bit_generator.state
 
     # the smallest n drawn by per-trial binomials
     BINOMIAL_N = _HISTOGRAM_MAX_N + 1
@@ -242,10 +266,8 @@ def _exact_pmf(m: int, p: float) -> list[float]:
 
 
 class TestBinomialPmfRows:
-    LOG_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(_HISTOGRAM_MAX_N + 1)])
-
     def _check(self, m, p):
-        k, rows = _binomial_pmf_rows(np.array(m), p, self.LOG_FACTORIAL)
+        k, rows = _binomial_pmf_rows(np.array(m), p)
         assert k.shape == rows.shape == (len(m), max(m) + 1)
         for k_g, row, m_g in zip(k, rows, m):
             pad = max(m) - m_g
@@ -269,9 +291,9 @@ class TestBinomialPmfRows:
         for p, k in ((0.0, 0 * m), (1.0, m)):
             want = np.zeros((3, 6))
             want[np.arange(3), k + 5 - m] = 1.0
-            assert _binomial_pmf_rows(m, p, self.LOG_FACTORIAL)[1].tolist() == want.tolist()
+            assert _binomial_pmf_rows(m, p)[1].tolist() == want.tolist()
         # no copies: a point mass at any p
-        assert _binomial_pmf_rows(m, 0.3, self.LOG_FACTORIAL)[1][0].tolist() == [0] * 5 + [1]
+        assert _binomial_pmf_rows(m, 0.3)[1][0].tolist() == [0] * 5 + [1]
 
     @PROPERTY
     @given(m=st.lists(st.integers(0, 60), min_size=1, max_size=4),
@@ -443,11 +465,12 @@ class TestTrainingSetSpec:
 
     def test_n_is_stored_as_int(self):
         """An integral n of another type is stored as an int; a bool, a
-        fraction or a nonpositive n is refused."""
+        fraction, a nonpositive n, inf or NaN is refused by name."""
         for n in (100.0, np.int64(100), np.float64(100.0)):
             spec = TrainingSetSpec(n=n, problem=PLANAR)
             assert spec.n == 100 and type(spec.n) is int
-        for n in (True, False, np.bool_(True), 100.5, 0, -3):
+        for n in (True, False, np.bool_(True), 100.5, 0, -3, math.inf, math.nan,
+                  np.float64(math.inf)):
             with pytest.raises(ValueError, match="positive integer"):
                 TrainingSetSpec(n=n, problem=PLANAR)
 
