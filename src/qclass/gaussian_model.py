@@ -221,7 +221,7 @@ def monte_carlo_risk(
     inv4d = 1.0 / (4.0 * frame.d0_norm)
 
     def chunk_fn(rng, size):
-        z = rng.normal(size=(2, size))
+        z = rng.standard_normal((2, size))
         z *= scale
         z += shift
         np.square(z, out=z)

@@ -9,7 +9,9 @@ chunk sorts them by class size), which the chunk size alone fixes.
 Each chunk is reduced to its Moments inside its task, and the Moments are
 merged in chunk-index order, which makes the result independent of how
 many workers evaluate the chunks; a run holds one chunk's values per
-worker thread, not one value per trial.
+worker thread, not one value per trial.  A run starts at most one thread
+per CPU this process may run on (its affinity mask, not the machine's CPU
+count).
 """
 
 from __future__ import annotations
@@ -85,6 +87,14 @@ def chunk_rng(seed: Seed, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a process pinned to one CPU gets one), else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_chunked(
     trials: int,
     seed: Seed,
@@ -94,7 +104,8 @@ def run_chunked(
     """Moments of chunk_fn(rng, size) over all chunks, merged in chunk order.
 
     Each chunk's values are reduced and released inside its task.  At most
-    ``min(workers, chunks, os.cpu_count())`` threads evaluate the chunks.
+    ``min(workers, chunks, CPUs this process may run on)`` threads evaluate
+    the chunks.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -109,7 +120,7 @@ def run_chunked(
             raise ValueError(f"chunk_fn returned shape {out.shape}, expected ({size},)")
         return Moments.of(out)
 
-    threads = min(workers, n_chunks, os.cpu_count() or 1)
+    threads = min(workers, n_chunks, _usable_cpus())
     if threads == 1:
         return reduce(Moments.merge, map(one, range(n_chunks)))
     with ThreadPoolExecutor(max_workers=threads) as pool:

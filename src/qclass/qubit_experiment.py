@@ -13,7 +13,8 @@ so each trial needs six counts instead of n outcomes; a whole chunk of
 trials is evaluated as arrays.  A chunk's trials come in groups of equal
 class size, and one sampler draws each axis's counts for all of them: up
 to n = _HISTOGRAM_MAX_N as one multinomial over the groups' count
-histograms, paired at random within each group, above it as one binomial
+histograms, from pmf rows built once per run, with the six axes paired
+at random by one permutation call per group; above it as one binomial
 call at a cost that is the same at every n (see _tomography;
 run_experiment gives the draw order).  An axis measured on zero copies (a
 class with fewer than three copies) estimates 0, so every trial has a
@@ -30,6 +31,7 @@ sampled-test-copy estimate survive as test oracles.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -95,10 +97,11 @@ _KERNEL_BLOCK = 8192
 # Largest n whose counts are drawn as histograms (see _tomography).  A
 # histogram chunk costs a multinomial step per (class size, count) cell,
 # O(n^1.5) cells per axis with random labels, plus O(size) repeats and
-# shuffles; numpy's per-trial binomial costs grow with m * min(p, 1 - p)
-# up to its BTPE switch and then stay flat.  On the README anchor with
-# random labels (2-vCPU box, in-process) the histogram path is 6x faster
-# at n = 300, 1.5x at n = 1500 and 3x slower at n = 3000.
+# permutations, and each pmf row it needs once per run.  numpy's per-trial
+# binomial costs grow with m * min(p, 1 - p) up to its BTPE switch and
+# then stay flat.  On the README anchor with random labels (2-vCPU box,
+# in-process) the histogram path is 6x faster at n = 300, 1.5x at n =
+# 1500 and 3x slower at n = 3000.
 _HISTOGRAM_MAX_N = 1024
 
 
@@ -118,29 +121,43 @@ def _outcome_average(k, m) -> np.ndarray:
 
 def _clip_to_ball(est: np.ndarray) -> np.ndarray:
     """Clip the columns of a (3, size) array of estimates radially to the
-    Bloch ball, in place."""
+    Bloch ball, in place.  Only the columns with squared norm above 1 are
+    divided, by their norm: every other column's divisor max(norm, 1)
+    would be exactly 1.0."""
     x, y, z = est
     norm = x * x
     norm += y * y
     norm += z * z
-    np.sqrt(norm, out=norm)
-    est /= np.maximum(norm, 1.0, out=norm)
+    outside = np.flatnonzero(norm > 1.0)
+    if outside.size:
+        scale = np.sqrt(norm[outside])
+        for row in est:
+            row[outside] /= scale
     return est
 
 
-def _binomial_pmf_rows(m: np.ndarray, p: float):
+def _count_grid(m: np.ndarray, width: int) -> np.ndarray:
+    """(len(m), width) counts: row g holds k = 0..m_g in its last m_g + 1
+    columns, after padding with k < 0."""
+    return np.arange(width) - (width - 1 - m)[:, None]
+
+
+def _binomial_pmf_rows(m: np.ndarray, p: float, width: int | None = None):
     """Binomial(m_g, p) pmf for each entry m_g of m, one row each.
 
-    Returns (k, pmf), two (len(m), max(m) + 1) arrays: row g holds the
-    counts k = 0..m_g and their probabilities in its last m_g + 1 columns,
-    after padding with k < 0 and probability 0.  numpy's multinomial gives
-    the last column whatever the earlier ones leave, and that column is
-    always a possible count, so rounding of the pmf cannot put a draw in
-    the padding.  The log k! come from math.lgamma.  p in {0, 1} and
-    m_g = 0 are exact point masses, and no padding entry is exponentiated.
+    Returns (k, pmf), two (len(m), width) arrays laid out as _count_grid,
+    width max(m) + 1 unless given: row g holds the counts k = 0..m_g and
+    their probabilities in its last m_g + 1 columns, after padding with
+    k < 0 and probability 0.  A row's floats depend only on m_g, p and the
+    width.  numpy's multinomial gives the last column whatever the earlier
+    ones leave, and that column is always a possible count, so rounding of
+    the pmf cannot put a draw in the padding.  The log k! come from
+    math.lgamma.  p in {0, 1} and m_g = 0 are exact point masses, and no
+    padding entry is exponentiated.
     """
-    width = int(m.max()) + 1
-    k = np.arange(width) - (width - 1 - m)[:, None]
+    if width is None:
+        width = int(m.max()) + 1
+    k = _count_grid(m, width)
     mk = np.broadcast_to(m[:, None], k.shape)
     if p == 0.0 or p == 1.0:
         return k, (k == (0 if p == 0.0 else mk)).astype(float)
@@ -154,49 +171,103 @@ def _binomial_pmf_rows(m: np.ndarray, p: float):
     return k, pmf
 
 
-def _tomography(r: BlochVector, m: np.ndarray, h: np.ndarray, rng: np.random.Generator,
-                n: int, keep_first: bool = False) -> np.ndarray:
-    """Pauli-tomography estimates of r for class-size groups: h[g] trials
-    have m[g] copies each, out of a training set of n copies.
+class _CountTable:
+    """The Binomial(m_j, p) pmf rows of one axis, for copy counts m_j up to
+    ``top``, each built once per run when a chunk first needs it.
+
+    Every row has the width top + 1, so its floats do not depend on which
+    rows were built with it, and a run's output not on the order its chunks
+    ran in.  The rows built form one range lo..hi - 1, widened as chunks
+    need; a run's worker threads share the table, so a lock guards it.
+    """
+
+    def __init__(self, p: float, top: int):
+        self._p, self._width = p, top + 1
+        self._lo = self._hi = self._pmf = None
+        self._lock = threading.Lock()
+
+    def rows(self, m_j: np.ndarray) -> np.ndarray:
+        """The pmf rows of the copy counts m_j, their last max(m_j) + 1
+        columns."""
+        lo, hi = int(m_j.min()), int(m_j.max()) + 1
+        with self._lock:
+            if self._pmf is None:
+                self._lo, self._hi, self._pmf = lo, hi, self._build(lo, hi)
+            if lo < self._lo:
+                self._lo, self._pmf = lo, np.concatenate((self._build(lo, self._lo), self._pmf))
+            if hi > self._hi:
+                self._hi, self._pmf = hi, np.concatenate((self._pmf, self._build(self._hi, hi)))
+            return self._pmf[m_j - self._lo, -hi:]
+
+    def _build(self, lo: int, hi: int) -> np.ndarray:
+        return _binomial_pmf_rows(np.arange(lo, hi), self._p, self._width)[1]
+
+
+def _count_tables(r: BlochVector, top: int) -> list[_CountTable]:
+    """The histogram count draw's pmf tables of Bloch vector r, one per
+    axis j, for class sizes up to ``top``."""
+    return [_CountTable(_axis_probability(r_j), (top + 2 - j) // 3)
+            for j, r_j in enumerate((r.x, r.y, r.z))]
+
+
+def _tomography(states, m, h: np.ndarray, rng: np.random.Generator, n: int,
+                tables) -> np.ndarray:
+    """Pauli-tomography estimates of each Bloch vector in ``states`` over
+    class-size groups: h[g] trials have m[i][g] copies of states[i] each,
+    out of a training set of n copies.
 
     Axis j (x, y, z in turn) gets m_j = (m + 2 - j) // 3 copies and
     estimates (2 k_j - m_j)/m_j, or 0 when m_j = 0, from a count k_j ~
-    Binomial(m_j, (1 + r_j)/2).  How the counts are drawn depends on n.
-    Up to _HISTOGRAM_MAX_N one multinomial of h over the groups' pmf rows
-    gives the number of trials in each (group, count) cell, so no trial
-    draws a count of its own; each axis but the first (when ``keep_first``)
-    is then shuffled within each group, in the order of m, so the axes pair
-    independently.  Above it one binomial call draws every trial's count,
-    against np.repeat(m_j, h) or the int m_j of a single group: numpy draws
-    the same variates for both, and a shared int or sorted counts spare it
-    its per-(m_j, p) set-up.  Estimates outside the Bloch ball are clipped
-    radially to the unit sphere.  Returns a (3, h.sum()) array of x, y, z
-    estimates, with the trials grouped as np.repeat(m, h).
+    Binomial(m_j, (1 + r_j)/2).  The counts are drawn axis by axis, x, y, z
+    of states[0], then of states[1], and how depends on n.  Up to
+    _HISTOGRAM_MAX_N one multinomial of h over the groups' pmf rows, taken
+    from ``tables`` (the _count_tables of each state, for class sizes up to
+    max(m[i]) at least; unused above _HISTOGRAM_MAX_N), gives the number of
+    trials in each (group, count) cell, so no trial draws a count of its
+    own; then one rng.permuted call per group, in the order of m, shuffles
+    every estimate row but the first within the group, so the axes pair
+    independently.  Above it one binomial call per axis draws every
+    trial's count, against np.repeat(m_j, h) or the int m_j of a single
+    group: numpy draws the same variates for both, and a shared int or
+    sorted counts spare it its per-(m_j, p) set-up.
+    Estimates outside the Bloch ball are clipped radially to the unit
+    sphere.  Returns a (3 * len(states), h.sum()) array whose rows 3i to
+    3i + 2 are the x, y, z estimates of states[i], with the trials grouped
+    as np.repeat(m[0], h).
     """
     size = int(h.sum())
-    est = np.empty((3, size))
-    histogram = n <= _HISTOGRAM_MAX_N
-    if not histogram:
-        # the binomial draw takes the copy count of each trial, or one int
-        m = int(m[0]) if m.size == 1 else np.repeat(m, h)
-    for j, r_j in enumerate((r.x, r.y, r.z)):
-        m_j = (m + (2 - j)) // 3
-        p = _axis_probability(r_j)
-        if histogram:
-            # the number of trials that take each (group, count) cell
-            k, pmf = _binomial_pmf_rows(m_j, p)
-            m_j, taken = m_j[:, None], rng.multinomial(h, pmf).ravel()
-        else:
-            k = rng.binomial(m_j, p, size)
-        avg = _outcome_average(k, m_j)
-        if histogram:
-            avg = np.repeat(avg.ravel(), taken)
-            if j > 0 or not keep_first:
-                ends = np.cumsum(h)
-                for lo, hi in zip(ends - h, ends):
-                    rng.shuffle(avg[lo:hi])
-        est[j] = avg
-    return _clip_to_ball(est)
+    if n <= _HISTOGRAM_MAX_N:
+        averages, taken = [], []
+        for m_i, axes in zip(m, tables):
+            for j, table in enumerate(axes):
+                m_j = (m_i + (2 - j)) // 3
+                pmf = table.rows(m_j)
+                # the number of trials that take each (group, count) cell
+                taken.append(rng.multinomial(h, pmf).ravel())
+                k = _count_grid(m_j, pmf.shape[1])
+                averages.append(_outcome_average(k, m_j[:, None]).ravel())
+        # every axis's cells hold size trials, so the rows come out whole
+        est = np.repeat(np.concatenate(averages), np.concatenate(taken)).reshape(-1, size)
+        ends = np.cumsum(h)
+        for start, end in zip(ends - h, ends):
+            rows = est[1:, start:end]
+            rng.permuted(rows, axis=1, out=rows)
+    else:
+        est = np.empty((3 * len(states), size))
+        for i, (r, m_i) in enumerate(zip(states, m)):
+            # one int, or one count per trial (every group of one trial
+            # needs no expanding)
+            if m_i.size == 1:
+                m_i = int(m_i[0])
+            elif m_i.size < size:
+                m_i = np.repeat(m_i, h)
+            for j, r_j in enumerate((r.x, r.y, r.z)):
+                m_j = (m_i + (2 - j)) // 3
+                k = rng.binomial(m_j, _axis_probability(r_j), size)
+                est[3 * i + j] = _outcome_average(k, m_j)
+    for i in range(0, len(est), 3):
+        _clip_to_ball(est[i:i + 3])
+    return est
 
 
 def _plugin_excess(truth, r_hat: _Columns, s_hat: _Columns, pi_hat):
@@ -230,11 +301,13 @@ def run_experiment(
     round(pi0 * n) (halves rounded up).  Random labels draw n0 ~
     Binomial(n, pi0): up to _HISTOGRAM_MAX_N as the class-size histogram h
     ~ Multinomial(size, Binomial(n, pi0) pmf), above it as one binomial
-    call, sorted and counted.  Then the x, y, z counts of rho, then of
-    sigma, are drawn over the groups (see _tomography), so a trial's value
-    is fixed by (seed, CHUNK_SIZE, its index), not by its index alone.
-    Every trial has the same law, and the chunk is reduced to its
-    order-free Moments.
+    call, sorted, every trial its own group.  Then the x, y, z counts of
+    rho, then of sigma, are drawn over the groups, and up to
+    _HISTOGRAM_MAX_N the groups are permuted one by one (see _tomography),
+    so a trial's value is fixed by (seed, CHUNK_SIZE, its index), not by
+    its index alone.  The histogram draw builds each pmf row once per run,
+    when a chunk first needs it.  Every trial has the same law, and the
+    chunk is reduced to its order-free Moments.
 
     mean_rescaled_excess is n * (sample mean excess risk); fraction_exact
     counts trials whose excess is exactly zero (the learned projector
@@ -244,29 +317,39 @@ def run_experiment(
     rho, sigma = spec.problem.r, spec.problem.s
     truth = pauli_data(rho, sigma, pi0)
     fixed = spec.label_mode is LabelMode.FIXED_COUNTS
-    if not fixed and n <= _HISTOGRAM_MAX_N:
-        labels_pmf = _binomial_pmf_rows(np.array([n]), pi0)[1][0]
+    histogram = n <= _HISTOGRAM_MAX_N
+    n0_fixed = math.floor(pi0 * n + 0.5)
+    tables = None
+    if histogram:
+        # pmf tables up to the largest class size the label law can give
+        top = (n0_fixed, n - n0_fixed) if fixed else (n, n)
+        tables = [_count_tables(rho, top[0]), _count_tables(sigma, top[1])]
+        if not fixed:
+            labels_pmf = _binomial_pmf_rows(np.array([n]), pi0)[1][0]
 
-    def draw(rng, size):
+    def chunk_fn(rng, size):
         if fixed:
-            n0, h = np.array([math.floor(pi0 * n + 0.5)]), np.array([size])
-        elif n <= _HISTOGRAM_MAX_N:
+            n0, h = np.array([n0_fixed]), np.array([size])
+        elif histogram:
             h = rng.multinomial(size, labels_pmf)
             n0 = np.flatnonzero(h)
             h = h[n0]
         else:
-            n0, h = np.unique(rng.binomial(n, pi0, size), return_counts=True)
-        r_hat = _tomography(rho, n0, h, rng, n, keep_first=True)
-        return r_hat, _tomography(sigma, n - n0, h, rng, n), n0, h
-
-    def chunk_fn(rng, size):
-        r_hat, s_hat, n0, h = draw(rng, size)
-        pi_hat = pi0 if spec.known_priors else np.repeat(n0 / n, h)
+            # every trial its own group, in ascending class size
+            n0 = rng.binomial(n, pi0, size)
+            n0.sort()
+            h = np.ones(size, dtype=int)
+        est = _tomography((rho, sigma), (n0, n - n0), h, rng, n, tables)
+        if spec.known_priors:
+            pi_hat = pi0
+        else:
+            # groups of one trial need no expanding
+            pi_hat = n0 / n if n0.size == size else np.repeat(n0 / n, h)
         out = np.empty(size)
         for lo in range(0, size, _KERNEL_BLOCK):
             b = slice(lo, lo + _KERNEL_BLOCK)
             out[b] = _plugin_excess(
-                truth, _Columns(*r_hat[:, b]), _Columns(*s_hat[:, b]),
+                truth, _Columns(*est[:3, b]), _Columns(*est[3:, b]),
                 pi_hat[b] if isinstance(pi_hat, np.ndarray) else pi_hat,
             )
         return out

@@ -543,13 +543,13 @@ class TestDeterminismAndFormats:
         "qubit-sim": (
             {"n_list": [60, 200], "trials": 300, "seed": 13},
             64,
-            "f894692583ac267aba3c93df6704c9525f0c4d854a6d0ed0f2534d4d22c12683",
+            "7fb95b3caf03746256a7b0f068c887a65f37fe45032eae8cd81628cac266e2b2",
         ),
         "qubit-sim-fixed": (
             {"n_list": [60, 10000], "trials": 300, "seed": 13,
              "label_mode": "fixed", "known_priors": True},
             64,
-            "be1514908ebbd6fea10d29a7103c8dce8c4808c7417848ea8939ddd2c7408eed",
+            "07d1c23e7c8a1a341238b48dcf509e5247304d64d6245cf4a488884c0266af3e",
         ),
         # larger n draws per-trial binomials; these two digests were taken
         # before the histogram sampler was added, and must not move.  Fixed

@@ -133,12 +133,19 @@ class _SerialPool:
 
 
 class TestThreadCap:
-    def _sizes(self, monkeypatch, cpus, workers, trials):
+    def _sizes(self, monkeypatch, cpus, workers, trials, affinity=None):
+        """Pool sizes of one run, with os.cpu_count() giving ``cpus`` and the
+        affinity mask ``affinity``, or no affinity call when it is None."""
         sizes = []
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 4)
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor",
                             lambda max_workers: _SerialPool(sizes, max_workers))
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity),
+                                raising=False)
         got = run_chunked(trials, 8, _values, workers=workers)
         assert got == run_chunked(trials, 8, _values)
         return sizes
@@ -159,3 +166,9 @@ class TestThreadCap:
     ])
     def test_one_thread_runs_without_a_pool(self, monkeypatch, cpus, workers, trials):
         assert self._sizes(monkeypatch, cpus, workers, trials) == []
+
+    def test_pool_is_capped_by_the_affinity_mask(self, monkeypatch):
+        """A process pinned to one CPU of 64 runs two workers as one thread;
+        on three CPUs it starts three."""
+        assert self._sizes(monkeypatch, 64, 2, 40, affinity={5}) == []
+        assert self._sizes(monkeypatch, 64, 5000, 40, affinity={0, 2, 7}) == [3]

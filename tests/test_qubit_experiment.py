@@ -26,7 +26,9 @@ from qclass import montecarlo
 from qclass.qubit_experiment import (
     _HISTOGRAM_MAX_N,
     _Columns,
+    _CountTable,
     _binomial_pmf_rows,
+    _count_tables,
     _plugin_excess,
     _tomography,
 )
@@ -71,6 +73,12 @@ class TestSampleLabels:
         assert n0 / n == pytest.approx(0.5, abs=4 * sigma)
 
 
+def _estimates(states, m, h, rng, n):
+    """_tomography with the pmf tables of exactly the class sizes m."""
+    tables = [_count_tables(r, int(m_i.max())) for r, m_i in zip(states, m)]
+    return _tomography(states, m, h, rng, n, tables)
+
+
 class TestTomographicEstimate:
     def test_x_coordinate_accuracy(self):
         rng = np.random.default_rng(2)
@@ -79,8 +87,8 @@ class TestTomographicEstimate:
         sigma = math.sqrt((1 - 0.64) / (m / 3))
         assert est.x == pytest.approx(0.8, abs=4 * sigma)
         # the count-based estimates are unbiased too: 10^4 trials of 3000 copies
-        batch = _tomography(BlochVector(0.8, 0, 0), np.array([3000]), np.array([10_000]),
-                            rng, 3000)
+        batch = _estimates([BlochVector(0.8, 0, 0)], [np.array([3000])], np.array([10_000]),
+                           rng, 3000)
         sigma = math.sqrt((1 - 0.64) / 1000 / 10_000)
         assert batch[0].mean() == pytest.approx(0.8, abs=4 * sigma)
 
@@ -102,7 +110,7 @@ class TestTomographicEstimate:
         up = BlochVector(0, 0, 1)
         assert tomographic_estimate(up, 0, rng) == BlochVector(0, 0, 0)
         assert tomographic_estimate(up, 2, rng).z == 0.0
-        est = _tomography(up, np.array([0, 1, 2, 3]), np.ones(4, dtype=int), rng, n)
+        est = _estimates([up], [np.array([0, 1, 2, 3])], np.ones(4, dtype=int), rng, n)
         np.testing.assert_array_equal(est[:, 0], 0.0)
         np.testing.assert_array_equal(est[1:, 1], 0.0)
         assert est[2, 2] == 0.0
@@ -119,7 +127,8 @@ class TestTomographicEstimate:
         m = np.arange(12)
         rng = np.random.default_rng(1)
         for j in range(3):
-            est = _tomography(BlochVector.from_array(np.eye(3)[j]), m, np.ones_like(m), rng, n)
+            est = _estimates([BlochVector.from_array(np.eye(3)[j])], [m], np.ones_like(m),
+                             rng, n)
             np.testing.assert_array_equal(est[j] > 0.0, [axis_counts(k)[j] > 0 for k in m])
 
     def test_clipping_inactive_for_interior_states(self):
@@ -137,8 +146,9 @@ class TestTomographicEstimate:
 
 class _SpyGenerator:
     """A Generator that records each binomial draw as ("binomial", count,
-    size) and each multinomial draw as ("multinomial", count, pvals shape),
-    and passes every other call through."""
+    size), each multinomial draw as ("multinomial", count, pvals shape),
+    each permuted call as ("permuted", axis, shape) and each shuffle as
+    ("shuffle", axis, shape), and passes every other call through."""
 
     def __init__(self, rng, calls):
         self._rng, self._calls = rng, calls
@@ -150,6 +160,14 @@ class _SpyGenerator:
     def multinomial(self, n, pvals, size=None):
         self._calls.append(("multinomial", n, np.shape(pvals)))
         return self._rng.multinomial(n, pvals, size)
+
+    def permuted(self, x, *, axis=None, out=None):
+        self._calls.append(("permuted", axis, np.shape(x)))
+        return self._rng.permuted(x, axis=axis, out=out)
+
+    def shuffle(self, x, axis=0):
+        self._calls.append(("shuffle", axis, np.shape(x)))
+        return self._rng.shuffle(x, axis)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -175,12 +193,14 @@ class TestCountSampler:
         variates as the per-trial copy counts np.repeat(m_j, h), and leave
         the generator in the same state; the large-n streams rest on this."""
         r = BlochVector(0.5, 0.2, -0.3)
+        # the last groups hold one trial each, as random labels draw them
         for m, h in (([7], [300]), ([400, 401, 405], [100, 200, 50]),
-                     ([0, 1, 2, 5, 40, 1000], [3, 1, 4, 1, 5, 9])):
+                     ([0, 1, 2, 5, 40, 1000], [3, 1, 4, 1, 5, 9]),
+                     ([3, 3, 8, 9, 9], [1, 1, 1, 1, 1])):
             m, h = np.array(m), np.array(h)
             grouped = np.random.Generator(np.random.PCG64(2024))
             per_trial = np.random.Generator(np.random.PCG64(2024))
-            got = _tomography(r, m, h, grouped, _HISTOGRAM_MAX_N + 1)
+            got = _tomography([r], [m], h, grouped, _HISTOGRAM_MAX_N + 1, None)
             want = np.empty_like(got)
             for j, r_j in enumerate((r.x, r.y, r.z)):
                 m_j = np.repeat((m + 2 - j) // 3, h)
@@ -235,25 +255,73 @@ class TestCountSampler:
 
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_histogram_path_draws_no_per_trial_count(self, monkeypatch, mode):
-        """Up to _HISTOGRAM_MAX_N a chunk makes no binomial call: one
-        multinomial for the class sizes (random labels) and one per axis,
-        over one pmf row per class size drawn."""
+        """Up to _HISTOGRAM_MAX_N a chunk makes no binomial or shuffle call:
+        one multinomial for the class sizes (random labels) and one per
+        axis, over one pmf row per class size drawn, then one permuted call
+        per class size over the five estimate rows after rho's x."""
         calls, sizes = self._spy_run(monkeypatch, mode, n=_HISTOGRAM_MAX_N)
-        assert {name for name, _, _ in calls} == {"multinomial"}
-        per_chunk = 6 if mode is LabelMode.FIXED_COUNTS else 7
-        assert len(calls) == per_chunk * len(sizes)
-        for c, size in enumerate(sizes):
-            chunk = calls[per_chunk * c:per_chunk * (c + 1)]
+        assert {name for name, _, _ in calls} == {"multinomial", "permuted"}
+        for size in sizes:
             if mode is LabelMode.RANDOM_LABELS:
-                _, count, shape = chunk.pop(0)
+                name, count, shape = calls.pop(0)
+                assert name == "multinomial"
                 assert count == size and shape == (_HISTOGRAM_MAX_N + 1,)
             # every axis draws over the same class-size groups
-            h = chunk[0][1]
+            axes, calls = calls[:6], calls[6:]
+            h = axes[0][1]
             assert h.sum() == size
             if mode is LabelMode.FIXED_COUNTS:
                 assert h.tolist() == [size]
-            for _, count, shape in chunk:
+            for name, count, shape in axes:
+                assert name == "multinomial"
                 assert count.tolist() == h.tolist() and shape[0] == h.size
+            groups, calls = calls[:h.size], calls[h.size:]
+            assert groups == [("permuted", 1, (5, h_g)) for h_g in h]
+        assert not calls
+
+    def test_permuted_shuffles_a_strided_view_in_place(self):
+        """permuted(rows, axis=1, out=rows) on one group's (5, h) rows, a
+        strided view of the chunk's (6, size) estimates, shuffles each row
+        in place and independently, and changes nothing outside the view:
+        not rho's x row, not the other groups."""
+        rng = np.random.default_rng(11)
+        est = np.arange(6 * 40, dtype=float).reshape(6, 40)
+        before = est.copy()
+        rows = est[1:, 10:30]
+        assert not rows.flags.c_contiguous
+        assert rng.permuted(rows, axis=1, out=rows) is rows
+        np.testing.assert_array_equal(est[0], before[0])
+        np.testing.assert_array_equal(est[:, :10], before[:, :10])
+        np.testing.assert_array_equal(est[:, 30:], before[:, 30:])
+        orders = set()
+        for row, old in zip(est[1:, 10:30], before[1:, 10:30]):
+            assert sorted(row) == old.tolist() and row.tolist() != old.tolist()
+            orders.add(tuple(np.argsort(row)))
+        assert len(orders) == 5
+
+
+class TestCountTable:
+    def test_rows_do_not_depend_on_build_order(self):
+        """Rows reached in any order, as the table widens below and above,
+        are the floats of one build of every row at the table's width."""
+        p, top = 0.3, 40
+        want = _binomial_pmf_rows(np.arange(top + 1), p)[1]
+        for reached in ([[20, 22], [5, 6], [30, 40], [0, 39]], [[0, 40]],
+                        [[40, 40], [0, 0]], [[9, 9, 3], [7], [4, 9, 11]]):
+            table = _CountTable(p, top)
+            for m_j in map(np.array, reached):
+                width = m_j.max() + 1
+                got = table.rows(m_j)
+                assert got.shape == (m_j.size, width)
+                assert got.tobytes() == want[m_j, -width:].tobytes()
+
+    def test_worker_threads_share_the_tables(self, monkeypatch):
+        """Many small chunks, run by one thread or two, reach the shared
+        pmf rows in different orders and give the same result."""
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 50)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        spec = TrainingSetSpec(n=300, problem=SKEWED)
+        assert len({run_experiment(spec, 3000, 9, workers=w) for w in (1, 2, 2)}) == 1
 
 
 def _exact_pmf(m: int, p: float) -> list[float]:
