@@ -10,13 +10,13 @@ the positive eigenspace of pi0_hat*rho_hat - pi1_hat*sigma_hat.
 The average of the m_j outcomes +/-1 on axis j depends on them only
 through the number k_j of +1 outcomes, k_j ~ Binomial(m_j, (1 + r_j)/2),
 so each trial needs six counts instead of n outcomes; a whole chunk of
-trials is evaluated as arrays.  A chunk's trials come in groups of equal
-class size, and one sampler draws each axis's counts for all of them: up
-to n = _HISTOGRAM_MAX_N as one multinomial over the groups' count
-histograms, from pmf rows built once per run, with the six axes paired
-at random by one permutation call per group; above it as one binomial
-call at a cost that is the same at every n (see _tomography;
-run_experiment gives the draw order).  An axis measured on zero copies (a
+trials is evaluated as arrays.  run_experiment picks one of two samplers
+by n, once per run.  Each draws a chunk's class sizes as groups of equal
+class size, then each axis's counts for all of them: _histogram_sampler
+as one multinomial over the groups' count histograms, from pmf rows
+built once per run, with the six axes paired at random by one
+permutation call per group; _binomial_sampler as one binomial call at a
+cost that is the same at every n.  An axis measured on zero copies (a
 class with fewer than three copies) estimates 0, so every trial has a
 defined outcome: with no copies of a class its estimate is the maximally
 mixed state, and an estimated prior of 0 or 1 gives the rank-0 or rank-2
@@ -31,6 +31,7 @@ sampled-test-copy estimate survive as test oracles.
 from __future__ import annotations
 
 import math
+import mmap
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -94,7 +95,7 @@ class _Columns(NamedTuple):
 # chunk's peak memory is set by the six count draws, not by the kernel.
 _KERNEL_BLOCK = 8192
 
-# Largest n whose counts are drawn as histograms (see _tomography).  A
+# Largest n that run_experiment gives to _histogram_sampler.  A
 # histogram chunk costs a multinomial step per (class size, count) cell,
 # O(n^1.5) cells per axis with random labels, plus O(size) repeats and
 # permutations, and each pmf row it needs once per run.  numpy's per-trial
@@ -142,25 +143,24 @@ def _count_grid(m: np.ndarray, width: int) -> np.ndarray:
     return np.arange(width) - (width - 1 - m)[:, None]
 
 
-def _binomial_pmf_rows(m: np.ndarray, p: float, width: int | None = None):
+def _binomial_pmf_rows(m: np.ndarray, p: float, width: int | None = None) -> np.ndarray:
     """Binomial(m_g, p) pmf for each entry m_g of m, one row each.
 
-    Returns (k, pmf), two (len(m), width) arrays laid out as _count_grid,
-    width max(m) + 1 unless given: row g holds the counts k = 0..m_g and
-    their probabilities in its last m_g + 1 columns, after padding with
-    k < 0 and probability 0.  A row's floats depend only on m_g, p and the
-    width.  numpy's multinomial gives the last column whatever the earlier
-    ones leave, and that column is always a possible count, so rounding of
-    the pmf cannot put a draw in the padding.  The log k! come from
-    math.lgamma.  p in {0, 1} and m_g = 0 are exact point masses, and no
-    padding entry is exponentiated.
+    A (len(m), width) array laid out as _count_grid, width max(m) + 1
+    unless given: row g holds the probabilities of k = 0..m_g in its last
+    m_g + 1 columns, after padding with probability 0.  A row's floats
+    depend only on m_g, p and the width.  numpy's multinomial gives the
+    last column whatever the earlier ones leave, and that column is always
+    a possible count, so rounding of the pmf cannot put a draw in the
+    padding.  The log k! come from math.lgamma.  p in {0, 1} and m_g = 0
+    are exact point masses, and no padding entry is exponentiated.
     """
     if width is None:
         width = int(m.max()) + 1
     k = _count_grid(m, width)
     mk = np.broadcast_to(m[:, None], k.shape)
     if p == 0.0 or p == 1.0:
-        return k, (k == (0 if p == 0.0 else mk)).astype(float)
+        return (k == (0 if p == 0.0 else mk)).astype(float)
     log_factorial = np.array([math.lgamma(i + 1.0) for i in range(width)])
     pmf = np.zeros(k.shape)
     valid = k >= 0
@@ -168,7 +168,7 @@ def _binomial_pmf_rows(m: np.ndarray, p: float, width: int | None = None):
     pmf[valid] = np.exp(log_factorial[mv] - log_factorial[kv] - log_factorial[mv - kv]
                         + kv * math.log(p) + (mv - kv) * math.log1p(-p))
     pmf /= pmf.sum(axis=1, keepdims=True)
-    return k, pmf
+    return pmf
 
 
 class _CountTable:
@@ -177,68 +177,61 @@ class _CountTable:
 
     Every row has the width top + 1, so its floats do not depend on which
     rows were built with it, and a run's output not on the order its chunks
-    ran in.  The rows built form one range lo..hi - 1, widened as chunks
-    need; a run's worker threads share the table, so a lock guards it.
+    ran in.  A run's worker threads share the table, so a lock guards it.
     """
 
     def __init__(self, p: float, top: int):
-        self._p, self._width = p, top + 1
-        self._lo = self._hi = self._pmf = None
+        self._p = p
+        # above 64 KB an anonymous map, so that only the pages of built rows
+        # become resident (calloc may clear a heap block in full)
+        size = 8 * (top + 1) ** 2
+        buf = mmap.mmap(-1, size) if size > 1 << 16 else bytearray(size)
+        self._pmf = np.frombuffer(buf).reshape(top + 1, top + 1)
+        self._built = np.zeros(top + 1, dtype=bool)
         self._lock = threading.Lock()
 
     def rows(self, m_j: np.ndarray) -> np.ndarray:
         """The pmf rows of the copy counts m_j, their last max(m_j) + 1
         columns."""
-        lo, hi = int(m_j.min()), int(m_j.max()) + 1
         with self._lock:
-            if self._pmf is None:
-                self._lo, self._hi, self._pmf = lo, hi, self._build(lo, hi)
-            if lo < self._lo:
-                self._lo, self._pmf = lo, np.concatenate((self._build(lo, self._lo), self._pmf))
-            if hi > self._hi:
-                self._hi, self._pmf = hi, np.concatenate((self._pmf, self._build(self._hi, hi)))
-            return self._pmf[m_j - self._lo, -hi:]
-
-    def _build(self, lo: int, hi: int) -> np.ndarray:
-        return _binomial_pmf_rows(np.arange(lo, hi), self._p, self._width)[1]
+            unbuilt = ~self._built[m_j]
+            if unbuilt.any():
+                new = np.flatnonzero(np.bincount(m_j[unbuilt]))
+                self._pmf[new] = _binomial_pmf_rows(new, self._p, self._built.size)
+                self._built[new] = True
+            return self._pmf[m_j, -(int(m_j.max()) + 1):]
 
 
-def _count_tables(r: BlochVector, top: int) -> list[_CountTable]:
-    """The histogram count draw's pmf tables of Bloch vector r, one per
-    axis j, for class sizes up to ``top``."""
-    return [_CountTable(_axis_probability(r_j), (top + 2 - j) // 3)
-            for j, r_j in enumerate((r.x, r.y, r.z))]
+def _histogram_sampler(spec: TrainingSetSpec):
+    """draw(rng, size) -> (est, n0, h), the counts drawn as histograms.
 
-
-def _tomography(states, m, h: np.ndarray, rng: np.random.Generator, n: int,
-                tables) -> np.ndarray:
-    """Pauli-tomography estimates of each Bloch vector in ``states`` over
-    class-size groups: h[g] trials have m[i][g] copies of states[i] each,
-    out of a training set of n copies.
-
-    Axis j (x, y, z in turn) gets m_j = (m + 2 - j) // 3 copies and
-    estimates (2 k_j - m_j)/m_j, or 0 when m_j = 0, from a count k_j ~
-    Binomial(m_j, (1 + r_j)/2).  The counts are drawn axis by axis, x, y, z
-    of states[0], then of states[1], and how depends on n.  Up to
-    _HISTOGRAM_MAX_N one multinomial of h over the groups' pmf rows, taken
-    from ``tables`` (the _count_tables of each state, for class sizes up to
-    max(m[i]) at least; unused above _HISTOGRAM_MAX_N), gives the number of
-    trials in each (group, count) cell, so no trial draws a count of its
-    own; then one rng.permuted call per group, in the order of m, shuffles
-    every estimate row but the first within the group, so the axes pair
-    independently.  Above it one binomial call per axis draws every
-    trial's count, against np.repeat(m_j, h) or the int m_j of a single
-    group: numpy draws the same variates for both, and a shared int or
-    sorted counts spare it its per-(m_j, p) set-up.
-    Estimates outside the Bloch ball are clipped radially to the unit
-    sphere.  Returns a (3 * len(states), h.sum()) array whose rows 3i to
-    3i + 2 are the x, y, z estimates of states[i], with the trials grouped
-    as np.repeat(m[0], h).
+    h[g] trials have n0[g] copies of rho, in ascending n0: one group of
+    round(pi0 * n) (halves rounded up) for fixed labels, else the nonempty
+    cells of h ~ Multinomial(size, Binomial(n, pi0) pmf).  For each axis,
+    x, y, z of rho and then of sigma, one multinomial of h over the groups'
+    pmf rows gives the number of trials in each (group, count) cell; then
+    one rng.permuted call per group shuffles every estimate row but rho's
+    x within the group, so the axes pair independently.  est holds the
+    unclipped (6, size) estimates in the order of the groups.
     """
-    size = int(h.sum())
-    if n <= _HISTOGRAM_MAX_N:
+    n, r, s = spec.n, spec.problem.r, spec.problem.s
+    fixed = spec.label_mode is LabelMode.FIXED_COUNTS
+    n0_fixed = math.floor(spec.pi0 * n + 0.5)
+    # pmf tables up to the largest class size the label law can give
+    tops = (n0_fixed, n - n0_fixed) if fixed else (n, n)
+    tables = [[_CountTable(_axis_probability(r_j), (top + 2 - j) // 3)
+               for j, r_j in enumerate((v.x, v.y, v.z))] for v, top in zip((r, s), tops)]
+    labels_pmf = None if fixed else _binomial_pmf_rows(np.array([n]), spec.pi0)[0]
+
+    def draw(rng, size):
+        if fixed:
+            n0, h = np.array([n0_fixed]), np.array([size])
+        else:
+            h = rng.multinomial(size, labels_pmf)
+            n0 = np.flatnonzero(h)
+            h = h[n0]
         averages, taken = [], []
-        for m_i, axes in zip(m, tables):
+        for m_i, axes in zip((n0, n - n0), tables):
             for j, table in enumerate(axes):
                 m_j = (m_i + (2 - j)) // 3
                 pmf = table.rows(m_j)
@@ -247,27 +240,48 @@ def _tomography(states, m, h: np.ndarray, rng: np.random.Generator, n: int,
                 k = _count_grid(m_j, pmf.shape[1])
                 averages.append(_outcome_average(k, m_j[:, None]).ravel())
         # every axis's cells hold size trials, so the rows come out whole
-        est = np.repeat(np.concatenate(averages), np.concatenate(taken)).reshape(-1, size)
+        est = np.repeat(np.concatenate(averages), np.concatenate(taken)).reshape(6, size)
         ends = np.cumsum(h)
         for start, end in zip(ends - h, ends):
             rows = est[1:, start:end]
             rng.permuted(rows, axis=1, out=rows)
-    else:
-        est = np.empty((3 * len(states), size))
-        for i, (r, m_i) in enumerate(zip(states, m)):
-            # one int, or one count per trial (every group of one trial
-            # needs no expanding)
-            if m_i.size == 1:
-                m_i = int(m_i[0])
-            elif m_i.size < size:
-                m_i = np.repeat(m_i, h)
-            for j, r_j in enumerate((r.x, r.y, r.z)):
-                m_j = (m_i + (2 - j)) // 3
-                k = rng.binomial(m_j, _axis_probability(r_j), size)
-                est[3 * i + j] = _outcome_average(k, m_j)
-    for i in range(0, len(est), 3):
-        _clip_to_ball(est[i:i + 3])
-    return est
+        return est, n0, h
+
+    return draw
+
+
+def _binomial_sampler(spec: TrainingSetSpec):
+    """draw(rng, size) -> (est, n0, h) as _histogram_sampler, by one
+    binomial call per axis at a cost that is the same at every n.
+
+    Fixed labels are one group, whose copy counts are drawn against as
+    ints; random labels draw n0 ~ Binomial(n, pi0) per trial, sorted, every
+    trial its own group.  numpy draws the same variates for an int as for
+    a constant array, and a shared int or sorted counts spare it its
+    per-(m_j, p) set-up.
+    """
+    n, pi0 = spec.n, spec.pi0
+    fixed = spec.label_mode is LabelMode.FIXED_COUNTS
+    n0_fixed = math.floor(pi0 * n + 0.5)
+    probabilities = [_axis_probability(r_j) for v in (spec.problem.r, spec.problem.s)
+                     for r_j in (v.x, v.y, v.z)]
+
+    def draw(rng, size):
+        if fixed:
+            n0, h = np.array([n0_fixed]), np.array([size])
+            m = (n0_fixed, n - n0_fixed)
+        else:
+            n0 = rng.binomial(n, pi0, size)
+            n0.sort()
+            h = np.ones(size, dtype=int)
+            m = (n0, n - n0)
+        est = np.empty((6, size))
+        for i, p in enumerate(probabilities):
+            m_j = (m[i // 3] + (2 - i % 3)) // 3
+            est[i] = _outcome_average(rng.binomial(m_j, p, size), m_j)
+        return est, n0, h
+
+    return draw
 
 
 def _plugin_excess(truth, r_hat: _Columns, s_hat: _Columns, pi_hat):
@@ -296,17 +310,10 @@ def run_experiment(
 
     Each chunk is evaluated as arrays over its trials, with no loop over
     trials (the kernel after the draws takes _KERNEL_BLOCK trials per
-    pass).  A chunk first draws its class sizes as groups: h[g] trials have
-    n0[g] copies of rho, in ascending n0.  Fixed counts are one group, n0 =
-    round(pi0 * n) (halves rounded up).  Random labels draw n0 ~
-    Binomial(n, pi0): up to _HISTOGRAM_MAX_N as the class-size histogram h
-    ~ Multinomial(size, Binomial(n, pi0) pmf), above it as one binomial
-    call, sorted, every trial its own group.  Then the x, y, z counts of
-    rho, then of sigma, are drawn over the groups, and up to
-    _HISTOGRAM_MAX_N the groups are permuted one by one (see _tomography),
-    so a trial's value is fixed by (seed, CHUNK_SIZE, its index), not by
-    its index alone.  The histogram draw builds each pmf row once per run,
-    when a chunk first needs it.  Every trial has the same law, and the
+    pass).  One sampler, picked by n once per run, draws a chunk's class
+    sizes as groups and the six estimates of every trial, in the order of
+    the groups, so a trial's value is fixed by (seed, CHUNK_SIZE, its
+    index), not by its index alone.  Every trial has the same law, and the
     chunk is reduced to its order-free Moments.
 
     mean_rescaled_excess is n * (sample mean excess risk); fraction_exact
@@ -314,32 +321,13 @@ def run_experiment(
     reproduced the oracle, the generic event in the trivial regime).
     """
     n, pi0 = spec.n, spec.pi0
-    rho, sigma = spec.problem.r, spec.problem.s
-    truth = pauli_data(rho, sigma, pi0)
-    fixed = spec.label_mode is LabelMode.FIXED_COUNTS
-    histogram = n <= _HISTOGRAM_MAX_N
-    n0_fixed = math.floor(pi0 * n + 0.5)
-    tables = None
-    if histogram:
-        # pmf tables up to the largest class size the label law can give
-        top = (n0_fixed, n - n0_fixed) if fixed else (n, n)
-        tables = [_count_tables(rho, top[0]), _count_tables(sigma, top[1])]
-        if not fixed:
-            labels_pmf = _binomial_pmf_rows(np.array([n]), pi0)[1][0]
+    truth = pauli_data(spec.problem.r, spec.problem.s, pi0)
+    draw = (_histogram_sampler if n <= _HISTOGRAM_MAX_N else _binomial_sampler)(spec)
 
     def chunk_fn(rng, size):
-        if fixed:
-            n0, h = np.array([n0_fixed]), np.array([size])
-        elif histogram:
-            h = rng.multinomial(size, labels_pmf)
-            n0 = np.flatnonzero(h)
-            h = h[n0]
-        else:
-            # every trial its own group, in ascending class size
-            n0 = rng.binomial(n, pi0, size)
-            n0.sort()
-            h = np.ones(size, dtype=int)
-        est = _tomography((rho, sigma), (n0, n - n0), h, rng, n, tables)
+        est, n0, h = draw(rng, size)
+        _clip_to_ball(est[:3])
+        _clip_to_ball(est[3:])
         if spec.known_priors:
             pi_hat = pi0
         else:

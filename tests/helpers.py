@@ -1,3 +1,9 @@
+# bench/child.py imports this module in every benchmark child, for its
+# tomography_constant oracle, before it falls back to the library's.  So
+# whatever this module imports counts in the peak_rss_mb of all four
+# benchmark workloads (a hypothesis import here added 10-12 MB): keep
+# hypothesis, scipy and mpmath out of it, and import them in the test
+# modules that need them.
 """Shared random generators, matrix-route and per-outcome oracles for the tests.
 
 The library works on Bloch vectors alone and computes every eigen-quantity

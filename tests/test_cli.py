@@ -524,8 +524,15 @@ class TestDeterminismAndFormats:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_qubit_sim_byte_identical(self, tmp_path):
-        cfg = {"problem": PLANAR_PROBLEM, "n_list": [300], "trials": 200, "seed": 13}
+    # both samplers and both label modes, in 64-trial chunks on two CPUs, so
+    # that workers 2 starts a pool of two threads
+    @pytest.mark.parametrize("n", [500, 1500])
+    @pytest.mark.parametrize("mode", ["random", "fixed"])
+    def test_qubit_sim_byte_identical(self, tmp_path, monkeypatch, n, mode):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 64)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        cfg = {"problem": PLANAR_PROBLEM, "n_list": [n], "trials": 200, "seed": 13,
+               "label_mode": mode}
         cfg_path = write_config(tmp_path, cfg)
         blobs = []
         for i, workers in enumerate(("1", "2")):

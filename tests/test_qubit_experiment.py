@@ -22,15 +22,17 @@ from qclass import (
     run_experiment,
     tomography_constant,
 )
-from qclass import montecarlo
+from qclass import montecarlo, qubit_experiment
 from qclass.qubit_experiment import (
     _HISTOGRAM_MAX_N,
     _Columns,
     _CountTable,
     _binomial_pmf_rows,
-    _count_tables,
+    _binomial_sampler,
+    _clip_to_ball,
+    _count_grid,
+    _histogram_sampler,
     _plugin_excess,
-    _tomography,
 )
 from helpers import (
     axis_counts,
@@ -73,10 +75,35 @@ class TestSampleLabels:
         assert n0 / n == pytest.approx(0.5, abs=4 * sigma)
 
 
-def _estimates(states, m, h, rng, n):
-    """_tomography with the pmf tables of exactly the class sizes m."""
-    tables = [_count_tables(r, int(m_i.max())) for r, m_i in zip(states, m)]
-    return _tomography(states, m, h, rng, n, tables)
+class _GivenClassSizes:
+    """A Generator whose class-size draw gives the copy counts np.repeat(m,
+    h) of rho, as a histogram over 0..n or as per-trial draws, and that
+    passes every other call through."""
+
+    def __init__(self, rng, m, h):
+        self._rng, self._n0 = rng, np.repeat(m, h)
+
+    def multinomial(self, count, pvals, size=None):
+        if np.ndim(count) == 0:
+            return np.bincount(self._n0, minlength=len(pvals))
+        return self._rng.multinomial(count, pvals, size)
+
+    def binomial(self, count, p, size=None):
+        if np.ndim(count) == 0:
+            return self._n0.copy()
+        return self._rng.binomial(count, p, size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _estimates(r, m, h, rng, n):
+    """The clipped (3, h.sum()) estimates of r drawn by the sampler that
+    run_experiment picks at n, when h[g] trials have m[g] copies of r."""
+    spec = TrainingSetSpec(n=n, problem=ClassificationProblem.from_bloch(r, (0, 0, 0), 0.5))
+    sampler = _histogram_sampler if n <= _HISTOGRAM_MAX_N else _binomial_sampler
+    est, _, _ = sampler(spec)(_GivenClassSizes(rng, m, h), int(h.sum()))
+    return _clip_to_ball(est[:3])
 
 
 class TestTomographicEstimate:
@@ -87,7 +114,7 @@ class TestTomographicEstimate:
         sigma = math.sqrt((1 - 0.64) / (m / 3))
         assert est.x == pytest.approx(0.8, abs=4 * sigma)
         # the count-based estimates are unbiased too: 10^4 trials of 3000 copies
-        batch = _estimates([BlochVector(0.8, 0, 0)], [np.array([3000])], np.array([10_000]),
+        batch = _estimates(BlochVector(0.8, 0, 0), np.array([3000]), np.array([10_000]),
                            rng, 3000)
         sigma = math.sqrt((1 - 0.64) / 1000 / 10_000)
         assert batch[0].mean() == pytest.approx(0.8, abs=4 * sigma)
@@ -110,7 +137,7 @@ class TestTomographicEstimate:
         up = BlochVector(0, 0, 1)
         assert tomographic_estimate(up, 0, rng) == BlochVector(0, 0, 0)
         assert tomographic_estimate(up, 2, rng).z == 0.0
-        est = _estimates([up], [np.array([0, 1, 2, 3])], np.ones(4, dtype=int), rng, n)
+        est = _estimates(up, np.array([0, 1, 2, 3]), np.ones(4, dtype=int), rng, n)
         np.testing.assert_array_equal(est[:, 0], 0.0)
         np.testing.assert_array_equal(est[1:, 1], 0.0)
         assert est[2, 2] == 0.0
@@ -127,8 +154,7 @@ class TestTomographicEstimate:
         m = np.arange(12)
         rng = np.random.default_rng(1)
         for j in range(3):
-            est = _estimates([BlochVector.from_array(np.eye(3)[j])], [m], np.ones_like(m),
-                             rng, n)
+            est = _estimates(BlochVector.from_array(np.eye(3)[j]), m, np.ones_like(m), rng, n)
             np.testing.assert_array_equal(est[j] > 0.0, [axis_counts(k)[j] > 0 for k in m])
 
     def test_clipping_inactive_for_interior_states(self):
@@ -188,61 +214,79 @@ class TestCountSampler:
                 assert scalar.bit_generator.state == array.bit_generator.state
         assert scalar.random() == array.random()
 
-    def test_grouped_binomial_draw_equals_per_trial_draw(self):
-        """Above _HISTOGRAM_MAX_N the class-size groups (m, h) draw the same
-        variates as the per-trial copy counts np.repeat(m_j, h), and leave
-        the generator in the same state; the large-n streams rest on this."""
-        r = BlochVector(0.5, 0.2, -0.3)
-        # the last groups hold one trial each, as random labels draw them
-        for m, h in (([7], [300]), ([400, 401, 405], [100, 200, 50]),
-                     ([0, 1, 2, 5, 40, 1000], [3, 1, 4, 1, 5, 9]),
-                     ([3, 3, 8, 9, 9], [1, 1, 1, 1, 1])):
-            m, h = np.array(m), np.array(h)
+    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
+    def test_grouped_binomial_draw_equals_per_trial_draw(self, mode):
+        """The binomial sampler's class-size groups, one with an int copy
+        count (fixed labels) or one trial each from sorted draws (random
+        labels), draw the same variates as the per-trial copy counts, and
+        leave the generator in the same state; the large-n streams rest on
+        this."""
+        for n in (21, _HISTOGRAM_MAX_N + 1, 10**6):
             grouped = np.random.Generator(np.random.PCG64(2024))
             per_trial = np.random.Generator(np.random.PCG64(2024))
-            got = _tomography([r], [m], h, grouped, _HISTOGRAM_MAX_N + 1, None)
+            spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
+            got, n0, h = _binomial_sampler(spec)(grouped, 300)
+            if mode is LabelMode.FIXED_COUNTS:
+                m = np.full(300, math.floor(0.4 * n + 0.5))
+            else:
+                m = np.sort(per_trial.binomial(n, 0.4, 300))
+            np.testing.assert_array_equal(np.repeat(n0, h), m)
             want = np.empty_like(got)
-            for j, r_j in enumerate((r.x, r.y, r.z)):
-                m_j = np.repeat((m + 2 - j) // 3, h)
-                k = per_trial.binomial(m_j, (1 + r_j) / 2)
-                want[j] = (2 * k - m_j) / np.maximum(m_j, 1)
-            want /= np.maximum(np.sqrt(want[0] ** 2 + want[1] ** 2 + want[2] ** 2), 1.0)
+            for i, (r, m_i) in enumerate(((SKEWED.r, m), (SKEWED.s, n - m))):
+                for j, r_j in enumerate((r.x, r.y, r.z)):
+                    m_j = (m_i + 2 - j) // 3
+                    k = per_trial.binomial(m_j, (1 + r_j) / 2)
+                    want[3 * i + j] = (2 * k - m_j) / np.maximum(m_j, 1)
             np.testing.assert_array_equal(got, want)
             assert grouped.bit_generator.state == per_trial.bit_generator.state
 
     # the smallest n drawn by per-trial binomials
     BINOMIAL_N = _HISTOGRAM_MAX_N + 1
+    SIZES = (500, 500, 200)
 
-    def _spy_run(self, monkeypatch, mode, n=BINOMIAL_N, trials=1200, chunk=500):
+    def _spy_draws(self, sampler, mode, n=BINOMIAL_N):
+        """The generator calls of one draw per chunk size in SIZES, after
+        checking that the spy changes no estimate."""
+        draw = sampler(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode))
         calls = []
-        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
-        chunk_rng = montecarlo.chunk_rng
-        monkeypatch.setattr(montecarlo, "chunk_rng",
-                            lambda seed, c: _SpyGenerator(chunk_rng(seed, c), calls))
-        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
-        spied = run_experiment(spec, trials, 3)
-        monkeypatch.setattr(montecarlo, "chunk_rng", chunk_rng)
-        assert spied == run_experiment(spec, trials, 3)
-        sizes = [chunk] * (trials // chunk) + [trials % chunk]
-        return calls, sizes
+        spy = _SpyGenerator(np.random.default_rng(3), calls)
+        plain = np.random.default_rng(3)
+        for size in self.SIZES:
+            assert draw(spy, size)[0].tobytes() == draw(plain, size)[0].tobytes()
+        return calls
 
-    def test_fixed_labels_draw_against_an_int_count(self, monkeypatch):
-        calls, sizes = self._spy_run(monkeypatch, LabelMode.FIXED_COUNTS)
+    def test_run_picks_one_sampler_by_n(self, monkeypatch):
+        """run_experiment builds one sampler per run, whatever its chunk
+        count: histograms up to _HISTOGRAM_MAX_N, binomials above."""
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 500)
+        picked = []
+        for name in ("_histogram_sampler", "_binomial_sampler"):
+            def build(spec, name=name, sampler=getattr(qubit_experiment, name)):
+                picked.append((name, spec.n))
+                return sampler(spec)
+            monkeypatch.setattr(qubit_experiment, name, build)
+        for n in (self.BINOMIAL_N - 1, self.BINOMIAL_N):
+            run_experiment(TrainingSetSpec(n=n, problem=SKEWED), 1200, 3)
+        assert picked == [("_histogram_sampler", _HISTOGRAM_MAX_N),
+                          ("_binomial_sampler", self.BINOMIAL_N)]
+
+    def test_fixed_labels_draw_against_an_int_count(self):
+        calls = self._spy_draws(_binomial_sampler, LabelMode.FIXED_COUNTS)
         n = self.BINOMIAL_N
         assert {name for name, _, _ in calls} == {"binomial"}
-        assert [size for _, _, size in calls] == [s for s in sizes for _ in range(6)]
+        assert [size for _, _, size in calls] == [s for s in self.SIZES for _ in range(6)]
         n0 = math.floor(0.4 * n + 0.5)
         counts = [(n0 + 2) // 3, (n0 + 1) // 3, n0 // 3,
                   (n - n0 + 2) // 3, (n - n0 + 1) // 3, (n - n0) // 3]
-        assert [m for _, m, _ in calls] == counts * len(sizes)
+        assert [m for _, m, _ in calls] == counts * len(self.SIZES)
         assert all(type(m) is int for _, m, _ in calls)
 
-    def test_random_labels_draw_against_sorted_counts(self, monkeypatch):
-        calls, sizes = self._spy_run(monkeypatch, LabelMode.RANDOM_LABELS)
+    def test_random_labels_draw_against_sorted_counts(self):
+        calls = self._spy_draws(_binomial_sampler, LabelMode.RANDOM_LABELS)
         assert {name for name, _, _ in calls} == {"binomial"}
         calls = [(m, size) for _, m, size in calls]
-        assert len(calls) == 7 * len(sizes)
-        for c, size in enumerate(sizes):
+        assert len(calls) == 7 * len(self.SIZES)
+        for c, size in enumerate(self.SIZES):
             labels, rho, sigma = calls[7 * c], calls[7 * c + 1:7 * c + 4], calls[7 * c + 4:7 * c + 7]
             assert labels == (self.BINOMIAL_N, size)
             for m, s in rho + sigma:
@@ -254,14 +298,14 @@ class TestCountSampler:
             assert rho[0][0][0] < rho[0][0][-1]  # the class sizes do vary
 
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
-    def test_histogram_path_draws_no_per_trial_count(self, monkeypatch, mode):
-        """Up to _HISTOGRAM_MAX_N a chunk makes no binomial or shuffle call:
-        one multinomial for the class sizes (random labels) and one per
-        axis, over one pmf row per class size drawn, then one permuted call
-        per class size over the five estimate rows after rho's x."""
-        calls, sizes = self._spy_run(monkeypatch, mode, n=_HISTOGRAM_MAX_N)
+    def test_histogram_path_draws_no_per_trial_count(self, mode):
+        """The histogram sampler makes no binomial or shuffle call: one
+        multinomial for the class sizes (random labels) and one per axis,
+        over one pmf row per class size drawn, then one permuted call per
+        class size over the five estimate rows after rho's x."""
+        calls = self._spy_draws(_histogram_sampler, mode, n=_HISTOGRAM_MAX_N)
         assert {name for name, _, _ in calls} == {"multinomial", "permuted"}
-        for size in sizes:
+        for size in self.SIZES:
             if mode is LabelMode.RANDOM_LABELS:
                 name, count, shape = calls.pop(0)
                 assert name == "multinomial"
@@ -302,10 +346,10 @@ class TestCountSampler:
 
 class TestCountTable:
     def test_rows_do_not_depend_on_build_order(self):
-        """Rows reached in any order, as the table widens below and above,
-        are the floats of one build of every row at the table's width."""
+        """Rows reached in any order, built ones mixed with new ones, are
+        the floats of one build of every row at the table's width."""
         p, top = 0.3, 40
-        want = _binomial_pmf_rows(np.arange(top + 1), p)[1]
+        want = _binomial_pmf_rows(np.arange(top + 1), p)
         for reached in ([[20, 22], [5, 6], [30, 40], [0, 39]], [[0, 40]],
                         [[40, 40], [0, 0]], [[9, 9, 3], [7], [4, 9, 11]]):
             table = _CountTable(p, top)
@@ -335,7 +379,8 @@ def _exact_pmf(m: int, p: float) -> list[float]:
 
 class TestBinomialPmfRows:
     def _check(self, m, p):
-        k, rows = _binomial_pmf_rows(np.array(m), p)
+        rows = _binomial_pmf_rows(np.array(m), p)
+        k = _count_grid(np.array(m), max(m) + 1)
         assert k.shape == rows.shape == (len(m), max(m) + 1)
         for k_g, row, m_g in zip(k, rows, m):
             pad = max(m) - m_g
@@ -359,9 +404,9 @@ class TestBinomialPmfRows:
         for p, k in ((0.0, 0 * m), (1.0, m)):
             want = np.zeros((3, 6))
             want[np.arange(3), k + 5 - m] = 1.0
-            assert _binomial_pmf_rows(m, p)[1].tolist() == want.tolist()
+            assert _binomial_pmf_rows(m, p).tolist() == want.tolist()
         # no copies: a point mass at any p
-        assert _binomial_pmf_rows(m, 0.3)[1][0].tolist() == [0] * 5 + [1]
+        assert _binomial_pmf_rows(m, 0.3)[0].tolist() == [0] * 5 + [1]
 
     @PROPERTY
     @given(m=st.lists(st.integers(0, 60), min_size=1, max_size=4),
@@ -583,8 +628,14 @@ class TestRunExperiment:
         ratio = means[10000] / means[2500]
         assert 0.15 <= ratio <= 0.35
 
-    def test_determinism_and_workers(self):
-        spec = TrainingSetSpec(n=500, problem=PLANAR)
+    # both samplers and both label modes, in 64-trial chunks on two CPUs, so
+    # that workers 3 starts a pool of two threads
+    @pytest.mark.parametrize("n", [500, 1500])
+    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
+    def test_determinism_and_workers(self, monkeypatch, n, mode):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 64)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        spec = TrainingSetSpec(n=n, problem=PLANAR, label_mode=mode)
         a = run_experiment(spec, 300, 41)
         b = run_experiment(spec, 300, 41)
         c = run_experiment(spec, 300, 41, workers=3)
