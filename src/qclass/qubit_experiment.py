@@ -182,10 +182,9 @@ class _CountTable:
 
     def __init__(self, p: float, top: int):
         self._p = p
-        # above 64 KB an anonymous map, so that only the pages of built rows
-        # become resident (calloc may clear a heap block in full)
-        size = 8 * (top + 1) ** 2
-        buf = mmap.mmap(-1, size) if size > 1 << 16 else bytearray(size)
+        # an anonymous map, so that only the pages of built rows become
+        # resident: a heap block may be resident before a row is written
+        buf = mmap.mmap(-1, 8 * (top + 1) ** 2)
         self._pmf = np.frombuffer(buf).reshape(top + 1, top + 1)
         self._built = np.zeros(top + 1, dtype=bool)
         self._lock = threading.Lock()
