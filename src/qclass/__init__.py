@@ -48,6 +48,7 @@ from .asymptotics import (
 from .gaussian_model import (
     StrategyKind,
     monte_carlo_risk,
+    monte_carlo_risks,
     optimal_estimate,
     plugin_estimate,
 )

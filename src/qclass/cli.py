@@ -39,7 +39,7 @@ from .asymptotics import (
     prior_correction,
     risk_report,
 )
-from .gaussian_model import StrategyKind, monte_carlo_risk
+from .gaussian_model import StrategyKind, monte_carlo_risks
 from .helstrom import (
     ClassificationProblem,
     TrivialityVerdict,
@@ -196,12 +196,10 @@ def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
         "param.u_x": float(u[0]), "param.u_y": float(u[1]), "param.u_z": float(u[2]),
         "param.v_x": float(v[0]), "param.v_y": float(v[1]), "param.v_z": float(v[2]),
     })
+    results = monte_carlo_risks(strategies, frame, pi0, u, v, trials, seed,
+                                delta=delta, workers=args.workers)
     rows = []
-    for strategy in strategies:
-        res = monte_carlo_risk(
-            strategy, frame, pi0, u, v, trials, seed,
-            delta=delta, workers=args.workers,
-        )
+    for strategy, res in zip(strategies, results):
         params = dict(base)
         params["param.strategy"] = strategy.value
         params["param.closed_form"] = closed_form[strategy]

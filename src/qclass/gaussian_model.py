@@ -37,10 +37,14 @@ both estimators are linear in independent normal outcomes.  Each residual
 component is therefore exactly normal, and the two are independent: the
 l0 component reads only X_r, X_s, the Q quadratures (or Q_l) and the prior
 count, the k0 component only the P quadratures (or Q_k), since
-(r0 + s0)_perp has no k0 part.  So ``monte_carlo_risk`` draws two standard
+(r0 + s0)_perp has no k0 part.  So ``monte_carlo_risks`` draws two standard
 normals per trial from this exact law instead of every outcome channel;
 no approximation is involved.  A pure state (r0 = 1) has a deterministic
 classical channel (variance 0), which adds nothing to the residual spread.
+Every strategy's residual law is a scaled and shifted copy of the same two
+standard normals, so one draw per chunk serves every strategy of a call
+(common random numbers): a strategy's result does not depend on which
+other strategies share the call.
 """
 
 from __future__ import annotations
@@ -191,6 +195,62 @@ def _residual_law(strategy: StrategyKind, frame: LocalFrame, pi0: float, u, v,
     return b_l, sigma_l, b_k, sigma_k
 
 
+# trials per pass of the k0 term, so its temporary stays small
+_BLOCK = 1 << 13
+
+
+def monte_carlo_risks(
+    strategies,
+    frame: LocalFrame,
+    pi0: float,
+    u,
+    v,
+    trials: int,
+    seed,
+    *,
+    delta: float = 0.0,
+    workers: int = 1,
+) -> list[ExperimentResult]:
+    """Mean quadratic loss of each strategy over the same seeded trials.
+
+    The loss is |z_perp - z_hat|^2 / (4 |d0|); with unknown priors the
+    target shifts to z_perp + delta*(r0 + s0)_perp and the estimator adds
+    the prior count Z ~ N(delta, pi0 pi1) times the same direction (the
+    risk is flat in delta, which defaults to 0).  Each chunk draws one
+    (2, size) array of standard normals, row 0 for the l0 and row 1 for the
+    k0 residual component, and every strategy's loss is evaluated
+    elementwise from it under the strategy's exact residual law
+    (``_residual_law``).  The strategies take turns in one loss buffer,
+    each reduced by ``run_chunked`` before the next is computed.  One
+    ExperimentResult per entry of ``strategies``, in order; each equals
+    ``monte_carlo_risk`` of that strategy alone.  Deterministic for fixed
+    seed regardless of ``workers``.
+    """
+    laws = [_residual_law(StrategyKind(strategy), frame, pi0, u, v, delta)
+            for strategy in strategies]
+    inv4d = 1.0 / (4.0 * frame.d0_norm)
+
+    def chunk_fn(rng, size):
+        z_l, z_k = rng.standard_normal((2, size))
+        loss = np.empty(size)
+        block = np.empty(min(size, _BLOCK))
+        for b_l, sigma_l, b_k, sigma_k in laws:
+            np.multiply(z_l, sigma_l, out=loss)
+            loss += b_l
+            np.square(loss, out=loss)
+            for lo in range(0, size, _BLOCK):
+                term = block[:min(_BLOCK, size - lo)]
+                np.multiply(z_k[lo:lo + _BLOCK], sigma_k, out=term)
+                term += b_k
+                np.square(term, out=term)
+                loss[lo:lo + _BLOCK] += term
+            loss *= inv4d
+            yield loss
+
+    moments = run_chunked(trials, seed, chunk_fn, workers=workers)
+    return [summarize(m, n=None) for m in moments]
+
+
 def monte_carlo_risk(
     strategy: StrategyKind,
     frame: LocalFrame,
@@ -203,31 +263,7 @@ def monte_carlo_risk(
     delta: float = 0.0,
     workers: int = 1,
 ) -> ExperimentResult:
-    """Mean quadratic loss of a strategy over seeded trials.
-
-    The loss is |z_perp - z_hat|^2 / (4 |d0|); with unknown priors the
-    target shifts to z_perp + delta*(r0 + s0)_perp and the estimator adds
-    the prior count Z ~ N(delta, pi0 pi1) times the same direction (the
-    risk is flat in delta, which defaults to 0).  Each chunk draws one
-    (2, size) array of standard normals, row 0 for the l0 and row 1 for the
-    k0 residual component, and evaluates the loss elementwise from the
-    exact residual law (``_residual_law``).  Deterministic for fixed seed
-    regardless of ``workers``.
-    """
-    strategy = StrategyKind(strategy)
-    b_l, sigma_l, b_k, sigma_k = _residual_law(strategy, frame, pi0, u, v, delta)
-    scale = np.array([[sigma_l], [sigma_k]])
-    shift = np.array([[b_l], [b_k]])
-    inv4d = 1.0 / (4.0 * frame.d0_norm)
-
-    def chunk_fn(rng, size):
-        z = rng.standard_normal((2, size))
-        z *= scale
-        z += shift
-        np.square(z, out=z)
-        loss = np.add(z[0], z[1])
-        loss *= inv4d
-        return loss
-
-    moments = run_chunked(trials, seed, chunk_fn, workers=workers)
-    return summarize(moments, n=None)
+    """``monte_carlo_risks`` of one strategy: the mean quadratic loss of
+    ``strategy`` over seeded trials."""
+    return monte_carlo_risks([strategy], frame, pi0, u, v, trials, seed,
+                             delta=delta, workers=workers)[0]

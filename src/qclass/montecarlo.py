@@ -9,9 +9,12 @@ chunk sorts them by class size), which the chunk size alone fixes.
 Each chunk is reduced to its Moments inside its task, and the Moments are
 merged in chunk-index order, which makes the result independent of how
 many workers evaluate the chunks; a run holds one chunk's values per
-worker thread, not one value per trial.  A run starts at most one thread
-per CPU this process may run on (its affinity mask, not the machine's CPU
-count).
+worker thread, not one value per trial.  A chunk may also yield several
+rows of values from one draw (one row per strategy of a Gaussian-model
+run): each row is reduced before the next is asked for, so a chunk
+function can write every row into one reused buffer, and the run keeps
+one Moments per row.  A run starts at most one thread per CPU this
+process may run on (its affinity mask, not the machine's CPU count).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -61,13 +64,19 @@ class Moments:
 
     @classmethod
     def of(cls, values: np.ndarray) -> Moments:
-        """Moments of one array, in numpy's order: ``mean`` is bit-identical
-        to ``values.mean()`` and ``m2 / (count - 1)`` to ``values.var(ddof=1)``."""
+        """Moments of one float array, in numpy's order: ``mean`` is
+        bit-identical to ``values.mean()`` and ``m2 / (count - 1)`` to
+        ``values.var(ddof=1)``.
+
+        Consumes ``values``: the deviations are formed and squared in place,
+        so no second array of its size is allocated, and the array holds
+        the squared deviations afterwards.
+        """
         mean = values.mean()
-        dev = values - mean
-        np.square(dev, out=dev)
-        zeros = int(np.count_nonzero(values == 0.0))
-        return cls(int(values.size), float(mean), float(dev.sum()), zeros)
+        zeros = values.size - np.count_nonzero(values)
+        values -= mean
+        np.square(values, out=values)
+        return cls(int(values.size), float(mean), float(values.sum()), zeros)
 
     def merge(self, other: Moments) -> Moments:
         """Moments of both batches (Chan, Golub and LeVeque's pairwise update)."""
@@ -98,14 +107,18 @@ def _usable_cpus() -> int:
 def run_chunked(
     trials: int,
     seed: Seed,
-    chunk_fn: Callable[[np.random.Generator, int], np.ndarray],
+    chunk_fn: Callable[[np.random.Generator, int], np.ndarray | Iterable[np.ndarray]],
     workers: int = 1,
-) -> Moments:
+) -> Moments | list[Moments]:
     """Moments of chunk_fn(rng, size) over all chunks, merged in chunk order.
 
-    Each chunk's values are reduced and released inside its task.  At most
-    ``min(workers, chunks, CPUs this process may run on)`` threads evaluate
-    the chunks.
+    chunk_fn returns one ``(size,)`` array, or an iterable of ``(size,)``
+    rows that is not an array; then the result is a list with one Moments
+    per row, and every chunk must yield the same number of rows.  Each row
+    is reduced by ``Moments.of`` (which consumes it) before the next is
+    asked for, so a chunk function may yield the same buffer for every
+    row.  At most ``min(workers, chunks, CPUs this process may run on)``
+    threads evaluate the chunks.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -113,18 +126,31 @@ def run_chunked(
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     n_chunks = (trials + CHUNK_SIZE - 1) // CHUNK_SIZE
 
-    def one(c: int) -> Moments:
+    def one(c: int) -> tuple[bool, list[Moments]]:
         size = min(CHUNK_SIZE, trials - c * CHUNK_SIZE)
-        out = np.asarray(chunk_fn(chunk_rng(seed, c), size), dtype=float)
-        if out.shape != (size,):
-            raise ValueError(f"chunk_fn returned shape {out.shape}, expected ({size},)")
-        return Moments.of(out)
+        out = chunk_fn(chunk_rng(seed, c), size)
+        single = isinstance(out, np.ndarray)
+        moments = []
+        for row in (out,) if single else out:
+            row = np.asarray(row, dtype=float)
+            if row.shape != (size,):
+                raise ValueError(f"chunk_fn returned shape {row.shape}, expected ({size},)")
+            moments.append(Moments.of(row))
+        return single, moments
+
+    def merge(acc: tuple[bool, list[Moments]], nxt: tuple[bool, list[Moments]]):
+        (single, rows), (_, more) = acc, nxt
+        if len(more) != len(rows):
+            raise ValueError(f"chunk_fn returned {len(more)} rows, expected {len(rows)}")
+        return single, [a.merge(b) for a, b in zip(rows, more)]
 
     threads = min(workers, n_chunks, _usable_cpus())
     if threads == 1:
-        return reduce(Moments.merge, map(one, range(n_chunks)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return reduce(Moments.merge, pool.map(one, range(n_chunks)))
+        single, moments = reduce(merge, map(one, range(n_chunks)))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            single, moments = reduce(merge, pool.map(one, range(n_chunks)))
+    return moments[0] if single else moments
 
 
 def summarize(

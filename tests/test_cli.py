@@ -411,6 +411,33 @@ class TestGaussianSim:
         assert main(["gaussian-sim", "--config", write_config(tmp_path, cfg)]) == 2
         assert "nontrivial" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_strategies_share_their_draws(self, tmp_path, monkeypatch, fmt):
+        """Three strategies in one config print the rows of three
+        one-strategy configs with the same seed, in order: each row's
+        value does not depend on the other strategies of its call."""
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
+        strategies = ["optimal_joint_unknown_priors", "optimal_joint", "heterodyne_plugin"]
+        cfg = {"problem": {"r0": [0.5, 0.2, -0.3], "s0": [-0.1, 0.6, 0.2], "pi0": 0.4},
+               "trials": 1000, "seed": 17, "u": [0.2, -0.1, 0.4], "v": [0.3, 0.2, -0.2],
+               "delta": 0.3, "format": fmt}
+
+        def printed(strategy):
+            out = tmp_path / "out.txt"
+            cfg_path = write_config(tmp_path, {**cfg, "strategy": strategy})
+            assert main(["gaussian-sim", "--config", cfg_path, "--out", str(out)]) == 0
+            return out.read_text()
+
+        together = printed(strategies)
+        alone = [printed([s]) for s in strategies]
+        if fmt == "csv":
+            header, *rows = together.splitlines(keepends=True)
+            singles = [text.splitlines(keepends=True) for text in alone]
+            assert all(lines[0] == header and len(lines) == 2 for lines in singles)
+            assert rows == [lines[1] for lines in singles]
+        else:
+            assert json.loads(together) == [row for text in alone for row in json.loads(text)]
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = {"problem": PLANAR_PROBLEM, "strategy": "optimal_joint",
                "trials": 5000, "seed": 1}

@@ -12,6 +12,7 @@ from qclass import (
     StrategyKind,
     build_frame,
     monte_carlo_risk,
+    monte_carlo_risks,
     optimal_estimate,
     optimal_minimax_risk,
     plugin_estimate,
@@ -27,7 +28,7 @@ from qclass.gaussian_model import (
     _residual_law,
     _residual_rows,
 )
-from qclass import gaussian_model
+from qclass import gaussian_model, montecarlo
 from qclass.montecarlo import chunk_rng
 
 from helpers import draw_outcomes, random_nontrivial_config
@@ -353,3 +354,68 @@ class TestMonteCarloRisk:
                 StrategyKind.OPTIMAL_JOINT, planar_frame(), 0.5,
                 (0, 0, 0), (0, 0, 0), trials=0, seed=1,
             )
+
+
+class _DrawSpy:
+    """Forwards to a chunk's Generator and records every draw asked of it."""
+
+    def __init__(self, gen, calls):
+        self._gen = gen
+        self._calls = calls
+
+    def __getattr__(self, name):
+        attr = getattr(self._gen, name)
+
+        def recorded(*args, **kwargs):
+            self._calls.append((name, args, kwargs))
+            return attr(*args, **kwargs)
+
+        return recorded
+
+
+class TestSharedDraw:
+    """One draw per chunk serves every strategy of a monte_carlo_risks call."""
+
+    LISTS = {
+        "all": list(StrategyKind),
+        "duplicate": [StrategyKind.HETERODYNE_PLUGIN, StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS,
+                      StrategyKind.HETERODYNE_PLUGIN],
+    }
+
+    # 1000 trials in chunks of 97: ten full chunks and a ragged one of 30
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(LISTS))
+    def test_each_result_equals_the_strategy_alone(self, monkeypatch, name, workers):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        pools = []
+        real_pool = montecarlo.ThreadPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", pool)
+        strategies = self.LISTS[name]
+        f = build_frame(*SKEWED)
+        kw = dict(trials=1000, seed=23, delta=0.3)
+        got = monte_carlo_risks(strategies, f, SKEWED[2], U, V, workers=workers, **kw)
+        assert pools == ([] if workers == 1 else [2])
+        alone = [monte_carlo_risk(s, f, SKEWED[2], U, V, **kw) for s in strategies]
+        assert got == alone
+        assert len({r.mean_rescaled_excess for r in got}) == len(set(strategies))
+
+    @pytest.mark.parametrize("count", [1, 3, 6])
+    def test_one_standard_normal_call_per_chunk(self, monkeypatch, count):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
+        f = build_frame(*SKEWED)
+        strategies = (list(StrategyKind) * 2)[:count]
+        kw = dict(trials=1000, seed=23, delta=0.3)
+        want = monte_carlo_risks(strategies, f, SKEWED[2], U, V, **kw)
+        calls = []
+        real_rng = montecarlo.chunk_rng
+        monkeypatch.setattr(montecarlo, "chunk_rng",
+                            lambda seed, c: _DrawSpy(real_rng(seed, c), calls))
+        assert monte_carlo_risks(strategies, f, SKEWED[2], U, V, **kw) == want
+        sizes = [97] * 10 + [30]
+        assert calls == [("standard_normal", ((2, size),), {}) for size in sizes]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qclass import build_frame, montecarlo
-from qclass.gaussian_model import StrategyKind, monte_carlo_risk
+from qclass.gaussian_model import StrategyKind, monte_carlo_risk, monte_carlo_risks
 from qclass.montecarlo import Moments, run_chunked, summarize
 
 
@@ -114,6 +114,75 @@ class TestSummary:
         finally:
             tracemalloc.stop()
         assert peak < 4 * chunk * 8
+
+
+def _rows(reuse):
+    """A chunk function yielding three scaled copies of one draw, written
+    into one reused buffer or into a fresh array each."""
+
+    def chunk_fn(rng, size):
+        values = _values(rng, size)
+        buffer = np.empty(size)
+        for scale in (0.5, 1.5, 2.5):
+            row = buffer if reuse else np.empty(size)
+            np.multiply(values, scale, out=row)
+            yield row
+
+    return chunk_fn
+
+
+class TestRows:
+    """A chunk function may yield several rows; run_chunked keeps one
+    Moments per row."""
+
+    def test_row_of_wrong_length_raises(self):
+        def chunk_fn(rng, size):
+            yield np.zeros(size)
+            yield np.zeros(size + 1)
+
+        with pytest.raises(ValueError, match="expected"):
+            run_chunked(10, 0, chunk_fn)
+
+    def test_chunks_with_different_row_counts_raise(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 4)
+        with pytest.raises(ValueError, match="expected"):
+            run_chunked(6, 0, lambda rng, size: [np.zeros(size)] * (size // 2))
+
+    def test_reused_buffer_equals_fresh_rows(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
+        fresh = run_chunked(1000, 3, _rows(reuse=False))
+        assert run_chunked(1000, 3, _rows(reuse=True)) == fresh
+        assert len(fresh) == 3
+        assert fresh[1] == run_chunked(1000, 3, lambda rng, size: _values(rng, size) * 1.5)
+
+    def test_rows_do_not_depend_on_workers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        results = [run_chunked(5000, 4, _rows(reuse=True), workers=w) for w in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+
+    def test_moments_of_consumes_its_input(self):
+        values = _values(np.random.default_rng(2), 1000)
+        want = (float(values.mean()), float(values.var(ddof=1)))
+        m = Moments.of(values)
+        assert (m.mean, m.m2 / (m.count - 1)) == want
+        assert float(values.sum()) == m.m2
+
+    def test_shared_draw_memory(self):
+        """Three strategies over eight chunks hold one (2, size) draw, one
+        loss buffer and a small block at a time, not a row per strategy."""
+        frame = build_frame((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
+        strategies = list(StrategyKind)
+        montecarlo.chunk_rng(0, 0)  # numpy.random loads on first use
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            monte_carlo_risks(strategies, frame, 0.4, (0.2, -0.1, 0.4), (0.3, 0.2, -0.2),
+                              trials=8 * montecarlo.CHUNK_SIZE, seed=5, delta=0.3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 2**20
 
 
 class _SerialPool:
