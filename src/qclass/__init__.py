@@ -3,7 +3,10 @@
 Closed-form asymptotic excess-risk constants for the optimal and plug-in
 learning strategies, exact Helstrom discrimination of known qubit pairs,
 and seeded Monte Carlo experiments (limit Gaussian model and finite-n
-qubit simulations) that reproduce the constants.
+qubit simulations) that reproduce the constants.  The root exports the
+closed-form layer, which loads without numpy; the simulators need numpy
+and are imported from ``qclass.gaussian_model``, ``qclass.qubit_experiment``
+and ``qclass.montecarlo``.
 """
 
 from .qubit_core import (
@@ -44,20 +47,6 @@ from .asymptotics import (
     risk_gap,
     risk_report,
     tomography_constant,
-)
-from .gaussian_model import (
-    StrategyKind,
-    monte_carlo_risk,
-    monte_carlo_risks,
-    optimal_estimate,
-    plugin_estimate,
-)
-from .montecarlo import CHUNK_SIZE, ExperimentResult
-from .qubit_experiment import (
-    LabelMode,
-    TrainingSetSpec,
-    rescaled_risk_curve,
-    run_experiment,
 )
 
 __version__ = "0.1.0"

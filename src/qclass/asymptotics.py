@@ -189,7 +189,7 @@ def tomography_constant(r0, s0, pi0: float, *, with_prior_term: bool = False) ->
     """
     frame = build_frame(r0, s0, pi0)
     pi1 = 1.0 - pi0
-    w = [1.0 - p * p for p in frame.p0.tolist()]
+    w = [1.0 - p * p for p in frame.p0]
     num = (
         3.0 * pi0 * sum((1.0 - x * x) * w_j for x, w_j in zip(as_float3(r0), w))
         + 3.0 * pi1 * sum((1.0 - x * x) * w_j for x, w_j in zip(as_float3(s0), w))

@@ -27,10 +27,9 @@ import io
 import itertools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .asymptotics import (
     RiskReport,
@@ -39,7 +38,6 @@ from .asymptotics import (
     prior_correction,
     risk_report,
 )
-from .gaussian_model import StrategyKind, monte_carlo_risks
 from .helstrom import (
     ClassificationProblem,
     TrivialityVerdict,
@@ -47,7 +45,6 @@ from .helstrom import (
     triviality_check,
 )
 from .local_geometry import build_frame
-from .qubit_experiment import LabelMode, rescaled_risk_curve
 
 
 class ConfigError(ValueError):
@@ -68,9 +65,10 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    # the concrete type first: an abstract-class check costs several times more
+    if isinstance(x, (int, numbers.Integral)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, (float, numbers.Real)):
         return format(float(x), ".17g")
     return str(x)
 
@@ -98,24 +96,24 @@ def _require(cfg: dict, key: str, kind, what: str):
     return float(value) if kind is float else value
 
 
-def _parse_vec3(cfg: dict, key: str) -> np.ndarray:
+def _parse_vec3(cfg: dict, key: str) -> tuple[float, float, float]:
     raw = _require(cfg, key, list, "a list of 3 finite numbers")
     if len(raw) != 3 or not all(_finite_number(x) for x in raw):
         raise ConfigError(f"config field '{key}' must be a list of 3 finite numbers, got {raw!r}")
-    return np.array(raw, dtype=float)
+    return tuple(map(float, raw))
 
 
-def _parse_problem(cfg: dict) -> tuple[np.ndarray, np.ndarray, float]:
+def _parse_problem(cfg: dict) -> tuple[tuple, tuple, float]:
     problem = _require(cfg, "problem", dict, "an object with r0, s0, pi0")
     r0 = _parse_vec3(problem, "r0")
     s0 = _parse_vec3(problem, "s0")
     pi0 = _require(problem, "pi0", float, "a finite number")
     if not 0.0 < pi0 < 1.0:
         raise ConfigError(f"pi0 must lie strictly in (0, 1), got {pi0}")
-    for name, vec in (("r0", r0), ("s0", s0)):
-        if float(np.linalg.norm(vec)) > 1.0 + 1e-12:
-            raise ConfigError(f"{name} must lie in the Bloch ball, norm is "
-                              f"{float(np.linalg.norm(vec))}")
+    for name, (x, y, z) in (("r0", r0), ("s0", s0)):
+        norm = math.sqrt(x * x + y * y + z * z)  # the norm BlochVector checks
+        if norm > 1.0 + 1e-12:
+            raise ConfigError(f"{name} must lie in the Bloch ball, norm is {norm}")
     return r0, s0, pi0
 
 
@@ -149,7 +147,8 @@ def cmd_report(cfg: dict, args) -> list[ResultRow]:
     return _report_rows(r0, s0, pi0, _problem_params(r0, s0, pi0))
 
 
-def _parse_strategies(cfg: dict) -> list[StrategyKind]:
+def _parse_strategies(cfg: dict) -> list:
+    from .gaussian_model import StrategyKind
     raw = cfg.get("strategy")
     if raw is None:
         raise ConfigError("missing required config field 'strategy' "
@@ -175,13 +174,14 @@ def _parse_seed(cfg: dict, args) -> int:
 
 
 def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
+    from .gaussian_model import StrategyKind, monte_carlo_risks
     r0, s0, pi0 = _parse_problem(cfg)
     frame = build_frame(r0, s0, pi0)  # rejects zero-length and trivial problems
     strategies = _parse_strategies(cfg)
     trials = _require(cfg, "trials", int, "an integer >= 1")
     seed = _parse_seed(cfg, args)
-    u = _parse_vec3(cfg, "u") if "u" in cfg else np.zeros(3)
-    v = _parse_vec3(cfg, "v") if "v" in cfg else np.zeros(3)
+    u = _parse_vec3(cfg, "u") if "u" in cfg else (0.0, 0.0, 0.0)
+    v = _parse_vec3(cfg, "v") if "v" in cfg else (0.0, 0.0, 0.0)
     delta = _require(cfg, "delta", float, "a finite number") if "delta" in cfg else 0.0
 
     closed_form = {
@@ -209,6 +209,7 @@ def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
 
 
 def cmd_qubit_sim(cfg: dict, args) -> list[ResultRow]:
+    from .qubit_experiment import LabelMode, rescaled_risk_curve
     r0, s0, pi0 = _parse_problem(cfg)
     n_list = _require(cfg, "n_list", list, "a nonempty ascending list of integers")
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in n_list):
@@ -258,8 +259,8 @@ def cmd_sweep(cfg: dict, args) -> list[ResultRow]:
             raise ConfigError(f"sweep pi0 values must lie strictly in (0, 1), got {pi0}")
         if not 0.0 < r_len <= 1.0 or not 0.0 < s_len <= 1.0:
             raise ConfigError("sweep Bloch lengths must lie in (0, 1]")
-        r0 = np.array([0.0, 0.0, r_len])
-        s0 = s_len * np.array([math.sin(angle), 0.0, math.cos(angle)])
+        r0 = (0.0, 0.0, r_len)
+        s0 = (s_len * math.sin(angle), 0.0, s_len * math.cos(angle))
         params = _problem_params(r0, s0, pi0)
         params.update({
             "param.r0_len": r_len, "param.s0_len": s_len, "param.angle": angle,
@@ -359,7 +360,7 @@ def main(argv=None) -> int:
         # ConfigError, or a module precondition violated by config values
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -197,6 +197,9 @@ def _residual_law(strategy: StrategyKind, frame: LocalFrame, pi0: float, u, v,
 
 # trials per pass of the k0 term, so its temporary stays small
 _BLOCK = 1 << 13
+# numpy's standard_normal never returns |z| above 13.8: its ziggurat tail
+# is r - log(U)/r with r = 3.654 and U >= 2**-53
+_Z_MAX = 14.0
 
 
 def monte_carlo_risks(
@@ -220,15 +223,26 @@ def monte_carlo_risks(
     (2, size) array of standard normals, row 0 for the l0 and row 1 for the
     k0 residual component, and every strategy's loss is evaluated
     elementwise from it under the strategy's exact residual law
-    (``_residual_law``).  The strategies take turns in one loss buffer,
+    (``_residual_law``).  Before any draw, a law that is not finite, or
+    whose loss or its trial summary could overflow, raises NumericalError
+    naming the strategy.  The strategies take turns in one loss buffer,
     each reduced by ``run_chunked`` before the next is computed.  One
     ExperimentResult per entry of ``strategies``, in order; each equals
     ``monte_carlo_risk`` of that strategy alone.  Deterministic for fixed
     seed regardless of ``workers``.
     """
-    laws = [_residual_law(StrategyKind(strategy), frame, pi0, u, v, delta)
-            for strategy in strategies]
     inv4d = 1.0 / (4.0 * frame.d0_norm)
+    laws = []
+    for strategy in map(StrategyKind, strategies):
+        b_l, sigma_l, b_k, sigma_k = law = _residual_law(strategy, frame, pi0, u, v, delta)
+        # the largest loss a draw can give; trials times its square bounds
+        # every sum the trial summary forms, and a non-finite law fails too
+        top_l, top_k = _Z_MAX * sigma_l + abs(b_l), _Z_MAX * sigma_k + abs(b_k)
+        top = (top_l * top_l + top_k * top_k) * inv4d
+        if not math.isfinite(trials * top * top):
+            raise NumericalError(f"strategy {strategy.value}: the loss overflows "
+                                 "(u, v or delta too large)")
+        laws.append(law)
 
     def chunk_fn(rng, size):
         z_l, z_k = rng.standard_normal((2, size))

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .qubit_core import BlochVector, Projector
 
 
@@ -82,8 +80,9 @@ def pauli_data(r, s, pi0):
     dy = pi0 * r.y - pi1 * s.y
     dz = pi0 * r.z - pi1 * s.z
     dd = dx * dx + dy * dy + dz * dz
-    # both square roots are correctly rounded, so the two routes agree bitwise
-    dn = math.sqrt(dd) if isinstance(dd, float) else np.sqrt(dd)
+    # both square roots are correctly rounded, so the two routes agree
+    # bitwise; numpy evaluates an array's ** 0.5 as np.sqrt
+    dn = math.sqrt(dd) if isinstance(dd, float) else dd ** 0.5
     return 0.5 * (pi0 - pi1), dx, dy, dz, dn
 
 
@@ -118,6 +117,7 @@ def excess_trace(data, rank, px, py, pz):
     When both eigenvalues of A share a sign, P* and a matching P use the
     same summands, so the trivial regime yields exactly 0.0.
     """
+    import numpy as np  # here, so that the closed-form layer loads without it
     alpha, dx, dy, dz, dn = data
     lo = alpha - 0.5 * dn
     hi = alpha + 0.5 * dn

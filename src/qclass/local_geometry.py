@@ -44,8 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .helstrom import TrivialityVerdict, pauli_data, verdict_of
 from .qubit_core import BlochVector, as_float3
 
@@ -62,13 +60,13 @@ class NumericalError(ArithmeticError):
 class LocalFrame:
     """Reference frame, angles and norms of a nontrivial configuration.
 
-    The unit vectors are length-3 numpy arrays; the angles and norms are
+    The unit vectors are float triples (x, y, z); the angles and norms are
     floats and are all that the closed-form constants read.
     """
 
-    p0: np.ndarray
-    l0: np.ndarray
-    k0: np.ndarray
+    p0: tuple[float, float, float]
+    l0: tuple[float, float, float]
+    k0: tuple[float, float, float]
     sin_phi0: float
     cos_phi0: float
     sin_phi1: float
@@ -144,7 +142,6 @@ def build_frame(r0, s0, pi0: float) -> LocalFrame:
     sin_phi1 = -_dot(s_hat, p0)
     cos_phi1 = _dot(s_hat, l0)
 
-    p0, l0, k0 = np.array((p0, l0, k0))
     frame = LocalFrame(
         p0=p0, l0=l0, k0=k0,
         sin_phi0=sin_phi0, cos_phi0=cos_phi0,

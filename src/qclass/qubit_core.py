@@ -8,8 +8,8 @@ alone: no 2x2 matrix is ever built, and results are exact up to a handful
 of rounding operations (the positive-part rule lives in qclass.helstrom).
 
 Direction and difference vectors (measurement axes, d = pi0*r - pi1*s, ...)
-carry no norm constraint and are passed around as plain float triples or
-length-3 numpy arrays.
+carry no norm constraint and are passed around as plain float triples.
+This module, like the rest of the closed-form layer, loads without numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
-
-import numpy as np
 
 # Absolute tolerance for norm checks.  All inputs are analytically
 # constructed, so 1e-12 only absorbs rounding.
@@ -53,7 +51,7 @@ class BlochVector:
     """Bloch vector of a qubit state; the norm must not exceed 1.
 
     Only state vectors are wrapped in this type.  Unconstrained 3-vectors
-    (directions, differences) stay plain float triples or numpy arrays.
+    (directions, differences) stay plain float triples.
     """
 
     x: float
@@ -71,7 +69,8 @@ class BlochVector:
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np  # here, so that the closed-form layer loads without it
         return np.array([self.x, self.y, self.z])
 
     @classmethod

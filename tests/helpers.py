@@ -38,16 +38,15 @@ import numpy as np
 from qclass import (
     BlochVector,
     ClassificationProblem,
-    ExperimentResult,
     InvalidStateError,
-    LabelMode,
     Projector,
     excess_risk,
     pauli_data,
     positive_part,
 )
-from qclass.montecarlo import run_chunked, summarize
+from qclass.montecarlo import ExperimentResult, run_chunked, summarize
 from qclass.qubit_core import ATOL, as_float3
+from qclass.qubit_experiment import LabelMode
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -149,7 +148,8 @@ def estimator_to_projector(z_hat, frame, n: int) -> Projector:
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     z_l, z_k = z_hat
-    vec = frame.d0_norm * frame.p0 + (z_l * frame.l0 + z_k * frame.k0) / math.sqrt(n)
+    p0, l0, k0 = np.asarray(frame.p0), np.asarray(frame.l0), np.asarray(frame.k0)
+    vec = frame.d0_norm * p0 + (z_l * l0 + z_k * k0) / math.sqrt(n)
     vec = vec / float(np.linalg.norm(vec))
     return Projector(rank=1, bloch=BlochVector.from_array(vec))
 
@@ -188,10 +188,11 @@ def cartesian_frames(frame, r0, s0) -> CartesianFrames:
     """The a- and b-frames of the LocalFrame ``frame`` built from r0 and s0."""
     r0 = np.asarray(r0, dtype=float)
     s0 = np.asarray(s0, dtype=float)
-    a1 = -frame.cos_phi0 * frame.p0 + frame.sin_phi0 * frame.l0
-    b1 = -frame.cos_phi1 * frame.p0 - frame.sin_phi1 * frame.l0
-    return CartesianFrames(a1, frame.k0, r0 / frame.r0_norm,
-                           b1, frame.k0, s0 / frame.s0_norm, r0, s0)
+    p0, l0, k0 = np.asarray(frame.p0), np.asarray(frame.l0), np.asarray(frame.k0)
+    a1 = -frame.cos_phi0 * p0 + frame.sin_phi0 * l0
+    b1 = -frame.cos_phi1 * p0 - frame.sin_phi1 * l0
+    return CartesianFrames(a1, k0, r0 / frame.r0_norm,
+                           b1, k0, s0 / frame.s0_norm, r0, s0)
 
 
 def local_states(frames: CartesianFrames, u, v, n: int) -> tuple[DensityMatrix, DensityMatrix]:

@@ -11,13 +11,9 @@ import numpy as np
 
 from qclass import (
     ClassificationProblem,
-    LabelMode,
-    StrategyKind,
-    TrainingSetSpec,
     build_frame,
     classical_risk_term,
     excess_risk,
-    monte_carlo_risk,
     optimal_minimax_risk,
     plugin_risk,
     prior_correction,
@@ -25,10 +21,11 @@ from qclass import (
     relative_perp,
     risk_gap,
     risk_report,
-    run_experiment,
     tomography_constant,
 )
 from qclass.cli import main
+from qclass.gaussian_model import StrategyKind, monte_carlo_risk
+from qclass.qubit_experiment import LabelMode, TrainingSetSpec, run_experiment
 
 from helpers import (
     PerpEstimate,

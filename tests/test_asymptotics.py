@@ -173,7 +173,8 @@ class TestGapGeometry:
             f = build_frame(r, s, pi0)
             g = cartesian_frames(f, r, s)
             t = g.r0_vec + g.s0_vec
-            t_perp = t - (t @ f.p0) * f.p0
+            p0 = np.asarray(f.p0)
+            t_perp = t - (t @ p0) * p0
             pc = prior_correction(f, pi0)
             assert pc >= 0.0
             if np.linalg.norm(t_perp) > 1e-6:

@@ -10,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,32 +325,64 @@ class TestParserReuse:
 class TestFloatReportPath:
     """A report is computed in plain floats, from Bloch vectors alone."""
 
-    def test_report_builds_no_matrix_and_no_numpy_vector(self, tmp_path, monkeypatch):
-        """Guards the saving: after a warm-up call, three reports (a generic,
-        a near-antiparallel and an exactly antiparallel pair, the last on the
-        coordinate-axis fallback) call np.linalg.norm, np.cross and np.dot
-        only in the config check of _parse_problem (its Bloch-ball norm),
-        outside the closed-form layers."""
-        problems = [PLANAR_PROBLEM, TestNumericalFailure.NEAR_ANTIPARALLEL,
-                    {"r0": [0, 0, 0.9], "s0": [0, 0, -0.3], "pi0": 0.4}]
-        argvs = [["report", "--config", write_config(tmp_path, {"problem": p}, f"{i}.json")]
-                 for i, p in enumerate(problems)]
-        assert main(argvs[0]) == 0
-        calls = []
+    # closed-form runs compared in process and under python -S, where numpy
+    # cannot be imported: (command, config, format, exit code)
+    STDLIB_RUNS = {
+        "report-csv": ("report", {"problem": PLANAR_PROBLEM}, "csv", 0),
+        "report-json": ("report", {"problem": PLANAR_PROBLEM}, "json", 0),
+        "report-near-antiparallel": (
+            "report", {"problem": TestNumericalFailure.NEAR_ANTIPARALLEL}, "csv", 0),
+        # exactly antiparallel: the coordinate-axis fallback of the frame
+        "report-antiparallel": (
+            "report", {"problem": {"r0": [0, 0, 0.9], "s0": [0, 0, -0.3], "pi0": 0.4}},
+            "csv", 0),
+        "report-trivial": (
+            "report", {"problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9}},
+            "json", 0),
+        "sweep-csv": ("sweep", {"sweep": {"r0_len": [0.9, 1.0], "s0_len": [0.3, 1.0],
+                                          "angle": [0.0, 0.7, math.pi], "pi0": [0.4, 0.5]}},
+                      "csv", 0),
+        "sweep-json": ("sweep", {"sweep": {"r0_len": [0.9], "s0_len": [0.3],
+                                           "angle": [0.0, math.pi / 2], "pi0": [0.4]}},
+                       "json", 0),
+        "report-outside-ball": (
+            "report", {"problem": {"r0": [0.8, 0.7, 0.0], "s0": [0, 0.6, 0], "pi0": 0.5}},
+            "csv", 2),
+        # near-antiparallel with |r0| = 1e-160: its sum of squares is
+        # subnormal, so r0/|r0| is no unit vector and the frame check fails
+        "report-near-parallel-underflow": (
+            "report", {"problem": {"r0": [1e-160, 0, 0], "s0": [-0.5, 1e-9, 0], "pi0": 0.5}},
+            "csv", 3),
+    }
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append((name, sys._getframe(1).f_code.co_name))
-                return fn(*args, **kwargs)
-            return wrapper
+    @pytest.mark.parametrize("case", sorted(STDLIB_RUNS))
+    def test_report_and_sweep_run_without_numpy(self, tmp_path, capsys, case):
+        """report and sweep need only the standard library: under python -S
+        (no site-packages, so no numpy) they print the same bytes and exit
+        with the same code as in process."""
+        command, cfg, fmt, code = self.STDLIB_RUNS[case]
+        argv = [command, "--config", write_config(tmp_path, cfg), "--format", fmt]
+        capsys.readouterr()
+        assert main(argv) == code
+        in_process = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=str(Path(qclass.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-S", "-m", "qclass.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == in_process.encode()
+        assert b"Traceback" not in proc.stderr
+        assert (proc.stdout == b"") == (code != 0)
 
-        monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm))
-        monkeypatch.setattr(np, "cross", counting("cross", np.cross))
-        monkeypatch.setattr(np, "dot", counting("dot", np.dot))
-        for argv in argvs:
-            assert main(argv) == 0
-        assert calls  # the counters are live
-        assert {caller for _, caller in calls} == {"_parse_problem"}
+    def test_cli_import_loads_no_numpy(self):
+        """numpy is importable here, yet the package root and the CLI leave it
+        unloaded; the simulators import it when a simulation runs."""
+        env = dict(os.environ, PYTHONPATH=str(Path(qclass.__file__).parents[1]))
+        code = ("import qclass, qclass.cli, sys; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'numpy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_library_has_no_matrix_route(self):
         """No qclass module defines a density matrix or a Pauli matrix; the
@@ -379,6 +412,32 @@ class TestGaussianSim:
             stderr = float(row["stderr"])
             theory = float(row["param.closed_form"])
             assert abs(mean - theory) <= 3 * stderr
+
+    @pytest.mark.parametrize("u, strategies, named", [
+        # the residual offset itself overflows
+        ([1e308] * 3, ["optimal_joint", "heterodyne_plugin"], "optimal_joint"),
+        # a finite offset whose squared loss would overflow the trial
+        # summary; the plug-in's offset cancels exactly, so it passes
+        ([1e150] * 3, ["heterodyne_plugin", "optimal_joint_unknown_priors"],
+         "optimal_joint_unknown_priors"),
+    ])
+    def test_overflowing_local_parameters_exit_3(self, tmp_path, capsys, monkeypatch,
+                                                 u, strategies, named):
+        """Huge finite local parameters fail before any draw, naming the
+        strategy, where they printed inf or nan after RuntimeWarnings."""
+        def no_draw(*args):
+            raise AssertionError("a chunk generator was built")
+
+        monkeypatch.setattr(montecarlo, "chunk_rng", no_draw)
+        cfg = {"problem": PLANAR_PROBLEM, "strategy": strategies, "trials": 1000,
+               "seed": 1, "u": u}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["gaussian-sim", "--config", write_config(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert f"numerical error: strategy {named}: the loss overflows" in captured.err
 
     def test_pure_state_normalised_in_floating_point(self, tmp_path):
         """|r0| = 1 + 2.2e-16 passes the Bloch-ball check; the classical

@@ -9,24 +9,24 @@ import pytest
 
 from qclass import (
     NumericalError,
-    StrategyKind,
     build_frame,
-    monte_carlo_risk,
-    monte_carlo_risks,
-    optimal_estimate,
     optimal_minimax_risk,
-    plugin_estimate,
     plugin_risk,
     prior_correction,
     quantum_risk_term,
     relative_perp,
 )
 from qclass.gaussian_model import (
+    StrategyKind,
     _heterodyne_params,
     _joint_params,
     _prior_direction,
     _residual_law,
     _residual_rows,
+    monte_carlo_risk,
+    monte_carlo_risks,
+    optimal_estimate,
+    plugin_estimate,
 )
 from qclass import gaussian_model, montecarlo
 from qclass.montecarlo import chunk_rng

@@ -1,5 +1,7 @@
 """Tests for the oracle classifier: projector, risk, excess risk, triviality."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,23 @@ class TestHelstromProjector:
         assert positive_eigenprojector(weighted_operator(same)).rank == 0
         with pytest.raises(DegenerateProblemError):
             helstrom_projector(same)
+
+
+class TestPauliData:
+    def test_array_square_root_is_np_sqrt(self):
+        """pauli_data takes |d| of an array as dd ** 0.5, so that helstrom
+        imports no numpy; numpy must evaluate it as np.sqrt, bit for bit,
+        and both must match math.sqrt, which a float takes."""
+        tiny = np.finfo(float).tiny
+        special = [0.0, -0.0, 5e-324, 1e-320, tiny / 3, tiny, 1e-300, 3.7e-300,
+                   1e300, 3.7e300, np.finfo(float).max, np.inf, 0.25, 1.0, 2.0]
+        rng = np.random.default_rng(5)
+        x = np.concatenate([special, rng.random(4096) * 10.0 ** rng.integers(-307, 308, 4096)])
+        root = x ** 0.5
+        assert root.dtype == np.float64
+        assert np.array_equal(root.view(np.int64), np.sqrt(x).view(np.int64))
+        assert np.array_equal(root.view(np.int64),
+                              np.array([math.sqrt(v) for v in x]).view(np.int64))
 
 
 class TestClassificationProblem:

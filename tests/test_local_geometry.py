@@ -79,7 +79,8 @@ class TestBuildFrame:
             f = build_frame(r, s, pi0)
             g = cartesian_frames(f, r, s)
             pi1 = 1 - pi0
-            for triple in ((f.p0, f.l0, f.k0), (g.a1, g.a2, g.a3), (g.b1, g.b2, g.b3)):
+            p0, l0, k0 = np.asarray(f.p0), np.asarray(f.l0), np.asarray(f.k0)
+            for triple in ((p0, l0, k0), (g.a1, g.a2, g.a3), (g.b1, g.b2, g.b3)):
                 gram = np.array(triple) @ np.array(triple).T
                 np.testing.assert_allclose(gram, np.eye(3), atol=1e-9)
                 # right-handed
@@ -87,9 +88,9 @@ class TestBuildFrame:
                                            atol=1e-9)
             # the states lie in the (p0, l0) plane at the frame's angles
             np.testing.assert_allclose(
-                g.a3, f.sin_phi0 * f.p0 + f.cos_phi0 * f.l0, atol=1e-12)
+                g.a3, f.sin_phi0 * p0 + f.cos_phi0 * l0, atol=1e-12)
             np.testing.assert_allclose(
-                g.b3, -f.sin_phi1 * f.p0 + f.cos_phi1 * f.l0, atol=1e-12)
+                g.b3, -f.sin_phi1 * p0 + f.cos_phi1 * l0, atol=1e-12)
             assert f.sin_phi0**2 + f.cos_phi0**2 == pytest.approx(1.0, abs=1e-12)
             assert f.sin_phi1**2 + f.cos_phi1**2 == pytest.approx(1.0, abs=1e-12)
             assert f.cos_phi0 >= 0 and f.cos_phi1 >= 0
@@ -184,7 +185,7 @@ class TestEstimatorToProjector:
         # antipodal pure: |d0| = 1, so the perturbation is z_hat/sqrt(n) exactly
         f = build_frame((0, 0, 1.0), (0, 0, -1.0), 0.5)
         proj = estimator_to_projector(PerpEstimate(1.0, 0.0), f, 10**6)
-        expected = f.p0 + 0.001 * f.l0
+        expected = np.asarray(f.p0) + 0.001 * np.asarray(f.l0)
         expected /= np.linalg.norm(expected)
         np.testing.assert_allclose(proj.bloch.as_array(), expected, atol=1e-15)
 

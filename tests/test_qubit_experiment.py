@@ -11,19 +11,17 @@ from hypothesis import strategies as st
 from qclass import (
     BlochVector,
     ClassificationProblem,
-    LabelMode,
-    TrainingSetSpec,
     error_probability,
     excess_risk,
     helstrom_risk,
     pauli_data,
     positive_part,
-    rescaled_risk_curve,
-    run_experiment,
     tomography_constant,
 )
 from qclass import montecarlo, qubit_experiment
 from qclass.qubit_experiment import (
+    LabelMode,
+    TrainingSetSpec,
     _HISTOGRAM_MAX_N,
     _Columns,
     _CountTable,
@@ -33,6 +31,8 @@ from qclass.qubit_experiment import (
     _count_grid,
     _histogram_sampler,
     _plugin_excess,
+    rescaled_risk_curve,
+    run_experiment,
 )
 from helpers import (
     axis_counts,
