@@ -15,6 +15,7 @@ This module, like the rest of the closed-form layer, loads without numpy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 
@@ -67,7 +68,12 @@ class BlochVector:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        squares = self.x * self.x + self.y * self.y + self.z * self.z
+        # below the smallest normal float the squares lose their digits
+        # (|r| < ~1e-154); math.hypot scales them first
+        if squares < sys.float_info.min:
+            return math.hypot(self.x, self.y, self.z)
+        return math.sqrt(squares)
 
     def as_array(self):
         import numpy as np  # here, so that the closed-form layer loads without it

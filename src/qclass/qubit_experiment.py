@@ -10,13 +10,25 @@ the positive eigenspace of pi0_hat*rho_hat - pi1_hat*sigma_hat.
 The average of the m_j outcomes +/-1 on axis j depends on them only
 through the number k_j of +1 outcomes, k_j ~ Binomial(m_j, (1 + r_j)/2),
 so each trial needs six counts instead of n outcomes; a whole chunk of
-trials is evaluated as arrays.  run_experiment picks one of two samplers
-by n, once per run.  Each draws a chunk's class sizes as groups of equal
-class size, then each axis's counts for all of them: _histogram_sampler
-as one multinomial over the groups' count histograms, from pmf rows
-built once per run, with the six axes paired at random by one
-permutation call per group; _binomial_sampler as one binomial call at a
-cost that is the same at every n.  An axis measured on zero copies (a
+trials is evaluated as arrays.  run_experiment picks one of three
+samplers once per run.  Each draws a chunk's class sizes as groups of
+equal class size, then each axis's counts for all of them:
+
+* _fixed_label_sampler, fixed labels (one group): one multinomial per
+  axis over a windowed Binomial(m_j, p_j) pmf row, then one permutation
+  call pairs the axes.  It is picked when its estimated cost, about
+  sum_j 8 sigma_j multinomial cells plus five shuffles of the chunk, is
+  below that of six binomial draws per trial; the estimate reads only
+  the spec, the trial count and the chunk size.
+* _histogram_sampler, random labels up to n = _HISTOGRAM_MAX_N: one
+  multinomial over the groups' full pmf rows per axis, paired by one
+  permutation call per group.
+* _binomial_sampler otherwise: one binomial call per axis, at a cost
+  that is the same at every n.
+
+The pmf rows and tables depend only on their keys and are kept for the
+process in two caches of at most 16 MiB each, so a run's output does not
+depend on what ran before it.  An axis measured on zero copies (a
 class with fewer than three copies) estimates 0, so every trial has a
 defined outcome: with no copies of a class its estimate is the maximally
 mixed state, and an estimated prior of 0 or 1 gives the rank-0 or rank-2
@@ -33,6 +45,7 @@ from __future__ import annotations
 import math
 import mmap
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -40,6 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .helstrom import ClassificationProblem, excess_trace, pauli_data, positive_rank
+from . import montecarlo
 from .montecarlo import ExperimentResult, run_chunked, summarize
 from .qubit_core import BlochVector
 
@@ -95,15 +109,28 @@ class _Columns(NamedTuple):
 # chunk's peak memory is set by the six count draws, not by the kernel.
 _KERNEL_BLOCK = 8192
 
-# Largest n that run_experiment gives to _histogram_sampler.  A
-# histogram chunk costs a multinomial step per (class size, count) cell,
-# O(n^1.5) cells per axis with random labels, plus O(size) repeats and
-# permutations, and each pmf row it needs once per run.  numpy's per-trial
-# binomial costs grow with m * min(p, 1 - p) up to its BTPE switch and
-# then stay flat.  On the README anchor with random labels (2-vCPU box,
-# in-process) the histogram path is 6x faster at n = 300, 1.5x at n =
-# 1500 and 3x slower at n = 3000.
+# Largest n that run_experiment gives to _histogram_sampler with random
+# labels.  Such a chunk costs a multinomial step per (class size, count)
+# cell, O(n^1.5) cells per axis, plus O(size) repeats and permutations;
+# its full-width pmf rows are built once per process (_COUNT_TABLES).
+# numpy's per-trial binomial costs grow with m * min(p, 1 - p) up to its
+# BTPE switch and then stay flat.  On the README anchor with random labels
+# (2-vCPU box, in-process) the histogram path is 6x faster at n = 300,
+# 1.5x at n = 1500 and 3x slower at n = 3000.  Fixed labels are one group,
+# whose windowed rows (_binomial_window) have O(sigma) cells, so they
+# choose their draw by estimated cost instead (_fixed_histograms_cheaper).
 _HISTOGRAM_MAX_N = 1024
+
+# Costs of the fixed-label histogram draw, in units of one per-trial
+# binomial draw (numpy's BTPE, ~45 ns on a 2-vCPU Xeon): a multinomial
+# cell is a binomial draw with new parameters, ~125 ns; an element of a
+# shuffled row (rng.permuted, plus its np.repeat) ~16 ns.
+_CELL_COST = 3.0
+_SHUFFLE_COST = 0.35
+
+# Probability mass a windowed pmf row may leave out, 2^-64: far below the
+# rounding (2^-53 relative) of the cells it keeps.
+_WINDOW_TAIL = 2.0 ** -64
 
 
 def _axis_probability(r_j: float) -> float:
@@ -171,13 +198,87 @@ def _binomial_pmf_rows(m: np.ndarray, p: float, width: int | None = None) -> np.
     return pmf
 
 
+def _binomial_window(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, pmf) of Binomial(m, p) on a window around the mode, the
+    cells in order of decreasing probability: from the mode outward.
+
+    The window holds every count k with |k - m p| <= t, clipped to 0..m.
+    Bernstein's inequality, P(|k - m p| >= t) <= 2 exp(-t^2 / (2 (v +
+    t/3))) with v = m p (1 - p), gives the t at which the dropped mass is
+    at most _WINDOW_TAIL = 2^-64, so a row has about 19 sigma + 31 cells.
+    It is built in O(window), not O(m): each cell relative to the mode is
+    the exp of a cumulative sum of log((m - k)/(k + 1)) + log(p/q) (up) or
+    its negative (down), and the row is normalised to sum 1.  Its floats
+    depend only on (m, p); p in {0, 1} and m = 0 are exact point masses.
+    Both arrays are read-only.
+    """
+    if m == 0 or p == 0.0 or p == 1.0:
+        counts, pmf = np.array([m if p == 1.0 else 0]), np.ones(1)
+    else:
+        log_odds = math.log(p) - math.log1p(-p)
+        mean = m * p
+        log_tail = -math.log(_WINDOW_TAIL / 2.0)
+        t = log_tail / 3.0 + math.sqrt(log_tail**2 / 9.0 + 2.0 * log_tail * mean * (1.0 - p))
+        mode = min(math.floor((m + 1) * p), m)
+        lo = min(max(math.floor(mean - t), 0), mode)
+        hi = max(min(math.ceil(mean + t), m), mode)
+        up = np.arange(mode, hi)  # the steps k -> k + 1 above the mode
+        down = np.arange(mode, lo, -1)  # and k -> k - 1 below it
+        rel = np.concatenate((
+            [1.0],
+            np.exp(np.cumsum(np.log((m - up) / (up + 1.0)) + log_odds)),
+            np.exp(np.cumsum(np.log(down / (m - down + 1.0)) - log_odds)),
+        ))
+        counts = np.concatenate(([mode], up + 1, down - 1))
+        order = np.argsort(-rel, kind="stable")
+        counts, pmf = counts[order], rel[order] / rel.sum()
+    counts.flags.writeable = False
+    pmf.flags.writeable = False
+    return counts, pmf
+
+
+class _TableCache:
+    """build(*key) for the life of the process: count tables whose floats
+    depend only on their key, so a run's output never depends on what the
+    cache holds.  Least recently used tables leave once the tables kept
+    take more than ``budget`` bytes by sizeof(table); a larger table is
+    built but not kept.  Worker threads and concurrent runs share a cache,
+    so a lock guards it.
+    """
+
+    def __init__(self, build, sizeof, budget: int):
+        self._build, self._sizeof, self._budget = build, sizeof, budget
+        self._used = 0
+        self._tables: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, *key):
+        with self._lock:
+            if key in self._tables:
+                self._tables.move_to_end(key)
+                return self._tables[key][0]
+            table = self._build(*key)
+            size = self._sizeof(table)
+            if size <= self._budget:
+                self._tables[key] = table, size
+                self._used += size
+                while self._used > self._budget:
+                    self._used -= self._tables.popitem(last=False)[1][1]
+            return table
+
+
+# Windowed rows by (m, p), 16 bytes a cell: at most 16 MiB.
+_WINDOWS = _TableCache(_binomial_window, lambda row: row[0].nbytes + row[1].nbytes, 16 << 20)
+
+
 class _CountTable:
     """The Binomial(m_j, p) pmf rows of one axis, for copy counts m_j up to
-    ``top``, each built once per run when a chunk first needs it.
+    ``top``, each built once per process when a chunk first needs it.
 
     Every row has the width top + 1, so its floats do not depend on which
     rows were built with it, and a run's output not on the order its chunks
-    ran in.  A run's worker threads share the table, so a lock guards it.
+    ran in, nor on earlier runs.  Worker threads and concurrent runs share
+    the table, so a lock guards it.
     """
 
     def __init__(self, p: float, top: int):
@@ -201,11 +302,74 @@ class _CountTable:
             return self._pmf[m_j, -(int(m_j.max()) + 1):]
 
 
-def _histogram_sampler(spec: TrainingSetSpec):
-    """draw(rng, size) -> (est, n0, h), the counts drawn as histograms.
+# Count tables by (p, top), 8 (top + 1)^2 bytes mapped each, of which only
+# built rows become resident: at most 16 MiB mapped.
+_COUNT_TABLES = _TableCache(_CountTable, lambda table: table._pmf.nbytes, 16 << 20)
 
-    h[g] trials have n0[g] copies of rho, in ascending n0: one group of
-    round(pi0 * n) (halves rounded up) for fixed labels, else the nonempty
+
+def _fixed_n0(spec: TrainingSetSpec) -> int:
+    """Copies of rho with fixed labels: round(pi0 * n), halves rounded up."""
+    return math.floor(spec.pi0 * spec.n + 0.5)
+
+
+def _fixed_axis_laws(spec: TrainingSetSpec) -> list[tuple[int, float]]:
+    """(m_j, p_j) of the six axes with fixed labels, x, y, z of rho and
+    then of sigma."""
+    n0 = _fixed_n0(spec)
+    return [((m_i + 2 - j) // 3, _axis_probability(r_j))
+            for v, m_i in ((spec.problem.r, n0), (spec.problem.s, spec.n - n0))
+            for j, r_j in enumerate((v.x, v.y, v.z))]
+
+
+def _fixed_histograms_cheaper(spec: TrainingSetSpec, trials: int) -> bool:
+    """Whether _fixed_label_sampler is estimated to draw a chunk faster
+    than _binomial_sampler, from the spec and the chunk size alone.
+
+    numpy's multinomial visits about 8 sigma_j cells of a row (its window
+    has m_j + 1 cells at most), and the five shuffled rows cost one
+    element per trial each; the binomial draw costs six draws per trial.
+    """
+    size = min(trials, montecarlo.CHUNK_SIZE)
+    cells = sum(min(8.0 * math.sqrt(m * p * (1.0 - p)) + 1.0, m + 1.0)
+                for m, p in _fixed_axis_laws(spec))
+    return _CELL_COST * cells + 5 * _SHUFFLE_COST * size < 6 * size
+
+
+def _fixed_label_sampler(spec: TrainingSetSpec):
+    """draw(rng, size) -> (est, n0, h) for fixed labels, the counts drawn
+    as histograms over windowed pmf rows.
+
+    Fixed labels are one group, n0 = [round(pi0 * n)] and h = [size].  For
+    each axis, x, y, z of rho and then of sigma, one multinomial of size
+    over the axis's _binomial_window row gives how many trials take each
+    count, and np.repeat expands their outcome averages in the row's
+    order; then one rng.permuted call shuffles the five estimate rows
+    after rho's x, so the axes pair independently.  The rows run from the
+    mode outward, so the multinomial stops after about 8 sigma_j cells,
+    once every trial is placed.
+    """
+    rows = []
+    for m, p in _fixed_axis_laws(spec):
+        counts, pmf = _WINDOWS(m, p)
+        rows.append((_outcome_average(counts, m), pmf))
+    n0 = np.array([_fixed_n0(spec)])
+
+    def draw(rng, size):
+        est = np.empty((6, size))
+        for out, (averages, pmf) in zip(est, rows):
+            out[:] = np.repeat(averages, rng.multinomial(size, pmf))
+        paired = est[1:]
+        rng.permuted(paired, axis=1, out=paired)
+        return est, n0, np.array([size])
+
+    return draw
+
+
+def _histogram_sampler(spec: TrainingSetSpec):
+    """draw(rng, size) -> (est, n0, h) for random labels, the counts drawn
+    as histograms.
+
+    h[g] trials have n0[g] copies of rho, in ascending n0: the nonempty
     cells of h ~ Multinomial(size, Binomial(n, pi0) pmf).  For each axis,
     x, y, z of rho and then of sigma, one multinomial of h over the groups'
     pmf rows gives the number of trials in each (group, count) cell; then
@@ -214,21 +378,15 @@ def _histogram_sampler(spec: TrainingSetSpec):
     unclipped (6, size) estimates in the order of the groups.
     """
     n, r, s = spec.n, spec.problem.r, spec.problem.s
-    fixed = spec.label_mode is LabelMode.FIXED_COUNTS
-    n0_fixed = math.floor(spec.pi0 * n + 0.5)
     # pmf tables up to the largest class size the label law can give
-    tops = (n0_fixed, n - n0_fixed) if fixed else (n, n)
-    tables = [[_CountTable(_axis_probability(r_j), (top + 2 - j) // 3)
-               for j, r_j in enumerate((v.x, v.y, v.z))] for v, top in zip((r, s), tops)]
-    labels_pmf = None if fixed else _binomial_pmf_rows(np.array([n]), spec.pi0)[0]
+    tables = [[_COUNT_TABLES(_axis_probability(r_j), (n + 2 - j) // 3)
+               for j, r_j in enumerate((v.x, v.y, v.z))] for v in (r, s)]
+    labels_pmf = _binomial_pmf_rows(np.array([n]), spec.pi0)[0]
 
     def draw(rng, size):
-        if fixed:
-            n0, h = np.array([n0_fixed]), np.array([size])
-        else:
-            h = rng.multinomial(size, labels_pmf)
-            n0 = np.flatnonzero(h)
-            h = h[n0]
+        h = rng.multinomial(size, labels_pmf)
+        n0 = np.flatnonzero(h)
+        h = h[n0]
         averages, taken = [], []
         for m_i, axes in zip((n0, n - n0), tables):
             for j, table in enumerate(axes):
@@ -261,7 +419,7 @@ def _binomial_sampler(spec: TrainingSetSpec):
     """
     n, pi0 = spec.n, spec.pi0
     fixed = spec.label_mode is LabelMode.FIXED_COUNTS
-    n0_fixed = math.floor(pi0 * n + 0.5)
+    n0_fixed = _fixed_n0(spec)
     probabilities = [_axis_probability(r_j) for v in (spec.problem.r, spec.problem.s)
                      for r_j in (v.x, v.y, v.z)]
 
@@ -309,10 +467,11 @@ def run_experiment(
 
     Each chunk is evaluated as arrays over its trials, with no loop over
     trials (the kernel after the draws takes _KERNEL_BLOCK trials per
-    pass).  One sampler, picked by n once per run, draws a chunk's class
-    sizes as groups and the six estimates of every trial, in the order of
-    the groups, so a trial's value is fixed by (seed, CHUNK_SIZE, its
-    index), not by its index alone.  Every trial has the same law, and the
+    pass).  One sampler, picked once per run from the label mode, n and
+    the chunk size (see the module docstring), draws a chunk's class sizes
+    as groups and the six estimates of every trial, in the order of the
+    groups, so a trial's value is fixed by (seed, CHUNK_SIZE, its index),
+    not by its index alone.  Every trial has the same law, and the
     chunk is reduced to its order-free Moments.
 
     mean_rescaled_excess is n * (sample mean excess risk); fraction_exact
@@ -321,7 +480,12 @@ def run_experiment(
     """
     n, pi0 = spec.n, spec.pi0
     truth = pauli_data(spec.problem.r, spec.problem.s, pi0)
-    draw = (_histogram_sampler if n <= _HISTOGRAM_MAX_N else _binomial_sampler)(spec)
+    if spec.label_mode is LabelMode.FIXED_COUNTS:
+        cheaper = _fixed_histograms_cheaper(spec, trials)
+        sampler = _fixed_label_sampler if cheaper else _binomial_sampler
+    else:
+        sampler = _histogram_sampler if n <= _HISTOGRAM_MAX_N else _binomial_sampler
+    draw = sampler(spec)
 
     def chunk_fn(rng, size):
         est, n0, h = draw(rng, size)

@@ -348,10 +348,15 @@ class TestFloatReportPath:
         "report-outside-ball": (
             "report", {"problem": {"r0": [0.8, 0.7, 0.0], "s0": [0, 0.6, 0], "pi0": 0.5}},
             "csv", 2),
-        # near-antiparallel with |r0| = 1e-160: its sum of squares is
-        # subnormal, so r0/|r0| is no unit vector and the frame check fails
-        "report-near-parallel-underflow": (
-            "report", {"problem": {"r0": [1e-160, 0, 0], "s0": [-0.5, 1e-9, 0], "pi0": 0.5}},
+        # |r0| = 1e-160, whose sum of squares is subnormal: the norm is
+        # scaled, so r0/|r0| is a unit vector
+        "report-tiny-state": (
+            "report", {"problem": {"r0": [1e-160, 0, 0], "s0": [0, -0.5, 0], "pi0": 0.5}},
+            "csv", 0),
+        # both states of norm 1e-160: the sum of squares of d0 is subnormal,
+        # so d0/|d0| is no unit vector and the frame check fails
+        "report-tiny-d0-underflow": (
+            "report", {"problem": {"r0": [1e-160, 0, 0], "s0": [0, -1e-160, 0], "pi0": 0.5}},
             "csv", 3),
     }
 
@@ -610,9 +615,10 @@ class TestDeterminismAndFormats:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    # both samplers and both label modes, in 64-trial chunks on two CPUs, so
-    # that workers 2 starts a pool of two threads
-    @pytest.mark.parametrize("n", [500, 1500])
+    # every sampler and both label modes, in 64-trial chunks on two CPUs, so
+    # that workers 2 starts a pool of two threads; fixed labels draw
+    # histograms at n = 60 and binomials at 500 and 1500
+    @pytest.mark.parametrize("n", [60, 500, 1500])
     @pytest.mark.parametrize("mode", ["random", "fixed"])
     def test_qubit_sim_byte_identical(self, tmp_path, monkeypatch, n, mode):
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 64)
@@ -628,26 +634,67 @@ class TestDeterminismAndFormats:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("mode", ["random", "fixed"])
+    def test_qubit_sim_bytes_do_not_depend_on_cached_tables(self, tmp_path, monkeypatch,
+                                                            capsys, mode):
+        """The pmf rows and tables kept for the process change no output
+        byte: cold and warm caches, 1 and 2 workers, and a fresh process
+        agree after other runs in this one.  Two 65,536-trial chunks; fixed
+        labels draw histograms at every n here, random labels up to 1024."""
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        cfg = {"problem": self.PINNED_PROBLEM, "n_list": [30, 900, 20000],
+               "trials": 70_000, "seed": 17, "label_mode": mode}
+        argv = ["qubit-sim", "--config", write_config(tmp_path, cfg)]
+        outs = []
+        for workers in ("1", "2"):
+            for caches in ("cold", "warm"):
+                if caches == "cold":
+                    for name in ("_WINDOWS", "_COUNT_TABLES"):
+                        cache = getattr(qubit_experiment, name)
+                        monkeypatch.setattr(qubit_experiment, name, qubit_experiment._TableCache(
+                            cache._build, cache._sizeof, cache._budget))
+                capsys.readouterr()
+                assert main([*argv, "--workers", workers]) == 0
+                outs.append(capsys.readouterr().out)
+        other = {"problem": PLANAR_PROBLEM, "n_list": [31, 901], "trials": 500, "seed": 1,
+                 "label_mode": mode}
+        assert main(["qubit-sim", "--config", write_config(tmp_path, other, "other.json")]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(qclass.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qclass.cli", *argv],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.decode())
+        capsys.readouterr()
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+        assert len(set(outs)) == 1
+
     # sha256 of the CSV output; a change of the RNG stream or of the
     # arithmetic behind any printed value changes these on purpose only
     PINNED_PROBLEM = {"r0": [0.5, 0.2, -0.3], "s0": [-0.1, 0.6, 0.2], "pi0": 0.4}
     PINNED = {
-        # n up to _HISTOGRAM_MAX_N draws each chunk as histograms
+        # random labels up to _HISTOGRAM_MAX_N draw each chunk as histograms
         "qubit-sim": (
             {"n_list": [60, 200], "trials": 300, "seed": 13},
             64,
             "7fb95b3caf03746256a7b0f068c887a65f37fe45032eae8cd81628cac266e2b2",
         ),
+        # fixed labels pick their draw by estimated cost: in 64-trial chunks
+        # n = 60 draws histograms over windowed pmf rows (re-pinned when
+        # that draw replaced the full-row one) and n = 10000 per-trial
+        # binomials, the stream of qubit-sim-large-n-fixed
         "qubit-sim-fixed": (
             {"n_list": [60, 10000], "trials": 300, "seed": 13,
              "label_mode": "fixed", "known_priors": True},
             64,
-            "07d1c23e7c8a1a341238b48dcf509e5247304d64d6245cf4a488884c0266af3e",
+            "cc9f9d25932e170e65fc22321f168b201f834ada08e32d8f65f00580386fa665",
         ),
-        # larger n draws per-trial binomials; these two digests were taken
-        # before the histogram sampler was added, and must not move.  Fixed
-        # labels draw every count against one shared copy count (a scalar
-        # count and a constant count array give the same variates).
+        # per-trial binomials: random labels above _HISTOGRAM_MAX_N, and
+        # fixed labels where the binomial draw is estimated cheaper (at
+        # 64-trial chunks from n ~ 100 up).  Both digests predate the
+        # histogram draws; fixed labels draw every count against one shared
+        # copy count (a scalar count and a constant count array give the
+        # same variates).
         "qubit-sim-large-n": (
             {"n_list": [3000], "trials": 300, "seed": 13},
             64,

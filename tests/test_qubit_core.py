@@ -62,6 +62,16 @@ class TestBlochDensityRoundTrip:
         with pytest.raises(InvalidStateError):
             bloch_to_density(np.array([0.9, 0.9, 0.0]))
 
+    def test_norm_of_tiny_vectors(self):
+        """Below |r| ~ 1e-154 the sum of squares is subnormal; the norm is
+        scaled there, and is the plain square root of the sum elsewhere."""
+        assert BlochVector(1e-160, 0.0, 0.0).norm == 1e-160
+        assert BlochVector(0.0, -3e-200, 4e-200).norm == pytest.approx(5e-200, rel=1e-15)
+        assert BlochVector(0.0, 0.0, 0.0).norm == 0.0
+        rng = np.random.default_rng(12)
+        for x, y, z in rng.uniform(-0.5, 0.5, (200, 3)) * 10.0 ** rng.integers(-150, 1, (200, 1)):
+            assert BlochVector(x, y, z).norm == math.sqrt(x * x + y * y + z * z)
+
     def test_shape_validation(self):
         """Only three real numbers make a 3-vector: a (3, 1) array, a 3-key
         dict or a 3-character string is rejected before float()."""

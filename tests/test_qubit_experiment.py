@@ -1,6 +1,8 @@
 """Tests for the finite-n qubit experiments and classical baselines."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -23,12 +25,16 @@ from qclass.qubit_experiment import (
     LabelMode,
     TrainingSetSpec,
     _HISTOGRAM_MAX_N,
+    _WINDOW_TAIL,
     _Columns,
     _CountTable,
+    _TableCache,
     _binomial_pmf_rows,
     _binomial_sampler,
+    _binomial_window,
     _clip_to_ball,
     _count_grid,
+    _fixed_label_sampler,
     _histogram_sampler,
     _plugin_excess,
     rescaled_risk_curve,
@@ -297,28 +303,54 @@ class TestCountSampler:
                 assert np.all(np.diff(m) <= 0)
             assert rho[0][0][0] < rho[0][0][-1]  # the class sizes do vary
 
+    def test_run_picks_the_fixed_label_draw_by_cost(self, monkeypatch):
+        """Fixed labels draw histograms over windowed rows when their
+        estimated cost is lower, which the chunk size sets: at n = 10^4
+        64-trial chunks draw binomials and 2000-trial chunks histograms;
+        at n = 10^7 2000-trial chunks draw binomials."""
+        picked = []
+        for name in ("_fixed_label_sampler", "_binomial_sampler", "_histogram_sampler"):
+            def build(spec, name=name, sampler=getattr(qubit_experiment, name)):
+                picked.append((name, spec.n))
+                return sampler(spec)
+            monkeypatch.setattr(qubit_experiment, name, build)
+        for n, trials, chunk in ((10**4, 300, 64), (10**4, 2000, 1 << 16),
+                                 (10**7, 2000, 1 << 16), (60, 300, 64)):
+            monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
+            spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS)
+            run_experiment(spec, trials, 3)
+        assert picked == [("_binomial_sampler", 10**4), ("_fixed_label_sampler", 10**4),
+                          ("_binomial_sampler", 10**7), ("_fixed_label_sampler", 60)]
+
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_histogram_path_draws_no_per_trial_count(self, mode):
-        """The histogram sampler makes no binomial or shuffle call: one
-        multinomial for the class sizes (random labels) and one per axis,
-        over one pmf row per class size drawn, then one permuted call per
-        class size over the five estimate rows after rho's x."""
-        calls = self._spy_draws(_histogram_sampler, mode, n=_HISTOGRAM_MAX_N)
+        """The histogram samplers make no binomial or shuffle call.  Random
+        labels: one multinomial for the class sizes and one per axis, over
+        one pmf row per class size drawn, then one permuted call per class
+        size over the five estimate rows after rho's x.  Fixed labels: one
+        multinomial of the chunk size per axis, over its windowed row, then
+        one permuted call over those five rows."""
+        fixed = mode is LabelMode.FIXED_COUNTS
+        sampler = _fixed_label_sampler if fixed else _histogram_sampler
+        calls = self._spy_draws(sampler, mode, n=_HISTOGRAM_MAX_N)
         assert {name for name, _, _ in calls} == {"multinomial", "permuted"}
+        spec = TrainingSetSpec(n=_HISTOGRAM_MAX_N, problem=SKEWED, label_mode=mode)
         for size in self.SIZES:
-            if mode is LabelMode.RANDOM_LABELS:
-                name, count, shape = calls.pop(0)
-                assert name == "multinomial"
-                assert count == size and shape == (_HISTOGRAM_MAX_N + 1,)
-            # every axis draws over the same class-size groups
-            axes, calls = calls[:6], calls[6:]
-            h = axes[0][1]
-            assert h.sum() == size
-            if mode is LabelMode.FIXED_COUNTS:
-                assert h.tolist() == [size]
-            for name, count, shape in axes:
-                assert name == "multinomial"
-                assert count.tolist() == h.tolist() and shape[0] == h.size
+            axes = calls[:6] if fixed else calls[1:7]
+            if fixed:
+                windows = [_binomial_window(m, p)[1].shape
+                           for m, p in qubit_experiment._fixed_axis_laws(spec)]
+                assert axes == [("multinomial", size, w) for w in windows]
+                h = np.array([size])
+            else:
+                assert calls[0] == ("multinomial", size, (_HISTOGRAM_MAX_N + 1,))
+                # every axis draws over the same class-size groups
+                h = axes[0][1]
+                assert h.sum() == size
+                for name, count, shape in axes:
+                    assert name == "multinomial"
+                    assert count.tolist() == h.tolist() and shape[0] == h.size
+            calls = calls[len(axes) + (not fixed):]
             groups, calls = calls[:h.size], calls[h.size:]
             assert groups == [("permuted", 1, (5, h_g)) for h_g in h]
         assert not calls
@@ -413,6 +445,169 @@ class TestBinomialPmfRows:
            p=st.floats(0.0, 1.0))
     def test_any_probability(self, m, p):
         self._check(m, p)
+
+
+class TestBinomialWindow:
+    """_binomial_window against the Binomial pmf in 40-digit arithmetic."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 1667, 16667, 1_700_000])
+    def test_against_mpmath_pmf(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        for p in (0.0, 1e-9, 0.1, 0.5, 0.9, 1.0):
+            counts, pmf = _binomial_window(m, p)
+            assert not counts.flags.writeable and not pmf.flags.writeable
+            if m == 0 or p in (0.0, 1.0):
+                # exact point masses
+                assert counts.tolist() == [m if p == 1.0 else 0] and pmf.tolist() == [1.0]
+                continue
+            # one window of distinct counts, from the mode outward
+            assert sorted(counts.tolist()) == list(range(counts.min(), counts.max() + 1))
+            assert np.all(np.diff(pmf) <= 0.0) and counts[0] == math.floor((m + 1) * p)
+            assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-15)
+            with mpmath.workdps(40):
+                q = mpmath.mpf(p)
+                log_p, log_q = mpmath.log(q), mpmath.log1p(-q)
+                log_m = mpmath.loggamma(m + 1)
+                exact = [mpmath.exp(log_m - mpmath.loggamma(k + 1) - mpmath.loggamma(m - k + 1)
+                                    + k * log_p + (m - k) * log_q) for k in counts.tolist()]
+                assert 1 - mpmath.fsum(exact) <= _WINDOW_TAIL
+            rel = [abs(float(got / want - 1)) for got, want in zip(pmf.tolist(), exact)]
+            assert max(rel) <= 1e-9, (m, p)
+
+    def test_window_is_narrow(self):
+        """A row has O(sigma) cells, not m + 1."""
+        for m, p in ((1_700_000, 0.5), (10**9, 0.3), (10**11, 1e-9)):
+            counts, _ = _binomial_window(m, p)
+            assert counts.size <= 20 * math.sqrt(m * p * (1 - p)) + 32
+
+
+class TestFixedLabelDraw:
+    """The fixed-label histogram draw has the law of six independent
+    Binomial(m_j, p_j) counts per trial."""
+
+    @staticmethod
+    def _counts(n, trials, seed):
+        """(6, trials) counts k_j of fixed-label draws at n, and the (m_j, p_j)."""
+        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS)
+        draw = _fixed_label_sampler(spec)
+        rng = np.random.default_rng(seed)
+        est = np.concatenate([draw(rng, 50_000)[0] for _ in range(trials // 50_000)], axis=1)
+        laws = qubit_experiment._fixed_axis_laws(spec)
+        m = np.array([m_j for m_j, _ in laws])[:, None]
+        return np.rint((est + 1.0) * m / 2.0).astype(int), laws
+
+    def test_each_axis_is_binomial(self):
+        """Chi-square of each axis's counts against Binomial(m_j, p_j), cells
+        with an expected count below 5 pooled into their tail; the
+        statistic's Wilson-Hilferty z must stay below 4."""
+        trials = 200_000
+        counts, laws = self._counts(9000, trials, 5)
+        for k, (m, p) in zip(counts, laws):
+            assert m >= 1000
+            expected = trials * _binomial_pmf_rows(np.array([m]), p)[0]
+            observed = np.bincount(k, minlength=m + 1)
+            keep = np.flatnonzero(expected >= 5)
+            lo, hi = keep[0], keep[-1]
+            exp = np.concatenate(([expected[:lo + 1].sum()], expected[lo + 1:hi],
+                                  [expected[hi:].sum()]))
+            obs = np.concatenate(([observed[:lo + 1].sum()], observed[lo + 1:hi],
+                                  [observed[hi:].sum()]))
+            chi2 = float(np.sum((obs - exp) ** 2 / exp))
+            df = exp.size - 1
+            z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+            assert z <= 4.0, (m, p, chi2, df)
+
+    def test_axes_pairwise_uncorrelated(self):
+        trials = 200_000
+        counts, _ = self._counts(9000, trials, 6)
+        corr = np.corrcoef(counts)
+        for a in range(6):
+            for b in range(a):
+                assert abs(corr[a, b]) * math.sqrt(trials) <= 4.0, (a, b)
+
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    def test_mean_excess_matches_binomial_draw(self, monkeypatch, n):
+        """n E[excess] of the histogram draw lies within 4 combined standard
+        errors of the per-trial binomial draw's, on another seed."""
+        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS,
+                               known_priors=True)
+        results = []
+        for cheaper, seed in ((True, 71), (False, 72)):
+            monkeypatch.setattr(qubit_experiment, "_fixed_histograms_cheaper",
+                                lambda spec, trials, cheaper=cheaper: cheaper)
+            results.append(run_experiment(spec, 100_000, seed))
+        hist, binom = results
+        se = math.hypot(hist.stderr, binom.stderr)
+        assert abs(hist.mean_rescaled_excess - binom.mean_rescaled_excess) <= 4 * se
+
+
+def _fresh_caches(monkeypatch, budget=16 << 20):
+    """Empty table caches of ``budget`` bytes in place of the process's."""
+    for name in ("_WINDOWS", "_COUNT_TABLES"):
+        cache = getattr(qubit_experiment, name)
+        monkeypatch.setattr(qubit_experiment, name,
+                            _TableCache(cache._build, cache._sizeof, budget))
+
+
+class TestTableCache:
+    def test_least_recently_used_tables_leave_first(self):
+        built = []
+
+        def build(key, size):
+            built.append(key)
+            return key, size
+
+        cache = _TableCache(build, lambda table: table[1], 100)
+        for key in ("a", "b", "a", "c", "b", "a"):
+            assert cache(key, 40) == (key, 40)
+        # c evicted b (a was used more recently), then b evicted a
+        assert built == ["a", "b", "c", "b", "a"]
+        # larger than the budget: built every time, never kept
+        assert cache("big", 101) == cache("big", 101) == ("big", 101)
+        assert built[-2:] == ["big", "big"]
+        assert cache("a", 40) == ("a", 40) and built[-1] == "big"
+        assert cache._used == 80
+
+    def test_threads_share_the_cache(self):
+        """More threads than CPUs, switching often, fetch overlapping keys
+        through a small cache: each gets its key's table, and the cache's
+        byte count stays the sum of what it holds, within its budget."""
+        cache = _TableCache(lambda key: key * 10, lambda table: 8, 5 * 8)
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for key in rng.integers(0, 12, 300).tolist():
+                if cache(key) != key * 10:
+                    errors.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert cache._used == 8 * len(cache._tables) <= 5 * 8
+
+    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
+    def test_runs_do_not_depend_on_the_cache(self, monkeypatch, mode):
+        """A run gives the same result from cold and warm caches, after
+        runs at other n, and from caches too small to keep anything."""
+        spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
+        _fresh_caches(monkeypatch)
+        cold = run_experiment(spec, 5000, 81)
+        assert run_experiment(spec, 5000, 81) == cold
+        for n in (30, 91, 300):
+            run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), 500, 1)
+        assert run_experiment(spec, 5000, 81) == cold
+        _fresh_caches(monkeypatch, budget=0)
+        assert run_experiment(spec, 5000, 81) == cold
 
 
 class TestPluginStrategyRun:
@@ -628,9 +823,10 @@ class TestRunExperiment:
         ratio = means[10000] / means[2500]
         assert 0.15 <= ratio <= 0.35
 
-    # both samplers and both label modes, in 64-trial chunks on two CPUs, so
-    # that workers 3 starts a pool of two threads
-    @pytest.mark.parametrize("n", [500, 1500])
+    # every sampler and both label modes, in 64-trial chunks on two CPUs, so
+    # that workers 3 starts a pool of two threads; fixed labels draw
+    # histograms at n = 60 and binomials at 500 and 1500
+    @pytest.mark.parametrize("n", [60, 500, 1500])
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_determinism_and_workers(self, monkeypatch, n, mode):
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 64)
