@@ -13,19 +13,13 @@ from .qubit_core import (
     ATOL,
     BlochVector,
     InvalidStateError,
-    Projector,
 )
 from .helstrom import (
     ClassificationProblem,
-    DegenerateProblemError,
     TrivialityVerdict,
-    error_probability,
-    excess_risk,
     excess_trace,
-    helstrom_projector,
     helstrom_risk,
     pauli_data,
-    positive_part,
     positive_rank,
     triviality_check,
 )

@@ -227,8 +227,8 @@ def monte_carlo_risks(
     whose loss or its trial summary could overflow, raises NumericalError
     naming the strategy.  The strategies take turns in one loss buffer,
     each reduced by ``run_chunked`` before the next is computed.  One
-    ExperimentResult per entry of ``strategies``, in order; each equals
-    ``monte_carlo_risk`` of that strategy alone.  Deterministic for fixed
+    ExperimentResult per entry of ``strategies``, in order; each equals the
+    result of a call with that strategy alone.  Deterministic for fixed
     seed regardless of ``workers``.
     """
     inv4d = 1.0 / (4.0 * frame.d0_norm)
@@ -263,21 +263,3 @@ def monte_carlo_risks(
 
     moments = run_chunked(trials, seed, chunk_fn, workers=workers)
     return [summarize(m, n=None) for m in moments]
-
-
-def monte_carlo_risk(
-    strategy: StrategyKind,
-    frame: LocalFrame,
-    pi0: float,
-    u,
-    v,
-    trials: int,
-    seed,
-    *,
-    delta: float = 0.0,
-    workers: int = 1,
-) -> ExperimentResult:
-    """``monte_carlo_risks`` of one strategy: the mean quadratic loss of
-    ``strategy`` over seeded trials."""
-    return monte_carlo_risks([strategy], frame, pi0, u, v, trials, seed,
-                             delta=delta, workers=workers)[0]

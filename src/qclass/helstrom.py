@@ -7,11 +7,13 @@ Writing A = alpha*I + (d/2).sigma with alpha = (pi0 - pi1)/2 and
 d = pi0*r - pi1*s, every quantity below reduces to elementwise arithmetic
 in (alpha, d).  ``pauli_data`` is the one place that computes
 (alpha, d, |d|), ``positive_rank`` the one rule for the strictly-positive
-eigenspace and ``excess_trace`` the one trace formula for the regret; the
-oracle, the triviality verdict, the excess risk and the vectorised qubit
-plug-in all read from them.  These three are array-first: they accept
-floats or equal-shape arrays (a scalar is the size-1 case) and write every
-sum out elementwise in the same order, so a trial evaluated in a batch is
+eigenspace and ``excess_trace`` the one trace formula for the regret
+Tr[(pi1*sigma - pi0*rho)(P - P*)]; the Helstrom risk, the triviality
+verdict, the local frame and the vectorised qubit plug-in all read from
+them.  A projector is never built: it is its rank and, at rank 1, the
+Bloch vector d/|d|.  These three are array-first: they accept floats or
+equal-shape arrays (a scalar is the size-1 case) and write every sum out
+elementwise in the same order, so a trial evaluated in a batch is
 bit-identical to the same trial evaluated alone.
 
 When |d| < |pi0 - pi1| the operator A is definite and the best strategy is
@@ -23,14 +25,11 @@ regime covers it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .qubit_core import BlochVector, Projector
-
-
-class DegenerateProblemError(ValueError):
-    """Equal priors with coinciding states: every projector is optimal."""
+from .qubit_core import BlochVector
 
 
 class TrivialityVerdict(Enum):
@@ -67,6 +66,18 @@ class ClassificationProblem:
         return cls(r, s, pi0)
 
 
+def _rescaled_norm(dx, dy, dz):
+    """|d| from d / max_j |d_j|, elementwise over floats or equal-shape arrays,
+    for a d whose sum of squares is subnormal (|d| < ~1e-154); 0 for d = 0."""
+    ax, ay, az = abs(dx), abs(dy), abs(dz)
+    big = (ax >= ay) * ax + (ax < ay) * ay  # exact: one of the terms is 0
+    big = (big >= az) * big + (big < az) * az
+    big = big + (big == 0.0)  # 1 where d = 0
+    x, y, z = dx / big, dy / big, dz / big
+    ss = x * x + y * y + z * z
+    return big * (math.sqrt(ss) if isinstance(ss, float) else ss ** 0.5)
+
+
 def pauli_data(r, s, pi0):
     """Pauli data of A = pi0*rho - pi1*sigma = alpha*I + (d/2).sigma.
 
@@ -82,7 +93,13 @@ def pauli_data(r, s, pi0):
     dd = dx * dx + dy * dy + dz * dz
     # both square roots are correctly rounded, so the two routes agree
     # bitwise; numpy evaluates an array's ** 0.5 as np.sqrt
-    dn = math.sqrt(dd) if isinstance(dd, float) else dd ** 0.5
+    if isinstance(dd, float):
+        dn = _rescaled_norm(dx, dy, dz) if dd < sys.float_info.min else math.sqrt(dd)
+    else:
+        dn = dd ** 0.5
+        tiny = dd < sys.float_info.min  # estimates: |d| = 0 or far above 1e-154
+        if tiny.any():
+            dn[tiny] = _rescaled_norm(dx[tiny], dy[tiny], dz[tiny])
     return 0.5 * (pi0 - pi1), dx, dy, dz, dn
 
 
@@ -93,19 +110,6 @@ def positive_rank(alpha, dn):
     eigenvalues never count, so a vanishing operator has rank 0.
     """
     return (alpha - 0.5 * dn > 0.0) * 1 + (alpha + 0.5 * dn > 0.0)
-
-
-def positive_part(alpha: float, dx: float, dy: float, dz: float, dn: float) -> Projector:
-    """Projector onto the strictly-positive eigenspace of alpha*I + (d/2).sigma.
-
-    Zero eigenvalues never count as positive: rank 0 when both eigenvalues
-    are <= 0, rank 2 when both are > 0, and otherwise the rank-1 projector
-    with Bloch vector d/|d|.  Takes the scalar output of ``pauli_data``.
-    """
-    rank = int(positive_rank(alpha, dn))
-    if rank != 1:
-        return Projector(rank=rank)
-    return Projector(rank=1, bloch=BlochVector(dx / dn, dy / dn, dz / dn))
 
 
 def excess_trace(data, rank, px, py, pz):
@@ -127,9 +131,6 @@ def excess_trace(data, rank, px, py, pz):
     tr_hat = np.where(rank == 2, lo + hi, np.where(rank == 1, tr_rank1, 0.0))
     return tr_opt - tr_hat
 
-
-# stands in for the Bloch vector that rank-0/2 projectors do not have
-_NO_BLOCH = BlochVector(0.0, 0.0, 0.0)
 
 # verdict of a non-boundary configuration, indexed by the rank of P*
 _VERDICT_BY_RANK = (
@@ -162,23 +163,6 @@ def verdict_of(alpha: float, dn: float) -> TrivialityVerdict:
     return _VERDICT_BY_RANK[positive_rank(alpha, dn)]
 
 
-def helstrom_projector(problem: ClassificationProblem) -> Projector:
-    """Projector onto the strictly-positive eigenspace of pi0*rho - pi1*sigma.
-
-    Rank 1 with Bloch vector d/|d| in the nontrivial regime, rank 2
-    (identity, always guess rho) or rank 0 (always guess sigma) when the
-    operator is definite.  Raises DegenerateProblemError when the operator
-    vanishes identically (equal priors, coinciding states).
-    """
-    data = pauli_data(problem.r, problem.s, problem.pi0)
-    alpha, _, _, _, dn = data
-    if dn == 0.0 and alpha == 0.0:
-        raise DegenerateProblemError(
-            "coinciding states with equal priors: no unique optimal projector"
-        )
-    return positive_part(*data)
-
-
 def helstrom_risk(problem: ClassificationProblem) -> float:
     """Minimal error probability (1 - Tr|pi1*sigma - pi0*rho|)/2.
 
@@ -188,33 +172,3 @@ def helstrom_risk(problem: ClassificationProblem) -> float:
     alpha, _, _, _, dn = pauli_data(problem.r, problem.s, problem.pi0)
     tn = abs(alpha + 0.5 * dn) + abs(alpha - 0.5 * dn)
     return 0.5 * (1.0 - tn)
-
-
-def error_probability(p_hat: Projector, problem: ClassificationProblem) -> float:
-    """pi0*Tr[rho(1 - P)] + pi1*Tr[sigma P] for the POVM (P, 1 - P)."""
-    pi0 = problem.pi0
-    pi1 = 1.0 - pi0
-    if p_hat.rank == 0:
-        return pi0
-    if p_hat.rank == 2:
-        return pi1
-    p = p_hat.bloch
-    r = problem.r
-    s = problem.s
-    acc_rho = 0.5 * (1.0 + r.x * p.x + r.y * p.y + r.z * p.z)
-    acc_sigma = 0.5 * (1.0 + s.x * p.x + s.y * p.y + s.z * p.z)
-    return pi0 * (1.0 - acc_rho) + pi1 * acc_sigma
-
-
-def excess_risk(p_hat: Projector, problem: ClassificationProblem) -> float:
-    """Tr[(pi1*sigma - pi0*rho)(P - P*)], the regret against the oracle.
-
-    Computed by ``excess_trace`` as Tr[A P*] - Tr[A P] with
-    A = pi0*rho - pi1*sigma, never as a difference of error probabilities
-    (that form survives only as a test oracle); nonnegative for every
-    projector up to rounding, and exactly 0.0 for a matching trivial
-    estimate.
-    """
-    data = pauli_data(problem.r, problem.s, problem.pi0)
-    p = p_hat.bloch or _NO_BLOCH
-    return float(excess_trace(data, p_hat.rank, p.x, p.y, p.z))

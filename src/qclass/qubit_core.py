@@ -1,11 +1,11 @@
-"""Qubit states and projectors as Bloch vectors.
+"""Qubit states as Bloch vectors.
 
 A state is a Bloch vector r with |r| <= 1 (rho = (I + r.sigma)/2) and a
 rank-1 projector is a unit Bloch vector p (P = (I + p.sigma)/2).  Every
 Hermitian 2x2 matrix decomposes as A = alpha*I + beta.sigma and has
 eigenvalues alpha +/- |beta|, so the package works on Bloch components
 alone: no 2x2 matrix is ever built, and results are exact up to a handful
-of rounding operations (the positive-part rule lives in qclass.helstrom).
+of rounding operations.  A projector is its rank and, at rank 1, p.
 
 Direction and difference vectors (measurement axes, d = pi0*r - pi1*s, ...)
 carry no norm constraint and are passed around as plain float triples.
@@ -75,38 +75,9 @@ class BlochVector:
             return math.hypot(self.x, self.y, self.z)
         return math.sqrt(squares)
 
-    def as_array(self):
-        import numpy as np  # here, so that the closed-form layer loads without it
-        return np.array([self.x, self.y, self.z])
-
     @classmethod
     def from_array(cls, arr) -> "BlochVector":
         """The state with Bloch components ``arr``; a BlochVector is returned as is."""
         if isinstance(arr, BlochVector):
             return arr
         return cls(*as_float3(arr))
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector on C^2: rank 0, rank 1 (with Bloch vector), or rank 2.
-
-    A rank-1 projector has matrix (I + p.sigma)/2 with |p| = 1; the Bloch
-    vector is meaningless (and must be None) for ranks 0 and 2.
-    """
-
-    rank: int
-    bloch: BlochVector | None = None
-
-    def __post_init__(self) -> None:
-        if self.rank not in (0, 1, 2):
-            raise ValueError(f"projector rank must be 0, 1 or 2, got {self.rank}")
-        if self.rank == 1:
-            if self.bloch is None:
-                raise ValueError("rank-1 projector requires a Bloch vector")
-            if abs(self.bloch.norm - 1.0) > ATOL:
-                raise ValueError(
-                    f"rank-1 projector Bloch vector has norm {self.bloch.norm!r}"
-                )
-        elif self.bloch is not None:
-            raise ValueError("rank-0/2 projectors carry no Bloch vector")

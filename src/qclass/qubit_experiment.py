@@ -37,7 +37,7 @@ plug-in by the usual rule.
 The excess risk of the resulting projector is evaluated exactly through
 the trace formula (conditional on the projector it is a deterministic
 number, so no test copies are sampled); the per-outcome sampler and the
-sampled-test-copy estimate survive as test oracles.
+sampled-test-copy estimate are test oracles in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ import numpy as np
 from .helstrom import ClassificationProblem, excess_trace, pauli_data, positive_rank
 from . import montecarlo
 from .montecarlo import ExperimentResult, run_chunked, summarize
-from .qubit_core import BlochVector
 
 
 # Largest n a TrainingSetSpec accepts.  Above it the exact excess, of order
@@ -445,14 +444,13 @@ def _plugin_excess(truth, r_hat: _Columns, s_hat: _Columns, pi_hat):
     """Exact excess risk of the plug-in projector, one value per estimate.
 
     The projector is the positive part of pi_hat*rho_hat - pi1_hat*sigma_hat
-    and ``truth`` the ``pauli_data`` of the problem.  Elementwise, so each
-    entry equals the scalar
-    ``excess_risk(positive_part(*pauli_data(r_hat, s_hat, pi_hat)), problem)``
-    bit for bit.
+    and ``truth`` the ``pauli_data`` of the problem.  Elementwise, so a
+    batch equals each of its trials evaluated alone (as size-1 columns) bit
+    for bit, whatever the batch's size and order.
     """
     alpha, dx, dy, dz, dn = pauli_data(r_hat, s_hat, pi_hat)
-    # d/|d|, the Bloch vector of a rank-1 positive part (as in positive_part);
-    # ranks 0 and 2 ignore it, also where |d| = 0
+    # d/|d|, the Bloch vector of a rank-1 positive part; ranks 0 and 2
+    # ignore it, also where |d| = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         dx /= dn
         dy /= dn

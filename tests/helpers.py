@@ -3,22 +3,26 @@
 # whatever this module imports counts in the peak_rss_mb of all four
 # benchmark workloads (a hypothesis import here added 10-12 MB): keep
 # hypothesis, scipy and mpmath out of it, and import them in the test
-# modules that need them.
+# modules that need them.  tests/test_layering.py checks this.
 """Shared random generators, matrix-route and per-outcome oracles for the tests.
 
 The library works on Bloch vectors alone and computes every eigen-quantity
 of a 2x2 operator from its Pauli data (qclass.helstrom.pauli_data /
-positive_rank).  The oracles below take the explicit-matrix route instead
-(density matrices, Pauli matrices, matrix projectors), so the tests can
-check one against the other.  The local-expansion helpers (the a- and
-b-frames of the perturbations, perturbed states, the estimate ->
+positive_rank); it has no projector type.  The oracles below take the
+explicit-matrix route instead (density matrices, Pauli matrices, the
+``Projector`` type and its matrix, error probabilities as matrix traces),
+so the tests can check one against the other.  ``excess_risk`` and
+``plugin_excess`` are the library's own trace formula and plug-in kernel
+on a single trial, its size-1 case.  The local-expansion helpers (the a-
+and b-frames of the perturbations, perturbed states, the estimate ->
 projector map and the quadratic loss) live here too, as only the tests
 use them.
 
 The library's qubit-sim draws six Pauli counts per trial for a whole
 chunk at once, as histograms or as binomials.  The per-trial plug-in
 below draws every +/-1 outcome instead, one trial at a time, and is the
-reference it is tested against.
+reference its draws are tested against; it evaluates each trial with
+``plugin_excess``, so a trial the kernel makes exactly 0 is 0 here too.
 Likewise gaussian-sim draws two normals per trial from the exact law of
 the estimator residual; ``draw_outcomes`` draws every measurement channel
 of the Gaussian model instead.
@@ -31,6 +35,7 @@ are here too, as only the tests use them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,14 +44,12 @@ from qclass import (
     BlochVector,
     ClassificationProblem,
     InvalidStateError,
-    Projector,
-    excess_risk,
+    excess_trace,
     pauli_data,
-    positive_part,
 )
 from qclass.montecarlo import ExperimentResult, run_chunked, summarize
 from qclass.qubit_core import ATOL, as_float3
-from qclass.qubit_experiment import LabelMode
+from qclass.qubit_experiment import LabelMode, _Columns, _plugin_excess
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -111,6 +114,31 @@ def density_to_bloch(rho) -> BlochVector:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     return rho.bloch
+
+
+@dataclass(frozen=True)
+class Projector:
+    """Orthogonal projector on C^2: rank 0, rank 1 (with Bloch vector), or rank 2.
+
+    A rank-1 projector has matrix (I + p.sigma)/2 with |p| = 1; the Bloch
+    vector is meaningless (and must be None) for ranks 0 and 2.
+    """
+
+    rank: int
+    bloch: BlochVector | None = None
+
+    def __post_init__(self) -> None:
+        if self.rank not in (0, 1, 2):
+            raise ValueError(f"projector rank must be 0, 1 or 2, got {self.rank}")
+        if self.rank == 1:
+            if self.bloch is None:
+                raise ValueError("rank-1 projector requires a Bloch vector")
+            if abs(self.bloch.norm - 1.0) > ATOL:
+                raise ValueError(
+                    f"rank-1 projector Bloch vector has norm {self.bloch.norm!r}"
+                )
+        elif self.bloch is not None:
+            raise ValueError("rank-0/2 projectors carry no Bloch vector")
 
 
 class PerpEstimate(NamedTuple):
@@ -318,11 +346,38 @@ def random_rotation(rng) -> np.ndarray:
     return q
 
 
+def acceptances(p_hat: Projector, problem) -> tuple[float, float]:
+    """Tr[rho P] and Tr[sigma P], the chances that (P, 1-P) answers rho."""
+    pm = projector_matrix(p_hat)
+    return (float(np.trace(bloch_to_density(problem.r).matrix @ pm).real),
+            float(np.trace(bloch_to_density(problem.s).matrix @ pm).real))
+
+
+def error_probability(p_hat: Projector, problem) -> float:
+    """pi0*Tr[rho(1 - P)] + pi1*Tr[sigma P] for the POVM (P, 1 - P)."""
+    acc_rho, acc_sigma = acceptances(p_hat, problem)
+    return problem.pi0 * (1.0 - acc_rho) + problem.pi1 * acc_sigma
+
+
+def excess_risk(p_hat: Projector, problem) -> float:
+    """Tr[(pi1*sigma - pi0*rho)(P - P*)] by the library's ``excess_trace``
+    on a single trial, its size-1 case."""
+    p = as_float3(p_hat.bloch) if p_hat.rank == 1 else (0.0, 0.0, 0.0)
+    data = pauli_data(problem.r, problem.s, problem.pi0)
+    return float(excess_trace(data, p_hat.rank, *p))
+
+
+def plugin_excess(problem, r_hat, s_hat, pi_hat) -> float:
+    """The library's plug-in excess of one trial evaluated alone:
+    ``_plugin_excess`` on size-1 columns of the estimates r_hat, s_hat."""
+    r_cols, s_cols = (_Columns(*np.array([as_float3(v)]).T) for v in (r_hat, s_hat))
+    truth = pauli_data(problem.r, problem.s, problem.pi0)
+    return float(_plugin_excess(truth, r_cols, s_cols, pi_hat)[0])
+
+
 def sampled_error_probability(p_hat, problem, copies, rng) -> float:
     """Test-copy estimate of the misclassification probability of (P, 1-P)."""
-    pm = projector_matrix(p_hat)
-    acc_rho = float(np.trace(bloch_to_density(problem.r).matrix @ pm).real)
-    acc_sigma = float(np.trace(bloch_to_density(problem.s).matrix @ pm).real)
+    acc_rho, acc_sigma = acceptances(p_hat, problem)
     n1 = int(rng.binomial(copies, problem.pi1))
     mis_rho = int(rng.binomial(copies - n1, min(max(1.0 - acc_rho, 0.0), 1.0)))
     mis_sigma = int(rng.binomial(n1, min(max(acc_sigma, 0.0), 1.0)))
@@ -389,7 +444,7 @@ def plugin_strategy_run(spec, rng) -> float:
     r_hat = tomographic_estimate(spec.problem.r, n0, rng)
     s_hat = tomographic_estimate(spec.problem.s, n1, rng)
     pi_hat = spec.pi0 if spec.known_priors else n0 / spec.n
-    return excess_risk(positive_part(*pauli_data(r_hat, s_hat, pi_hat)), spec.problem)
+    return plugin_excess(spec.problem, r_hat, s_hat, pi_hat)
 
 
 def draw_outcomes(rng: np.random.Generator, params, size: int) -> list[np.ndarray]:

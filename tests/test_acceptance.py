@@ -13,7 +13,6 @@ from qclass import (
     ClassificationProblem,
     build_frame,
     classical_risk_term,
-    excess_risk,
     optimal_minimax_risk,
     plugin_risk,
     prior_correction,
@@ -24,7 +23,7 @@ from qclass import (
     tomography_constant,
 )
 from qclass.cli import main
-from qclass.gaussian_model import StrategyKind, monte_carlo_risk
+from qclass.gaussian_model import StrategyKind, monte_carlo_risks
 from qclass.qubit_experiment import LabelMode, TrainingSetSpec, run_experiment
 
 from helpers import (
@@ -33,6 +32,7 @@ from helpers import (
     classical_coin_example,
     classical_gaussian_example,
     estimator_to_projector,
+    excess_risk,
     local_states,
     quadratic_loss,
     random_nontrivial_config,
@@ -106,9 +106,9 @@ def test_criterion_3_gaussian_mc_vs_theory():
              optimal_minimax_risk(f, pi0) + prior_correction(f, pi0)),
         ]
         for j, (strategy, theory) in enumerate(targets):
-            res = monte_carlo_risk(
-                strategy, f, pi0, (0, 0, 0), (0, 0, 0), 10**6, (2026, i, j)
-            )
+            res = monte_carlo_risks(
+                [strategy], f, pi0, (0, 0, 0), (0, 0, 0), 10**6, (2026, i, j)
+            )[0]
             worst_dev = max(worst_dev,
                             abs(res.mean_rescaled_excess - theory) / res.stderr)
             worst_rel = max(worst_rel, res.stderr / res.mean_rescaled_excess)

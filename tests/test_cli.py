@@ -354,11 +354,17 @@ class TestFloatReportPath:
             "report", {"problem": {"r0": [1e-160, 0, 0], "s0": [0, -0.5, 0], "pi0": 0.5}},
             "csv", 0),
         # both states of norm 1e-160: the sum of squares of d0 is subnormal,
-        # so d0/|d0| is no unit vector and the frame check fails
+        # so |d0| is rescaled, and d0/|d0| is a unit vector
         "report-tiny-d0-underflow": (
             "report", {"problem": {"r0": [1e-160, 0, 0], "s0": [0, -1e-160, 0], "pi0": 0.5}},
-            "csv", 3),
+            "csv", 0),
     }
+
+    def test_tiny_d0_report_is_finite(self, tmp_path):
+        cfg = self.STDLIB_RUNS["report-tiny-d0-underflow"][1]
+        rows = run_to_rows(tmp_path, "report", cfg)
+        assert metric_value(rows, "verdict")["value"] == "nontrivial"
+        assert all(math.isfinite(float(r["value"])) for r in rows if r["metric"] != "verdict")
 
     @pytest.mark.parametrize("case", sorted(STDLIB_RUNS))
     def test_report_and_sweep_run_without_numpy(self, tmp_path, capsys, case):

@@ -23,7 +23,6 @@ from qclass.gaussian_model import (
     _prior_direction,
     _residual_law,
     _residual_rows,
-    monte_carlo_risk,
     monte_carlo_risks,
     optimal_estimate,
     plugin_estimate,
@@ -258,7 +257,7 @@ class TestResidualLaw:
         pi0 = SKEWED[2]
         n = 200_000
         for i, strategy in enumerate(StrategyKind):
-            res = monte_carlo_risk(strategy, f, pi0, U, V, trials=n, seed=81 + i, delta=0.3)
+            res = monte_carlo_risks([strategy], f, pi0, U, V, trials=n, seed=81 + i, delta=0.3)[0]
             res_l, res_k = oracle_residuals(
                 strategy, f, pi0, U, V, 0.3, np.random.default_rng(91 + i), n)
             loss = (res_l**2 + res_k**2) / (4.0 * f.d0_norm)
@@ -269,19 +268,18 @@ class TestResidualLaw:
         """A prior direction with a k0 part would couple the two components."""
         monkeypatch.setattr(gaussian_model, "_prior_direction", lambda frame: (0.5, 0.5))
         with pytest.raises(NumericalError, match="correlated"):
-            monte_carlo_risk(StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS, planar_frame(),
-                             0.5, U, V, trials=10, seed=1)
+            monte_carlo_risks([StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS], planar_frame(),
+                              0.5, U, V, trials=10, seed=1)
 
 
 class TestMonteCarloRisk:
     def test_seed_determinism_and_worker_independence(self):
         f = planar_frame()
         kw = dict(trials=150_000, seed=5)
-        a = monte_carlo_risk(StrategyKind.OPTIMAL_JOINT, f, 0.5, (0, 0, 0), (0, 0, 0), **kw)
-        b = monte_carlo_risk(StrategyKind.OPTIMAL_JOINT, f, 0.5, (0, 0, 0), (0, 0, 0), **kw)
-        c = monte_carlo_risk(
-            StrategyKind.OPTIMAL_JOINT, f, 0.5, (0, 0, 0), (0, 0, 0), workers=4, **kw
-        )
+        joint = [StrategyKind.OPTIMAL_JOINT]
+        a = monte_carlo_risks(joint, f, 0.5, (0, 0, 0), (0, 0, 0), **kw)
+        b = monte_carlo_risks(joint, f, 0.5, (0, 0, 0), (0, 0, 0), **kw)
+        c = monte_carlo_risks(joint, f, 0.5, (0, 0, 0), (0, 0, 0), workers=4, **kw)
         assert a == b == c
 
     def test_matches_closed_forms_at_anchors(self):
@@ -294,10 +292,10 @@ class TestMonteCarloRisk:
                     optimal_minimax_risk(f, pi0) + prior_correction(f, pi0),
             }
             for strategy, target in targets.items():
-                res = monte_carlo_risk(
-                    strategy, f, pi0, (0.2, -0.1, 0.4), (0.3, 0.2, -0.2),
+                res = monte_carlo_risks(
+                    [strategy], f, pi0, (0.2, -0.1, 0.4), (0.3, 0.2, -0.2),
                     trials=200_000, seed=seed,
-                )
+                )[0]
                 assert res.mean_rescaled_excess == pytest.approx(
                     target, abs=3 * res.stderr
                 )
@@ -312,7 +310,7 @@ class TestMonteCarloRisk:
                 u = rng.uniform(-2, 2, 3)
                 v = rng.uniform(-2, 2, 3)
                 results.append(
-                    monte_carlo_risk(strategy, f, 0.5, u, v, trials=200_000, seed=300 + i)
+                    monte_carlo_risks([strategy], f, 0.5, u, v, trials=200_000, seed=300 + i)[0]
                 )
             for i in range(5):
                 for j in range(i + 1, 5):
@@ -323,10 +321,10 @@ class TestMonteCarloRisk:
     def test_unknown_priors_flat_in_delta(self):
         f = planar_frame()
         rs = [
-            monte_carlo_risk(
-                StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS, f, 0.5,
+            monte_carlo_risks(
+                [StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS], f, 0.5,
                 (0, 0, 0), (0, 0, 0), trials=200_000, seed=47, delta=delta,
-            )
+            )[0]
             for delta in (0.0, 1.5)
         ]
         gap = abs(rs[0].mean_rescaled_excess - rs[1].mean_rescaled_excess)
@@ -340,7 +338,7 @@ class TestMonteCarloRisk:
         f = build_frame(*SKEWED)
         pi0 = SKEWED[2]
         for strategy in StrategyKind:
-            res = monte_carlo_risk(strategy, f, pi0, U, V, trials=1000, seed=61, delta=0.3)
+            res = monte_carlo_risks([strategy], f, pi0, U, V, trials=1000, seed=61, delta=0.3)[0]
             b_l, sigma_l, b_k, sigma_k = _residual_law(strategy, f, pi0, U, V, 0.3)
             z_l, z_k = chunk_rng(61, 0).normal(size=(2, 1000))
             loss = ((b_l + sigma_l * z_l) ** 2 + (b_k + sigma_k * z_k) ** 2) * (
@@ -350,8 +348,8 @@ class TestMonteCarloRisk:
 
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
-            monte_carlo_risk(
-                StrategyKind.OPTIMAL_JOINT, planar_frame(), 0.5,
+            monte_carlo_risks(
+                [StrategyKind.OPTIMAL_JOINT], planar_frame(), 0.5,
                 (0, 0, 0), (0, 0, 0), trials=0, seed=1,
             )
 
@@ -401,7 +399,7 @@ class TestSharedDraw:
         kw = dict(trials=1000, seed=23, delta=0.3)
         got = monte_carlo_risks(strategies, f, SKEWED[2], U, V, workers=workers, **kw)
         assert pools == ([] if workers == 1 else [2])
-        alone = [monte_carlo_risk(s, f, SKEWED[2], U, V, **kw) for s in strategies]
+        alone = [monte_carlo_risks([s], f, SKEWED[2], U, V, **kw)[0] for s in strategies]
         assert got == alone
         assert len({r.mean_rescaled_excess for r in got}) == len(set(strategies))
 

@@ -1,6 +1,10 @@
-"""Tests for the oracle classifier: projector, risk, excess risk, triviality."""
+"""Tests for the oracle classifier: Pauli data, risk, excess risk, triviality.
+
+The projectors, error probabilities and excess risks of arbitrary
+projectors come from the oracles in tests/helpers.py."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,22 +12,22 @@ import pytest
 from qclass import (
     BlochVector,
     ClassificationProblem,
-    DegenerateProblemError,
     InvalidStateError,
-    Projector,
     TrivialityVerdict,
-    error_probability,
-    excess_risk,
-    helstrom_projector,
     helstrom_risk,
+    pauli_data,
+    positive_rank,
     triviality_check,
 )
+from qclass.qubit_core import as_float3
 
 from helpers import (
     HermitianOperator,
+    Projector,
     bloch_to_density,
+    error_probability,
+    excess_risk,
     positive_eigenprojector,
-    projector_matrix,
     random_problem,
     random_projector,
     random_rotation,
@@ -36,48 +40,44 @@ PLANAR = ClassificationProblem.from_bloch((0.8, 0, 0), (0, 0.6, 0), 0.5)
 TRIVIAL = ClassificationProblem.from_bloch((0, 0, 0.1), (0, 0, 0.5), 0.9)
 
 
+def oracle_projector(prob):
+    """The oracle projector by the matrix route."""
+    return positive_eigenprojector(weighted_operator(prob))
+
+
 class TestHelstromProjector:
-    def test_orthogonal_pure_states(self):
-        proj = helstrom_projector(ANTIPODAL)
-        assert proj.rank == 1
-        assert proj.bloch.as_array() == pytest.approx([0, 0, 1])
-
-    def test_planar_anchor_direction(self):
-        proj = helstrom_projector(PLANAR)
-        assert proj.rank == 1
-        # d0 = (0.4, -0.3, 0) normalised
-        assert proj.bloch.as_array() == pytest.approx([0.8, -0.6, 0.0])
-
-    def test_trivial_configuration_is_identity(self):
-        assert helstrom_projector(TRIVIAL).rank == 2
-
-    def test_degenerate_raises(self):
-        same = ClassificationProblem.from_bloch((0.3, 0, 0), (0.3, 0, 0), 0.5)
-        with pytest.raises(DegenerateProblemError):
-            helstrom_projector(same)
+    def test_anchors(self):
+        """d0/|d0| on the antipodal and planar anchors, where d0 is (0, 0, 1)
+        and (0.4, -0.3, 0); rank 2 (always guess rho) on the trivial one."""
+        for prob, p in ((ANTIPODAL, (0, 0, 1)), (PLANAR, (0.8, -0.6, 0.0))):
+            alpha, dx, dy, dz, dn = pauli_data(prob.r, prob.s, prob.pi0)
+            assert positive_rank(alpha, dn) == oracle_projector(prob).rank == 1
+            assert (dx / dn, dy / dn, dz / dn) == pytest.approx(p)
+            assert as_float3(oracle_projector(prob).bloch) == pytest.approx(p)
+        assert oracle_projector(TRIVIAL).rank == 2
 
     def test_matches_operator_route(self):
-        """Pauli path must agree with the matrix-route oracle, every rank."""
+        """The rank and d/|d| of the Pauli data agree with the matrix-route
+        oracle, at every rank."""
         rng = np.random.default_rng(7)
         problems = [random_problem(rng) for _ in range(200)] + [
             TRIVIAL,  # rank 2: always guess rho
             ClassificationProblem.from_bloch((0, 0, 0.5), (0, 0, 0.1), 0.1),  # rank 0
+            # pi0 = 1/2 with r = s: the operator vanishes, and rank 0 is one
+            # of many optima
+            ClassificationProblem.from_bloch((0.3, -0.2, 0.1), (0.3, -0.2, 0.1), 0.5),
         ]
+        ranks = []
         for prob in problems:
-            direct = helstrom_projector(prob)
-            via_op = positive_eigenprojector(weighted_operator(prob))
-            assert direct.rank == via_op.rank
-            if direct.rank == 1:
+            alpha, dx, dy, dz, dn = pauli_data(prob.r, prob.s, prob.pi0)
+            via_op = oracle_projector(prob)
+            ranks.append(positive_rank(alpha, dn))
+            assert ranks[-1] == via_op.rank
+            if via_op.rank == 1:
                 np.testing.assert_allclose(
-                    direct.bloch.as_array(), via_op.bloch.as_array(), atol=1e-9
+                    (dx / dn, dy / dn, dz / dn), as_float3(via_op.bloch), atol=1e-9
                 )
-        assert [helstrom_projector(p).rank for p in problems[-2:]] == [2, 0]
-        # pi0 = 1/2 with r = s: the operator vanishes; the oracle's rank-0
-        # answer is one of many optima, so the Helstrom projector refuses
-        same = ClassificationProblem.from_bloch((0.3, -0.2, 0.1), (0.3, -0.2, 0.1), 0.5)
-        assert positive_eigenprojector(weighted_operator(same)).rank == 0
-        with pytest.raises(DegenerateProblemError):
-            helstrom_projector(same)
+        assert ranks[-3:] == [2, 0, 0]
 
 
 class TestPauliData:
@@ -95,6 +95,19 @@ class TestPauliData:
         assert np.array_equal(root.view(np.int64), np.sqrt(x).view(np.int64))
         assert np.array_equal(root.view(np.int64),
                               np.array([math.sqrt(v) for v in x]).view(np.int64))
+
+    def test_tiny_d_is_rescaled(self):
+        """Below |d| ~ 1e-154 the sum of squares is subnormal or 0: |d| is
+        taken from d scaled by its largest component, the same on the float
+        and the array route, bit for bit."""
+        rng = np.random.default_rng(6)
+        d = rng.uniform(-1, 1, (300, 3)) * 10.0 ** rng.integers(-300, -150, (300, 1))
+        d[:3] = [[0, 0, 0], [5e-324, 0, 0], [0, -3e-200, 4e-200]]
+        zero = BlochVector(0.0, 0.0, 0.0)
+        dn = pauli_data(SimpleNamespace(x=d[:, 0], y=d[:, 1], z=d[:, 2]), zero, 1.0)[4]
+        assert dn.tolist() == [pauli_data(BlochVector(*row), zero, 1.0)[4] for row in d]
+        assert dn[:3].tolist() == [0.0, 5e-324, pytest.approx(5e-200, rel=1e-15)]
+        np.testing.assert_allclose(dn[3:], [math.hypot(*row) for row in d[3:]], rtol=1e-15)
 
 
 class TestClassificationProblem:
@@ -127,8 +140,8 @@ class TestHelstromRisk:
         rng = np.random.default_rng(13)
         for _ in range(300):
             prob = random_problem(rng, pi_lo=0.5, pi_hi=0.5)
-            r = prob.r.as_array()
-            s = prob.s.as_array()
+            r = np.array(as_float3(prob.r))
+            s = np.array(as_float3(prob.s))
             closed = 0.5 * (1 - np.linalg.norm(r - s) / 2)
             assert helstrom_risk(prob) == pytest.approx(closed, abs=1e-12)
             tn = trace_norm(
@@ -140,8 +153,8 @@ class TestHelstromRisk:
     def test_rotation_invariance(self):
         rng = np.random.default_rng(19)
         base = random_problem(rng)
-        r = base.r.as_array()
-        s = base.s.as_array()
+        r = np.array(as_float3(base.r))
+        s = np.array(as_float3(base.s))
         risk = helstrom_risk(base)
         for _ in range(100):
             rot = random_rotation(rng)
@@ -161,7 +174,7 @@ class TestErrorProbability:
         rng = np.random.default_rng(37)
         for _ in range(200):
             prob = random_problem(rng)
-            p_star = helstrom_projector(prob)
+            p_star = oracle_projector(prob)
             assert error_probability(p_star, prob) == pytest.approx(
                 helstrom_risk(prob), abs=1e-12
             )
@@ -174,26 +187,13 @@ class TestErrorProbability:
         p = Projector(rank=1, bloch=BlochVector(0, 0, 1))
         assert error_probability(p, ANTIPODAL) == pytest.approx(0.0, abs=1e-15)
 
-    def test_matrix_trace_oracle(self):
-        """Scalar formula vs explicit matrix traces."""
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            prob = random_problem(rng)
-            p_hat = random_projector(rng)
-            pm = projector_matrix(p_hat)
-            oracle = (
-                prob.pi0 * np.trace(bloch_to_density(prob.r).matrix @ (np.eye(2) - pm)).real
-                + prob.pi1 * np.trace(bloch_to_density(prob.s).matrix @ pm).real
-            )
-            assert error_probability(p_hat, prob) == pytest.approx(oracle, abs=1e-12)
-
 
 class TestExcessRisk:
     def test_zero_at_optimum(self):
         rng = np.random.default_rng(43)
         for _ in range(100):
             prob = random_problem(rng)
-            assert excess_risk(helstrom_projector(prob), prob) == pytest.approx(0.0, abs=1e-15)
+            assert excess_risk(oracle_projector(prob), prob) == pytest.approx(0.0, abs=1e-15)
 
     def test_swapped_labels_on_antipodal(self):
         worst = Projector(rank=1, bloch=BlochVector(0, 0, -1))
@@ -243,7 +243,7 @@ class TestTrivialityCheck:
             pi0 = rng.uniform(0.05, 0.95)
             verdict = triviality_check(r, s, pi0)
             prob = ClassificationProblem.from_bloch(r, s, pi0)
-            rank = helstrom_projector(prob).rank
+            rank = oracle_projector(prob).rank
             if verdict is TrivialityVerdict.NONTRIVIAL:
                 assert rank == 1
             elif verdict is TrivialityVerdict.TRIVIAL_GUESS_RHO:

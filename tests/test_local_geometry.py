@@ -13,15 +13,16 @@ from qclass import (
     TrivialConfigurationError,
     TrivialityVerdict,
     build_frame,
-    excess_risk,
     relative_perp,
     triviality_check,
 )
+from qclass.qubit_core import as_float3
 
 from helpers import (
     PerpEstimate,
     cartesian_frames,
     estimator_to_projector,
+    excess_risk,
     local_states,
     quadratic_loss,
     random_nontrivial_config,
@@ -179,7 +180,7 @@ class TestEstimatorToProjector:
     def test_zero_estimate_returns_p0(self):
         f = build_frame(*PLANAR)
         proj = estimator_to_projector(PerpEstimate(0, 0), f, 100)
-        np.testing.assert_allclose(proj.bloch.as_array(), f.p0, atol=1e-12)
+        np.testing.assert_allclose(as_float3(proj.bloch), f.p0, atol=1e-12)
 
     def test_direct_formula_at_unit_d0(self):
         # antipodal pure: |d0| = 1, so the perturbation is z_hat/sqrt(n) exactly
@@ -187,7 +188,7 @@ class TestEstimatorToProjector:
         proj = estimator_to_projector(PerpEstimate(1.0, 0.0), f, 10**6)
         expected = np.asarray(f.p0) + 0.001 * np.asarray(f.l0)
         expected /= np.linalg.norm(expected)
-        np.testing.assert_allclose(proj.bloch.as_array(), expected, atol=1e-15)
+        np.testing.assert_allclose(as_float3(proj.bloch), expected, atol=1e-15)
 
     def test_unit_norm_and_locality(self):
         rng = np.random.default_rng(79)
@@ -197,7 +198,7 @@ class TestEstimatorToProjector:
             zh = PerpEstimate(rng.normal(), rng.normal())
             n = int(rng.integers(1, 10**6))
             proj = estimator_to_projector(zh, f, n)
-            vec = proj.bloch.as_array()
+            vec = np.array(as_float3(proj.bloch))
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
             # within O(|z_hat|/sqrt(n)) of p0
             dist = np.linalg.norm(vec - f.p0)
@@ -217,8 +218,8 @@ class TestLocalStates:
 
     def test_zero_perturbation(self):
         rho, sigma = local_states(self.frames(*PLANAR), (0, 0, 0), (0, 0, 0), 100)
-        np.testing.assert_allclose(rho.bloch.as_array(), [0.8, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(sigma.bloch.as_array(), [0, 0.6, 0], atol=1e-12)
+        np.testing.assert_allclose(as_float3(rho.bloch), [0.8, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(as_float3(sigma.bloch), [0, 0.6, 0], atol=1e-12)
 
     def test_radial_perturbation(self):
         frames = self.frames((0, 0, 0.5), (0.4, 0, 0), 0.5)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qclass import build_frame, montecarlo
-from qclass.gaussian_model import StrategyKind, monte_carlo_risk, monte_carlo_risks
+from qclass.gaussian_model import StrategyKind, monte_carlo_risks
 from qclass.montecarlo import Moments, run_chunked, summarize
 
 
@@ -90,9 +90,9 @@ class TestSummary:
                    for w in (1, 2, 3)}
         assert len(results) == 1
         frame = build_frame((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
-        gaussian = {monte_carlo_risk(StrategyKind.HETERODYNE_PLUGIN, frame, 0.4,
-                                     (0.2, -0.1, 0.4), (0.3, 0.2, -0.2),
-                                     trials=3000, seed=5, workers=w)
+        gaussian = {monte_carlo_risks([StrategyKind.HETERODYNE_PLUGIN], frame, 0.4,
+                                      (0.2, -0.1, 0.4), (0.3, 0.2, -0.2),
+                                      trials=3000, seed=5, workers=w)[0]
                     for w in (1, 2, 3)}
         assert len(gaussian) == 1
 

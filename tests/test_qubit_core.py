@@ -5,11 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qclass import (
-    BlochVector,
-    InvalidStateError,
-    Projector,
-)
+from qclass import BlochVector, InvalidStateError
+from qclass.qubit_core import as_float3
 
 from helpers import (
     IDENTITY,
@@ -17,6 +14,7 @@ from helpers import (
     SIGMA_Z,
     DensityMatrix,
     HermitianOperator,
+    Projector,
     bloch_to_density,
     density_to_bloch,
     positive_eigenprojector,
@@ -44,17 +42,17 @@ class TestBlochDensityRoundTrip:
         np.testing.assert_allclose(evals, [0.1, 0.9], atol=1e-12)
 
     def test_density_to_bloch_trivia(self):
-        assert density_to_bloch(bloch_to_density(BlochVector(0, 0, 0))).as_array() == pytest.approx([0, 0, 0])
+        assert as_float3(density_to_bloch(bloch_to_density(BlochVector(0, 0, 0)))) == pytest.approx((0, 0, 0))
         assert density_to_bloch(DensityMatrix(np.diag([1.0, 0.0]))).z == pytest.approx(1.0)
         rho_y = DensityMatrix(0.5 * (IDENTITY + 0.6 * SIGMA_Y))
-        assert density_to_bloch(rho_y).as_array() == pytest.approx([0.0, 0.6, 0.0])
+        assert as_float3(density_to_bloch(rho_y)) == pytest.approx((0.0, 0.6, 0.0))
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
             r = random_unit(rng) * rng.uniform(0, 1)
             back = density_to_bloch(bloch_to_density(BlochVector.from_array(r)))
-            np.testing.assert_allclose(back.as_array(), r, atol=1e-12)
+            np.testing.assert_allclose(as_float3(back), r, atol=1e-12)
 
     def test_norm_validation(self):
         with pytest.raises(InvalidStateError):
@@ -96,7 +94,7 @@ class TestPositiveEigenprojector:
     def test_sigma_z(self):
         proj = positive_eigenprojector(HermitianOperator(SIGMA_Z))
         assert proj.rank == 1
-        assert proj.bloch.as_array() == pytest.approx([0, 0, 1])
+        assert as_float3(proj.bloch) == pytest.approx((0, 0, 1))
 
     def test_negative_identity(self):
         assert positive_eigenprojector(HermitianOperator(-IDENTITY)).rank == 0

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 from qclass import (
     BlochVector,
     ClassificationProblem,
-    error_probability,
-    excess_risk,
     helstrom_risk,
     pauli_data,
-    positive_part,
+    positive_rank,
     tomography_constant,
 )
 from qclass import montecarlo, qubit_experiment
@@ -41,11 +39,15 @@ from qclass.qubit_experiment import (
     run_experiment,
 )
 from helpers import (
+    HermitianOperator,
     axis_counts,
     bayes_risk_gaussian,
+    bloch_to_density,
     classical_coin_example,
     classical_gaussian_example,
+    excess_risk,
     gaussian_error_probability,
+    plugin_excess,
     plugin_strategy_run,
     positive_eigenprojector,
     sample_labels,
@@ -641,36 +643,9 @@ class TestPluginStrategyRun:
         for _ in range(200):
             assert plugin_strategy_run(spec, rng) >= -1e-15
 
-    def test_projector_matches_operator_route(self):
-        """The plug-in rule on estimates agrees with the matrix-route oracle."""
-        rng = np.random.default_rng(17)
-        cases = [
-            (rng.uniform(0.05, 0.95),
-             BlochVector.from_array(rng.uniform(-0.5, 0.5, 3)),
-             BlochVector.from_array(rng.uniform(-0.5, 0.5, 3)))
-            for _ in range(200)
-        ]
-        small_r, small_s = BlochVector(0.1, 0, 0), BlochVector(0, 0.1, 0)
-        same = BlochVector(0.3, -0.2, 0.1)
-        cases += [
-            (0.95, small_r, small_s),  # rank 2: guess rho
-            (0.05, small_r, small_s),  # rank 0: guess sigma
-            (0.5, same, same),  # the operator vanishes: rank 0
-        ]
-        for pi_hat, r_hat, s_hat in cases:
-            direct = positive_part(*pauli_data(r_hat, s_hat, pi_hat))
-            op = weighted_operator(ClassificationProblem.from_bloch(r_hat, s_hat, pi_hat))
-            via_op = positive_eigenprojector(op)
-            assert direct.rank == via_op.rank
-            if direct.rank == 1:
-                np.testing.assert_allclose(
-                    direct.bloch.as_array(), via_op.bloch.as_array(), atol=1e-9
-                )
-        assert [positive_part(*pauli_data(r, s, pi)).rank
-                for pi, r, s in cases[-3:]] == [2, 0, 0]
-
     def test_exact_evaluation_vs_sampled_test_copies(self):
-        """The trace-formula excess agrees with a 1e6-copy empirical estimate."""
+        """The Helstrom risk plus the trace-formula excess agrees with a
+        1e6-copy empirical estimate of the plug-in's error probability."""
         rng = np.random.default_rng(19)
         spec = TrainingSetSpec(
             n=1000, problem=PLANAR, label_mode=LabelMode.FIXED_COUNTS, known_priors=True
@@ -678,14 +653,15 @@ class TestPluginStrategyRun:
         n0, n1 = sample_labels(spec.n, spec.pi0, rng, spec.label_mode)
         r_hat = tomographic_estimate(PLANAR.r, n0, rng)
         s_hat = tomographic_estimate(PLANAR.s, n1, rng)
-        p_hat = positive_part(*pauli_data(r_hat, s_hat, spec.pi0))
-        exact = error_probability(p_hat, PLANAR)
+        p_hat = positive_eigenprojector(
+            weighted_operator(ClassificationProblem.from_bloch(r_hat, s_hat, spec.pi0)))
+        excess = excess_risk(p_hat, PLANAR)
+        exact = helstrom_risk(PLANAR) + excess
         copies = 10**6
         sampled = sampled_error_probability(p_hat, PLANAR, copies, rng)
         sigma = math.sqrt(exact * (1 - exact) / copies)
         assert sampled == pytest.approx(exact, abs=4 * sigma)
-        # and the excess definition is consistent with the Helstrom floor
-        assert exact - helstrom_risk(PLANAR) >= -1e-12
+        assert excess >= -1e-12
 
 
 class TestVectorisedChunk:
@@ -716,20 +692,27 @@ class TestVectorisedChunk:
     @pytest.mark.parametrize("problem", [PLANAR, TRIVIAL, SKEWED],
                              ids=["planar", "trivial", "skewed"])
     def test_bit_exact_kernel(self, problem):
-        """Array excess == scalar excess_risk(positive_part(pauli_data(...)))."""
+        """A batch through _plugin_excess equals each trial evaluated alone,
+        bit for bit, and each entry the matrix route's excess to 1e-12, with
+        the rank of positive_eigenprojector."""
         pi_hat, r_hat, s_hat = self._estimate_batch(np.random.default_rng(5))
         truth = pauli_data(problem.r, problem.s, problem.pi0)
         r_cols, s_cols = _Columns(*r_hat.T.copy()), _Columns(*s_hat.T.copy())
         # a known prior is the scalar-broadcast case of the same kernel
         for pi in (0.3, pi_hat):
-            projectors = [
-                positive_part(*pauli_data(BlochVector.from_array(r),
-                                          BlochVector.from_array(s), p))
-                for p, r, s in zip(np.broadcast_to(pi, pi_hat.shape), r_hat, s_hat)
-            ]
+            trials = list(zip(np.broadcast_to(pi, pi_hat.shape).tolist(), r_hat, s_hat))
             batch = _plugin_excess(truth, r_cols, s_cols, pi)
-            assert batch.tolist() == [excess_risk(p, problem) for p in projectors]
-        assert {p.rank for p in projectors} == {0, 1, 2}  # of the pi_hat batch
+            assert batch.tolist() == [plugin_excess(problem, r, s, p) for p, r, s in trials]
+            ranks = []
+            for value, (p, r, s) in zip(batch, trials):
+                op = HermitianOperator(p * bloch_to_density(r).matrix
+                                       - (1.0 - p) * bloch_to_density(s).matrix)
+                via_op = positive_eigenprojector(op)
+                alpha, _, _, _, dn = pauli_data(BlochVector(*r), BlochVector(*s), p)
+                ranks.append(positive_rank(alpha, dn))
+                assert ranks[-1] == via_op.rank
+                assert value == pytest.approx(excess_risk(via_op, problem), abs=1e-12)
+        assert set(ranks) == {0, 1, 2}  # of the pi_hat batch
 
     # n = 1, 2, 3 leave axes without copies; _HISTOGRAM_MAX_N is the last n
     # drawn as histograms and the next one the first drawn per trial
