@@ -28,7 +28,6 @@ from .local_geometry import (
     NumericalError,
     TrivialConfigurationError,
     build_frame,
-    relative_perp,
 )
 from .asymptotics import (
     RiskReport,

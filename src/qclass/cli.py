@@ -45,6 +45,7 @@ from .helstrom import (
     triviality_check,
 )
 from .local_geometry import build_frame
+from .qubit_core import vector_norm
 
 
 class ConfigError(ValueError):
@@ -111,7 +112,7 @@ def _parse_problem(cfg: dict) -> tuple[tuple, tuple, float]:
     if not 0.0 < pi0 < 1.0:
         raise ConfigError(f"pi0 must lie strictly in (0, 1), got {pi0}")
     for name, (x, y, z) in (("r0", r0), ("s0", s0)):
-        norm = math.sqrt(x * x + y * y + z * z)  # the norm BlochVector checks
+        norm = vector_norm(x, y, z)  # the norm BlochVector checks
         if norm > 1.0 + 1e-12:
             raise ConfigError(f"{name} must lie in the Bloch ball, norm is {norm}")
     return r0, s0, pi0
@@ -180,9 +181,12 @@ def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
     strategies = _parse_strategies(cfg)
     trials = _require(cfg, "trials", int, "an integer >= 1")
     seed = _parse_seed(cfg, args)
+    # the local parameters are checked and u, v echoed, but change no value:
+    # the loss does not depend on them
     u = _parse_vec3(cfg, "u") if "u" in cfg else (0.0, 0.0, 0.0)
     v = _parse_vec3(cfg, "v") if "v" in cfg else (0.0, 0.0, 0.0)
-    delta = _require(cfg, "delta", float, "a finite number") if "delta" in cfg else 0.0
+    if "delta" in cfg:
+        _require(cfg, "delta", float, "a finite number")
 
     closed_form = {
         StrategyKind.OPTIMAL_JOINT: optimal_minimax_risk(frame, pi0),
@@ -196,8 +200,7 @@ def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
         "param.u_x": float(u[0]), "param.u_y": float(u[1]), "param.u_z": float(u[2]),
         "param.v_x": float(v[0]), "param.v_y": float(v[1]), "param.v_z": float(v[2]),
     })
-    results = monte_carlo_risks(strategies, frame, pi0, u, v, trials, seed,
-                                delta=delta, workers=args.workers)
+    results = monte_carlo_risks(strategies, frame, pi0, trials, seed, workers=args.workers)
     rows = []
     for strategy, res in zip(strategies, results):
         params = dict(base)

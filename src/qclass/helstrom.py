@@ -24,12 +24,10 @@ regime covers it.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .qubit_core import BlochVector
+from .qubit_core import BlochVector, vector_norm
 
 
 class TrivialityVerdict(Enum):
@@ -66,18 +64,6 @@ class ClassificationProblem:
         return cls(r, s, pi0)
 
 
-def _rescaled_norm(dx, dy, dz):
-    """|d| from d / max_j |d_j|, elementwise over floats or equal-shape arrays,
-    for a d whose sum of squares is subnormal (|d| < ~1e-154); 0 for d = 0."""
-    ax, ay, az = abs(dx), abs(dy), abs(dz)
-    big = (ax >= ay) * ax + (ax < ay) * ay  # exact: one of the terms is 0
-    big = (big >= az) * big + (big < az) * az
-    big = big + (big == 0.0)  # 1 where d = 0
-    x, y, z = dx / big, dy / big, dz / big
-    ss = x * x + y * y + z * z
-    return big * (math.sqrt(ss) if isinstance(ss, float) else ss ** 0.5)
-
-
 def pauli_data(r, s, pi0):
     """Pauli data of A = pi0*rho - pi1*sigma = alpha*I + (d/2).sigma.
 
@@ -90,17 +76,7 @@ def pauli_data(r, s, pi0):
     dx = pi0 * r.x - pi1 * s.x
     dy = pi0 * r.y - pi1 * s.y
     dz = pi0 * r.z - pi1 * s.z
-    dd = dx * dx + dy * dy + dz * dz
-    # both square roots are correctly rounded, so the two routes agree
-    # bitwise; numpy evaluates an array's ** 0.5 as np.sqrt
-    if isinstance(dd, float):
-        dn = _rescaled_norm(dx, dy, dz) if dd < sys.float_info.min else math.sqrt(dd)
-    else:
-        dn = dd ** 0.5
-        tiny = dd < sys.float_info.min  # estimates: |d| = 0 or far above 1e-154
-        if tiny.any():
-            dn[tiny] = _rescaled_norm(dx[tiny], dy[tiny], dz[tiny])
-    return 0.5 * (pi0 - pi1), dx, dy, dz, dn
+    return 0.5 * (pi0 - pi1), dx, dy, dz, vector_norm(dx, dy, dz)
 
 
 def positive_rank(alpha, dn):

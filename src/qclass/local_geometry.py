@@ -8,9 +8,9 @@ the (r0, s0) plane together with p0, and k0 = p0 x l0 is the plane
 normal.  Local perturbations u of r0 and v of s0 are coordinates in one
 orthonormal frame per state: the third axis along the state, the second
 along k0 and the first in the (r0, s0) plane, with the sign that
-``relative_perp`` fixes.  The library reads u and v only through the
-angles below, so it never builds these two frames; the tests build them
-from a LocalFrame and the two states (``cartesian_frames`` in
+``relative_perp`` in tests/helpers.py fixes.  The library never reads u
+and v: the limit-model loss does not depend on them.  The tests build the
+two frames from a LocalFrame and the two states (``cartesian_frames`` in
 tests/helpers.py).
 
 Angle conventions (these pin every sign downstream):
@@ -30,7 +30,7 @@ p_hat = (d0 + z_hat/sqrt(n)) / |...| (the same map that sends the local
 parameters to the oracle direction), and its rescaled excess risk
 converges to the quadratic loss |z_perp - z_hat|^2 / (4|d0|), where
 z_perp collects the (l0, k0) components of pi0*u - pi1*v
-(``relative_perp``; the map and the loss themselves are test oracles in
+(``relative_perp``; it, the map and the loss are test oracles in
 tests/helpers.py).
 
 k0 = (p0 x r0_hat)/|...| and l0 = k0 x p0, so r0_hat.l0 = |p0 x r0_hat| >= 0
@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 from .helstrom import TrivialityVerdict, pauli_data, verdict_of
-from .qubit_core import BlochVector, as_float3
+from .qubit_core import BlochVector
 
 
 class TrivialConfigurationError(ValueError):
@@ -170,28 +170,3 @@ def _check_frame(frame: LocalFrame, pi0: float) -> None:
             raise NumericalError(f"local frame violates {identity}")
     if not (frame.cos_phi0 >= -tol and frame.cos_phi1 >= -tol):
         raise NumericalError("local frame has a negative cos(phi0) or cos(phi1)")
-
-
-def relative_perp(u, v, frame: LocalFrame, pi0: float) -> tuple[float, float]:
-    """(l0, k0) components (z_l, z_k) of z = pi0*u - pi1*v for frame-coordinate u, v.
-
-        z_l = (pi0 cos(phi0) u3 - pi1 cos(phi1) v3)
-              + (pi0 sin(phi0) u1 + pi1 sin(phi1) v1)
-        z_k = pi0 u2 - pi1 v2
-    """
-    return perp_components(*as_float3(u), *as_float3(v), frame, pi0)
-
-
-def perp_components(u1, u2, u3, v1, v2, v3, frame: LocalFrame, pi0: float):
-    """(z_l, z_k) of ``relative_perp`` from the six coordinates.
-
-    Elementwise, so the coordinates may be scalars or equal-shape arrays.
-    """
-    pi1 = 1.0 - pi0
-    z_l = (
-        pi0 * frame.cos_phi0 * u3
-        - pi1 * frame.cos_phi1 * v3
-        + pi0 * frame.sin_phi0 * u1
-        + pi1 * frame.sin_phi1 * v1
-    )
-    return z_l, pi0 * u2 - pi1 * v2

@@ -47,6 +47,39 @@ def as_float3(x) -> tuple[float, float, float]:
     raise ValueError(f"expected a 3-vector of real numbers, got {x!r}")
 
 
+def _rescaled_norm(x, y, z):
+    """|v| from v / max_j |v_j|, elementwise over floats or equal-shape arrays;
+    0 for v = 0."""
+    ax, ay, az = abs(x), abs(y), abs(z)
+    big = (ax >= ay) * ax + (ax < ay) * ay  # exact: one of the terms is 0
+    big = (big >= az) * big + (big < az) * az
+    big = big + (big == 0.0)  # 1 where v = 0
+    x, y, z = x / big, y / big, z / big
+    ss = x * x + y * y + z * z
+    return big * (math.sqrt(ss) if isinstance(ss, float) else ss ** 0.5)
+
+
+def vector_norm(x, y, z):
+    """|(x, y, z)|, elementwise over floats or equal-shape arrays.
+
+    Below the smallest normal float the sum of squares loses its digits
+    (|v| < ~1e-154); there the vector is rescaled first (``_rescaled_norm``).
+    Both square roots are correctly rounded, and numpy evaluates an array's
+    ** 0.5 as np.sqrt, so an entry of an array equals the same vector's
+    float result bit for bit.
+    """
+    squares = x * x + y * y + z * z
+    if isinstance(squares, (float, int)):
+        if squares < sys.float_info.min:
+            return _rescaled_norm(x, y, z)
+        return math.sqrt(squares)
+    norm = squares ** 0.5
+    tiny = squares < sys.float_info.min
+    if tiny.any():
+        norm[tiny] = _rescaled_norm(x[tiny], y[tiny], z[tiny])
+    return norm
+
+
 @dataclass(frozen=True)
 class BlochVector:
     """Bloch vector of a qubit state; the norm must not exceed 1.
@@ -68,12 +101,7 @@ class BlochVector:
 
     @property
     def norm(self) -> float:
-        squares = self.x * self.x + self.y * self.y + self.z * self.z
-        # below the smallest normal float the squares lose their digits
-        # (|r| < ~1e-154); math.hypot scales them first
-        if squares < sys.float_info.min:
-            return math.hypot(self.x, self.y, self.z)
-        return math.sqrt(squares)
+        return vector_norm(self.x, self.y, self.z)
 
     @classmethod
     def from_array(cls, arr) -> "BlochVector":

@@ -15,17 +15,15 @@ so the tests can check one against the other.  ``excess_risk`` and
 ``plugin_excess`` are the library's own trace formula and plug-in kernel
 on a single trial, its size-1 case.  The local-expansion helpers (the a-
 and b-frames of the perturbations, perturbed states, the estimate ->
-projector map and the quadratic loss) live here too, as only the tests
-use them.
+projector map, the (l0, k0) components ``relative_perp`` of the local
+parameters and the quadratic loss) live here too, as only the tests use
+them.
 
 The library's qubit-sim draws six Pauli counts per trial for a whole
 chunk at once, as histograms or as binomials.  The per-trial plug-in
 below draws every +/-1 outcome instead, one trial at a time, and is the
 reference its draws are tested against; it evaluates each trial with
 ``plugin_excess``, so a trial the kernel makes exactly 0 is 0 here too.
-Likewise gaussian-sim draws two normals per trial from the exact law of
-the estimator residual; ``draw_outcomes`` draws every measurement channel
-of the Gaussian model instead.
 
 The classical warm-up baselines (two-Gaussian location and two-cell coin
 problems, with the same rescaled-risk interface as the qubit experiments)
@@ -139,6 +137,31 @@ class Projector:
                 )
         elif self.bloch is not None:
             raise ValueError("rank-0/2 projectors carry no Bloch vector")
+
+
+def relative_perp(u, v, frame, pi0: float) -> tuple[float, float]:
+    """(l0, k0) components (z_l, z_k) of z = pi0*u - pi1*v for frame-coordinate u, v.
+
+        z_l = (pi0 cos(phi0) u3 - pi1 cos(phi1) v3)
+              + (pi0 sin(phi0) u1 + pi1 sin(phi1) v1)
+        z_k = pi0 u2 - pi1 v2
+    """
+    return perp_components(*as_float3(u), *as_float3(v), frame, pi0)
+
+
+def perp_components(u1, u2, u3, v1, v2, v3, frame, pi0: float):
+    """(z_l, z_k) of ``relative_perp`` from the six coordinates.
+
+    Elementwise, so the coordinates may be scalars or equal-shape arrays.
+    """
+    pi1 = 1.0 - pi0
+    z_l = (
+        pi0 * frame.cos_phi0 * u3
+        - pi1 * frame.cos_phi1 * v3
+        + pi0 * frame.sin_phi0 * u1
+        + pi1 * frame.sin_phi1 * v1
+    )
+    return z_l, pi0 * u2 - pi1 * v2
 
 
 class PerpEstimate(NamedTuple):
@@ -445,17 +468,6 @@ def plugin_strategy_run(spec, rng) -> float:
     s_hat = tomographic_estimate(spec.problem.s, n1, rng)
     pi_hat = spec.pi0 if spec.known_priors else n0 / spec.n
     return plugin_excess(spec.problem, r_hat, s_hat, pi_hat)
-
-
-def draw_outcomes(rng: np.random.Generator, params, size: int) -> list[np.ndarray]:
-    """One array of ``size`` normal draws per channel, channel by channel.
-
-    ``params`` is the (means, sds) pair that ``qclass.gaussian_model``'s
-    ``_heterodyne_params`` or ``_joint_params`` returns for a frame, (u, v)
-    and pi0.
-    """
-    means, sds = params
-    return [rng.normal(m, sd, size) for m, sd in zip(means, sds)]
 
 
 class DegenerateTrainingSetError(ValueError):

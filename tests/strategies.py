@@ -10,6 +10,8 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from qclass import TrivialityVerdict, triviality_check
+
 # derandomized, with no example database
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -22,3 +24,17 @@ direction = st.tuples(_coordinate, _coordinate, _coordinate).filter(
 def unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+# Bloch lengths, with pure states (length 1) drawn often
+_length = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+
+
+def _config(v, w, a, b, pi0):
+    return a * unit(v), b * unit(w), pi0
+
+
+# (r0, s0, pi0) in the nontrivial regime, pure states included
+nontrivial_config = st.builds(_config, direction, direction, _length, _length,
+                              st.floats(0.1, 0.9)).filter(
+    lambda c: triviality_check(*c) is TrivialityVerdict.NONTRIVIAL)

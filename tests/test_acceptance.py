@@ -17,7 +17,6 @@ from qclass import (
     plugin_risk,
     prior_correction,
     quantum_risk_term,
-    relative_perp,
     risk_gap,
     risk_report,
     tomography_constant,
@@ -38,6 +37,7 @@ from helpers import (
     random_nontrivial_config,
     random_problem,
     random_projector,
+    relative_perp,
 )
 
 
@@ -106,9 +106,7 @@ def test_criterion_3_gaussian_mc_vs_theory():
              optimal_minimax_risk(f, pi0) + prior_correction(f, pi0)),
         ]
         for j, (strategy, theory) in enumerate(targets):
-            res = monte_carlo_risks(
-                [strategy], f, pi0, (0, 0, 0), (0, 0, 0), 10**6, (2026, i, j)
-            )[0]
+            res = monte_carlo_risks([strategy], f, pi0, 10**6, (2026, i, j))[0]
             worst_dev = max(worst_dev,
                             abs(res.mean_rescaled_excess - theory) / res.stderr)
             worst_rel = max(worst_rel, res.stderr / res.mean_rescaled_excess)

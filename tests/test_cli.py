@@ -424,31 +424,43 @@ class TestGaussianSim:
             theory = float(row["param.closed_form"])
             assert abs(mean - theory) <= 3 * stderr
 
-    @pytest.mark.parametrize("u, strategies, named", [
-        # the residual offset itself overflows
-        ([1e308] * 3, ["optimal_joint", "heterodyne_plugin"], "optimal_joint"),
-        # a finite offset whose squared loss would overflow the trial
-        # summary; the plug-in's offset cancels exactly, so it passes
-        ([1e150] * 3, ["heterodyne_plugin", "optimal_joint_unknown_priors"],
-         "optimal_joint_unknown_priors"),
-    ])
-    def test_overflowing_local_parameters_exit_3(self, tmp_path, capsys, monkeypatch,
-                                                 u, strategies, named):
-        """Huge finite local parameters fail before any draw, naming the
-        strategy, where they printed inf or nan after RuntimeWarnings."""
+    def test_tiny_d0_overflow_exit_3(self, tmp_path, capsys, monkeypatch):
+        """A |d0| so small that 1/(4|d0|) makes the loss overflow fails
+        before any draw, naming the strategy and |d0|."""
         def no_draw(*args):
             raise AssertionError("a chunk generator was built")
 
         monkeypatch.setattr(montecarlo, "chunk_rng", no_draw)
-        cfg = {"problem": PLANAR_PROBLEM, "strategy": strategies, "trials": 1000,
-               "seed": 1, "u": u}
+        cfg = {"problem": {"r0": [1e-160, 0, 0], "s0": [0, -1e-160, 0], "pi0": 0.5},
+               "strategy": ["optimal_joint", "heterodyne_plugin"], "trials": 1000, "seed": 1}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["gaussian-sim", "--config", write_config(tmp_path, cfg)])
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
-        assert f"numerical error: strategy {named}: the loss overflows" in captured.err
+        assert ("numerical error: strategy optimal_joint: the loss overflows "
+                "(|d0| = 7.071067811865476e-161 too small)") in captured.err
+
+    @pytest.mark.parametrize("local", [
+        {"u": [1e16] * 3, "v": [1e16] * 3},
+        {"u": [1e300] * 3, "v": [1e300] * 3},
+        {"delta": 1e300},
+    ], ids=["u-v-1e16", "u-v-1e300", "delta-1e300"])
+    def test_local_parameters_change_no_value(self, tmp_path, local):
+        """u, v and delta are checked and u, v echoed, but the risk is flat in
+        them: the value and stderr cells equal those at u = v = 0 and
+        delta = 0 byte for byte, where they were rounding error or overflow."""
+        cfg = {"problem": PLANAR_PROBLEM,
+               "strategy": ["optimal_joint", "heterodyne_plugin",
+                            "optimal_joint_unknown_priors"],
+               "trials": 100_000, "seed": 1}
+        zero = run_to_rows(tmp_path, "gaussian-sim",
+                           {**cfg, "u": [0, 0, 0], "v": [0, 0, 0], "delta": 0.0})
+        far = run_to_rows(tmp_path, "gaussian-sim", {**cfg, **local})
+        cells = [[(row["value"], row["stderr"]) for row in rows] for rows in (zero, far)]
+        assert cells[0] == cells[1]
+        assert all(float(row["param.u_x"]) == local.get("u", [0])[0] for row in far)
 
     def test_pure_state_normalised_in_floating_point(self, tmp_path):
         """|r0| = 1 + 2.2e-16 passes the Bloch-ball check; the classical
@@ -713,13 +725,15 @@ class TestDeterminismAndFormats:
             "7e063506494937e47310ab07f261ba44d86cd20f98fb2a9cfe3ab0a173c2802b",
         ),
         # two standard normals per trial, drawn from the exact residual law
+        # (re-pinned when that law came from one measurement rule: one cell
+        # moved by 3.7e-16 relative)
         "gaussian-sim": (
             {"strategy": ["optimal_joint", "heterodyne_plugin",
                           "optimal_joint_unknown_priors"],
              "trials": 5000, "seed": 7,
              "u": [0.2, -0.1, 0.4], "v": [0.3, 0.2, -0.2], "delta": 0.3},
             1024,
-            "43a0e249fbbae416ddefd8dc0fa5c0d91cced8b67d458d1fbe4624f5403d4a9f",
+            "5afff59b916ec09f0978ded9769c436a514f5653aa69d26d27ee1a4113c93927",
         ),
     }
 

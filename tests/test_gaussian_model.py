@@ -1,41 +1,32 @@
-"""Tests for the Gaussian limit model: outcome laws, estimators, the exact
-residual law behind the chunk draws, MC risks."""
+"""Tests for the Gaussian limit model: the one-rule residual law behind the
+chunk draws, checked against a per-channel oracle and the closed forms,
+and the MC risks."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qclass import (
-    NumericalError,
     build_frame,
     optimal_minimax_risk,
     plugin_risk,
     prior_correction,
     quantum_risk_term,
-    relative_perp,
 )
-from qclass.gaussian_model import (
-    StrategyKind,
-    _heterodyne_params,
-    _joint_params,
-    _prior_direction,
-    _residual_law,
-    _residual_rows,
-    monte_carlo_risks,
-    optimal_estimate,
-    plugin_estimate,
-)
-from qclass import gaussian_model, montecarlo
+from qclass.gaussian_model import StrategyKind, _residual_variances, monte_carlo_risks
+from qclass import montecarlo
 from qclass.montecarlo import chunk_rng
+from qclass.qubit_core import as_float3
 
-from helpers import draw_outcomes, random_nontrivial_config
+from helpers import perp_components, random_nontrivial_config, relative_perp
+from strategies import PROPERTY, nontrivial_config
 
 PLANAR = ((0.8, 0.0, 0.0), (0.0, 0.6, 0.0), 0.5)
 ANTIPODAL = ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), 0.5)
 SKEWED = ((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
-PURE = ((0.0, 0.0, 1.0), (0.6, 0.0, 0.0), 0.5)
 U, V = (0.2, -0.1, 0.4), (0.3, 0.2, -0.2)
 ZERO = (0, 0, 0)
 
@@ -51,21 +42,130 @@ def planar_frame():
     return build_frame(*PLANAR)
 
 
-def oracle_residuals(strategy, frame, pi0, u, v, delta, rng, size):
-    """z_hat - target from every measurement channel drawn separately.
+# The per-channel oracle: every outcome channel of both measurements, with
+# its mean at the local parameters (u, v) and its sd typed in, and the two
+# estimators that read them.  The library derives the residual law from the
+# state through one measurement rule instead; the tests check one against
+# the other.
 
-    Channels in the library's draw order, then the prior count of
-    unknown priors; the estimates go through the library's estimators.
+def channel_means(frame, u, v, pi0):
+    """Means (x_r, x_s, q1, p1, q2, p2) of the classical pair and of the two
+    modes' quadratures at local parameters (u, v) in frame coordinates, and
+    the std devs of the classical pair."""
+    u = as_float3(u)
+    v = as_float3(v)
+    r0 = frame.r0_norm
+    s0 = frame.s0_norm
+    pi1 = 1.0 - pi0
+    c1 = math.sqrt(pi0 / (2.0 * r0))
+    c2 = math.sqrt(pi1 / (2.0 * s0))
+    means = (math.sqrt(pi0) * u[2], math.sqrt(pi1) * v[2],
+             c1 * u[0], c1 * u[1], c2 * v[0], c2 * v[1])
+    # a pure state normalised in floating point can have |r0| = 1 + 2e-16
+    sds = (math.sqrt(max(0.0, 1.0 - r0 ** 2)), math.sqrt(max(0.0, 1.0 - s0 ** 2)))
+    return means, sds
+
+
+def heterodyne_params(frame, u, v, pi0):
+    """Means and std devs in draw order (x_r, x_s, q1, p1, q2, p2).
+
+    Heterodyne adds 1/2 to each quadrature variance 1/(2 r0), 1/(2 s0).
+    """
+    means, (sd_xr, sd_xs) = channel_means(frame, u, v, pi0)
+    sd_het1 = math.sqrt(1.0 / (2.0 * frame.r0_norm) + 0.5)
+    sd_het2 = math.sqrt(1.0 / (2.0 * frame.s0_norm) + 0.5)
+    return means, (sd_xr, sd_xs, sd_het1, sd_het1, sd_het2, sd_het2)
+
+
+def joint_params(frame, u, v, pi0):
+    """Means and std devs in draw order (x_r, x_s, y_l, y_k): the collective
+    quadratures Q_l, Q_k with the penalty |c|/2 on each."""
+    (mean_xr, mean_xs, mean_q1, mean_p1, mean_q2, mean_p2), (sd_xr, sd_xs) = (
+        channel_means(frame, u, v, pi0))
+    pi1 = 1.0 - pi0
+    cl = math.sqrt(2.0 * frame.r0_norm * pi0)
+    cs = math.sqrt(2.0 * frame.s0_norm * pi1)
+    mean_yl = cl * frame.sin_phi0 * mean_q1 + cs * frame.sin_phi1 * mean_q2
+    mean_yk = cl * mean_p1 - cs * mean_p2
+    var_ql = pi0 * frame.sin_phi0 ** 2 + pi1 * frame.sin_phi1 ** 2
+    c = 2.0 * (pi0 * frame.r0_norm * frame.sin_phi0 - pi1 * frame.s0_norm * frame.sin_phi1)
+    penalty = 0.5 * abs(c)
+    means = (mean_xr, mean_xs, mean_yl, mean_yk)
+    sds = (sd_xr, sd_xs, math.sqrt(var_ql + penalty), math.sqrt(1.0 + penalty))
+    return means, sds
+
+
+def optimal_estimate(x_r, x_s, y_l, y_k, frame, pi0):
+    """(z_l, z_k) from the classical pair and the joint (Q_l, Q_k) readings."""
+    pi1 = 1.0 - pi0
+    z_l = math.sqrt(pi0) * frame.cos_phi0 * x_r - math.sqrt(pi1) * frame.cos_phi1 * x_s + y_l
+    return z_l, y_k
+
+
+def plugin_estimate(x_r, x_s, q1, p1, q2, p2, frame, pi0):
+    """Invert the mean maps to (u~, v~) and project pi0 u~ - pi1 v~."""
+    pi1 = 1.0 - pi0
+    inv1 = math.sqrt(2.0 * frame.r0_norm / pi0)
+    inv2 = math.sqrt(2.0 * frame.s0_norm / pi1)
+    return perp_components(
+        q1 * inv1, p1 * inv1, x_r / math.sqrt(pi0),
+        q2 * inv2, p2 * inv2, x_s / math.sqrt(pi1),
+        frame, pi0,
+    )
+
+
+def prior_direction(frame):
+    """(l0, k0) components of (r0 + s0)_perp; the k0 part vanishes by geometry."""
+    return frame.r0_norm * frame.cos_phi0 + frame.s0_norm * frame.cos_phi1, 0.0
+
+
+def draw_outcomes(rng, params, size):
+    """One array of ``size`` normal draws per channel, channel by channel."""
+    means, sds = params
+    return [rng.normal(m, sd, size) for m, sd in zip(means, sds)]
+
+
+def residual_rows(strategy, frame, pi0, u, v, delta):
+    """(c_l, b_l, c_k, b_k): the estimator residual z_hat - target as C z + b.
+
+    z holds one independent standard normal per channel, in draw order (the
+    prior count of unknown priors last).  The estimators applied to the unit
+    outcomes and scaled by the channel sds give the rows c_l, c_k; applied
+    to the channel means, minus the target, they give the offsets b_l, b_k.
     """
     target_l, target_k = relative_perp(u, v, frame, pi0)
     if strategy is StrategyKind.HETERODYNE_PLUGIN:
-        outcomes = draw_outcomes(rng, _heterodyne_params(frame, u, v, pi0), size)
+        means, sds = heterodyne_params(frame, u, v, pi0)
+        estimate = plugin_estimate
+    else:
+        means, sds = joint_params(frame, u, v, pi0)
+        estimate = optimal_estimate
+    c_l, c_k = estimate(*np.eye(len(means)), frame, pi0)
+    c_l = c_l * sds
+    c_k = c_k * sds
+    b_l, b_k = estimate(*means, frame, pi0)
+    if strategy is StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS:
+        w_l, w_k = prior_direction(frame)
+        prior_sd = math.sqrt(pi0 * (1.0 - pi0))
+        c_l = np.append(c_l, prior_sd * w_l)
+        c_k = np.append(c_k, prior_sd * w_k)
+        b_l, b_k = b_l + delta * w_l, b_k + delta * w_k
+        target_l, target_k = target_l + delta * w_l, target_k + delta * w_k
+    return c_l, b_l - target_l, c_k, b_k - target_k
+
+
+def oracle_residuals(strategy, frame, pi0, u, v, delta, rng, size):
+    """z_hat - target from every measurement channel drawn separately, in
+    draw order, then the prior count of unknown priors."""
+    target_l, target_k = relative_perp(u, v, frame, pi0)
+    if strategy is StrategyKind.HETERODYNE_PLUGIN:
+        outcomes = draw_outcomes(rng, heterodyne_params(frame, u, v, pi0), size)
         z_l, z_k = plugin_estimate(*outcomes, frame, pi0)
     else:
-        outcomes = draw_outcomes(rng, _joint_params(frame, u, v, pi0), size)
+        outcomes = draw_outcomes(rng, joint_params(frame, u, v, pi0), size)
         z_l, z_k = optimal_estimate(*outcomes, frame, pi0)
     if strategy is StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS:
-        w_l, w_k = _prior_direction(frame)
+        w_l, w_k = prior_direction(frame)
         count = rng.normal(delta, math.sqrt(pi0 * (1.0 - pi0)), size)
         z_l = z_l + count * w_l
         z_k = z_k + count * w_k
@@ -73,45 +173,46 @@ def oracle_residuals(strategy, frame, pi0, u, v, delta, rng, size):
     return z_l - target_l, z_k - target_k
 
 
+def loss_coefficients(strategy, frame, pi0):
+    """(A, B) of the loss A z_l^2 + B z_k^2, in the library's arithmetic."""
+    inv4d = 1.0 / (4.0 * frame.d0_norm)
+    var_l, var_k = _residual_variances(strategy, frame, pi0)
+    return var_l * inv4d, var_k * inv4d
+
+
 class TestChannelParams:
-    """(means, sds) of the outcome channels, in draw order."""
+    """(means, sds) of the oracle's outcome channels, in draw order."""
 
     def test_zero_parameters_zero_means(self):
-        for params in (_heterodyne_params, _joint_params):
+        for params in (heterodyne_params, joint_params):
             means, _ = params(planar_frame(), ZERO, ZERO, 0.5)
             assert all(m == 0 for m in means)
 
     def test_planar_values(self):
-        means, sds = _heterodyne_params(planar_frame(), (1, 0, 0), ZERO, 0.5)
+        means, sds = heterodyne_params(planar_frame(), (1, 0, 0), ZERO, 0.5)
         assert means[2] == pytest.approx(math.sqrt(0.5 / 1.6))  # q1
         # heterodyne sd: mode variance 1/(2 r0) plus 1/2
         assert sds[2] == sds[3] == pytest.approx(math.sqrt(1 / 1.6 + 0.5))
         assert sds[4] == sds[5] == pytest.approx(math.sqrt(1 / 1.2 + 0.5))
         assert sds[0] ** 2 == pytest.approx(0.36)
         assert sds[1] ** 2 == pytest.approx(0.64)
-        _, joint_sds = _joint_params(planar_frame(), (1, 0, 0), ZERO, 0.5)
+        _, joint_sds = joint_params(planar_frame(), (1, 0, 0), ZERO, 0.5)
         assert joint_sds[:2] == sds[:2]
 
     def test_pure_state_limit(self):
         f = build_frame((0, 0, 1.0), (0.6, 0, 0), 0.5)
-        means, sds = _heterodyne_params(f, (0, 0, 0.3), ZERO, 0.5)
+        means, sds = heterodyne_params(f, (0, 0, 0.3), ZERO, 0.5)
         assert sds[0] == 0.0
         assert sds[2] == pytest.approx(math.sqrt(0.5 + 0.5))
         # deterministic classical component sampled as its mean
         x_r = draw_outcomes(np.random.default_rng(0), (means, sds), 100)[0]
         assert np.all(x_r == means[0])
 
-    def test_zero_length_state_raises(self):
-        f = dataclasses.replace(planar_frame(), s0_norm=0.0)
-        for params in (_heterodyne_params, _joint_params):
-            with pytest.raises(ValueError, match="zero-length"):
-                params(f, ZERO, ZERO, 0.5)
-
 
 class TestSampleHeterodyne:
     def test_moments(self):
         """Empirical means and variances of all six channels at 5e4 draws."""
-        means, sds = _heterodyne_params(
+        means, sds = heterodyne_params(
             planar_frame(), (0.7, -0.4, 0.2), (0.3, 0.5, -0.6), 0.5)
         rng = np.random.default_rng(211)
         n = 50_000
@@ -122,19 +223,19 @@ class TestSampleHeterodyne:
 
     def test_planar_q1_variance_value(self):
         # 1/(2*0.8) + 1/2 = 1.125
-        _, sds = _heterodyne_params(planar_frame(), ZERO, ZERO, 0.5)
+        _, sds = heterodyne_params(planar_frame(), ZERO, ZERO, 0.5)
         assert sds[2] ** 2 == pytest.approx(1.125)
 
 
 class TestSampleOptimalJoint:
     def test_total_mse_commuting_case(self):
         """c = 0 means no added noise: summed MSE equals Var(Ql) + Var(Qk) = 2."""
-        _, sds = _joint_params(build_frame(*ANTIPODAL), ZERO, ZERO, 0.5)
+        _, sds = joint_params(build_frame(*ANTIPODAL), ZERO, ZERO, 0.5)
         assert sds[2] ** 2 + sds[3] ** 2 == pytest.approx(2.0, abs=1e-12)
 
     def test_total_mse_planar_matches_quantum_term(self):
         f = planar_frame()
-        _, sds = _joint_params(f, ZERO, ZERO, 0.5)
+        _, sds = joint_params(f, ZERO, ZERO, 0.5)
         assert sds[2] ** 2 + sds[3] ** 2 == pytest.approx(
             quantum_risk_term(f, 0.5), abs=1e-12
         )
@@ -142,22 +243,26 @@ class TestSampleOptimalJoint:
     def test_empirical_mse(self):
         rng = np.random.default_rng(223)
         n = 50_000
-        _, _, y_l, y_k = draw_outcomes(rng, _joint_params(planar_frame(), ZERO, ZERO, 0.5), n)
+        _, _, y_l, y_k = draw_outcomes(rng, joint_params(planar_frame(), ZERO, ZERO, 0.5), n)
         total = (y_l**2 + y_k**2).mean()
         assert total == pytest.approx(1.78, rel=0.02)
 
     def test_heisenberg_penalty(self):
-        """Summed outcome variance exceeds Var(Ql) + Var(Qk) by exactly |c|."""
+        """The library's joint variances exceed Var(a.R) + Var(b.R) by |c|
+        in sum, split evenly, where the heterodyne rule adds more."""
         rng = np.random.default_rng(227)
         for _ in range(50):
             r, s, pi0 = random_nontrivial_config(rng)
             f = build_frame(r, s, pi0)
-            _, sds = _joint_params(f, ZERO, ZERO, pi0)
-            var_sum = pi0 * f.sin_phi0**2 + (1 - pi0) * f.sin_phi1**2 + 1.0
-            c = 2 * (pi0 * f.r0_norm * f.sin_phi0 - (1 - pi0) * f.s0_norm * f.sin_phi1)
-            total = sds[2] ** 2 + sds[3] ** 2
-            assert total == pytest.approx(var_sum + abs(c), abs=1e-12)
-            assert total >= var_sum - 1e-12
+            pi1 = 1.0 - pi0
+            var_l, var_k = _residual_variances(StrategyKind.OPTIMAL_JOINT, f, pi0)
+            het_l, het_k = _residual_variances(StrategyKind.HETERODYNE_PLUGIN, f, pi0)
+            var_a = pi0 * f.sin_phi0**2 + pi1 * f.sin_phi1**2
+            c = 2 * (pi0 * f.r0_norm * f.sin_phi0 - pi1 * f.s0_norm * f.sin_phi1)
+            classical = var_l - var_a - abs(c) / 2
+            assert var_k == pytest.approx(1.0 + abs(c) / 2, abs=1e-12)
+            assert var_l + var_k - classical == pytest.approx(var_a + 1.0 + abs(c), abs=1e-12)
+            assert het_l + het_k >= var_l + var_k - 1e-12
 
 
 class TestOptimalEstimate:
@@ -169,7 +274,7 @@ class TestOptimalEstimate:
     def test_noiseless_record_at_means(self):
         """Record frozen at the means recovers the classical piece exactly."""
         f = planar_frame()
-        means, _ = _joint_params(f, (0, 0, 1.0), ZERO, 0.5)
+        means, _ = joint_params(f, (0, 0, 1.0), ZERO, 0.5)
         z_l, _ = optimal_estimate(means[0], means[1], 0.0, 0.0, f, 0.5)
         # sqrt(pi0) cos(phi0) * sqrt(pi0) u3 = pi0 cos(phi0) u3 = 0.3
         assert z_l == pytest.approx(0.3, abs=1e-12)
@@ -180,7 +285,7 @@ class TestOptimalEstimate:
         z_true = relative_perp(u, v, f, 0.5)
         rng = np.random.default_rng(229)
         n = 100_000
-        draws = draw_outcomes(rng, _joint_params(f, u, v, 0.5), n)
+        draws = draw_outcomes(rng, joint_params(f, u, v, 0.5), n)
         ests = optimal_estimate(*draws, f, 0.5)
         for est, truth in zip(ests, z_true):
             assert est.mean() == pytest.approx(truth, abs=4 * est.std() / math.sqrt(n))
@@ -196,7 +301,7 @@ class TestPluginEstimate:
         """A record frozen at the model means reproduces z_perp exactly."""
         f = planar_frame()
         u, v = (0.4, -0.8, 1.2), (0.9, 0.2, -0.5)
-        means, _ = _heterodyne_params(f, u, v, 0.5)
+        means, _ = heterodyne_params(f, u, v, 0.5)
         z_l, z_k = plugin_estimate(*means, f, 0.5)
         true_l, true_k = relative_perp(u, v, f, 0.5)
         assert z_l == pytest.approx(true_l, abs=1e-12)
@@ -207,44 +312,56 @@ class TestPluginEstimate:
         f = planar_frame()
         rng = np.random.default_rng(233)
         n = 100_000
-        _, zks = plugin_estimate(*draw_outcomes(rng, _heterodyne_params(f, ZERO, ZERO, 0.5), n),
+        _, zks = plugin_estimate(*draw_outcomes(rng, heterodyne_params(f, ZERO, ZERO, 0.5), n),
                                  f, 0.5)
         expected = 0.5 * 1.8 + 0.5 * 1.6
         assert zks.var() == pytest.approx(expected, rel=0.02)
 
 
 class TestResidualLaw:
-    """The two-normal law that gaussian-sim draws from."""
+    """The one-rule law that gaussian-sim draws from, against the closed
+    forms and against the per-channel oracle."""
 
-    @staticmethod
-    def exact_risk(strategy, frame, pi0, u, v, delta):
-        b_l, sigma_l, b_k, sigma_k = _residual_law(strategy, frame, pi0, u, v, delta)
-        return (b_l**2 + b_k**2 + sigma_l**2 + sigma_k**2) / (4.0 * frame.d0_norm)
+    @PROPERTY
+    @given(config=nontrivial_config)
+    def test_expectation_is_closed_form(self, config):
+        """(var_l + var_k)/(4|d0|) is each strategy's constant: the law comes
+        from the state and the measurement rule, the constants from the
+        paper's formulas."""
+        r, s, pi0 = config
+        f = build_frame(r, s, pi0)
+        for strategy, closed_form in CLOSED_FORM.items():
+            var_l, var_k = _residual_variances(strategy, f, pi0)
+            assert (var_l + var_k) / (4.0 * f.d0_norm) == pytest.approx(
+                closed_form(f, pi0), rel=1e-12, abs=0)
 
-    def test_expectation_is_closed_form(self):
-        """E loss = (b_l^2 + b_k^2 + sigma_l^2 + sigma_k^2)/(4|d0|) is each
-        strategy's constant, at generic, pure-state and delta != 0 configs."""
-        rng = np.random.default_rng(251)
-        configs = [PLANAR, ANTIPODAL, SKEWED, PURE]
-        configs += [random_nontrivial_config(rng) for _ in range(60)]
-        configs += [random_nontrivial_config(rng, norm_lo=1.0, norm_hi=1.0)
-                    for _ in range(20)]
-        for r, s, pi0 in configs:
-            f = build_frame(r, s, pi0)
-            u, v = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
-            delta = rng.uniform(-2, 2)
-            for strategy, closed_form in CLOSED_FORM.items():
-                assert self.exact_risk(strategy, f, pi0, u, v, delta) == pytest.approx(
-                    closed_form(f, pi0), rel=1e-12, abs=0)
+    @PROPERTY
+    @given(config=nontrivial_config,
+           local=st.lists(st.floats(-2.0, 2.0), min_size=7, max_size=7))
+    def test_oracle_rows_match_the_law(self, config, local):
+        """The oracle's coefficient rows have the library's variances as
+        squared norms and are orthogonal (independent components), and its
+        offsets vanish: the residual has mean zero at every (u, v, delta)."""
+        r, s, pi0 = config
+        f = build_frame(r, s, pi0)
+        u, v, delta = local[:3], local[3:6], local[6]
+        for strategy in StrategyKind:
+            c_l, b_l, c_k, b_k = residual_rows(strategy, f, pi0, u, v, delta)
+            var_l, var_k = _residual_variances(strategy, f, pi0)
+            assert math.fsum(c_l * c_l) == pytest.approx(var_l, rel=1e-12, abs=0)
+            assert math.fsum(c_k * c_k) == pytest.approx(var_k, rel=1e-12, abs=0)
+            assert abs(math.fsum(c_l * c_k)) <= 1e-12 * math.sqrt(var_l * var_k)
+            assert abs(b_l) < 1e-12 and abs(b_k) < 1e-12
 
     def test_oracle_residual_is_linear_in_channel_normals(self):
         """The per-channel oracle's residual equals C z + b, with z the
         channel normals that drew it."""
-        for config in (SKEWED, PURE):
+        pure = ((0.0, 0.0, 1.0), (0.6, 0.0, 0.0), 0.5)
+        for config in (SKEWED, pure):
             f = build_frame(*config)
             pi0 = config[2]
             for strategy in StrategyKind:
-                c_l, b_l, c_k, b_k = _residual_rows(strategy, f, pi0, U, V, 0.3)
+                c_l, b_l, c_k, b_k = residual_rows(strategy, f, pi0, U, V, 0.3)
                 res_l, res_k = oracle_residuals(
                     strategy, f, pi0, U, V, 0.3, np.random.default_rng(71), 500)
                 z = np.random.default_rng(71).normal(size=(c_l.size, 500))
@@ -257,19 +374,12 @@ class TestResidualLaw:
         pi0 = SKEWED[2]
         n = 200_000
         for i, strategy in enumerate(StrategyKind):
-            res = monte_carlo_risks([strategy], f, pi0, U, V, trials=n, seed=81 + i, delta=0.3)[0]
+            res = monte_carlo_risks([strategy], f, pi0, trials=n, seed=81 + i)[0]
             res_l, res_k = oracle_residuals(
                 strategy, f, pi0, U, V, 0.3, np.random.default_rng(91 + i), n)
             loss = (res_l**2 + res_k**2) / (4.0 * f.d0_norm)
             gap = abs(res.mean_rescaled_excess - loss.mean())
             assert gap <= 4 * math.hypot(res.stderr, loss.std(ddof=1) / math.sqrt(n))
-
-    def test_correlated_residuals_raise(self, monkeypatch):
-        """A prior direction with a k0 part would couple the two components."""
-        monkeypatch.setattr(gaussian_model, "_prior_direction", lambda frame: (0.5, 0.5))
-        with pytest.raises(NumericalError, match="correlated"):
-            monte_carlo_risks([StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS], planar_frame(),
-                              0.5, U, V, trials=10, seed=1)
 
 
 class TestMonteCarloRisk:
@@ -277,81 +387,38 @@ class TestMonteCarloRisk:
         f = planar_frame()
         kw = dict(trials=150_000, seed=5)
         joint = [StrategyKind.OPTIMAL_JOINT]
-        a = monte_carlo_risks(joint, f, 0.5, (0, 0, 0), (0, 0, 0), **kw)
-        b = monte_carlo_risks(joint, f, 0.5, (0, 0, 0), (0, 0, 0), **kw)
-        c = monte_carlo_risks(joint, f, 0.5, (0, 0, 0), (0, 0, 0), workers=4, **kw)
+        a = monte_carlo_risks(joint, f, 0.5, **kw)
+        b = monte_carlo_risks(joint, f, 0.5, **kw)
+        c = monte_carlo_risks(joint, f, 0.5, workers=4, **kw)
         assert a == b == c
 
     def test_matches_closed_forms_at_anchors(self):
         for (r, s, pi0), seed in ((PLANAR, 31), (ANTIPODAL, 37)):
             f = build_frame(r, s, pi0)
-            targets = {
-                StrategyKind.OPTIMAL_JOINT: optimal_minimax_risk(f, pi0),
-                StrategyKind.HETERODYNE_PLUGIN: plugin_risk(f, pi0),
-                StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS:
-                    optimal_minimax_risk(f, pi0) + prior_correction(f, pi0),
-            }
-            for strategy, target in targets.items():
-                res = monte_carlo_risks(
-                    [strategy], f, pi0, (0.2, -0.1, 0.4), (0.3, 0.2, -0.2),
-                    trials=200_000, seed=seed,
-                )[0]
+            for strategy, closed_form in CLOSED_FORM.items():
+                res = monte_carlo_risks([strategy], f, pi0, trials=200_000, seed=seed)[0]
                 assert res.mean_rescaled_excess == pytest.approx(
-                    target, abs=3 * res.stderr
+                    closed_form(f, pi0), abs=3 * res.stderr
                 )
-
-    def test_risk_flat_in_local_parameters(self):
-        """The estimators are unbiased linear maps: the risk ignores (u, v)."""
-        f = planar_frame()
-        rng = np.random.default_rng(241)
-        for strategy in (StrategyKind.OPTIMAL_JOINT, StrategyKind.HETERODYNE_PLUGIN):
-            results = []
-            for i in range(5):
-                u = rng.uniform(-2, 2, 3)
-                v = rng.uniform(-2, 2, 3)
-                results.append(
-                    monte_carlo_risks([strategy], f, 0.5, u, v, trials=200_000, seed=300 + i)[0]
-                )
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    gap = abs(results[i].mean_rescaled_excess - results[j].mean_rescaled_excess)
-                    band = 3 * math.hypot(results[i].stderr, results[j].stderr)
-                    assert gap <= band
-
-    def test_unknown_priors_flat_in_delta(self):
-        f = planar_frame()
-        rs = [
-            monte_carlo_risks(
-                [StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS], f, 0.5,
-                (0, 0, 0), (0, 0, 0), trials=200_000, seed=47, delta=delta,
-            )[0]
-            for delta in (0.0, 1.5)
-        ]
-        gap = abs(rs[0].mean_rescaled_excess - rs[1].mean_rescaled_excess)
-        assert gap <= 3 * math.hypot(rs[0].stderr, rs[1].stderr)
 
     def test_chunk_loss_is_estimator_loss(self):
-        """A one-chunk run is the estimator loss under the residual law,
-        evaluated on the chunk's two rows of standard normals, bit for bit
-        (the law itself is checked against the per-channel oracle in
-        TestResidualLaw)."""
+        """A one-chunk run is the loss A z_l^2 + B z_k^2 evaluated on the
+        chunk's two rows of standard normals, bit for bit (the law itself is
+        checked against the per-channel oracle in TestResidualLaw)."""
         f = build_frame(*SKEWED)
         pi0 = SKEWED[2]
         for strategy in StrategyKind:
-            res = monte_carlo_risks([strategy], f, pi0, U, V, trials=1000, seed=61, delta=0.3)[0]
-            b_l, sigma_l, b_k, sigma_k = _residual_law(strategy, f, pi0, U, V, 0.3)
+            res = monte_carlo_risks([strategy], f, pi0, trials=1000, seed=61)[0]
+            a, b = loss_coefficients(strategy, f, pi0)
             z_l, z_k = chunk_rng(61, 0).normal(size=(2, 1000))
-            loss = ((b_l + sigma_l * z_l) ** 2 + (b_k + sigma_k * z_k) ** 2) * (
-                1.0 / (4.0 * f.d0_norm))
+            loss = a * z_l ** 2 + b * z_k ** 2
             assert res.mean_rescaled_excess == loss.mean()
             assert res.stderr == loss.std(ddof=1) / math.sqrt(1000)
 
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
-            monte_carlo_risks(
-                [StrategyKind.OPTIMAL_JOINT], planar_frame(), 0.5,
-                (0, 0, 0), (0, 0, 0), trials=0, seed=1,
-            )
+            monte_carlo_risks([StrategyKind.OPTIMAL_JOINT], planar_frame(), 0.5,
+                              trials=0, seed=1)
 
 
 class _DrawSpy:
@@ -396,10 +463,10 @@ class TestSharedDraw:
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", pool)
         strategies = self.LISTS[name]
         f = build_frame(*SKEWED)
-        kw = dict(trials=1000, seed=23, delta=0.3)
-        got = monte_carlo_risks(strategies, f, SKEWED[2], U, V, workers=workers, **kw)
+        kw = dict(trials=1000, seed=23)
+        got = monte_carlo_risks(strategies, f, SKEWED[2], workers=workers, **kw)
         assert pools == ([] if workers == 1 else [2])
-        alone = [monte_carlo_risks([s], f, SKEWED[2], U, V, **kw)[0] for s in strategies]
+        alone = [monte_carlo_risks([s], f, SKEWED[2], **kw)[0] for s in strategies]
         assert got == alone
         assert len({r.mean_rescaled_excess for r in got}) == len(set(strategies))
 
@@ -408,12 +475,12 @@ class TestSharedDraw:
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
         f = build_frame(*SKEWED)
         strategies = (list(StrategyKind) * 2)[:count]
-        kw = dict(trials=1000, seed=23, delta=0.3)
-        want = monte_carlo_risks(strategies, f, SKEWED[2], U, V, **kw)
+        kw = dict(trials=1000, seed=23)
+        want = monte_carlo_risks(strategies, f, SKEWED[2], **kw)
         calls = []
         real_rng = montecarlo.chunk_rng
         monkeypatch.setattr(montecarlo, "chunk_rng",
                             lambda seed, c: _DrawSpy(real_rng(seed, c), calls))
-        assert monte_carlo_risks(strategies, f, SKEWED[2], U, V, **kw) == want
+        assert monte_carlo_risks(strategies, f, SKEWED[2], **kw) == want
         sizes = [97] * 10 + [30]
         assert calls == [("standard_normal", ((2, size),), {}) for size in sizes]

@@ -1,5 +1,5 @@
-"""The library keeps no name for the tests alone, and the test helpers load
-no heavy package.
+"""The library keeps no name for the tests alone and no parameter it never
+reads, and the test helpers load no heavy package.
 
 Every module-level function and class of src/qclass must be read by code in
 src/ or bench/ outside its own definition; a name only the tests call
@@ -45,3 +45,27 @@ def test_helpers_load_no_heavy_package():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# every command takes (cfg, args), since _COMMANDS dispatches them alike;
+# these two read only the config
+_UNREAD_BY_DESIGN = {("cli.py", "cmd_report", "args"), ("cli.py", "cmd_sweep", "args")}
+
+
+def test_every_parameter_is_read():
+    """No function of src/qclass takes a parameter its body never reads: a
+    dead parameter makes callers compute and pass what changes nothing."""
+    unread = []
+    for path in LIBRARY + [ROOT / "src" / "qclass" / "__init__.py"]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      *filter(None, (a.vararg, a.kwarg)))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [(path.name, name, p) for p in params if p not in read]
+    assert sorted(set(unread) - _UNREAD_BY_DESIGN) == []

@@ -13,7 +13,6 @@ from qclass import (
     TrivialConfigurationError,
     TrivialityVerdict,
     build_frame,
-    relative_perp,
     triviality_check,
 )
 from qclass.qubit_core import as_float3
@@ -26,6 +25,7 @@ from helpers import (
     local_states,
     quadratic_loss,
     random_nontrivial_config,
+    relative_perp,
 )
 from strategies import PROPERTY, direction, unit
 

@@ -91,7 +91,6 @@ class TestSummary:
         assert len(results) == 1
         frame = build_frame((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
         gaussian = {monte_carlo_risks([StrategyKind.HETERODYNE_PLUGIN], frame, 0.4,
-                                      (0.2, -0.1, 0.4), (0.3, 0.2, -0.2),
                                       trials=3000, seed=5, workers=w)[0]
                     for w in (1, 2, 3)}
         assert len(gaussian) == 1
@@ -177,8 +176,7 @@ class TestRows:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            monte_carlo_risks(strategies, frame, 0.4, (0.2, -0.1, 0.4), (0.3, 0.2, -0.2),
-                              trials=8 * montecarlo.CHUNK_SIZE, seed=5, delta=0.3)
+            monte_carlo_risks(strategies, frame, 0.4, trials=8 * montecarlo.CHUNK_SIZE, seed=5)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qclass import BlochVector, InvalidStateError
-from qclass.qubit_core import as_float3
+from qclass import BlochVector, InvalidStateError, pauli_data
+from qclass.qubit_core import as_float3, vector_norm
 
 from helpers import (
     IDENTITY,
@@ -69,6 +69,18 @@ class TestBlochDensityRoundTrip:
         rng = np.random.default_rng(12)
         for x, y, z in rng.uniform(-0.5, 0.5, (200, 3)) * 10.0 ** rng.integers(-150, 1, (200, 1)):
             assert BlochVector(x, y, z).norm == math.sqrt(x * x + y * y + z * z)
+
+    def test_one_scaled_norm(self):
+        """BlochVector.norm and pauli_data's |d| are vector_norm, whose tiny
+        branch is the one scaled norm of the library: the three agree bit
+        for bit, tiny vectors included."""
+        rng = np.random.default_rng(13)
+        zero = BlochVector(0.0, 0.0, 0.0)
+        for row in rng.uniform(-0.5, 0.5, (300, 3)) * 10.0 ** rng.integers(-320, 1, (300, 1)):
+            x, y, z = map(float, row)
+            norm = vector_norm(x, y, z)
+            assert BlochVector(x, y, z).norm == norm
+            assert pauli_data(BlochVector(x, y, z), zero, 1.0)[4] == norm
 
     def test_shape_validation(self):
         """Only three real numbers make a 3-vector: a (3, 1) array, a 3-key
