@@ -7,15 +7,16 @@ gaussian-sim  Monte Carlo risks in the limit Gaussian training-set model
 qubit-sim     finite-n qubit-level plug-in experiments
 sweep         closed-form report over a parameter grid
 
-The configuration is a JSON file (see README).  ``seed`` and ``trials``
-have no defaults and must be explicit wherever sampling happens.  Output
-is CSV (default) or JSON rows with a fixed schema: ``param.*`` columns
-echo the configuration (sorted by name), then ``metric``, ``value``,
-``stderr``, ``n``.  Floats are printed with 17 significant digits, so a
-rerun with the same config and seed is byte-identical regardless of
-``--workers``.  No quantity is computed here; every value comes from a
-library call.  Exit codes: 0 ok, 2 invalid configuration, 3 runtime
-numerical failure.
+The configuration is a JSON file (see README); fields a command does not
+read are ignored.  ``seed`` and ``trials`` have no defaults and must be
+explicit wherever sampling happens.  Output is CSV (default) or JSON rows
+with a fixed schema: ``param.*`` columns echo the configuration (sorted
+by name), then ``metric``, ``value``, ``stderr``, ``n``.  Floats are
+printed with 17 significant digits, so a rerun with the same config and
+seed is byte-identical regardless of ``--workers``.  No quantity is
+computed here; every value comes from a library call.  Exit codes: 0 ok, 2 invalid configuration or a simulator
+run without numpy (``report`` and ``sweep`` need only the standard
+library), 3 runtime numerical failure.
 """
 
 from __future__ import annotations
@@ -181,12 +182,6 @@ def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
     strategies = _parse_strategies(cfg)
     trials = _require(cfg, "trials", int, "an integer >= 1")
     seed = _parse_seed(cfg, args)
-    # the local parameters are checked and u, v echoed, but change no value:
-    # the loss does not depend on them
-    u = _parse_vec3(cfg, "u") if "u" in cfg else (0.0, 0.0, 0.0)
-    v = _parse_vec3(cfg, "v") if "v" in cfg else (0.0, 0.0, 0.0)
-    if "delta" in cfg:
-        _require(cfg, "delta", float, "a finite number")
 
     closed_form = {
         StrategyKind.OPTIMAL_JOINT: optimal_minimax_risk(frame, pi0),
@@ -195,11 +190,7 @@ def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
             optimal_minimax_risk(frame, pi0) + prior_correction(frame, pi0),
     }
     base = _problem_params(r0, s0, pi0)
-    base.update({
-        "param.trials": trials, "param.seed": seed,
-        "param.u_x": float(u[0]), "param.u_y": float(u[1]), "param.u_z": float(u[2]),
-        "param.v_x": float(v[0]), "param.v_y": float(v[1]), "param.v_z": float(v[2]),
-    })
+    base.update({"param.trials": trials, "param.seed": seed})
     results = monte_carlo_risks(strategies, frame, pi0, trials, seed, workers=args.workers)
     rows = []
     for strategy, res in zip(strategies, results):
@@ -366,6 +357,11 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy", file=sys.stderr)
+        return 2
 
     text = render_csv(rows) if fmt == "csv" else render_json(rows)
     if out_path:

@@ -132,9 +132,18 @@ _SHUFFLE_COST = 0.35
 _WINDOW_TAIL = 2.0 ** -64
 
 
-def _axis_probability(r_j: float) -> float:
-    """P(+1) for a Pauli measurement along an axis with Bloch coordinate r_j."""
-    return min(max(0.5 * (1.0 + r_j), 0.0), 1.0)
+def _axis_probabilities(problem: ClassificationProblem) -> list[float]:
+    """P(+1) of the Pauli measurement on each of the six axes, x, y, z of
+    rho and then of sigma: (1 + r_j)/2, clamped to [0, 1]."""
+    return [min(max(0.5 * (1.0 + r_j), 0.0), 1.0)
+            for v in (problem.r, problem.s) for r_j in (v.x, v.y, v.z)]
+
+
+def _axis_copies(m0, m1) -> list:
+    """Copies on each of the six axes, in the order of _axis_probabilities,
+    for classes of m0 and m1 copies: m/3 per axis, the remainder to x then
+    y.  Elementwise over ints and integer arrays."""
+    return [(m + (2 - j)) // 3 for m in (m0, m1) for j in range(3)]
 
 
 def _outcome_average(k, m) -> np.ndarray:
@@ -315,9 +324,7 @@ def _fixed_axis_laws(spec: TrainingSetSpec) -> list[tuple[int, float]]:
     """(m_j, p_j) of the six axes with fixed labels, x, y, z of rho and
     then of sigma."""
     n0 = _fixed_n0(spec)
-    return [((m_i + 2 - j) // 3, _axis_probability(r_j))
-            for v, m_i in ((spec.problem.r, n0), (spec.problem.s, spec.n - n0))
-            for j, r_j in enumerate((v.x, v.y, v.z))]
+    return list(zip(_axis_copies(n0, spec.n - n0), _axis_probabilities(spec.problem)))
 
 
 def _fixed_histograms_cheaper(spec: TrainingSetSpec, trials: int) -> bool:
@@ -376,10 +383,10 @@ def _histogram_sampler(spec: TrainingSetSpec):
     x within the group, so the axes pair independently.  est holds the
     unclipped (6, size) estimates in the order of the groups.
     """
-    n, r, s = spec.n, spec.problem.r, spec.problem.s
+    n = spec.n
     # pmf tables up to the largest class size the label law can give
-    tables = [[_COUNT_TABLES(_axis_probability(r_j), (n + 2 - j) // 3)
-               for j, r_j in enumerate((v.x, v.y, v.z))] for v in (r, s)]
+    tables = [_COUNT_TABLES(p, top)
+              for p, top in zip(_axis_probabilities(spec.problem), _axis_copies(n, n))]
     labels_pmf = _binomial_pmf_rows(np.array([n]), spec.pi0)[0]
 
     def draw(rng, size):
@@ -387,14 +394,12 @@ def _histogram_sampler(spec: TrainingSetSpec):
         n0 = np.flatnonzero(h)
         h = h[n0]
         averages, taken = [], []
-        for m_i, axes in zip((n0, n - n0), tables):
-            for j, table in enumerate(axes):
-                m_j = (m_i + (2 - j)) // 3
-                pmf = table.rows(m_j)
-                # the number of trials that take each (group, count) cell
-                taken.append(rng.multinomial(h, pmf).ravel())
-                k = _count_grid(m_j, pmf.shape[1])
-                averages.append(_outcome_average(k, m_j[:, None]).ravel())
+        for table, m_j in zip(tables, _axis_copies(n0, n - n0)):
+            pmf = table.rows(m_j)
+            # the number of trials that take each (group, count) cell
+            taken.append(rng.multinomial(h, pmf).ravel())
+            k = _count_grid(m_j, pmf.shape[1])
+            averages.append(_outcome_average(k, m_j[:, None]).ravel())
         # every axis's cells hold size trials, so the rows come out whole
         est = np.repeat(np.concatenate(averages), np.concatenate(taken)).reshape(6, size)
         ends = np.cumsum(h)
@@ -419,8 +424,7 @@ def _binomial_sampler(spec: TrainingSetSpec):
     n, pi0 = spec.n, spec.pi0
     fixed = spec.label_mode is LabelMode.FIXED_COUNTS
     n0_fixed = _fixed_n0(spec)
-    probabilities = [_axis_probability(r_j) for v in (spec.problem.r, spec.problem.s)
-                     for r_j in (v.x, v.y, v.z)]
+    probabilities = _axis_probabilities(spec.problem)
 
     def draw(rng, size):
         if fixed:
@@ -432,9 +436,8 @@ def _binomial_sampler(spec: TrainingSetSpec):
             h = np.ones(size, dtype=int)
             m = (n0, n - n0)
         est = np.empty((6, size))
-        for i, p in enumerate(probabilities):
-            m_j = (m[i // 3] + (2 - i % 3)) // 3
-            est[i] = _outcome_average(rng.binomial(m_j, p, size), m_j)
+        for out, m_j, p in zip(est, _axis_copies(*m), probabilities):
+            out[:] = _outcome_average(rng.binomial(m_j, p, size), m_j)
         return est, n0, h
 
     return draw

@@ -1,6 +1,6 @@
 """Tests for the Gaussian limit model: the one-rule residual law behind the
-chunk draws, checked against a per-channel oracle and the closed forms,
-and the MC risks."""
+chunk draws, checked against a per-channel oracle, an explicit meter and
+the closed forms, and the MC risks."""
 
 import math
 
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qclass import (
     build_frame,
+    classical_risk_term,
     optimal_minimax_risk,
     plugin_risk,
     prior_correction,
@@ -178,6 +179,46 @@ def loss_coefficients(strategy, frame, pi0):
     inv4d = 1.0 / (4.0 * frame.d0_norm)
     var_l, var_k = _residual_variances(strategy, frame, pi0)
     return var_l * inv4d, var_k * inv4d
+
+
+# The meter oracle: a joint measurement of the two observables a.R and b.R
+# couples one meter mode m = (q_m, p_m) and reads out a.R + g.m and b.R + h.m.
+# J is the symplectic form, [R_i, R_j] = i J_ij, one 2x2 block per mode.
+
+J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+J4 = np.kron(np.eye(2), J2)
+
+
+def observables(frame, pi0):
+    """(a, b, sigma): the two observables of the module docstring and the
+    diagonal of the modes' covariance."""
+    root_r = math.sqrt(2.0 * frame.r0_norm * pi0)
+    root_s = math.sqrt(2.0 * frame.s0_norm * (1.0 - pi0))
+    a = np.array([root_r * frame.sin_phi0, 0.0, root_s * frame.sin_phi1, 0.0])
+    b = np.array([0.0, root_r, 0.0, -root_s])
+    sigma = np.array([0.5 / frame.r0_norm] * 2 + [0.5 / frame.s0_norm] * 2)
+    return a, b, sigma
+
+
+def meter_covariance(nu, t, theta):
+    """A single-mode Gaussian covariance: thermal factor nu >= 1, squeezing
+    t, rotation theta (Williamson's form; nu = 1, t = 0 is the vacuum)."""
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    return 0.5 * nu * rot @ np.diag([math.exp(-2.0 * t), math.exp(2.0 * t)]) @ rot.T
+
+
+def physical(cov):
+    """Whether cov + iJ/2 is positive semidefinite, to rounding."""
+    eig = np.linalg.eigvalsh(cov + 0.5j * J2)
+    return eig.min() >= -1e-12 * eig.max()
+
+
+def commuting_readout(g, h0, c):
+    """h = h0 + beta J^T g, the beta that makes g^T J h = -c: then
+    [a.R + g.m, b.R + h.m] = i c + i g^T J h = 0."""
+    beta = (-c - g @ J2 @ h0) / (g @ g)
+    return h0 + beta * (J2.T @ g)
 
 
 class TestChannelParams:
@@ -382,6 +423,56 @@ class TestResidualLaw:
             assert gap <= 4 * math.hypot(res.stderr, loss.std(ddof=1) / math.sqrt(n))
 
 
+class TestMeasurementRule:
+    """The rule "a joint measurement adds |c|/2 to each variance", derived
+    from explicit meters (Arthurs and Kelly, Bell Syst. Tech. J. 44, 725,
+    1965) rather than restated."""
+
+    @PROPERTY
+    @given(config=nontrivial_config,
+           meter=st.tuples(st.floats(1.0, 10.0), st.floats(-2.0, 2.0),
+                           st.floats(0.0, 2.0 * math.pi)),
+           readout=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4))
+    def test_added_noise_is_at_least_the_commutator(self, config, meter, readout):
+        """Any physical single-mode meter whose two read-outs commute adds
+        noises g^T S g and h^T S h that sum to at least |c|."""
+        r, s, pi0 = config
+        a, b, _ = observables(build_frame(r, s, pi0), pi0)
+        c = a @ J4 @ b
+        cov = meter_covariance(*meter)
+        assert physical(cov)
+        g = np.array(readout[:2])
+        if g @ g < 1e-6:
+            g = np.array([1.0, 0.0])
+        h = commuting_readout(g, np.array(readout[2:]), c)
+        assert abs(g @ J2 @ h + c) <= 1e-12 * (1.0 + abs(c) + (g @ g) * (h @ h))
+        noise = g @ cov @ g + h @ cov @ h
+        assert noise >= abs(c) - 1e-12 * noise
+
+    @PROPERTY
+    @given(config=nontrivial_config, kappa=st.floats(0.1, 10.0))
+    def test_arthurs_kelly_meter_gives_the_library_variances(self, config, kappa):
+        """Read out a.R + kappa q_m and b.R - (c/kappa) p_m with the meter
+        squeezed to kappa^2 exp(-2t) = |c|: each read-out gains |c|/2, and
+        with the classical term on the l0 side the variances are
+        _residual_variances' for the optimal joint measurement."""
+        r, s, pi0 = config
+        f = build_frame(r, s, pi0)
+        a, b, sigma = observables(f, pi0)
+        c = a @ J4 @ b
+        if c == 0.0:  # commuting observables: no meter is needed
+            return
+        cov = np.diag([abs(c) / kappa**2, kappa**2 / abs(c)]) / 2.0
+        g, h = np.array([kappa, 0.0]), np.array([0.0, -c / kappa])
+        assert physical(cov)
+        assert g @ J2 @ h == pytest.approx(-c, rel=1e-15, abs=0)
+        var_l = classical_risk_term(f, pi0) + a * a @ sigma + g @ cov @ g
+        var_k = b * b @ sigma + h @ cov @ h
+        want_l, want_k = _residual_variances(StrategyKind.OPTIMAL_JOINT, f, pi0)
+        assert var_l == pytest.approx(want_l, rel=1e-15, abs=0)
+        assert var_k == pytest.approx(want_k, rel=1e-15, abs=0)
+
+
 class TestMonteCarloRisk:
     def test_seed_determinism_and_worker_independence(self):
         f = planar_frame()
@@ -414,6 +505,29 @@ class TestMonteCarloRisk:
             loss = a * z_l ** 2 + b * z_k ** 2
             assert res.mean_rescaled_excess == loss.mean()
             assert res.stderr == loss.std(ddof=1) / math.sqrt(1000)
+
+    @PROPERTY
+    @given(config=nontrivial_config, seed=st.integers(0, 2**32 - 1))
+    def test_stderr_is_exact(self, config, seed):
+        """The loss A X + B Y, X and Y independent chi-square(1), has
+        variance 2A^2 + 2B^2, so a run's stderr is known before it runs.
+
+        The tolerance comes from the loss's fourth moment: with cumulants
+        k2 = 2(A^2 + B^2) and k4 = 48(A^4 + B^4), the central fourth moment
+        is k4 + 3 k2^2, so the sample variance has variance (k4 + 2 k2^2)/N
+        and the sample sd a relative sd of sqrt(k4/k2^2 + 2)/(2 sqrt(N)) =
+        sqrt(1/2 + 3(A^4 + B^4)/(A^2 + B^2)^2)/sqrt(N), at most 1.9/sqrt(N).
+        The check allows five of these."""
+        r, s, pi0 = config
+        f = build_frame(r, s, pi0)
+        trials = 1 << 16
+        results = monte_carlo_risks(list(StrategyKind), f, pi0, trials=trials, seed=seed)
+        for strategy, res in zip(StrategyKind, results):
+            a, b = loss_coefficients(strategy, f, pi0)
+            exact = math.sqrt(2.0 * (a * a + b * b) / trials)
+            quartic = (a**4 + b**4) / (a * a + b * b) ** 2
+            rel_sd = math.sqrt((0.5 + 3.0 * quartic) / trials)
+            assert res.stderr == pytest.approx(exact, rel=5.0 * rel_sd, abs=0)
 
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
