@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import qclass
-from qclass import montecarlo, qubit_experiment
+from qclass import cli, montecarlo, qubit_experiment
 from qclass.cli import _build_parser, main
 
 PLANAR_PROBLEM = {"r0": [0.8, 0.0, 0.0], "s0": [0.0, 0.6, 0.0], "pi0": 0.5}
@@ -385,6 +385,18 @@ class TestFloatReportPath:
         assert (proc.stdout == b"") == (code != 0)
         if needs_numpy:
             assert proc.stderr == f"error: {command} needs numpy\n".encode()
+
+    def test_other_missing_module_still_raises(self, tmp_path, monkeypatch):
+        """Only a missing numpy becomes exit 2; any other missing module is
+        a fault of the install, not of the config, and propagates."""
+        def needs_other(cfg, args):
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+
+        monkeypatch.setitem(cli._COMMANDS, "gaussian-sim", needs_other)
+        cfg = {"problem": PLANAR_PROBLEM, "strategy": "optimal_joint", "trials": 10, "seed": 1}
+        with pytest.raises(ModuleNotFoundError) as info:
+            main(["gaussian-sim", "--config", write_config(tmp_path, cfg)])
+        assert info.value.name == "scipy"
 
     def test_cli_import_loads_no_numpy(self):
         """numpy is importable here, yet the package root and the CLI leave it

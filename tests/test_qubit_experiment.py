@@ -26,6 +26,7 @@ from qclass.qubit_experiment import (
     _WINDOW_TAIL,
     _Columns,
     _CountTable,
+    _axis_copies,
     _TableCache,
     _binomial_pmf_rows,
     _binomial_sampler,
@@ -164,6 +165,17 @@ class TestTomographicEstimate:
         for j in range(3):
             est = _estimates(BlochVector.from_array(np.eye(3)[j]), m, np.ones_like(m), rng, n)
             np.testing.assert_array_equal(est[j] > 0.0, [axis_counts(k)[j] > 0 for k in m])
+
+    def test_axis_copies_over_ints_and_arrays(self):
+        """The samplers' one split rule gives each class the oracle's split,
+        x, y, z of rho and then of sigma, for ints and elementwise for
+        integer arrays alike."""
+        m0, m1 = np.arange(20), np.arange(20)[::-1] * 7
+        columns = _axis_copies(m0, m1)
+        for i in range(m0.size):
+            scalar = _axis_copies(int(m0[i]), int(m1[i]))
+            assert scalar == [*axis_counts(int(m0[i])), *axis_counts(int(m1[i]))]
+            assert [int(c[i]) for c in columns] == scalar
 
     def test_clipping_inactive_for_interior_states(self):
         """At mixed states the raw estimate stays interior for large m."""
