@@ -10,19 +10,18 @@ the positive eigenspace of pi0_hat*rho_hat - pi1_hat*sigma_hat.
 The average of the m_j outcomes +/-1 on axis j depends on them only
 through the number k_j of +1 outcomes, k_j ~ Binomial(m_j, (1 + r_j)/2),
 so each trial needs six counts instead of n outcomes; a whole chunk of
-trials is evaluated as arrays.  run_experiment picks one of three
+trials is evaluated as arrays.  run_experiment picks one of two
 samplers once per run.  Each draws a chunk's class sizes as groups of
 equal class size, then each axis's counts for all of them:
 
-* _fixed_label_sampler, fixed labels (one group): one multinomial per
-  axis over a windowed Binomial(m_j, p_j) pmf row, then one permutation
-  call pairs the axes.  It is picked when its estimated cost, about
-  sum_j 8 sigma_j multinomial cells plus five shuffles of the chunk, is
-  below that of six binomial draws per trial; the estimate reads only
-  the spec, the trial count and the chunk size.
-* _histogram_sampler, random labels up to n = _HISTOGRAM_MAX_N: one
-  multinomial over the groups' full pmf rows per axis, paired by one
-  permutation call per group.
+* _histogram_sampler: one multinomial per axis over the groups' pmf
+  rows, paired by one permutation call per group.  Fixed labels are one
+  group over windowed Binomial(m_j, p_j) rows; they take it when its
+  estimated cost, about sum_j 8 sigma_j multinomial cells plus five
+  shuffles of the chunk, is below that of six binomial draws per trial,
+  an estimate that reads only the spec, the trial count and the chunk
+  size.  Random labels take it up to n = _HISTOGRAM_MAX_N, over full
+  pmf rows.
 * _binomial_sampler otherwise: one binomial call per axis, at a cost
   that is the same at every n.
 
@@ -328,8 +327,9 @@ def _fixed_axis_laws(spec: TrainingSetSpec) -> list[tuple[int, float]]:
 
 
 def _fixed_histograms_cheaper(spec: TrainingSetSpec, trials: int) -> bool:
-    """Whether _fixed_label_sampler is estimated to draw a chunk faster
-    than _binomial_sampler, from the spec and the chunk size alone.
+    """Whether _histogram_sampler is estimated to draw a fixed-label
+    chunk faster than _binomial_sampler, from the spec and the chunk size
+    alone.
 
     numpy's multinomial visits about 8 sigma_j cells of a row (its window
     has m_j + 1 cells at most), and the five shuffled rows cost one
@@ -341,72 +341,65 @@ def _fixed_histograms_cheaper(spec: TrainingSetSpec, trials: int) -> bool:
     return _CELL_COST * cells + 5 * _SHUFFLE_COST * size < 6 * size
 
 
-def _fixed_label_sampler(spec: TrainingSetSpec):
-    """draw(rng, size) -> (est, n0, h) for fixed labels, the counts drawn
-    as histograms over windowed pmf rows.
-
-    Fixed labels are one group, n0 = [round(pi0 * n)] and h = [size].  For
-    each axis, x, y, z of rho and then of sigma, one multinomial of size
-    over the axis's _binomial_window row gives how many trials take each
-    count, and np.repeat expands their outcome averages in the row's
-    order; then one rng.permuted call shuffles the five estimate rows
-    after rho's x, so the axes pair independently.  The rows run from the
-    mode outward, so the multinomial stops after about 8 sigma_j cells,
-    once every trial is placed.
-    """
-    rows = []
-    for m, p in _fixed_axis_laws(spec):
-        counts, pmf = _WINDOWS(m, p)
-        rows.append((_outcome_average(counts, m), pmf))
-    n0 = np.array([_fixed_n0(spec)])
-
-    def draw(rng, size):
-        est = np.empty((6, size))
-        for out, (averages, pmf) in zip(est, rows):
-            out[:] = np.repeat(averages, rng.multinomial(size, pmf))
-        paired = est[1:]
-        rng.permuted(paired, axis=1, out=paired)
-        return est, n0, np.array([size])
-
-    return draw
-
-
 def _histogram_sampler(spec: TrainingSetSpec):
-    """draw(rng, size) -> (est, n0, h) for random labels, the counts drawn
-    as histograms.
+    """draw(rng, size) -> (est, n0, h), the counts drawn as histograms.
 
-    h[g] trials have n0[g] copies of rho, in ascending n0: the nonempty
-    cells of h ~ Multinomial(size, Binomial(n, pi0) pmf).  For each axis,
-    x, y, z of rho and then of sigma, one multinomial of h over the groups'
-    pmf rows gives the number of trials in each (group, count) cell; then
-    one rng.permuted call per group shuffles every estimate row but rho's
-    x within the group, so the axes pair independently.  est holds the
-    unclipped (6, size) estimates in the order of the groups.
+    h[g] trials have n0[g] copies of rho, in ascending n0.  Fixed labels
+    are one group, n0 = [round(pi0 * n)] and h = [size], over the axes'
+    _binomial_window rows, built once per run; random labels take the
+    nonempty cells of h ~ Multinomial(size, Binomial(n, pi0) pmf), over
+    the groups' full pmf rows.  For each axis, x, y, z of rho and then of
+    sigma, one multinomial of h over the rows gives the number of trials
+    in each (group, count) cell, and np.repeat expands their outcome
+    averages; then one rng.permuted call per group shuffles every estimate
+    row but rho's x within the group, so the axes pair independently.  A
+    windowed row runs from the mode outward, so its multinomial stops
+    after about 8 sigma_j cells, once every trial is placed.  est holds
+    the unclipped (6, size) estimates in the order of the groups.
     """
     n = spec.n
-    # pmf tables up to the largest class size the label law can give
-    tables = [_COUNT_TABLES(p, top)
-              for p, top in zip(_axis_probabilities(spec.problem), _axis_copies(n, n))]
-    labels_pmf = _binomial_pmf_rows(np.array([n]), spec.pi0)[0]
 
-    def draw(rng, size):
-        h = rng.multinomial(size, labels_pmf)
-        n0 = np.flatnonzero(h)
-        h = h[n0]
+    def histograms(rng, size, h, rows):
         averages, taken = [], []
-        for table, m_j in zip(tables, _axis_copies(n0, n - n0)):
-            pmf = table.rows(m_j)
-            # the number of trials that take each (group, count) cell
-            taken.append(rng.multinomial(h, pmf).ravel())
-            k = _count_grid(m_j, pmf.shape[1])
-            averages.append(_outcome_average(k, m_j[:, None]).ravel())
+        for avg, pmf in rows:
+            # one group's 1-D row takes the chunk size as an int: numpy draws
+            # the same variates for [size] over a (1, W) row, but slower
+            taken.append(rng.multinomial(size if pmf.ndim == 1 else h, pmf).ravel())
+            averages.append(avg.ravel())
         # every axis's cells hold size trials, so the rows come out whole
         est = np.repeat(np.concatenate(averages), np.concatenate(taken)).reshape(6, size)
         ends = np.cumsum(h)
         for start, end in zip(ends - h, ends):
-            rows = est[1:, start:end]
-            rng.permuted(rows, axis=1, out=rows)
-        return est, n0, h
+            paired = est[1:, start:end]
+            rng.permuted(paired, axis=1, out=paired)
+        return est
+
+    if spec.label_mode is LabelMode.FIXED_COUNTS:
+        n0_fixed = np.array([_fixed_n0(spec)])
+        windowed = []
+        for m, p in _fixed_axis_laws(spec):
+            counts, pmf = _WINDOWS(m, p)
+            windowed.append((_outcome_average(counts, m), pmf))
+
+        def draw(rng, size):
+            h = np.array([size])
+            return histograms(rng, size, h, windowed), n0_fixed, h
+    else:
+        # pmf tables up to the largest class size the label law can give
+        tables = [_COUNT_TABLES(p, top)
+                  for p, top in zip(_axis_probabilities(spec.problem), _axis_copies(n, n))]
+        labels_pmf = _binomial_pmf_rows(np.array([n]), spec.pi0)[0]
+
+        def draw(rng, size):
+            h = rng.multinomial(size, labels_pmf)
+            n0 = np.flatnonzero(h)
+            h = h[n0]
+            rows = []
+            for table, m_j in zip(tables, _axis_copies(n0, n - n0)):
+                pmf = table.rows(m_j)
+                k = _count_grid(m_j, pmf.shape[1])
+                rows.append((_outcome_average(k, m_j[:, None]), pmf))
+            return histograms(rng, size, h, rows), n0, h
 
     return draw
 
@@ -415,11 +408,11 @@ def _binomial_sampler(spec: TrainingSetSpec):
     """draw(rng, size) -> (est, n0, h) as _histogram_sampler, by one
     binomial call per axis at a cost that is the same at every n.
 
-    Fixed labels are one group, whose copy counts are drawn against as
-    ints; random labels draw n0 ~ Binomial(n, pi0) per trial, sorted, every
-    trial its own group.  numpy draws the same variates for an int as for
-    a constant array, and a shared int or sorted counts spare it its
-    per-(m_j, p) set-up.
+    Fixed labels are one group, as in _histogram_sampler, whose copy
+    counts are drawn against as ints; random labels draw n0 ~ Binomial(n,
+    pi0) per trial, sorted, every trial its own group.  numpy draws the
+    same variates for an int as for a constant array, and a shared int or
+    sorted counts spare it its per-(m_j, p) set-up.
     """
     n, pi0 = spec.n, spec.pi0
     fixed = spec.label_mode is LabelMode.FIXED_COUNTS
@@ -468,8 +461,9 @@ def run_experiment(
 
     Each chunk is evaluated as arrays over its trials, with no loop over
     trials (the kernel after the draws takes _KERNEL_BLOCK trials per
-    pass).  One sampler, picked once per run from the label mode, n and
-    the chunk size (see the module docstring), draws a chunk's class sizes
+    pass).  One of the two samplers, _histogram_sampler or
+    _binomial_sampler, picked once per run from the label mode, n and the
+    chunk size (see the module docstring), draws a chunk's class sizes
     as groups and the six estimates of every trial, in the order of the
     groups, so a trial's value is fixed by (seed, CHUNK_SIZE, its index),
     not by its index alone.  Every trial has the same law, and the
@@ -481,12 +475,9 @@ def run_experiment(
     """
     n, pi0 = spec.n, spec.pi0
     truth = pauli_data(spec.problem.r, spec.problem.s, pi0)
-    if spec.label_mode is LabelMode.FIXED_COUNTS:
-        cheaper = _fixed_histograms_cheaper(spec, trials)
-        sampler = _fixed_label_sampler if cheaper else _binomial_sampler
-    else:
-        sampler = _histogram_sampler if n <= _HISTOGRAM_MAX_N else _binomial_sampler
-    draw = sampler(spec)
+    histograms = (_fixed_histograms_cheaper(spec, trials)
+                  if spec.label_mode is LabelMode.FIXED_COUNTS else n <= _HISTOGRAM_MAX_N)
+    draw = (_histogram_sampler if histograms else _binomial_sampler)(spec)
 
     def chunk_fn(rng, size):
         est, n0, h = draw(rng, size)

@@ -33,7 +33,6 @@ from qclass.qubit_experiment import (
     _binomial_window,
     _clip_to_ball,
     _count_grid,
-    _fixed_label_sampler,
     _histogram_sampler,
     _plugin_excess,
     rescaled_risk_curve,
@@ -275,20 +274,30 @@ class TestCountSampler:
             assert draw(spy, size)[0].tobytes() == draw(plain, size)[0].tobytes()
         return calls
 
-    def test_run_picks_one_sampler_by_n(self, monkeypatch):
-        """run_experiment builds one sampler per run, whatever its chunk
-        count: histograms up to _HISTOGRAM_MAX_N, binomials above."""
-        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 500)
+    def test_run_picks_one_sampler_per_run(self, monkeypatch):
+        """run_experiment builds one of the two samplers per run, whatever
+        its chunk count.  Random labels draw histograms up to
+        _HISTOGRAM_MAX_N and binomials above.  Fixed labels draw histograms
+        when their estimated cost is lower, which the chunk size sets: at
+        n = 10^4 64-trial chunks draw binomials and 2000-trial chunks
+        histograms; at n = 10^7 2000-trial chunks draw binomials."""
         picked = []
         for name in ("_histogram_sampler", "_binomial_sampler"):
             def build(spec, name=name, sampler=getattr(qubit_experiment, name)):
-                picked.append((name, spec.n))
+                picked.append((name, spec.label_mode, spec.n))
                 return sampler(spec)
             monkeypatch.setattr(qubit_experiment, name, build)
-        for n in (self.BINOMIAL_N - 1, self.BINOMIAL_N):
-            run_experiment(TrainingSetSpec(n=n, problem=SKEWED), 1200, 3)
-        assert picked == [("_histogram_sampler", _HISTOGRAM_MAX_N),
-                          ("_binomial_sampler", self.BINOMIAL_N)]
+        random, fixed = LabelMode.RANDOM_LABELS, LabelMode.FIXED_COUNTS
+        cases = [(random, _HISTOGRAM_MAX_N, 1200, 500, "_histogram_sampler"),
+                 (random, self.BINOMIAL_N, 1200, 500, "_binomial_sampler"),
+                 (fixed, 10**4, 300, 64, "_binomial_sampler"),
+                 (fixed, 10**4, 2000, 1 << 16, "_histogram_sampler"),
+                 (fixed, 10**7, 2000, 1 << 16, "_binomial_sampler"),
+                 (fixed, 60, 300, 64, "_histogram_sampler")]
+        for mode, n, trials, chunk, _ in cases:
+            monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
+            run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), trials, 3)
+        assert picked == [(name, mode, n) for mode, n, _, _, name in cases]
 
     def test_fixed_labels_draw_against_an_int_count(self):
         calls = self._spy_draws(_binomial_sampler, LabelMode.FIXED_COUNTS)
@@ -317,36 +326,17 @@ class TestCountSampler:
                 assert np.all(np.diff(m) <= 0)
             assert rho[0][0][0] < rho[0][0][-1]  # the class sizes do vary
 
-    def test_run_picks_the_fixed_label_draw_by_cost(self, monkeypatch):
-        """Fixed labels draw histograms over windowed rows when their
-        estimated cost is lower, which the chunk size sets: at n = 10^4
-        64-trial chunks draw binomials and 2000-trial chunks histograms;
-        at n = 10^7 2000-trial chunks draw binomials."""
-        picked = []
-        for name in ("_fixed_label_sampler", "_binomial_sampler", "_histogram_sampler"):
-            def build(spec, name=name, sampler=getattr(qubit_experiment, name)):
-                picked.append((name, spec.n))
-                return sampler(spec)
-            monkeypatch.setattr(qubit_experiment, name, build)
-        for n, trials, chunk in ((10**4, 300, 64), (10**4, 2000, 1 << 16),
-                                 (10**7, 2000, 1 << 16), (60, 300, 64)):
-            monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
-            spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS)
-            run_experiment(spec, trials, 3)
-        assert picked == [("_binomial_sampler", 10**4), ("_fixed_label_sampler", 10**4),
-                          ("_binomial_sampler", 10**7), ("_fixed_label_sampler", 60)]
-
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_histogram_path_draws_no_per_trial_count(self, mode):
-        """The histogram samplers make no binomial or shuffle call.  Random
+        """The histogram sampler makes no binomial or shuffle call.  Random
         labels: one multinomial for the class sizes and one per axis, over
         one pmf row per class size drawn, then one permuted call per class
         size over the five estimate rows after rho's x.  Fixed labels: one
-        multinomial of the chunk size per axis, over its windowed row, then
-        one permuted call over those five rows."""
+        multinomial per axis of the chunk size as an int over the 1-D
+        windowed row (an array count over a 2-D row draws the same
+        variates, slower), then one permuted call over those five rows."""
         fixed = mode is LabelMode.FIXED_COUNTS
-        sampler = _fixed_label_sampler if fixed else _histogram_sampler
-        calls = self._spy_draws(sampler, mode, n=_HISTOGRAM_MAX_N)
+        calls = self._spy_draws(_histogram_sampler, mode, n=_HISTOGRAM_MAX_N)
         assert {name for name, _, _ in calls} == {"multinomial", "permuted"}
         spec = TrainingSetSpec(n=_HISTOGRAM_MAX_N, problem=SKEWED, label_mode=mode)
         for size in self.SIZES:
@@ -355,6 +345,7 @@ class TestCountSampler:
                 windows = [_binomial_window(m, p)[1].shape
                            for m, p in qubit_experiment._fixed_axis_laws(spec)]
                 assert axes == [("multinomial", size, w) for w in windows]
+                assert all(type(count) is int and len(shape) == 1 for _, count, shape in axes)
                 h = np.array([size])
             else:
                 assert calls[0] == ("multinomial", size, (_HISTOGRAM_MAX_N + 1,))
@@ -503,7 +494,7 @@ class TestFixedLabelDraw:
     def _counts(n, trials, seed):
         """(6, trials) counts k_j of fixed-label draws at n, and the (m_j, p_j)."""
         spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS)
-        draw = _fixed_label_sampler(spec)
+        draw = _histogram_sampler(spec)
         rng = np.random.default_rng(seed)
         est = np.concatenate([draw(rng, 50_000)[0] for _ in range(trials // 50_000)], axis=1)
         laws = qubit_experiment._fixed_axis_laws(spec)
@@ -538,6 +529,27 @@ class TestFixedLabelDraw:
         for a in range(6):
             for b in range(a):
                 assert abs(corr[a, b]) * math.sqrt(trials) <= 4.0, (a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 60, 10**4, 10**5])
+    def test_one_group_draw_is_the_written_out_draw(self, n):
+        """With fixed labels the histogram sampler's draw is, call for call
+        and byte for byte, one multinomial of the chunk size per axis over
+        its windowed row, np.repeat of the outcome averages, then one
+        rng.permuted call over the five rows after rho's x."""
+        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS)
+        draw = _histogram_sampler(spec)
+        for size in (1, 7, 2000):
+            got, want = np.random.default_rng(size), np.random.default_rng(size)
+            est, n0, h = draw(got, size)
+            oracle = np.empty((6, size))
+            for out, (m, p) in zip(oracle, qubit_experiment._fixed_axis_laws(spec)):
+                counts, pmf = _binomial_window(m, p)
+                out[:] = np.repeat((2.0 * counts - m) / max(m, 1), want.multinomial(size, pmf))
+            want.permuted(oracle[1:], axis=1, out=oracle[1:])
+            assert est.tobytes() == oracle.tobytes()
+            assert n0.tobytes() == np.array([math.floor(0.4 * n + 0.5)]).tobytes()
+            assert h.tobytes() == np.array([size]).tobytes()
+            assert got.bit_generator.state == want.bit_generator.state
 
     @pytest.mark.parametrize("n", [10**4, 10**5])
     def test_mean_excess_matches_binomial_draw(self, monkeypatch, n):
