@@ -140,4 +140,4 @@ def monte_carlo_risks(
             yield loss
 
     moments = run_chunked(trials, seed, chunk_fn, workers=workers)
-    return [summarize(m, n=None) for m in moments]
+    return [summarize(m) for m in moments]

@@ -13,8 +13,9 @@ worker thread, not one value per trial.  A chunk may also yield several
 rows of values from one draw (one row per strategy of a Gaussian-model
 run): each row is reduced before the next is asked for, so a chunk
 function can write every row into one reused buffer, and the run keeps
-one Moments per row.  A run starts at most one thread per CPU this
-process may run on (its affinity mask, not the machine's CPU count).
+one Moments per row; a chunk of one array is the one-row case.  A run
+starts at most one thread per CPU this process may run on (its affinity
+mask, not the machine's CPU count).
 """
 
 from __future__ import annotations
@@ -109,16 +110,16 @@ def run_chunked(
     seed: Seed,
     chunk_fn: Callable[[np.random.Generator, int], np.ndarray | Iterable[np.ndarray]],
     workers: int = 1,
-) -> Moments | list[Moments]:
-    """Moments of chunk_fn(rng, size) over all chunks, merged in chunk order.
+) -> list[Moments]:
+    """Moments of chunk_fn(rng, size) over all chunks, merged in chunk order,
+    one per row.
 
-    chunk_fn returns one ``(size,)`` array, or an iterable of ``(size,)``
-    rows that is not an array; then the result is a list with one Moments
-    per row, and every chunk must yield the same number of rows.  Each row
-    is reduced by ``Moments.of`` (which consumes it) before the next is
-    asked for, so a chunk function may yield the same buffer for every
-    row.  At most ``min(workers, chunks, CPUs this process may run on)``
-    threads evaluate the chunks.
+    chunk_fn returns an iterable of ``(size,)`` rows that is not an array,
+    or one ``(size,)`` array, the one-row case; every chunk must yield the
+    same number of rows.  Each row is reduced by ``Moments.of`` (which
+    consumes it) before the next is asked for, so a chunk function may
+    yield the same buffer for every row.  At most ``min(workers, chunks,
+    CPUs this process may run on)`` threads evaluate the chunks.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -126,47 +127,40 @@ def run_chunked(
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     n_chunks = (trials + CHUNK_SIZE - 1) // CHUNK_SIZE
 
-    def one(c: int) -> tuple[bool, list[Moments]]:
+    def one(c: int) -> list[Moments]:
         size = min(CHUNK_SIZE, trials - c * CHUNK_SIZE)
         out = chunk_fn(chunk_rng(seed, c), size)
-        single = isinstance(out, np.ndarray)
         moments = []
-        for row in (out,) if single else out:
+        for row in (out,) if isinstance(out, np.ndarray) else out:
             row = np.asarray(row, dtype=float)
             if row.shape != (size,):
                 raise ValueError(f"chunk_fn returned shape {row.shape}, expected ({size},)")
             moments.append(Moments.of(row))
-        return single, moments
+        return moments
 
-    def merge(acc: tuple[bool, list[Moments]], nxt: tuple[bool, list[Moments]]):
-        (single, rows), (_, more) = acc, nxt
+    def merge(rows: list[Moments], more: list[Moments]) -> list[Moments]:
         if len(more) != len(rows):
             raise ValueError(f"chunk_fn returned {len(more)} rows, expected {len(rows)}")
-        return single, [a.merge(b) for a, b in zip(rows, more)]
+        return [a.merge(b) for a, b in zip(rows, more)]
 
     threads = min(workers, n_chunks, _usable_cpus())
     if threads == 1:
-        single, moments = reduce(merge, map(one, range(n_chunks)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            single, moments = reduce(merge, pool.map(one, range(n_chunks)))
-    return moments[0] if single else moments
+        return reduce(merge, map(one, range(n_chunks)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return reduce(merge, pool.map(one, range(n_chunks)))
 
 
-def summarize(
-    moments: Moments,
-    *,
-    n: int | None = None,
-    scale: float = 1.0,
-    with_fraction_exact: bool = False,
-) -> ExperimentResult:
-    """Mean / stderr summary of per-trial moments, rescaled by ``scale``."""
+def summarize(moments: Moments, n: int | None = None) -> ExperimentResult:
+    """Mean / stderr summary of per-trial moments.  At a copy count n both
+    are rescaled by n and the fraction of exact zeros is reported; in the
+    limit model (n None) neither."""
     m = moments.count
     sd = math.sqrt(moments.m2 / (m - 1)) if m > 1 else 0.0
+    scale = 1 if n is None else n
     return ExperimentResult(
         n=n,
         trials=m,
         mean_rescaled_excess=scale * moments.mean,
         stderr=scale * sd / math.sqrt(m),
-        fraction_exact=moments.zeros / m if with_fraction_exact else None,
+        fraction_exact=None if n is None else moments.zeros / m,
     )

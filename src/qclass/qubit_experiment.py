@@ -20,8 +20,9 @@ equal class size, then each axis's counts for all of them:
   estimated cost, about sum_j 8 sigma_j multinomial cells plus five
   shuffles of the chunk, is below that of six binomial draws per trial,
   an estimate that reads only the spec, the trial count and the chunk
-  size.  Random labels take it up to n = _HISTOGRAM_MAX_N, over full
-  pmf rows.
+  size.  Random labels take it up to n = _HISTOGRAM_MAX_N: the class
+  sizes are drawn over the windowed Binomial(n, pi0) row, and the counts
+  over full-width pmf rows of every copy count that window can reach.
 * _binomial_sampler otherwise: one binomial call per axis, at a cost
   that is the same at every n.
 
@@ -42,7 +43,6 @@ sampled-test-copy estimate are test oracles in tests/helpers.py.
 from __future__ import annotations
 
 import math
-import mmap
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -110,7 +110,8 @@ _KERNEL_BLOCK = 8192
 # Largest n that run_experiment gives to _histogram_sampler with random
 # labels.  Such a chunk costs a multinomial step per (class size, count)
 # cell, O(n^1.5) cells per axis, plus O(size) repeats and permutations;
-# its full-width pmf rows are built once per process (_COUNT_TABLES).
+# the pmf rows of every copy count its windowed label law can reach are
+# built once per process (_COUNT_TABLES).
 # numpy's per-trial binomial costs grow with m * min(p, 1 - p) up to its
 # BTPE switch and then stay flat.  On the README anchor with random labels
 # (2-vCPU box, in-process) the histogram path is 6x faster at n = 300,
@@ -177,31 +178,32 @@ def _count_grid(m: np.ndarray, width: int) -> np.ndarray:
     return np.arange(width) - (width - 1 - m)[:, None]
 
 
-def _binomial_pmf_rows(m: np.ndarray, p: float, width: int | None = None) -> np.ndarray:
+def _binomial_pmf_rows(m: np.ndarray, p: float) -> np.ndarray:
     """Binomial(m_g, p) pmf for each entry m_g of m, one row each.
 
-    A (len(m), width) array laid out as _count_grid, width max(m) + 1
-    unless given: row g holds the probabilities of k = 0..m_g in its last
-    m_g + 1 columns, after padding with probability 0.  A row's floats
-    depend only on m_g, p and the width.  numpy's multinomial gives the
-    last column whatever the earlier ones leave, and that column is always
-    a possible count, so rounding of the pmf cannot put a draw in the
-    padding.  The log k! come from math.lgamma.  p in {0, 1} and m_g = 0
-    are exact point masses, and no padding entry is exponentiated.
+    A read-only (len(m), max(m) + 1) array laid out as _count_grid: row g
+    holds the probabilities of k = 0..m_g in its last m_g + 1 columns,
+    after padding with probability 0.  A row's floats depend only on m_g,
+    p and max(m).  numpy's multinomial gives the last column whatever the
+    earlier ones leave, and that column is always a possible count, so
+    rounding of the pmf cannot put a draw in the padding.  The log k! come
+    from math.lgamma.  p in {0, 1} and m_g = 0 are exact point masses, and
+    no padding entry is exponentiated.
     """
-    if width is None:
-        width = int(m.max()) + 1
+    width = int(m.max()) + 1
     k = _count_grid(m, width)
     mk = np.broadcast_to(m[:, None], k.shape)
     if p == 0.0 or p == 1.0:
-        return (k == (0 if p == 0.0 else mk)).astype(float)
-    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(width)])
-    pmf = np.zeros(k.shape)
-    valid = k >= 0
-    kv, mv = k[valid], mk[valid]
-    pmf[valid] = np.exp(log_factorial[mv] - log_factorial[kv] - log_factorial[mv - kv]
-                        + kv * math.log(p) + (mv - kv) * math.log1p(-p))
-    pmf /= pmf.sum(axis=1, keepdims=True)
+        pmf = (k == (0 if p == 0.0 else mk)).astype(float)
+    else:
+        log_factorial = np.array([math.lgamma(i + 1.0) for i in range(width)])
+        pmf = np.zeros(k.shape)
+        valid = k >= 0
+        kv, mv = k[valid], mk[valid]
+        pmf[valid] = np.exp(log_factorial[mv] - log_factorial[kv] - log_factorial[mv - kv]
+                            + kv * math.log(p) + (mv - kv) * math.log1p(-p))
+        pmf /= pmf.sum(axis=1, keepdims=True)
+    pmf.flags.writeable = False
     return pmf
 
 
@@ -274,44 +276,17 @@ class _TableCache:
             return table
 
 
-# Windowed rows by (m, p), 16 bytes a cell: at most 16 MiB.
+# Windowed rows by (m, p), the random-label class sizes' by (n, pi0), 16
+# bytes a cell: at most 16 MiB.
 _WINDOWS = _TableCache(_binomial_window, lambda row: row[0].nbytes + row[1].nbytes, 16 << 20)
 
 
-class _CountTable:
-    """The Binomial(m_j, p) pmf rows of one axis, for copy counts m_j up to
-    ``top``, each built once per process when a chunk first needs it.
-
-    Every row has the width top + 1, so its floats do not depend on which
-    rows were built with it, and a run's output not on the order its chunks
-    ran in, nor on earlier runs.  Worker threads and concurrent runs share
-    the table, so a lock guards it.
-    """
-
-    def __init__(self, p: float, top: int):
-        self._p = p
-        # an anonymous map, so that only the pages of built rows become
-        # resident: a heap block may be resident before a row is written
-        buf = mmap.mmap(-1, 8 * (top + 1) ** 2)
-        self._pmf = np.frombuffer(buf).reshape(top + 1, top + 1)
-        self._built = np.zeros(top + 1, dtype=bool)
-        self._lock = threading.Lock()
-
-    def rows(self, m_j: np.ndarray) -> np.ndarray:
-        """The pmf rows of the copy counts m_j, their last max(m_j) + 1
-        columns."""
-        with self._lock:
-            unbuilt = ~self._built[m_j]
-            if unbuilt.any():
-                new = np.flatnonzero(np.bincount(m_j[unbuilt]))
-                self._pmf[new] = _binomial_pmf_rows(new, self._p, self._built.size)
-                self._built[new] = True
-            return self._pmf[m_j, -(int(m_j.max()) + 1):]
-
-
-# Count tables by (p, top), 8 (top + 1)^2 bytes mapped each, of which only
-# built rows become resident: at most 16 MiB mapped.
-_COUNT_TABLES = _TableCache(_CountTable, lambda table: table._pmf.nbytes, 16 << 20)
+# The pmf rows of one axis by (p, m_lo, m_hi), for the copy counts m_lo..m_hi
+# that a random-label run can reach, 8 (m_hi - m_lo + 1)(m_hi + 1) bytes
+# each: at most 16 MiB.
+_COUNT_TABLES = _TableCache(
+    lambda p, m_lo, m_hi: _binomial_pmf_rows(np.arange(m_lo, m_hi + 1), p),
+    lambda table: table.nbytes, 16 << 20)
 
 
 def _fixed_n0(spec: TrainingSetSpec) -> int:
@@ -346,16 +321,20 @@ def _histogram_sampler(spec: TrainingSetSpec):
 
     h[g] trials have n0[g] copies of rho, in ascending n0.  Fixed labels
     are one group, n0 = [round(pi0 * n)] and h = [size], over the axes'
-    _binomial_window rows, built once per run; random labels take the
-    nonempty cells of h ~ Multinomial(size, Binomial(n, pi0) pmf), over
-    the groups' full pmf rows.  For each axis, x, y, z of rho and then of
-    sigma, one multinomial of h over the rows gives the number of trials
-    in each (group, count) cell, and np.repeat expands their outcome
-    averages; then one rng.permuted call per group shuffles every estimate
-    row but rho's x within the group, so the axes pair independently.  A
-    windowed row runs from the mode outward, so its multinomial stops
-    after about 8 sigma_j cells, once every trial is placed.  est holds
-    the unclipped (6, size) estimates in the order of the groups.
+    _binomial_window rows, built once per run.  Random labels take the
+    nonempty cells of h ~ Multinomial(size, windowed Binomial(n, pi0)
+    row), put back in ascending class size; the window drops at most
+    2^-64 of the mass and holds the contiguous sizes lo..hi, so each
+    axis's copy counts lie in a range known when the sampler is built,
+    and the groups' rows come from one read-only table of that range.
+    For each axis, x, y, z of rho and then of sigma, one multinomial of h
+    over the rows gives the number of trials in each (group, count) cell,
+    and np.repeat expands their outcome averages; then one rng.permuted
+    call per group shuffles every estimate row but rho's x within the
+    group, so the axes pair independently.  A windowed row runs from the
+    mode outward, so its multinomial stops after about 8 sigma_j cells,
+    once every trial is placed.  est holds the unclipped (6, size)
+    estimates in the order of the groups.
     """
     n = spec.n
 
@@ -385,20 +364,24 @@ def _histogram_sampler(spec: TrainingSetSpec):
             h = np.array([size])
             return histograms(rng, size, h, windowed), n0_fixed, h
     else:
-        # pmf tables up to the largest class size the label law can give
-        tables = [_COUNT_TABLES(p, top)
-                  for p, top in zip(_axis_probabilities(spec.problem), _axis_copies(n, n))]
-        labels_pmf = _binomial_pmf_rows(np.array([n]), spec.pi0)[0]
+        # the window's cells run from the mode outward over the sizes lo..hi
+        sizes, labels_pmf = _WINDOWS(n, spec.pi0)
+        ascending = np.argsort(sizes)
+        lo, hi = int(sizes.min()), int(sizes.max())
+        # copy counts grow with the class size: the window's ends bound them
+        tables = [(_COUNT_TABLES(p, m_lo, m_hi), m_lo) for p, m_lo, m_hi in zip(
+            _axis_probabilities(spec.problem), _axis_copies(lo, n - hi), _axis_copies(hi, n - lo))]
 
         def draw(rng, size):
-            h = rng.multinomial(size, labels_pmf)
+            h = rng.multinomial(size, labels_pmf)[ascending]
             n0 = np.flatnonzero(h)
             h = h[n0]
+            n0 += lo
             rows = []
-            for table, m_j in zip(tables, _axis_copies(n0, n - n0)):
-                pmf = table.rows(m_j)
-                k = _count_grid(m_j, pmf.shape[1])
-                rows.append((_outcome_average(k, m_j[:, None]), pmf))
+            for (table, m_lo), m_j in zip(tables, _axis_copies(n0, n - n0)):
+                width = int(m_j.max()) + 1
+                k = _count_grid(m_j, width)
+                rows.append((_outcome_average(k, m_j[:, None]), table[m_j - m_lo, -width:]))
             return histograms(rng, size, h, rows), n0, h
 
     return draw
@@ -497,8 +480,8 @@ def run_experiment(
             )
         return out
 
-    moments = run_chunked(trials, seed, chunk_fn, workers=workers)
-    return summarize(moments, n=spec.n, scale=float(spec.n), with_fraction_exact=True)
+    [moments] = run_chunked(trials, seed, chunk_fn, workers=workers)
+    return summarize(moments, n=spec.n)
 
 
 def rescaled_risk_curve(

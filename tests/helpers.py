@@ -521,8 +521,8 @@ def classical_gaussian_example(
         # the midpoint is the exact minimiser, so clamp rounding dust
         return np.maximum(gaussian_error_probability(t_hat, a, b) - bayes, 0.0)
 
-    moments = run_chunked(trials, seed, chunk_fn, workers=workers)
-    return summarize(moments, n=n, scale=float(n), with_fraction_exact=True)
+    [moments] = run_chunked(trials, seed, chunk_fn, workers=workers)
+    return summarize(moments, n=n)
 
 
 def classical_coin_example(
@@ -565,5 +565,5 @@ def classical_coin_example(
         wrong1 = eta1_hat <= 0.5
         return wrong0 * margin0 + wrong1 * margin1
 
-    moments = run_chunked(trials, seed, chunk_fn, workers=workers)
-    return summarize(moments, n=n, scale=float(n), with_fraction_exact=True)
+    [moments] = run_chunked(trials, seed, chunk_fn, workers=workers)
+    return summarize(moments, n=n)

@@ -712,10 +712,12 @@ class TestDeterminismAndFormats:
     PINNED_PROBLEM = {"r0": [0.5, 0.2, -0.3], "s0": [-0.1, 0.6, 0.2], "pi0": 0.4}
     PINNED = {
         # random labels up to _HISTOGRAM_MAX_N draw each chunk as histograms
+        # (re-pinned when the class sizes came from the windowed label row,
+        # drawn from the mode outward: a new stream)
         "qubit-sim": (
             {"n_list": [60, 200], "trials": 300, "seed": 13},
             64,
-            "7fb95b3caf03746256a7b0f068c887a65f37fe45032eae8cd81628cac266e2b2",
+            "ea588ae497586065498bb0008b0da93fcbdd315cbb04826e7f14e95991b53a43",
         ),
         # fixed labels pick their draw by estimated cost: in 64-trial chunks
         # n = 60 draws histograms over windowed pmf rows (re-pinned when

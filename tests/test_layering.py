@@ -1,5 +1,5 @@
-"""The library keeps no name for the tests alone and no parameter it never
-reads, and the test helpers load no heavy package.
+"""The library keeps no name for the tests alone and no import or parameter
+it never reads, and the test helpers load no heavy package.
 
 Every module-level function and class of src/qclass must be read by code in
 src/ or bench/ outside its own definition; a name only the tests call
@@ -33,6 +33,20 @@ def test_every_definition_is_used_outside_the_tests(path):
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not any(node.name in names for top, names in everywhere if top is not node)]
     assert unused == [], f"{path.name} defines names only the tests use: {unused}"
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_import_is_read(path):
+    """No module of src/qclass imports a name it never reads: a leftover
+    import costs start-up time and hides what the module depends on."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read) == [], f"{path.name} imports names it never reads"
 
 
 def test_helpers_load_no_heavy_package():

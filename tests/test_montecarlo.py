@@ -30,8 +30,8 @@ def _recording(seen):
     return chunk_fn
 
 
-def _one_array(values, **kw):
-    return summarize(Moments.of(values), **kw)
+def _one_array(values):
+    return summarize(Moments.of(values), n=1)
 
 
 class TestSummary:
@@ -39,18 +39,30 @@ class TestSummary:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_single_chunk_is_numpy_bit_for_bit(self, trials, seed):
         seen = []
-        res = summarize(run_chunked(trials, seed, _recording(seen)),
-                        n=7, scale=3.0, with_fraction_exact=True)
+        res = summarize(*run_chunked(trials, seed, _recording(seen)), n=7)
         (values,) = seen
         assert res.trials == trials and res.n == 7
-        assert res.mean_rescaled_excess == 3.0 * float(values.mean())
-        assert res.stderr == 3.0 * float(values.std(ddof=1)) / math.sqrt(trials)
+        assert res.mean_rescaled_excess == 7.0 * float(values.mean())
+        assert res.stderr == 7.0 * float(values.std(ddof=1)) / math.sqrt(trials)
         assert res.fraction_exact == float(np.mean(values == 0.0))
+
+    def test_copy_count_sets_scale_and_exact_fraction(self):
+        """At a copy count n the mean and stderr are n times the plain ones
+        and the fraction of exact zeros is reported; without one (the
+        limit model) neither."""
+        [m] = run_chunked(1000, 2, _values)
+        sd = math.sqrt(m.m2 / 999)
+        plain, at_n = summarize(m), summarize(m, n=40)
+        assert (plain.n, plain.trials, plain.fraction_exact) == (None, 1000, None)
+        assert (plain.mean_rescaled_excess, plain.stderr) == (m.mean, sd / math.sqrt(1000))
+        assert (at_n.n, at_n.trials, at_n.fraction_exact) == (40, 1000, m.zeros / 1000)
+        assert at_n.mean_rescaled_excess == 40.0 * m.mean
+        assert at_n.stderr == 40.0 * sd / math.sqrt(1000)
+        assert 0 < m.zeros < 1000
 
     def test_single_trial_has_zero_stderr(self):
         for v in (0.0, 2.5):
-            res = summarize(run_chunked(1, 0, lambda rng, size: np.full(size, v)),
-                            with_fraction_exact=True)
+            res = summarize(*run_chunked(1, 0, lambda rng, size: np.full(size, v)), n=1)
             assert (res.trials, res.mean_rescaled_excess, res.stderr) == (1, v, 0.0)
             assert res.fraction_exact == float(v == 0.0)
 
@@ -59,9 +71,9 @@ class TestSummary:
     def test_multi_chunk_matches_one_array(self, monkeypatch, chunk, trials):
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
         seen = []
-        res = summarize(run_chunked(trials, 11, _recording(seen)), with_fraction_exact=True)
+        res = summarize(*run_chunked(trials, 11, _recording(seen)), n=1)
         assert len(seen) == -(-trials // chunk)
-        want = _one_array(np.concatenate(seen), with_fraction_exact=True)
+        want = _one_array(np.concatenate(seen))
         assert res.trials == want.trials == trials
         assert res.fraction_exact == want.fraction_exact
         assert res.mean_rescaled_excess == pytest.approx(want.mean_rescaled_excess, rel=1e-13)
@@ -72,9 +84,9 @@ class TestSummary:
     def test_ragged_last_chunk_of_many(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 1000)
         seen = []
-        res = summarize(run_chunked(200_001, 12, _recording(seen)), with_fraction_exact=True)
+        res = summarize(*run_chunked(200_001, 12, _recording(seen)), n=1)
         assert [v.size for v in seen[-2:]] == [1000, 1]
-        want = _one_array(np.concatenate(seen), with_fraction_exact=True)
+        want = _one_array(np.concatenate(seen))
         assert res.fraction_exact == want.fraction_exact
         assert res.mean_rescaled_excess == pytest.approx(want.mean_rescaled_excess, rel=1e-13)
         assert res.stderr == pytest.approx(want.stderr, rel=1e-13)
@@ -82,11 +94,11 @@ class TestSummary:
     def test_merge_of_a_constant_batch_has_zero_spread(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 3)
         m = run_chunked(10, 0, lambda rng, size: np.full(size, 0.25))
-        assert m == Moments(10, 0.25, 0.0, 0)
+        assert m == [Moments(10, 0.25, 0.0, 0)]
 
     def test_workers_give_equal_results(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
-        results = {summarize(run_chunked(5000, 4, _values, workers=w), with_fraction_exact=True)
+        results = {summarize(*run_chunked(5000, 4, _values, workers=w), n=1)
                    for w in (1, 2, 3)}
         assert len(results) == 1
         frame = build_frame((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
@@ -94,6 +106,14 @@ class TestSummary:
                                       trials=3000, seed=5, workers=w)[0]
                     for w in (1, 2, 3)}
         assert len(gaussian) == 1
+
+    def test_one_array_is_the_one_row_case(self, monkeypatch):
+        """A chunk function returning a bare array gives a list of one
+        Moments, equal to yielding that array as its only row."""
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
+        bare = run_chunked(1000, 3, _values)
+        assert isinstance(bare, list) and len(bare) == 1
+        assert bare == run_chunked(1000, 3, lambda rng, size: iter([_values(rng, size)]))
 
     def test_chunk_of_wrong_shape_raises(self):
         with pytest.raises(ValueError, match="expected"):
@@ -108,7 +128,7 @@ class TestSummary:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            summarize(run_chunked(64 * chunk, 5, lambda rng, size: rng.random(size)))
+            summarize(*run_chunked(64 * chunk, 5, lambda rng, size: rng.random(size)))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -152,7 +172,7 @@ class TestRows:
         fresh = run_chunked(1000, 3, _rows(reuse=False))
         assert run_chunked(1000, 3, _rows(reuse=True)) == fresh
         assert len(fresh) == 3
-        assert fresh[1] == run_chunked(1000, 3, lambda rng, size: _values(rng, size) * 1.5)
+        assert fresh[1:2] == run_chunked(1000, 3, lambda rng, size: _values(rng, size) * 1.5)
 
     def test_rows_do_not_depend_on_workers(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)

@@ -24,8 +24,9 @@ from qclass.qubit_experiment import (
     TrainingSetSpec,
     _HISTOGRAM_MAX_N,
     _WINDOW_TAIL,
+    _COUNT_TABLES,
+    _WINDOWS,
     _Columns,
-    _CountTable,
     _axis_copies,
     _TableCache,
     _binomial_pmf_rows,
@@ -85,15 +86,17 @@ class TestSampleLabels:
 
 class _GivenClassSizes:
     """A Generator whose class-size draw gives the copy counts np.repeat(m,
-    h) of rho, as a histogram over 0..n or as per-trial draws, and that
-    passes every other call through."""
+    h) of rho, as a histogram over the label window's cells ``sizes`` or
+    as per-trial draws, and that passes every other call through."""
 
-    def __init__(self, rng, m, h):
-        self._rng, self._n0 = rng, np.repeat(m, h)
+    def __init__(self, rng, m, h, sizes):
+        self._rng, self._n0, self._sizes = rng, np.repeat(m, h), sizes
 
     def multinomial(self, count, pvals, size=None):
         if np.ndim(count) == 0:
-            return np.bincount(self._n0, minlength=len(pvals))
+            cells = np.bincount(self._n0, minlength=self._sizes.max() + 1)[self._sizes]
+            assert cells.sum() == count  # every given class size lies in the window
+            return cells
         return self._rng.multinomial(count, pvals, size)
 
     def binomial(self, count, p, size=None):
@@ -110,7 +113,8 @@ def _estimates(r, m, h, rng, n):
     run_experiment picks at n, when h[g] trials have m[g] copies of r."""
     spec = TrainingSetSpec(n=n, problem=ClassificationProblem.from_bloch(r, (0, 0, 0), 0.5))
     sampler = _histogram_sampler if n <= _HISTOGRAM_MAX_N else _binomial_sampler
-    est, _, _ = sampler(spec)(_GivenClassSizes(rng, m, h), int(h.sum()))
+    given = _GivenClassSizes(rng, m, h, _WINDOWS(n, 0.5)[0])
+    est, _, _ = sampler(spec)(given, int(h.sum()))
     return _clip_to_ball(est[:3])
 
 
@@ -213,6 +217,21 @@ class _SpyGenerator:
     def shuffle(self, x, axis=0):
         self._calls.append(("shuffle", axis, np.shape(x)))
         return self._rng.shuffle(x, axis)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class _PvalsGenerator:
+    """A Generator that keeps the pvals of each multinomial draw and passes
+    every call through."""
+
+    def __init__(self, rng, pvals):
+        self._rng, self._pvals = rng, pvals
+
+    def multinomial(self, n, pvals, size=None):
+        self._pvals.append(pvals)
+        return self._rng.multinomial(n, pvals, size)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -329,8 +348,9 @@ class TestCountSampler:
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_histogram_path_draws_no_per_trial_count(self, mode):
         """The histogram sampler makes no binomial or shuffle call.  Random
-        labels: one multinomial for the class sizes and one per axis, over
-        one pmf row per class size drawn, then one permuted call per class
+        labels: one multinomial of the chunk size as an int over the 1-D
+        windowed label row for the class sizes, and one per axis over one
+        pmf row per class size drawn, then one permuted call per class
         size over the five estimate rows after rho's x.  Fixed labels: one
         multinomial per axis of the chunk size as an int over the 1-D
         windowed row (an array count over a 2-D row draws the same
@@ -348,7 +368,9 @@ class TestCountSampler:
                 assert all(type(count) is int and len(shape) == 1 for _, count, shape in axes)
                 h = np.array([size])
             else:
-                assert calls[0] == ("multinomial", size, (_HISTOGRAM_MAX_N + 1,))
+                labels = _WINDOWS(_HISTOGRAM_MAX_N, 0.4)[1]
+                assert calls[0] == ("multinomial", size, labels.shape)
+                assert type(calls[0][1]) is int
                 # every axis draws over the same class-size groups
                 h = axes[0][1]
                 assert h.sum() == size
@@ -382,19 +404,50 @@ class TestCountSampler:
 
 
 class TestCountTable:
-    def test_rows_do_not_depend_on_build_order(self):
-        """Rows reached in any order, built ones mixed with new ones, are
-        the floats of one build of every row at the table's width."""
-        p, top = 0.3, 40
-        want = _binomial_pmf_rows(np.arange(top + 1), p)
-        for reached in ([[20, 22], [5, 6], [30, 40], [0, 39]], [[0, 40]],
-                        [[40, 40], [0, 0]], [[9, 9, 3], [7], [4, 9, 11]]):
-            table = _CountTable(p, top)
-            for m_j in map(np.array, reached):
-                width = m_j.max() + 1
-                got = table.rows(m_j)
-                assert got.shape == (m_j.size, width)
-                assert got.tobytes() == want[m_j, -width:].tobytes()
+    @pytest.mark.parametrize("p, m_lo, m_hi", [
+        (0.3, 0, 40), (0.55, 17, 120), (2**-10, 300, 342), (0.999, 0, 0), (1.0, 2, 9)])
+    def test_tables_are_read_only_exact_pmf_rows(self, p, m_lo, m_hi):
+        """A table holds the Binomial(m, p) pmf of each copy count m_lo..m_hi
+        in the last m + 1 of its m_hi + 1 columns, after zero padding, and
+        cannot be written to."""
+        table = _COUNT_TABLES(p, m_lo, m_hi)
+        assert not table.flags.writeable
+        assert table.shape == (m_hi - m_lo + 1, m_hi + 1)
+        for m, row in zip(range(m_lo, m_hi + 1), table):
+            assert not row[:m_hi - m].any()
+            np.testing.assert_allclose(row[m_hi - m:], _exact_pmf(m, p), rtol=1e-11, atol=1e-300)
+
+    @PROPERTY
+    @given(n=st.integers(1, _HISTOGRAM_MAX_N),
+           pi0=st.sampled_from([1e-300, 0.5, 1 - 2**-53]) | st.floats(1e-300, 1 - 2**-53),
+           size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_windowed_label_law_stays_in_the_tables(self, n, pi0, size, seed):
+        """The label window is the contiguous class sizes lo..hi; each of
+        them gives, on every axis, a copy count inside that axis's table
+        (whose ends are those of lo and hi).  A draw's groups are the
+        nonempty cells of its class-size draw in ascending class size,
+        holding every trial, and each axis draws over the pmf rows of the
+        groups' copy counts."""
+        sizes, pmf = _WINDOWS(n, pi0)
+        lo, hi = int(sizes.min()), int(sizes.max())
+        assert sorted(sizes.tolist()) == list(range(lo, hi + 1)) and pmf.shape == sizes.shape
+        n0 = np.arange(lo, hi + 1)
+        for m_j, m_lo, m_hi in zip(_axis_copies(n0, n - n0), _axis_copies(lo, n - hi),
+                                   _axis_copies(hi, n - lo)):
+            assert m_lo <= m_j.min() and m_j.max() <= m_hi
+        problem = ClassificationProblem.from_bloch(SKEWED.r, SKEWED.s, pi0)
+        pvals = []
+        est, n0, h = _histogram_sampler(TrainingSetSpec(n=n, problem=problem))(
+            _PvalsGenerator(np.random.default_rng(seed), pvals), size)
+        assert est.shape == (6, size) and np.isfinite(est).all()
+        assert pvals[0].tobytes() == pmf.tobytes()
+        cells = np.random.default_rng(seed).multinomial(size, pmf)
+        want = sorted((int(s), int(c)) for s, c in zip(sizes, cells) if c)
+        assert list(zip(n0.tolist(), h.tolist())) == want
+        assert np.all(np.diff(n0) > 0) and h.sum() == size
+        laws = zip(pvals[1:], _axis_copies(n0, n - n0), qubit_experiment._axis_probabilities(problem))
+        for rows, m_j, p in laws:
+            np.testing.assert_allclose(rows, _binomial_pmf_rows(m_j, p), rtol=1e-12, atol=1e-300)
 
     def test_worker_threads_share_the_tables(self, monkeypatch):
         """Many small chunks, run by one thread or two, reach the shared
