@@ -10,25 +10,25 @@ the positive eigenspace of pi0_hat*rho_hat - pi1_hat*sigma_hat.
 The average of the m_j outcomes +/-1 on axis j depends on them only
 through the number k_j of +1 outcomes, k_j ~ Binomial(m_j, (1 + r_j)/2),
 so each trial needs six counts instead of n outcomes; a whole chunk of
-trials is evaluated as arrays.  run_experiment picks one of two
-samplers once per run.  Each draws a chunk's class sizes as groups of
-equal class size, then each axis's counts for all of them:
+trials is evaluated as arrays.  run_experiment picks one of three
+samplers once per run, from the label mode and the spec alone.  Each
+draws a chunk's class sizes as groups of equal class size, then each
+axis's counts for all of them:
 
-* _histogram_sampler: one multinomial per axis over the groups' pmf
-  rows, paired by one permutation call per group.  Fixed labels are one
-  group over windowed Binomial(m_j, p_j) rows; they take it when its
-  estimated cost, about sum_j 8 sigma_j multinomial cells plus five
-  shuffles of the chunk, is below that of six binomial draws per trial,
-  an estimate that reads only the spec, the trial count and the chunk
-  size.  Random labels take it up to n = _HISTOGRAM_MAX_N: the class
-  sizes are drawn over the windowed Binomial(n, pi0) row, and the counts
-  over full-width pmf rows of every copy count that window can reach.
+* _alias_sampler for fixed labels, one group: each count is one uniform
+  looked up in Walker's alias table of a windowed Binomial(m_j, p_j) row
+  (about 19 sigma_j + 31 cells), unless the six tables would not fit in
+  their cache together (n above ~1e9).
+* _histogram_sampler for random labels up to n = _HISTOGRAM_MAX_N: the
+  class sizes are drawn over the windowed Binomial(n, pi0) row, then one
+  multinomial per axis over the full-width pmf rows of the groups' copy
+  counts, paired by one permutation call per group.
 * _binomial_sampler otherwise: one binomial call per axis, at a cost
   that is the same at every n.
 
 The pmf rows and tables depend only on their keys and are kept for the
-process in two caches of at most 16 MiB each, so a run's output does not
-depend on what ran before it.  An axis measured on zero copies (a
+process in three caches of at most 16 MiB each, so a run's output does
+not depend on what ran before it.  An axis measured on zero copies (a
 class with fewer than three copies) estimates 0, so every trial has a
 defined outcome: with no copies of a class its estimate is the maximally
 mixed state, and an estimated prior of 0 or 1 gives the rank-0 or rank-2
@@ -52,7 +52,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .helstrom import ClassificationProblem, excess_trace, pauli_data, positive_rank
-from . import montecarlo
 from .montecarlo import ExperimentResult, run_chunked, summarize
 
 
@@ -115,17 +114,9 @@ _KERNEL_BLOCK = 8192
 # numpy's per-trial binomial costs grow with m * min(p, 1 - p) up to its
 # BTPE switch and then stay flat.  On the README anchor with random labels
 # (2-vCPU box, in-process) the histogram path is 6x faster at n = 300,
-# 1.5x at n = 1500 and 3x slower at n = 3000.  Fixed labels are one group,
-# whose windowed rows (_binomial_window) have O(sigma) cells, so they
-# choose their draw by estimated cost instead (_fixed_histograms_cheaper).
+# 1.5x at n = 1500 and 3x slower at n = 3000.  Fixed labels draw from
+# alias tables instead (_alias_sampler).
 _HISTOGRAM_MAX_N = 1024
-
-# Costs of the fixed-label histogram draw, in units of one per-trial
-# binomial draw (numpy's BTPE, ~45 ns on a 2-vCPU Xeon): a multinomial
-# cell is a binomial draw with new parameters, ~125 ns; an element of a
-# shuffled row (rng.permuted, plus its np.repeat) ~16 ns.
-_CELL_COST = 3.0
-_SHUFFLE_COST = 0.35
 
 # Probability mass a windowed pmf row may leave out, 2^-64: far below the
 # rounding (2^-53 relative) of the cells it keeps.
@@ -207,6 +198,26 @@ def _binomial_pmf_rows(m: np.ndarray, p: float) -> np.ndarray:
     return pmf
 
 
+def _window_bounds(m: int, p: float) -> tuple[int, int, int]:
+    """(mode, lo, hi) of the _binomial_window row of (m, p), m >= 1 and
+    0 < p < 1: the row holds the counts lo..hi around the mode."""
+    mean = m * p
+    log_tail = -math.log(_WINDOW_TAIL / 2.0)
+    t = log_tail / 3.0 + math.sqrt(log_tail**2 / 9.0 + 2.0 * log_tail * mean * (1.0 - p))
+    mode = min(math.floor((m + 1) * p), m)
+    lo = min(max(math.floor(mean - t), 0), mode)
+    hi = max(min(math.ceil(mean + t), m), mode)
+    return mode, lo, hi
+
+
+def _window_cells(m: int, p: float) -> int:
+    """Cells of the _binomial_window row of (m, p), without building it."""
+    if m == 0 or p == 0.0 or p == 1.0:
+        return 1
+    _, lo, hi = _window_bounds(m, p)
+    return hi - lo + 1
+
+
 def _binomial_window(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """(counts, pmf) of Binomial(m, p) on a window around the mode, the
     cells in order of decreasing probability: from the mode outward.
@@ -225,12 +236,7 @@ def _binomial_window(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
         counts, pmf = np.array([m if p == 1.0 else 0]), np.ones(1)
     else:
         log_odds = math.log(p) - math.log1p(-p)
-        mean = m * p
-        log_tail = -math.log(_WINDOW_TAIL / 2.0)
-        t = log_tail / 3.0 + math.sqrt(log_tail**2 / 9.0 + 2.0 * log_tail * mean * (1.0 - p))
-        mode = min(math.floor((m + 1) * p), m)
-        lo = min(max(math.floor(mean - t), 0), mode)
-        hi = max(min(math.ceil(mean + t), m), mode)
+        mode, lo, hi = _window_bounds(m, p)
         up = np.arange(mode, hi)  # the steps k -> k + 1 above the mode
         down = np.arange(mode, lo, -1)  # and k -> k - 1 below it
         rel = np.concatenate((
@@ -244,6 +250,79 @@ def _binomial_window(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     counts.flags.writeable = False
     pmf.flags.writeable = False
     return counts, pmf
+
+
+def _alias_table(m: int, p: float) -> np.ndarray:
+    """Walker's alias table of the _binomial_window row of (m, p).
+
+    A read-only (3, W) array over the row's W cells, in the row's order:
+    each cell's acceptance threshold, its own outcome average (2k - m)/m,
+    and the outcome average of its alias.  A uniform u picks cell
+    i = floor(W u) and gives its own average if W u - i is below the
+    threshold, else its alias's; so cell i has mass (its threshold, plus
+    1 - the threshold of each cell aliased to it) / W.
+
+    Vose's pairing, without its loop, in integers: a cell's mass W pmf is
+    rounded to a multiple of 2^-b (b = 62 - bits of W, at most 52), the
+    mode takes what rounding leaves over, and the rounded row is then
+    paired exactly, each threshold a multiple of 2^-b in [0, 1].  So the
+    table's law is the row's to within 2^-b in total variation.  A light
+    cell (mass below 1) lacks 1 - mass, a heavy cell has mass - 1 to
+    spare; laid end to end, the light cells' deficits and the heavy
+    cells' surpluses cover one line twice over.  A light cell's alias is
+    the heavy cell whose stretch of surplus holds the start of its
+    deficit.  A heavy cell's surplus runs out at the first light cell
+    whose deficit ends at or past it: the overshoot is the heavy cell's
+    own deficit, its threshold is 1 - overshoot, and its alias the next
+    heavy cell.  The last heavy cell's surplus ends with the last
+    deficit, at threshold 1.
+    """
+    counts, pmf = _binomial_window(m, p)
+    width = pmf.size
+    one = 1 << min(52, 62 - width.bit_length())
+    mass = np.rint(pmf * float(width * one)).astype(np.int64)
+    mass[0] += width * one - int(mass.sum())
+    threshold, alias = mass.copy(), np.arange(width)
+    # the masses sum to width: some cell is heavy, and if none is light all are 1
+    light, heavy = np.flatnonzero(mass < one), np.flatnonzero(mass >= one)
+    if light.size:
+        deficit = np.cumsum(one - mass[light])
+        surplus = np.cumsum(mass[heavy] - one)
+        alias[light] = heavy[np.searchsorted(surplus, deficit - (one - mass[light]), side="right")]
+        threshold[heavy] = one - (deficit[np.searchsorted(deficit, surplus)] - surplus)
+        alias[heavy[:-1]] = heavy[1:]
+    table = np.empty((3, width))
+    np.divide(threshold, one, out=table[0])
+    table[1] = _outcome_average(counts, m)
+    table[1].take(alias, out=table[2])
+    table.flags.writeable = False
+    return table
+
+
+class _AliasTables(NamedTuple):
+    """The alias tables of a fixed-label run's six axes, laid end to end
+    for one lookup over all of them."""
+
+    scale: np.ndarray  # (6, 1): each table's cell count W_j, as a float
+    offsets: np.ndarray  # (6, 1): where each table starts
+    cuts: np.ndarray  # each cell's index in its own table plus its threshold
+    averages: np.ndarray  # cell i's alias average at 2i, its own at 2i + 1
+
+
+def _alias_tables(*laws) -> _AliasTables:
+    """_AliasTables of the axes' (m_j, p_j), x, y, z of rho and then of
+    sigma, from one _alias_table each.  The arrays are read-only."""
+    tables = [_alias_table(m, p) for m, p in laws]
+    widths = np.array([table.shape[1] for table in tables])
+    cuts = np.concatenate([table[0] + np.arange(table.shape[1]) for table in tables])
+    averages = np.empty((cuts.size, 2))
+    averages[:, 0] = np.concatenate([table[2] for table in tables])
+    averages[:, 1] = np.concatenate([table[1] for table in tables])
+    joined = _AliasTables(widths[:, None].astype(float), (np.cumsum(widths) - widths)[:, None],
+                          cuts, averages.ravel())
+    for array in joined:
+        array.flags.writeable = False
+    return joined
 
 
 class _TableCache:
@@ -276,10 +355,18 @@ class _TableCache:
             return table
 
 
-# Windowed rows by (m, p), the random-label class sizes' by (n, pi0), 16
-# bytes a cell: at most 16 MiB.
+# The windowed rows of the random-label class sizes by (n, pi0), 16 bytes
+# a cell: at most 16 MiB.
 _WINDOWS = _TableCache(_binomial_window, lambda row: row[0].nbytes + row[1].nbytes, 16 << 20)
 
+
+# A fixed-label run's joined alias tables by its six (m_j, p_j), 24 bytes
+# a cell: at most 16 MiB.  A run draws from them only if they fit, up to
+# n ~ 1e9 on the README anchor (_alias_tables_fit); above, every run
+# would rebuild them.
+_ALIAS_MAX_CELLS = (16 << 20) // 24
+_ALIAS_TABLES = _TableCache(_alias_tables, lambda tables: 3 * tables.cuts.nbytes,
+                            24 * _ALIAS_MAX_CELLS)
 
 # The pmf rows of one axis by (p, m_lo, m_hi), for the copy counts m_lo..m_hi
 # that a random-label run can reach, 8 (m_hi - m_lo + 1)(m_hi + 1) bytes
@@ -301,88 +388,89 @@ def _fixed_axis_laws(spec: TrainingSetSpec) -> list[tuple[int, float]]:
     return list(zip(_axis_copies(n0, spec.n - n0), _axis_probabilities(spec.problem)))
 
 
-def _fixed_histograms_cheaper(spec: TrainingSetSpec, trials: int) -> bool:
-    """Whether _histogram_sampler is estimated to draw a fixed-label
-    chunk faster than _binomial_sampler, from the spec and the chunk size
-    alone.
-
-    numpy's multinomial visits about 8 sigma_j cells of a row (its window
-    has m_j + 1 cells at most), and the five shuffled rows cost one
-    element per trial each; the binomial draw costs six draws per trial.
-    """
-    size = min(trials, montecarlo.CHUNK_SIZE)
-    cells = sum(min(8.0 * math.sqrt(m * p * (1.0 - p)) + 1.0, m + 1.0)
-                for m, p in _fixed_axis_laws(spec))
-    return _CELL_COST * cells + 5 * _SHUFFLE_COST * size < 6 * size
+def _alias_tables_fit(spec: TrainingSetSpec) -> bool:
+    """Whether the six alias tables of a fixed-label spec fit in
+    _ALIAS_TABLES together, counted from (m_j, p_j) without building a
+    row."""
+    return sum(_window_cells(m, p) for m, p in _fixed_axis_laws(spec)) <= _ALIAS_MAX_CELLS
 
 
 def _histogram_sampler(spec: TrainingSetSpec):
-    """draw(rng, size) -> (est, n0, h), the counts drawn as histograms.
+    """draw(rng, size) -> (est, n0, h) for random labels, the counts drawn
+    as histograms.
 
-    h[g] trials have n0[g] copies of rho, in ascending n0.  Fixed labels
-    are one group, n0 = [round(pi0 * n)] and h = [size], over the axes'
-    _binomial_window rows, built once per run.  Random labels take the
-    nonempty cells of h ~ Multinomial(size, windowed Binomial(n, pi0)
-    row), put back in ascending class size; the window drops at most
-    2^-64 of the mass and holds the contiguous sizes lo..hi, so each
-    axis's copy counts lie in a range known when the sampler is built,
-    and the groups' rows come from one read-only table of that range.
-    For each axis, x, y, z of rho and then of sigma, one multinomial of h
-    over the rows gives the number of trials in each (group, count) cell,
-    and np.repeat expands their outcome averages; then one rng.permuted
-    call per group shuffles every estimate row but rho's x within the
-    group, so the axes pair independently.  A windowed row runs from the
-    mode outward, so its multinomial stops after about 8 sigma_j cells,
-    once every trial is placed.  est holds the unclipped (6, size)
-    estimates in the order of the groups.
+    h[g] trials have n0[g] copies of rho, in ascending n0: the nonempty
+    cells of h ~ Multinomial(size, windowed Binomial(n, pi0) row), put
+    back in ascending class size.  The window drops at most 2^-64 of the
+    mass and holds the contiguous sizes lo..hi, so each axis's copy counts
+    lie in a range known when the sampler is built, and the groups' rows
+    come from one read-only table of that range.  For each axis, x, y, z
+    of rho and then of sigma, one multinomial of h over the rows gives the
+    number of trials in each (group, count) cell, and np.repeat expands
+    their outcome averages; then one rng.permuted call per group shuffles
+    every estimate row but rho's x within the group, so the axes pair
+    independently.  est holds the unclipped (6, size) estimates in the
+    order of the groups.
     """
     n = spec.n
+    # the window's cells run from the mode outward over the sizes lo..hi
+    sizes, labels_pmf = _WINDOWS(n, spec.pi0)
+    ascending = np.argsort(sizes)
+    lo, hi = int(sizes.min()), int(sizes.max())
+    # copy counts grow with the class size: the window's ends bound them
+    tables = [(_COUNT_TABLES(p, m_lo, m_hi), m_lo) for p, m_lo, m_hi in zip(
+        _axis_probabilities(spec.problem), _axis_copies(lo, n - hi), _axis_copies(hi, n - lo))]
 
-    def histograms(rng, size, h, rows):
+    def draw(rng, size):
+        h = rng.multinomial(size, labels_pmf)[ascending]
+        n0 = np.flatnonzero(h)
+        h = h[n0]
+        n0 += lo
         averages, taken = [], []
-        for avg, pmf in rows:
-            # one group's 1-D row takes the chunk size as an int: numpy draws
-            # the same variates for [size] over a (1, W) row, but slower
-            taken.append(rng.multinomial(size if pmf.ndim == 1 else h, pmf).ravel())
-            averages.append(avg.ravel())
+        for (table, m_lo), m_j in zip(tables, _axis_copies(n0, n - n0)):
+            width = int(m_j.max()) + 1
+            k = _count_grid(m_j, width)
+            taken.append(rng.multinomial(h, table[m_j - m_lo, -width:]).ravel())
+            averages.append(_outcome_average(k, m_j[:, None]).ravel())
         # every axis's cells hold size trials, so the rows come out whole
         est = np.repeat(np.concatenate(averages), np.concatenate(taken)).reshape(6, size)
         ends = np.cumsum(h)
         for start, end in zip(ends - h, ends):
             paired = est[1:, start:end]
             rng.permuted(paired, axis=1, out=paired)
-        return est
+        return est, n0, h
 
-    if spec.label_mode is LabelMode.FIXED_COUNTS:
-        n0_fixed = np.array([_fixed_n0(spec)])
-        windowed = []
-        for m, p in _fixed_axis_laws(spec):
-            counts, pmf = _WINDOWS(m, p)
-            windowed.append((_outcome_average(counts, m), pmf))
+    return draw
 
-        def draw(rng, size):
-            h = np.array([size])
-            return histograms(rng, size, h, windowed), n0_fixed, h
-    else:
-        # the window's cells run from the mode outward over the sizes lo..hi
-        sizes, labels_pmf = _WINDOWS(n, spec.pi0)
-        ascending = np.argsort(sizes)
-        lo, hi = int(sizes.min()), int(sizes.max())
-        # copy counts grow with the class size: the window's ends bound them
-        tables = [(_COUNT_TABLES(p, m_lo, m_hi), m_lo) for p, m_lo, m_hi in zip(
-            _axis_probabilities(spec.problem), _axis_copies(lo, n - hi), _axis_copies(hi, n - lo))]
 
-        def draw(rng, size):
-            h = rng.multinomial(size, labels_pmf)[ascending]
-            n0 = np.flatnonzero(h)
-            h = h[n0]
-            n0 += lo
-            rows = []
-            for (table, m_lo), m_j in zip(tables, _axis_copies(n0, n - n0)):
-                width = int(m_j.max()) + 1
-                k = _count_grid(m_j, width)
-                rows.append((_outcome_average(k, m_j[:, None]), table[m_j - m_lo, -width:]))
-            return histograms(rng, size, h, rows), n0, h
+def _alias_sampler(spec: TrainingSetSpec):
+    """draw(rng, size) -> (est, n0, h) as _histogram_sampler, for fixed
+    labels: one group, n0 = [round(pi0 * n)] and h = [size], every count
+    drawn from its axis's alias table (_alias_table) by one uniform.
+
+    A chunk draws one (6, size) array of uniforms and turns it into
+    estimates in place, _KERNEL_BLOCK trials at a time: x = W_j u picks
+    cell floor(x) of axis j's table, which gives its own average if x is
+    below the cell's cut (its index plus its threshold), else its
+    alias's.  The two averages of a cell sit side by side, so one gather
+    reads the estimate.
+    """
+    scale, offsets, cuts, averages = _ALIAS_TABLES(*_fixed_axis_laws(spec))
+    n0 = np.array([_fixed_n0(spec)])
+
+    def draw(rng, size):
+        est = rng.random((6, size))
+        for lo in range(0, size, _KERNEL_BLOCK):
+            x = est[:, lo:lo + _KERNEL_BLOCK]
+            x *= scale
+            # u < 1 and W_j < 2^53, so x rounds below W_j: floor(x) is a cell
+            cell = x.astype(np.intp)
+            cell += offsets
+            own = x < cuts.take(cell)
+            cell <<= 1
+            cell += own
+            averages.take(cell, out=x, mode="clip")
+        return est, n0, np.array([size])
 
     return draw
 
@@ -391,7 +479,7 @@ def _binomial_sampler(spec: TrainingSetSpec):
     """draw(rng, size) -> (est, n0, h) as _histogram_sampler, by one
     binomial call per axis at a cost that is the same at every n.
 
-    Fixed labels are one group, as in _histogram_sampler, whose copy
+    Fixed labels are one group, as in _alias_sampler, whose copy
     counts are drawn against as ints; random labels draw n0 ~ Binomial(n,
     pi0) per trial, sorted, every trial its own group.  numpy draws the
     same variates for an int as for a constant array, and a shared int or
@@ -443,14 +531,16 @@ def run_experiment(
     """Seeded trials of the plug-in strategy at one n.
 
     Each chunk is evaluated as arrays over its trials, with no loop over
-    trials (the kernel after the draws takes _KERNEL_BLOCK trials per
-    pass).  One of the two samplers, _histogram_sampler or
-    _binomial_sampler, picked once per run from the label mode, n and the
-    chunk size (see the module docstring), draws a chunk's class sizes
-    as groups and the six estimates of every trial, in the order of the
-    groups, so a trial's value is fixed by (seed, CHUNK_SIZE, its index),
-    not by its index alone.  Every trial has the same law, and the
-    chunk is reduced to its order-free Moments.
+    trials (the alias draw and the kernel after every draw take
+    _KERNEL_BLOCK trials per pass).  One of the three samplers, picked
+    once per run from the spec alone (see the module docstring):
+    _alias_sampler for fixed labels whose six alias tables fit their
+    cache, _histogram_sampler for random labels up to _HISTOGRAM_MAX_N,
+    else _binomial_sampler.  It draws a chunk's class sizes as groups and
+    the six estimates of every trial, in the order of the groups, so a
+    trial's value is fixed by (seed, CHUNK_SIZE, its index), not by its
+    index alone.  Every trial has the same law, and the chunk is reduced
+    to its order-free Moments.
 
     mean_rescaled_excess is n * (sample mean excess risk); fraction_exact
     counts trials whose excess is exactly zero (the learned projector
@@ -458,9 +548,11 @@ def run_experiment(
     """
     n, pi0 = spec.n, spec.pi0
     truth = pauli_data(spec.problem.r, spec.problem.s, pi0)
-    histograms = (_fixed_histograms_cheaper(spec, trials)
-                  if spec.label_mode is LabelMode.FIXED_COUNTS else n <= _HISTOGRAM_MAX_N)
-    draw = (_histogram_sampler if histograms else _binomial_sampler)(spec)
+    if spec.label_mode is LabelMode.FIXED_COUNTS:
+        sampler = _alias_sampler if _alias_tables_fit(spec) else _binomial_sampler
+    else:
+        sampler = _histogram_sampler if n <= _HISTOGRAM_MAX_N else _binomial_sampler
+    draw = sampler(spec)
 
     def chunk_fn(rng, size):
         est, n0, h = draw(rng, size)

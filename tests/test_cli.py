@@ -678,7 +678,8 @@ class TestDeterminismAndFormats:
         """The pmf rows and tables kept for the process change no output
         byte: cold and warm caches, 1 and 2 workers, and a fresh process
         agree after other runs in this one.  Two 65,536-trial chunks; fixed
-        labels draw histograms at every n here, random labels up to 1024."""
+        labels draw from alias tables at every n here, random labels
+        histograms up to 1024."""
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         cfg = {"problem": self.PINNED_PROBLEM, "n_list": [30, 900, 20000],
                "trials": 70_000, "seed": 17, "label_mode": mode}
@@ -687,7 +688,7 @@ class TestDeterminismAndFormats:
         for workers in ("1", "2"):
             for caches in ("cold", "warm"):
                 if caches == "cold":
-                    for name in ("_WINDOWS", "_COUNT_TABLES"):
+                    for name in ("_WINDOWS", "_COUNT_TABLES", "_ALIAS_TABLES"):
                         cache = getattr(qubit_experiment, name)
                         monkeypatch.setattr(qubit_experiment, name, qubit_experiment._TableCache(
                             cache._build, cache._sizeof, cache._budget))
@@ -719,22 +720,18 @@ class TestDeterminismAndFormats:
             64,
             "ea588ae497586065498bb0008b0da93fcbdd315cbb04826e7f14e95991b53a43",
         ),
-        # fixed labels pick their draw by estimated cost: in 64-trial chunks
-        # n = 60 draws histograms over windowed pmf rows (re-pinned when
-        # that draw replaced the full-row one) and n = 10000 per-trial
-        # binomials, the stream of qubit-sim-large-n-fixed
+        # fixed labels draw every count from an alias table, one uniform
+        # per count, at every n the tables fit (up to n ~ 1e9): both fixed
+        # pins were re-pinned when that draw replaced the windowed
+        # histograms (n = 60) and the per-trial binomials (n = 10000)
         "qubit-sim-fixed": (
             {"n_list": [60, 10000], "trials": 300, "seed": 13,
              "label_mode": "fixed", "known_priors": True},
             64,
-            "cc9f9d25932e170e65fc22321f168b201f834ada08e32d8f65f00580386fa665",
+            "7bcb8723eae5821ef9f537f0eb773c91f783a0f6330a54ef99255e7327905a72",
         ),
-        # per-trial binomials: random labels above _HISTOGRAM_MAX_N, and
-        # fixed labels where the binomial draw is estimated cheaper (at
-        # 64-trial chunks from n ~ 100 up).  Both digests predate the
-        # histogram draws; fixed labels draw every count against one shared
-        # copy count (a scalar count and a constant count array give the
-        # same variates).
+        # per-trial binomials for random labels above _HISTOGRAM_MAX_N; the
+        # digest predates the histogram draws
         "qubit-sim-large-n": (
             {"n_list": [3000], "trials": 300, "seed": 13},
             64,
@@ -744,7 +741,7 @@ class TestDeterminismAndFormats:
             {"n_list": [10000], "trials": 300, "seed": 13,
              "label_mode": "fixed", "known_priors": True},
             64,
-            "7e063506494937e47310ab07f261ba44d86cd20f98fb2a9cfe3ab0a173c2802b",
+            "9261f78cb190d626847fbe128cb305b3cf90f54c27bcf75f8d873c38ce0d926e",
         ),
         # two standard normals per trial, drawn from the exact residual law
         # (re-pinned when that law came from one measurement rule: one cell

@@ -22,11 +22,16 @@ from qclass import montecarlo, qubit_experiment
 from qclass.qubit_experiment import (
     LabelMode,
     TrainingSetSpec,
+    _ALIAS_MAX_CELLS,
     _HISTOGRAM_MAX_N,
+    _KERNEL_BLOCK,
     _WINDOW_TAIL,
     _COUNT_TABLES,
     _WINDOWS,
     _Columns,
+    _alias_sampler,
+    _alias_table,
+    _alias_tables_fit,
     _axis_copies,
     _TableCache,
     _binomial_pmf_rows,
@@ -36,6 +41,7 @@ from qclass.qubit_experiment import (
     _count_grid,
     _histogram_sampler,
     _plugin_excess,
+    _window_cells,
     rescaled_risk_curve,
     run_experiment,
 )
@@ -196,11 +202,16 @@ class TestTomographicEstimate:
 class _SpyGenerator:
     """A Generator that records each binomial draw as ("binomial", count,
     size), each multinomial draw as ("multinomial", count, pvals shape),
-    each permuted call as ("permuted", axis, shape) and each shuffle as
-    ("shuffle", axis, shape), and passes every other call through."""
+    each permuted call as ("permuted", axis, shape), each shuffle as
+    ("shuffle", axis, shape) and each uniform draw as ("random", None,
+    size), and passes every other call through."""
 
     def __init__(self, rng, calls):
         self._rng, self._calls = rng, calls
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        self._calls.append(("random", None, size))
+        return self._rng.random(size, dtype, out)
 
     def binomial(self, n, p, size=None):
         self._calls.append(("binomial", n, size))
@@ -294,25 +305,31 @@ class TestCountSampler:
         return calls
 
     def test_run_picks_one_sampler_per_run(self, monkeypatch):
-        """run_experiment builds one of the two samplers per run, whatever
-        its chunk count.  Random labels draw histograms up to
-        _HISTOGRAM_MAX_N and binomials above.  Fixed labels draw histograms
-        when their estimated cost is lower, which the chunk size sets: at
-        n = 10^4 64-trial chunks draw binomials and 2000-trial chunks
-        histograms; at n = 10^7 2000-trial chunks draw binomials."""
+        """run_experiment builds one of the three samplers per run, from
+        the spec alone, whatever its trial and chunk counts.  Random labels
+        draw histograms up to _HISTOGRAM_MAX_N and binomials above.  Fixed
+        labels draw from alias tables at every chunk size, the benchmark's
+        large-n shapes (n = 10^4 and 10^5, one 2000-trial chunk) and
+        65,536-trial chunks at n = 100 included, and by binomials once the
+        six tables would not fit their cache together."""
         picked = []
-        for name in ("_histogram_sampler", "_binomial_sampler"):
+        for name in ("_alias_sampler", "_histogram_sampler", "_binomial_sampler"):
             def build(spec, name=name, sampler=getattr(qubit_experiment, name)):
                 picked.append((name, spec.label_mode, spec.n))
                 return sampler(spec)
             monkeypatch.setattr(qubit_experiment, name, build)
         random, fixed = LabelMode.RANDOM_LABELS, LabelMode.FIXED_COUNTS
+        above_cap = 4 * 10**9
+        assert not _alias_tables_fit(TrainingSetSpec(n=above_cap, problem=SKEWED,
+                                                     label_mode=fixed))
         cases = [(random, _HISTOGRAM_MAX_N, 1200, 500, "_histogram_sampler"),
                  (random, self.BINOMIAL_N, 1200, 500, "_binomial_sampler"),
-                 (fixed, 10**4, 300, 64, "_binomial_sampler"),
-                 (fixed, 10**4, 2000, 1 << 16, "_histogram_sampler"),
-                 (fixed, 10**7, 2000, 1 << 16, "_binomial_sampler"),
-                 (fixed, 60, 300, 64, "_histogram_sampler")]
+                 (fixed, 10**4, 2000, 1 << 16, "_alias_sampler"),
+                 (fixed, 10**5, 2000, 1 << 16, "_alias_sampler"),
+                 (fixed, 100, 1 << 16, 1 << 16, "_alias_sampler"),
+                 (fixed, 10**4, 300, 64, "_alias_sampler"),
+                 (fixed, 60, 300, 64, "_alias_sampler"),
+                 (fixed, above_cap, 300, 64, "_binomial_sampler")]
         for mode, n, trials, chunk, _ in cases:
             monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
             run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), trials, 3)
@@ -345,42 +362,34 @@ class TestCountSampler:
                 assert np.all(np.diff(m) <= 0)
             assert rho[0][0][0] < rho[0][0][-1]  # the class sizes do vary
 
-    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
-    def test_histogram_path_draws_no_per_trial_count(self, mode):
-        """The histogram sampler makes no binomial or shuffle call.  Random
-        labels: one multinomial of the chunk size as an int over the 1-D
-        windowed label row for the class sizes, and one per axis over one
-        pmf row per class size drawn, then one permuted call per class
-        size over the five estimate rows after rho's x.  Fixed labels: one
-        multinomial per axis of the chunk size as an int over the 1-D
-        windowed row (an array count over a 2-D row draws the same
-        variates, slower), then one permuted call over those five rows."""
-        fixed = mode is LabelMode.FIXED_COUNTS
-        calls = self._spy_draws(_histogram_sampler, mode, n=_HISTOGRAM_MAX_N)
+    def test_histogram_path_draws_no_per_trial_count(self):
+        """The histogram sampler makes no binomial or shuffle call: one
+        multinomial of the chunk size as an int over the 1-D windowed
+        label row for the class sizes, and one per axis over one pmf row
+        per class size drawn, then one permuted call per class size over
+        the five estimate rows after rho's x."""
+        calls = self._spy_draws(_histogram_sampler, LabelMode.RANDOM_LABELS, n=_HISTOGRAM_MAX_N)
         assert {name for name, _, _ in calls} == {"multinomial", "permuted"}
-        spec = TrainingSetSpec(n=_HISTOGRAM_MAX_N, problem=SKEWED, label_mode=mode)
+        labels = _WINDOWS(_HISTOGRAM_MAX_N, 0.4)[1]
         for size in self.SIZES:
-            axes = calls[:6] if fixed else calls[1:7]
-            if fixed:
-                windows = [_binomial_window(m, p)[1].shape
-                           for m, p in qubit_experiment._fixed_axis_laws(spec)]
-                assert axes == [("multinomial", size, w) for w in windows]
-                assert all(type(count) is int and len(shape) == 1 for _, count, shape in axes)
-                h = np.array([size])
-            else:
-                labels = _WINDOWS(_HISTOGRAM_MAX_N, 0.4)[1]
-                assert calls[0] == ("multinomial", size, labels.shape)
-                assert type(calls[0][1]) is int
-                # every axis draws over the same class-size groups
-                h = axes[0][1]
-                assert h.sum() == size
-                for name, count, shape in axes:
-                    assert name == "multinomial"
-                    assert count.tolist() == h.tolist() and shape[0] == h.size
-            calls = calls[len(axes) + (not fixed):]
-            groups, calls = calls[:h.size], calls[h.size:]
+            assert calls[0] == ("multinomial", size, labels.shape)
+            assert type(calls[0][1]) is int
+            # every axis draws over the same class-size groups
+            axes = calls[1:7]
+            h = axes[0][1]
+            assert h.sum() == size
+            for name, count, shape in axes:
+                assert name == "multinomial"
+                assert count.tolist() == h.tolist() and shape[0] == h.size
+            groups, calls = calls[7:7 + h.size], calls[7 + h.size:]
             assert groups == [("permuted", 1, (5, h_g)) for h_g in h]
         assert not calls
+
+    def test_alias_path_draws_one_uniform_per_count(self):
+        """The alias sampler's only generator call per chunk is one
+        (6, size) array of uniforms."""
+        calls = self._spy_draws(_alias_sampler, LabelMode.FIXED_COUNTS)
+        assert calls == [("random", None, (6, size)) for size in self.SIZES]
 
     def test_permuted_shuffles_a_strided_view_in_place(self):
         """permuted(rows, axis=1, out=rows) on one group's (5, h) rows, a
@@ -539,20 +548,92 @@ class TestBinomialWindow:
             assert counts.size <= 20 * math.sqrt(m * p * (1 - p)) + 32
 
 
+def _alias_law(table: np.ndarray) -> dict:
+    """{outcome average: probability} of a draw from an _alias_table: cell
+    i gives its own average with probability threshold_i / W and its
+    alias's with (1 - threshold_i) / W.  A row's cells have distinct
+    averages, so the averages name them."""
+    law = {}
+    width = table.shape[1]
+    for threshold, own, alias in table.T.tolist():
+        law[own] = law.get(own, 0.0) + threshold / width
+        law[alias] = law.get(alias, 0.0) + (1.0 - threshold) / width
+    return law
+
+
+class TestAliasTable:
+    """_alias_table's law is its _binomial_window row's."""
+
+    def _check(self, m, p):
+        table = _alias_table(m, p)
+        counts, pmf = _binomial_window(m, p)
+        assert not table.flags.writeable and table.shape == (3, pmf.size)
+        thresholds, own, alias = table
+        assert np.all((0.0 <= thresholds) & (thresholds <= 1.0))
+        assert own.tolist() == ((2.0 * counts - m) / max(m, 1)).tolist()
+        assert set(alias.tolist()) <= set(own.tolist())
+        law = _alias_law(table)
+        tv = 0.5 * math.fsum(abs(law.get(a, 0.0) - q) for a, q in zip(own.tolist(), pmf.tolist()))
+        assert tv <= 1e-12, (m, p, tv)
+
+    @PROPERTY
+    @given(m=st.sampled_from([0, 1, 2, 3]) | st.integers(0, 10**7),
+           p=st.sampled_from([0.0, 1.0, 1e-300, 1 - 2**-53, 0.5]) | st.floats(0.0, 1.0))
+    def test_law_is_the_window_row(self, m, p):
+        """Total variation at most 1e-12, every threshold in [0, 1]: over
+        point masses (m = 0, p in {0, 1}, one-cell rows), two-cell rows,
+        underflowing tails and rows of thousands of cells."""
+        self._check(m, p)
+
+    def test_largest_tables(self):
+        """About the widest row a run can draw from: with a prior so small
+        that rho gets no copy, sigma, pure along x, spends all n copies on
+        two p = 1/2 axes, and those take the whole cap between them."""
+        problem = ClassificationProblem.from_bloch((0, 0, 0), (1, 0, 0), 1e-12)
+
+        def spec(m):
+            return TrainingSetSpec(n=3 * m, problem=problem, label_mode=LabelMode.FIXED_COUNTS)
+
+        m = 1
+        while _alias_tables_fit(spec(2 * m)):
+            m *= 2
+        assert qubit_experiment._fixed_axis_laws(spec(m))[4] == (m, 0.5)
+        assert 2 * _window_cells(m, 0.5) > _ALIAS_MAX_CELLS / 2
+        self._check(m, 0.5)
+
+    def test_cells_are_counted_without_a_row(self):
+        for m in (0, 1, 2, 5, 1667, 10**6, 10**9):
+            for p in (0.0, 1e-300, 1e-9, 0.3, 0.5, 1 - 2**-53, 1.0):
+                assert _window_cells(m, p) == _binomial_window(m, p)[0].size, (m, p)
+
+    def test_cap_lies_near_a_billion_copies(self):
+        """The six tables of the README anchor fit their cache together up
+        to n ~ 1e9."""
+        anchor = ClassificationProblem.from_bloch((0.8, 0, 0), (0, 0.6, 0), 0.5)
+        specs = [TrainingSetSpec(n=n, problem=anchor, label_mode=LabelMode.FIXED_COUNTS)
+                 for n in (10**8, 10**9, 2 * 10**9)]
+        assert [_alias_tables_fit(spec) for spec in specs] == [True, True, False]
+
+
 class TestFixedLabelDraw:
-    """The fixed-label histogram draw has the law of six independent
+    """The fixed-label alias draw has the law of six independent
     Binomial(m_j, p_j) counts per trial."""
 
     @staticmethod
     def _counts(n, trials, seed):
         """(6, trials) counts k_j of fixed-label draws at n, and the (m_j, p_j)."""
         spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS)
-        draw = _histogram_sampler(spec)
+        draw = _alias_sampler(spec)
         rng = np.random.default_rng(seed)
         est = np.concatenate([draw(rng, 50_000)[0] for _ in range(trials // 50_000)], axis=1)
         laws = qubit_experiment._fixed_axis_laws(spec)
         m = np.array([m_j for m_j, _ in laws])[:, None]
         return np.rint((est + 1.0) * m / 2.0).astype(int), laws
+
+    @staticmethod
+    def _z(chi2, df):
+        """Wilson-Hilferty z of a chi-square statistic with df degrees."""
+        return ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
 
     def test_each_axis_is_binomial(self):
         """Chi-square of each axis's counts against Binomial(m_j, p_j), cells
@@ -571,9 +652,7 @@ class TestFixedLabelDraw:
             obs = np.concatenate(([observed[:lo + 1].sum()], observed[lo + 1:hi],
                                   [observed[hi:].sum()]))
             chi2 = float(np.sum((obs - exp) ** 2 / exp))
-            df = exp.size - 1
-            z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
-            assert z <= 4.0, (m, p, chi2, df)
+            assert self._z(chi2, exp.size - 1) <= 4.0, (m, p, chi2)
 
     def test_axes_pairwise_uncorrelated(self):
         trials = 200_000
@@ -583,22 +662,40 @@ class TestFixedLabelDraw:
             for b in range(a):
                 assert abs(corr[a, b]) * math.sqrt(trials) <= 4.0, (a, b)
 
+    def test_axis_pair_is_independent(self):
+        """Chi-square of independence of rho's x and y counts, each cut at
+        its deciles into ten bins: the 10 x 10 table's z stays below 4."""
+        trials = 200_000
+        counts, _ = self._counts(9000, trials, 7)
+        bins = []
+        for k in counts[:2]:
+            edges = np.unique(np.quantile(k, np.linspace(0.1, 0.9, 9)))
+            bins.append(np.searchsorted(edges, k, side="right"))
+        observed = np.zeros((bins[0].max() + 1, bins[1].max() + 1))
+        np.add.at(observed, tuple(bins), 1)
+        expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / trials
+        assert expected.min() >= 5
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        df = (observed.shape[0] - 1) * (observed.shape[1] - 1)
+        assert df >= 49 and self._z(chi2, df) <= 4.0, chi2
+
     @pytest.mark.parametrize("n", [1, 2, 60, 10**4, 10**5])
     def test_one_group_draw_is_the_written_out_draw(self, n):
-        """With fixed labels the histogram sampler's draw is, call for call
-        and byte for byte, one multinomial of the chunk size per axis over
-        its windowed row, np.repeat of the outcome averages, then one
-        rng.permuted call over the five rows after rho's x."""
+        """With fixed labels the alias sampler's draw is, call for call and
+        byte for byte, one (6, size) array of uniforms u, then on each axis
+        x = W u, cell i = floor(x), and the cell's own average where
+        x < i + threshold_i, else its alias's."""
         spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS)
-        draw = _histogram_sampler(spec)
-        for size in (1, 7, 2000):
+        draw = _alias_sampler(spec)
+        for size in (1, 7, 2000, 2 * _KERNEL_BLOCK + 5):
             got, want = np.random.default_rng(size), np.random.default_rng(size)
             est, n0, h = draw(got, size)
-            oracle = np.empty((6, size))
+            oracle = want.random((6, size))
             for out, (m, p) in zip(oracle, qubit_experiment._fixed_axis_laws(spec)):
-                counts, pmf = _binomial_window(m, p)
-                out[:] = np.repeat((2.0 * counts - m) / max(m, 1), want.multinomial(size, pmf))
-            want.permuted(oracle[1:], axis=1, out=oracle[1:])
+                thresholds, own, alias = _alias_table(m, p)
+                x = out * thresholds.size
+                i = np.floor(x).astype(int)
+                out[:] = np.where(x < i + thresholds[i], own[i], alias[i])
             assert est.tobytes() == oracle.tobytes()
             assert n0.tobytes() == np.array([math.floor(0.4 * n + 0.5)]).tobytes()
             assert h.tobytes() == np.array([size]).tobytes()
@@ -606,23 +703,23 @@ class TestFixedLabelDraw:
 
     @pytest.mark.parametrize("n", [10**4, 10**5])
     def test_mean_excess_matches_binomial_draw(self, monkeypatch, n):
-        """n E[excess] of the histogram draw lies within 4 combined standard
+        """n E[excess] of the alias draw lies within 4 combined standard
         errors of the per-trial binomial draw's, on another seed."""
         spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS,
                                known_priors=True)
         results = []
-        for cheaper, seed in ((True, 71), (False, 72)):
-            monkeypatch.setattr(qubit_experiment, "_fixed_histograms_cheaper",
-                                lambda spec, trials, cheaper=cheaper: cheaper)
+        for fits, seed in ((True, 71), (False, 72)):
+            monkeypatch.setattr(qubit_experiment, "_alias_tables_fit",
+                                lambda spec, fits=fits: fits)
             results.append(run_experiment(spec, 100_000, seed))
-        hist, binom = results
-        se = math.hypot(hist.stderr, binom.stderr)
-        assert abs(hist.mean_rescaled_excess - binom.mean_rescaled_excess) <= 4 * se
+        alias, binom = results
+        se = math.hypot(alias.stderr, binom.stderr)
+        assert abs(alias.mean_rescaled_excess - binom.mean_rescaled_excess) <= 4 * se
 
 
 def _fresh_caches(monkeypatch, budget=16 << 20):
     """Empty table caches of ``budget`` bytes in place of the process's."""
-    for name in ("_WINDOWS", "_COUNT_TABLES"):
+    for name in ("_WINDOWS", "_COUNT_TABLES", "_ALIAS_TABLES"):
         cache = getattr(qubit_experiment, name)
         monkeypatch.setattr(qubit_experiment, name,
                             _TableCache(cache._build, cache._sizeof, budget))
@@ -677,7 +774,9 @@ class TestTableCache:
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_runs_do_not_depend_on_the_cache(self, monkeypatch, mode):
         """A run gives the same result from cold and warm caches, after
-        runs at other n, and from caches too small to keep anything."""
+        runs at other n, and from caches too small to keep anything.  Fixed
+        labels fill only the alias cache, random labels only the other
+        two."""
         spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
         _fresh_caches(monkeypatch)
         cold = run_experiment(spec, 5000, 81)
@@ -685,6 +784,12 @@ class TestTableCache:
         for n in (30, 91, 300):
             run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), 500, 1)
         assert run_experiment(spec, 5000, 81) == cold
+        kept = {name: len(getattr(qubit_experiment, name)._tables)
+                for name in ("_WINDOWS", "_COUNT_TABLES", "_ALIAS_TABLES")}
+        if mode is LabelMode.FIXED_COUNTS:
+            assert kept == {"_WINDOWS": 0, "_COUNT_TABLES": 0, "_ALIAS_TABLES": 4}
+        else:
+            assert kept["_ALIAS_TABLES"] == 0 and kept["_WINDOWS"] == 4
         _fresh_caches(monkeypatch, budget=0)
         assert run_experiment(spec, 5000, 81) == cold
 
@@ -798,10 +903,17 @@ class TestVectorisedChunk:
           for n in (1, 2, 3, 30, 300, _HISTOGRAM_MAX_N, _HISTOGRAM_MAX_N + 1)),
         *(pytest.param(n, PURE_AXES, id=f"pure-{n}") for n in (5, 30)),
     ])
-    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
-    def test_same_distribution_as_per_outcome_oracle(self, n, problem, mode):
+    @pytest.mark.parametrize("mode, alias", [
+        pytest.param(LabelMode.RANDOM_LABELS, None, id="random"),
+        pytest.param(LabelMode.FIXED_COUNTS, True, id="fixed"),
+        pytest.param(LabelMode.FIXED_COUNTS, False, id="fixed-binomial"),
+    ])
+    def test_same_distribution_as_per_outcome_oracle(self, monkeypatch, n, problem, mode, alias):
         """Mean rescaled excess and the fraction of exact recoveries agree
-        within 4 combined standard errors."""
+        within 4 combined standard errors.  Fixed labels are run with each
+        of their two draws forced: the alias tables and binomials."""
+        if alias is not None:
+            monkeypatch.setattr(qubit_experiment, "_alias_tables_fit", lambda spec: alias)
         spec = TrainingSetSpec(n=n, problem=problem, label_mode=mode)
         fast = run_experiment(spec, 20_000, (101, n))
         rng = np.random.default_rng((102, n))
@@ -884,8 +996,9 @@ class TestRunExperiment:
         assert 0.15 <= ratio <= 0.35
 
     # every sampler and both label modes, in 64-trial chunks on two CPUs, so
-    # that workers 3 starts a pool of two threads; fixed labels draw
-    # histograms at n = 60 and binomials at 500 and 1500
+    # that workers 3 starts a pool of two threads; random labels draw
+    # histograms at n = 60 and 500 and binomials at 1500, fixed labels from
+    # alias tables at every n here
     @pytest.mark.parametrize("n", [60, 500, 1500])
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_determinism_and_workers(self, monkeypatch, n, mode):
