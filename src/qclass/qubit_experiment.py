@@ -10,29 +10,28 @@ the positive eigenspace of pi0_hat*rho_hat - pi1_hat*sigma_hat.
 The average of the m_j outcomes +/-1 on axis j depends on them only
 through the number k_j of +1 outcomes, k_j ~ Binomial(m_j, (1 + r_j)/2),
 so each trial needs six counts instead of n outcomes; a whole chunk of
-trials is evaluated as arrays.  run_experiment picks one of three
+trials is evaluated as arrays.  run_experiment picks one of two
 samplers once per run, from the label mode and the spec alone.  Each
-draws a chunk's class sizes as groups of equal class size, then each
-axis's counts for all of them:
+draws a chunk's class sizes, one shared by every trial (fixed labels) or
+one per trial (random labels), then each axis's counts for all trials:
 
-* _alias_sampler for fixed labels, one group: each count is one uniform
-  looked up in Walker's alias table of a windowed Binomial(m_j, p_j) row
-  (about 19 sigma_j + 31 cells), unless the six tables would not fit in
-  their cache together (n above ~1e9).
-* _histogram_sampler for random labels up to n = _HISTOGRAM_MAX_N: the
-  class sizes are drawn over the windowed Binomial(n, pi0) row, then one
-  multinomial per axis over the full-width pmf rows of the groups' copy
-  counts, paired by one permutation call per group.
+* _alias_sampler: each class size and each count is one uniform looked
+  up in Walker's alias table of a windowed Binomial row (about 19 sigma
+  + 31 cells), the class size in that of Binomial(n, pi0) and the count
+  on axis j in that of Binomial(m_j, p_j) for the trial's copy count
+  m_j.  It draws fixed labels unless the six tables would not fit in
+  their cache together (n above ~1e9), and random labels up to n =
+  _RANDOM_ALIAS_MAX_N.
 * _binomial_sampler otherwise: one binomial call per axis, at a cost
   that is the same at every n.
 
-The pmf rows and tables depend only on their keys and are kept for the
-process in three caches of at most 16 MiB each, so a run's output does
-not depend on what ran before it.  An axis measured on zero copies (a
-class with fewer than three copies) estimates 0, so every trial has a
-defined outcome: with no copies of a class its estimate is the maximally
-mixed state, and an estimated prior of 0 or 1 gives the rank-0 or rank-2
-plug-in by the usual rule.
+A run's tables depend only on their key and are kept for the process in
+one cache of at most 16 MiB, so a run's output does not depend on what
+ran before it.  An axis measured on zero copies (a class with fewer than
+three copies) estimates 0, so every trial has a defined outcome: with no
+copies of a class its estimate is the maximally mixed state, and an
+estimated prior of 0 or 1 gives the rank-0 or rank-2 plug-in by the
+usual rule.
 
 The excess risk of the resulting projector is evaluated exactly through
 the trace formula (conditional on the projector it is a deterministic
@@ -85,7 +84,7 @@ class TrainingSetSpec:
         if self.n > MAX_N:
             raise ValueError(f"n must be at most 10**12 (the excess risk falls to "
                              f"rounding error above it), got {self.n!r}")
-        # stored as an int: the histogram sampler sizes and indexes tables by n
+        # stored as an int: the samplers take copy counts and table keys from n
         object.__setattr__(self, "n", int(self.n))
 
     @property
@@ -106,17 +105,14 @@ class _Columns(NamedTuple):
 # chunk's peak memory is set by the six count draws, not by the kernel.
 _KERNEL_BLOCK = 8192
 
-# Largest n that run_experiment gives to _histogram_sampler with random
-# labels.  Such a chunk costs a multinomial step per (class size, count)
-# cell, O(n^1.5) cells per axis, plus O(size) repeats and permutations;
-# the pmf rows of every copy count its windowed label law can reach are
-# built once per process (_COUNT_TABLES).
-# numpy's per-trial binomial costs grow with m * min(p, 1 - p) up to its
-# BTPE switch and then stay flat.  On the README anchor with random labels
-# (2-vCPU box, in-process) the histogram path is 6x faster at n = 300,
-# 1.5x at n = 1500 and 3x slower at n = 3000.  Fixed labels draw from
-# alias tables instead (_alias_sampler).
-_HISTOGRAM_MAX_N = 1024
+# Largest n that run_experiment gives to _alias_sampler with random labels.
+# Each axis's table then has a row per copy count that the windowed label
+# law reaches: at n = 1024 (pi0 = 1/2) about 335 class sizes and 104k
+# cells over the six axes, built once per process in about 5 ms.  Above,
+# per-trial binomials, whose cost does not grow with n, are kept: on a
+# 2-vCPU box a cold build at n = 3000 took 13 ms, 30 times a 1000-trial
+# binomial run (ROADMAP item 6).
+_RANDOM_ALIAS_MAX_N = 1024
 
 # Probability mass a windowed pmf row may leave out, 2^-64: far below the
 # rounding (2^-53 relative) of the cells it keeps.
@@ -163,64 +159,30 @@ def _clip_to_ball(est: np.ndarray) -> np.ndarray:
     return est
 
 
-def _count_grid(m: np.ndarray, width: int) -> np.ndarray:
-    """(len(m), width) counts: row g holds k = 0..m_g in its last m_g + 1
-    columns, after padding with k < 0."""
-    return np.arange(width) - (width - 1 - m)[:, None]
-
-
-def _binomial_pmf_rows(m: np.ndarray, p: float) -> np.ndarray:
-    """Binomial(m_g, p) pmf for each entry m_g of m, one row each.
-
-    A read-only (len(m), max(m) + 1) array laid out as _count_grid: row g
-    holds the probabilities of k = 0..m_g in its last m_g + 1 columns,
-    after padding with probability 0.  A row's floats depend only on m_g,
-    p and max(m).  numpy's multinomial gives the last column whatever the
-    earlier ones leave, and that column is always a possible count, so
-    rounding of the pmf cannot put a draw in the padding.  The log k! come
-    from math.lgamma.  p in {0, 1} and m_g = 0 are exact point masses, and
-    no padding entry is exponentiated.
-    """
-    width = int(m.max()) + 1
-    k = _count_grid(m, width)
-    mk = np.broadcast_to(m[:, None], k.shape)
-    if p == 0.0 or p == 1.0:
-        pmf = (k == (0 if p == 0.0 else mk)).astype(float)
-    else:
-        log_factorial = np.array([math.lgamma(i + 1.0) for i in range(width)])
-        pmf = np.zeros(k.shape)
-        valid = k >= 0
-        kv, mv = k[valid], mk[valid]
-        pmf[valid] = np.exp(log_factorial[mv] - log_factorial[kv] - log_factorial[mv - kv]
-                            + kv * math.log(p) + (mv - kv) * math.log1p(-p))
-        pmf /= pmf.sum(axis=1, keepdims=True)
-    pmf.flags.writeable = False
-    return pmf
-
-
-def _window_bounds(m: int, p: float) -> tuple[int, int, int]:
-    """(mode, lo, hi) of the _binomial_window row of (m, p), m >= 1 and
-    0 < p < 1: the row holds the counts lo..hi around the mode."""
+def _window_bounds(m, p):
+    """(mode, lo, hi) of the _binomial_windows row of (m, p), 0 < p < 1:
+    the row holds the counts lo..hi around the mode.  Elementwise over
+    ints or arrays m >= 0 and p, as floats."""
     mean = m * p
     log_tail = -math.log(_WINDOW_TAIL / 2.0)
-    t = log_tail / 3.0 + math.sqrt(log_tail**2 / 9.0 + 2.0 * log_tail * mean * (1.0 - p))
-    mode = min(math.floor((m + 1) * p), m)
-    lo = min(max(math.floor(mean - t), 0), mode)
-    hi = max(min(math.ceil(mean + t), m), mode)
+    t = log_tail / 3.0 + np.sqrt(log_tail**2 / 9.0 + 2.0 * log_tail * mean * (1.0 - p))
+    mode = np.minimum(np.floor((m + 1) * p), m)
+    lo = np.minimum(np.maximum(np.floor(mean - t), 0), mode)
+    hi = np.maximum(np.minimum(np.ceil(mean + t), m), mode)
     return mode, lo, hi
 
 
-def _window_cells(m: int, p: float) -> int:
-    """Cells of the _binomial_window row of (m, p), without building it."""
-    if m == 0 or p == 0.0 or p == 1.0:
-        return 1
+def _window_cells(m, p):
+    """Cells of the _binomial_windows rows of (m, p), without building
+    them; elementwise over ints or arrays m and p."""
     _, lo, hi = _window_bounds(m, p)
-    return hi - lo + 1
+    return np.where((p == 0.0) | (p == 1.0), 1, hi - lo + 1)
 
 
-def _binomial_window(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, pmf) of Binomial(m, p) on a window around the mode, the
-    cells in order of decreasing probability: from the mode outward.
+def _binomial_windows(m: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, pmf) of Binomial(m_r, p) on a window around the mode, one
+    row for each entry m_r of the integer array m, a row's cells in order
+    of decreasing probability: from the mode outward.
 
     The window holds every count k with |k - m p| <= t, clipped to 0..m.
     Bernstein's inequality, P(|k - m p| >= t) <= 2 exp(-t^2 / (2 (v +
@@ -228,106 +190,162 @@ def _binomial_window(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     at most _WINDOW_TAIL = 2^-64, so a row has about 19 sigma + 31 cells.
     It is built in O(window), not O(m): each cell relative to the mode is
     the exp of a cumulative sum of log((m - k)/(k + 1)) + log(p/q) (up) or
-    its negative (down), and the row is normalised to sum 1.  Its floats
-    depend only on (m, p); p in {0, 1} and m = 0 are exact point masses.
-    Both arrays are read-only.
+    its negative (down), and the row is normalised to sum 1.  (Differences
+    of log k! would lose about 5 digits at m ~ 1e9.)  A row narrower than
+    the widest ends in cells of probability 0.  The floats depend only on
+    (m, p), and a one-row array's only on (m_0, p); p in {0, 1} and m_r = 0
+    are exact point masses.
     """
-    if m == 0 or p == 0.0 or p == 1.0:
-        counts, pmf = np.array([m if p == 1.0 else 0]), np.ones(1)
-    else:
-        log_odds = math.log(p) - math.log1p(-p)
-        mode, lo, hi = _window_bounds(m, p)
-        up = np.arange(mode, hi)  # the steps k -> k + 1 above the mode
-        down = np.arange(mode, lo, -1)  # and k -> k - 1 below it
-        rel = np.concatenate((
-            [1.0],
-            np.exp(np.cumsum(np.log((m - up) / (up + 1.0)) + log_odds)),
-            np.exp(np.cumsum(np.log(down / (m - down + 1.0)) - log_odds)),
-        ))
-        counts = np.concatenate(([mode], up + 1, down - 1))
-        order = np.argsort(-rel, kind="stable")
-        counts, pmf = counts[order], rel[order] / rel.sum()
+    m = np.asarray(m, dtype=np.int64)
+    if p == 0.0 or p == 1.0:
+        return (m if p == 1.0 else 0 * m)[:, None], np.ones((m.size, 1))
+    log_odds = math.log(p) - math.log1p(-p)
+    mode, lo, hi = (bound.astype(np.int64)[:, None] for bound in _window_bounds(m, p))
+    m = m[:, None]
+    up = mode + np.arange((hi - mode).max())  # the steps k -> k + 1 above the mode
+    down = mode - np.arange((mode - lo).max())  # and k -> k - 1 below it
+    counts = np.concatenate((mode, up + 1, down - 1), axis=1)
+    rel = np.ones(counts.shape)
+    rise, fall = rel[:, 1:1 + up.shape[1]], rel[:, 1 + up.shape[1]:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log((m - up) / (up + 1.0), out=rise)
+        np.log(down / (m - down + 1.0), out=fall)
+    rise += log_odds
+    fall -= log_odds
+    # a step past its row's window is -inf, so the cells beyond it get 0
+    rise[up >= hi] = -np.inf
+    fall[down <= lo] = -np.inf
+    for steps in (rise, fall):
+        np.exp(np.cumsum(steps, axis=1, out=steps), out=steps)
+    order = np.argsort(-rel, axis=1, kind="stable")[:, :int((hi - lo).max()) + 1]
+    order += np.arange(0, rel.size, rel.shape[1])[:, None]
+    return counts.take(order), rel.take(order) / rel.sum(axis=1, keepdims=True)
+
+
+def _binomial_window(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, pmf) of the _binomial_windows row of (m, p), read-only."""
+    counts, pmf = (array[0] for array in _binomial_windows(np.array([m]), p))
     counts.flags.writeable = False
     pmf.flags.writeable = False
     return counts, pmf
 
 
-def _alias_table(m: int, p: float) -> np.ndarray:
-    """Walker's alias table of the _binomial_window row of (m, p).
+def _alias_table(values: np.ndarray, pmf: np.ndarray):
+    """Walker's alias table of each row of a (R, W) pmf whose cells hold
+    ``values``: (thresholds, own values, alias values), each (R, W).
 
-    A read-only (3, W) array over the row's W cells, in the row's order:
-    each cell's acceptance threshold, its own outcome average (2k - m)/m,
-    and the outcome average of its alias.  A uniform u picks cell
-    i = floor(W u) and gives its own average if W u - i is below the
-    threshold, else its alias's; so cell i has mass (its threshold, plus
-    1 - the threshold of each cell aliased to it) / W.
+    A uniform u picks cell i = floor(W u) of a row and gives its own value
+    if W u - i is below its threshold, else its alias's; so cell i has
+    mass (its threshold, plus 1 - the threshold of each cell aliased to
+    it) / W.
 
-    Vose's pairing, without its loop, in integers: a cell's mass W pmf is
-    rounded to a multiple of 2^-b (b = 62 - bits of W, at most 52), the
-    mode takes what rounding leaves over, and the rounded row is then
-    paired exactly, each threshold a multiple of 2^-b in [0, 1].  So the
-    table's law is the row's to within 2^-b in total variation.  A light
+    Vose's pairing, without its loop, in integers, for all rows at once:
+    a cell's mass W pmf is rounded to a multiple of 2^-b (b = 62 - bits of
+    R W, at most 52), each row's first cell takes what rounding leaves
+    over, and the rounded rows are paired exactly, each threshold a
+    multiple of 2^-b in [0, 1].  So each row's law is its pmf's to within
+    2^-b in total variation, and the sums below stay under 2^62.  A light
     cell (mass below 1) lacks 1 - mass, a heavy cell has mass - 1 to
-    spare; laid end to end, the light cells' deficits and the heavy
-    cells' surpluses cover one line twice over.  A light cell's alias is
+    spare; laid end to end, row after row, the light cells' deficits and
+    the heavy cells' surpluses cover one line twice over.  A row's
+    deficits equal its surpluses, so the two meet at the end of every
+    row, and no cell is paired outside its own.  A light cell's alias is
     the heavy cell whose stretch of surplus holds the start of its
     deficit.  A heavy cell's surplus runs out at the first light cell
     whose deficit ends at or past it: the overshoot is the heavy cell's
     own deficit, its threshold is 1 - overshoot, and its alias the next
-    heavy cell.  The last heavy cell's surplus ends with the last
-    deficit, at threshold 1.
+    heavy cell.  The last heavy cell of a row ends with its last deficit,
+    at threshold 1, so that alias is never taken.  A cell of
+    probability 0 (a row's padding) has threshold 0: it gives its alias.
     """
-    counts, pmf = _binomial_window(m, p)
-    width = pmf.size
-    one = 1 << min(52, 62 - width.bit_length())
+    rows, width = pmf.shape
+    one = 1 << min(52, 62 - (rows * width).bit_length())
     mass = np.rint(pmf * float(width * one)).astype(np.int64)
-    mass[0] += width * one - int(mass.sum())
-    threshold, alias = mass.copy(), np.arange(width)
-    # the masses sum to width: some cell is heavy, and if none is light all are 1
+    mass[:, 0] += width * one - mass.sum(axis=1)
+    mass = mass.ravel()
+    threshold, alias = mass.copy(), np.arange(mass.size)
+    # a row's masses sum to width: some cell is heavy, and if none is light all are 1
     light, heavy = np.flatnonzero(mass < one), np.flatnonzero(mass >= one)
     if light.size:
-        deficit = np.cumsum(one - mass[light])
+        ends = np.concatenate(([0], np.cumsum(one - mass[light])))
         surplus = np.cumsum(mass[heavy] - one)
-        alias[light] = heavy[np.searchsorted(surplus, deficit - (one - mass[light]), side="right")]
-        threshold[heavy] = one - (deficit[np.searchsorted(deficit, surplus)] - surplus)
+        # ends[reach[i]] is the first deficit end at or past heavy cell i's
+        # surplus, and the deficits of lights reach[i - 1]..reach[i] - 1
+        # start within that surplus
+        reach = np.searchsorted(ends, surplus)
+        alias[light] = np.repeat(heavy, np.diff(reach, prepend=0))
+        threshold[heavy] = one - (ends[reach] - surplus)
         alias[heavy[:-1]] = heavy[1:]
-    table = np.empty((3, width))
-    np.divide(threshold, one, out=table[0])
-    table[1] = _outcome_average(counts, m)
-    table[1].take(alias, out=table[2])
-    table.flags.writeable = False
-    return table
+    alias_values = values.ravel()[alias].reshape(rows, width)
+    return (threshold / one).reshape(rows, width), values, alias_values
 
 
 class _AliasTables(NamedTuple):
-    """The alias tables of a fixed-label run's six axes, laid end to end
-    for one lookup over all of them."""
+    """Alias tables laid end to end for one lookup over all of them: the
+    count tables of the six axes, x, y, z of rho and then of sigma, or the
+    class-size table of random labels."""
 
-    scale: np.ndarray  # (6, 1): each table's cell count W_j, as a float
-    offsets: np.ndarray  # (6, 1): where each table starts
-    cuts: np.ndarray  # each cell's index in its own table plus its threshold
-    averages: np.ndarray  # cell i's alias average at 2i, its own at 2i + 1
+    scale: np.ndarray  # (k, 1): each table's row width W_j, as a float
+    offsets: np.ndarray  # (k, G): where table j's row for class size low + g starts
+    cuts: np.ndarray  # each cell's index in its row plus its threshold
+    values: np.ndarray  # cell i's alias value at 2i, its own at 2i + 1
 
 
-def _alias_tables(*laws) -> _AliasTables:
-    """_AliasTables of the axes' (m_j, p_j), x, y, z of rho and then of
-    sigma, from one _alias_table each.  The arrays are read-only."""
-    tables = [_alias_table(m, p) for m, p in laws]
-    widths = np.array([table.shape[1] for table in tables])
-    cuts = np.concatenate([table[0] + np.arange(table.shape[1]) for table in tables])
-    averages = np.empty((cuts.size, 2))
-    averages[:, 0] = np.concatenate([table[2] for table in tables])
-    averages[:, 1] = np.concatenate([table[1] for table in tables])
-    joined = _AliasTables(widths[:, None].astype(float), (np.cumsum(widths) - widths)[:, None],
-                          cuts, averages.ravel())
+def _joined(tables, rows) -> _AliasTables:
+    """_AliasTables of _alias_table outputs, rows[j][g] being the row of
+    table j for the g-th class size.  The arrays are read-only."""
+    widths = np.array([thresholds.shape[1] for thresholds, _, _ in tables])
+    cells = np.array([thresholds.size for thresholds, _, _ in tables])
+    offsets = (np.cumsum(cells) - cells)[:, None] + widths[:, None] * np.asarray(rows)
+    cuts = np.concatenate([(thresholds + np.arange(thresholds.shape[1])).ravel()
+                           for thresholds, _, _ in tables])
+    values = np.empty((cuts.size, 2), dtype=tables[0][1].dtype)
+    values[:, 0] = np.concatenate([alias.ravel() for _, _, alias in tables])
+    values[:, 1] = np.concatenate([own.ravel() for _, own, _ in tables])
+    joined = _AliasTables(widths[:, None].astype(float), offsets, cuts, values.ravel())
     for array in joined:
         array.flags.writeable = False
     return joined
 
 
+class _RunTables(NamedTuple):
+    """The alias tables a run draws from."""
+
+    labels: _AliasTables | None  # random labels: the class sizes' table
+    counts: _AliasTables  # the six axes', a row per copy count
+    low: int  # the class size of counts.offsets[:, 0]
+
+
+def _fixed_n0(n: int, pi0: float) -> int:
+    """Copies of rho with fixed labels: round(pi0 * n), halves rounded up."""
+    return math.floor(pi0 * n + 0.5)
+
+
+def _run_tables(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _RunTables:
+    """_RunTables of a run at n whose axes measure +1 with the given
+    probabilities.  Fixed labels have one class size, so each axis's table
+    has one row.  Random labels draw the class size from the table of the
+    windowed Binomial(n, pi0) row, whose contiguous sizes lo..hi give each
+    axis contiguous copy counts: the axis's table has one row for each,
+    all as wide as its widest row."""
+    if label_mode is LabelMode.FIXED_COUNTS:
+        labels, sizes = None, np.array([_fixed_n0(n, pi0)])
+    else:
+        window, pmf = _binomial_window(n, pi0)
+        labels = _joined([_alias_table(window[None], pmf[None])], [[0]])
+        sizes = np.arange(window.min(), window.max() + 1)
+    tables, rows = [], []
+    for m, p in zip(_axis_copies(sizes, n - sizes), probabilities):
+        copies = np.arange(m.min(), m.max() + 1)
+        counts, pmf = _binomial_windows(copies, p)
+        tables.append(_alias_table(_outcome_average(counts, copies[:, None]), pmf))
+        rows.append(m - copies[0])
+    return _RunTables(labels, _joined(tables, rows), int(sizes[0]))
+
+
 class _TableCache:
-    """build(*key) for the life of the process: count tables whose floats
-    depend only on their key, so a run's output never depends on what the
+    """build(*key) for the life of the process: tables whose floats depend
+    only on their key, so a run's output never depends on what the
     cache holds.  Least recently used tables leave once the tables kept
     take more than ``budget`` bytes by sizeof(table); a larger table is
     built but not kept.  Worker threads and concurrent runs share a cache,
@@ -355,154 +373,118 @@ class _TableCache:
             return table
 
 
-# The windowed rows of the random-label class sizes by (n, pi0), 16 bytes
-# a cell: at most 16 MiB.
-_WINDOWS = _TableCache(_binomial_window, lambda row: row[0].nbytes + row[1].nbytes, 16 << 20)
-
-
-# A fixed-label run's joined alias tables by its six (m_j, p_j), 24 bytes
-# a cell: at most 16 MiB.  A run draws from them only if they fit, up to
-# n ~ 1e9 on the README anchor (_alias_tables_fit); above, every run
-# would rebuild them.
+# A run's _RunTables by its label mode, n, pi0 and six axis probabilities,
+# counted at 24 bytes a cell: at most 16 MiB.  The offsets, 48 bytes a
+# class size, are left out of the count.  A fixed-label run draws from them only if they fit, up to
+# n ~ 1e9 on the README anchor (_alias_tables_fit); above, every run would
+# rebuild them.  Random labels up to _RANDOM_ALIAS_MAX_N take 2.5 MB.
 _ALIAS_MAX_CELLS = (16 << 20) // 24
-_ALIAS_TABLES = _TableCache(_alias_tables, lambda tables: 3 * tables.cuts.nbytes,
-                            24 * _ALIAS_MAX_CELLS)
-
-# The pmf rows of one axis by (p, m_lo, m_hi), for the copy counts m_lo..m_hi
-# that a random-label run can reach, 8 (m_hi - m_lo + 1)(m_hi + 1) bytes
-# each: at most 16 MiB.
-_COUNT_TABLES = _TableCache(
-    lambda p, m_lo, m_hi: _binomial_pmf_rows(np.arange(m_lo, m_hi + 1), p),
-    lambda table: table.nbytes, 16 << 20)
-
-
-def _fixed_n0(spec: TrainingSetSpec) -> int:
-    """Copies of rho with fixed labels: round(pi0 * n), halves rounded up."""
-    return math.floor(spec.pi0 * spec.n + 0.5)
+_ALIAS_TABLES = _TableCache(
+    _run_tables, lambda tables: sum(3 * table.cuts.nbytes for table in tables[:2] if table),
+    24 * _ALIAS_MAX_CELLS)
 
 
 def _fixed_axis_laws(spec: TrainingSetSpec) -> list[tuple[int, float]]:
     """(m_j, p_j) of the six axes with fixed labels, x, y, z of rho and
     then of sigma."""
-    n0 = _fixed_n0(spec)
+    n0 = _fixed_n0(spec.n, spec.pi0)
     return list(zip(_axis_copies(n0, spec.n - n0), _axis_probabilities(spec.problem)))
 
 
 def _alias_tables_fit(spec: TrainingSetSpec) -> bool:
     """Whether the six alias tables of a fixed-label spec fit in
     _ALIAS_TABLES together, counted from (m_j, p_j) without building a
-    row."""
-    return sum(_window_cells(m, p) for m, p in _fixed_axis_laws(spec)) <= _ALIAS_MAX_CELLS
+    row.  A row of m copies has at most m + 1 cells, so below n =
+    _ALIAS_MAX_CELLS - 6 they fit without a count."""
+    if spec.n <= _ALIAS_MAX_CELLS - 6:
+        return True
+    m, p = (np.array(column) for column in zip(*_fixed_axis_laws(spec)))
+    return int(_window_cells(m, p).sum()) <= _ALIAS_MAX_CELLS
 
 
-def _histogram_sampler(spec: TrainingSetSpec):
-    """draw(rng, size) -> (est, n0, h) for random labels, the counts drawn
-    as histograms.
-
-    h[g] trials have n0[g] copies of rho, in ascending n0: the nonempty
-    cells of h ~ Multinomial(size, windowed Binomial(n, pi0) row), put
-    back in ascending class size.  The window drops at most 2^-64 of the
-    mass and holds the contiguous sizes lo..hi, so each axis's copy counts
-    lie in a range known when the sampler is built, and the groups' rows
-    come from one read-only table of that range.  For each axis, x, y, z
-    of rho and then of sigma, one multinomial of h over the rows gives the
-    number of trials in each (group, count) cell, and np.repeat expands
-    their outcome averages; then one rng.permuted call per group shuffles
-    every estimate row but rho's x within the group, so the axes pair
-    independently.  est holds the unclipped (6, size) estimates in the
-    order of the groups.
-    """
-    n = spec.n
-    # the window's cells run from the mode outward over the sizes lo..hi
-    sizes, labels_pmf = _WINDOWS(n, spec.pi0)
-    ascending = np.argsort(sizes)
-    lo, hi = int(sizes.min()), int(sizes.max())
-    # copy counts grow with the class size: the window's ends bound them
-    tables = [(_COUNT_TABLES(p, m_lo, m_hi), m_lo) for p, m_lo, m_hi in zip(
-        _axis_probabilities(spec.problem), _axis_copies(lo, n - hi), _axis_copies(hi, n - lo))]
-
-    def draw(rng, size):
-        h = rng.multinomial(size, labels_pmf)[ascending]
-        n0 = np.flatnonzero(h)
-        h = h[n0]
-        n0 += lo
-        averages, taken = [], []
-        for (table, m_lo), m_j in zip(tables, _axis_copies(n0, n - n0)):
-            width = int(m_j.max()) + 1
-            k = _count_grid(m_j, width)
-            taken.append(rng.multinomial(h, table[m_j - m_lo, -width:]).ravel())
-            averages.append(_outcome_average(k, m_j[:, None]).ravel())
-        # every axis's cells hold size trials, so the rows come out whole
-        est = np.repeat(np.concatenate(averages), np.concatenate(taken)).reshape(6, size)
-        ends = np.cumsum(h)
-        for start, end in zip(ends - h, ends):
-            paired = est[1:, start:end]
-            rng.permuted(paired, axis=1, out=paired)
-        return est, n0, h
-
-    return draw
+def _alias_cells(x: np.ndarray, tables: _AliasTables, rows=None) -> np.ndarray:
+    """The index in tables.values of the value each uniform in x (k, B)
+    draws from its table: x = W_j u picks cell i = floor(x) of the row
+    that starts at tables.offsets[j, rows] (at tables.offsets[j, 0] for
+    every trial if rows is None), which gives its own value (index
+    2i + 1) if x is below the cell's cut, else its alias's (2i).  Scales
+    x in place."""
+    x *= tables.scale
+    # u < 1 and W_j < 2^53, so x rounds below W_j: floor(x) is a cell
+    cell = x.astype(np.intp)
+    if rows is None:
+        # fixed labels: a take per axis of all-zero rows gives the same
+        # cells but made qubit_large_n ~3% slower than this broadcast
+        cell += tables.offsets
+    else:
+        # one axis at a time: a (k, B) gather of the offsets adds a
+        # block-sized temporary, which made an 8192-trial draw ~1.5x slower
+        for cell_j, offsets_j in zip(cell, tables.offsets):
+            cell_j += offsets_j.take(rows)
+    own = x < tables.cuts.take(cell)
+    cell <<= 1
+    cell += own
+    return cell
 
 
 def _alias_sampler(spec: TrainingSetSpec):
-    """draw(rng, size) -> (est, n0, h) as _histogram_sampler, for fixed
-    labels: one group, n0 = [round(pi0 * n)] and h = [size], every count
-    drawn from its axis's alias table (_alias_table) by one uniform.
+    """draw(rng, size) -> (est, n0): the unclipped (6, size) estimates, x,
+    y, z of rho and then of sigma, and the copies of rho, an int shared by
+    every trial (fixed labels) or one per trial (random labels).  Every
+    class size and count is one uniform looked up in an alias table
+    (_alias_table).
 
-    A chunk draws one (6, size) array of uniforms and turns it into
-    estimates in place, _KERNEL_BLOCK trials at a time: x = W_j u picks
-    cell floor(x) of axis j's table, which gives its own average if x is
-    below the cell's cut (its index plus its threshold), else its
-    alias's.  The two averages of a cell sit side by side, so one gather
-    reads the estimate.
+    With random labels a chunk first draws one uniform per trial, whose
+    lookup in the table of the windowed Binomial(n, pi0) row is the
+    trial's class size.  Then it draws one (6, size) array of uniforms and
+    turns it into estimates in place, _KERNEL_BLOCK trials at a time: on
+    axis j a trial's lookup runs in the row of its copy count m_j, which
+    starts at offsets[j, n0 - low].  The two averages of a cell sit side
+    by side, so one gather reads the estimate.  With fixed labels each
+    axis's table has one row, and the (6, 1) offsets are broadcast.
     """
-    scale, offsets, cuts, averages = _ALIAS_TABLES(*_fixed_axis_laws(spec))
-    n0 = np.array([_fixed_n0(spec)])
+    labels, counts, low = _ALIAS_TABLES(spec.label_mode, spec.n, spec.pi0,
+                                        *_axis_probabilities(spec.problem))
 
     def draw(rng, size):
+        if labels is None:
+            n0 = low
+        else:
+            n0 = labels.values.take(_alias_cells(rng.random((1, size)), labels)[0])
         est = rng.random((6, size))
-        for lo in range(0, size, _KERNEL_BLOCK):
-            x = est[:, lo:lo + _KERNEL_BLOCK]
-            x *= scale
-            # u < 1 and W_j < 2^53, so x rounds below W_j: floor(x) is a cell
-            cell = x.astype(np.intp)
-            cell += offsets
-            own = x < cuts.take(cell)
-            cell <<= 1
-            cell += own
-            averages.take(cell, out=x, mode="clip")
-        return est, n0, np.array([size])
+        for start in range(0, size, _KERNEL_BLOCK):
+            x = est[:, start:start + _KERNEL_BLOCK]
+            rows = None if labels is None else n0[start:start + _KERNEL_BLOCK] - low
+            counts.values.take(_alias_cells(x, counts, rows), out=x, mode="clip")
+        return est, n0
 
     return draw
 
 
 def _binomial_sampler(spec: TrainingSetSpec):
-    """draw(rng, size) -> (est, n0, h) as _histogram_sampler, by one
-    binomial call per axis at a cost that is the same at every n.
+    """draw(rng, size) -> (est, n0) as _alias_sampler, by one binomial call
+    per axis at a cost that is the same at every n.
 
-    Fixed labels are one group, as in _alias_sampler, whose copy
-    counts are drawn against as ints; random labels draw n0 ~ Binomial(n,
-    pi0) per trial, sorted, every trial its own group.  numpy draws the
-    same variates for an int as for a constant array, and a shared int or
+    Fixed labels draw against their copy counts as ints; random labels
+    draw n0 ~ Binomial(n, pi0) per trial, sorted.  numpy draws the same
+    variates for an int as for a constant array, and a shared int or
     sorted counts spare it its per-(m_j, p) set-up.
     """
     n, pi0 = spec.n, spec.pi0
     fixed = spec.label_mode is LabelMode.FIXED_COUNTS
-    n0_fixed = _fixed_n0(spec)
+    n0_fixed = _fixed_n0(n, pi0)
     probabilities = _axis_probabilities(spec.problem)
 
     def draw(rng, size):
         if fixed:
-            n0, h = np.array([n0_fixed]), np.array([size])
-            m = (n0_fixed, n - n0_fixed)
+            n0 = n0_fixed
         else:
             n0 = rng.binomial(n, pi0, size)
             n0.sort()
-            h = np.ones(size, dtype=int)
-            m = (n0, n - n0)
         est = np.empty((6, size))
-        for out, m_j, p in zip(est, _axis_copies(*m), probabilities):
+        for out, m_j, p in zip(est, _axis_copies(n0, n - n0), probabilities):
             out[:] = _outcome_average(rng.binomial(m_j, p, size), m_j)
-        return est, n0, h
+        return est, n0
 
     return draw
 
@@ -532,15 +514,14 @@ def run_experiment(
 
     Each chunk is evaluated as arrays over its trials, with no loop over
     trials (the alias draw and the kernel after every draw take
-    _KERNEL_BLOCK trials per pass).  One of the three samplers, picked
-    once per run from the spec alone (see the module docstring):
+    _KERNEL_BLOCK trials per pass).  One of the two samplers, picked once
+    per run from the spec alone (see the module docstring):
     _alias_sampler for fixed labels whose six alias tables fit their
-    cache, _histogram_sampler for random labels up to _HISTOGRAM_MAX_N,
-    else _binomial_sampler.  It draws a chunk's class sizes as groups and
-    the six estimates of every trial, in the order of the groups, so a
-    trial's value is fixed by (seed, CHUNK_SIZE, its index), not by its
-    index alone.  Every trial has the same law, and the chunk is reduced
-    to its order-free Moments.
+    cache and for random labels up to _RANDOM_ALIAS_MAX_N, else
+    _binomial_sampler.  It draws a chunk's class sizes and the six
+    estimates of every trial, so a trial's value is fixed by (seed,
+    CHUNK_SIZE, its index), not by its index alone.  Every trial has the
+    same law, and the chunk is reduced to its order-free Moments.
 
     mean_rescaled_excess is n * (sample mean excess risk); fraction_exact
     counts trials whose excess is exactly zero (the learned projector
@@ -549,27 +530,22 @@ def run_experiment(
     n, pi0 = spec.n, spec.pi0
     truth = pauli_data(spec.problem.r, spec.problem.s, pi0)
     if spec.label_mode is LabelMode.FIXED_COUNTS:
-        sampler = _alias_sampler if _alias_tables_fit(spec) else _binomial_sampler
+        alias = _alias_tables_fit(spec)
     else:
-        sampler = _histogram_sampler if n <= _HISTOGRAM_MAX_N else _binomial_sampler
-    draw = sampler(spec)
+        alias = n <= _RANDOM_ALIAS_MAX_N
+    draw = (_alias_sampler if alias else _binomial_sampler)(spec)
 
     def chunk_fn(rng, size):
-        est, n0, h = draw(rng, size)
+        est, n0 = draw(rng, size)
         _clip_to_ball(est[:3])
         _clip_to_ball(est[3:])
-        if spec.known_priors:
-            pi_hat = pi0
-        else:
-            # groups of one trial need no expanding
-            pi_hat = n0 / n if n0.size == size else np.repeat(n0 / n, h)
         out = np.empty(size)
         for lo in range(0, size, _KERNEL_BLOCK):
             b = slice(lo, lo + _KERNEL_BLOCK)
-            out[b] = _plugin_excess(
-                truth, _Columns(*est[:3, b]), _Columns(*est[3:, b]),
-                pi_hat[b] if isinstance(pi_hat, np.ndarray) else pi_hat,
-            )
+            # a class size shared by every trial gives one float
+            pi_hat = pi0 if spec.known_priors else (
+                n0[b] if isinstance(n0, np.ndarray) else n0) / n
+            out[b] = _plugin_excess(truth, _Columns(*est[:3, b]), _Columns(*est[3:, b]), pi_hat)
         return out
 
     [moments] = run_chunked(trials, seed, chunk_fn, workers=workers)

@@ -20,7 +20,7 @@ parameters and the quadratic loss) live here too, as only the tests use
 them.
 
 The library's qubit-sim draws six Pauli counts per trial for a whole
-chunk at once, as histograms or as binomials.  The per-trial plug-in
+chunk at once, from alias tables or as binomials.  The per-trial plug-in
 below draws every +/-1 outcome instead, one trial at a time, and is the
 reference its draws are tested against; it evaluates each trial with
 ``plugin_excess``, so a trial the kernel makes exactly 0 is 0 here too.

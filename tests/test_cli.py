@@ -654,8 +654,9 @@ class TestDeterminismAndFormats:
         assert outs[0] == outs[1] == outs[2]
 
     # every sampler and both label modes, in 64-trial chunks on two CPUs, so
-    # that workers 2 starts a pool of two threads; fixed labels draw
-    # histograms at n = 60 and binomials at 500 and 1500
+    # that workers 2 starts a pool of two threads; random labels draw from
+    # alias tables at n = 60 and 500 and binomials at 1500, fixed labels
+    # from alias tables at every n here
     @pytest.mark.parametrize("n", [60, 500, 1500])
     @pytest.mark.parametrize("mode", ["random", "fixed"])
     def test_qubit_sim_byte_identical(self, tmp_path, monkeypatch, n, mode):
@@ -675,11 +676,11 @@ class TestDeterminismAndFormats:
     @pytest.mark.parametrize("mode", ["random", "fixed"])
     def test_qubit_sim_bytes_do_not_depend_on_cached_tables(self, tmp_path, monkeypatch,
                                                             capsys, mode):
-        """The pmf rows and tables kept for the process change no output
-        byte: cold and warm caches, 1 and 2 workers, and a fresh process
-        agree after other runs in this one.  Two 65,536-trial chunks; fixed
-        labels draw from alias tables at every n here, random labels
-        histograms up to 1024."""
+        """The alias tables kept for the process change no output byte:
+        cold and warm caches, 1 and 2 workers, and a fresh process agree
+        after other runs in this one.  Two 65,536-trial chunks; fixed
+        labels draw from alias tables at every n here, random labels up to
+        n = 1024."""
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         cfg = {"problem": self.PINNED_PROBLEM, "n_list": [30, 900, 20000],
                "trials": 70_000, "seed": 17, "label_mode": mode}
@@ -688,10 +689,10 @@ class TestDeterminismAndFormats:
         for workers in ("1", "2"):
             for caches in ("cold", "warm"):
                 if caches == "cold":
-                    for name in ("_WINDOWS", "_COUNT_TABLES", "_ALIAS_TABLES"):
-                        cache = getattr(qubit_experiment, name)
-                        monkeypatch.setattr(qubit_experiment, name, qubit_experiment._TableCache(
-                            cache._build, cache._sizeof, cache._budget))
+                    cache = qubit_experiment._ALIAS_TABLES
+                    monkeypatch.setattr(qubit_experiment, "_ALIAS_TABLES",
+                                        qubit_experiment._TableCache(
+                                            cache._build, cache._sizeof, cache._budget))
                 capsys.readouterr()
                 assert main([*argv, "--workers", workers]) == 0
                 outs.append(capsys.readouterr().out)
@@ -712,13 +713,13 @@ class TestDeterminismAndFormats:
     # arithmetic behind any printed value changes these on purpose only
     PINNED_PROBLEM = {"r0": [0.5, 0.2, -0.3], "s0": [-0.1, 0.6, 0.2], "pi0": 0.4}
     PINNED = {
-        # random labels up to _HISTOGRAM_MAX_N draw each chunk as histograms
-        # (re-pinned when the class sizes came from the windowed label row,
-        # drawn from the mode outward: a new stream)
+        # random labels up to _RANDOM_ALIAS_MAX_N draw each class size and
+        # each count as one uniform looked up in an alias table (re-pinned
+        # when that draw replaced the histograms: a new stream)
         "qubit-sim": (
             {"n_list": [60, 200], "trials": 300, "seed": 13},
             64,
-            "ea588ae497586065498bb0008b0da93fcbdd315cbb04826e7f14e95991b53a43",
+            "504b60242f771bf0918c40f12ec88679cc5558f5268e0a79d67286eceea836b2",
         ),
         # fixed labels draw every count from an alias table, one uniform
         # per count, at every n the tables fit (up to n ~ 1e9): both fixed
@@ -730,8 +731,8 @@ class TestDeterminismAndFormats:
             64,
             "7bcb8723eae5821ef9f537f0eb773c91f783a0f6330a54ef99255e7327905a72",
         ),
-        # per-trial binomials for random labels above _HISTOGRAM_MAX_N; the
-        # digest predates the histogram draws
+        # per-trial binomials for random labels above _RANDOM_ALIAS_MAX_N;
+        # the digest predates the histogram and alias draws
         "qubit-sim-large-n": (
             {"n_list": [3000], "trials": 300, "seed": 13},
             64,
@@ -742,6 +743,13 @@ class TestDeterminismAndFormats:
              "label_mode": "fixed", "known_priors": True},
             64,
             "9261f78cb190d626847fbe128cb305b3cf90f54c27bcf75f8d873c38ce0d926e",
+        ),
+        # fixed labels with the prior estimated as n0/n, one float for every
+        # trial of a chunk; at these n it is not pi0 (24/61, 4000/10001)
+        "qubit-sim-fixed-estimated-priors": (
+            {"n_list": [61, 10001], "trials": 300, "seed": 13, "label_mode": "fixed"},
+            64,
+            "87cbdc310b9706ced73dffdd2bafc6b1f15f5f5c78f89960b7721bfa169530c5",
         ),
         # two standard normals per trial, drawn from the exact residual law
         # (re-pinned when that law came from one measurement rule: one cell

@@ -23,23 +23,21 @@ from qclass.qubit_experiment import (
     LabelMode,
     TrainingSetSpec,
     _ALIAS_MAX_CELLS,
-    _HISTOGRAM_MAX_N,
+    _RANDOM_ALIAS_MAX_N,
     _KERNEL_BLOCK,
     _WINDOW_TAIL,
-    _COUNT_TABLES,
-    _WINDOWS,
     _Columns,
     _alias_sampler,
     _alias_table,
     _alias_tables_fit,
     _axis_copies,
+    _axis_probabilities,
     _TableCache,
-    _binomial_pmf_rows,
     _binomial_sampler,
     _binomial_window,
+    _binomial_windows,
     _clip_to_ball,
-    _count_grid,
-    _histogram_sampler,
+    _outcome_average,
     _plugin_excess,
     _window_cells,
     rescaled_risk_curve,
@@ -90,20 +88,30 @@ class TestSampleLabels:
         assert n0 / n == pytest.approx(0.5, abs=4 * sigma)
 
 
+def _tables(spec):
+    """The _RunTables that _alias_sampler draws from for spec."""
+    return qubit_experiment._ALIAS_TABLES(spec.label_mode, spec.n, spec.pi0,
+                                          *_axis_probabilities(spec.problem))
+
+
 class _GivenClassSizes:
     """A Generator whose class-size draw gives the copy counts np.repeat(m,
-    h) of rho, as a histogram over the label window's cells ``sizes`` or
-    as per-trial draws, and that passes every other call through."""
+    h) of rho, and that passes every other call through.  The binomial
+    sampler draws the class sizes as one binomial call; the alias sampler
+    as a (1, size) array of uniforms, which here each fall inside a cell
+    of the label table ``labels`` that gives its class size as its own."""
 
-    def __init__(self, rng, m, h, sizes):
-        self._rng, self._n0, self._sizes = rng, np.repeat(m, h), sizes
+    def __init__(self, rng, m, h, labels):
+        self._rng, self._n0, self._labels = rng, np.repeat(m, h), labels
 
-    def multinomial(self, count, pvals, size=None):
-        if np.ndim(count) == 0:
-            cells = np.bincount(self._n0, minlength=self._sizes.max() + 1)[self._sizes]
-            assert cells.sum() == count  # every given class size lies in the window
-            return cells
-        return self._rng.multinomial(count, pvals, size)
+    def random(self, size=None, dtype=np.float64, out=None):
+        if size != (1, self._n0.size):
+            return self._rng.random(size, dtype, out)
+        width = self._labels.cuts.size
+        thresholds = self._labels.cuts - np.arange(width)
+        own = self._labels.values[1::2]
+        cell = np.array([np.flatnonzero((own == n0) & (thresholds > 0))[0] for n0 in self._n0])
+        return ((cell + thresholds[cell] / 2) / width)[None]
 
     def binomial(self, count, p, size=None):
         if np.ndim(count) == 0:
@@ -116,11 +124,13 @@ class _GivenClassSizes:
 
 def _estimates(r, m, h, rng, n):
     """The clipped (3, h.sum()) estimates of r drawn by the sampler that
-    run_experiment picks at n, when h[g] trials have m[g] copies of r."""
+    run_experiment picks at n with random labels, when h[g] trials have
+    m[g] copies of r."""
     spec = TrainingSetSpec(n=n, problem=ClassificationProblem.from_bloch(r, (0, 0, 0), 0.5))
-    sampler = _histogram_sampler if n <= _HISTOGRAM_MAX_N else _binomial_sampler
-    given = _GivenClassSizes(rng, m, h, _WINDOWS(n, 0.5)[0])
-    est, _, _ = sampler(spec)(given, int(h.sum()))
+    alias = n <= _RANDOM_ALIAS_MAX_N
+    given = _GivenClassSizes(rng, m, h, _tables(spec).labels if alias else None)
+    est, n0 = (_alias_sampler if alias else _binomial_sampler)(spec)(given, int(h.sum()))
+    np.testing.assert_array_equal(n0, np.repeat(m, h))
     return _clip_to_ball(est[:3])
 
 
@@ -147,8 +157,8 @@ class TestTomographicEstimate:
             assert est.norm <= 1 + 1e-12
             assert est.z > 0.0
 
-    # both count draws: histograms up to _HISTOGRAM_MAX_N, binomials above
-    @pytest.mark.parametrize("n", [12, _HISTOGRAM_MAX_N + 1])
+    # both count draws: alias tables up to _RANDOM_ALIAS_MAX_N, binomials above
+    @pytest.mark.parametrize("n", [12, _RANDOM_ALIAS_MAX_N + 1])
     def test_minimum_copies(self, n):
         """Below three copies the axes without a copy estimate 0."""
         rng = np.random.default_rng(0)
@@ -161,7 +171,7 @@ class TestTomographicEstimate:
         assert est[2, 2] == 0.0
         assert est[2, 3] > 0.0  # the one z copy of |0> gives +1
 
-    @pytest.mark.parametrize("n", [12, _HISTOGRAM_MAX_N + 1])
+    @pytest.mark.parametrize("n", [12, _RANDOM_ALIAS_MAX_N + 1])
     def test_remainder_to_x_then_y(self, n):
         assert axis_counts(3) == (1, 1, 1)
         assert axis_counts(4) == (2, 1, 1)
@@ -201,10 +211,8 @@ class TestTomographicEstimate:
 
 class _SpyGenerator:
     """A Generator that records each binomial draw as ("binomial", count,
-    size), each multinomial draw as ("multinomial", count, pvals shape),
-    each permuted call as ("permuted", axis, shape), each shuffle as
-    ("shuffle", axis, shape) and each uniform draw as ("random", None,
-    size), and passes every other call through."""
+    size) and each uniform draw as ("random", None, size), and passes every
+    other call through."""
 
     def __init__(self, rng, calls):
         self._rng, self._calls = rng, calls
@@ -216,33 +224,6 @@ class _SpyGenerator:
     def binomial(self, n, p, size=None):
         self._calls.append(("binomial", n, size))
         return self._rng.binomial(n, p, size)
-
-    def multinomial(self, n, pvals, size=None):
-        self._calls.append(("multinomial", n, np.shape(pvals)))
-        return self._rng.multinomial(n, pvals, size)
-
-    def permuted(self, x, *, axis=None, out=None):
-        self._calls.append(("permuted", axis, np.shape(x)))
-        return self._rng.permuted(x, axis=axis, out=out)
-
-    def shuffle(self, x, axis=0):
-        self._calls.append(("shuffle", axis, np.shape(x)))
-        return self._rng.shuffle(x, axis)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-
-class _PvalsGenerator:
-    """A Generator that keeps the pvals of each multinomial draw and passes
-    every call through."""
-
-    def __init__(self, rng, pvals):
-        self._rng, self._pvals = rng, pvals
-
-    def multinomial(self, n, pvals, size=None):
-        self._pvals.append(pvals)
-        return self._rng.multinomial(n, pvals, size)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -270,16 +251,17 @@ class TestCountSampler:
         labels), draw the same variates as the per-trial copy counts, and
         leave the generator in the same state; the large-n streams rest on
         this."""
-        for n in (21, _HISTOGRAM_MAX_N + 1, 10**6):
+        for n in (21, _RANDOM_ALIAS_MAX_N + 1, 10**6):
             grouped = np.random.Generator(np.random.PCG64(2024))
             per_trial = np.random.Generator(np.random.PCG64(2024))
             spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
-            got, n0, h = _binomial_sampler(spec)(grouped, 300)
+            got, n0 = _binomial_sampler(spec)(grouped, 300)
             if mode is LabelMode.FIXED_COUNTS:
                 m = np.full(300, math.floor(0.4 * n + 0.5))
+                assert type(n0) is int
             else:
                 m = np.sort(per_trial.binomial(n, 0.4, 300))
-            np.testing.assert_array_equal(np.repeat(n0, h), m)
+            np.testing.assert_array_equal(np.broadcast_to(n0, 300), m)
             want = np.empty_like(got)
             for i, (r, m_i) in enumerate(((SKEWED.r, m), (SKEWED.s, n - m))):
                 for j, r_j in enumerate((r.x, r.y, r.z)):
@@ -290,7 +272,7 @@ class TestCountSampler:
             assert grouped.bit_generator.state == per_trial.bit_generator.state
 
     # the smallest n drawn by per-trial binomials
-    BINOMIAL_N = _HISTOGRAM_MAX_N + 1
+    BINOMIAL_N = _RANDOM_ALIAS_MAX_N + 1
     SIZES = (500, 500, 200)
 
     def _spy_draws(self, sampler, mode, n=BINOMIAL_N):
@@ -305,15 +287,16 @@ class TestCountSampler:
         return calls
 
     def test_run_picks_one_sampler_per_run(self, monkeypatch):
-        """run_experiment builds one of the three samplers per run, from
-        the spec alone, whatever its trial and chunk counts.  Random labels
-        draw histograms up to _HISTOGRAM_MAX_N and binomials above.  Fixed
-        labels draw from alias tables at every chunk size, the benchmark's
-        large-n shapes (n = 10^4 and 10^5, one 2000-trial chunk) and
-        65,536-trial chunks at n = 100 included, and by binomials once the
-        six tables would not fit their cache together."""
+        """run_experiment builds one of the two samplers per run, from the
+        spec alone, whatever its trial and chunk counts.  Random labels
+        draw from alias tables up to _RANDOM_ALIAS_MAX_N, 65,536-trial
+        chunks at n = 100 included, and binomials above.  Fixed labels
+        draw from alias tables at every chunk size, the benchmark's large-n
+        shapes (n = 10^4 and 10^5, one 2000-trial chunk) included, and by
+        binomials once the six tables would not fit their cache
+        together."""
         picked = []
-        for name in ("_alias_sampler", "_histogram_sampler", "_binomial_sampler"):
+        for name in ("_alias_sampler", "_binomial_sampler"):
             def build(spec, name=name, sampler=getattr(qubit_experiment, name)):
                 picked.append((name, spec.label_mode, spec.n))
                 return sampler(spec)
@@ -322,7 +305,9 @@ class TestCountSampler:
         above_cap = 4 * 10**9
         assert not _alias_tables_fit(TrainingSetSpec(n=above_cap, problem=SKEWED,
                                                      label_mode=fixed))
-        cases = [(random, _HISTOGRAM_MAX_N, 1200, 500, "_histogram_sampler"),
+        cases = [(random, _RANDOM_ALIAS_MAX_N, 1200, 500, "_alias_sampler"),
+                 (random, 100, 1 << 16, 1 << 16, "_alias_sampler"),
+                 (random, 1, 300, 64, "_alias_sampler"),
                  (random, self.BINOMIAL_N, 1200, 500, "_binomial_sampler"),
                  (fixed, 10**4, 2000, 1 << 16, "_alias_sampler"),
                  (fixed, 10**5, 2000, 1 << 16, "_alias_sampler"),
@@ -362,109 +347,89 @@ class TestCountSampler:
                 assert np.all(np.diff(m) <= 0)
             assert rho[0][0][0] < rho[0][0][-1]  # the class sizes do vary
 
-    def test_histogram_path_draws_no_per_trial_count(self):
-        """The histogram sampler makes no binomial or shuffle call: one
-        multinomial of the chunk size as an int over the 1-D windowed
-        label row for the class sizes, and one per axis over one pmf row
-        per class size drawn, then one permuted call per class size over
-        the five estimate rows after rho's x."""
-        calls = self._spy_draws(_histogram_sampler, LabelMode.RANDOM_LABELS, n=_HISTOGRAM_MAX_N)
-        assert {name for name, _, _ in calls} == {"multinomial", "permuted"}
-        labels = _WINDOWS(_HISTOGRAM_MAX_N, 0.4)[1]
-        for size in self.SIZES:
-            assert calls[0] == ("multinomial", size, labels.shape)
-            assert type(calls[0][1]) is int
-            # every axis draws over the same class-size groups
-            axes = calls[1:7]
-            h = axes[0][1]
-            assert h.sum() == size
-            for name, count, shape in axes:
-                assert name == "multinomial"
-                assert count.tolist() == h.tolist() and shape[0] == h.size
-            groups, calls = calls[7:7 + h.size], calls[7 + h.size:]
-            assert groups == [("permuted", 1, (5, h_g)) for h_g in h]
-        assert not calls
-
-    def test_alias_path_draws_one_uniform_per_count(self):
-        """The alias sampler's only generator call per chunk is one
-        (6, size) array of uniforms."""
-        calls = self._spy_draws(_alias_sampler, LabelMode.FIXED_COUNTS)
-        assert calls == [("random", None, (6, size)) for size in self.SIZES]
-
-    def test_permuted_shuffles_a_strided_view_in_place(self):
-        """permuted(rows, axis=1, out=rows) on one group's (5, h) rows, a
-        strided view of the chunk's (6, size) estimates, shuffles each row
-        in place and independently, and changes nothing outside the view:
-        not rho's x row, not the other groups."""
-        rng = np.random.default_rng(11)
-        est = np.arange(6 * 40, dtype=float).reshape(6, 40)
-        before = est.copy()
-        rows = est[1:, 10:30]
-        assert not rows.flags.c_contiguous
-        assert rng.permuted(rows, axis=1, out=rows) is rows
-        np.testing.assert_array_equal(est[0], before[0])
-        np.testing.assert_array_equal(est[:, :10], before[:, :10])
-        np.testing.assert_array_equal(est[:, 30:], before[:, 30:])
-        orders = set()
-        for row, old in zip(est[1:, 10:30], before[1:, 10:30]):
-            assert sorted(row) == old.tolist() and row.tolist() != old.tolist()
-            orders.add(tuple(np.argsort(row)))
-        assert len(orders) == 5
+    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
+    def test_alias_path_draws_one_uniform_per_count(self, mode):
+        """The alias sampler's only generator calls per chunk are one
+        (6, size) array of uniforms, after one (1, size) array for the
+        class sizes with random labels."""
+        calls = self._spy_draws(_alias_sampler, mode, n=_RANDOM_ALIAS_MAX_N)
+        rows = (1, 6) if mode is LabelMode.RANDOM_LABELS else (6,)
+        assert calls == [("random", None, (k, size)) for size in self.SIZES for k in rows]
 
 
-class TestCountTable:
-    @pytest.mark.parametrize("p, m_lo, m_hi", [
-        (0.3, 0, 40), (0.55, 17, 120), (2**-10, 300, 342), (0.999, 0, 0), (1.0, 2, 9)])
-    def test_tables_are_read_only_exact_pmf_rows(self, p, m_lo, m_hi):
-        """A table holds the Binomial(m, p) pmf of each copy count m_lo..m_hi
-        in the last m + 1 of its m_hi + 1 columns, after zero padding, and
-        cannot be written to."""
-        table = _COUNT_TABLES(p, m_lo, m_hi)
-        assert not table.flags.writeable
-        assert table.shape == (m_hi - m_lo + 1, m_hi + 1)
-        for m, row in zip(range(m_lo, m_hi + 1), table):
-            assert not row[:m_hi - m].any()
-            np.testing.assert_allclose(row[m_hi - m:], _exact_pmf(m, p), rtol=1e-11, atol=1e-300)
+def _count_grid(m: np.ndarray, width: int) -> np.ndarray:
+    """(len(m), width) counts: row g holds k = 0..m_g in its last m_g + 1
+    columns, after padding with k < 0."""
+    return np.arange(width) - (width - 1 - m)[:, None]
 
-    @PROPERTY
-    @given(n=st.integers(1, _HISTOGRAM_MAX_N),
-           pi0=st.sampled_from([1e-300, 0.5, 1 - 2**-53]) | st.floats(1e-300, 1 - 2**-53),
-           size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
-    def test_windowed_label_law_stays_in_the_tables(self, n, pi0, size, seed):
-        """The label window is the contiguous class sizes lo..hi; each of
-        them gives, on every axis, a copy count inside that axis's table
-        (whose ends are those of lo and hi).  A draw's groups are the
-        nonempty cells of its class-size draw in ascending class size,
-        holding every trial, and each axis draws over the pmf rows of the
-        groups' copy counts."""
-        sizes, pmf = _WINDOWS(n, pi0)
-        lo, hi = int(sizes.min()), int(sizes.max())
-        assert sorted(sizes.tolist()) == list(range(lo, hi + 1)) and pmf.shape == sizes.shape
-        n0 = np.arange(lo, hi + 1)
-        for m_j, m_lo, m_hi in zip(_axis_copies(n0, n - n0), _axis_copies(lo, n - hi),
-                                   _axis_copies(hi, n - lo)):
-            assert m_lo <= m_j.min() and m_j.max() <= m_hi
-        problem = ClassificationProblem.from_bloch(SKEWED.r, SKEWED.s, pi0)
-        pvals = []
-        est, n0, h = _histogram_sampler(TrainingSetSpec(n=n, problem=problem))(
-            _PvalsGenerator(np.random.default_rng(seed), pvals), size)
-        assert est.shape == (6, size) and np.isfinite(est).all()
-        assert pvals[0].tobytes() == pmf.tobytes()
-        cells = np.random.default_rng(seed).multinomial(size, pmf)
-        want = sorted((int(s), int(c)) for s, c in zip(sizes, cells) if c)
-        assert list(zip(n0.tolist(), h.tolist())) == want
-        assert np.all(np.diff(n0) > 0) and h.sum() == size
-        laws = zip(pvals[1:], _axis_copies(n0, n - n0), qubit_experiment._axis_probabilities(problem))
-        for rows, m_j, p in laws:
-            np.testing.assert_allclose(rows, _binomial_pmf_rows(m_j, p), rtol=1e-12, atol=1e-300)
 
-    def test_worker_threads_share_the_tables(self, monkeypatch):
-        """Many small chunks, run by one thread or two, reach the shared
-        pmf rows in different orders and give the same result."""
-        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 50)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        spec = TrainingSetSpec(n=300, problem=SKEWED)
-        assert len({run_experiment(spec, 3000, 9, workers=w) for w in (1, 2, 2)}) == 1
+def _binomial_pmf_rows(m: np.ndarray, p: float) -> np.ndarray:
+    """The exact-pmf oracle: Binomial(m_g, p) pmf for each entry m_g of m,
+    one row each, over every count 0..m_g, not a window.
+
+    A (len(m), max(m) + 1) array laid out as _count_grid: row g holds the
+    probabilities of k = 0..m_g in its last m_g + 1 columns, after
+    padding with probability 0.  The log k! come from math.lgamma, which
+    is accurate at the copy counts the tests use.  p in {0, 1} and m_g =
+    0 are exact point masses, and no padding entry is exponentiated.
+    """
+    width = int(m.max()) + 1
+    k = _count_grid(m, width)
+    mk = np.broadcast_to(m[:, None], k.shape)
+    if p == 0.0 or p == 1.0:
+        return (k == (0 if p == 0.0 else mk)).astype(float)
+    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(width)])
+    pmf = np.zeros(k.shape)
+    valid = k >= 0
+    kv, mv = k[valid], mk[valid]
+    pmf[valid] = np.exp(log_factorial[mv] - log_factorial[kv] - log_factorial[mv - kv]
+                        + kv * math.log(p) + (mv - kv) * math.log1p(-p))
+    return pmf / pmf.sum(axis=1, keepdims=True)
+
+
+def _one_row_alias_table(m: int, p: float) -> np.ndarray:
+    """Walker's alias table of the windowed Binomial(m, p) row, built one
+    row at a time in scalar arithmetic, as the library did before its
+    builder took all rows of an axis at once: a (3, W) array of the
+    thresholds, the own averages and the alias averages.  The library's
+    one-row build must equal it bit for bit, so that the fixed-label
+    streams keep their bytes."""
+    if m == 0 or p == 0.0 or p == 1.0:
+        counts, pmf = np.array([m if p == 1.0 else 0]), np.ones(1)
+    else:
+        log_odds = math.log(p) - math.log1p(-p)
+        mean = m * p
+        log_tail = -math.log(_WINDOW_TAIL / 2.0)
+        t = log_tail / 3.0 + math.sqrt(log_tail**2 / 9.0 + 2.0 * log_tail * mean * (1.0 - p))
+        mode = min(math.floor((m + 1) * p), m)
+        lo = min(max(math.floor(mean - t), 0), mode)
+        hi = max(min(math.ceil(mean + t), m), mode)
+        up, down = np.arange(mode, hi), np.arange(mode, lo, -1)
+        rel = np.concatenate((
+            [1.0],
+            np.exp(np.cumsum(np.log((m - up) / (up + 1.0)) + log_odds)),
+            np.exp(np.cumsum(np.log(down / (m - down + 1.0)) - log_odds)),
+        ))
+        counts = np.concatenate(([mode], up + 1, down - 1))
+        order = np.argsort(-rel, kind="stable")
+        counts, pmf = counts[order], rel[order] / rel.sum()
+    width = pmf.size
+    one = 1 << min(52, 62 - width.bit_length())
+    mass = np.rint(pmf * float(width * one)).astype(np.int64)
+    mass[0] += width * one - int(mass.sum())
+    threshold, alias = mass.copy(), np.arange(width)
+    light, heavy = np.flatnonzero(mass < one), np.flatnonzero(mass >= one)
+    if light.size:
+        deficit = np.cumsum(one - mass[light])
+        surplus = np.cumsum(mass[heavy] - one)
+        alias[light] = heavy[np.searchsorted(surplus, deficit - (one - mass[light]), side="right")]
+        threshold[heavy] = one - (deficit[np.searchsorted(deficit, surplus)] - surplus)
+        alias[heavy[:-1]] = heavy[1:]
+    table = np.empty((3, width))
+    np.divide(threshold, one, out=table[0])
+    table[1] = (2.0 * counts - m) / max(m, 1)
+    table[2] = table[1][alias]
+    return table
 
 
 def _exact_pmf(m: int, p: float) -> list[float]:
@@ -477,6 +442,8 @@ def _exact_pmf(m: int, p: float) -> list[float]:
 
 
 class TestBinomialPmfRows:
+    """The exact-pmf oracle _binomial_pmf_rows against rational arithmetic."""
+
     def _check(self, m, p):
         rows = _binomial_pmf_rows(np.array(m), p)
         k = _count_grid(np.array(m), max(m) + 1)
@@ -486,8 +453,6 @@ class TestBinomialPmfRows:
             assert k_g.tolist() == list(range(-pad, m_g + 1))
             assert not row[:pad].any()
             np.testing.assert_allclose(row[pad:], _exact_pmf(m_g, p), rtol=1e-11, atol=1e-300)
-            # numpy's multinomial refuses a row whose leading entries sum
-            # to more than 1 + 1e-12
             assert math.fsum(row) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 0.5, 0.7, 0.999, 1.0])
@@ -496,7 +461,7 @@ class TestBinomialPmfRows:
 
     def test_largest_class_size(self):
         """The rounding of log k! grows with k; the class sizes reach n."""
-        self._check([_HISTOGRAM_MAX_N], 0.4)
+        self._check([_RANDOM_ALIAS_MAX_N], 0.4)
 
     def test_point_masses_are_exact(self):
         m = np.array([0, 3, 5])
@@ -548,33 +513,45 @@ class TestBinomialWindow:
             assert counts.size <= 20 * math.sqrt(m * p * (1 - p)) + 32
 
 
-def _alias_law(table: np.ndarray) -> dict:
-    """{outcome average: probability} of a draw from an _alias_table: cell
-    i gives its own average with probability threshold_i / W and its
-    alias's with (1 - threshold_i) / W.  A row's cells have distinct
-    averages, so the averages name them."""
-    law = {}
-    width = table.shape[1]
-    for threshold, own, alias in table.T.tolist():
-        law[own] = law.get(own, 0.0) + threshold / width
-        law[alias] = law.get(alias, 0.0) + (1.0 - threshold) / width
-    return law
+def _axis_table(copies, p):
+    """(thresholds, own averages, alias averages), each (R, W): the alias
+    table of one axis with a row for each entry of ``copies``, as the
+    library builds it."""
+    copies = np.asarray(copies)
+    counts, pmf = _binomial_windows(copies, p)
+    return _alias_table(_outcome_average(counts, copies[:, None]), pmf)
+
+
+def _alias_law(thresholds, own, alias):
+    """(values, probabilities) of a draw from one row of an alias table:
+    cell i gives its own value with probability threshold_i / W and its
+    alias's with (1 - threshold_i) / W.  Only the values a draw can give
+    are listed."""
+    values = np.concatenate((own, alias))
+    weights = np.concatenate((thresholds, 1.0 - thresholds)) / thresholds.size
+    drawn, where = np.unique(values[weights > 0.0], return_inverse=True)
+    return drawn, np.bincount(where.ravel(), weights[weights > 0.0])
 
 
 class TestAliasTable:
-    """_alias_table's law is its _binomial_window row's."""
+    """Each row of an axis's alias table has its _binomial_window row's law."""
 
-    def _check(self, m, p):
-        table = _alias_table(m, p)
-        counts, pmf = _binomial_window(m, p)
-        assert not table.flags.writeable and table.shape == (3, pmf.size)
-        thresholds, own, alias = table
+    def _check(self, copies, p):
+        thresholds, own, alias = _axis_table(copies, p)
+        assert thresholds.shape == own.shape == alias.shape
+        assert thresholds.shape[0] == len(copies)
         assert np.all((0.0 <= thresholds) & (thresholds <= 1.0))
-        assert own.tolist() == ((2.0 * counts - m) / max(m, 1)).tolist()
-        assert set(alias.tolist()) <= set(own.tolist())
-        law = _alias_law(table)
-        tv = 0.5 * math.fsum(abs(law.get(a, 0.0) - q) for a, q in zip(own.tolist(), pmf.tolist()))
-        assert tv <= 1e-12, (m, p, tv)
+        for m, row in zip(copies, zip(thresholds, own, alias)):
+            counts, pmf = _binomial_window(m, p)
+            averages = (2.0 * counts - m) / max(m, 1)
+            drawn, law = _alias_law(*row)
+            # every value a draw can give is one of the row's own averages:
+            # no padding cell, and no cell of another row
+            assert np.isin(drawn, averages).all()
+            q = dict(zip(drawn.tolist(), law.tolist()))
+            tv = 0.5 * math.fsum(abs(q.get(a, 0.0) - w)
+                                 for a, w in zip(averages.tolist(), pmf.tolist()))
+            assert tv <= 1e-12, (m, p, tv)
 
     @PROPERTY
     @given(m=st.sampled_from([0, 1, 2, 3]) | st.integers(0, 10**7),
@@ -583,7 +560,27 @@ class TestAliasTable:
         """Total variation at most 1e-12, every threshold in [0, 1]: over
         point masses (m = 0, p in {0, 1}, one-cell rows), two-cell rows,
         underflowing tails and rows of thousands of cells."""
-        self._check(m, p)
+        self._check([m], p)
+
+    @PROPERTY
+    @given(low=st.sampled_from([0, 1]) | st.integers(0, 10**6), rows=st.integers(2, 40),
+           p=st.sampled_from([0.0, 1.0, 1e-300, 1 - 2**-53, 0.5]) | st.floats(0.0, 1.0))
+    def test_every_row_of_a_multi_row_table(self, low, rows, p):
+        """A table of the copy counts low..low + rows - 1, its narrower
+        rows padded to the widest, built and paired in one pass: each row
+        within 1e-12 of its own _binomial_window row in total variation,
+        and no draw gives a padding cell's value or another row's."""
+        self._check(list(range(low, low + rows)), p)
+
+    @PROPERTY
+    @given(m=st.sampled_from([0, 1, 2, 3]) | st.integers(0, 10**8),
+           p=st.sampled_from([0.0, 1.0, 1e-300, 1 - 2**-53, 0.5]) | st.floats(0.0, 1.0))
+    def test_one_row_table_is_the_one_row_build(self, m, p):
+        """With one row the table is, bit for bit, the one a row at a time
+        build gives (_one_row_alias_table), so the fixed-label streams keep
+        their bytes."""
+        table = np.stack([array[0] for array in _axis_table([m], p)])
+        assert table.tobytes() == _one_row_alias_table(m, p).tobytes()
 
     def test_largest_tables(self):
         """About the widest row a run can draw from: with a prior so small
@@ -599,7 +596,7 @@ class TestAliasTable:
             m *= 2
         assert qubit_experiment._fixed_axis_laws(spec(m))[4] == (m, 0.5)
         assert 2 * _window_cells(m, 0.5) > _ALIAS_MAX_CELLS / 2
-        self._check(m, 0.5)
+        self._check([m], 0.5)
 
     def test_cells_are_counted_without_a_row(self):
         for m in (0, 1, 2, 5, 1667, 10**6, 10**9):
@@ -613,6 +610,39 @@ class TestAliasTable:
         specs = [TrainingSetSpec(n=n, problem=anchor, label_mode=LabelMode.FIXED_COUNTS)
                  for n in (10**8, 10**9, 2 * 10**9)]
         assert [_alias_tables_fit(spec) for spec in specs] == [True, True, False]
+
+
+def _z(chi2, df):
+    """Wilson-Hilferty z of a chi-square statistic with df degrees."""
+    return ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+
+
+def _pooled_chi2(observed, expected):
+    """(chi-square, degrees of freedom) of observed against expected counts
+    over ordered cells, the cells with an expected count below 5 pooled
+    into their tail."""
+    keep = np.flatnonzero(expected >= 5)
+    lo, hi = keep[0], keep[-1]
+    assert lo < hi
+    exp = np.concatenate(([expected[:lo + 1].sum()], expected[lo + 1:hi], [expected[hi:].sum()]))
+    obs = np.concatenate(([observed[:lo + 1].sum()], observed[lo + 1:hi], [observed[hi:].sum()]))
+    return float(np.sum((obs - exp) ** 2 / exp)), exp.size - 1
+
+
+def _independence_chi2(a, b):
+    """(chi-square, degrees of freedom) of the independence of two count
+    samples, each cut at its deciles into at most ten bins; every expected
+    cell count must be at least 5."""
+    bins = []
+    for k in (a, b):
+        edges = np.unique(np.quantile(k, np.linspace(0.1, 0.9, 9)))
+        bins.append(np.searchsorted(edges, k, side="right"))
+    observed = np.zeros((bins[0].max() + 1, bins[1].max() + 1))
+    np.add.at(observed, tuple(bins), 1)
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / a.size
+    assert expected.min() >= 5
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    return chi2, (observed.shape[0] - 1) * (observed.shape[1] - 1)
 
 
 class TestFixedLabelDraw:
@@ -630,11 +660,6 @@ class TestFixedLabelDraw:
         m = np.array([m_j for m_j, _ in laws])[:, None]
         return np.rint((est + 1.0) * m / 2.0).astype(int), laws
 
-    @staticmethod
-    def _z(chi2, df):
-        """Wilson-Hilferty z of a chi-square statistic with df degrees."""
-        return ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
-
     def test_each_axis_is_binomial(self):
         """Chi-square of each axis's counts against Binomial(m_j, p_j), cells
         with an expected count below 5 pooled into their tail; the
@@ -643,16 +668,9 @@ class TestFixedLabelDraw:
         counts, laws = self._counts(9000, trials, 5)
         for k, (m, p) in zip(counts, laws):
             assert m >= 1000
-            expected = trials * _binomial_pmf_rows(np.array([m]), p)[0]
-            observed = np.bincount(k, minlength=m + 1)
-            keep = np.flatnonzero(expected >= 5)
-            lo, hi = keep[0], keep[-1]
-            exp = np.concatenate(([expected[:lo + 1].sum()], expected[lo + 1:hi],
-                                  [expected[hi:].sum()]))
-            obs = np.concatenate(([observed[:lo + 1].sum()], observed[lo + 1:hi],
-                                  [observed[hi:].sum()]))
-            chi2 = float(np.sum((obs - exp) ** 2 / exp))
-            assert self._z(chi2, exp.size - 1) <= 4.0, (m, p, chi2)
+            chi2, df = _pooled_chi2(np.bincount(k, minlength=m + 1),
+                                    trials * _binomial_pmf_rows(np.array([m]), p)[0])
+            assert _z(chi2, df) <= 4.0, (m, p, chi2)
 
     def test_axes_pairwise_uncorrelated(self):
         trials = 200_000
@@ -667,38 +685,29 @@ class TestFixedLabelDraw:
         its deciles into ten bins: the 10 x 10 table's z stays below 4."""
         trials = 200_000
         counts, _ = self._counts(9000, trials, 7)
-        bins = []
-        for k in counts[:2]:
-            edges = np.unique(np.quantile(k, np.linspace(0.1, 0.9, 9)))
-            bins.append(np.searchsorted(edges, k, side="right"))
-        observed = np.zeros((bins[0].max() + 1, bins[1].max() + 1))
-        np.add.at(observed, tuple(bins), 1)
-        expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / trials
-        assert expected.min() >= 5
-        chi2 = float(np.sum((observed - expected) ** 2 / expected))
-        df = (observed.shape[0] - 1) * (observed.shape[1] - 1)
-        assert df >= 49 and self._z(chi2, df) <= 4.0, chi2
+        chi2, df = _independence_chi2(*counts[:2])
+        assert df >= 49 and _z(chi2, df) <= 4.0, chi2
 
     @pytest.mark.parametrize("n", [1, 2, 60, 10**4, 10**5])
     def test_one_group_draw_is_the_written_out_draw(self, n):
         """With fixed labels the alias sampler's draw is, call for call and
         byte for byte, one (6, size) array of uniforms u, then on each axis
         x = W u, cell i = floor(x), and the cell's own average where
-        x < i + threshold_i, else its alias's."""
+        x < i + threshold_i, else its alias's.  The tables are those of the
+        one row at a time build."""
         spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS)
         draw = _alias_sampler(spec)
         for size in (1, 7, 2000, 2 * _KERNEL_BLOCK + 5):
             got, want = np.random.default_rng(size), np.random.default_rng(size)
-            est, n0, h = draw(got, size)
+            est, n0 = draw(got, size)
             oracle = want.random((6, size))
             for out, (m, p) in zip(oracle, qubit_experiment._fixed_axis_laws(spec)):
-                thresholds, own, alias = _alias_table(m, p)
+                thresholds, own, alias = _one_row_alias_table(m, p)
                 x = out * thresholds.size
                 i = np.floor(x).astype(int)
                 out[:] = np.where(x < i + thresholds[i], own[i], alias[i])
             assert est.tobytes() == oracle.tobytes()
-            assert n0.tobytes() == np.array([math.floor(0.4 * n + 0.5)]).tobytes()
-            assert h.tobytes() == np.array([size]).tobytes()
+            assert type(n0) is int and n0 == math.floor(0.4 * n + 0.5)
             assert got.bit_generator.state == want.bit_generator.state
 
     @pytest.mark.parametrize("n", [10**4, 10**5])
@@ -717,12 +726,113 @@ class TestFixedLabelDraw:
         assert abs(alias.mean_rescaled_excess - binom.mean_rescaled_excess) <= 4 * se
 
 
+class TestRandomLabelDraw:
+    """The random-label alias draw: a class size n0 from the windowed
+    Binomial(n, pi0) row, then, given n0, six independent
+    Binomial(m_j(n0), p_j) counts."""
+
+    N, TRIALS = 300, 200_000
+
+    @staticmethod
+    def _draw(n, trials, seed):
+        """(n0, counts k_j, copies m_j), the last two (6, trials), of
+        random-label alias draws at n in 50,000-trial chunks."""
+        draw = _alias_sampler(TrainingSetSpec(n=n, problem=SKEWED))
+        rng = np.random.default_rng(seed)
+        est, n0 = (np.concatenate(parts, axis=-1)
+                   for parts in zip(*(draw(rng, 50_000) for _ in range(trials // 50_000))))
+        m = np.array(_axis_copies(n0, n - n0))
+        return n0, np.rint((est + 1.0) * m / 2.0).astype(int), m
+
+    def test_class_sizes_follow_the_label_window(self):
+        """Chi-square of the drawn n0 against the windowed Binomial(n, pi0)
+        row, tails pooled: Wilson-Hilferty z below 4."""
+        n0, _, _ = self._draw(self.N, self.TRIALS, 11)
+        sizes, pmf = _binomial_window(self.N, 0.4)
+        order = np.argsort(sizes)
+        observed = np.bincount(n0 - sizes.min(), minlength=sizes.size)
+        assert observed.size == sizes.size  # no class size outside the window
+        chi2, df = _pooled_chi2(observed, self.TRIALS * pmf[order])
+        assert _z(chi2, df) <= 4.0, chi2
+
+    def test_each_axis_is_binomial_given_n0(self):
+        """Per axis, the chi-squares of its counts against
+        Binomial(m_j(n0), p_j), tails pooled, summed over the class sizes
+        drawn at least 2000 times: z below 4."""
+        n0, k, m = self._draw(self.N, self.TRIALS, 12)
+        sizes, hits = np.unique(n0, return_counts=True)
+        sizes = sizes[hits >= 2000]
+        assert sizes.size >= 20
+        for j, p in enumerate(_axis_probabilities(SKEWED)):
+            chi2 = df = 0
+            for size in sizes:
+                given = n0 == size
+                m_j = int(m[j, given][0])
+                terms = _pooled_chi2(np.bincount(k[j, given], minlength=m_j + 1),
+                                     given.sum() * _binomial_pmf_rows(np.array([m_j]), p)[0])
+                chi2, df = chi2 + terms[0], df + terms[1]
+            assert _z(chi2, df) <= 4.0, (j, chi2, df)
+
+    def test_axis_pair_is_independent_given_n0(self):
+        """Given the most frequent class size, rho's x and sigma's x counts,
+        whose copy counts both follow n0, are independent: decile-binned
+        chi-square z below 4."""
+        n0, k, _ = self._draw(self.N, self.TRIALS, 13)
+        sizes, hits = np.unique(n0, return_counts=True)
+        given = n0 == sizes[hits.argmax()]
+        chi2, df = _independence_chi2(k[0, given], k[3, given])
+        assert df >= 16 and _z(chi2, df) <= 4.0, (chi2, df)
+
+    @PROPERTY
+    @given(n=st.integers(1, _RANDOM_ALIAS_MAX_N),
+           pi0=st.sampled_from([1e-300, 0.5, 1 - 2**-53]) | st.floats(1e-300, 1 - 2**-53),
+           size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_every_estimate_is_a_possible_average(self, n, pi0, size, seed):
+        """Every class size drawn lies in the label window, the contiguous
+        sizes lo..hi, and every estimate is exactly (2k - m_j)/m_j (0 where
+        m_j = 0) for a count k inside the window of its trial's
+        Binomial(m_j, p_j): a row's padding, whose counts lie outside its
+        window, never comes out, and neither does another row's cell."""
+        problem = ClassificationProblem.from_bloch(SKEWED.r, SKEWED.s, pi0)
+        est, n0 = _alias_sampler(TrainingSetSpec(n=n, problem=problem))(
+            np.random.default_rng(seed), size)
+        sizes, _ = _binomial_window(n, pi0)
+        assert sorted(sizes.tolist()) == list(range(sizes.min(), sizes.max() + 1))
+        assert est.shape == (6, size) and n0.shape == (size,) and np.isin(n0, sizes).all()
+        for est_j, m_j, p in zip(est, _axis_copies(n0, n - n0), _axis_probabilities(problem)):
+            k = np.rint((est_j + 1.0) * m_j / 2.0)
+            assert _outcome_average(k, m_j).tobytes() == est_j.tobytes()
+            _, lo, hi = qubit_experiment._window_bounds(m_j, p)
+            assert np.all((lo <= k) & (k <= hi))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_axes_without_copies_estimate_zero(self, n):
+        """At n = 1 to 5 every axis has trials with no copy, which estimate
+        exactly 0; the pure states' own axes, drawn from point masses,
+        estimate rho's z as +1 and sigma's x as -1 wherever they have a
+        copy."""
+        est, n0 = _alias_sampler(TrainingSetSpec(n=n, problem=PURE_AXES))(
+            np.random.default_rng(n), 20_000)
+        m = np.array(_axis_copies(n0, n - n0))
+        assert (m == 0).any(axis=1).all()
+        assert not est[m == 0].any()
+        assert np.all(est[2][m[2] > 0] == 1.0) and np.all(est[3][m[3] > 0] == -1.0)
+
+    def test_worker_threads_share_the_tables(self, monkeypatch):
+        """Many small chunks, run by one thread or two, reach the shared
+        tables in different orders and give the same result."""
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 50)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        _fresh_caches(monkeypatch)
+        spec = TrainingSetSpec(n=300, problem=SKEWED)
+        assert len({run_experiment(spec, 3000, 9, workers=w) for w in (1, 2, 2)}) == 1
+
+
 def _fresh_caches(monkeypatch, budget=16 << 20):
-    """Empty table caches of ``budget`` bytes in place of the process's."""
-    for name in ("_WINDOWS", "_COUNT_TABLES", "_ALIAS_TABLES"):
-        cache = getattr(qubit_experiment, name)
-        monkeypatch.setattr(qubit_experiment, name,
-                            _TableCache(cache._build, cache._sizeof, budget))
+    """An empty table cache of ``budget`` bytes in place of the process's."""
+    cache = qubit_experiment._ALIAS_TABLES
+    monkeypatch.setattr(qubit_experiment, "_ALIAS_TABLES",
+                        _TableCache(cache._build, cache._sizeof, budget))
 
 
 class TestTableCache:
@@ -774,9 +884,8 @@ class TestTableCache:
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_runs_do_not_depend_on_the_cache(self, monkeypatch, mode):
         """A run gives the same result from cold and warm caches, after
-        runs at other n, and from caches too small to keep anything.  Fixed
-        labels fill only the alias cache, random labels only the other
-        two."""
+        runs at other n, and from a cache too small to keep anything.
+        Both label modes keep one entry per run configuration."""
         spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
         _fresh_caches(monkeypatch)
         cold = run_experiment(spec, 5000, 81)
@@ -784,14 +893,24 @@ class TestTableCache:
         for n in (30, 91, 300):
             run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), 500, 1)
         assert run_experiment(spec, 5000, 81) == cold
-        kept = {name: len(getattr(qubit_experiment, name)._tables)
-                for name in ("_WINDOWS", "_COUNT_TABLES", "_ALIAS_TABLES")}
-        if mode is LabelMode.FIXED_COUNTS:
-            assert kept == {"_WINDOWS": 0, "_COUNT_TABLES": 0, "_ALIAS_TABLES": 4}
-        else:
-            assert kept["_ALIAS_TABLES"] == 0 and kept["_WINDOWS"] == 4
+        assert len(qubit_experiment._ALIAS_TABLES._tables) == 4
         _fresh_caches(monkeypatch, budget=0)
         assert run_experiment(spec, 5000, 81) == cold
+
+    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
+    def test_cached_tables_are_read_only(self, mode):
+        """Threads and runs share the cached tables, so none may write
+        into them: every array of the count tables, and of the class-size
+        table with random labels, refuses a write."""
+        spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
+        labels, counts, _ = qubit_experiment._ALIAS_TABLES(
+            spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
+        assert (labels is None) == (mode is LabelMode.FIXED_COUNTS)
+        for table in (counts,) if labels is None else (counts, labels):
+            for array in table:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array.flat[0] = array.flat[0]
 
 
 class TestPluginStrategyRun:
@@ -896,11 +1015,12 @@ class TestVectorisedChunk:
                 assert value == pytest.approx(excess_risk(via_op, problem), abs=1e-12)
         assert set(ranks) == {0, 1, 2}  # of the pi_hat batch
 
-    # n = 1, 2, 3 leave axes without copies; _HISTOGRAM_MAX_N is the last n
-    # drawn as histograms and the next one the first drawn per trial
+    # n = 1, 2, 3 leave axes without copies; _RANDOM_ALIAS_MAX_N is the last
+    # n whose random labels draw from alias tables, the next one the first
+    # drawn per trial
     @pytest.mark.parametrize("n, problem", [
         *(pytest.param(n, SKEWED, id=str(n))
-          for n in (1, 2, 3, 30, 300, _HISTOGRAM_MAX_N, _HISTOGRAM_MAX_N + 1)),
+          for n in (1, 2, 3, 30, 300, _RANDOM_ALIAS_MAX_N, _RANDOM_ALIAS_MAX_N + 1)),
         *(pytest.param(n, PURE_AXES, id=f"pure-{n}") for n in (5, 30)),
     ])
     @pytest.mark.parametrize("mode, alias", [
@@ -996,9 +1116,9 @@ class TestRunExperiment:
         assert 0.15 <= ratio <= 0.35
 
     # every sampler and both label modes, in 64-trial chunks on two CPUs, so
-    # that workers 3 starts a pool of two threads; random labels draw
-    # histograms at n = 60 and 500 and binomials at 1500, fixed labels from
-    # alias tables at every n here
+    # that workers 3 starts a pool of two threads; random labels draw from
+    # alias tables at n = 60 and 500 and binomials at 1500, fixed labels
+    # from alias tables at every n here
     @pytest.mark.parametrize("n", [60, 500, 1500])
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_determinism_and_workers(self, monkeypatch, n, mode):
