@@ -20,7 +20,7 @@ from .helstrom import (
     excess_trace,
     helstrom_risk,
     pauli_data,
-    positive_rank,
+    rank_masks,
     triviality_check,
 )
 from .local_geometry import (

@@ -112,8 +112,8 @@ def _parse_problem(cfg: dict) -> tuple[tuple, tuple, float]:
     pi0 = _require(problem, "pi0", float, "a finite number")
     if not 0.0 < pi0 < 1.0:
         raise ConfigError(f"pi0 must lie strictly in (0, 1), got {pi0}")
-    for name, (x, y, z) in (("r0", r0), ("s0", s0)):
-        norm = vector_norm(x, y, z)  # the norm BlochVector checks
+    for name, v in (("r0", r0), ("s0", s0)):
+        norm = vector_norm(v)  # the norm BlochVector checks
         if norm > 1.0 + 1e-12:
             raise ConfigError(f"{name} must lie in the Bloch ball, norm is {norm}")
     return r0, s0, pi0

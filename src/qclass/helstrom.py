@@ -6,14 +6,15 @@ A = pi0*rho - pi1*sigma, and its error probability is (1 - Tr|A|)/2.
 Writing A = alpha*I + (d/2).sigma with alpha = (pi0 - pi1)/2 and
 d = pi0*r - pi1*s, every quantity below reduces to elementwise arithmetic
 in (alpha, d).  ``pauli_data`` is the one place that computes
-(alpha, d, |d|), ``positive_rank`` the one rule for the strictly-positive
+(alpha, d, |d|), ``rank_masks`` the one rule for the strictly-positive
 eigenspace and ``excess_trace`` the one trace formula for the regret
 Tr[(pi1*sigma - pi0*rho)(P - P*)]; the Helstrom risk, the triviality
 verdict, the local frame and the vectorised qubit plug-in all read from
-them.  A projector is never built: it is its rank and, at rank 1, the
-Bloch vector d/|d|.  These three are array-first: they accept floats or
-equal-shape arrays (a scalar is the size-1 case) and write every sum out
-elementwise in the same order, so a trial evaluated in a batch is
+them.  A projector is never built: it is its rank, read as two masks
+(rank 0, rank 2), and at rank 1 the Bloch vector d/|d|.  These three are
+array-first: a batch is stacked as (3, B) arrays, one pass over the block
+per step, and a single problem is the size-1 case.  Each sum is written
+out in the same order on both routes, so a trial evaluated in a batch is
 bit-identical to the same trial evaluated alone.
 
 When |d| < |pi0 - pi1| the operator A is definite and the best strategy is
@@ -67,45 +68,64 @@ class ClassificationProblem:
 def pauli_data(r, s, pi0):
     """Pauli data of A = pi0*rho - pi1*sigma = alpha*I + (d/2).sigma.
 
-    r and s are BlochVectors, or any objects whose x, y, z attributes are
-    equal-shape arrays (one entry per problem); pi0 is a float or such an
-    array.  Returns (alpha, dx, dy, dz, |d|); the eigenvalues of A are
-    alpha -/+ |d|/2.
+    For one problem r and s are BlochVectors and pi0 is a float; d is then
+    a float triple.  For a batch r and s are (3, B) arrays whose columns
+    are Bloch vectors and pi0 is a float or a (B,) array; d is then a new
+    (3, B) array, formed in two passes.  Returns (alpha, d, |d|); the
+    eigenvalues of A are alpha -/+ |d|/2.
     """
     pi1 = 1.0 - pi0
-    dx = pi0 * r.x - pi1 * s.x
-    dy = pi0 * r.y - pi1 * s.y
-    dz = pi0 * r.z - pi1 * s.z
-    return 0.5 * (pi0 - pi1), dx, dy, dz, vector_norm(dx, dy, dz)
+    # a batch is told apart by its missing x attribute: a type check would
+    # cost every single-problem call (the report path) about 10 ns
+    try:
+        d = (pi0 * r.x - pi1 * s.x, pi0 * r.y - pi1 * s.y, pi0 * r.z - pi1 * s.z)
+    except AttributeError:
+        d = pi0 * r
+        d -= pi1 * s
+    return 0.5 * (pi0 - pi1), d, vector_norm(d)
 
 
-def positive_rank(alpha, dn):
-    """Number of strictly positive eigenvalues of alpha*I + (d/2).sigma.
+def rank_masks(alpha, dn):
+    """(rank 0, rank 2): where alpha*I + (d/2).sigma, |d| = dn, has no
+    strictly positive eigenvalue and where it has two; its rank is 1
+    elsewhere.  Elementwise: bools for floats, bool arrays for arrays.
 
-    Elementwise: an int for floats, an int array for arrays.  Zero
+    These are the sign tests fl(alpha +/- dn/2) > 0 of the eigenvalues,
+    without the sums: rounding keeps the sign of an exact sum, so alpha +
+    h > 0 exactly when h > -alpha, and alpha - h > 0 when h < alpha.  Zero
     eigenvalues never count, so a vanishing operator has rank 0.
     """
-    return (alpha - 0.5 * dn > 0.0) * 1 + (alpha + 0.5 * dn > 0.0)
+    half = 0.5 * dn
+    return half <= -alpha, half < alpha
 
 
-def excess_trace(data, rank, px, py, pz):
-    """Tr[A P*] - Tr[A P], elementwise, for A with Pauli data ``data``.
+def excess_trace(data, p, rank0, rank2):
+    """Tr[A P*] - Tr[A P] for one operator A and a batch of projectors P.
 
-    P* is the positive part of A and P the projector of rank ``rank`` with
-    Bloch vector (px, py, pz), which is read at rank 1 only.  ``data`` is
-    one ``pauli_data`` result; rank and p are floats or equal-shape arrays.
-    When both eigenvalues of A share a sign, P* and a matching P use the
-    same summands, so the trivial regime yields exactly 0.0.
+    ``data`` is the float ``pauli_data`` of A, and P* is its positive
+    part.  The batch's P has rank 0 where the bool array ``rank0`` holds,
+    rank 2 where ``rank2`` holds, and rank 1 elsewhere, with Bloch vector
+    the column of the (3, B) float array p (read at rank 1 only).  p is
+    consumed: the products d_j p_j are formed in it.  The rank-1 trace
+    alpha + (d.p)/2 is taken for every column and then overwritten by two
+    masked stores.  When both eigenvalues of A share a sign, P* and a
+    matching P use the same summands, so the trivial regime yields exactly
+    0.0.  A single P is the size-1 case.
     """
     import numpy as np  # here, so that the closed-form layer loads without it
-    alpha, dx, dy, dz, dn = data
+    alpha, d, dn = data
     lo = alpha - 0.5 * dn
     hi = alpha + 0.5 * dn
-    rank_opt = positive_rank(alpha, dn)
-    tr_opt = np.where(rank_opt == 2, lo + hi, np.where(rank_opt == 1, hi, 0.0))
-    tr_rank1 = alpha + 0.5 * (dx * px + dy * py + dz * pz)
-    tr_hat = np.where(rank == 2, lo + hi, np.where(rank == 1, tr_rank1, 0.0))
-    return tr_opt - tr_hat
+    opt0, opt2 = rank_masks(alpha, dn)
+    tr_opt = 0.0 if opt0 else lo + hi if opt2 else hi
+    np.multiply(np.reshape(d, (3, 1)), p, out=p)
+    tr = p[0] + p[1]
+    tr += p[2]
+    tr *= 0.5
+    tr += alpha
+    tr[rank2] = lo + hi
+    tr[rank0] = 0.0
+    return np.subtract(tr_opt, tr, out=tr)
 
 
 # verdict of a non-boundary configuration, indexed by the rank of P*
@@ -126,7 +146,7 @@ def triviality_check(r0, s0, pi0: float) -> TrivialityVerdict:
     """
     if not (0.0 < pi0 < 1.0):
         raise ValueError(f"pi0 must lie strictly in (0, 1), got {pi0!r}")
-    alpha, _, _, _, dn = pauli_data(
+    alpha, _, dn = pauli_data(
         BlochVector.from_array(r0), BlochVector.from_array(s0), pi0
     )
     return verdict_of(alpha, dn)
@@ -134,9 +154,15 @@ def triviality_check(r0, s0, pi0: float) -> TrivialityVerdict:
 
 def verdict_of(alpha: float, dn: float) -> TrivialityVerdict:
     """Verdict of ``triviality_check`` from the scalar ``pauli_data`` (alpha, |d|)."""
-    if dn == 2.0 * abs(alpha):  # 2|alpha| is |pi0 - pi1| exactly
-        return TrivialityVerdict.DEGENERATE
-    return _VERDICT_BY_RANK[positive_rank(alpha, dn)]
+    rank0, rank2 = rank_masks(alpha, dn)
+    # the boundary |d| = 2|alpha| (2|alpha| is |pi0 - pi1| exactly) has a
+    # zero eigenvalue, which rank_masks does not count: there A has rank 0
+    # if alpha <= 0 and rank 1 if alpha > 0
+    if rank0:
+        return TrivialityVerdict.DEGENERATE if dn == -2.0 * alpha else _VERDICT_BY_RANK[0]
+    if rank2:
+        return _VERDICT_BY_RANK[2]
+    return TrivialityVerdict.DEGENERATE if dn == 2.0 * alpha else _VERDICT_BY_RANK[1]
 
 
 def helstrom_risk(problem: ClassificationProblem) -> float:
@@ -145,6 +171,6 @@ def helstrom_risk(problem: ClassificationProblem) -> float:
     Always in [0, min(pi0, pi1)]; equals pi1 (resp. pi0) in the trivial
     guess-rho (resp. guess-sigma) regime.
     """
-    alpha, _, _, _, dn = pauli_data(problem.r, problem.s, problem.pi0)
+    alpha, _, dn = pauli_data(problem.r, problem.s, problem.pi0)
     tn = abs(alpha + 0.5 * dn) + abs(alpha - 0.5 * dn)
     return 0.5 * (1.0 - tn)

@@ -116,7 +116,7 @@ def build_frame(r0, s0, pi0: float) -> LocalFrame:
         raise ValueError("state Bloch vectors must be nonzero to define a frame")
     if not (0.0 < pi0 < 1.0):
         raise ValueError(f"pi0 must lie strictly in (0, 1), got {pi0!r}")
-    alpha, dx, dy, dz, d0n = pauli_data(r, s, pi0)
+    alpha, (dx, dy, dz), d0n = pauli_data(r, s, pi0)
     verdict = verdict_of(alpha, d0n)
     if verdict is not TrivialityVerdict.NONTRIVIAL:
         raise TrivialConfigurationError(

@@ -71,9 +71,11 @@ class Moments:
 
         Consumes ``values``: the deviations are formed and squared in place,
         so no second array of its size is allocated, and the array holds
-        the squared deviations afterwards.
+        the squared deviations afterwards.  The mean is numpy's own
+        (``add.reduce`` over the array, divided by its size), without the
+        wrapper of ``ndarray.mean``.
         """
-        mean = values.mean()
+        mean = values.sum() / values.size
         zeros = values.size - np.count_nonzero(values)
         values -= mean
         np.square(values, out=values)

@@ -59,24 +59,30 @@ def _rescaled_norm(x, y, z):
     return big * (math.sqrt(ss) if isinstance(ss, float) else ss ** 0.5)
 
 
-def vector_norm(x, y, z):
-    """|(x, y, z)|, elementwise over floats or equal-shape arrays.
+def vector_norm(v):
+    """|v| of a float triple v, or the norm of each column of a (3, ...)
+    float array v.
 
     Below the smallest normal float the sum of squares loses its digits
     (|v| < ~1e-154); there the vector is rescaled first (``_rescaled_norm``).
-    Both square roots are correctly rounded, and numpy evaluates an array's
-    ** 0.5 as np.sqrt, so an entry of an array equals the same vector's
-    float result bit for bit.
+    Both routes sum the squares as (x^2 + y^2) + z^2, both square roots are
+    correctly rounded, and numpy evaluates an array's ** 0.5 as np.sqrt, so
+    a column's norm equals the same triple's float result bit for bit.  An
+    array is squared in one pass and its norms formed in place.
     """
-    squares = x * x + y * y + z * z
-    if isinstance(squares, (float, int)):
+    if isinstance(v, tuple):
+        x, y, z = v
+        squares = x * x + y * y + z * z
         if squares < sys.float_info.min:
             return _rescaled_norm(x, y, z)
         return math.sqrt(squares)
-    norm = squares ** 0.5
-    tiny = squares < sys.float_info.min
+    squared = v * v
+    norm = squared[0] + squared[1]
+    norm += squared[2]
+    tiny = norm < sys.float_info.min
+    norm **= 0.5
     if tiny.any():
-        norm[tiny] = _rescaled_norm(x[tiny], y[tiny], z[tiny])
+        norm[tiny] = _rescaled_norm(*v[:, tiny])
     return norm
 
 
@@ -101,7 +107,7 @@ class BlochVector:
 
     @property
     def norm(self) -> float:
-        return vector_norm(self.x, self.y, self.z)
+        return vector_norm((self.x, self.y, self.z))
 
     @classmethod
     def from_array(cls, arr) -> "BlochVector":

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .helstrom import ClassificationProblem, excess_trace, pauli_data, positive_rank
+from .helstrom import ClassificationProblem, excess_trace, pauli_data, rank_masks
 from .montecarlo import ExperimentResult, run_chunked, summarize
 
 
@@ -92,17 +92,10 @@ class TrainingSetSpec:
         return self.problem.pi0
 
 
-class _Columns(NamedTuple):
-    """Bloch vectors of a batch of trials, one 1-D array per coordinate."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-
-# Trials per pass of the plug-in kernel over a chunk's estimates.  The
-# kernel's arrays then stay small next to the estimates themselves, so the
-# chunk's peak memory is set by the six count draws, not by the kernel.
+# Trials per pass of the plug-in kernel over a chunk's (6, B) estimates.
+# Its (3, B) temporaries, at most two alive at once (0.4 MB at B = 8192),
+# stay small next to the chunk's 3 MB of estimates, so the chunk's peak
+# memory is set by the six count draws, not by the kernel.
 _KERNEL_BLOCK = 8192
 
 # Largest n that run_experiment gives to _alias_sampler with random labels.
@@ -375,9 +368,10 @@ class _TableCache:
 
 # A run's _RunTables by its label mode, n, pi0 and six axis probabilities,
 # counted at 24 bytes a cell: at most 16 MiB.  The offsets, 48 bytes a
-# class size, are left out of the count.  A fixed-label run draws from them only if they fit, up to
-# n ~ 1e9 on the README anchor (_alias_tables_fit); above, every run would
-# rebuild them.  Random labels up to _RANDOM_ALIAS_MAX_N take 2.5 MB.
+# class size, are left out of the count.  A fixed-label run draws from
+# them only if they fit, up to n ~ 1e9 on the README anchor
+# (_alias_tables_fit); above, every run would rebuild them.  Random labels
+# up to _RANDOM_ALIAS_MAX_N take 2.5 MB.
 _ALIAS_MAX_CELLS = (16 << 20) // 24
 _ALIAS_TABLES = _TableCache(
     _run_tables, lambda tables: sum(3 * table.cuts.nbytes for table in tables[:2] if table),
@@ -489,22 +483,22 @@ def _binomial_sampler(spec: TrainingSetSpec):
     return draw
 
 
-def _plugin_excess(truth, r_hat: _Columns, s_hat: _Columns, pi_hat):
-    """Exact excess risk of the plug-in projector, one value per estimate.
+def _plugin_excess(truth, r_hat: np.ndarray, s_hat: np.ndarray, pi_hat):
+    """Exact excess risk of the plug-in projector, one value per column of
+    the (3, B) estimates r_hat and s_hat.
 
     The projector is the positive part of pi_hat*rho_hat - pi1_hat*sigma_hat
     and ``truth`` the ``pauli_data`` of the problem.  Elementwise, so a
     batch equals each of its trials evaluated alone (as size-1 columns) bit
     for bit, whatever the batch's size and order.
     """
-    alpha, dx, dy, dz, dn = pauli_data(r_hat, s_hat, pi_hat)
+    alpha, d, dn = pauli_data(r_hat, s_hat, pi_hat)
+    rank0, rank2 = rank_masks(alpha, dn)
     # d/|d|, the Bloch vector of a rank-1 positive part; ranks 0 and 2
     # ignore it, also where |d| = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        dx /= dn
-        dy /= dn
-        dz /= dn
-    return excess_trace(truth, positive_rank(alpha, dn), dx, dy, dz)
+        d /= dn
+    return excess_trace(truth, d, rank0, rank2)
 
 
 def run_experiment(
@@ -514,14 +508,17 @@ def run_experiment(
 
     Each chunk is evaluated as arrays over its trials, with no loop over
     trials (the alias draw and the kernel after every draw take
-    _KERNEL_BLOCK trials per pass).  One of the two samplers, picked once
-    per run from the spec alone (see the module docstring):
-    _alias_sampler for fixed labels whose six alias tables fit their
-    cache and for random labels up to _RANDOM_ALIAS_MAX_N, else
-    _binomial_sampler.  It draws a chunk's class sizes and the six
-    estimates of every trial, so a trial's value is fixed by (seed,
-    CHUNK_SIZE, its index), not by its index alone.  Every trial has the
-    same law, and the chunk is reduced to its order-free Moments.
+    _KERNEL_BLOCK trials per pass; the kernel, _plugin_excess, reads a
+    block's clipped estimates as one stacked (6, B) slice).
+
+    One of the two samplers, picked once per run from the spec alone (see
+    the module docstring): _alias_sampler for fixed labels whose six alias
+    tables fit their cache and for random labels up to
+    _RANDOM_ALIAS_MAX_N, else _binomial_sampler.  It draws a chunk's class
+    sizes and the six estimates of every trial, so a trial's value is
+    fixed by (seed, CHUNK_SIZE, its index), not by its index alone.  Every
+    trial has the same law, and the chunk is reduced to its order-free
+    Moments.
 
     mean_rescaled_excess is n * (sample mean excess risk); fraction_exact
     counts trials whose excess is exactly zero (the learned projector
@@ -545,7 +542,7 @@ def run_experiment(
             # a class size shared by every trial gives one float
             pi_hat = pi0 if spec.known_priors else (
                 n0[b] if isinstance(n0, np.ndarray) else n0) / n
-            out[b] = _plugin_excess(truth, _Columns(*est[:3, b]), _Columns(*est[3:, b]), pi_hat)
+            out[b] = _plugin_excess(truth, est[:3, b], est[3:, b], pi_hat)
         return out
 
     [moments] = run_chunked(trials, seed, chunk_fn, workers=workers)

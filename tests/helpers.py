@@ -8,16 +8,18 @@
 
 The library works on Bloch vectors alone and computes every eigen-quantity
 of a 2x2 operator from its Pauli data (qclass.helstrom.pauli_data /
-positive_rank); it has no projector type.  The oracles below take the
+rank_masks); it has no projector type.  The oracles below take the
 explicit-matrix route instead (density matrices, Pauli matrices, the
 ``Projector`` type and its matrix, error probabilities as matrix traces),
 so the tests can check one against the other.  ``excess_risk`` and
 ``plugin_excess`` are the library's own trace formula and plug-in kernel
-on a single trial, its size-1 case.  The local-expansion helpers (the a-
-and b-frames of the perturbations, perturbed states, the estimate ->
-projector map, the (l0, k0) components ``relative_perp`` of the local
-parameters and the quadratic loss) live here too, as only the tests use
-them.
+on a single trial, its size-1 case; ``int_rank_plugin_excess`` is the
+plug-in kernel as three calls over int ranks and a nested np.where, which
+the library's boolean-mask kernel must match bit for bit.  The
+local-expansion helpers (the a- and b-frames of the perturbations,
+perturbed states, the estimate -> projector map, the (l0, k0) components
+``relative_perp`` of the local parameters and the quadratic loss) live
+here too, as only the tests use them.
 
 The library's qubit-sim draws six Pauli counts per trial for a whole
 chunk at once, from alias tables or as binomials.  The per-trial plug-in
@@ -33,6 +35,7 @@ are here too, as only the tests use them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,10 +47,11 @@ from qclass import (
     InvalidStateError,
     excess_trace,
     pauli_data,
+    rank_masks,
 )
 from qclass.montecarlo import ExperimentResult, run_chunked, summarize
-from qclass.qubit_core import ATOL, as_float3
-from qclass.qubit_experiment import LabelMode, _Columns, _plugin_excess
+from qclass.qubit_core import ATOL, _rescaled_norm, as_float3
+from qclass.qubit_experiment import LabelMode, _plugin_excess
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -302,7 +306,9 @@ def positive_eigenprojector(a) -> Projector:
         return Projector(rank=2)
     if hi <= 0.0:
         return Projector(rank=0)
-    return Projector(rank=1, bloch=BlochVector.from_array(a.beta / np.linalg.norm(a.beta)))
+    # scaled first: below |beta| ~ 1e-154 its sum of squares is subnormal
+    beta = a.beta / np.abs(a.beta).max()
+    return Projector(rank=1, bloch=BlochVector.from_array(beta / np.linalg.norm(beta)))
 
 
 def trace_norm(a) -> float:
@@ -387,15 +393,53 @@ def excess_risk(p_hat: Projector, problem) -> float:
     on a single trial, its size-1 case."""
     p = as_float3(p_hat.bloch) if p_hat.rank == 1 else (0.0, 0.0, 0.0)
     data = pauli_data(problem.r, problem.s, problem.pi0)
-    return float(excess_trace(data, p_hat.rank, *p))
+    return float(excess_trace(data, np.array([p], dtype=float).T, np.array([p_hat.rank == 0]),
+                              np.array([p_hat.rank == 2]))[0])
 
 
 def plugin_excess(problem, r_hat, s_hat, pi_hat) -> float:
     """The library's plug-in excess of one trial evaluated alone:
-    ``_plugin_excess`` on size-1 columns of the estimates r_hat, s_hat."""
-    r_cols, s_cols = (_Columns(*np.array([as_float3(v)]).T) for v in (r_hat, s_hat))
+    ``_plugin_excess`` on (3, 1) columns of the estimates r_hat, s_hat."""
+    r_col, s_col = (np.array([as_float3(v)], dtype=float).T for v in (r_hat, s_hat))
     truth = pauli_data(problem.r, problem.s, problem.pi0)
-    return float(_plugin_excess(truth, r_cols, s_cols, pi_hat)[0])
+    return float(_plugin_excess(truth, r_col, s_col, pi_hat)[0])
+
+
+def int_rank(alpha, dn):
+    """Positive eigenvalues of alpha*I + (d/2).sigma as an int (array),
+    from the signs of the rounded eigenvalues alpha -/+ |d|/2."""
+    return (alpha - 0.5 * dn > 0.0) * 1 + (alpha + 0.5 * dn > 0.0)
+
+
+def mask_rank(alpha: float, dn: float) -> int:
+    """The rank of one operator by the library's ``rank_masks``."""
+    rank0, rank2 = rank_masks(alpha, dn)
+    return 0 if rank0 else 2 if rank2 else 1
+
+
+def int_rank_plugin_excess(truth, r_hat, s_hat, pi_hat):
+    """``_plugin_excess`` by an independent route: the Pauli arithmetic a
+    coordinate at a time, |d| with its own tiny-vector rescale, int ranks,
+    and the trace formula Tr[A P*] - Tr[A P] selected by a nested np.where.
+    The same float operations in the same order, so the result must equal
+    the library's bit for bit."""
+    alpha_t, (tx, ty, tz), tn = truth
+    pi1 = 1.0 - pi_hat
+    dx, dy, dz = (pi_hat * r - pi1 * s for r, s in zip(r_hat, s_hat))
+    squares = dx * dx + dy * dy + dz * dz
+    dn = squares ** 0.5
+    tiny = squares < sys.float_info.min
+    if tiny.any():
+        dn[tiny] = _rescaled_norm(dx[tiny], dy[tiny], dz[tiny])
+    rank = int_rank(0.5 * (pi_hat - pi1), dn)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        px, py, pz = dx / dn, dy / dn, dz / dn
+    lo, hi = alpha_t - 0.5 * tn, alpha_t + 0.5 * tn
+    rank_opt = int_rank(alpha_t, tn)
+    tr_opt = np.where(rank_opt == 2, lo + hi, np.where(rank_opt == 1, hi, 0.0))
+    tr_rank1 = alpha_t + 0.5 * (tx * px + ty * py + tz * pz)
+    tr_hat = np.where(rank == 2, lo + hi, np.where(rank == 1, tr_rank1, 0.0))
+    return tr_opt - tr_hat
 
 
 def sampled_error_probability(p_hat, problem, copies, rng) -> float:

@@ -4,7 +4,6 @@ The projectors, error probabilities and excess risks of arbitrary
 projectors come from the oracles in tests/helpers.py."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +15,10 @@ from qclass import (
     TrivialityVerdict,
     helstrom_risk,
     pauli_data,
-    positive_rank,
+    rank_masks,
     triviality_check,
 )
+from qclass.helstrom import verdict_of
 from qclass.qubit_core import as_float3
 
 from helpers import (
@@ -27,6 +27,8 @@ from helpers import (
     bloch_to_density,
     error_probability,
     excess_risk,
+    int_rank,
+    mask_rank,
     positive_eigenprojector,
     random_problem,
     random_projector,
@@ -50,8 +52,8 @@ class TestHelstromProjector:
         """d0/|d0| on the antipodal and planar anchors, where d0 is (0, 0, 1)
         and (0.4, -0.3, 0); rank 2 (always guess rho) on the trivial one."""
         for prob, p in ((ANTIPODAL, (0, 0, 1)), (PLANAR, (0.8, -0.6, 0.0))):
-            alpha, dx, dy, dz, dn = pauli_data(prob.r, prob.s, prob.pi0)
-            assert positive_rank(alpha, dn) == oracle_projector(prob).rank == 1
+            alpha, (dx, dy, dz), dn = pauli_data(prob.r, prob.s, prob.pi0)
+            assert mask_rank(alpha, dn) == oracle_projector(prob).rank == 1
             assert (dx / dn, dy / dn, dz / dn) == pytest.approx(p)
             assert as_float3(oracle_projector(prob).bloch) == pytest.approx(p)
         assert oracle_projector(TRIVIAL).rank == 2
@@ -69,9 +71,9 @@ class TestHelstromProjector:
         ]
         ranks = []
         for prob in problems:
-            alpha, dx, dy, dz, dn = pauli_data(prob.r, prob.s, prob.pi0)
+            alpha, (dx, dy, dz), dn = pauli_data(prob.r, prob.s, prob.pi0)
             via_op = oracle_projector(prob)
-            ranks.append(positive_rank(alpha, dn))
+            ranks.append(mask_rank(alpha, dn))
             assert ranks[-1] == via_op.rank
             if via_op.rank == 1:
                 np.testing.assert_allclose(
@@ -82,9 +84,10 @@ class TestHelstromProjector:
 
 class TestPauliData:
     def test_array_square_root_is_np_sqrt(self):
-        """pauli_data takes |d| of an array as dd ** 0.5, so that helstrom
-        imports no numpy; numpy must evaluate it as np.sqrt, bit for bit,
-        and both must match math.sqrt, which a float takes."""
+        """vector_norm takes the norms of an array in place, as dd **= 0.5,
+        so that qubit_core imports no numpy; numpy must evaluate it and dd **
+        0.5 as np.sqrt, bit for bit, and all must match math.sqrt, which a
+        float takes."""
         tiny = np.finfo(float).tiny
         special = [0.0, -0.0, 5e-324, 1e-320, tiny / 3, tiny, 1e-300, 3.7e-300,
                    1e300, 3.7e300, np.finfo(float).max, np.inf, 0.25, 1.0, 2.0]
@@ -93,6 +96,9 @@ class TestPauliData:
         root = x ** 0.5
         assert root.dtype == np.float64
         assert np.array_equal(root.view(np.int64), np.sqrt(x).view(np.int64))
+        in_place = x.copy()
+        in_place **= 0.5
+        assert np.array_equal(in_place.view(np.int64), root.view(np.int64))
         assert np.array_equal(root.view(np.int64),
                               np.array([math.sqrt(v) for v in x]).view(np.int64))
 
@@ -104,10 +110,30 @@ class TestPauliData:
         d = rng.uniform(-1, 1, (300, 3)) * 10.0 ** rng.integers(-300, -150, (300, 1))
         d[:3] = [[0, 0, 0], [5e-324, 0, 0], [0, -3e-200, 4e-200]]
         zero = BlochVector(0.0, 0.0, 0.0)
-        dn = pauli_data(SimpleNamespace(x=d[:, 0], y=d[:, 1], z=d[:, 2]), zero, 1.0)[4]
-        assert dn.tolist() == [pauli_data(BlochVector(*row), zero, 1.0)[4] for row in d]
+        dn = pauli_data(d.T.copy(), np.zeros((3, 1)), 1.0)[2]
+        assert dn.tolist() == [pauli_data(BlochVector(*row), zero, 1.0)[2] for row in d]
         assert dn[:3].tolist() == [0.0, 5e-324, pytest.approx(5e-200, rel=1e-15)]
         np.testing.assert_allclose(dn[3:], [math.hypot(*row) for row in d[3:]], rtol=1e-15)
+
+
+class TestRankMasks:
+    def test_sign_tests_of_the_rounded_eigenvalues(self):
+        """rank_masks compares |d|/2 with -/+alpha instead of forming alpha
+        -/+ |d|/2: the ranks equal those of the rounded eigenvalues' signs,
+        ties, zeros and subnormals included, for floats and arrays."""
+        rng = np.random.default_rng(8)
+        alpha = rng.uniform(-0.5, 0.5, 2000) * 10.0 ** rng.integers(-320, 1, 2000)
+        dn = rng.uniform(0.0, 1.0, 2000) * 10.0 ** rng.integers(-320, 1, 2000)
+        dn[:400] = 2.0 * np.abs(alpha[:400])  # an eigenvalue exactly 0
+        dn[400:500] = 0.0
+        alpha[500:600] = 0.0
+        dn[600:700] = np.nextafter(dn[:100], 1.0)
+        rank0, rank2 = rank_masks(alpha, dn)
+        rank = int_rank(alpha, dn)
+        assert set(rank.tolist()) == {0, 1, 2}
+        assert np.array_equal(rank0, rank == 0)
+        assert np.array_equal(rank2, rank == 2)
+        assert [mask_rank(float(a), float(n)) for a, n in zip(alpha, dn)] == rank.tolist()
 
 
 class TestClassificationProblem:
@@ -232,6 +258,25 @@ class TestTrivialityCheck:
         # |0.75 z - 0.25 z| = 0.5 = |pi0 - pi1| exactly
         verdict = triviality_check((0, 0, 1.0), (0, 0, 1.0), 0.75)
         assert verdict is TrivialityVerdict.DEGENERATE
+
+    def test_verdict_of_is_the_definition(self):
+        """verdict_of tells the boundary apart inside the rank-0 and rank-1
+        branches of rank_masks; it must equal the definition: DEGENERATE
+        where |d| = 2|alpha| exactly, else the verdict of the int rank,
+        with the boundary at alpha < 0, alpha = 0 and alpha > 0."""
+        by_rank = (TrivialityVerdict.TRIVIAL_GUESS_SIGMA, TrivialityVerdict.NONTRIVIAL,
+                   TrivialityVerdict.TRIVIAL_GUESS_RHO)
+        rng = np.random.default_rng(60)
+        alpha = rng.uniform(-0.5, 0.5, 3000)
+        alpha[:50] = 0.0
+        dn = rng.uniform(0.0, 1.0, 3000)
+        dn[:1000] = 2.0 * np.abs(alpha[:1000])
+        dn[1000:1500] = np.nextafter(dn[:500], np.where(np.arange(500) % 2, 0.0, 1.0))
+        dn[1500:1600] = 5e-324 * np.arange(100)
+        for a, n in zip(alpha.tolist(), dn.tolist()):
+            want = (TrivialityVerdict.DEGENERATE if n == 2.0 * abs(a)
+                    else by_rank[int(int_rank(a, n))])
+            assert verdict_of(a, n) is want
 
     def test_consistency_with_projector_rank(self):
         rng = np.random.default_rng(59)

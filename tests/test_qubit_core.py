@@ -72,15 +72,19 @@ class TestBlochDensityRoundTrip:
 
     def test_one_scaled_norm(self):
         """BlochVector.norm and pauli_data's |d| are vector_norm, whose tiny
-        branch is the one scaled norm of the library: the three agree bit
-        for bit, tiny vectors included."""
+        branch is the one scaled norm of the library: they agree bit for
+        bit with each other and with the column norms of a (3, B) array,
+        tiny vectors included."""
         rng = np.random.default_rng(13)
         zero = BlochVector(0.0, 0.0, 0.0)
-        for row in rng.uniform(-0.5, 0.5, (300, 3)) * 10.0 ** rng.integers(-320, 1, (300, 1)):
+        rows = rng.uniform(-0.5, 0.5, (300, 3)) * 10.0 ** rng.integers(-320, 1, (300, 1))
+        norms = []
+        for row in rows:
             x, y, z = map(float, row)
-            norm = vector_norm(x, y, z)
-            assert BlochVector(x, y, z).norm == norm
-            assert pauli_data(BlochVector(x, y, z), zero, 1.0)[4] == norm
+            norms.append(vector_norm((x, y, z)))
+            assert BlochVector(x, y, z).norm == norms[-1]
+            assert pauli_data(BlochVector(x, y, z), zero, 1.0)[2] == norms[-1]
+        assert vector_norm(rows.T.copy()).tolist() == norms
 
     def test_shape_validation(self):
         """Only three real numbers make a 3-vector: a (3, 1) array, a 3-key

@@ -15,10 +15,10 @@ from qclass import (
     ClassificationProblem,
     helstrom_risk,
     pauli_data,
-    positive_rank,
     tomography_constant,
 )
 from qclass import montecarlo, qubit_experiment
+from qclass.montecarlo import Moments, chunk_rng
 from qclass.qubit_experiment import (
     LabelMode,
     TrainingSetSpec,
@@ -26,7 +26,6 @@ from qclass.qubit_experiment import (
     _RANDOM_ALIAS_MAX_N,
     _KERNEL_BLOCK,
     _WINDOW_TAIL,
-    _Columns,
     _alias_sampler,
     _alias_table,
     _alias_tables_fit,
@@ -52,6 +51,8 @@ from helpers import (
     classical_gaussian_example,
     excess_risk,
     gaussian_error_probability,
+    int_rank_plugin_excess,
+    mask_rank,
     plugin_excess,
     plugin_strategy_run,
     positive_eigenprojector,
@@ -929,7 +930,7 @@ class TestPluginStrategyRun:
                                           ((1, 0, 0), (0, -1, 0), True)):
             problem = ClassificationProblem.from_bloch(r0, s0, 0.04)
             spec = TrainingSetSpec(n=10, problem=problem, label_mode=LabelMode.FIXED_COUNTS)
-            alpha, _, _, _, dn = pauli_data(problem.r, problem.s, 0.04)
+            alpha, _, dn = pauli_data(problem.r, problem.s, 0.04)
             expected = max(alpha + 0.5 * dn, 0.0)  # n0 = round(0.4) = 0
             assert (expected > 0.0) == expected_positive
             rng = np.random.default_rng(0)
@@ -984,6 +985,8 @@ class TestVectorisedChunk:
             (0.5, same, same),  # the operator vanishes: rank 0
             (0.0, np.zeros(3), small_s),  # no rho copies, prior estimated 0
             (1.0, small_r, np.zeros(3)),  # no sigma copies, prior estimated 1
+            # |d| ~ 7e-161: the sum of squares is subnormal, so |d| is rescaled
+            (0.5, np.array([1e-160, 0, 0]), np.array([0, -1e-160, 0])),
         ]
         pi_hat = np.array([c[0] for c in cases])
         r_hat = np.array([c[1] for c in cases])
@@ -998,19 +1001,18 @@ class TestVectorisedChunk:
         the rank of positive_eigenprojector."""
         pi_hat, r_hat, s_hat = self._estimate_batch(np.random.default_rng(5))
         truth = pauli_data(problem.r, problem.s, problem.pi0)
-        r_cols, s_cols = _Columns(*r_hat.T.copy()), _Columns(*s_hat.T.copy())
         # a known prior is the scalar-broadcast case of the same kernel
         for pi in (0.3, pi_hat):
             trials = list(zip(np.broadcast_to(pi, pi_hat.shape).tolist(), r_hat, s_hat))
-            batch = _plugin_excess(truth, r_cols, s_cols, pi)
+            batch = _plugin_excess(truth, r_hat.T.copy(), s_hat.T.copy(), pi)
             assert batch.tolist() == [plugin_excess(problem, r, s, p) for p, r, s in trials]
             ranks = []
             for value, (p, r, s) in zip(batch, trials):
                 op = HermitianOperator(p * bloch_to_density(r).matrix
                                        - (1.0 - p) * bloch_to_density(s).matrix)
                 via_op = positive_eigenprojector(op)
-                alpha, _, _, _, dn = pauli_data(BlochVector(*r), BlochVector(*s), p)
-                ranks.append(positive_rank(alpha, dn))
+                alpha, _, dn = pauli_data(BlochVector(*r), BlochVector(*s), p)
+                ranks.append(mask_rank(alpha, dn))
                 assert ranks[-1] == via_op.rank
                 assert value == pytest.approx(excess_risk(via_op, problem), abs=1e-12)
         assert set(ranks) == {0, 1, 2}  # of the pi_hat batch
@@ -1051,6 +1053,45 @@ class TestVectorisedChunk:
             res = run_experiment(spec, 20_000, 7)
             assert res.fraction_exact == 1.0
             assert res.mean_rescaled_excess == 0.0
+
+
+def _first_chunk(monkeypatch, spec, trials, seed):
+    """The per-trial excess values of run_experiment's first chunk, as its
+    chunk function returns them."""
+    chunks = []
+
+    def first_only(trials, seed, chunk_fn, workers):
+        chunks.append(chunk_fn(chunk_rng(seed, 0), min(trials, montecarlo.CHUNK_SIZE)))
+        return [Moments.of(chunks[-1].copy())]
+
+    monkeypatch.setattr(qubit_experiment, "run_chunked", first_only)
+    run_experiment(spec, trials, seed)
+    return chunks[0]
+
+
+class TestKernelRegression:
+    """The boolean-mask kernel against the int-rank, nested-np.where kernel
+    it replaced (tests/helpers.py), bit for bit on whole chunks."""
+
+    @pytest.mark.parametrize("n, problem, mode, known, trials", [
+        pytest.param(100, PLANAR, LabelMode.RANDOM_LABELS, False, 65_536, id="alias-random-100"),
+        pytest.param(10_000, PLANAR, LabelMode.FIXED_COUNTS, True, 2_000, id="alias-fixed-1e4"),
+        pytest.param(10_000, SKEWED, LabelMode.FIXED_COUNTS, False, 2_000,
+                     id="alias-fixed-1e4-estimated-prior"),
+        pytest.param(2_000, SKEWED, LabelMode.RANDOM_LABELS, False, 8_192 + 1_000,
+                     id="binomial-random-2000"),
+        pytest.param(2_000, TRIVIAL, LabelMode.RANDOM_LABELS, False, 20_000, id="trivial-random"),
+        pytest.param(2_000, TRIVIAL, LabelMode.FIXED_COUNTS, False, 20_000, id="trivial-fixed"),
+    ])
+    def test_same_bits_as_int_rank_kernel(self, monkeypatch, n, problem, mode, known, trials):
+        spec = TrainingSetSpec(n=n, problem=problem, label_mode=mode, known_priors=known)
+        new = _first_chunk(monkeypatch, spec, trials, (26, n))
+        monkeypatch.setattr(qubit_experiment, "_plugin_excess", int_rank_plugin_excess)
+        old = _first_chunk(monkeypatch, spec, trials, (26, n))
+        assert new.shape == (trials,)
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+        if problem is TRIVIAL:  # every trial exactly +0.0
+            assert np.array_equal(new.view(np.int64), np.zeros(trials).view(np.int64))
 
 
 class TestTrainingSetSpec:
