@@ -145,7 +145,10 @@ def run_chunked(
             raise ValueError(f"chunk_fn returned {len(more)} rows, expected {len(rows)}")
         return [a.merge(b) for a, b in zip(rows, more)]
 
-    threads = min(workers, n_chunks, _usable_cpus())
+    # the affinity mask is a system call, asked only when it can matter
+    threads = min(workers, n_chunks)
+    if threads > 1:
+        threads = min(threads, _usable_cpus())
     if threads == 1:
         return reduce(merge, map(one, range(n_chunks)))
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -15,23 +15,28 @@ samplers once per run, from the label mode and the spec alone.  Each
 draws a chunk's class sizes, one shared by every trial (fixed labels) or
 one per trial (random labels), then each axis's counts for all trials:
 
-* _alias_sampler: each class size and each count is one uniform looked
-  up in Walker's alias table of a windowed Binomial row (about 19 sigma
-  + 31 cells), the class size in that of Binomial(n, pi0) and the count
-  on axis j in that of Binomial(m_j, p_j) for the trial's copy count
-  m_j.  It draws fixed labels unless the six tables would not fit in
-  their cache together (n above ~1e9), and random labels up to n =
-  _RANDOM_ALIAS_MAX_N.
+* the alias draw (_alias_draw): each class size and each count is one
+  uniform looked up in Walker's alias table of a windowed Binomial row
+  (about 19 sigma + 31 cells), the class size in that of Binomial(n,
+  pi0) and the count on axis j in that of Binomial(m_j, p_j) for the
+  trial's copy count m_j.  It draws fixed labels unless the six tables
+  would not fit in their cache together (n above ~1e9), and random
+  labels up to n = _RANDOM_ALIAS_MAX_N.
 * _binomial_sampler otherwise: one binomial call per axis, at a cost
   that is the same at every n.
 
-A run's tables depend only on their key and are kept for the process in
-one cache of at most 16 MiB, so a run's output does not depend on what
-ran before it.  An axis measured on zero copies (a class with fewer than
-three copies) estimates 0, so every trial has a defined outcome: with no
-copies of a class its estimate is the maximally mixed state, and an
-estimated prior of 0 or 1 gives the rank-0 or rank-2 plug-in by the
-usual rule.
+An alias run's set-up is one lookup of its _RunPlan, built once per key
+(label mode, n, pi0, six axis probabilities) and kept for the process in
+one cache of at most 16 MiB: the tables, the draw over them, and per
+class whether any estimate the draw can give lies outside the Bloch
+ball.  Where it cannot, the radial clip would divide nothing, and the
+run skips it.  A plan depends only on its key, so a run's output does
+not depend on what ran before it.
+
+An axis measured on zero copies (a class with fewer than three copies)
+estimates 0, so every trial has a defined outcome: with no copies of a
+class its estimate is the maximally mixed state, and an estimated prior
+of 0 or 1 gives the rank-0 or rank-2 plug-in by the usual rule.
 
 The excess risk of the resulting projector is evaluated exactly through
 the trace formula (conditional on the projector it is a deterministic
@@ -46,7 +51,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,7 +103,7 @@ class TrainingSetSpec:
 # memory is set by the six count draws, not by the kernel.
 _KERNEL_BLOCK = 8192
 
-# Largest n that run_experiment gives to _alias_sampler with random labels.
+# Largest n at which run_experiment draws random labels from alias tables.
 # Each axis's table then has a row per copy count that the windowed label
 # law reaches: at n = 1024 (pi0 = 1/2) about 335 class sizes and 104k
 # cells over the six axes, built once per process in about 5 ms.  Above,
@@ -115,8 +120,10 @@ _WINDOW_TAIL = 2.0 ** -64
 def _axis_probabilities(problem: ClassificationProblem) -> list[float]:
     """P(+1) of the Pauli measurement on each of the six axes, x, y, z of
     rho and then of sigma: (1 + r_j)/2, clamped to [0, 1]."""
-    return [min(max(0.5 * (1.0 + r_j), 0.0), 1.0)
-            for v in (problem.r, problem.s) for r_j in (v.x, v.y, v.z)]
+    halves = [0.5 * (1.0 + r_j) for v in (problem.r, problem.s) for r_j in (v.x, v.y, v.z)]
+    # a Bloch norm may exceed 1 by ATOL, so p can leave [0, 1]; the clamp
+    # runs only there, as min and max on every p cost each run ~1 us
+    return [p if 0.0 <= p <= 1.0 else min(max(p, 0.0), 1.0) for p in halves]
 
 
 def _axis_copies(m0, m1) -> list:
@@ -301,21 +308,27 @@ def _joined(tables, rows) -> _AliasTables:
     return joined
 
 
-class _RunTables(NamedTuple):
-    """The alias tables a run draws from."""
-
-    labels: _AliasTables | None  # random labels: the class sizes' table
-    counts: _AliasTables  # the six axes', a row per copy count
-    low: int  # the class size of counts.offsets[:, 0]
-
-
 def _fixed_n0(n: int, pi0: float) -> int:
     """Copies of rho with fixed labels: round(pi0 * n), halves rounded up."""
     return math.floor(pi0 * n + 0.5)
 
 
-def _run_tables(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _RunTables:
-    """_RunTables of a run at n whose axes measure +1 with the given
+class _RunPlan(NamedTuple):
+    """What a run at one key of _ALIAS_TABLES draws with, built once for
+    the key: its alias tables, the draw over them, and per class whether
+    any estimate the draw can give lies outside the Bloch ball."""
+
+    labels: _AliasTables | None  # random labels: the class sizes' table
+    counts: _AliasTables  # the six axes', a row per copy count
+    low: int  # the class size of counts.offsets[:, 0]
+    draw: Callable  # draw(rng, size) -> (est, n0), see _alias_draw
+    # rho's and sigma's flags; where one is False, _clip_to_ball would
+    # divide no column of that class, so run_experiment skips it
+    clip: tuple[bool, bool]
+
+
+def _build_plan(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _RunPlan:
+    """_RunPlan of a run at n whose axes measure +1 with the given
     probabilities.  Fixed labels have one class size, so each axis's table
     has one row.  Random labels draw the class size from the table of the
     windowed Binomial(n, pi0) row, whose contiguous sizes lo..hi give each
@@ -333,7 +346,15 @@ def _run_tables(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _R
         counts, pmf = _binomial_windows(copies, p)
         tables.append(_alias_table(_outcome_average(counts, copies[:, None]), pmf))
         rows.append(m - copies[0])
-    return _RunTables(labels, _joined(tables, rows), int(sizes[0]))
+    # every value a draw gives is an own value of its axis's table, so no
+    # estimate exceeds these in |.| on its axis; a padding cell's own
+    # value, never drawn, can only make a flag True
+    x0, y0, z0, x1, y1, z1 = (float(np.abs(own).max()) for _, own, _ in tables)
+    # squared and summed in _clip_to_ball's order, (x x + y y) + z z:
+    # rounding is monotone, so no drawable estimate's norm exceeds these
+    clip = (x0 * x0 + y0 * y0 + z0 * z0 > 1.0, x1 * x1 + y1 * y1 + z1 * z1 > 1.0)
+    counts, low = _joined(tables, rows), int(sizes[0])
+    return _RunPlan(labels, counts, low, _alias_draw(labels, counts, low), clip)
 
 
 class _TableCache:
@@ -353,9 +374,10 @@ class _TableCache:
 
     def __call__(self, *key):
         with self._lock:
-            if key in self._tables:
+            kept = self._tables.get(key)
+            if kept is not None:
                 self._tables.move_to_end(key)
-                return self._tables[key][0]
+                return kept[0]
             table = self._build(*key)
             size = self._sizeof(table)
             if size <= self._budget:
@@ -366,16 +388,22 @@ class _TableCache:
             return table
 
 
-# A run's _RunTables by its label mode, n, pi0 and six axis probabilities,
-# counted at 24 bytes a cell: at most 16 MiB.  The offsets, 48 bytes a
-# class size, are left out of the count.  A fixed-label run draws from
-# them only if they fit, up to n ~ 1e9 on the README anchor
-# (_alias_tables_fit); above, every run would rebuild them.  Random labels
-# up to _RANDOM_ALIAS_MAX_N take 2.5 MB.
+# A run's _RunPlan by its label mode, n, pi0 and six axis probabilities.
+# The budget counts the plan's table cells only, at 24 bytes a cell: at
+# most 16 MiB.  The offsets, 48 bytes a class size, and the plan's draw
+# and flags are left out of the count, and a plan leaves with its tables.
+# A fixed-label run draws from them only if they fit, up to n ~ 1e9 on the
+# README anchor (_alias_tables_fit); above, every run would rebuild them.
+# Random labels up to _RANDOM_ALIAS_MAX_N take 2.5 MB.
 _ALIAS_MAX_CELLS = (16 << 20) // 24
 _ALIAS_TABLES = _TableCache(
-    _run_tables, lambda tables: sum(3 * table.cuts.nbytes for table in tables[:2] if table),
+    _build_plan, lambda plan: sum(3 * table.cuts.nbytes for table in plan[:2] if table),
     24 * _ALIAS_MAX_CELLS)
+
+
+def _run_plan(spec: TrainingSetSpec) -> _RunPlan:
+    """The _RunPlan of spec's alias draw, from _ALIAS_TABLES: one lookup."""
+    return _ALIAS_TABLES(spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
 
 
 def _fixed_axis_laws(spec: TrainingSetSpec) -> list[tuple[int, float]]:
@@ -385,12 +413,22 @@ def _fixed_axis_laws(spec: TrainingSetSpec) -> list[tuple[int, float]]:
     return list(zip(_axis_copies(n0, spec.n - n0), _axis_probabilities(spec.problem)))
 
 
+# Largest n whose six fixed-label tables fit _ALIAS_TABLES whatever pi0
+# and the axis probabilities, so that _alias_tables_fit need not count
+# them (a count costs ~16 us, a run of one trial ~45 us).  A row of m
+# copies has at most 2 t + 3 cells, t = L/3 + sqrt(L^2/9 + 2 L m p q) its
+# window's half-width, L = 65 ln 2 (_window_bounds) and p q <= 1/4.  The
+# m_j sum to n and the square root is concave, so the six rows hold at
+# most 6 (2 L/3 + 3) + 12 sqrt(L^2/9 + L n/12) cells: 697,758 at n = 9e8,
+# 1,292 under the cap.  p = 1/2 and pi0 = 1/2 come within 12 of it.
+_COUNT_FREE_N = 9 * 10**8
+
+
 def _alias_tables_fit(spec: TrainingSetSpec) -> bool:
     """Whether the six alias tables of a fixed-label spec fit in
     _ALIAS_TABLES together, counted from (m_j, p_j) without building a
-    row.  A row of m copies has at most m + 1 cells, so below n =
-    _ALIAS_MAX_CELLS - 6 they fit without a count."""
-    if spec.n <= _ALIAS_MAX_CELLS - 6:
+    row.  Up to n = _COUNT_FREE_N they fit without a count."""
+    if spec.n <= _COUNT_FREE_N:
         return True
     m, p = (np.array(column) for column in zip(*_fixed_axis_laws(spec)))
     return int(_window_cells(m, p).sum()) <= _ALIAS_MAX_CELLS
@@ -421,7 +459,7 @@ def _alias_cells(x: np.ndarray, tables: _AliasTables, rows=None) -> np.ndarray:
     return cell
 
 
-def _alias_sampler(spec: TrainingSetSpec):
+def _alias_draw(labels: _AliasTables | None, counts: _AliasTables, low: int):
     """draw(rng, size) -> (est, n0): the unclipped (6, size) estimates, x,
     y, z of rho and then of sigma, and the copies of rho, an int shared by
     every trial (fixed labels) or one per trial (random labels).  Every
@@ -437,8 +475,6 @@ def _alias_sampler(spec: TrainingSetSpec):
     by side, so one gather reads the estimate.  With fixed labels each
     axis's table has one row, and the (6, 1) offsets are broadcast.
     """
-    labels, counts, low = _ALIAS_TABLES(spec.label_mode, spec.n, spec.pi0,
-                                        *_axis_probabilities(spec.problem))
 
     def draw(rng, size):
         if labels is None:
@@ -456,7 +492,7 @@ def _alias_sampler(spec: TrainingSetSpec):
 
 
 def _binomial_sampler(spec: TrainingSetSpec):
-    """draw(rng, size) -> (est, n0) as _alias_sampler, by one binomial call
+    """draw(rng, size) -> (est, n0) as _alias_draw, by one binomial call
     per axis at a cost that is the same at every n.
 
     Fixed labels draw against their copy counts as ints; random labels
@@ -488,9 +524,10 @@ def _plugin_excess(truth, r_hat: np.ndarray, s_hat: np.ndarray, pi_hat):
     the (3, B) estimates r_hat and s_hat.
 
     The projector is the positive part of pi_hat*rho_hat - pi1_hat*sigma_hat
-    and ``truth`` the ``pauli_data`` of the problem.  Elementwise, so a
-    batch equals each of its trials evaluated alone (as size-1 columns) bit
-    for bit, whatever the batch's size and order.
+    and ``truth`` the ``pauli_data`` of the problem (its d a float triple
+    or a (3, 1) column).  Elementwise, so a batch equals each of its
+    trials evaluated alone (as size-1 columns) bit for bit, whatever the
+    batch's size and order.
     """
     alpha, d, dn = pauli_data(r_hat, s_hat, pi_hat)
     rank0, rank2 = rank_masks(alpha, dn)
@@ -509,40 +546,57 @@ def run_experiment(
     Each chunk is evaluated as arrays over its trials, with no loop over
     trials (the alias draw and the kernel after every draw take
     _KERNEL_BLOCK trials per pass; the kernel, _plugin_excess, reads a
-    block's clipped estimates as one stacked (6, B) slice).
+    block's clipped estimates as one stacked (6, B) slice, and a chunk of
+    one block returns the kernel's array as it is).  The truth's d is
+    passed to the kernel as a (3, 1) column.
 
     One of the two samplers, picked once per run from the spec alone (see
-    the module docstring): _alias_sampler for fixed labels whose six alias
-    tables fit their cache and for random labels up to
-    _RANDOM_ALIAS_MAX_N, else _binomial_sampler.  It draws a chunk's class
-    sizes and the six estimates of every trial, so a trial's value is
-    fixed by (seed, CHUNK_SIZE, its index), not by its index alone.  Every
-    trial has the same law, and the chunk is reduced to its order-free
-    Moments.
+    the module docstring): the alias draw of the spec's cached _RunPlan
+    (one _run_plan lookup) for fixed labels whose six alias tables fit
+    their cache and for random labels up to _RANDOM_ALIAS_MAX_N, else
+    _binomial_sampler.  It draws a chunk's class sizes and the six
+    estimates of every trial, so a trial's value is fixed by (seed,
+    CHUNK_SIZE, its index), not by its index alone.  Each class's
+    estimates are clipped to the ball unless the plan's flag shows that
+    the clip would divide nothing; the binomial sampler's always are.
+    Every trial has the same law, and the chunk is reduced to its
+    order-free Moments.
 
     mean_rescaled_excess is n * (sample mean excess risk); fraction_exact
     counts trials whose excess is exactly zero (the learned projector
     reproduced the oracle, the generic event in the trivial regime).
     """
     n, pi0 = spec.n, spec.pi0
-    truth = pauli_data(spec.problem.r, spec.problem.s, pi0)
+    alpha, d, dn = pauli_data(spec.problem.r, spec.problem.s, pi0)
+    truth = alpha, np.reshape(d, (3, 1)), dn
     if spec.label_mode is LabelMode.FIXED_COUNTS:
         alias = _alias_tables_fit(spec)
     else:
         alias = n <= _RANDOM_ALIAS_MAX_N
-    draw = (_alias_sampler if alias else _binomial_sampler)(spec)
+    if alias:
+        *_, draw, (clip_rho, clip_sigma) = _run_plan(spec)
+    else:
+        draw, clip_rho, clip_sigma = _binomial_sampler(spec), True, True
 
     def chunk_fn(rng, size):
         est, n0 = draw(rng, size)
-        _clip_to_ball(est[:3])
-        _clip_to_ball(est[3:])
-        out = np.empty(size)
-        for lo in range(0, size, _KERNEL_BLOCK):
-            b = slice(lo, lo + _KERNEL_BLOCK)
+        if clip_rho:
+            _clip_to_ball(est[:3])
+        if clip_sigma:
+            _clip_to_ball(est[3:])
+
+        def excess(b):
             # a class size shared by every trial gives one float
             pi_hat = pi0 if spec.known_priors else (
                 n0[b] if isinstance(n0, np.ndarray) else n0) / n
-            out[b] = _plugin_excess(truth, est[:3, b], est[3:, b], pi_hat)
+            return _plugin_excess(truth, est[:3, b], est[3:, b], pi_hat)
+
+        if size <= _KERNEL_BLOCK:
+            return excess(slice(None))
+        out = np.empty(size)
+        for lo in range(0, size, _KERNEL_BLOCK):
+            b = slice(lo, lo + _KERNEL_BLOCK)
+            out[b] = excess(b)
         return out
 
     [moments] = run_chunked(trials, seed, chunk_fn, workers=workers)

@@ -254,6 +254,19 @@ class TestThreadCap:
     def test_one_thread_runs_without_a_pool(self, monkeypatch, cpus, workers, trials):
         assert self._sizes(monkeypatch, cpus, workers, trials) == []
 
+    def test_one_thread_asks_for_no_affinity_mask(self, monkeypatch):
+        """One worker, or one chunk, needs no CPU count: the system call
+        behind it is not made."""
+        def no_call():
+            raise AssertionError("_usable_cpus called")
+
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 4)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", no_call)
+        assert len(run_chunked(40, 8, _values, workers=1)) == 1
+        assert len(run_chunked(4, 8, _values, workers=8)) == 1
+        with pytest.raises(AssertionError, match="called"):
+            run_chunked(40, 8, _values, workers=2)
+
     def test_pool_is_capped_by_the_affinity_mask(self, monkeypatch):
         """A process pinned to one CPU of 64 runs two workers as one thread;
         on three CPUs it starts three."""

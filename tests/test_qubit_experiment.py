@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qclass import (
@@ -23,10 +23,10 @@ from qclass.qubit_experiment import (
     LabelMode,
     TrainingSetSpec,
     _ALIAS_MAX_CELLS,
+    _COUNT_FREE_N,
     _RANDOM_ALIAS_MAX_N,
     _KERNEL_BLOCK,
     _WINDOW_TAIL,
-    _alias_sampler,
     _alias_table,
     _alias_tables_fit,
     _axis_copies,
@@ -38,6 +38,7 @@ from qclass.qubit_experiment import (
     _clip_to_ball,
     _outcome_average,
     _plugin_excess,
+    _run_plan,
     _window_cells,
     rescaled_risk_curve,
     run_experiment,
@@ -89,10 +90,9 @@ class TestSampleLabels:
         assert n0 / n == pytest.approx(0.5, abs=4 * sigma)
 
 
-def _tables(spec):
-    """The _RunTables that _alias_sampler draws from for spec."""
-    return qubit_experiment._ALIAS_TABLES(spec.label_mode, spec.n, spec.pi0,
-                                          *_axis_probabilities(spec.problem))
+def _alias_sampler(spec):
+    """The alias draw of spec's cached _RunPlan, as run_experiment takes it."""
+    return _run_plan(spec).draw
 
 
 class _GivenClassSizes:
@@ -129,7 +129,7 @@ def _estimates(r, m, h, rng, n):
     m[g] copies of r."""
     spec = TrainingSetSpec(n=n, problem=ClassificationProblem.from_bloch(r, (0, 0, 0), 0.5))
     alias = n <= _RANDOM_ALIAS_MAX_N
-    given = _GivenClassSizes(rng, m, h, _tables(spec).labels if alias else None)
+    given = _GivenClassSizes(rng, m, h, _run_plan(spec).labels if alias else None)
     est, n0 = (_alias_sampler if alias else _binomial_sampler)(spec)(given, int(h.sum()))
     np.testing.assert_array_equal(n0, np.repeat(m, h))
     return _clip_to_ball(est[:3])
@@ -288,16 +288,18 @@ class TestCountSampler:
         return calls
 
     def test_run_picks_one_sampler_per_run(self, monkeypatch):
-        """run_experiment builds one of the two samplers per run, from the
-        spec alone, whatever its trial and chunk counts.  Random labels
-        draw from alias tables up to _RANDOM_ALIAS_MAX_N, 65,536-trial
-        chunks at n = 100 included, and binomials above.  Fixed labels
-        draw from alias tables at every chunk size, the benchmark's large-n
-        shapes (n = 10^4 and 10^5, one 2000-trial chunk) included, and by
+        """run_experiment takes one of the two samplers per run, from the
+        spec alone, whatever its trial and chunk counts: the alias draw of
+        the spec's cached _RunPlan (one _run_plan lookup, also for a key
+        already cached) or a binomial sampler.  Random labels draw from
+        alias tables up to _RANDOM_ALIAS_MAX_N, 65,536-trial chunks at
+        n = 100 included, and binomials above.  Fixed labels draw from
+        alias tables at every chunk size, the benchmark's large-n shapes
+        (n = 10^4 and 10^5, one 2000-trial chunk) included, and by
         binomials once the six tables would not fit their cache
         together."""
         picked = []
-        for name in ("_alias_sampler", "_binomial_sampler"):
+        for name in ("_run_plan", "_binomial_sampler"):
             def build(spec, name=name, sampler=getattr(qubit_experiment, name)):
                 picked.append((name, spec.label_mode, spec.n))
                 return sampler(spec)
@@ -306,15 +308,15 @@ class TestCountSampler:
         above_cap = 4 * 10**9
         assert not _alias_tables_fit(TrainingSetSpec(n=above_cap, problem=SKEWED,
                                                      label_mode=fixed))
-        cases = [(random, _RANDOM_ALIAS_MAX_N, 1200, 500, "_alias_sampler"),
-                 (random, 100, 1 << 16, 1 << 16, "_alias_sampler"),
-                 (random, 1, 300, 64, "_alias_sampler"),
+        cases = [(random, _RANDOM_ALIAS_MAX_N, 1200, 500, "_run_plan"),
+                 (random, 100, 1 << 16, 1 << 16, "_run_plan"),
+                 (random, 1, 300, 64, "_run_plan"),
                  (random, self.BINOMIAL_N, 1200, 500, "_binomial_sampler"),
-                 (fixed, 10**4, 2000, 1 << 16, "_alias_sampler"),
-                 (fixed, 10**5, 2000, 1 << 16, "_alias_sampler"),
-                 (fixed, 100, 1 << 16, 1 << 16, "_alias_sampler"),
-                 (fixed, 10**4, 300, 64, "_alias_sampler"),
-                 (fixed, 60, 300, 64, "_alias_sampler"),
+                 (fixed, 10**4, 2000, 1 << 16, "_run_plan"),
+                 (fixed, 10**5, 2000, 1 << 16, "_run_plan"),
+                 (fixed, 100, 1 << 16, 1 << 16, "_run_plan"),
+                 (fixed, 10**4, 300, 64, "_run_plan"),
+                 (fixed, 60, 300, 64, "_run_plan"),
                  (fixed, above_cap, 300, 64, "_binomial_sampler")]
         for mode, n, trials, chunk, _ in cases:
             monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
@@ -604,6 +606,19 @@ class TestAliasTable:
             for p in (0.0, 1e-300, 1e-9, 0.3, 0.5, 1 - 2**-53, 1.0):
                 assert _window_cells(m, p) == _binomial_window(m, p)[0].size, (m, p)
 
+    @PROPERTY
+    @example(n=_COUNT_FREE_N, pi0=0.5, p=[0.5] * 6)
+    @given(n=st.integers(_ALIAS_MAX_CELLS - 6, _COUNT_FREE_N), pi0=st.floats(0.0, 1.0),
+           p=st.lists(st.sampled_from([0.5]) | st.floats(0.0, 1.0), min_size=6, max_size=6))
+    def test_tables_fit_without_a_count_up_to_the_bound(self, n, pi0, p):
+        """Up to _COUNT_FREE_N, where _alias_tables_fit answers without a
+        count, the six windowed rows of any prior and axis probabilities
+        hold at most _ALIAS_MAX_CELLS cells, the worst case (p = 1/2, pi0
+        = 1/2 at the bound) included: the answer is the count's."""
+        n0 = qubit_experiment._fixed_n0(n, pi0)
+        cells = _window_cells(np.array(_axis_copies(n0, n - n0)), np.array(p))
+        assert int(cells.sum()) <= _ALIAS_MAX_CELLS
+
     def test_cap_lies_near_a_billion_copies(self):
         """The six tables of the README anchor fit their cache together up
         to n ~ 1e9."""
@@ -886,7 +901,8 @@ class TestTableCache:
     def test_runs_do_not_depend_on_the_cache(self, monkeypatch, mode):
         """A run gives the same result from cold and warm caches, after
         runs at other n, and from a cache too small to keep anything.
-        Both label modes keep one entry per run configuration."""
+        Both label modes keep one entry per run configuration, its
+        _RunPlan, and a cache too small for the tables keeps no plan."""
         spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
         _fresh_caches(monkeypatch)
         cold = run_experiment(spec, 5000, 81)
@@ -894,24 +910,117 @@ class TestTableCache:
         for n in (30, 91, 300):
             run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), 500, 1)
         assert run_experiment(spec, 5000, 81) == cold
-        assert len(qubit_experiment._ALIAS_TABLES._tables) == 4
+        kept = qubit_experiment._ALIAS_TABLES._tables
+        assert len(kept) == 4
+        assert all(type(plan) is qubit_experiment._RunPlan for plan, _ in kept.values())
         _fresh_caches(monkeypatch, budget=0)
         assert run_experiment(spec, 5000, 81) == cold
+        assert not qubit_experiment._ALIAS_TABLES._tables
 
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_cached_tables_are_read_only(self, mode):
-        """Threads and runs share the cached tables, so none may write
-        into them: every array of the count tables, and of the class-size
-        table with random labels, refuses a write."""
+        """Threads and runs share the cached plans, so none may write into
+        them: every array of the count tables, and of the class-size table
+        with random labels, refuses a write, and the plan's other fields
+        hold no array."""
         spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
-        labels, counts, _ = qubit_experiment._ALIAS_TABLES(
+        labels, counts, low, draw, clip = qubit_experiment._ALIAS_TABLES(
             spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
         assert (labels is None) == (mode is LabelMode.FIXED_COUNTS)
+        assert type(low) is int and callable(draw)
+        assert [type(flag) for flag in clip] == [bool, bool]
         for table in (counts,) if labels is None else (counts, labels):
             for array in table:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = array.flat[0]
+
+
+# a Bloch component: the axis probabilities 0, 1 and 1 - 2^-53 (at
+# 1 - 2^-52) come often, and a vector past the ball is scaled onto the
+# sphere, so pure states come often too
+_COMPONENT = st.sampled_from([0.0, 1.0, -1.0, 1 - 2**-52]) | st.floats(-1.0, 1.0)
+_BLOCH = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).map(
+    lambda v: v if math.hypot(*v) <= 1.0 else tuple(np.divide(v, math.hypot(*v))))
+
+
+def _forced_clip_flags(monkeypatch, clip):
+    """A fresh plan cache whose plans all carry the clip flags ``clip``."""
+    cache = qubit_experiment._ALIAS_TABLES
+    monkeypatch.setattr(qubit_experiment, "_ALIAS_TABLES", _TableCache(
+        lambda *key: cache._build(*key)._replace(clip=clip), cache._sizeof, cache._budget))
+
+
+class TestClipSkip:
+    """run_experiment skips _clip_to_ball for a class only where the run
+    plan shows that no estimate its draw can give lies outside the ball."""
+
+    @PROPERTY
+    @given(n=st.sampled_from([3, 100, 10**4, 10**5]) | st.integers(1, 10**6),
+           r=_BLOCH, s=_BLOCH, pi0=st.sampled_from([0.5]) | st.floats(0.01, 0.99))
+    def test_skip_is_exact(self, n, r, s, pi0):
+        """Wherever a fixed-label plan says a class cannot leave the ball,
+        every corner estimate, each axis at the least or the greatest value
+        a draw gives (read from the one-row-at-a-time table), has float
+        norm^2 at most 1, summed as _clip_to_ball sums it: the clip would
+        divide nothing."""
+        problem = ClassificationProblem.from_bloch(r, s, pi0)
+        plan = qubit_experiment._build_plan(LabelMode.FIXED_COUNTS, n, pi0,
+                                            *_axis_probabilities(problem))
+        laws = qubit_experiment._fixed_axis_laws(
+            TrainingSetSpec(n=n, problem=problem, label_mode=LabelMode.FIXED_COUNTS))
+        for flag, class_laws in zip(plan.clip, (laws[:3], laws[3:])):
+            if flag:
+                continue
+            ends = []
+            for m, p in class_laws:
+                thresholds, own, alias = _one_row_alias_table(m, p)
+                drawn = np.concatenate((own[thresholds > 0.0], alias[thresholds < 1.0]))
+                ends.append((drawn.min(), drawn.max()))
+            x, y, z = (np.array(axis) for axis in np.meshgrid(*ends, indexing="ij"))
+            assert np.all(x * x + y * y + z * z <= 1.0), ends
+
+    @pytest.mark.parametrize("n, problem, clip", [
+        pytest.param(10**4, PLANAR, (True, False), id="anchor-1e4"),
+        pytest.param(10**5, PLANAR, (False, False), id="anchor-1e5"),
+        pytest.param(10**4, PURE_AXES, (True, True), id="pure-1e4"),
+    ])
+    def test_skip_changes_no_byte(self, monkeypatch, n, problem, clip):
+        """On the README anchor with fixed labels the plan skips sigma's
+        clip at n = 1e4 and both at 1e5, and a run whose flags are forced
+        True gives the same bytes in its one 2,000-trial chunk.  A pure
+        pair keeps both flags, and there forcing them False would change
+        the bytes."""
+        spec = TrainingSetSpec(n=n, problem=problem, label_mode=LabelMode.FIXED_COUNTS,
+                               known_priors=True)
+        assert _run_plan(spec).clip == clip
+        runs = []
+        for forced in (None, (True, True), (False, False)):
+            if forced is not None:
+                _forced_clip_flags(monkeypatch, forced)
+            runs.append(_first_chunk(monkeypatch, spec, 2000, (27, n)).tobytes())
+        plan, clipped, unclipped = runs
+        assert plan == clipped
+        if problem is PURE_AXES:
+            assert plan != unclipped
+
+    @pytest.mark.parametrize("n, mode, trials, calls", [
+        pytest.param(10**5, LabelMode.FIXED_COUNTS, 2000, 0, id="fixed-1e5"),
+        pytest.param(100, LabelMode.RANDOM_LABELS, (1 << 16) + 100, 4, id="random-100"),
+    ])
+    def test_clip_calls(self, monkeypatch, n, mode, trials, calls):
+        """A spy on _clip_to_ball: the README anchor at n = 1e5 with fixed
+        labels never calls it, and random labels at n = 100 call it twice
+        per chunk."""
+        seen = []
+
+        def spy(est):
+            seen.append(est.shape)
+            return _clip_to_ball(est)
+
+        monkeypatch.setattr(qubit_experiment, "_clip_to_ball", spy)
+        run_experiment(TrainingSetSpec(n=n, problem=PLANAR, label_mode=mode), trials, 5)
+        assert len(seen) == calls
 
 
 class TestPluginStrategyRun:
