@@ -10,10 +10,12 @@ the positive eigenspace of pi0_hat*rho_hat - pi1_hat*sigma_hat.
 The average of the m_j outcomes +/-1 on axis j depends on them only
 through the number k_j of +1 outcomes, k_j ~ Binomial(m_j, (1 + r_j)/2),
 so each trial needs six counts instead of n outcomes; a whole chunk of
-trials is evaluated as arrays.  run_experiment picks one of two
-samplers once per run, from the label mode and the spec alone.  Each
-draws a chunk's class sizes, one shared by every trial (fixed labels) or
-one per trial (random labels), then each axis's counts for all trials:
+trials is evaluated as arrays.  A run's set-up is one lookup of its
+_RunPlan, which _build_plan decides and builds once per key (label mode,
+n, pi0, six axis probabilities) and one bounded cache keeps for the
+process.  The plan's draw takes a chunk's class sizes, one shared by
+every trial (fixed labels) or one per trial (random labels), then each
+axis's counts for all trials, by one of two samplers:
 
 * the alias draw (_alias_draw): each class size and each count is one
   uniform looked up in Walker's alias table of a windowed Binomial row
@@ -21,17 +23,15 @@ one per trial (random labels), then each axis's counts for all trials:
   pi0) and the count on axis j in that of Binomial(m_j, p_j) for the
   trial's copy count m_j.  It draws fixed labels unless the six tables
   would not fit in their cache together (n above ~1e9), and random
-  labels up to n = _RANDOM_ALIAS_MAX_N.
-* _binomial_sampler otherwise: one binomial call per axis, at a cost
-  that is the same at every n.
+  labels up to n = _RANDOM_ALIAS_MAX_N.  Its plan also holds the tables
+  and, per class, whether any estimate the draw can give lies outside
+  the Bloch ball; where none can, the radial clip would divide nothing,
+  and the run skips it.
+* _binomial_draw otherwise: one binomial call per axis, at a cost that
+  is the same at every n.
 
-An alias run's set-up is one lookup of its _RunPlan, built once per key
-(label mode, n, pi0, six axis probabilities) and kept for the process in
-one cache of at most 16 MiB: the tables, the draw over them, and per
-class whether any estimate the draw can give lies outside the Bloch
-ball.  Where it cannot, the radial clip would divide nothing, and the
-run skips it.  A plan depends only on its key, so a run's output does
-not depend on what ran before it.
+A plan depends only on its key, so a run's output does not depend on
+what ran before it.
 
 An axis measured on zero copies (a class with fewer than three copies)
 estimates 0, so every trial has a defined outcome: with no copies of a
@@ -314,14 +314,15 @@ def _fixed_n0(n: int, pi0: float) -> int:
 
 
 class _RunPlan(NamedTuple):
-    """What a run at one key of _ALIAS_TABLES draws with, built once for
-    the key: its alias tables, the draw over them, and per class whether
-    any estimate the draw can give lies outside the Bloch ball."""
+    """How a run at one key of _RUN_PLANS draws, decided and built once for
+    the key.  An alias plan holds its tables, the draw over them, and per
+    class whether any estimate the draw can give lies outside the Bloch
+    ball.  A binomial plan holds only its draw, and clips both classes."""
 
-    labels: _AliasTables | None  # random labels: the class sizes' table
-    counts: _AliasTables  # the six axes', a row per copy count
-    low: int  # the class size of counts.offsets[:, 0]
-    draw: Callable  # draw(rng, size) -> (est, n0), see _alias_draw
+    labels: _AliasTables | None  # random-label alias plans: the class sizes' table
+    counts: _AliasTables | None  # alias plans: the six axes', a row per copy count
+    low: int | None  # alias plans: the class size of counts.offsets[:, 0]
+    draw: Callable  # draw(rng, size) -> (est, n0), see _alias_draw and _binomial_draw
     # rho's and sigma's flags; where one is False, _clip_to_ball would
     # divide no column of that class, so run_experiment skips it
     clip: tuple[bool, bool]
@@ -329,17 +330,28 @@ class _RunPlan(NamedTuple):
 
 def _build_plan(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _RunPlan:
     """_RunPlan of a run at n whose axes measure +1 with the given
-    probabilities.  Fixed labels have one class size, so each axis's table
-    has one row.  Random labels draw the class size from the table of the
-    windowed Binomial(n, pi0) row, whose contiguous sizes lo..hi give each
-    axis contiguous copy counts: the axis's table has one row for each,
-    all as wide as its widest row."""
+    probabilities, by the one rule that picks how a run draws.  Random
+    labels draw from alias tables up to n = _RANDOM_ALIAS_MAX_N, fixed
+    labels while their six tables hold at most _ALIAS_MAX_CELLS cells,
+    counted from (m_j, p_j) without building a row (up to n ~ 1.1e9 on the
+    README anchor).  Otherwise the plan draws by _binomial_draw.
+
+    Fixed labels have one class size, so each axis's table has one row.
+    Random labels draw the class size from the table of the windowed
+    Binomial(n, pi0) row, whose contiguous sizes lo..hi give each axis
+    contiguous copy counts: the axis's table has one row for each, all as
+    wide as its widest row."""
     if label_mode is LabelMode.FIXED_COUNTS:
-        labels, sizes = None, np.array([_fixed_n0(n, pi0)])
-    else:
+        n0 = _fixed_n0(n, pi0)
+        cells = _window_cells(np.array(_axis_copies(n0, n - n0)), np.array(probabilities))
+        alias, labels, sizes = cells.sum() <= _ALIAS_MAX_CELLS, None, np.array([n0])
+    elif alias := n <= _RANDOM_ALIAS_MAX_N:
         window, pmf = _binomial_window(n, pi0)
         labels = _joined([_alias_table(window[None], pmf[None])], [[0]])
         sizes = np.arange(window.min(), window.max() + 1)
+    if not alias:
+        return _RunPlan(None, None, None, _binomial_draw(label_mode, n, pi0, *probabilities),
+                        (True, True))
     tables, rows = [], []
     for m, p in zip(_axis_copies(sizes, n - sizes), probabilities):
         copies = np.arange(m.min(), m.max() + 1)
@@ -358,9 +370,9 @@ def _build_plan(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _R
 
 
 class _TableCache:
-    """build(*key) for the life of the process: tables whose floats depend
-    only on their key, so a run's output never depends on what the
-    cache holds.  Least recently used tables leave once the tables kept
+    """build(*key) for the life of the process: tables (here run plans)
+    that depend only on their key, so a run's output never depends on what
+    the cache holds.  Least recently used tables leave once the tables kept
     take more than ``budget`` bytes by sizeof(table); a larger table is
     built but not kept.  Worker threads and concurrent runs share a cache,
     so a lock guards it.
@@ -389,49 +401,24 @@ class _TableCache:
 
 
 # A run's _RunPlan by its label mode, n, pi0 and six axis probabilities.
-# The budget counts the plan's table cells only, at 24 bytes a cell: at
-# most 16 MiB.  The offsets, 48 bytes a class size, and the plan's draw
-# and flags are left out of the count, and a plan leaves with its tables.
-# A fixed-label run draws from them only if they fit, up to n ~ 1e9 on the
-# README anchor (_alias_tables_fit); above, every run would rebuild them.
-# Random labels up to _RANDOM_ALIAS_MAX_N take 2.5 MB.
+# Each plan is charged 24 bytes a table cell plus _PLAN_CHARGE for the
+# rest of it: its key, draw and flags, about 1.1 kB for a binomial plan
+# (a random-label alias plan's offsets, 48 bytes a class size, are left
+# out).  So the cache keeps at most 16 MiB of cells, every alias plan that
+# _build_plan's rule admits fits it, and it keeps at most budget /
+# _PLAN_CHARGE plans of either kind.  Random labels up to
+# _RANDOM_ALIAS_MAX_N take 2.5 MB.
 _ALIAS_MAX_CELLS = (16 << 20) // 24
-_ALIAS_TABLES = _TableCache(
-    _build_plan, lambda plan: sum(3 * table.cuts.nbytes for table in plan[:2] if table),
-    24 * _ALIAS_MAX_CELLS)
+_PLAN_CHARGE = 4096
+_RUN_PLANS = _TableCache(
+    _build_plan,
+    lambda plan: _PLAN_CHARGE + sum(3 * table.cuts.nbytes for table in plan[:2] if table),
+    24 * _ALIAS_MAX_CELLS + _PLAN_CHARGE)
 
 
 def _run_plan(spec: TrainingSetSpec) -> _RunPlan:
-    """The _RunPlan of spec's alias draw, from _ALIAS_TABLES: one lookup."""
-    return _ALIAS_TABLES(spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
-
-
-def _fixed_axis_laws(spec: TrainingSetSpec) -> list[tuple[int, float]]:
-    """(m_j, p_j) of the six axes with fixed labels, x, y, z of rho and
-    then of sigma."""
-    n0 = _fixed_n0(spec.n, spec.pi0)
-    return list(zip(_axis_copies(n0, spec.n - n0), _axis_probabilities(spec.problem)))
-
-
-# Largest n whose six fixed-label tables fit _ALIAS_TABLES whatever pi0
-# and the axis probabilities, so that _alias_tables_fit need not count
-# them (a count costs ~16 us, a run of one trial ~45 us).  A row of m
-# copies has at most 2 t + 3 cells, t = L/3 + sqrt(L^2/9 + 2 L m p q) its
-# window's half-width, L = 65 ln 2 (_window_bounds) and p q <= 1/4.  The
-# m_j sum to n and the square root is concave, so the six rows hold at
-# most 6 (2 L/3 + 3) + 12 sqrt(L^2/9 + L n/12) cells: 697,758 at n = 9e8,
-# 1,292 under the cap.  p = 1/2 and pi0 = 1/2 come within 12 of it.
-_COUNT_FREE_N = 9 * 10**8
-
-
-def _alias_tables_fit(spec: TrainingSetSpec) -> bool:
-    """Whether the six alias tables of a fixed-label spec fit in
-    _ALIAS_TABLES together, counted from (m_j, p_j) without building a
-    row.  Up to n = _COUNT_FREE_N they fit without a count."""
-    if spec.n <= _COUNT_FREE_N:
-        return True
-    m, p = (np.array(column) for column in zip(*_fixed_axis_laws(spec)))
-    return int(_window_cells(m, p).sum()) <= _ALIAS_MAX_CELLS
+    """The _RunPlan of spec, from _RUN_PLANS: one lookup."""
+    return _RUN_PLANS(spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
 
 
 def _alias_cells(x: np.ndarray, tables: _AliasTables, rows=None) -> np.ndarray:
@@ -491,7 +478,7 @@ def _alias_draw(labels: _AliasTables | None, counts: _AliasTables, low: int):
     return draw
 
 
-def _binomial_sampler(spec: TrainingSetSpec):
+def _binomial_draw(label_mode: LabelMode, n: int, pi0: float, *probabilities):
     """draw(rng, size) -> (est, n0) as _alias_draw, by one binomial call
     per axis at a cost that is the same at every n.
 
@@ -500,10 +487,8 @@ def _binomial_sampler(spec: TrainingSetSpec):
     variates for an int as for a constant array, and a shared int or
     sorted counts spare it its per-(m_j, p) set-up.
     """
-    n, pi0 = spec.n, spec.pi0
-    fixed = spec.label_mode is LabelMode.FIXED_COUNTS
+    fixed = label_mode is LabelMode.FIXED_COUNTS
     n0_fixed = _fixed_n0(n, pi0)
-    probabilities = _axis_probabilities(spec.problem)
 
     def draw(rng, size):
         if fixed:
@@ -550,15 +535,12 @@ def run_experiment(
     one block returns the kernel's array as it is).  The truth's d is
     passed to the kernel as a (3, 1) column.
 
-    One of the two samplers, picked once per run from the spec alone (see
-    the module docstring): the alias draw of the spec's cached _RunPlan
-    (one _run_plan lookup) for fixed labels whose six alias tables fit
-    their cache and for random labels up to _RANDOM_ALIAS_MAX_N, else
-    _binomial_sampler.  It draws a chunk's class sizes and the six
-    estimates of every trial, so a trial's value is fixed by (seed,
-    CHUNK_SIZE, its index), not by its index alone.  Each class's
-    estimates are clipped to the ball unless the plan's flag shows that
-    the clip would divide nothing; the binomial sampler's always are.
+    The draw and the clip flags come from the spec's cached _RunPlan, one
+    _run_plan lookup (see _build_plan for which sampler a key gets).  The
+    draw takes a chunk's class sizes and the six estimates of every trial,
+    so a trial's value is fixed by (seed, CHUNK_SIZE, its index), not by
+    its index alone.  Each class's estimates are clipped to the ball
+    unless the plan's flag shows that the clip would divide nothing.
     Every trial has the same law, and the chunk is reduced to its
     order-free Moments.
 
@@ -569,14 +551,7 @@ def run_experiment(
     n, pi0 = spec.n, spec.pi0
     alpha, d, dn = pauli_data(spec.problem.r, spec.problem.s, pi0)
     truth = alpha, np.reshape(d, (3, 1)), dn
-    if spec.label_mode is LabelMode.FIXED_COUNTS:
-        alias = _alias_tables_fit(spec)
-    else:
-        alias = n <= _RANDOM_ALIAS_MAX_N
-    if alias:
-        *_, draw, (clip_rho, clip_sigma) = _run_plan(spec)
-    else:
-        draw, clip_rho, clip_sigma = _binomial_sampler(spec), True, True
+    *_, draw, (clip_rho, clip_sigma) = _run_plan(spec)
 
     def chunk_fn(rng, size):
         est, n0 = draw(rng, size)

@@ -676,11 +676,11 @@ class TestDeterminismAndFormats:
     @pytest.mark.parametrize("mode", ["random", "fixed"])
     def test_qubit_sim_bytes_do_not_depend_on_cached_tables(self, tmp_path, monkeypatch,
                                                             capsys, mode):
-        """The alias tables kept for the process change no output byte:
+        """The run plans kept for the process change no output byte:
         cold and warm caches, 1 and 2 workers, and a fresh process agree
         after other runs in this one.  Two 65,536-trial chunks; fixed
         labels draw from alias tables at every n here, random labels up to
-        n = 1024."""
+        n = 1024 and by a cached binomial plan above."""
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         cfg = {"problem": self.PINNED_PROBLEM, "n_list": [30, 900, 20000],
                "trials": 70_000, "seed": 17, "label_mode": mode}
@@ -689,8 +689,8 @@ class TestDeterminismAndFormats:
         for workers in ("1", "2"):
             for caches in ("cold", "warm"):
                 if caches == "cold":
-                    cache = qubit_experiment._ALIAS_TABLES
-                    monkeypatch.setattr(qubit_experiment, "_ALIAS_TABLES",
+                    cache = qubit_experiment._RUN_PLANS
+                    monkeypatch.setattr(qubit_experiment, "_RUN_PLANS",
                                         qubit_experiment._TableCache(
                                             cache._build, cache._sizeof, cache._budget))
                 capsys.readouterr()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qclass import (
@@ -23,16 +23,15 @@ from qclass.qubit_experiment import (
     LabelMode,
     TrainingSetSpec,
     _ALIAS_MAX_CELLS,
-    _COUNT_FREE_N,
+    _PLAN_CHARGE,
     _RANDOM_ALIAS_MAX_N,
     _KERNEL_BLOCK,
     _WINDOW_TAIL,
     _alias_table,
-    _alias_tables_fit,
     _axis_copies,
     _axis_probabilities,
     _TableCache,
-    _binomial_sampler,
+    _binomial_draw,
     _binomial_window,
     _binomial_windows,
     _clip_to_ball,
@@ -95,6 +94,41 @@ def _alias_sampler(spec):
     return _run_plan(spec).draw
 
 
+def _binomial_sampler(spec):
+    """The binomial draw at spec's key, whichever draw its plan takes."""
+    return _binomial_draw(spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
+
+
+def _is_alias(spec) -> bool:
+    """Whether the run plan of spec draws from alias tables."""
+    return _run_plan(spec).counts is not None
+
+
+def _fixed_axis_laws(spec) -> list[tuple[int, float]]:
+    """(m_j, p_j) of the six axes with fixed labels, x, y, z of rho and
+    then of sigma."""
+    n0 = qubit_experiment._fixed_n0(spec.n, spec.pi0)
+    return list(zip(_axis_copies(n0, spec.n - n0), _axis_probabilities(spec.problem)))
+
+
+def _per_trial_binomial_draw(rng, spec, size):
+    """(est, n0) of the binomial draw written out per trial: the class
+    sizes as one binomial call, sorted (random labels), then each axis's
+    counts against the per-trial copy counts, as arrays."""
+    if spec.label_mode is LabelMode.FIXED_COUNTS:
+        n0 = qubit_experiment._fixed_n0(spec.n, spec.pi0)
+        m = np.full(size, n0)
+    else:
+        n0 = m = np.sort(rng.binomial(spec.n, spec.pi0, size))
+    est = np.empty((6, size))
+    for i, (r, m_i) in enumerate(((spec.problem.r, m), (spec.problem.s, spec.n - m))):
+        for j, r_j in enumerate((r.x, r.y, r.z)):
+            m_j = (m_i + 2 - j) // 3
+            k = rng.binomial(m_j, (1 + r_j) / 2)
+            est[3 * i + j] = (2 * k - m_j) / np.maximum(m_j, 1)
+    return est, n0
+
+
 class _GivenClassSizes:
     """A Generator whose class-size draw gives the copy counts np.repeat(m,
     h) of rho, and that passes every other call through.  The binomial
@@ -124,13 +158,11 @@ class _GivenClassSizes:
 
 
 def _estimates(r, m, h, rng, n):
-    """The clipped (3, h.sum()) estimates of r drawn by the sampler that
-    run_experiment picks at n with random labels, when h[g] trials have
-    m[g] copies of r."""
+    """The clipped (3, h.sum()) estimates of r drawn by the run plan of
+    random labels at n, when h[g] trials have m[g] copies of r."""
     spec = TrainingSetSpec(n=n, problem=ClassificationProblem.from_bloch(r, (0, 0, 0), 0.5))
-    alias = n <= _RANDOM_ALIAS_MAX_N
-    given = _GivenClassSizes(rng, m, h, _run_plan(spec).labels if alias else None)
-    est, n0 = (_alias_sampler if alias else _binomial_sampler)(spec)(given, int(h.sum()))
+    plan = _run_plan(spec)
+    est, n0 = plan.draw(_GivenClassSizes(rng, m, h, plan.labels), int(h.sum()))
     np.testing.assert_array_equal(n0, np.repeat(m, h))
     return _clip_to_ball(est[:3])
 
@@ -257,18 +289,10 @@ class TestCountSampler:
             per_trial = np.random.Generator(np.random.PCG64(2024))
             spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
             got, n0 = _binomial_sampler(spec)(grouped, 300)
+            want, m = _per_trial_binomial_draw(per_trial, spec, 300)
             if mode is LabelMode.FIXED_COUNTS:
-                m = np.full(300, math.floor(0.4 * n + 0.5))
-                assert type(n0) is int
-            else:
-                m = np.sort(per_trial.binomial(n, 0.4, 300))
+                assert type(n0) is int and m == math.floor(0.4 * n + 0.5)
             np.testing.assert_array_equal(np.broadcast_to(n0, 300), m)
-            want = np.empty_like(got)
-            for i, (r, m_i) in enumerate(((SKEWED.r, m), (SKEWED.s, n - m))):
-                for j, r_j in enumerate((r.x, r.y, r.z)):
-                    m_j = (m_i + 2 - j) // 3
-                    k = per_trial.binomial(m_j, (1 + r_j) / 2)
-                    want[3 * i + j] = (2 * k - m_j) / np.maximum(m_j, 1)
             np.testing.assert_array_equal(got, want)
             assert grouped.bit_generator.state == per_trial.bit_generator.state
 
@@ -288,36 +312,36 @@ class TestCountSampler:
         return calls
 
     def test_run_picks_one_sampler_per_run(self, monkeypatch):
-        """run_experiment takes one of the two samplers per run, from the
-        spec alone, whatever its trial and chunk counts: the alias draw of
-        the spec's cached _RunPlan (one _run_plan lookup, also for a key
-        already cached) or a binomial sampler.  Random labels draw from
-        alias tables up to _RANDOM_ALIAS_MAX_N, 65,536-trial chunks at
-        n = 100 included, and binomials above.  Fixed labels draw from
-        alias tables at every chunk size, the benchmark's large-n shapes
-        (n = 10^4 and 10^5, one 2000-trial chunk) included, and by
-        binomials once the six tables would not fit their cache
-        together."""
+        """run_experiment makes one _run_plan lookup per run, also for a
+        key already cached, and draws with the plan's sampler, whatever
+        its trial and chunk counts.  Random labels draw from alias tables
+        up to _RANDOM_ALIAS_MAX_N, 65,536-trial chunks at n = 100
+        included, and binomials above.  Fixed labels draw from alias
+        tables at every chunk size, the benchmark's large-n shapes (n =
+        10^4 and 10^5, one 2000-trial chunk) included, and by binomials
+        once the six tables would not fit their cache together."""
         picked = []
-        for name in ("_run_plan", "_binomial_sampler"):
-            def build(spec, name=name, sampler=getattr(qubit_experiment, name)):
-                picked.append((name, spec.label_mode, spec.n))
-                return sampler(spec)
-            monkeypatch.setattr(qubit_experiment, name, build)
+        run_plan = qubit_experiment._run_plan
+
+        def spy(spec):
+            plan = run_plan(spec)
+            picked.append(("binomial" if plan.counts is None else "alias", spec.label_mode,
+                           spec.n))
+            return plan
+
+        monkeypatch.setattr(qubit_experiment, "_run_plan", spy)
         random, fixed = LabelMode.RANDOM_LABELS, LabelMode.FIXED_COUNTS
         above_cap = 4 * 10**9
-        assert not _alias_tables_fit(TrainingSetSpec(n=above_cap, problem=SKEWED,
-                                                     label_mode=fixed))
-        cases = [(random, _RANDOM_ALIAS_MAX_N, 1200, 500, "_run_plan"),
-                 (random, 100, 1 << 16, 1 << 16, "_run_plan"),
-                 (random, 1, 300, 64, "_run_plan"),
-                 (random, self.BINOMIAL_N, 1200, 500, "_binomial_sampler"),
-                 (fixed, 10**4, 2000, 1 << 16, "_run_plan"),
-                 (fixed, 10**5, 2000, 1 << 16, "_run_plan"),
-                 (fixed, 100, 1 << 16, 1 << 16, "_run_plan"),
-                 (fixed, 10**4, 300, 64, "_run_plan"),
-                 (fixed, 60, 300, 64, "_run_plan"),
-                 (fixed, above_cap, 300, 64, "_binomial_sampler")]
+        cases = [(random, _RANDOM_ALIAS_MAX_N, 1200, 500, "alias"),
+                 (random, 100, 1 << 16, 1 << 16, "alias"),
+                 (random, 1, 300, 64, "alias"),
+                 (random, self.BINOMIAL_N, 1200, 500, "binomial"),
+                 (fixed, 10**4, 2000, 1 << 16, "alias"),
+                 (fixed, 10**5, 2000, 1 << 16, "alias"),
+                 (fixed, 100, 1 << 16, 1 << 16, "alias"),
+                 (fixed, 10**4, 300, 64, "alias"),
+                 (fixed, 60, 300, 64, "alias"),
+                 (fixed, above_cap, 300, 64, "binomial")]
         for mode, n, trials, chunk, _ in cases:
             monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
             run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), trials, 3)
@@ -585,7 +609,7 @@ class TestAliasTable:
         table = np.stack([array[0] for array in _axis_table([m], p)])
         assert table.tobytes() == _one_row_alias_table(m, p).tobytes()
 
-    def test_largest_tables(self):
+    def test_largest_tables(self, monkeypatch):
         """About the widest row a run can draw from: with a prior so small
         that rho gets no copy, sigma, pure along x, spends all n copies on
         two p = 1/2 axes, and those take the whole cap between them."""
@@ -594,10 +618,11 @@ class TestAliasTable:
         def spec(m):
             return TrainingSetSpec(n=3 * m, problem=problem, label_mode=LabelMode.FIXED_COUNTS)
 
+        _fresh_caches(monkeypatch)
         m = 1
-        while _alias_tables_fit(spec(2 * m)):
+        while _is_alias(spec(2 * m)):
             m *= 2
-        assert qubit_experiment._fixed_axis_laws(spec(m))[4] == (m, 0.5)
+        assert _fixed_axis_laws(spec(m))[4] == (m, 0.5)
         assert 2 * _window_cells(m, 0.5) > _ALIAS_MAX_CELLS / 2
         self._check([m], 0.5)
 
@@ -606,26 +631,13 @@ class TestAliasTable:
             for p in (0.0, 1e-300, 1e-9, 0.3, 0.5, 1 - 2**-53, 1.0):
                 assert _window_cells(m, p) == _binomial_window(m, p)[0].size, (m, p)
 
-    @PROPERTY
-    @example(n=_COUNT_FREE_N, pi0=0.5, p=[0.5] * 6)
-    @given(n=st.integers(_ALIAS_MAX_CELLS - 6, _COUNT_FREE_N), pi0=st.floats(0.0, 1.0),
-           p=st.lists(st.sampled_from([0.5]) | st.floats(0.0, 1.0), min_size=6, max_size=6))
-    def test_tables_fit_without_a_count_up_to_the_bound(self, n, pi0, p):
-        """Up to _COUNT_FREE_N, where _alias_tables_fit answers without a
-        count, the six windowed rows of any prior and axis probabilities
-        hold at most _ALIAS_MAX_CELLS cells, the worst case (p = 1/2, pi0
-        = 1/2 at the bound) included: the answer is the count's."""
-        n0 = qubit_experiment._fixed_n0(n, pi0)
-        cells = _window_cells(np.array(_axis_copies(n0, n - n0)), np.array(p))
-        assert int(cells.sum()) <= _ALIAS_MAX_CELLS
-
-    def test_cap_lies_near_a_billion_copies(self):
+    def test_cap_lies_near_a_billion_copies(self, monkeypatch):
         """The six tables of the README anchor fit their cache together up
         to n ~ 1e9."""
-        anchor = ClassificationProblem.from_bloch((0.8, 0, 0), (0, 0.6, 0), 0.5)
-        specs = [TrainingSetSpec(n=n, problem=anchor, label_mode=LabelMode.FIXED_COUNTS)
+        _fresh_caches(monkeypatch)
+        specs = [TrainingSetSpec(n=n, problem=PLANAR, label_mode=LabelMode.FIXED_COUNTS)
                  for n in (10**8, 10**9, 2 * 10**9)]
-        assert [_alias_tables_fit(spec) for spec in specs] == [True, True, False]
+        assert [_is_alias(spec) for spec in specs] == [True, True, False]
 
 
 def _z(chi2, df):
@@ -672,7 +684,7 @@ class TestFixedLabelDraw:
         draw = _alias_sampler(spec)
         rng = np.random.default_rng(seed)
         est = np.concatenate([draw(rng, 50_000)[0] for _ in range(trials // 50_000)], axis=1)
-        laws = qubit_experiment._fixed_axis_laws(spec)
+        laws = _fixed_axis_laws(spec)
         m = np.array([m_j for m_j, _ in laws])[:, None]
         return np.rint((est + 1.0) * m / 2.0).astype(int), laws
 
@@ -717,7 +729,7 @@ class TestFixedLabelDraw:
             got, want = np.random.default_rng(size), np.random.default_rng(size)
             est, n0 = draw(got, size)
             oracle = want.random((6, size))
-            for out, (m, p) in zip(oracle, qubit_experiment._fixed_axis_laws(spec)):
+            for out, (m, p) in zip(oracle, _fixed_axis_laws(spec)):
                 thresholds, own, alias = _one_row_alias_table(m, p)
                 x = out * thresholds.size
                 i = np.floor(x).astype(int)
@@ -733,9 +745,9 @@ class TestFixedLabelDraw:
         spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS,
                                known_priors=True)
         results = []
-        for fits, seed in ((True, 71), (False, 72)):
-            monkeypatch.setattr(qubit_experiment, "_alias_tables_fit",
-                                lambda spec, fits=fits: fits)
+        for build, seed in ((qubit_experiment._build_plan, 71), (_binomial_plan, 72)):
+            _fresh_caches(monkeypatch, build=build)
+            assert _is_alias(spec) == (build is not _binomial_plan)
             results.append(run_experiment(spec, 100_000, seed))
         alias, binom = results
         se = math.hypot(alias.stderr, binom.stderr)
@@ -844,11 +856,17 @@ class TestRandomLabelDraw:
         assert len({run_experiment(spec, 3000, 9, workers=w) for w in (1, 2, 2)}) == 1
 
 
-def _fresh_caches(monkeypatch, budget=16 << 20):
-    """An empty table cache of ``budget`` bytes in place of the process's."""
-    cache = qubit_experiment._ALIAS_TABLES
-    monkeypatch.setattr(qubit_experiment, "_ALIAS_TABLES",
-                        _TableCache(cache._build, cache._sizeof, budget))
+def _fresh_caches(monkeypatch, budget=None, build=None):
+    """An empty plan cache in place of the process's, of ``budget`` bytes
+    and with plans built by build(*key): the process cache's if None."""
+    cache = qubit_experiment._RUN_PLANS
+    monkeypatch.setattr(qubit_experiment, "_RUN_PLANS", _TableCache(
+        build or cache._build, cache._sizeof, cache._budget if budget is None else budget))
+
+
+def _binomial_plan(*key):
+    """The binomial plan of a key, whichever plan _build_plan gives it."""
+    return qubit_experiment._RunPlan(None, None, None, _binomial_draw(*key), (True, True))
 
 
 class TestTableCache:
@@ -910,12 +928,12 @@ class TestTableCache:
         for n in (30, 91, 300):
             run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), 500, 1)
         assert run_experiment(spec, 5000, 81) == cold
-        kept = qubit_experiment._ALIAS_TABLES._tables
+        kept = qubit_experiment._RUN_PLANS._tables
         assert len(kept) == 4
         assert all(type(plan) is qubit_experiment._RunPlan for plan, _ in kept.values())
         _fresh_caches(monkeypatch, budget=0)
         assert run_experiment(spec, 5000, 81) == cold
-        assert not qubit_experiment._ALIAS_TABLES._tables
+        assert not qubit_experiment._RUN_PLANS._tables
 
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_cached_tables_are_read_only(self, mode):
@@ -924,7 +942,7 @@ class TestTableCache:
         with random labels, refuses a write, and the plan's other fields
         hold no array."""
         spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
-        labels, counts, low, draw, clip = qubit_experiment._ALIAS_TABLES(
+        labels, counts, low, draw, clip = qubit_experiment._RUN_PLANS(
             spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
         assert (labels is None) == (mode is LabelMode.FIXED_COUNTS)
         assert type(low) is int and callable(draw)
@@ -934,6 +952,75 @@ class TestTableCache:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = array.flat[0]
+
+
+class TestRunPlan:
+    """One cached plan per key decides how a run draws: a fixed-label
+    key's fit is counted once, and binomial plans are kept and bounded by
+    the same cache as alias plans."""
+
+    @pytest.mark.parametrize("n", [10**9, 2 * 10**9], ids=["1e9", "2e9"])
+    def test_fit_is_counted_once_per_key(self, monkeypatch, n):
+        """A spy on _window_cells sees one count across three fixed-label
+        runs of one key, on either side of the README anchor's cap."""
+        counted = []
+
+        def spy(m, p):
+            counted.append(m)
+            return _window_cells(m, p)
+
+        monkeypatch.setattr(qubit_experiment, "_window_cells", spy)
+        _fresh_caches(monkeypatch)
+        spec = TrainingSetSpec(n=n, problem=PLANAR, label_mode=LabelMode.FIXED_COUNTS)
+        assert len({run_experiment(spec, 5, 3) for _ in range(3)}) == 1
+        assert _is_alias(spec) == (n == 10**9)
+        assert len(counted) == 1
+
+    @pytest.mark.parametrize("mode, n", [
+        pytest.param(LabelMode.RANDOM_LABELS, _RANDOM_ALIAS_MAX_N + 1, id="random-1025"),
+        pytest.param(LabelMode.FIXED_COUNTS, 2 * 10**9, id="fixed-2e9"),
+    ])
+    def test_binomial_plan_is_cached(self, monkeypatch, mode, n):
+        """Two runs of one binomial key get the same plan object, which
+        holds no table and clips both classes, and its draw is the
+        binomial draw written out per trial, byte for byte and in
+        generator state, over chunks of 500, 500 and 200 trials."""
+        plans = []
+        run_plan = qubit_experiment._run_plan
+
+        def spy(spec):
+            plans.append(run_plan(spec))
+            return plans[-1]
+
+        monkeypatch.setattr(qubit_experiment, "_run_plan", spy)
+        _fresh_caches(monkeypatch)
+        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
+        run_experiment(spec, 10, 1)
+        run_experiment(spec, 10, 2)
+        first, second = plans
+        assert first is second
+        assert (first.labels, first.counts, first.low, first.clip) == (None, None, None,
+                                                                       (True, True))
+        got, want = np.random.default_rng(4), np.random.default_rng(4)
+        for size in TestCountSampler.SIZES:
+            est, n0 = first.draw(got, size)
+            oracle, m = _per_trial_binomial_draw(want, spec, size)
+            assert est.tobytes() == oracle.tobytes()
+            np.testing.assert_array_equal(n0, m)
+        assert got.bit_generator.state == want.bit_generator.state
+
+    def test_binomial_plans_are_bounded(self, monkeypatch):
+        """Runs over 10,000 distinct binomial keys fill the cache to
+        budget / _PLAN_CHARGE plans, each charged _PLAN_CHARGE bytes, and
+        no further."""
+        _fresh_caches(monkeypatch)
+        for n in range(_RANDOM_ALIAS_MAX_N + 1, _RANDOM_ALIAS_MAX_N + 10_001):
+            run_experiment(TrainingSetSpec(n=n, problem=SKEWED), 1, 1)
+        cache = qubit_experiment._RUN_PLANS
+        assert len(cache._tables) == cache._budget // _PLAN_CHARGE < 10_000
+        assert all(plan.counts is None and size == _PLAN_CHARGE
+                   for plan, size in cache._tables.values())
+        assert cache._used == _PLAN_CHARGE * len(cache._tables) <= cache._budget
 
 
 # a Bloch component: the axis probabilities 0, 1 and 1 - 2^-53 (at
@@ -946,9 +1033,8 @@ _BLOCH = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).map(
 
 def _forced_clip_flags(monkeypatch, clip):
     """A fresh plan cache whose plans all carry the clip flags ``clip``."""
-    cache = qubit_experiment._ALIAS_TABLES
-    monkeypatch.setattr(qubit_experiment, "_ALIAS_TABLES", _TableCache(
-        lambda *key: cache._build(*key)._replace(clip=clip), cache._sizeof, cache._budget))
+    _fresh_caches(monkeypatch,
+                  build=lambda *key: qubit_experiment._build_plan(*key)._replace(clip=clip))
 
 
 class TestClipSkip:
@@ -967,8 +1053,8 @@ class TestClipSkip:
         problem = ClassificationProblem.from_bloch(r, s, pi0)
         plan = qubit_experiment._build_plan(LabelMode.FIXED_COUNTS, n, pi0,
                                             *_axis_probabilities(problem))
-        laws = qubit_experiment._fixed_axis_laws(
-            TrainingSetSpec(n=n, problem=problem, label_mode=LabelMode.FIXED_COUNTS))
+        laws = _fixed_axis_laws(TrainingSetSpec(n=n, problem=problem,
+                                                label_mode=LabelMode.FIXED_COUNTS))
         for flag, class_laws in zip(plan.clip, (laws[:3], laws[3:])):
             if flag:
                 continue
@@ -1134,18 +1220,19 @@ class TestVectorisedChunk:
           for n in (1, 2, 3, 30, 300, _RANDOM_ALIAS_MAX_N, _RANDOM_ALIAS_MAX_N + 1)),
         *(pytest.param(n, PURE_AXES, id=f"pure-{n}") for n in (5, 30)),
     ])
-    @pytest.mark.parametrize("mode, alias", [
+    @pytest.mark.parametrize("mode, build", [
         pytest.param(LabelMode.RANDOM_LABELS, None, id="random"),
-        pytest.param(LabelMode.FIXED_COUNTS, True, id="fixed"),
-        pytest.param(LabelMode.FIXED_COUNTS, False, id="fixed-binomial"),
+        pytest.param(LabelMode.FIXED_COUNTS, qubit_experiment._build_plan, id="fixed"),
+        pytest.param(LabelMode.FIXED_COUNTS, _binomial_plan, id="fixed-binomial"),
     ])
-    def test_same_distribution_as_per_outcome_oracle(self, monkeypatch, n, problem, mode, alias):
+    def test_same_distribution_as_per_outcome_oracle(self, monkeypatch, n, problem, mode, build):
         """Mean rescaled excess and the fraction of exact recoveries agree
         within 4 combined standard errors.  Fixed labels are run with each
         of their two draws forced: the alias tables and binomials."""
-        if alias is not None:
-            monkeypatch.setattr(qubit_experiment, "_alias_tables_fit", lambda spec: alias)
         spec = TrainingSetSpec(n=n, problem=problem, label_mode=mode)
+        if build is not None:
+            _fresh_caches(monkeypatch, build=build)
+            assert _is_alias(spec) == (build is not _binomial_plan)
         fast = run_experiment(spec, 20_000, (101, n))
         rng = np.random.default_rng((102, n))
         oracle = n * np.array([plugin_strategy_run(spec, rng) for _ in range(3000)])
