@@ -22,8 +22,12 @@ d0 = |d0|:
                    the extra variance from estimating pi0 at rate n^{-1/2}
 
 ``tomography_constant`` is the delta-method constant of the finite-n
-Pauli-tomography plug-in that ``qubit-sim`` simulates; it is specific to
-that measurement and is not the heterodyne plug-in constant.
+Pauli-tomography plug-in that ``qubit-sim`` simulates when each state is
+mixed or has no Bloch component along l0.  For a pure state with one, the
+clip to the ball acts at first order and the simulated n * excess settles
+below it: 1.2023 against 1.27468 at n = 1e6 for r0 = (.6, 0, .8), s0 =
+(0, .6, -.8), pi0 = 1/2.  It is specific to that measurement and is not
+the heterodyne plug-in constant.
 """
 
 from __future__ import annotations
@@ -185,7 +189,9 @@ def tomography_constant(r0, s0, pi0: float, *, with_prior_term: bool = False) ->
 
     with w_j = l0_j^2 + k0_j^2 = 1 - p0_j^2 (the frame is orthonormal).
     Estimating the prior from the label counts adds ``prior_correction``.
-    Takes the Bloch vectors and builds the frame.
+    Takes the Bloch vectors and builds the frame.  It is the limit of
+    ``qubit-sim`` only where each state is mixed or has no component
+    along l0 (see the module docstring).
     """
     frame = build_frame(r0, s0, pi0)
     pi1 = 1.0 - pi0

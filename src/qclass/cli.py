@@ -46,7 +46,7 @@ from .helstrom import (
     triviality_check,
 )
 from .local_geometry import build_frame
-from .qubit_core import vector_norm
+from .qubit_core import ATOL, vector_norm
 
 
 class ConfigError(ValueError):
@@ -113,8 +113,8 @@ def _parse_problem(cfg: dict) -> tuple[tuple, tuple, float]:
     if not 0.0 < pi0 < 1.0:
         raise ConfigError(f"pi0 must lie strictly in (0, 1), got {pi0}")
     for name, v in (("r0", r0), ("s0", s0)):
-        norm = vector_norm(v)  # the norm BlochVector checks
-        if norm > 1.0 + 1e-12:
+        norm = vector_norm(v)  # the norm and tolerance BlochVector checks
+        if norm > 1.0 + ATOL:
             raise ConfigError(f"{name} must lie in the Bloch ball, norm is {norm}")
     return r0, s0, pi0
 

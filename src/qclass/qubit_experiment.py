@@ -12,17 +12,17 @@ through the number k_j of +1 outcomes, k_j ~ Binomial(m_j, (1 + r_j)/2),
 so each trial needs six counts instead of n outcomes; a whole chunk of
 trials is evaluated as arrays.  A run's set-up is one lookup of its
 _RunPlan, which _build_plan decides and builds once per key (label mode,
-n, pi0, six axis probabilities) and one bounded cache keeps for the
-process.  The plan's draw takes a chunk's class sizes, one shared by
-every trial (fixed labels) or one per trial (random labels), then each
-axis's counts for all trials, by one of two samplers:
+n, pi0, six axis probabilities) and keeps, _PLANS_KEPT plans at most, in
+a functools.lru_cache.  The plan's draw takes a chunk's class sizes, one
+shared by every trial (fixed labels) or one per trial (random labels),
+then each axis's counts for all trials, by one of two samplers:
 
 * the alias draw (_alias_draw): each class size and each count is one
   uniform looked up in Walker's alias table of a windowed Binomial row
   (about 19 sigma + 31 cells), the class size in that of Binomial(n,
   pi0) and the count on axis j in that of Binomial(m_j, p_j) for the
   trial's copy count m_j.  It draws fixed labels unless the six tables
-  would not fit in their cache together (n above ~1e9), and random
+  would hold more than _ALIAS_MAX_CELLS cells (n above ~1e9), and random
   labels up to n = _RANDOM_ALIAS_MAX_N.  Its plan also holds the tables
   and, per class, whether any estimate the draw can give lies outside
   the Bloch ball; where none can, the radial clip would divide nothing,
@@ -46,9 +46,8 @@ sampled-test-copy estimate are test oracles in tests/helpers.py.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -106,10 +105,10 @@ _KERNEL_BLOCK = 8192
 # Largest n at which run_experiment draws random labels from alias tables.
 # Each axis's table then has a row per copy count that the windowed label
 # law reaches: at n = 1024 (pi0 = 1/2) about 335 class sizes and 104k
-# cells over the six axes, built once per process in about 5 ms.  Above,
-# per-trial binomials, whose cost does not grow with n, are kept: on a
-# 2-vCPU box a cold build at n = 3000 took 13 ms, 30 times a 1000-trial
-# binomial run (ROADMAP item 6).
+# cells over the six axes, built in about 5 ms when a key is first run.
+# Above, per-trial binomials, whose cost does not grow with n, are kept:
+# on a 2-vCPU box a cold build at n = 3000 took 13 ms, 30 times a
+# 1000-trial binomial run (ROADMAP item 6).
 _RANDOM_ALIAS_MAX_N = 1024
 
 # Probability mass a windowed pmf row may leave out, 2^-64: far below the
@@ -314,10 +313,10 @@ def _fixed_n0(n: int, pi0: float) -> int:
 
 
 class _RunPlan(NamedTuple):
-    """How a run at one key of _RUN_PLANS draws, decided and built once for
-    the key.  An alias plan holds its tables, the draw over them, and per
-    class whether any estimate the draw can give lies outside the Bloch
-    ball.  A binomial plan holds only its draw, and clips both classes."""
+    """How a run draws, built once per key by _build_plan.  An alias plan
+    holds its tables, the draw over them, and per class whether any
+    estimate the draw can give lies outside the Bloch ball.  A binomial
+    plan holds only its draw, and clips both classes."""
 
     labels: _AliasTables | None  # random-label alias plans: the class sizes' table
     counts: _AliasTables | None  # alias plans: the six axes', a row per copy count
@@ -328,6 +327,18 @@ class _RunPlan(NamedTuple):
     clip: tuple[bool, bool]
 
 
+# Run plans kept for the process, least recently used leaving first: a
+# CLI call runs each key once, a benchmark pass repeats at most two.  An
+# alias plan holds at most _ALIAS_MAX_CELLS cells of 24 bytes, 16 MiB (a
+# fixed-label key with more draws by binomials), so four plans take at
+# most 64 MiB, near n = 1e9 (2.4 MiB for random labels at n = 1024).  Two
+# threads that miss one key may both build it, harmlessly, as a plan
+# depends only on its key.
+_PLANS_KEPT = 4
+_ALIAS_MAX_CELLS = (16 << 20) // 24
+
+
+@functools.lru_cache(maxsize=_PLANS_KEPT)
 def _build_plan(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _RunPlan:
     """_RunPlan of a run at n whose axes measure +1 with the given
     probabilities, by the one rule that picks how a run draws.  Random
@@ -369,56 +380,9 @@ def _build_plan(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _R
     return _RunPlan(labels, counts, low, _alias_draw(labels, counts, low), clip)
 
 
-class _TableCache:
-    """build(*key) for the life of the process: tables (here run plans)
-    that depend only on their key, so a run's output never depends on what
-    the cache holds.  Least recently used tables leave once the tables kept
-    take more than ``budget`` bytes by sizeof(table); a larger table is
-    built but not kept.  Worker threads and concurrent runs share a cache,
-    so a lock guards it.
-    """
-
-    def __init__(self, build, sizeof, budget: int):
-        self._build, self._sizeof, self._budget = build, sizeof, budget
-        self._used = 0
-        self._tables: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __call__(self, *key):
-        with self._lock:
-            kept = self._tables.get(key)
-            if kept is not None:
-                self._tables.move_to_end(key)
-                return kept[0]
-            table = self._build(*key)
-            size = self._sizeof(table)
-            if size <= self._budget:
-                self._tables[key] = table, size
-                self._used += size
-                while self._used > self._budget:
-                    self._used -= self._tables.popitem(last=False)[1][1]
-            return table
-
-
-# A run's _RunPlan by its label mode, n, pi0 and six axis probabilities.
-# Each plan is charged 24 bytes a table cell plus _PLAN_CHARGE for the
-# rest of it: its key, draw and flags, about 1.1 kB for a binomial plan
-# (a random-label alias plan's offsets, 48 bytes a class size, are left
-# out).  So the cache keeps at most 16 MiB of cells, every alias plan that
-# _build_plan's rule admits fits it, and it keeps at most budget /
-# _PLAN_CHARGE plans of either kind.  Random labels up to
-# _RANDOM_ALIAS_MAX_N take 2.5 MB.
-_ALIAS_MAX_CELLS = (16 << 20) // 24
-_PLAN_CHARGE = 4096
-_RUN_PLANS = _TableCache(
-    _build_plan,
-    lambda plan: _PLAN_CHARGE + sum(3 * table.cuts.nbytes for table in plan[:2] if table),
-    24 * _ALIAS_MAX_CELLS + _PLAN_CHARGE)
-
-
 def _run_plan(spec: TrainingSetSpec) -> _RunPlan:
-    """The _RunPlan of spec, from _RUN_PLANS: one lookup."""
-    return _RUN_PLANS(spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
+    """The _RunPlan of spec, from _build_plan's cache: one lookup."""
+    return _build_plan(spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
 
 
 def _alias_cells(x: np.ndarray, tables: _AliasTables, rows=None) -> np.ndarray:

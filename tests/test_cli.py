@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import hashlib
 import importlib
 import json
@@ -689,10 +690,9 @@ class TestDeterminismAndFormats:
         for workers in ("1", "2"):
             for caches in ("cold", "warm"):
                 if caches == "cold":
-                    cache = qubit_experiment._RUN_PLANS
-                    monkeypatch.setattr(qubit_experiment, "_RUN_PLANS",
-                                        qubit_experiment._TableCache(
-                                            cache._build, cache._sizeof, cache._budget))
+                    cache = qubit_experiment._build_plan
+                    monkeypatch.setattr(qubit_experiment, "_build_plan", functools.lru_cache(
+                        maxsize=cache.cache_info().maxsize)(cache.__wrapped__))
                 capsys.readouterr()
                 assert main([*argv, "--workers", workers]) == 0
                 outs.append(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 """Tests for the finite-n qubit experiments and classical baselines."""
 
+import functools
 import math
 import sys
 import threading
@@ -23,20 +24,20 @@ from qclass.qubit_experiment import (
     LabelMode,
     TrainingSetSpec,
     _ALIAS_MAX_CELLS,
-    _PLAN_CHARGE,
+    _PLANS_KEPT,
     _RANDOM_ALIAS_MAX_N,
     _KERNEL_BLOCK,
     _WINDOW_TAIL,
     _alias_table,
     _axis_copies,
     _axis_probabilities,
-    _TableCache,
     _binomial_draw,
     _binomial_window,
     _binomial_windows,
     _clip_to_ball,
     _outcome_average,
     _plugin_excess,
+    _RunPlan,
     _run_plan,
     _window_cells,
     rescaled_risk_curve,
@@ -319,7 +320,7 @@ class TestCountSampler:
         included, and binomials above.  Fixed labels draw from alias
         tables at every chunk size, the benchmark's large-n shapes (n =
         10^4 and 10^5, one 2000-trial chunk) included, and by binomials
-        once the six tables would not fit their cache together."""
+        once the six tables would hold more than _ALIAS_MAX_CELLS cells."""
         picked = []
         run_plan = qubit_experiment._run_plan
 
@@ -618,7 +619,7 @@ class TestAliasTable:
         def spec(m):
             return TrainingSetSpec(n=3 * m, problem=problem, label_mode=LabelMode.FIXED_COUNTS)
 
-        _fresh_caches(monkeypatch)
+        _fresh_plans(monkeypatch)
         m = 1
         while _is_alias(spec(2 * m)):
             m *= 2
@@ -632,9 +633,9 @@ class TestAliasTable:
                 assert _window_cells(m, p) == _binomial_window(m, p)[0].size, (m, p)
 
     def test_cap_lies_near_a_billion_copies(self, monkeypatch):
-        """The six tables of the README anchor fit their cache together up
-        to n ~ 1e9."""
-        _fresh_caches(monkeypatch)
+        """The six tables of the README anchor hold at most _ALIAS_MAX_CELLS
+        cells together up to n ~ 1e9."""
+        _fresh_plans(monkeypatch)
         specs = [TrainingSetSpec(n=n, problem=PLANAR, label_mode=LabelMode.FIXED_COUNTS)
                  for n in (10**8, 10**9, 2 * 10**9)]
         assert [_is_alias(spec) for spec in specs] == [True, True, False]
@@ -745,8 +746,8 @@ class TestFixedLabelDraw:
         spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS,
                                known_priors=True)
         results = []
-        for build, seed in ((qubit_experiment._build_plan, 71), (_binomial_plan, 72)):
-            _fresh_caches(monkeypatch, build=build)
+        for build, seed in ((_BUILD, 71), (_binomial_plan, 72)):
+            _fresh_plans(monkeypatch, build=build)
             assert _is_alias(spec) == (build is not _binomial_plan)
             results.append(run_experiment(spec, 100_000, seed))
         alias, binom = results
@@ -851,17 +852,22 @@ class TestRandomLabelDraw:
         tables in different orders and give the same result."""
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 50)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        _fresh_caches(monkeypatch)
+        _fresh_plans(monkeypatch)
         spec = TrainingSetSpec(n=300, problem=SKEWED)
         assert len({run_experiment(spec, 3000, 9, workers=w) for w in (1, 2, 2)}) == 1
 
 
-def _fresh_caches(monkeypatch, budget=None, build=None):
-    """An empty plan cache in place of the process's, of ``budget`` bytes
-    and with plans built by build(*key): the process cache's if None."""
-    cache = qubit_experiment._RUN_PLANS
-    monkeypatch.setattr(qubit_experiment, "_RUN_PLANS", _TableCache(
-        build or cache._build, cache._sizeof, cache._budget if budget is None else budget))
+# the process's plan cache, and the build it wraps
+_CACHED_BUILD = qubit_experiment._build_plan
+_BUILD = _CACHED_BUILD.__wrapped__
+
+
+def _fresh_plans(monkeypatch, build=_BUILD, maxsize=_CACHED_BUILD.cache_info().maxsize):
+    """An empty cache of ``maxsize`` plans built by build(*key), in place
+    of the process's; returned for its cache_info()."""
+    cache = functools.lru_cache(maxsize=maxsize)(build)
+    monkeypatch.setattr(qubit_experiment, "_build_plan", cache)
+    return cache
 
 
 def _binomial_plan(*key):
@@ -870,36 +876,43 @@ def _binomial_plan(*key):
 
 
 class TestTableCache:
-    def test_least_recently_used_tables_leave_first(self):
-        built = []
+    """_build_plan keeps the last _PLANS_KEPT plans, tables and draws, in a
+    functools.lru_cache."""
 
-        def build(key, size):
-            built.append(key)
-            return key, size
+    def test_least_recently_used_plans_leave_first(self, monkeypatch):
+        """After five distinct keys, alias and binomial, of both label
+        modes, the cache holds four plans, the oldest key is built again
+        (one more miss) and the newest is a hit."""
+        assert _CACHED_BUILD.cache_info().maxsize == _PLANS_KEPT == 4
+        cache = _fresh_plans(monkeypatch)
+        random, fixed = LabelMode.RANDOM_LABELS, LabelMode.FIXED_COUNTS
+        specs = [TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
+                 for mode, n in ((random, 90), (fixed, 90), (random, _RANDOM_ALIAS_MAX_N + 1),
+                                 (fixed, 2 * 10**9), (random, 30))]
+        plans = [_run_plan(spec) for spec in specs]
+        assert [plan.counts is None for plan in plans] == [False, False, True, True, False]
+        assert cache.cache_info()[:2] == (0, 5) and cache.cache_info().currsize == 4
+        assert _run_plan(specs[-1]) is plans[-1]
+        assert cache.cache_info()[:2] == (1, 5)
+        assert _run_plan(specs[0]) is not plans[0]
+        assert cache.cache_info()[:2] == (1, 6) and cache.cache_info().currsize == 4
 
-        cache = _TableCache(build, lambda table: table[1], 100)
-        for key in ("a", "b", "a", "c", "b", "a"):
-            assert cache(key, 40) == (key, 40)
-        # c evicted b (a was used more recently), then b evicted a
-        assert built == ["a", "b", "c", "b", "a"]
-        # larger than the budget: built every time, never kept
-        assert cache("big", 101) == cache("big", 101) == ("big", 101)
-        assert built[-2:] == ["big", "big"]
-        assert cache("a", 40) == ("a", 40) and built[-1] == "big"
-        assert cache._used == 80
-
-    def test_threads_share_the_cache(self):
-        """More threads than CPUs, switching often, fetch overlapping keys
-        through a small cache: each gets its key's table, and the cache's
-        byte count stays the sum of what it holds, within its budget."""
-        cache = _TableCache(lambda key: key * 10, lambda table: 8, 5 * 8)
+    def test_threads_share_the_plans(self, monkeypatch):
+        """Eight threads, switching often, run overlapping keys, more than
+        the cache keeps, through the four-plan cache: each result equals
+        the key's serial run."""
+        random, fixed = LabelMode.RANDOM_LABELS, LabelMode.FIXED_COUNTS
+        specs = [TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
+                 for mode, n in ((random, 30), (random, 90), (random, _RANDOM_ALIAS_MAX_N + 1),
+                                 (fixed, 90), (fixed, 10**4), (fixed, 2 * 10**9))]
+        serial = [run_experiment(spec, 200, 5) for spec in specs]
+        cache = _fresh_plans(monkeypatch)
         errors = []
 
         def work(seed):
-            rng = np.random.default_rng(seed)
-            for key in rng.integers(0, 12, 300).tolist():
-                if cache(key) != key * 10:
-                    errors.append(key)
+            for i in np.random.default_rng(seed).integers(0, len(specs), 12).tolist():
+                if run_experiment(specs[i], 200, 5) != serial[i]:
+                    errors.append(i)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -913,27 +926,37 @@ class TestTableCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert cache._used == 8 * len(cache._tables) <= 5 * 8
+        assert cache.cache_info().currsize == 4
+
+    def test_large_n_pass_builds_two_plans(self, monkeypatch):
+        """Six runs alternating between the two keys of a qubit_large_n
+        pass (README anchor, fixed labels, known priors, n = 1e4 and 1e5)
+        build two plans: a cache of fewer than two would rebuild one
+        (about 1.6 to 1.9 ms) on every run."""
+        cache = _fresh_plans(monkeypatch)
+        specs = [TrainingSetSpec(n=n, problem=PLANAR, label_mode=LabelMode.FIXED_COUNTS,
+                                 known_priors=True) for n in (10**4, 10**5)]
+        for i in range(6):
+            run_experiment(specs[i % 2], 20, i)
+        assert cache.cache_info().misses == 2
 
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_runs_do_not_depend_on_the_cache(self, monkeypatch, mode):
         """A run gives the same result from cold and warm caches, after
-        runs at other n, and from a cache too small to keep anything.
-        Both label modes keep one entry per run configuration, its
-        _RunPlan, and a cache too small for the tables keeps no plan."""
+        runs at other n, and from a cache that keeps nothing.  Both label
+        modes keep one entry per run configuration, its _RunPlan."""
         spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
-        _fresh_caches(monkeypatch)
+        cache = _fresh_plans(monkeypatch)
         cold = run_experiment(spec, 5000, 81)
         assert run_experiment(spec, 5000, 81) == cold
         for n in (30, 91, 300):
             run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), 500, 1)
         assert run_experiment(spec, 5000, 81) == cold
-        kept = qubit_experiment._RUN_PLANS._tables
-        assert len(kept) == 4
-        assert all(type(plan) is qubit_experiment._RunPlan for plan, _ in kept.values())
-        _fresh_caches(monkeypatch, budget=0)
+        assert cache.cache_info()[:2] == (2, 4) and cache.cache_info().currsize == 4
+        assert type(_run_plan(spec)) is _RunPlan
+        cache = _fresh_plans(monkeypatch, maxsize=0)
         assert run_experiment(spec, 5000, 81) == cold
-        assert not qubit_experiment._RUN_PLANS._tables
+        assert cache.cache_info().currsize == 0
 
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_cached_tables_are_read_only(self, mode):
@@ -942,8 +965,7 @@ class TestTableCache:
         with random labels, refuses a write, and the plan's other fields
         hold no array."""
         spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
-        labels, counts, low, draw, clip = qubit_experiment._RUN_PLANS(
-            spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
+        labels, counts, low, draw, clip = _run_plan(spec)
         assert (labels is None) == (mode is LabelMode.FIXED_COUNTS)
         assert type(low) is int and callable(draw)
         assert [type(flag) for flag in clip] == [bool, bool]
@@ -956,8 +978,8 @@ class TestTableCache:
 
 class TestRunPlan:
     """One cached plan per key decides how a run draws: a fixed-label
-    key's fit is counted once, and binomial plans are kept and bounded by
-    the same cache as alias plans."""
+    key's fit is counted once, and binomial plans are kept by the same
+    cache as alias plans."""
 
     @pytest.mark.parametrize("n", [10**9, 2 * 10**9], ids=["1e9", "2e9"])
     def test_fit_is_counted_once_per_key(self, monkeypatch, n):
@@ -970,7 +992,7 @@ class TestRunPlan:
             return _window_cells(m, p)
 
         monkeypatch.setattr(qubit_experiment, "_window_cells", spy)
-        _fresh_caches(monkeypatch)
+        _fresh_plans(monkeypatch)
         spec = TrainingSetSpec(n=n, problem=PLANAR, label_mode=LabelMode.FIXED_COUNTS)
         assert len({run_experiment(spec, 5, 3) for _ in range(3)}) == 1
         assert _is_alias(spec) == (n == 10**9)
@@ -993,7 +1015,7 @@ class TestRunPlan:
             return plans[-1]
 
         monkeypatch.setattr(qubit_experiment, "_run_plan", spy)
-        _fresh_caches(monkeypatch)
+        _fresh_plans(monkeypatch)
         spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
         run_experiment(spec, 10, 1)
         run_experiment(spec, 10, 2)
@@ -1009,19 +1031,6 @@ class TestRunPlan:
             np.testing.assert_array_equal(n0, m)
         assert got.bit_generator.state == want.bit_generator.state
 
-    def test_binomial_plans_are_bounded(self, monkeypatch):
-        """Runs over 10,000 distinct binomial keys fill the cache to
-        budget / _PLAN_CHARGE plans, each charged _PLAN_CHARGE bytes, and
-        no further."""
-        _fresh_caches(monkeypatch)
-        for n in range(_RANDOM_ALIAS_MAX_N + 1, _RANDOM_ALIAS_MAX_N + 10_001):
-            run_experiment(TrainingSetSpec(n=n, problem=SKEWED), 1, 1)
-        cache = qubit_experiment._RUN_PLANS
-        assert len(cache._tables) == cache._budget // _PLAN_CHARGE < 10_000
-        assert all(plan.counts is None and size == _PLAN_CHARGE
-                   for plan, size in cache._tables.values())
-        assert cache._used == _PLAN_CHARGE * len(cache._tables) <= cache._budget
-
 
 # a Bloch component: the axis probabilities 0, 1 and 1 - 2^-53 (at
 # 1 - 2^-52) come often, and a vector past the ball is scaled onto the
@@ -1033,8 +1042,7 @@ _BLOCH = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).map(
 
 def _forced_clip_flags(monkeypatch, clip):
     """A fresh plan cache whose plans all carry the clip flags ``clip``."""
-    _fresh_caches(monkeypatch,
-                  build=lambda *key: qubit_experiment._build_plan(*key)._replace(clip=clip))
+    _fresh_plans(monkeypatch, build=lambda *key: _BUILD(*key)._replace(clip=clip))
 
 
 class TestClipSkip:
@@ -1051,8 +1059,7 @@ class TestClipSkip:
         norm^2 at most 1, summed as _clip_to_ball sums it: the clip would
         divide nothing."""
         problem = ClassificationProblem.from_bloch(r, s, pi0)
-        plan = qubit_experiment._build_plan(LabelMode.FIXED_COUNTS, n, pi0,
-                                            *_axis_probabilities(problem))
+        plan = _BUILD(LabelMode.FIXED_COUNTS, n, pi0, *_axis_probabilities(problem))
         laws = _fixed_axis_laws(TrainingSetSpec(n=n, problem=problem,
                                                 label_mode=LabelMode.FIXED_COUNTS))
         for flag, class_laws in zip(plan.clip, (laws[:3], laws[3:])):
@@ -1222,7 +1229,7 @@ class TestVectorisedChunk:
     ])
     @pytest.mark.parametrize("mode, build", [
         pytest.param(LabelMode.RANDOM_LABELS, None, id="random"),
-        pytest.param(LabelMode.FIXED_COUNTS, qubit_experiment._build_plan, id="fixed"),
+        pytest.param(LabelMode.FIXED_COUNTS, _BUILD, id="fixed"),
         pytest.param(LabelMode.FIXED_COUNTS, _binomial_plan, id="fixed-binomial"),
     ])
     def test_same_distribution_as_per_outcome_oracle(self, monkeypatch, n, problem, mode, build):
@@ -1231,7 +1238,7 @@ class TestVectorisedChunk:
         of their two draws forced: the alias tables and binomials."""
         spec = TrainingSetSpec(n=n, problem=problem, label_mode=mode)
         if build is not None:
-            _fresh_caches(monkeypatch, build=build)
+            _fresh_plans(monkeypatch, build=build)
             assert _is_alias(spec) == (build is not _binomial_plan)
         fast = run_experiment(spec, 20_000, (101, n))
         rng = np.random.default_rng((102, n))
