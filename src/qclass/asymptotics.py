@@ -32,6 +32,7 @@ the heterodyne plug-in constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .local_geometry import LocalFrame, NumericalError, build_frame
@@ -158,6 +159,8 @@ def risk_report(frame: LocalFrame, pi0: float) -> RiskReport:
     risk's numerator 2 + |c| - r0 s0 cos(phi0) cos(phi1) by more than
     1e-12.  Both are O(1); the risks themselves grow like 1/|d0|, so an
     absolute tolerance on them would fail at small |d0| on rounding alone.
+    Also raises NumericalError, naming |d0|, when a constant is not
+    finite: below |d0| ~ 1e-308 the risks overflow.
     """
     classical = classical_risk_term(frame, pi0)
     quantum = quantum_risk_term(frame, pi0)
@@ -175,6 +178,12 @@ def risk_report(frame: LocalFrame, pi0: float) -> RiskReport:
     )
     if not abs(classical + quantum - numerator) <= 1e-12:
         raise NumericalError("classical + quantum terms miss the optimal risk")
+    # an O(1) term that is not finite fails the identity above; the four
+    # risks, of order 1/|d0|, are tested here
+    if not (math.isfinite(optimal) and math.isfinite(plug)
+            and math.isfinite(report.gap) and math.isfinite(report.prior_correction)):
+        raise NumericalError(f"a risk constant is not finite "
+                             f"(|d0| = {frame.d0_norm!r} too small)")
     return report
 
 

@@ -14,9 +14,10 @@ with a fixed schema: ``param.*`` columns echo the configuration (sorted
 by name), then ``metric``, ``value``, ``stderr``, ``n``.  Floats are
 printed with 17 significant digits, so a rerun with the same config and
 seed is byte-identical regardless of ``--workers``.  No quantity is
-computed here; every value comes from a library call.  Exit codes: 0 ok, 2 invalid configuration or a simulator
-run without numpy (``report`` and ``sweep`` need only the standard
-library), 3 runtime numerical failure.
+computed here; every value comes from a library call.  Exit codes: 0
+ok, 2 invalid configuration or a simulator run without numpy
+(``report`` and ``sweep`` need only the standard library), 3 runtime
+numerical failure (such as a risk constant that overflows).
 """
 
 from __future__ import annotations

@@ -102,15 +102,17 @@ def rank_masks(alpha, dn):
 def excess_trace(data, p, rank0, rank2):
     """Tr[A P*] - Tr[A P] for one operator A and a batch of projectors P.
 
-    ``data`` is the float ``pauli_data`` of A, and P* is its positive
-    part.  The batch's P has rank 0 where the bool array ``rank0`` holds,
-    rank 2 where ``rank2`` holds, and rank 1 elsewhere, with Bloch vector
-    the column of the (3, B) float array p (read at rank 1 only).  p is
-    consumed: the products d_j p_j are formed in it.  The rank-1 trace
-    alpha + (d.p)/2 is taken for every column and then overwritten by two
-    masked stores.  When both eigenvalues of A share a sign, P* and a
-    matching P use the same summands, so the trivial regime yields exactly
-    0.0.  A single P is the size-1 case.
+    ``data`` is the float ``pauli_data`` of A, its d a float triple or a
+    (3, 1) float column (a run that evaluates many batches builds the
+    column once), and P* is its positive part.  The batch's P has rank 0
+    where the bool array ``rank0`` holds, rank 2 where ``rank2`` holds,
+    and rank 1 elsewhere, with Bloch vector the column of the (3, B)
+    float array p (read at rank 1 only).  p is consumed: the products
+    d_j p_j are formed in it.  The rank-1 trace alpha + (d.p)/2 is taken
+    for every column and then overwritten by two masked stores.  When
+    both eigenvalues of A share a sign, P* and a matching P use the same
+    summands, so the trivial regime yields exactly 0.0.  A single P is
+    the size-1 case.
     """
     import numpy as np  # here, so that the closed-form layer loads without it
     alpha, d, dn = data
@@ -118,7 +120,9 @@ def excess_trace(data, p, rank0, rank2):
     hi = alpha + 0.5 * dn
     opt0, opt2 = rank_masks(alpha, dn)
     tr_opt = 0.0 if opt0 else lo + hi if opt2 else hi
-    np.multiply(np.reshape(d, (3, 1)), p, out=p)
+    if isinstance(d, tuple):
+        d = np.array(d).reshape(3, 1)
+    np.multiply(d, p, out=p)
     tr = p[0] + p[1]
     tr += p[2]
     tr *= 0.5

@@ -68,7 +68,9 @@ def vector_norm(v):
     Both routes sum the squares as (x^2 + y^2) + z^2, both square roots are
     correctly rounded, and numpy evaluates an array's ** 0.5 as np.sqrt, so
     a column's norm equals the same triple's float result bit for bit.  An
-    array is squared in one pass and its norms formed in place.
+    array is squared in one pass and its norms formed in place; one
+    reduction tells whether any column needs the rescaled route, and only
+    then is the mask of those columns built.
     """
     if isinstance(v, tuple):
         x, y, z = v
@@ -79,10 +81,14 @@ def vector_norm(v):
     squared = v * v
     norm = squared[0] + squared[1]
     norm += squared[2]
+    # a NaN fails the test as well, so it cannot hide a tiny column from
+    # the masked route; an empty batch has no tiny column
+    if norm.min(initial=math.inf) >= sys.float_info.min:
+        norm **= 0.5
+        return norm
     tiny = norm < sys.float_info.min
     norm **= 0.5
-    if tiny.any():
-        norm[tiny] = _rescaled_norm(*v[:, tiny])
+    norm[tiny] = _rescaled_norm(*v[:, tiny])
     return norm
 
 

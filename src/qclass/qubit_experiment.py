@@ -25,8 +25,11 @@ then each axis's counts for all trials, by one of two samplers:
   would hold more than _ALIAS_MAX_CELLS cells (n above ~1e9), and random
   labels up to n = _RANDOM_ALIAS_MAX_N.  Its plan also holds the tables
   and, per class, whether any estimate the draw can give lies outside
-  the Bloch ball; where none can, the radial clip would divide nothing,
-  and the run skips it.
+  the Bloch ball, read from the cells a lookup can reach: own values of
+  cells with threshold > 0, alias values of cells with threshold < 1
+  (a far-tail cell whose mass rounds to 0 is never drawn).  Where no
+  estimate can leave the ball, the radial clip would divide nothing, and
+  the run skips it.
 * _binomial_draw otherwise: one binomial call per axis, at a cost that
   is the same at every n.
 
@@ -150,7 +153,8 @@ def _clip_to_ball(est: np.ndarray) -> np.ndarray:
     norm = x * x
     norm += y * y
     norm += z * z
-    outside = np.flatnonzero(norm > 1.0)
+    # nonzero of the mask is one dispatch fewer than flatnonzero
+    outside = (norm > 1.0).nonzero()[0]
     if outside.size:
         scale = np.sqrt(norm[outside])
         for row in est:
@@ -369,10 +373,14 @@ def _build_plan(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _R
         counts, pmf = _binomial_windows(copies, p)
         tables.append(_alias_table(_outcome_average(counts, copies[:, None]), pmf))
         rows.append(m - copies[0])
-    # every value a draw gives is an own value of its axis's table, so no
-    # estimate exceeds these in |.| on its axis; a padding cell's own
-    # value, never drawn, can only make a flag True
-    x0, y0, z0, x1, y1, z1 = (float(np.abs(own).max()) for _, own, _ in tables)
+    # a draw gives a cell's own value only where its threshold is above 0
+    # (x >= floor(x) = cut at threshold 0) and its alias's only where the
+    # threshold is below 1: no estimate exceeds these in |.| on its axis.
+    # Tail cells whose mass rounds to 0, and padding cells, have threshold
+    # 0, so their own values never count
+    x0, y0, z0, x1, y1, z1 = (
+        float(np.abs(np.concatenate((own[thresholds > 0.0], alias[thresholds < 1.0]))).max())
+        for thresholds, own, alias in tables)
     # squared and summed in _clip_to_ball's order, (x x + y y) + z z:
     # rounding is monotone, so no drawable estimate's norm exceeds these
     clip = (x0 * x0 + y0 * y0 + z0 * z0 > 1.0, x1 * x1 + y1 * y1 + z1 * z1 > 1.0)
@@ -496,8 +504,9 @@ def run_experiment(
     trials (the alias draw and the kernel after every draw take
     _KERNEL_BLOCK trials per pass; the kernel, _plugin_excess, reads a
     block's clipped estimates as one stacked (6, B) slice, and a chunk of
-    one block returns the kernel's array as it is).  The truth's d is
-    passed to the kernel as a (3, 1) column.
+    one block calls it on the whole chunk and returns its array as it
+    is).  The truth's d is built once per run as the (3, 1) column that
+    the kernel uses as it is.
 
     The draw and the clip flags come from the spec's cached _RunPlan, one
     _run_plan lookup (see _build_plan for which sampler a key gets).  The
@@ -514,7 +523,8 @@ def run_experiment(
     """
     n, pi0 = spec.n, spec.pi0
     alpha, d, dn = pauli_data(spec.problem.r, spec.problem.s, pi0)
-    truth = alpha, np.reshape(d, (3, 1)), dn
+    # np.reshape of a tuple goes through np.asarray and takes 3x as long
+    truth = alpha, np.array(d).reshape(3, 1), dn
     *_, draw, (clip_rho, clip_sigma) = _run_plan(spec)
 
     def chunk_fn(rng, size):
@@ -523,19 +533,15 @@ def run_experiment(
             _clip_to_ball(est[:3])
         if clip_sigma:
             _clip_to_ball(est[3:])
-
-        def excess(b):
-            # a class size shared by every trial gives one float
-            pi_hat = pi0 if spec.known_priors else (
-                n0[b] if isinstance(n0, np.ndarray) else n0) / n
-            return _plugin_excess(truth, est[:3, b], est[3:, b], pi_hat)
-
+        # a class size shared by every trial gives one float
         if size <= _KERNEL_BLOCK:
-            return excess(slice(None))
+            return _plugin_excess(truth, est[:3], est[3:], pi0 if spec.known_priors else n0 / n)
         out = np.empty(size)
         for lo in range(0, size, _KERNEL_BLOCK):
             b = slice(lo, lo + _KERNEL_BLOCK)
-            out[b] = excess(b)
+            pi_hat = pi0 if spec.known_priors else (
+                n0[b] if isinstance(n0, np.ndarray) else n0) / n
+            out[b] = _plugin_excess(truth, est[:3, b], est[3:, b], pi_hat)
         return out
 
     [moments] = run_chunked(trials, seed, chunk_fn, workers=workers)

@@ -117,6 +117,13 @@ class TestIdentities:
         with pytest.raises(NumericalError):
             risk_report(broken, pi0)
 
+    def test_overflowing_constants_raise_numerical_error(self):
+        """At |d0| = 7.07e-311 the risks overflow to inf while the gap
+        stays finite: the report is refused, naming |d0|."""
+        frame, pi0 = frame_of(((1e-310, 0.0, 0.0), (0.0, 1e-310, 0.0), 0.5))
+        with pytest.raises(NumericalError, match=r"\|d0\| = 7\.07"):
+            risk_report(frame, pi0)
+
 
 class TestGapGeometry:
     def test_zero_exactly_for_parallel_same_direction(self):

@@ -357,6 +357,11 @@ class TestFloatReportPath:
         "report-tiny-d0-underflow": (
             "report", {"problem": {"r0": [1e-160, 0, 0], "s0": [0, -1e-160, 0], "pi0": 0.5}},
             "csv", 0),
+        # both states of norm 1e-310, so |d0| = 7.07e-311: the risks
+        # overflow, which is a numerical failure, not an inf in the output
+        "report-d0-overflow": (
+            "report", {"problem": {"r0": [1e-310, 0, 0], "s0": [0, 1e-310, 0], "pi0": 0.5}},
+            "json", 3),
     }
 
     def test_tiny_d0_report_is_finite(self, tmp_path):

@@ -70,6 +70,16 @@ class TestBlochDensityRoundTrip:
         for x, y, z in rng.uniform(-0.5, 0.5, (200, 3)) * 10.0 ** rng.integers(-150, 1, (200, 1)):
             assert BlochVector(x, y, z).norm == math.sqrt(x * x + y * y + z * z)
 
+    def test_batch_edge_cases(self):
+        """An empty batch gives no norms, and a NaN column beside a tiny one
+        leaves the tiny column's scaled norm as the triple route gives it."""
+        assert vector_norm(np.zeros((3, 0))).shape == (0,)
+        batch = np.array([[math.nan, 3e-170, 0.5], [0.0, 4e-170, 0.0], [0.0, 0.0, 0.0]])
+        norms = vector_norm(batch.copy())
+        assert math.isnan(norms[0])
+        assert norms[1:].tolist() == [vector_norm((3e-170, 4e-170, 0.0)), 0.5]
+        assert norms[1] > 0.0
+
     def test_one_scaled_norm(self):
         """BlochVector.norm and pauli_data's |d| are vector_norm, whose tiny
         branch is the one scaled norm of the library: they agree bit for

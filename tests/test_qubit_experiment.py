@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qclass import (
@@ -415,13 +415,13 @@ def _binomial_pmf_rows(m: np.ndarray, p: float) -> np.ndarray:
     return pmf / pmf.sum(axis=1, keepdims=True)
 
 
-def _one_row_alias_table(m: int, p: float) -> np.ndarray:
-    """Walker's alias table of the windowed Binomial(m, p) row, built one
-    row at a time in scalar arithmetic, as the library did before its
-    builder took all rows of an axis at once: a (3, W) array of the
-    thresholds, the own averages and the alias averages.  The library's
-    one-row build must equal it bit for bit, so that the fixed-label
-    streams keep their bytes."""
+def _one_row_integer_table(m: int, p: float):
+    """Walker's alias table of the windowed Binomial(m, p) row in integers,
+    built one row at a time in scalar arithmetic, as the library did
+    before it paired all rows of an axis at once: (values, one,
+    mass, threshold, alias), the cells' outcome averages, the unit 2^b,
+    the rounded masses W pmf and the thresholds in units of 1/one, and
+    each cell's alias index."""
     if m == 0 or p == 0.0 or p == 1.0:
         counts, pmf = np.array([m if p == 1.0 else 0]), np.ones(1)
     else:
@@ -453,10 +453,19 @@ def _one_row_alias_table(m: int, p: float) -> np.ndarray:
         alias[light] = heavy[np.searchsorted(surplus, deficit - (one - mass[light]), side="right")]
         threshold[heavy] = one - (deficit[np.searchsorted(deficit, surplus)] - surplus)
         alias[heavy[:-1]] = heavy[1:]
-    table = np.empty((3, width))
+    return (2.0 * counts - m) / max(m, 1), one, mass, threshold, alias
+
+
+def _one_row_alias_table(m: int, p: float) -> np.ndarray:
+    """_one_row_integer_table as floats: a (3, W) array of the thresholds,
+    the own averages and the alias averages.  The library's one-row build
+    must equal it bit for bit, so that the fixed-label streams keep their
+    bytes."""
+    values, one, _, threshold, alias = _one_row_integer_table(m, p)
+    table = np.empty((3, values.size))
     np.divide(threshold, one, out=table[0])
-    table[1] = (2.0 * counts - m) / max(m, 1)
-    table[2] = table[1][alias]
+    table[1] = values
+    table[2] = values[alias]
     return table
 
 
@@ -1073,17 +1082,41 @@ class TestClipSkip:
             x, y, z = (np.array(axis) for axis in np.meshgrid(*ends, indexing="ij"))
             assert np.all(x * x + y * y + z * z <= 1.0), ends
 
+    @PROPERTY
+    @given(m=st.sampled_from([0, 1, 2, 3]) | st.integers(0, 10**7),
+           p=st.sampled_from([0.0, 1.0, 1e-300, 1 - 2**-53, 0.5]) | st.floats(0.0, 1.0))
+    # rho's x axis on the README anchor at n = 1e4: its cells past 0.917,
+    # out to 0.959, round to mass 0
+    @example(m=1667, p=0.9)
+    def test_drawable_cells_are_the_positive_mass_cells(self, m, p):
+        """The exact law of a row's integer alias table gives cell i the
+        mass threshold_i plus one - threshold_j for each cell j aliased to
+        it, in units of 1/(W one): exactly the rounded masses.  The values
+        of positive mass are exactly the own values of cells with
+        threshold > 0 and the alias values of cells with threshold < 1 in
+        the library's table, the set _build_plan reads its clip flags
+        from."""
+        values, one, mass, threshold, alias = _one_row_integer_table(m, p)
+        law = threshold.copy()
+        np.add.at(law, alias, one - threshold)
+        assert law.tolist() == mass.tolist()
+        thresholds, own, alias_values = (array[0] for array in _axis_table([m], p))
+        drawable = set(own[thresholds > 0.0].tolist()) | set(
+            alias_values[thresholds < 1.0].tolist())
+        assert drawable == set(values[law > 0].tolist())
+
     @pytest.mark.parametrize("n, problem, clip", [
-        pytest.param(10**4, PLANAR, (True, False), id="anchor-1e4"),
+        pytest.param(10**3, PLANAR, (True, True), id="anchor-1e3"),
+        pytest.param(10**4, PLANAR, (False, False), id="anchor-1e4"),
         pytest.param(10**5, PLANAR, (False, False), id="anchor-1e5"),
         pytest.param(10**4, PURE_AXES, (True, True), id="pure-1e4"),
     ])
     def test_skip_changes_no_byte(self, monkeypatch, n, problem, clip):
-        """On the README anchor with fixed labels the plan skips sigma's
-        clip at n = 1e4 and both at 1e5, and a run whose flags are forced
-        True gives the same bytes in its one 2,000-trial chunk.  A pure
-        pair keeps both flags, and there forcing them False would change
-        the bytes."""
+        """On the README anchor with fixed labels the plan keeps both clips
+        at n = 1e3 and skips both at 1e4 and 1e5, and a run whose flags
+        are forced True gives the same bytes in its one 2,000-trial chunk.
+        A pure pair keeps both flags, and there forcing them False would
+        change the bytes."""
         spec = TrainingSetSpec(n=n, problem=problem, label_mode=LabelMode.FIXED_COUNTS,
                                known_priors=True)
         assert _run_plan(spec).clip == clip
@@ -1098,13 +1131,14 @@ class TestClipSkip:
             assert plan != unclipped
 
     @pytest.mark.parametrize("n, mode, trials, calls", [
+        pytest.param(10**4, LabelMode.FIXED_COUNTS, 2000, 0, id="fixed-1e4"),
         pytest.param(10**5, LabelMode.FIXED_COUNTS, 2000, 0, id="fixed-1e5"),
         pytest.param(100, LabelMode.RANDOM_LABELS, (1 << 16) + 100, 4, id="random-100"),
     ])
     def test_clip_calls(self, monkeypatch, n, mode, trials, calls):
-        """A spy on _clip_to_ball: the README anchor at n = 1e5 with fixed
-        labels never calls it, and random labels at n = 100 call it twice
-        per chunk."""
+        """A spy on _clip_to_ball: the README anchor at n = 1e4 and 1e5
+        with fixed labels never calls it, and random labels at n = 100
+        call it twice per chunk."""
         seen = []
 
         def spy(est):
