@@ -201,6 +201,13 @@ def tomography_constant(r0, s0, pi0: float, *, with_prior_term: bool = False) ->
     Takes the Bloch vectors and builds the frame.  It is the limit of
     ``qubit-sim`` only where each state is mixed or has no component
     along l0 (see the module docstring).
+
+    Near the triviality boundary it is the limit only once x = eps
+    sqrt(n)/(2 tau) >~ 6, n eps^2 >> tau^2 (eps = |d0| - |pi0 - pi1|,
+    tau^2 = n Var of the plug-in's eigenvalue nearest 0): before, rank
+    flips lift n * excess above it.  On the trivial side at eps = -0.003
+    only 0.54, 0.70 and 0.96 of trials gave exactly 0 at n = 1e4, 1e5,
+    1e6 (README; ROADMAP item 18).
     """
     frame = build_frame(r0, s0, pi0)
     pi1 = 1.0 - pi0

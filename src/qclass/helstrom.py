@@ -99,7 +99,7 @@ def rank_masks(alpha, dn):
     return half <= -alpha, half < alpha
 
 
-def excess_trace(data, p, rank0, rank2):
+def excess_trace(data, p, rank0, rank2, out=None):
     """Tr[A P*] - Tr[A P] for one operator A and a batch of projectors P.
 
     ``data`` is the float ``pauli_data`` of A, its d a float triple or a
@@ -112,7 +112,8 @@ def excess_trace(data, p, rank0, rank2):
     for every column and then overwritten by two masked stores.  When
     both eigenvalues of A share a sign, P* and a matching P use the same
     summands, so the trivial regime yields exactly 0.0.  A single P is
-    the size-1 case.
+    the size-1 case.  The traces are formed in ``out`` (new if None),
+    which must not overlap p.
     """
     import numpy as np  # here, so that the closed-form layer loads without it
     alpha, d, dn = data
@@ -123,7 +124,7 @@ def excess_trace(data, p, rank0, rank2):
     if isinstance(d, tuple):
         d = np.array(d).reshape(3, 1)
     np.multiply(d, p, out=p)
-    tr = p[0] + p[1]
+    tr = np.add(p[0], p[1], out=out)
     tr += p[2]
     tr *= 0.5
     tr += alpha

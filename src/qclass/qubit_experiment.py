@@ -225,14 +225,6 @@ def _binomial_windows(m: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     return counts.take(order), rel.take(order) / rel.sum(axis=1, keepdims=True)
 
 
-def _binomial_window(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, pmf) of the _binomial_windows row of (m, p), read-only."""
-    counts, pmf = (array[0] for array in _binomial_windows(np.array([m]), p))
-    counts.flags.writeable = False
-    pmf.flags.writeable = False
-    return counts, pmf
-
-
 def _alias_table(values: np.ndarray, pmf: np.ndarray):
     """Walker's alias table of each row of a (R, W) pmf whose cells hold
     ``values``: (thresholds, own values, alias values), each (R, W).
@@ -361,8 +353,8 @@ def _build_plan(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _R
         cells = _window_cells(np.array(_axis_copies(n0, n - n0)), np.array(probabilities))
         alias, labels, sizes = cells.sum() <= _ALIAS_MAX_CELLS, None, np.array([n0])
     elif alias := n <= _RANDOM_ALIAS_MAX_N:
-        window, pmf = _binomial_window(n, pi0)
-        labels = _joined([_alias_table(window[None], pmf[None])], [[0]])
+        window, pmf = _binomial_windows(np.array([n]), pi0)
+        labels = _joined([_alias_table(window, pmf)], [[0]])
         sizes = np.arange(window.min(), window.max() + 1)
     if not alias:
         return _RunPlan(None, None, None, _binomial_draw(label_mode, n, pi0, *probabilities),
@@ -476,7 +468,7 @@ def _binomial_draw(label_mode: LabelMode, n: int, pi0: float, *probabilities):
     return draw
 
 
-def _plugin_excess(truth, r_hat: np.ndarray, s_hat: np.ndarray, pi_hat):
+def _plugin_excess(truth, r_hat: np.ndarray, s_hat: np.ndarray, pi_hat, out=None):
     """Exact excess risk of the plug-in projector, one value per column of
     the (3, B) estimates r_hat and s_hat.
 
@@ -484,7 +476,9 @@ def _plugin_excess(truth, r_hat: np.ndarray, s_hat: np.ndarray, pi_hat):
     and ``truth`` the ``pauli_data`` of the problem (its d a float triple
     or a (3, 1) column).  Elementwise, so a batch equals each of its
     trials evaluated alone (as size-1 columns) bit for bit, whatever the
-    batch's size and order.
+    batch's size and order.  It writes into ``out`` (new if None), which
+    may be r_hat's first row: pauli_data reads every estimate into a new
+    d before excess_trace writes a value.
     """
     alpha, d, dn = pauli_data(r_hat, s_hat, pi_hat)
     rank0, rank2 = rank_masks(alpha, dn)
@@ -492,7 +486,7 @@ def _plugin_excess(truth, r_hat: np.ndarray, s_hat: np.ndarray, pi_hat):
     # ignore it, also where |d| = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         d /= dn
-    return excess_trace(truth, d, rank0, rank2)
+    return excess_trace(truth, d, rank0, rank2, out)
 
 
 def run_experiment(
@@ -503,10 +497,10 @@ def run_experiment(
     Each chunk is evaluated as arrays over its trials, with no loop over
     trials (the alias draw and the kernel after every draw take
     _KERNEL_BLOCK trials per pass; the kernel, _plugin_excess, reads a
-    block's clipped estimates as one stacked (6, B) slice, and a chunk of
-    one block calls it on the whole chunk and returns its array as it
-    is).  The truth's d is built once per run as the (3, 1) column that
-    the kernel uses as it is.
+    block's clipped estimates as one stacked (6, B) slice and writes its
+    excess over rho's x estimates, which it has read, so every chunk
+    returns est[0]).  The truth's d is built once per run as the (3, 1)
+    column that the kernel uses as it is.
 
     The draw and the clip flags come from the spec's cached _RunPlan, one
     _run_plan lookup (see _build_plan for which sampler a key gets).  The
@@ -533,16 +527,13 @@ def run_experiment(
             _clip_to_ball(est[:3])
         if clip_sigma:
             _clip_to_ball(est[3:])
-        # a class size shared by every trial gives one float
-        if size <= _KERNEL_BLOCK:
-            return _plugin_excess(truth, est[:3], est[3:], pi0 if spec.known_priors else n0 / n)
-        out = np.empty(size)
         for lo in range(0, size, _KERNEL_BLOCK):
             b = slice(lo, lo + _KERNEL_BLOCK)
+            # a class size shared by every trial gives one float
             pi_hat = pi0 if spec.known_priors else (
                 n0[b] if isinstance(n0, np.ndarray) else n0) / n
-            out[b] = _plugin_excess(truth, est[:3, b], est[3:, b], pi_hat)
-        return out
+            _plugin_excess(truth, est[:3, b], est[3:, b], pi_hat, out=est[0, b])
+        return est[0]
 
     [moments] = run_chunked(trials, seed, chunk_fn, workers=workers)
     return summarize(moments, n=spec.n)

@@ -417,12 +417,14 @@ def mask_rank(alpha: float, dn: float) -> int:
     return 0 if rank0 else 2 if rank2 else 1
 
 
-def int_rank_plugin_excess(truth, r_hat, s_hat, pi_hat):
+def int_rank_plugin_excess(truth, r_hat, s_hat, pi_hat, out=None):
     """``_plugin_excess`` by an independent route: the Pauli arithmetic a
     coordinate at a time, |d| with its own tiny-vector rescale, int ranks,
     and the trace formula Tr[A P*] - Tr[A P] selected by a nested np.where.
     The same float operations in the same order, so the result must equal
-    the library's bit for bit."""
+    the library's bit for bit.  Like it, it writes the values into ``out``
+    if given (which may share memory with r_hat's first row) and returns
+    them."""
     alpha_t, (tx, ty, tz), tn = truth
     pi1 = 1.0 - pi_hat
     dx, dy, dz = (pi_hat * r - pi1 * s for r, s in zip(r_hat, s_hat))
@@ -439,7 +441,7 @@ def int_rank_plugin_excess(truth, r_hat, s_hat, pi_hat):
     tr_opt = np.where(rank_opt == 2, lo + hi, np.where(rank_opt == 1, hi, 0.0))
     tr_rank1 = alpha_t + 0.5 * (tx * px + ty * py + tz * pz)
     tr_hat = np.where(rank == 2, lo + hi, np.where(rank == 1, tr_rank1, 0.0))
-    return tr_opt - tr_hat
+    return np.subtract(tr_opt, tr_hat, out=out)
 
 
 def sampled_error_probability(p_hat, problem, copies, rng) -> float:

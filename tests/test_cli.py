@@ -1,10 +1,12 @@
 """End-to-end tests of the qclass command line driver."""
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -16,10 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qclass
 from qclass import cli, montecarlo, qubit_experiment
 from qclass.cli import _build_parser, main
+from qclass.qubit_core import ATOL
+from strategies import direction, unit
 
 PLANAR_PROBLEM = {"r0": [0.8, 0.0, 0.0], "s0": [0.0, 0.6, 0.0], "pi0": 0.5}
 
@@ -129,6 +135,111 @@ class TestNumericalFailure:
         for row in rows:
             z = (float(row["value"]) - float(row["param.closed_form"])) / float(row["stderr"])
             assert abs(z) <= 4.0
+
+
+# lengths of a near-pure state: just inside 1, 1, and around the ball's
+# tolerance 1 + ATOL, on both sides of it
+_EDGE_LENGTHS = (1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 1.0 + ATOL / 2, 1.0 + ATOL,
+                 1.0 + ATOL * (1.0 + 2.0**-40), 1.0 + 2.0 * ATOL)
+# lengths whose squares underflow, down to subnormal components; below
+# about 3e-309 a nontrivial |d0| makes the 1/|d0| risks overflow
+_TINY_LENGTHS = (5e-324, 1e-320, 1e-315, 1e-310, 1e-309, 2.2250738585072014e-308, 1e-160)
+
+
+def _scaled(v, length) -> list:
+    return (length * unit(v)).tolist()
+
+
+_BLOCH = st.one_of(
+    st.builds(_scaled, direction, st.sampled_from(_TINY_LENGTHS)),
+    st.tuples(*3 * [st.sampled_from([0.0, 5e-324, -1e-310, 1e-160])]).map(list),
+    st.builds(_scaled, direction, st.sampled_from(_EDGE_LENGTHS)),
+    st.tuples(*3 * [st.floats(-1.0, 1.0)]).map(list),
+)
+_PAIR = st.one_of(
+    st.tuples(_BLOCH, _BLOCH),
+    # two states of one tiny length
+    st.builds(lambda v, w, a: (_scaled(v, a), _scaled(w, a)),
+              direction, direction, st.sampled_from(_TINY_LENGTHS)),
+    # parallel or antiparallel, at the same or half the length
+    st.builds(lambda r, a: (r, [a * x for x in r]), _BLOCH, st.sampled_from([1.0, -1.0, -0.5])),
+)
+_STRATEGIES = ["optimal_joint", "heterodyne_plugin", "optimal_joint_unknown_priors"]
+# 1, 2 and 3 leave axes without copies, 1024 and 1025 sit on either side of
+# the random-label alias limit, 10**9 near the fixed-label table cap, and
+# 10**12 + 1 is one above MAX_N
+_N = st.sampled_from([1, 2, 3, 30, 1024, 1025, 10**4, 10**9, 10**12, 10**12 + 1])
+
+
+@st.composite
+def _fuzz_case(draw):
+    """(command, config, format) over the edges of every field the three
+    numerical commands read."""
+    command = draw(st.sampled_from(["report", "gaussian-sim", "qubit-sim"]))
+    r0, s0 = draw(_PAIR)
+    # equal priors, which let a tiny |d0| be nontrivial, drawn often
+    pi0 = draw(st.sampled_from([0.0, 5e-324, 1.0 - 1e-16, 1.0]) | st.just(0.5)
+               | st.floats(0.0, 1.0))
+    cfg = {"problem": {"r0": r0, "s0": s0, "pi0": pi0}}
+    if command != "report":
+        cfg.update(trials=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)))
+    if command == "gaussian-sim":
+        cfg["strategy"] = draw(st.sampled_from(_STRATEGIES) | st.just(_STRATEGIES))
+    if command == "qubit-sim":
+        n_list = draw(st.sets(_N | st.integers(1, 10**12), min_size=1, max_size=3))
+        cfg.update(n_list=sorted(n_list), label_mode=draw(st.sampled_from(["random", "fixed"])),
+                   known_priors=draw(st.booleans()))
+    return command, cfg, draw(st.sampled_from(["csv", "json"]))
+
+
+def _numbers(text: str, fmt: str) -> list[float]:
+    """Every cell of a CSV or JSON output that reads as a float; JSON's
+    NaN, Infinity and -Infinity fail the parse."""
+    if fmt == "json":
+        def refuse(constant):
+            raise AssertionError(f"JSON output holds {constant}")
+        cells = [v for row in json.loads(text, parse_constant=refuse) for v in row.values()]
+    else:
+        cells = [v for row in csv.DictReader(io.StringIO(text)) for v in row.values()]
+    numbers = []
+    for cell in cells:
+        if isinstance(cell, str):
+            try:  # a CSV "inf" or "nan" reads as a float too
+                numbers.append(float(cell))
+            except ValueError:
+                pass
+        elif isinstance(cell, (int, float)) and not isinstance(cell, bool):
+            numbers.append(float(cell))
+    return numbers
+
+
+class TestExitCodeFuzz:
+    """The exit-code contract over edge configs: every run of report,
+    gaussian-sim and qubit-sim exits 0 with finite numbers, or 2 or 3 with
+    a message and no traceback.  The example count is the active Hypothesis
+    profile's, at least 300 (tests/conftest.py registers one of 3,000)."""
+
+    @pytest.fixture(scope="class")
+    def config_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+    @settings(max_examples=max(300, settings.default.max_examples), deadline=None,
+              derandomize=True, database=None)
+    @given(case=_fuzz_case())
+    def test_exit_code_contract(self, config_path, case):
+        command, cfg, fmt = case
+        config_path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(config_path), "--format", fmt])
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            numbers = _numbers(out.getvalue(), fmt)
+            assert numbers and all(math.isfinite(x) for x in numbers), out.getvalue()
+        else:
+            assert code in (2, 3), (code, err.getvalue())
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith(("error: ", "numerical error: "))
 
 
 class TestConfigValidation:

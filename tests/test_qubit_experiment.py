@@ -32,7 +32,6 @@ from qclass.qubit_experiment import (
     _axis_copies,
     _axis_probabilities,
     _binomial_draw,
-    _binomial_window,
     _binomial_windows,
     _clip_to_ball,
     _outcome_average,
@@ -516,15 +515,22 @@ class TestBinomialPmfRows:
         self._check(m, p)
 
 
+def _window_row(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, pmf) of the windowed Binomial(m, p) row: the one-row case
+    of _binomial_windows, as _build_plan builds the class-size row."""
+    counts, pmf = _binomial_windows(np.array([m]), p)
+    return counts[0], pmf[0]
+
+
 class TestBinomialWindow:
-    """_binomial_window against the Binomial pmf in 40-digit arithmetic."""
+    """One _binomial_windows row against the Binomial pmf in 40-digit
+    arithmetic."""
 
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 1667, 16667, 1_700_000])
     def test_against_mpmath_pmf(self, m):
         mpmath = pytest.importorskip("mpmath")
         for p in (0.0, 1e-9, 0.1, 0.5, 0.9, 1.0):
-            counts, pmf = _binomial_window(m, p)
-            assert not counts.flags.writeable and not pmf.flags.writeable
+            counts, pmf = _window_row(m, p)
             if m == 0 or p in (0.0, 1.0):
                 # exact point masses
                 assert counts.tolist() == [m if p == 1.0 else 0] and pmf.tolist() == [1.0]
@@ -546,7 +552,7 @@ class TestBinomialWindow:
     def test_window_is_narrow(self):
         """A row has O(sigma) cells, not m + 1."""
         for m, p in ((1_700_000, 0.5), (10**9, 0.3), (10**11, 1e-9)):
-            counts, _ = _binomial_window(m, p)
+            counts, _ = _window_row(m, p)
             assert counts.size <= 20 * math.sqrt(m * p * (1 - p)) + 32
 
 
@@ -571,7 +577,7 @@ def _alias_law(thresholds, own, alias):
 
 
 class TestAliasTable:
-    """Each row of an axis's alias table has its _binomial_window row's law."""
+    """Each row of an axis's alias table has its windowed row's law."""
 
     def _check(self, copies, p):
         thresholds, own, alias = _axis_table(copies, p)
@@ -579,7 +585,7 @@ class TestAliasTable:
         assert thresholds.shape[0] == len(copies)
         assert np.all((0.0 <= thresholds) & (thresholds <= 1.0))
         for m, row in zip(copies, zip(thresholds, own, alias)):
-            counts, pmf = _binomial_window(m, p)
+            counts, pmf = _window_row(m, p)
             averages = (2.0 * counts - m) / max(m, 1)
             drawn, law = _alias_law(*row)
             # every value a draw can give is one of the row's own averages:
@@ -605,8 +611,8 @@ class TestAliasTable:
     def test_every_row_of_a_multi_row_table(self, low, rows, p):
         """A table of the copy counts low..low + rows - 1, its narrower
         rows padded to the widest, built and paired in one pass: each row
-        within 1e-12 of its own _binomial_window row in total variation,
-        and no draw gives a padding cell's value or another row's."""
+        within 1e-12 of its own windowed row in total variation, and no
+        draw gives a padding cell's value or another row's."""
         self._check(list(range(low, low + rows)), p)
 
     @PROPERTY
@@ -639,7 +645,7 @@ class TestAliasTable:
     def test_cells_are_counted_without_a_row(self):
         for m in (0, 1, 2, 5, 1667, 10**6, 10**9):
             for p in (0.0, 1e-300, 1e-9, 0.3, 0.5, 1 - 2**-53, 1.0):
-                assert _window_cells(m, p) == _binomial_window(m, p)[0].size, (m, p)
+                assert _window_cells(m, p) == _window_row(m, p)[0].size, (m, p)
 
     def test_cap_lies_near_a_billion_copies(self, monkeypatch):
         """The six tables of the README anchor hold at most _ALIAS_MAX_CELLS
@@ -786,7 +792,7 @@ class TestRandomLabelDraw:
         """Chi-square of the drawn n0 against the windowed Binomial(n, pi0)
         row, tails pooled: Wilson-Hilferty z below 4."""
         n0, _, _ = self._draw(self.N, self.TRIALS, 11)
-        sizes, pmf = _binomial_window(self.N, 0.4)
+        sizes, pmf = _window_row(self.N, 0.4)
         order = np.argsort(sizes)
         observed = np.bincount(n0 - sizes.min(), minlength=sizes.size)
         assert observed.size == sizes.size  # no class size outside the window
@@ -834,7 +840,7 @@ class TestRandomLabelDraw:
         problem = ClassificationProblem.from_bloch(SKEWED.r, SKEWED.s, pi0)
         est, n0 = _alias_sampler(TrainingSetSpec(n=n, problem=problem))(
             np.random.default_rng(seed), size)
-        sizes, _ = _binomial_window(n, pi0)
+        sizes, _ = _window_row(n, pi0)
         assert sorted(sizes.tolist()) == list(range(sizes.min(), sizes.max() + 1))
         assert est.shape == (6, size) and n0.shape == (size,) and np.isin(n0, sizes).all()
         for est_j, m_j, p in zip(est, _axis_copies(n0, n - n0), _axis_probabilities(problem)):
@@ -1234,7 +1240,9 @@ class TestVectorisedChunk:
     def test_bit_exact_kernel(self, problem):
         """A batch through _plugin_excess equals each trial evaluated alone,
         bit for bit, and each entry the matrix route's excess to 1e-12, with
-        the rank of positive_eigenprojector."""
+        the rank of positive_eigenprojector.  Written into ``out`` over
+        rho's x estimates, as run_experiment's chunk writes it, the batch
+        is the array out itself, with the same bits."""
         pi_hat, r_hat, s_hat = self._estimate_batch(np.random.default_rng(5))
         truth = pauli_data(problem.r, problem.s, problem.pi0)
         # a known prior is the scalar-broadcast case of the same kernel
@@ -1242,6 +1250,10 @@ class TestVectorisedChunk:
             trials = list(zip(np.broadcast_to(pi, pi_hat.shape).tolist(), r_hat, s_hat))
             batch = _plugin_excess(truth, r_hat.T.copy(), s_hat.T.copy(), pi)
             assert batch.tolist() == [plugin_excess(problem, r, s, p) for p, r, s in trials]
+            est = np.concatenate((r_hat.T, s_hat.T))
+            out = est[0]
+            assert _plugin_excess(truth, est[:3], est[3:], pi, out=out) is out
+            assert np.array_equal(out.view(np.int64), batch.view(np.int64))
             ranks = []
             for value, (p, r, s) in zip(batch, trials):
                 op = HermitianOperator(p * bloch_to_density(r).matrix
