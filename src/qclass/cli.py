@@ -1,7 +1,7 @@
 """Command-line driver: closed-form reports and Monte Carlo runs.
 
-Subcommands
------------
+Commands
+--------
 report        closed-form risk constants for one configuration
 gaussian-sim  Monte Carlo risks in the limit Gaussian training-set model
 qubit-sim     finite-n qubit-level plug-in experiments
@@ -29,12 +29,10 @@ import io
 import itertools
 import json
 import math
-import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .asymptotics import (
-    RiskReport,
     optimal_minimax_risk,
     plugin_risk,
     prior_correction,
@@ -68,11 +66,9 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    # the concrete type first: an abstract-class check costs several times more
-    if isinstance(x, (int, numbers.Integral)):
-        return str(int(x))
-    if isinstance(x, (float, numbers.Real)):
-        return format(float(x), ".17g")
+    # a row holds None, bool, int, float (numpy.float64 is one) or str
+    if isinstance(x, float):
+        return format(x, ".17g")
     return str(x)
 
 
@@ -128,10 +124,6 @@ def _problem_params(r0, s0, pi0) -> dict:
     }
 
 
-# RiskReport fields in row order
-_REPORT_METRICS = tuple(f.name for f in fields(RiskReport))
-
-
 def _report_rows(r0, s0, pi0, params: dict) -> list[ResultRow]:
     problem = ClassificationProblem.from_bloch(r0, s0, pi0)
     verdict = triviality_check(problem.r, problem.s, pi0)
@@ -141,7 +133,8 @@ def _report_rows(r0, s0, pi0, params: dict) -> list[ResultRow]:
     ]
     if verdict is TrivialityVerdict.NONTRIVIAL:
         rep = risk_report(build_frame(problem.r, problem.s, pi0), pi0)
-        rows += [ResultRow(params, name, getattr(rep, name)) for name in _REPORT_METRICS]
+        # the RiskReport fields, in their declared order
+        rows += [ResultRow(params, name, value) for name, value in vars(rep).items()]
     return rows
 
 
@@ -152,12 +145,9 @@ def cmd_report(cfg: dict, args) -> list[ResultRow]:
 
 def _parse_strategies(cfg: dict) -> list:
     from .gaussian_model import StrategyKind
-    raw = cfg.get("strategy")
-    if raw is None:
-        raise ConfigError("missing required config field 'strategy' "
-                          "(string or list of strings)")
+    raw = _require(cfg, "strategy", (str, list), "string or list of strings")
     names = [raw] if isinstance(raw, str) else raw
-    if not isinstance(names, list) or not names:
+    if not names:
         raise ConfigError(f"'strategy' must be a string or nonempty list, got {raw!r}")
     out = []
     for name in names:
@@ -246,14 +236,16 @@ def cmd_sweep(cfg: dict, args) -> list[ResultRow]:
         if not isinstance(raw, list) or not raw or not all(_finite_number(x) for x in raw):
             raise ConfigError(f"sweep grid '{key}' must be a nonempty list of finite numbers")
         grids[key] = [float(x) for x in raw]
+    # every grid value is checked before the first row is computed
+    for pi0 in grids["pi0"]:
+        if not 0.0 < pi0 < 1.0:
+            raise ConfigError(f"sweep pi0 values must lie strictly in (0, 1), got {pi0}")
+    if not all(0.0 < x <= 1.0 for x in grids["r0_len"] + grids["s0_len"]):
+        raise ConfigError("sweep Bloch lengths must lie in (0, 1]")
     rows = []
     for r_len, s_len, angle, pi0 in itertools.product(
         grids["r0_len"], grids["s0_len"], grids["angle"], grids["pi0"]
     ):
-        if not 0.0 < pi0 < 1.0:
-            raise ConfigError(f"sweep pi0 values must lie strictly in (0, 1), got {pi0}")
-        if not 0.0 < r_len <= 1.0 or not 0.0 < s_len <= 1.0:
-            raise ConfigError("sweep Bloch lengths must lie in (0, 1]")
         r0 = (0.0, 0.0, r_len)
         s0 = (s_len * math.sin(angle), 0.0, s_len * math.cos(angle))
         params = _problem_params(r0, s0, pi0)
@@ -322,17 +314,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Optimal classification of two unknown qubit states: "
                     "closed-form risk constants and Monte Carlo experiments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default: config 'format' or csv)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="overrides the config seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker threads for trial chunks (result-invariant)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default=None,
+                        help="output format (default: config 'format' or csv)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="overrides the config seed (simulators only)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker threads for trial chunks (result-invariant)")
     return parser
 
 

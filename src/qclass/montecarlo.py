@@ -76,7 +76,7 @@ class Moments:
         wrapper of ``ndarray.mean``.
         """
         mean = values.sum() / values.size
-        zeros = values.size - np.count_nonzero(values)
+        zeros = values.size - int(np.count_nonzero(values))
         values -= mean
         np.square(values, out=values)
         return cls(int(values.size), float(mean), float(values.sum()), zeros)

@@ -425,6 +425,72 @@ class TestParserReuse:
         assert built == []
 
 
+class TestOneParser:
+    """One parser holds the command and every option once."""
+
+    def test_each_option_is_added_once(self):
+        actions = _build_parser()._actions
+        assert [a.dest for a in actions] == [
+            "help", "command", "config", "out", "format", "seed", "workers"]
+        assert list(actions[1].choices) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_command_takes_every_option(self, command):
+        args = _build_parser().parse_args(
+            ["--config", "c.json", command, "--out", "o", "--format", "json",
+             "--seed", "3", "--workers", "2"])
+        assert vars(args) == {"command": command, "config": "c.json", "out": "o",
+                              "format": "json", "seed": 3, "workers": 2}
+
+    @pytest.mark.parametrize("argv", [[], ["report"], ["--config", "c.json"],
+                                      ["nope", "--config", "c.json"]],
+                             ids=["empty", "no-config", "no-command", "unknown-command"])
+    def test_usage_error_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: qclass")
+
+
+class TestRowTypes:
+    """Every value a row holds is None, bool, int, float or str: the types
+    that _fmt and json.dumps print.  Checked on the rows every command hands
+    to the renderer, for both renderers."""
+
+    ROW_TYPES = (type(None), bool, int, float, str)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, cfg", [
+        ("report", {"problem": PLANAR_PROBLEM}),
+        ("report", {"problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9}}),
+        ("gaussian-sim", {"problem": PLANAR_PROBLEM, "trials": 100, "seed": 1,
+                          "strategy": ["optimal_joint", "heterodyne_plugin",
+                                       "optimal_joint_unknown_priors"]}),
+        ("qubit-sim", {"problem": PLANAR_PROBLEM, "n_list": [50, 500], "trials": 100,
+                       "seed": 1}),
+        ("qubit-sim", {"problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9},
+                       "n_list": [500], "trials": 100, "seed": 1,
+                       "label_mode": "fixed", "known_priors": True}),
+        ("sweep", {"sweep": {"r0_len": [1.0], "s0_len": [1.0, 0.3],
+                             "angle": [0.0, 2.0], "pi0": [0.5]}}),
+    ], ids=["report", "report-trivial", "gaussian-sim", "qubit-sim", "qubit-sim-trivial",
+            "sweep"])
+    def test_row_values_have_row_types(self, tmp_path, monkeypatch, fmt, command, cfg):
+        seen = []
+        render = getattr(cli, f"render_{fmt}")
+        monkeypatch.setattr(cli, f"render_{fmt}", lambda rows: seen.extend(rows) or render(rows))
+        out = tmp_path / "out.txt"
+        argv = [command, "--config", write_config(tmp_path, cfg), "--format", fmt,
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert seen and out.stat().st_size > 0
+        for row in seen:
+            for value in (*row.params.values(), row.metric, row.value, row.stderr, row.n):
+                assert type(value) in self.ROW_TYPES, (row.metric, type(value))
+
+
 class TestFloatReportPath:
     """A report is computed in plain floats, from Bloch vectors alone."""
 
@@ -623,6 +689,22 @@ class TestGaussianSim:
         assert main(["gaussian-sim", "--config", write_config(tmp_path, cfg)]) == 2
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy, message", [
+        (None, "missing required config field 'strategy' (string or list of strings)"),
+        (7, "config field 'strategy' must be string or list of strings, got 7"),
+        ({"a": 1}, "config field 'strategy' must be string or list of strings"),
+        ([], "'strategy' must be a string or nonempty list, got []"),
+        (["optimal_joint", "nope"], "unknown strategy 'nope'; valid: optimal_joint, "),
+    ], ids=["missing", "number", "object", "empty", "unknown"])
+    def test_bad_strategy_exits_2(self, tmp_path, capsys, strategy, message):
+        cfg = {"problem": PLANAR_PROBLEM, "trials": 10, "seed": 1}
+        if strategy is not None:
+            cfg["strategy"] = strategy
+        assert main(["gaussian-sim", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
     def test_trivial_config_rejected(self, tmp_path, capsys):
         cfg = {
             "problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9},
@@ -751,6 +833,26 @@ class TestSweep:
         cfg = {"sweep": {"r0_len": [], "s0_len": [1.0], "angle": [0.0],
                          "pi0": [0.5]}}
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize("key, grid, message", [
+        ("pi0", [0.5, 1.0], "sweep pi0 values must lie strictly in (0, 1), got 1.0"),
+        ("pi0", [0.5, 0.0], "sweep pi0 values must lie strictly in (0, 1), got 0.0"),
+        ("r0_len", [0.9, 1.5], "sweep Bloch lengths must lie in (0, 1]"),
+        ("s0_len", [0.3, 0.0], "sweep Bloch lengths must lie in (0, 1]"),
+    ], ids=["pi0-one", "pi0-zero", "r0-len-above-one", "s0-len-zero"])
+    def test_bad_grid_value_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch,
+                                                   key, grid, message):
+        """Every grid value is checked before the first report is computed,
+        not when the loop reaches it."""
+        calls = []
+        monkeypatch.setattr(cli, "_report_rows", lambda *args: calls.append(args) or [])
+        cfg = {"sweep": {"r0_len": [0.9], "s0_len": [0.3], "angle": [0.0, 1.0],
+                         "pi0": [0.5], key: grid}}
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert calls == []
 
 
 class TestDeterminismAndFormats:

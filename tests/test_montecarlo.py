@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qclass import build_frame, montecarlo
+from qclass import ClassificationProblem, build_frame, montecarlo
 from qclass.gaussian_model import StrategyKind, monte_carlo_risks
-from qclass.montecarlo import Moments, run_chunked, summarize
+from qclass.montecarlo import ExperimentResult, Moments, run_chunked, summarize
+from qclass.qubit_experiment import LabelMode, TrainingSetSpec, run_experiment
 
 
 def _values(rng, size):
@@ -201,6 +202,42 @@ class TestRows:
         finally:
             tracemalloc.stop()
         assert peak < 1.75 * 2**20
+
+
+class TestResultTypes:
+    """Results hold builtin Python numbers, as their annotations say: the
+    CLI prints and serialises them without converting numpy scalars."""
+
+    FIELD_TYPES = {"n": (int, type(None)), "trials": (int,),
+                   "mean_rescaled_excess": (float,), "stderr": (float,),
+                   "fraction_exact": (float, type(None))}
+
+    def assert_builtin(self, res: ExperimentResult):
+        assert vars(res).keys() == self.FIELD_TYPES.keys()
+        for name, value in vars(res).items():
+            assert type(value) in self.FIELD_TYPES[name], (name, type(value))
+
+    def test_moments_hold_builtin_numbers(self):
+        m = Moments.of(_values(np.random.default_rng(3), 100))
+        assert [type(v) for v in vars(m).values()] == [int, float, float, int]
+
+    def test_gaussian_model_results(self):
+        frame = build_frame((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
+        for res in monte_carlo_risks(list(StrategyKind), frame, 0.4, trials=100, seed=5):
+            self.assert_builtin(res)
+            assert res.n is None and res.fraction_exact is None
+
+    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("r, s, pi0", [
+        ((0.8, 0, 0), (0, 0.6, 0), 0.5),  # every trial misses the oracle
+        ((0, 0, 0.1), (0, 0, 0.5), 0.9),  # trivial: every trial recovers it
+    ], ids=["planar", "trivial"])
+    def test_qubit_results(self, mode, r, s, pi0):
+        problem = ClassificationProblem.from_bloch(r, s, pi0)
+        for known_priors in (False, True):
+            spec = TrainingSetSpec(n=500, problem=problem, label_mode=mode,
+                                   known_priors=known_priors)
+            self.assert_builtin(run_experiment(spec, 100, 7))
 
 
 class _SerialPool:

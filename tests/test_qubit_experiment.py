@@ -1421,6 +1421,37 @@ class TestRunExperiment:
         assert a == b == c
 
 
+class TestTrivialityBoundaryLayer:
+    """Near the triviality boundary the 1/n constant holds only once
+    x = eps sqrt(n) / (2 tau) is large, eps = |d0| - |pi0 - pi1| (ROADMAP
+    item 18).  Config A: eps = 0.0099 and tau = 0.845 for fixed labels
+    with known priors, so x ~ 0.75 at n = 16,400 and ~ 18 at n = 1e7."""
+
+    R0, S0, PI0 = (0, 0, 0.3), (0.27, 0, 0), 0.6
+
+    def measure(self, n):
+        """(n E, the constant C, the z-score of n E against C); 2^17 trials."""
+        problem = ClassificationProblem.from_bloch(self.R0, self.S0, self.PI0)
+        spec = TrainingSetSpec(n=n, problem=problem, label_mode=LabelMode.FIXED_COUNTS,
+                               known_priors=True)
+        res = run_experiment(spec, 2**17, 11)
+        constant = tomography_constant(self.R0, self.S0, self.PI0)
+        z = (res.mean_rescaled_excess - constant) / res.stderr
+        return res.mean_rescaled_excess, constant, z
+
+    def test_constant_is_not_reached_in_the_layer(self):
+        """At x ~ 0.75 rank flips dominate: n E is about 3 C (22.13 +- 0.085
+        against C = 7.018), 178 stderr above it."""
+        rescaled, constant, z = self.measure(16_400)
+        assert rescaled > 2 * constant
+        assert z > 20
+
+    def test_constant_holds_far_from_the_boundary(self):
+        """At x ~ 18: n E = 7.0116 +- 0.0194, z = -0.3."""
+        _, _, z = self.measure(10**7)
+        assert abs(z) <= 4
+
+
 class TestRescaledRiskCurve:
     def test_trivial_config_decays(self):
         # n large enough that the rare class keeps >= 3 copies in every trial
