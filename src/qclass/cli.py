@@ -159,11 +159,15 @@ def _parse_strategies(cfg: dict) -> list:
     return out
 
 
-def _parse_seed(cfg: dict, args) -> int:
+def _parse_sampling(cfg: dict, args) -> tuple[int, int]:
+    """Seed and workers, which only the simulators read; flags beat config."""
     seed = args.seed if args.seed is not None else _require(cfg, "seed", int, "an integer")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    workers = cfg.get("workers", 1) if args.workers is None else args.workers
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+    return seed, workers
 
 
 def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
@@ -172,7 +176,7 @@ def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
     frame = build_frame(r0, s0, pi0)  # rejects zero-length and trivial problems
     strategies = _parse_strategies(cfg)
     trials = _require(cfg, "trials", int, "an integer >= 1")
-    seed = _parse_seed(cfg, args)
+    seed, workers = _parse_sampling(cfg, args)
 
     closed_form = {
         StrategyKind.OPTIMAL_JOINT: optimal_minimax_risk(frame, pi0),
@@ -182,7 +186,7 @@ def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
     }
     base = _problem_params(r0, s0, pi0)
     base.update({"param.trials": trials, "param.seed": seed})
-    results = monte_carlo_risks(strategies, frame, pi0, trials, seed, workers=args.workers)
+    results = monte_carlo_risks(strategies, frame, pi0, trials, seed, workers=workers)
     rows = []
     for strategy, res in zip(strategies, results):
         params = dict(base)
@@ -200,7 +204,7 @@ def cmd_qubit_sim(cfg: dict, args) -> list[ResultRow]:
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in n_list):
         raise ConfigError(f"n_list must contain integers, got {n_list!r}")
     trials = _require(cfg, "trials", int, "an integer >= 1")
-    seed = _parse_seed(cfg, args)
+    seed, workers = _parse_sampling(cfg, args)
     mode_name = cfg.get("label_mode", "random")
     try:
         mode = LabelMode(mode_name)
@@ -213,7 +217,7 @@ def cmd_qubit_sim(cfg: dict, args) -> list[ResultRow]:
     problem = ClassificationProblem.from_bloch(r0, s0, pi0)
     results = rescaled_risk_curve(
         problem, n_list, trials, seed,
-        label_mode=mode, known_priors=known_priors, workers=args.workers,
+        label_mode=mode, known_priors=known_priors, workers=workers,
     )
     params = _problem_params(r0, s0, pi0)
     params.update({
@@ -291,12 +295,7 @@ _COMMANDS = {
 
 
 def _parse_run_options(cfg: dict, args) -> tuple[str, str | None]:
-    """Workers (stored on args), format and output path; flags beat config."""
-    if args.workers is None:
-        args.workers = cfg.get("workers", 1)
-    if (not isinstance(args.workers, int) or isinstance(args.workers, bool)
-            or args.workers < 1):
-        raise ConfigError(f"workers must be a positive integer, got {args.workers!r}")
+    """Format and output path; flags beat config."""
     fmt = args.format or cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")

@@ -147,13 +147,12 @@ def triviality_check(r0, s0, pi0: float) -> TrivialityVerdict:
     Strictly larger means a genuine measurement is needed (NONTRIVIAL);
     strictly smaller means guessing the higher-prior label is optimal; the
     equality case is DEGENERATE.  The boundary is decided by exact float
-    comparison of the two computed values.
+    comparison of the two computed values.  Raises ValueError for a pi0
+    outside (0, 1) and InvalidStateError for an invalid state, through
+    ClassificationProblem.
     """
-    if not (0.0 < pi0 < 1.0):
-        raise ValueError(f"pi0 must lie strictly in (0, 1), got {pi0!r}")
-    alpha, _, dn = pauli_data(
-        BlochVector.from_array(r0), BlochVector.from_array(s0), pi0
-    )
+    problem = ClassificationProblem(r0, s0, pi0)
+    alpha, _, dn = pauli_data(problem.r, problem.s, pi0)
     return verdict_of(alpha, dn)
 
 

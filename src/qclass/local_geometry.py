@@ -44,8 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .helstrom import TrivialityVerdict, pauli_data, verdict_of
-from .qubit_core import BlochVector
+from .helstrom import ClassificationProblem, TrivialityVerdict, pauli_data, verdict_of
 
 
 class TrivialConfigurationError(ValueError):
@@ -104,18 +103,17 @@ def _fallback_l0(p0) -> tuple[float, float, float]:
 def build_frame(r0, s0, pi0: float) -> LocalFrame:
     """Construct the local frame of a nontrivial configuration.
 
-    Raises ValueError for zero-length state vectors,
-    TrivialConfigurationError when (r0, s0, pi0) is trivial or degenerate,
-    and NumericalError when rounding breaks a frame identity.
+    Raises ValueError for a pi0 outside (0, 1) and InvalidStateError for
+    an invalid state, through ClassificationProblem; ValueError for
+    zero-length state vectors, TrivialConfigurationError when (r0, s0,
+    pi0) is trivial or degenerate, and NumericalError when rounding
+    breaks a frame identity.
     """
-    r = BlochVector.from_array(r0)
-    s = BlochVector.from_array(s0)
-    r0n = r.norm
-    s0n = s.norm
+    problem = ClassificationProblem(r0, s0, pi0)
+    r, s = problem.r, problem.s
+    r0n, s0n = r.norm, s.norm
     if r0n == 0.0 or s0n == 0.0:
         raise ValueError("state Bloch vectors must be nonzero to define a frame")
-    if not (0.0 < pi0 < 1.0):
-        raise ValueError(f"pi0 must lie strictly in (0, 1), got {pi0!r}")
     alpha, (dx, dy, dz), d0n = pauli_data(r, s, pi0)
     verdict = verdict_of(alpha, d0n)
     if verdict is not TrivialityVerdict.NONTRIVIAL:

@@ -23,13 +23,13 @@ then each axis's counts for all trials, by one of two samplers:
   pi0) and the count on axis j in that of Binomial(m_j, p_j) for the
   trial's copy count m_j.  It draws fixed labels unless the six tables
   would hold more than _ALIAS_MAX_CELLS cells (n above ~1e9), and random
-  labels up to n = _RANDOM_ALIAS_MAX_N.  Its plan also holds the tables
-  and, per class, whether any estimate the draw can give lies outside
-  the Bloch ball, read from the cells a lookup can reach: own values of
-  cells with threshold > 0, alias values of cells with threshold < 1
-  (a far-tail cell whose mass rounds to 0 is never drawn).  Where no
-  estimate can leave the ball, the radial clip would divide nothing, and
-  the run skips it.
+  labels up to n = _RANDOM_ALIAS_MAX_N.  The tables live only in the
+  draw; the plan is the draw and, per class, a flag: whether any
+  estimate the draw can give lies outside the Bloch ball, read from the
+  cells a lookup can reach: own values of cells with threshold > 0,
+  alias values of cells with threshold < 1 (a far-tail cell whose mass
+  rounds to 0 is never drawn).  Where no estimate can leave the ball,
+  the radial clip would divide nothing, and the run skips it.
 * _binomial_draw otherwise: one binomial call per axis, at a cost that
   is the same at every n.
 
@@ -309,14 +309,10 @@ def _fixed_n0(n: int, pi0: float) -> int:
 
 
 class _RunPlan(NamedTuple):
-    """How a run draws, built once per key by _build_plan.  An alias plan
-    holds its tables, the draw over them, and per class whether any
-    estimate the draw can give lies outside the Bloch ball.  A binomial
-    plan holds only its draw, and clips both classes."""
+    """How a run draws, built once per key by _build_plan: its draw (an
+    alias draw holds its tables) and one clip flag per class.  A binomial
+    plan clips both classes."""
 
-    labels: _AliasTables | None  # random-label alias plans: the class sizes' table
-    counts: _AliasTables | None  # alias plans: the six axes', a row per copy count
-    low: int | None  # alias plans: the class size of counts.offsets[:, 0]
     draw: Callable  # draw(rng, size) -> (est, n0), see _alias_draw and _binomial_draw
     # rho's and sigma's flags; where one is False, _clip_to_ball would
     # divide no column of that class, so run_experiment skips it
@@ -336,12 +332,13 @@ _ALIAS_MAX_CELLS = (16 << 20) // 24
 
 @functools.lru_cache(maxsize=_PLANS_KEPT)
 def _build_plan(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _RunPlan:
-    """_RunPlan of a run at n whose axes measure +1 with the given
-    probabilities, by the one rule that picks how a run draws.  Random
-    labels draw from alias tables up to n = _RANDOM_ALIAS_MAX_N, fixed
-    labels while their six tables hold at most _ALIAS_MAX_CELLS cells,
-    counted from (m_j, p_j) without building a row (up to n ~ 1.1e9 on the
-    README anchor).  Otherwise the plan draws by _binomial_draw.
+    """_RunPlan (its draw and two clip flags) of a run at n whose axes
+    measure +1 with the given probabilities, by the one rule that picks
+    how a run draws.  Random labels draw from alias tables up to n =
+    _RANDOM_ALIAS_MAX_N, fixed labels while their six tables hold at most
+    _ALIAS_MAX_CELLS cells, counted from (m_j, p_j) without building a row
+    (up to n ~ 1.1e9 on the README anchor); the tables live only in the
+    alias draw.  Otherwise the plan draws by _binomial_draw.
 
     Fixed labels have one class size, so each axis's table has one row.
     Random labels draw the class size from the table of the windowed
@@ -357,8 +354,7 @@ def _build_plan(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _R
         labels = _joined([_alias_table(window, pmf)], [[0]])
         sizes = np.arange(window.min(), window.max() + 1)
     if not alias:
-        return _RunPlan(None, None, None, _binomial_draw(label_mode, n, pi0, *probabilities),
-                        (True, True))
+        return _RunPlan(_binomial_draw(label_mode, n, pi0, *probabilities), (True, True))
     tables, rows = [], []
     for m, p in zip(_axis_copies(sizes, n - sizes), probabilities):
         copies = np.arange(m.min(), m.max() + 1)
@@ -376,13 +372,7 @@ def _build_plan(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _R
     # squared and summed in _clip_to_ball's order, (x x + y y) + z z:
     # rounding is monotone, so no drawable estimate's norm exceeds these
     clip = (x0 * x0 + y0 * y0 + z0 * z0 > 1.0, x1 * x1 + y1 * y1 + z1 * z1 > 1.0)
-    counts, low = _joined(tables, rows), int(sizes[0])
-    return _RunPlan(labels, counts, low, _alias_draw(labels, counts, low), clip)
-
-
-def _run_plan(spec: TrainingSetSpec) -> _RunPlan:
-    """The _RunPlan of spec, from _build_plan's cache: one lookup."""
-    return _build_plan(spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
+    return _RunPlan(_alias_draw(labels, _joined(tables, rows), int(sizes[0])), clip)
 
 
 def _alias_cells(x: np.ndarray, tables: _AliasTables, rows=None) -> np.ndarray:
@@ -503,7 +493,7 @@ def run_experiment(
     column that the kernel uses as it is.
 
     The draw and the clip flags come from the spec's cached _RunPlan, one
-    _run_plan lookup (see _build_plan for which sampler a key gets).  The
+    _build_plan lookup (see _build_plan for which sampler a key gets).  The
     draw takes a chunk's class sizes and the six estimates of every trial,
     so a trial's value is fixed by (seed, CHUNK_SIZE, its index), not by
     its index alone.  Each class's estimates are clipped to the ball
@@ -519,7 +509,8 @@ def run_experiment(
     alpha, d, dn = pauli_data(spec.problem.r, spec.problem.s, pi0)
     # np.reshape of a tuple goes through np.asarray and takes 3x as long
     truth = alpha, np.array(d).reshape(3, 1), dn
-    *_, draw, (clip_rho, clip_sigma) = _run_plan(spec)
+    draw, (clip_rho, clip_sigma) = _build_plan(spec.label_mode, n, pi0,
+                                               *_axis_probabilities(spec.problem))
 
     def chunk_fn(rng, size):
         est, n0 = draw(rng, size)

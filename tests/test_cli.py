@@ -271,6 +271,66 @@ class TestConfigValidation:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    SIM_CFG = {"problem": PLANAR_PROBLEM, "trials": 10, "seed": 1,
+               "strategy": "optimal_joint", "n_list": [10]}
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("report", {"problem": {**PLANAR_PROBLEM, "pi0": "0.5"}},
+         "config field 'pi0' must be a finite number, got '0.5'"),
+        ("report", {"problem": PLANAR_PROBLEM, "format": "xml"},
+         "format must be 'csv' or 'json', got 'xml'"),
+        ("report", [1, 2], "config must be a JSON object"),
+        ("qubit-sim", {**SIM_CFG, "label_mode": "both"},
+         "label_mode must be 'random' or 'fixed', got 'both'"),
+        ("qubit-sim", {**SIM_CFG, "known_priors": 1}, "known_priors must be a boolean, got 1"),
+        ("qubit-sim", {**SIM_CFG, "known_priors": "true"},
+         "known_priors must be a boolean, got 'true'"),
+    ], ids=["pi0-string", "format", "not-an-object", "label-mode", "known-priors-int",
+            "known-priors-string"])
+    def test_bad_value_exits_2_with_its_message(self, tmp_path, capsys, command, cfg,
+                                                message):
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["gaussian-sim", "qubit-sim"])
+    @pytest.mark.parametrize("where, workers", [
+        ("config", 0), ("config", True), ("config", "2"), ("flag", "0")])
+    def test_simulators_reject_bad_workers(self, tmp_path, capsys, command, where, workers):
+        """The simulators read workers, so a bad value exits 2 with its message."""
+        argv = [command, "--config"]
+        if where == "flag":
+            argv += [write_config(tmp_path, self.SIM_CFG), "--workers", workers]
+        else:
+            argv += [write_config(tmp_path, {**self.SIM_CFG, "workers": workers})]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: workers must be a positive integer, got ")
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("report", {"problem": PLANAR_PROBLEM}),
+        ("sweep", {"sweep": {"r0_len": [0.9], "s0_len": [0.3], "angle": [0.0, 2.0],
+                             "pi0": [0.4]}}),
+    ], ids=["report", "sweep"])
+    @pytest.mark.parametrize("where, workers", [
+        ("config", 0), ("config", True), ("config", "2"), ("flag", "0")])
+    def test_unread_workers_is_ignored(self, tmp_path, capsys, command, cfg, where, workers):
+        """report and sweep never read workers: whatever its value, in the
+        config or as a flag, they print the bytes of a workers 1 run."""
+        plain = write_config(tmp_path, cfg, "plain.json")
+        assert main([command, "--config", plain, "--workers", "1"]) == 0
+        want = capsys.readouterr()
+        argv = [command, "--config"]
+        if where == "flag":
+            argv += [plain, "--workers", workers]
+        else:
+            argv += [write_config(tmp_path, {**cfg, "workers": workers})]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert want.out and (captured.out, captured.err) == (want.out, "")
+
     @pytest.mark.parametrize("command", ["gaussian-sim", "qubit-sim"])
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command, where):

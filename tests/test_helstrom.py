@@ -150,6 +150,16 @@ class TestClassificationProblem:
         with pytest.raises(ValueError):
             ClassificationProblem((0.1, 0.2), (0.0, 0.0, 0.0), 0.5)
 
+    @pytest.mark.parametrize("pi0", [0.0, 1.0, math.nan])
+    def test_prior_checked_at_construction(self, pi0):
+        """The one check of a prior: it must lie strictly in (0, 1), and
+        triviality_check makes it through the problem type."""
+        message = r"pi0 must lie strictly in \(0, 1\), got " + repr(pi0)
+        with pytest.raises(ValueError, match=message):
+            ClassificationProblem((0.8, 0.0, 0.0), (0.0, 0.6, 0.0), pi0)
+        with pytest.raises(ValueError, match=message):
+            triviality_check((0.8, 0.0, 0.0), (0.0, 0.6, 0.0), pi0)
+
 
 class TestHelstromRisk:
     def test_antipodal_perfectly_distinguishable(self):

@@ -72,6 +72,9 @@ class TestBuildFrame:
             build_frame((0, 0, 0.1), (0, 0, 0.5), 0.9)  # trivial
         with pytest.raises(TrivialConfigurationError):
             build_frame((0, 0, 1.0), (0, 0, 1.0), 0.75)  # degenerate boundary
+        for pi0 in (0.0, 1.0, math.nan):  # checked through ClassificationProblem
+            with pytest.raises(ValueError, match=r"pi0 must lie strictly in \(0, 1\)"):
+                build_frame(*PLANAR[:2], pi0)
 
     def test_random_frame_invariants(self):
         rng = np.random.default_rng(61)

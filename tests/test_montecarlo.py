@@ -120,6 +120,10 @@ class TestSummary:
         with pytest.raises(ValueError, match="expected"):
             run_chunked(10, 0, lambda rng, size: np.zeros(size + 1))
 
+    def test_no_workers_raises(self):
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_chunked(10, 0, _values, workers=0)
+
     def test_memory_is_bounded_by_chunks_not_trials(self, monkeypatch):
         """64 chunks of 4096 trials hold less than four chunk arrays at once;
         keeping every trial's value would hold 64 of them."""

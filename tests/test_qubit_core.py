@@ -57,6 +57,8 @@ class TestBlochDensityRoundTrip:
     def test_norm_validation(self):
         with pytest.raises(InvalidStateError):
             BlochVector(1.2, 0.0, 0.0)
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            BlochVector(math.nan, 0.0, 0.0)
         with pytest.raises(InvalidStateError):
             bloch_to_density(np.array([0.9, 0.9, 0.0]))
 

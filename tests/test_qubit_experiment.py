@@ -28,16 +28,17 @@ from qclass.qubit_experiment import (
     _RANDOM_ALIAS_MAX_N,
     _KERNEL_BLOCK,
     _WINDOW_TAIL,
+    _AliasTables,
     _alias_table,
     _axis_copies,
     _axis_probabilities,
     _binomial_draw,
     _binomial_windows,
     _clip_to_ball,
+    _joined,
     _outcome_average,
     _plugin_excess,
     _RunPlan,
-    _run_plan,
     _window_cells,
     rescaled_risk_curve,
     run_experiment,
@@ -89,9 +90,16 @@ class TestSampleLabels:
         assert n0 / n == pytest.approx(0.5, abs=4 * sigma)
 
 
+def _plan(spec) -> _RunPlan:
+    """spec's cached _RunPlan, by the one _build_plan lookup run_experiment
+    makes."""
+    return qubit_experiment._build_plan(spec.label_mode, spec.n, spec.pi0,
+                                        *_axis_probabilities(spec.problem))
+
+
 def _alias_sampler(spec):
     """The alias draw of spec's cached _RunPlan, as run_experiment takes it."""
-    return _run_plan(spec).draw
+    return _plan(spec).draw
 
 
 def _binomial_sampler(spec):
@@ -99,9 +107,23 @@ def _binomial_sampler(spec):
     return _binomial_draw(spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
 
 
+def _is_alias_draw(draw) -> bool:
+    """Whether draw draws from alias tables: of the two samplers, only the
+    alias draw makes no generator call but random (see _SpyGenerator)."""
+    calls = []
+    draw(_SpyGenerator(np.random.default_rng(0), calls), 1)
+    return {name for name, _, _ in calls} == {"random"}
+
+
 def _is_alias(spec) -> bool:
     """Whether the run plan of spec draws from alias tables."""
-    return _run_plan(spec).counts is not None
+    return _is_alias_draw(_plan(spec).draw)
+
+
+def _held_tables(draw) -> list:
+    """The _AliasTables a draw holds, read from its closure."""
+    return [cell.cell_contents for cell in draw.__closure__
+            if isinstance(cell.cell_contents, _AliasTables)]
 
 
 def _fixed_axis_laws(spec) -> list[tuple[int, float]]:
@@ -134,7 +156,9 @@ class _GivenClassSizes:
     h) of rho, and that passes every other call through.  The binomial
     sampler draws the class sizes as one binomial call; the alias sampler
     as a (1, size) array of uniforms, which here each fall inside a cell
-    of the label table ``labels`` that gives its class size as its own."""
+    of the label table ``labels`` that gives its class size as its own:
+    the table the alias draw holds, rebuilt as _build_plan builds it
+    (_label_table)."""
 
     def __init__(self, rng, m, h, labels):
         self._rng, self._n0, self._labels = rng, np.repeat(m, h), labels
@@ -157,12 +181,18 @@ class _GivenClassSizes:
         return getattr(self._rng, name)
 
 
+def _label_table(n: int, pi0: float) -> _AliasTables:
+    """The class-size table of random labels at n, built as _build_plan
+    builds it: the alias table of the windowed Binomial(n, pi0) row."""
+    return _joined([_alias_table(*_binomial_windows(np.array([n]), pi0))], [[0]])
+
+
 def _estimates(r, m, h, rng, n):
     """The clipped (3, h.sum()) estimates of r drawn by the run plan of
     random labels at n, when h[g] trials have m[g] copies of r."""
     spec = TrainingSetSpec(n=n, problem=ClassificationProblem.from_bloch(r, (0, 0, 0), 0.5))
-    plan = _run_plan(spec)
-    est, n0 = plan.draw(_GivenClassSizes(rng, m, h, plan.labels), int(h.sum()))
+    est, n0 = _plan(spec).draw(_GivenClassSizes(rng, m, h, _label_table(n, 0.5)),
+                               int(h.sum()))
     np.testing.assert_array_equal(n0, np.repeat(m, h))
     return _clip_to_ball(est[:3])
 
@@ -312,7 +342,7 @@ class TestCountSampler:
         return calls
 
     def test_run_picks_one_sampler_per_run(self, monkeypatch):
-        """run_experiment makes one _run_plan lookup per run, also for a
+        """run_experiment makes one _build_plan lookup per run, also for a
         key already cached, and draws with the plan's sampler, whatever
         its trial and chunk counts.  Random labels draw from alias tables
         up to _RANDOM_ALIAS_MAX_N, 65,536-trial chunks at n = 100
@@ -320,16 +350,7 @@ class TestCountSampler:
         tables at every chunk size, the benchmark's large-n shapes (n =
         10^4 and 10^5, one 2000-trial chunk) included, and by binomials
         once the six tables would hold more than _ALIAS_MAX_CELLS cells."""
-        picked = []
-        run_plan = qubit_experiment._run_plan
-
-        def spy(spec):
-            plan = run_plan(spec)
-            picked.append(("binomial" if plan.counts is None else "alias", spec.label_mode,
-                           spec.n))
-            return plan
-
-        monkeypatch.setattr(qubit_experiment, "_run_plan", spy)
+        lookups = _plan_lookups(monkeypatch)
         random, fixed = LabelMode.RANDOM_LABELS, LabelMode.FIXED_COUNTS
         above_cap = 4 * 10**9
         cases = [(random, _RANDOM_ALIAS_MAX_N, 1200, 500, "alias"),
@@ -345,6 +366,8 @@ class TestCountSampler:
         for mode, n, trials, chunk, _ in cases:
             monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
             run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), trials, 3)
+        picked = [("alias" if _is_alias_draw(plan.draw) else "binomial", mode, n)
+                  for (mode, n, *_), plan in lookups]
         assert picked == [(name, mode, n) for mode, n, _, _, name in cases]
 
     def test_fixed_labels_draw_against_an_int_count(self):
@@ -885,9 +908,22 @@ def _fresh_plans(monkeypatch, build=_BUILD, maxsize=_CACHED_BUILD.cache_info().m
     return cache
 
 
+def _plan_lookups(monkeypatch) -> list:
+    """The (key, plan) of every _build_plan lookup, cache hits included,
+    recorded around an empty cache of the process's size."""
+    cache, lookups = _fresh_plans(monkeypatch), []
+
+    def spy(*key):
+        lookups.append((key, cache(*key)))
+        return lookups[-1][1]
+
+    monkeypatch.setattr(qubit_experiment, "_build_plan", spy)
+    return lookups
+
+
 def _binomial_plan(*key):
     """The binomial plan of a key, whichever plan _build_plan gives it."""
-    return qubit_experiment._RunPlan(None, None, None, _binomial_draw(*key), (True, True))
+    return qubit_experiment._RunPlan(_binomial_draw(*key), (True, True))
 
 
 class TestTableCache:
@@ -904,12 +940,12 @@ class TestTableCache:
         specs = [TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
                  for mode, n in ((random, 90), (fixed, 90), (random, _RANDOM_ALIAS_MAX_N + 1),
                                  (fixed, 2 * 10**9), (random, 30))]
-        plans = [_run_plan(spec) for spec in specs]
-        assert [plan.counts is None for plan in plans] == [False, False, True, True, False]
+        plans = [_plan(spec) for spec in specs]
+        assert [_is_alias_draw(plan.draw) for plan in plans] == [True, True, False, False, True]
         assert cache.cache_info()[:2] == (0, 5) and cache.cache_info().currsize == 4
-        assert _run_plan(specs[-1]) is plans[-1]
+        assert _plan(specs[-1]) is plans[-1]
         assert cache.cache_info()[:2] == (1, 5)
-        assert _run_plan(specs[0]) is not plans[0]
+        assert _plan(specs[0]) is not plans[0]
         assert cache.cache_info()[:2] == (1, 6) and cache.cache_info().currsize == 4
 
     def test_threads_share_the_plans(self, monkeypatch):
@@ -968,23 +1004,35 @@ class TestTableCache:
             run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), 500, 1)
         assert run_experiment(spec, 5000, 81) == cold
         assert cache.cache_info()[:2] == (2, 4) and cache.cache_info().currsize == 4
-        assert type(_run_plan(spec)) is _RunPlan
+        assert type(_plan(spec)) is _RunPlan
         cache = _fresh_plans(monkeypatch, maxsize=0)
         assert run_experiment(spec, 5000, 81) == cold
         assert cache.cache_info().currsize == 0
 
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
-    def test_cached_tables_are_read_only(self, mode):
+    def test_cached_tables_are_read_only(self, monkeypatch, mode):
         """Threads and runs share the cached plans, so none may write into
-        them: every array of the count tables, and of the class-size table
-        with random labels, refuses a write, and the plan's other fields
-        hold no array."""
+        them: the tables a plan's draw holds are the ones _joined built for
+        it, the count tables and, with random labels, the class-size table,
+        and every array of them refuses a write.  The draw holds nothing
+        else but ints and None, and the plan nothing else but its flags."""
+        joined = []
+
+        def spy(tables, rows):
+            joined.append(_joined(tables, rows))
+            return joined[-1]
+
+        monkeypatch.setattr(qubit_experiment, "_joined", spy)
+        _fresh_plans(monkeypatch)
         spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
-        labels, counts, low, draw, clip = _run_plan(spec)
-        assert (labels is None) == (mode is LabelMode.FIXED_COUNTS)
-        assert type(low) is int and callable(draw)
+        draw, clip = _plan(spec)
+        assert callable(draw) and len(joined) == (1 if mode is LabelMode.FIXED_COUNTS else 2)
+        held = [cell.cell_contents for cell in draw.__closure__]
+        assert sorted(map(id, _held_tables(draw))) == sorted(map(id, joined))
+        assert {type(obj) for obj in held if not isinstance(obj, _AliasTables)} <= {
+            int, type(None)}
         assert [type(flag) for flag in clip] == [bool, bool]
-        for table in (counts,) if labels is None else (counts, labels):
+        for table in joined:
             for array in table:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -1022,22 +1070,14 @@ class TestRunPlan:
         holds no table and clips both classes, and its draw is the
         binomial draw written out per trial, byte for byte and in
         generator state, over chunks of 500, 500 and 200 trials."""
-        plans = []
-        run_plan = qubit_experiment._run_plan
-
-        def spy(spec):
-            plans.append(run_plan(spec))
-            return plans[-1]
-
-        monkeypatch.setattr(qubit_experiment, "_run_plan", spy)
-        _fresh_plans(monkeypatch)
+        lookups = _plan_lookups(monkeypatch)
         spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
         run_experiment(spec, 10, 1)
         run_experiment(spec, 10, 2)
-        first, second = plans
+        (_, first), (_, second) = lookups
         assert first is second
-        assert (first.labels, first.counts, first.low, first.clip) == (None, None, None,
-                                                                       (True, True))
+        assert (_held_tables(first.draw), first.clip) == ([], (True, True))
+        assert not _is_alias_draw(first.draw)
         got, want = np.random.default_rng(4), np.random.default_rng(4)
         for size in TestCountSampler.SIZES:
             est, n0 = first.draw(got, size)
@@ -1125,7 +1165,7 @@ class TestClipSkip:
         change the bytes."""
         spec = TrainingSetSpec(n=n, problem=problem, label_mode=LabelMode.FIXED_COUNTS,
                                known_priors=True)
-        assert _run_plan(spec).clip == clip
+        assert _plan(spec).clip == clip
         runs = []
         for forced in (None, (True, True), (False, False)):
             if forced is not None:
