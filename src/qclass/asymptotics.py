@@ -33,23 +33,17 @@ the heterodyne plug-in constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .local_geometry import LocalFrame, NumericalError, build_frame
 from .qubit_core import as_float3
 
 
-@dataclass(frozen=True)
-class RiskReport:
-    """All closed-form constants for one configuration."""
+class RiskReport(namedtuple("RiskReport", "classical_term quantum_term commutator_c "
+                                           "optimal_risk plugin_risk gap prior_correction")):
+    """All closed-form constants for one configuration, as floats."""
 
-    classical_term: float
-    quantum_term: float
-    commutator_c: float
-    optimal_risk: float
-    plugin_risk: float
-    gap: float
-    prior_correction: float
+    __slots__ = ()
 
 
 def classical_risk_term(frame: LocalFrame, pi0: float) -> float:

@@ -13,7 +13,9 @@ explicit wherever sampling happens.  Output is CSV (default) or JSON rows
 with a fixed schema: ``param.*`` columns echo the configuration (sorted
 by name), then ``metric``, ``value``, ``stderr``, ``n``.  Floats are
 printed with 17 significant digits, so a rerun with the same config and
-seed is byte-identical regardless of ``--workers``.  No quantity is
+seed is byte-identical regardless of ``--workers``.  A CSV row is its cells
+joined by commas: each is a number, a bool, empty or a fixed name (metric,
+key or enum value), and none holds a comma, quote or line break.  No quantity is
 computed here; every value comes from a library call.  Exit codes: 0
 ok, 2 invalid configuration or a simulator run without numpy
 (``report`` and ``sweep`` need only the standard library), 3 runtime
@@ -23,14 +25,12 @@ numerical failure (such as a risk constant that overflows).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .asymptotics import (
     optimal_minimax_risk,
@@ -52,13 +52,12 @@ class ConfigError(ValueError):
     """Configuration failed validation; the message names the precondition."""
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    params: dict
-    metric: str
-    value: object
-    stderr: float | None = None
-    n: int | None = None
+class ResultRow(namedtuple("ResultRow", "params metric value stderr n",
+                            defaults=(None, None))):
+    """params (the ``param.*`` dict shared by one config's rows), metric
+    (str), value (None, bool, int, float or str), stderr and n (or None)."""
+
+    __slots__ = ()
 
 
 def _fmt(x) -> str:
@@ -134,7 +133,7 @@ def _report_rows(r0, s0, pi0, params: dict) -> list[ResultRow]:
     if verdict is TrivialityVerdict.NONTRIVIAL:
         rep = risk_report(build_frame(problem.r, problem.s, pi0), pi0)
         # the RiskReport fields, in their declared order
-        rows += [ResultRow(params, name, value) for name, value in vars(rep).items()]
+        rows += [ResultRow(params, name, value) for name, value in rep._asdict().items()]
     return rows
 
 
@@ -262,17 +261,14 @@ def cmd_sweep(cfg: dict, args) -> list[ResultRow]:
 
 def render_csv(rows: list[ResultRow]) -> str:
     param_keys = sorted({k for row in rows for k in row.params})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(param_keys + ["metric", "value", "stderr", "n"])
+    lines = [",".join(param_keys + ["metric", "value", "stderr", "n"])]
     params = None
     for row in rows:
         if row.params is not params:  # rows of one config share its dict
             params = row.params
-            param_cells = [_fmt(params.get(k)) for k in param_keys]
-        writer.writerow(param_cells + [row.metric, _fmt(row.value), _fmt(row.stderr),
-                                       _fmt(row.n)])
-    return buf.getvalue()
+            prefix = "".join([_fmt(params.get(k)) + "," for k in param_keys])
+        lines.append(f"{prefix}{row.metric},{_fmt(row.value)},{_fmt(row.stderr)},{_fmt(row.n)}")
+    return "\n".join(lines) + "\n"
 
 
 def render_json(rows: list[ResultRow]) -> str:

@@ -25,7 +25,7 @@ regime covers it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .qubit_core import BlochVector, vector_norm
@@ -40,20 +40,23 @@ class TrivialityVerdict(Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class ClassificationProblem:
-    """Bloch vectors r of rho and s of sigma, with prior pi0 for rho (pi1 = 1 - pi0)."""
+class ClassificationProblem(namedtuple("ClassificationProblem", "r s pi0")):
+    """BlochVectors r of rho and s of sigma (3-sequences are checked into
+    one) and the float prior pi0 of rho (pi1 = 1 - pi0); ``_make`` and
+    ``_replace`` check them as the constructor does."""
 
-    r: BlochVector
-    s: BlochVector
-    pi0: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # a BlochVector passes through as is; a 3-sequence is checked here
-        object.__setattr__(self, "r", BlochVector.from_array(self.r))
-        object.__setattr__(self, "s", BlochVector.from_array(self.s))
-        if not (0.0 < self.pi0 < 1.0):
-            raise ValueError(f"pi0 must lie strictly in (0, 1), got {self.pi0!r}")
+    def __new__(cls, r, s, pi0):
+        r = BlochVector.from_array(r)
+        s = BlochVector.from_array(s)
+        if not (0.0 < pi0 < 1.0):
+            raise ValueError(f"pi0 must lie strictly in (0, 1), got {pi0!r}")
+        return tuple.__new__(cls, (r, s, pi0))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def pi1(self) -> float:

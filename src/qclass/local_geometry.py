@@ -42,7 +42,7 @@ falls back to the first coordinate axis not parallel to p0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .helstrom import ClassificationProblem, TrivialityVerdict, pauli_data, verdict_of
 
@@ -55,24 +55,16 @@ class NumericalError(ArithmeticError):
     """A construction invariant failed: rounding destroyed the result."""
 
 
-@dataclass(frozen=True)
-class LocalFrame:
+class LocalFrame(namedtuple("LocalFrame", "p0 l0 k0 sin_phi0 cos_phi0 sin_phi1 "
+                                           "cos_phi1 d0_norm r0_norm s0_norm")):
     """Reference frame, angles and norms of a nontrivial configuration.
 
-    The unit vectors are float triples (x, y, z); the angles and norms are
+    The unit vectors p0, l0, k0 are float triples (x, y, z); the angles
+    sin_phi0 ... cos_phi1 and the norms d0_norm, r0_norm, s0_norm are
     floats and are all that the closed-form constants read.
     """
 
-    p0: tuple[float, float, float]
-    l0: tuple[float, float, float]
-    k0: tuple[float, float, float]
-    sin_phi0: float
-    cos_phi0: float
-    sin_phi1: float
-    cos_phi1: float
-    d0_norm: float
-    r0_norm: float
-    s0_norm: float
+    __slots__ = ()
 
 
 def _dot(a, b) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from numbers import Real
 
 # Absolute tolerance for norm checks.  All inputs are analytically
@@ -92,28 +92,32 @@ def vector_norm(v):
     return norm
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Bloch vector of a qubit state; the norm must not exceed 1.
+class BlochVector(namedtuple("BlochVector", "x y z")):
+    """Bloch vector (x, y, z) of a qubit state, three real numbers with norm
+    at most 1; ``_make`` and ``_replace`` check it as the constructor does.
 
     Only state vectors are wrapped in this type.  Unconstrained 3-vectors
     (directions, differences) stay plain float triples.
     """
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.norm
+    def __new__(cls, x, y, z):
+        self = tuple.__new__(cls, (x, y, z))
+        n = vector_norm(self)
         if not math.isfinite(n):
             raise InvalidStateError("Bloch vector has non-finite entries")
         if n > 1.0 + ATOL:
             raise InvalidStateError(f"Bloch vector norm {n!r} exceeds 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def norm(self) -> float:
-        return vector_norm((self.x, self.y, self.z))
+        return vector_norm(self)
 
     @classmethod
     def from_array(cls, arr) -> "BlochVector":

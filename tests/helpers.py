@@ -30,10 +30,15 @@ reference its draws are tested against; it evaluates each trial with
 The classical warm-up baselines (two-Gaussian location and two-cell coin
 problems, with the same rescaled-risk interface as the qubit experiments)
 are here too, as only the tests use them.
+
+``render_csv_reference`` writes the CLI's rows through ``csv.writer``: the
+oracle whose bytes the CLI's comma-joined rows must match.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -49,6 +54,7 @@ from qclass import (
     pauli_data,
     rank_masks,
 )
+from qclass.cli import _fmt
 from qclass.montecarlo import ExperimentResult, run_chunked, summarize
 from qclass.qubit_core import ATOL, _rescaled_norm, as_float3
 from qclass.qubit_experiment import LabelMode, _plugin_excess
@@ -613,3 +619,16 @@ def classical_coin_example(
 
     [moments] = run_chunked(trials, seed, chunk_fn, workers=workers)
     return summarize(moments, n=n)
+
+
+def render_csv_reference(rows) -> str:
+    """qclass.cli.render_csv through csv.writer (minimal quoting): the same
+    header, cells and order, with any quoting a cell would need."""
+    param_keys = sorted({k for row in rows for k in row.params})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(param_keys + ["metric", "value", "stderr", "n"])
+    for row in rows:
+        writer.writerow([_fmt(row.params.get(k)) for k in param_keys]
+                        + [row.metric, _fmt(row.value), _fmt(row.stderr), _fmt(row.n)])
+    return buf.getvalue()

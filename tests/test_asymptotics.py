@@ -1,7 +1,5 @@
 """Regression and identity tests for the closed-form risk constants."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -113,7 +111,7 @@ class TestIdentities:
     def test_broken_identity_raises_numerical_error(self):
         """A frame whose angles no longer satisfy the identities is refused."""
         frame, pi0 = frame_of(PLANAR)
-        broken = dataclasses.replace(frame, cos_phi0=frame.cos_phi0 + 1e-6)
+        broken = frame._replace(cos_phi0=frame.cos_phi0 + 1e-6)
         with pytest.raises(NumericalError):
             risk_report(broken, pi0)
 

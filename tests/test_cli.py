@@ -22,9 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qclass
-from qclass import cli, montecarlo, qubit_experiment
+from qclass import RiskReport, TrivialityVerdict, cli, montecarlo, qubit_experiment
 from qclass.cli import _build_parser, main
+from qclass.gaussian_model import StrategyKind
 from qclass.qubit_core import ATOL
+from qclass.qubit_experiment import LabelMode
+from helpers import render_csv_reference
 from strategies import direction, unit
 
 PLANAR_PROBLEM = {"r0": [0.8, 0.0, 0.0], "s0": [0.0, 0.6, 0.0], "pi0": 0.5}
@@ -90,11 +93,11 @@ class TestNumericalFailure:
     # runs the CLI with _check_frame fed a frame whose cos(phi1) is off by
     # 1e-6, so the frame identities fail on purpose
     BROKEN_CHECK = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import qclass.cli, qclass.local_geometry as lg\n"
         "check = lg._check_frame\n"
         "def broken(frame, pi0):\n"
-        "    return check(dataclasses.replace(frame, cos_phi1=frame.cos_phi1 + 1e-6), pi0)\n"
+        "    return check(frame._replace(cos_phi1=frame.cos_phi1 + 1e-6), pi0)\n"
         "lg._check_frame = broken\n"
         "sys.exit(qclass.cli.main(sys.argv[1:]))\n"
     )
@@ -420,6 +423,23 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_cli_import_loads_no_record_or_csv_module(self):
+        """The records are named tuples and CSV rows are joined by hand, so
+        beyond the standard modules the CLI itself imports, importing it
+        loads none of dataclasses, inspect, csv or typing.  Under python -S,
+        so no site hook loads them first; the baseline is taken after the
+        CLI's own imports, whatever those load on this Python."""
+        env = dict(os.environ, PYTHONPATH=str(Path(qclass.__file__).parents[1]))
+        code = ("import argparse, functools, itertools, json, math, sys\n"
+                "before = set(sys.modules)\n"
+                "import qclass.cli\n"
+                "print(sorted((set(sys.modules) - before)"
+                " & {'dataclasses', 'inspect', 'csv', 'typing'}))\n")
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestParserReuse:
     """The argument parser is built once per process; calls stay independent."""
@@ -549,6 +569,63 @@ class TestRowTypes:
         for row in seen:
             for value in (*row.params.values(), row.metric, row.value, row.stderr, row.n):
                 assert type(value) in self.ROW_TYPES, (row.metric, type(value))
+
+
+class TestCsvRenderer:
+    """render_csv joins each row's cells with commas; csv.writer
+    (render_csv_reference) must give the same bytes on the rows of every
+    command, which holds while no cell needs quoting."""
+
+    CASES = {
+        "report": ("report", {"problem": PLANAR_PROBLEM}),
+        "report-trivial": (
+            "report", {"problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9}}),
+        "report-degenerate": (
+            "report", {"problem": {"r0": [0, 0, 0.5], "s0": [0, 0, 0.5], "pi0": 0.5}}),
+        "sweep": ("sweep", {"sweep": {"r0_len": [0.9, 1.0], "s0_len": [0.3, 1.0],
+                                      "angle": [0.0, 2.0, math.pi], "pi0": [0.4, 0.5]}}),
+        "gaussian-sim": ("gaussian-sim", {
+            "problem": PLANAR_PROBLEM, "trials": 100, "seed": 1,
+            "strategy": ["optimal_joint", "heterodyne_plugin", "optimal_joint_unknown_priors"]}),
+        **{f"qubit-sim-{mode}-{'known' if known else 'unknown'}": ("qubit-sim", {
+            "problem": PLANAR_PROBLEM, "n_list": [50, 500], "trials": 100, "seed": 1,
+            "label_mode": mode, "known_priors": known})
+           for mode in ("random", "fixed") for known in (False, True)},
+    }
+
+    @pytest.fixture(scope="class")
+    def case_rows(self):
+        """The rows each case hands to the renderer."""
+        out = {}
+        for case, (command, cfg) in self.CASES.items():
+            args = _build_parser().parse_args([command, "--config", "unread.json"])
+            out[case] = cli._COMMANDS[command](cfg, args)
+        return out
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_joined_rows_match_csv_writer(self, case_rows, case):
+        rows = case_rows[case]
+        assert rows
+        assert cli.render_csv(rows) == render_csv_reference(rows)
+
+    def test_report_cases_cover_every_verdict_kind(self, case_rows):
+        verdicts = {case_rows[case][0].value for case in ("report", "report-trivial",
+                                                          "report-degenerate")}
+        assert verdicts == {"nontrivial", "trivial_guess_rho", "degenerate"}
+
+    def test_no_fixed_name_needs_quoting(self, case_rows):
+        """No string a row can hold (metric names, param.* keys and every
+        enum value a cell prints) holds a comma, a quote or a line break."""
+        names = {*RiskReport._fields,
+                 *(kind.value for enum in (TrivialityVerdict, StrategyKind, LabelMode)
+                   for kind in enum)}
+        for rows in case_rows.values():
+            for row in rows:
+                names.update(row.params)
+                names.update(v for v in (*row.params.values(), row.metric, row.value)
+                             if isinstance(v, str))
+        assert {"verdict", "rescaled_risk_mc", "param.pi0", "param.label_mode"} <= names
+        assert [name for name in names if set(name) & set(',"\r\n')] == []
 
 
 class TestFloatReportPath:

@@ -4,6 +4,7 @@ The projectors, error probabilities and excess risks of arbitrary
 projectors come from the oracles in tests/helpers.py."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -149,6 +150,19 @@ class TestClassificationProblem:
             ClassificationProblem((0.9, 0.9, 0.0), (0.0, 0.0, 0.0), 0.5)
         with pytest.raises(ValueError):
             ClassificationProblem((0.1, 0.2), (0.0, 0.0, 0.0), 0.5)
+        with pytest.raises(InvalidStateError):
+            PLANAR._replace(s=(0.0, 1.5, 0.0))
+
+    def test_record_semantics(self):
+        """A named tuple: immutable, equal to the tuple of its fields, and
+        pickled through its checked constructor."""
+        with pytest.raises(AttributeError):
+            PLANAR.pi0 = 0.3
+        r, s, pi0 = PLANAR
+        assert PLANAR == (r, s, pi0) and PLANAR.pi1 == 1.0 - pi0
+        back = pickle.loads(pickle.dumps(PLANAR))
+        assert type(back) is ClassificationProblem and back == PLANAR
+        assert type(back.r) is BlochVector and type(back.s) is BlochVector
 
     @pytest.mark.parametrize("pi0", [0.0, 1.0, math.nan])
     def test_prior_checked_at_construction(self, pi0):
@@ -157,6 +171,8 @@ class TestClassificationProblem:
         message = r"pi0 must lie strictly in \(0, 1\), got " + repr(pi0)
         with pytest.raises(ValueError, match=message):
             ClassificationProblem((0.8, 0.0, 0.0), (0.0, 0.6, 0.0), pi0)
+        with pytest.raises(ValueError, match=message):
+            PLANAR._replace(pi0=pi0)
         with pytest.raises(ValueError, match=message):
             triviality_check((0.8, 0.0, 0.0), (0.0, 0.6, 0.0), pi0)
 

@@ -1,6 +1,7 @@
 """Unit and property tests for the closed-form 2x2 algebra."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -61,6 +62,21 @@ class TestBlochDensityRoundTrip:
             BlochVector(math.nan, 0.0, 0.0)
         with pytest.raises(InvalidStateError):
             bloch_to_density(np.array([0.9, 0.9, 0.0]))
+        # _make and _replace build through the constructor, so they check too
+        with pytest.raises(InvalidStateError):
+            BlochVector(0.5, 0.0, 0.0)._replace(x=2.0)
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            BlochVector._make((0.0, math.inf, 0.0))
+
+    def test_record_semantics(self):
+        """A named tuple: immutable, equal to the tuple of its fields, and
+        pickled through its checked constructor."""
+        v = BlochVector(0.6, 0.0, 0.8)
+        with pytest.raises(AttributeError):
+            v.x = 0.1
+        assert v == (0.6, 0.0, 0.8) and tuple(v) == (v.x, v.y, v.z)
+        back = pickle.loads(pickle.dumps(v))
+        assert type(back) is BlochVector and back == v
 
     def test_norm_of_tiny_vectors(self):
         """Below |r| ~ 1e-154 the sum of squares is subnormal; the norm is
