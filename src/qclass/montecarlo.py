@@ -4,8 +4,9 @@ Trials are evaluated in fixed chunks of CHUNK_SIZE.  Chunk c draws from a
 fresh Generator(PCG64(SeedSequence((*seed, c)))), and every sampler draws
 its variates in a documented fixed column order, so the value attributed
 to trial i is a deterministic function of (seed, CHUNK_SIZE, i).  A
-sampler may also order the trials within a chunk (a random-label qubit
-chunk sorts them by class size), which the chunk size alone fixes.
+sampler may also order the trials within a chunk, which the chunk size
+alone fixes: a random-label qubit chunk drawn by binomials sorts them by
+class size, and one drawn from alias tables leaves them in draw order.
 Each chunk is reduced to its Moments inside its task, and the Moments are
 merged in chunk-index order, which makes the result independent of how
 many workers evaluate the chunks; a run holds one chunk's values per

@@ -21,7 +21,8 @@ then each axis's counts for all trials, by one of two samplers:
   uniform looked up in Walker's alias table of a windowed Binomial row
   (about 19 sigma + 31 cells), the class size in that of Binomial(n,
   pi0) and the count on axis j in that of Binomial(m_j, p_j) for the
-  trial's copy count m_j.  It draws fixed labels unless the six tables
+  trial's copy count m_j, a row of the axis's _axis_table, the one
+  per-axis law.  It draws fixed labels unless the six tables
   would hold more than _ALIAS_MAX_CELLS cells (n above ~1e9), and random
   labels up to n = _RANDOM_ALIAS_MAX_N.  The tables live only in the
   draw; the plan is the draw and, per class, a flag: whether any
@@ -35,6 +36,13 @@ then each axis's counts for all trials, by one of two samplers:
 
 A plan depends only on its key, so a run's output does not depend on
 what ran before it.
+
+A new sampler is one more _RunPlan(draw, clip) that _build_plan returns:
+its draw(rng, size) gives (est, n0) as the two above do, and each clip
+flag is False only where no estimate its draw can give leaves the ball.
+The tests reach every sampler through this contract, and a new one is
+tested by adding one parameter to their contract test
+(tests/test_qubit_experiment.py, TestRunPlanContract).
 
 An axis measured on zero copies (a class with fewer than three copies)
 estimates 0, so every trial has a defined outcome: with no copies of a
@@ -111,7 +119,8 @@ _KERNEL_BLOCK = 8192
 # cells over the six axes, built in about 5 ms when a key is first run.
 # Above, per-trial binomials, whose cost does not grow with n, are kept:
 # on a 2-vCPU box a cold build at n = 3000 took 13 ms, 30 times a
-# 1000-trial binomial run (ROADMAP item 6).
+# 1000-trial binomial run.  ROADMAP item 20 carries the random-label cost
+# above this n.
 _RANDOM_ALIAS_MAX_N = 1024
 
 # Probability mass a windowed pmf row may leave out, 2^-64: far below the
@@ -275,6 +284,17 @@ def _alias_table(values: np.ndarray, pmf: np.ndarray):
     return (threshold / one).reshape(rows, width), values, alias_values
 
 
+def _axis_table(copies, p: float):
+    """The law of one axis's count draw: (thresholds, own averages, alias
+    averages), each (R, W), Walker's alias table (_alias_table) of the
+    windowed Binomial(m_r, p) row (_binomial_windows) of each entry m_r of
+    the copy counts ``copies`` (ints), its cells holding the outcome
+    averages (2k - m_r)/m_r."""
+    copies = np.asarray(copies)
+    counts, pmf = _binomial_windows(copies, p)
+    return _alias_table(_outcome_average(counts, copies[:, None]), pmf)
+
+
 class _AliasTables(NamedTuple):
     """Alias tables laid end to end for one lookup over all of them: the
     count tables of the six axes, x, y, z of rho and then of sigma, or the
@@ -358,8 +378,7 @@ def _build_plan(label_mode: LabelMode, n: int, pi0: float, *probabilities) -> _R
     tables, rows = [], []
     for m, p in zip(_axis_copies(sizes, n - sizes), probabilities):
         copies = np.arange(m.min(), m.max() + 1)
-        counts, pmf = _binomial_windows(copies, p)
-        tables.append(_alias_table(_outcome_average(counts, copies[:, None]), pmf))
+        tables.append(_axis_table(copies, p))
         rows.append(m - copies[0])
     # a draw gives a cell's own value only where its threshold is above 0
     # (x >= floor(x) = cut at threshold 0) and its alias's only where the

@@ -1,9 +1,15 @@
-"""Tests for the finite-n qubit experiments and classical baselines."""
+"""Tests for the finite-n qubit experiments and classical baselines.
 
-import functools
+The samplers are reached through three seams only: run_experiment, the
+_RunPlan(draw, clip) that _build_plan returns for a key, and the per-axis
+law _axis_table that the alias draws look their counts up in.
+"""
+
+import gc
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +20,11 @@ from hypothesis import strategies as st
 from qclass import (
     BlochVector,
     ClassificationProblem,
+    TrivialityVerdict,
     helstrom_risk,
     pauli_data,
     tomography_constant,
+    triviality_check,
 )
 from qclass import montecarlo, qubit_experiment
 from qclass.montecarlo import Moments, chunk_rng
@@ -28,15 +36,13 @@ from qclass.qubit_experiment import (
     _RANDOM_ALIAS_MAX_N,
     _KERNEL_BLOCK,
     _WINDOW_TAIL,
-    _AliasTables,
     _alias_table,
     _axis_copies,
     _axis_probabilities,
+    _axis_table,
     _binomial_draw,
     _binomial_windows,
-    _clip_to_ball,
     _joined,
-    _outcome_average,
     _plugin_excess,
     _RunPlan,
     _window_cells,
@@ -69,6 +75,7 @@ TRIVIAL = ClassificationProblem.from_bloch((0, 0, 0.1), (0, 0, 0.5), 0.9)
 SKEWED = ClassificationProblem.from_bloch((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
 # pure states along an axis: each draws its own axis's counts from a point mass
 PURE_AXES = ClassificationProblem.from_bloch((0, 0, 1), (-1, 0, 0), 0.4)
+RANDOM, FIXED = LabelMode.RANDOM_LABELS, LabelMode.FIXED_COUNTS
 
 
 class TestSampleLabels:
@@ -91,110 +98,47 @@ class TestSampleLabels:
 
 
 def _plan(spec) -> _RunPlan:
-    """spec's cached _RunPlan, by the one _build_plan lookup run_experiment
-    makes."""
+    """spec's _RunPlan(draw, clip), by the one _build_plan lookup that
+    run_experiment makes."""
     return qubit_experiment._build_plan(spec.label_mode, spec.n, spec.pi0,
                                         *_axis_probabilities(spec.problem))
 
 
-def _alias_sampler(spec):
-    """The alias draw of spec's cached _RunPlan, as run_experiment takes it."""
-    return _plan(spec).draw
+def _forced_binomial_plans(monkeypatch):
+    """_build_plan patched to give every key the binomial draw, whichever
+    draw its own plan takes, with both clips kept: the _RunPlan seam."""
+    monkeypatch.setattr(qubit_experiment, "_build_plan",
+                        lambda *key: _RunPlan(_binomial_draw(*key), (True, True)))
 
 
-def _binomial_sampler(spec):
-    """The binomial draw at spec's key, whichever draw its plan takes."""
-    return _binomial_draw(spec.label_mode, spec.n, spec.pi0, *_axis_probabilities(spec.problem))
-
-
-def _is_alias_draw(draw) -> bool:
-    """Whether draw draws from alias tables: of the two samplers, only the
-    alias draw makes no generator call but random (see _SpyGenerator)."""
-    calls = []
-    draw(_SpyGenerator(np.random.default_rng(0), calls), 1)
-    return {name for name, _, _ in calls} == {"random"}
-
-
-def _is_alias(spec) -> bool:
-    """Whether the run plan of spec draws from alias tables."""
-    return _is_alias_draw(_plan(spec).draw)
-
-
-def _held_tables(draw) -> list:
-    """The _AliasTables a draw holds, read from its closure."""
-    return [cell.cell_contents for cell in draw.__closure__
-            if isinstance(cell.cell_contents, _AliasTables)]
+def _fixed_n0(spec) -> int:
+    """Copies of rho with fixed labels: round(pi0 n), halves rounded up."""
+    return math.floor(spec.pi0 * spec.n + 0.5)
 
 
 def _fixed_axis_laws(spec) -> list[tuple[int, float]]:
     """(m_j, p_j) of the six axes with fixed labels, x, y, z of rho and
-    then of sigma."""
-    n0 = qubit_experiment._fixed_n0(spec.n, spec.pi0)
-    return list(zip(_axis_copies(n0, spec.n - n0), _axis_probabilities(spec.problem)))
+    then of sigma, the copies split as the per-outcome oracle splits them."""
+    n0 = _fixed_n0(spec)
+    return list(zip([*axis_counts(n0), *axis_counts(spec.n - n0)],
+                    _axis_probabilities(spec.problem)))
 
 
-def _per_trial_binomial_draw(rng, spec, size):
-    """(est, n0) of the binomial draw written out per trial: the class
-    sizes as one binomial call, sorted (random labels), then each axis's
-    counts against the per-trial copy counts, as arrays."""
-    if spec.label_mode is LabelMode.FIXED_COUNTS:
-        n0 = qubit_experiment._fixed_n0(spec.n, spec.pi0)
-        m = np.full(size, n0)
-    else:
-        n0 = m = np.sort(rng.binomial(spec.n, spec.pi0, size))
-    est = np.empty((6, size))
-    for i, (r, m_i) in enumerate(((spec.problem.r, m), (spec.problem.s, spec.n - m))):
-        for j, r_j in enumerate((r.x, r.y, r.z)):
-            m_j = (m_i + 2 - j) // 3
-            k = rng.binomial(m_j, (1 + r_j) / 2)
-            est[3 * i + j] = (2 * k - m_j) / np.maximum(m_j, 1)
-    return est, n0
-
-
-class _GivenClassSizes:
-    """A Generator whose class-size draw gives the copy counts np.repeat(m,
-    h) of rho, and that passes every other call through.  The binomial
-    sampler draws the class sizes as one binomial call; the alias sampler
-    as a (1, size) array of uniforms, which here each fall inside a cell
-    of the label table ``labels`` that gives its class size as its own:
-    the table the alias draw holds, rebuilt as _build_plan builds it
-    (_label_table)."""
-
-    def __init__(self, rng, m, h, labels):
-        self._rng, self._n0, self._labels = rng, np.repeat(m, h), labels
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        if size != (1, self._n0.size):
-            return self._rng.random(size, dtype, out)
-        width = self._labels.cuts.size
-        thresholds = self._labels.cuts - np.arange(width)
-        own = self._labels.values[1::2]
-        cell = np.array([np.flatnonzero((own == n0) & (thresholds > 0))[0] for n0 in self._n0])
-        return ((cell + thresholds[cell] / 2) / width)[None]
-
-    def binomial(self, count, p, size=None):
-        if np.ndim(count) == 0:
-            return self._n0.copy()
-        return self._rng.binomial(count, p, size)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-
-def _label_table(n: int, pi0: float) -> _AliasTables:
-    """The class-size table of random labels at n, built as _build_plan
-    builds it: the alias table of the windowed Binomial(n, pi0) row."""
-    return _joined([_alias_table(*_binomial_windows(np.array([n]), pi0))], [[0]])
-
-
-def _estimates(r, m, h, rng, n):
-    """The clipped (3, h.sum()) estimates of r drawn by the run plan of
-    random labels at n, when h[g] trials have m[g] copies of r."""
-    spec = TrainingSetSpec(n=n, problem=ClassificationProblem.from_bloch(r, (0, 0, 0), 0.5))
-    est, n0 = _plan(spec).draw(_GivenClassSizes(rng, m, h, _label_table(n, 0.5)),
-                               int(h.sum()))
-    np.testing.assert_array_equal(n0, np.repeat(m, h))
-    return _clip_to_ball(est[:3])
+def _rho_estimates(r, copies, n, mode=FIXED):
+    """rho's (3, len(copies)) estimates, one trial with each copy count
+    m_g of the state r, drawn by the plan at n whose pi0 gives rho m_g
+    copies (sigma is the maximally mixed state): with fixed labels its one
+    class size, with random labels the first of 1,000 trials drawn with
+    class size m_g."""
+    columns = []
+    for m_g in copies:
+        problem = ClassificationProblem.from_bloch(r, (0, 0, 0), max(m_g, 0.1) / n)
+        est, n0 = _plan(TrainingSetSpec(n=n, problem=problem, label_mode=mode)).draw(
+            np.random.default_rng(m_g), 1 if mode is FIXED else 1000)
+        trial = 0 if mode is FIXED else int(np.flatnonzero(n0 == m_g)[0])
+        assert np.broadcast_to(n0, est.shape[1])[trial] == m_g
+        columns.append(est[:3, trial])
+    return np.array(columns).T
 
 
 class TestTomographicEstimate:
@@ -205,10 +149,11 @@ class TestTomographicEstimate:
         sigma = math.sqrt((1 - 0.64) / (m / 3))
         assert est.x == pytest.approx(0.8, abs=4 * sigma)
         # the count-based estimates are unbiased too: 10^4 trials of 3000 copies
-        batch = _estimates(BlochVector(0.8, 0, 0), np.array([3000]), np.array([10_000]),
-                           rng, 3000)
+        problem = ClassificationProblem.from_bloch((0.8, 0, 0), (0, 0, 0), 0.5)
+        batch, n0 = _plan(TrainingSetSpec(n=6000, problem=problem, label_mode=FIXED)).draw(
+            rng, 10_000)
         sigma = math.sqrt((1 - 0.64) / 1000 / 10_000)
-        assert batch[0].mean() == pytest.approx(0.8, abs=4 * sigma)
+        assert n0 == 3000 and batch[0].mean() == pytest.approx(0.8, abs=4 * sigma)
 
     def test_pure_state_estimate_is_clipped_to_sphere(self):
         """A +z pure state gives a raw z-average of exactly 1, so any x/y
@@ -220,33 +165,38 @@ class TestTomographicEstimate:
             assert est.norm <= 1 + 1e-12
             assert est.z > 0.0
 
-    # both count draws: alias tables up to _RANDOM_ALIAS_MAX_N, binomials above
-    @pytest.mark.parametrize("n", [12, _RANDOM_ALIAS_MAX_N + 1])
-    def test_minimum_copies(self, n):
+    # fixed labels draw from alias tables at n = 12 and by binomials at 2e9,
+    # random labels by binomials at _RANDOM_ALIAS_MAX_N + 1
+    SAMPLERS = pytest.mark.parametrize("n, mode", [
+        pytest.param(12, FIXED, id="12"),
+        pytest.param(_RANDOM_ALIAS_MAX_N + 1, RANDOM, id=str(_RANDOM_ALIAS_MAX_N + 1)),
+        pytest.param(2 * 10**9, FIXED, id="2e9"),
+    ])
+
+    @SAMPLERS
+    def test_minimum_copies(self, n, mode):
         """Below three copies the axes without a copy estimate 0."""
         rng = np.random.default_rng(0)
         up = BlochVector(0, 0, 1)
         assert tomographic_estimate(up, 0, rng) == BlochVector(0, 0, 0)
         assert tomographic_estimate(up, 2, rng).z == 0.0
-        est = _estimates(up, np.array([0, 1, 2, 3]), np.ones(4, dtype=int), rng, n)
+        est = _rho_estimates(up, range(4), n, mode)
         np.testing.assert_array_equal(est[:, 0], 0.0)
         np.testing.assert_array_equal(est[1:, 1], 0.0)
         assert est[2, 2] == 0.0
         assert est[2, 3] > 0.0  # the one z copy of |0> gives +1
 
-    @pytest.mark.parametrize("n", [12, _RANDOM_ALIAS_MAX_N + 1])
-    def test_remainder_to_x_then_y(self, n):
+    @SAMPLERS
+    def test_remainder_to_x_then_y(self, n, mode):
         assert axis_counts(3) == (1, 1, 1)
         assert axis_counts(4) == (2, 1, 1)
         assert axis_counts(5) == (2, 2, 1)
-        # the vectorised split is the same: measured along its own axis j, a
+        # the samplers' split is the same: measured along its own axis j, a
         # pure state gives +1 every time, so estimate j is positive exactly
         # when axis j got a copy
-        m = np.arange(12)
-        rng = np.random.default_rng(1)
         for j in range(3):
-            est = _estimates(BlochVector.from_array(np.eye(3)[j]), m, np.ones_like(m), rng, n)
-            np.testing.assert_array_equal(est[j] > 0.0, [axis_counts(k)[j] > 0 for k in m])
+            est = _rho_estimates(np.eye(3)[j], range(12), n, mode)
+            np.testing.assert_array_equal(est[j] > 0.0, [axis_counts(m)[j] > 0 for m in range(12)])
 
     def test_axis_copies_over_ints_and_arrays(self):
         """The samplers' one split rule gives each class the oracle's split,
@@ -272,26 +222,6 @@ class TestTomographicEstimate:
         assert a == b
 
 
-class _SpyGenerator:
-    """A Generator that records each binomial draw as ("binomial", count,
-    size) and each uniform draw as ("random", None, size), and passes every
-    other call through."""
-
-    def __init__(self, rng, calls):
-        self._rng, self._calls = rng, calls
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        self._calls.append(("random", None, size))
-        return self._rng.random(size, dtype, out)
-
-    def binomial(self, n, p, size=None):
-        self._calls.append(("binomial", n, size))
-        return self._rng.binomial(n, p, size)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-
 class TestCountSampler:
     def test_scalar_count_draws_equal_constant_array_draws(self):
         """numpy draws the same variates for an int count as for a constant
@@ -309,102 +239,20 @@ class TestCountSampler:
 
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
     def test_grouped_binomial_draw_equals_per_trial_draw(self, mode):
-        """The binomial sampler's class-size groups, one with an int copy
-        count (fixed labels) or one trial each from sorted draws (random
-        labels), draw the same variates as the per-trial copy counts, and
-        leave the generator in the same state; the large-n streams rest on
-        this."""
+        """The binomial draw, at keys whose plans draw from alias tables
+        and at keys whose plans draw by binomials, is byte for byte and in
+        generator state its per-trial written-out draw: the large-n streams
+        rest on this, and so do the runs that force the binomial plan."""
         for n in (21, _RANDOM_ALIAS_MAX_N + 1, 10**6):
-            grouped = np.random.Generator(np.random.PCG64(2024))
-            per_trial = np.random.Generator(np.random.PCG64(2024))
             spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
-            got, n0 = _binomial_sampler(spec)(grouped, 300)
-            want, m = _per_trial_binomial_draw(per_trial, spec, 300)
-            if mode is LabelMode.FIXED_COUNTS:
-                assert type(n0) is int and m == math.floor(0.4 * n + 0.5)
-            np.testing.assert_array_equal(np.broadcast_to(n0, 300), m)
-            np.testing.assert_array_equal(got, want)
+            grouped, per_trial = np.random.default_rng(2024), np.random.default_rng(2024)
+            got, n0 = _binomial_draw(mode, n, spec.pi0, *_axis_probabilities(SKEWED))(
+                grouped, 300)
+            want, m = _BinomialDrawWrittenOut(spec).draw(per_trial, 300)
+            if mode is FIXED:
+                assert type(n0) is int and n0 == m == _fixed_n0(spec)
+            assert np.array_equal(n0, m) and got.tobytes() == want.tobytes()
             assert grouped.bit_generator.state == per_trial.bit_generator.state
-
-    # the smallest n drawn by per-trial binomials
-    BINOMIAL_N = _RANDOM_ALIAS_MAX_N + 1
-    SIZES = (500, 500, 200)
-
-    def _spy_draws(self, sampler, mode, n=BINOMIAL_N):
-        """The generator calls of one draw per chunk size in SIZES, after
-        checking that the spy changes no estimate."""
-        draw = sampler(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode))
-        calls = []
-        spy = _SpyGenerator(np.random.default_rng(3), calls)
-        plain = np.random.default_rng(3)
-        for size in self.SIZES:
-            assert draw(spy, size)[0].tobytes() == draw(plain, size)[0].tobytes()
-        return calls
-
-    def test_run_picks_one_sampler_per_run(self, monkeypatch):
-        """run_experiment makes one _build_plan lookup per run, also for a
-        key already cached, and draws with the plan's sampler, whatever
-        its trial and chunk counts.  Random labels draw from alias tables
-        up to _RANDOM_ALIAS_MAX_N, 65,536-trial chunks at n = 100
-        included, and binomials above.  Fixed labels draw from alias
-        tables at every chunk size, the benchmark's large-n shapes (n =
-        10^4 and 10^5, one 2000-trial chunk) included, and by binomials
-        once the six tables would hold more than _ALIAS_MAX_CELLS cells."""
-        lookups = _plan_lookups(monkeypatch)
-        random, fixed = LabelMode.RANDOM_LABELS, LabelMode.FIXED_COUNTS
-        above_cap = 4 * 10**9
-        cases = [(random, _RANDOM_ALIAS_MAX_N, 1200, 500, "alias"),
-                 (random, 100, 1 << 16, 1 << 16, "alias"),
-                 (random, 1, 300, 64, "alias"),
-                 (random, self.BINOMIAL_N, 1200, 500, "binomial"),
-                 (fixed, 10**4, 2000, 1 << 16, "alias"),
-                 (fixed, 10**5, 2000, 1 << 16, "alias"),
-                 (fixed, 100, 1 << 16, 1 << 16, "alias"),
-                 (fixed, 10**4, 300, 64, "alias"),
-                 (fixed, 60, 300, 64, "alias"),
-                 (fixed, above_cap, 300, 64, "binomial")]
-        for mode, n, trials, chunk, _ in cases:
-            monkeypatch.setattr(montecarlo, "CHUNK_SIZE", chunk)
-            run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), trials, 3)
-        picked = [("alias" if _is_alias_draw(plan.draw) else "binomial", mode, n)
-                  for (mode, n, *_), plan in lookups]
-        assert picked == [(name, mode, n) for mode, n, _, _, name in cases]
-
-    def test_fixed_labels_draw_against_an_int_count(self):
-        calls = self._spy_draws(_binomial_sampler, LabelMode.FIXED_COUNTS)
-        n = self.BINOMIAL_N
-        assert {name for name, _, _ in calls} == {"binomial"}
-        assert [size for _, _, size in calls] == [s for s in self.SIZES for _ in range(6)]
-        n0 = math.floor(0.4 * n + 0.5)
-        counts = [(n0 + 2) // 3, (n0 + 1) // 3, n0 // 3,
-                  (n - n0 + 2) // 3, (n - n0 + 1) // 3, (n - n0) // 3]
-        assert [m for _, m, _ in calls] == counts * len(self.SIZES)
-        assert all(type(m) is int for _, m, _ in calls)
-
-    def test_random_labels_draw_against_sorted_counts(self):
-        calls = self._spy_draws(_binomial_sampler, LabelMode.RANDOM_LABELS)
-        assert {name for name, _, _ in calls} == {"binomial"}
-        calls = [(m, size) for _, m, size in calls]
-        assert len(calls) == 7 * len(self.SIZES)
-        for c, size in enumerate(self.SIZES):
-            labels, rho, sigma = calls[7 * c], calls[7 * c + 1:7 * c + 4], calls[7 * c + 4:7 * c + 7]
-            assert labels == (self.BINOMIAL_N, size)
-            for m, s in rho + sigma:
-                assert isinstance(m, np.ndarray) and m.shape == (size,) and s == size
-            for m, _ in rho:
-                assert np.all(np.diff(m) >= 0)
-            for m, _ in sigma:
-                assert np.all(np.diff(m) <= 0)
-            assert rho[0][0][0] < rho[0][0][-1]  # the class sizes do vary
-
-    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
-    def test_alias_path_draws_one_uniform_per_count(self, mode):
-        """The alias sampler's only generator calls per chunk are one
-        (6, size) array of uniforms, after one (1, size) array for the
-        class sizes with random labels."""
-        calls = self._spy_draws(_alias_sampler, mode, n=_RANDOM_ALIAS_MAX_N)
-        rows = (1, 6) if mode is LabelMode.RANDOM_LABELS else (6,)
-        assert calls == [("random", None, (k, size)) for size in self.SIZES for k in rows]
 
 
 def _count_grid(m: np.ndarray, width: int) -> np.ndarray:
@@ -579,15 +427,6 @@ class TestBinomialWindow:
             assert counts.size <= 20 * math.sqrt(m * p * (1 - p)) + 32
 
 
-def _axis_table(copies, p):
-    """(thresholds, own averages, alias averages), each (R, W): the alias
-    table of one axis with a row for each entry of ``copies``, as the
-    library builds it."""
-    copies = np.asarray(copies)
-    counts, pmf = _binomial_windows(copies, p)
-    return _alias_table(_outcome_average(counts, copies[:, None]), pmf)
-
-
 def _alias_law(thresholds, own, alias):
     """(values, probabilities) of a draw from one row of an alias table:
     cell i gives its own value with probability threshold_i / W and its
@@ -648,20 +487,12 @@ class TestAliasTable:
         table = np.stack([array[0] for array in _axis_table([m], p)])
         assert table.tobytes() == _one_row_alias_table(m, p).tobytes()
 
-    def test_largest_tables(self, monkeypatch):
-        """About the widest row a run can draw from: with a prior so small
-        that rho gets no copy, sigma, pure along x, spends all n copies on
-        two p = 1/2 axes, and those take the whole cap between them."""
-        problem = ClassificationProblem.from_bloch((0, 0, 0), (1, 0, 0), 1e-12)
-
-        def spec(m):
-            return TrainingSetSpec(n=3 * m, problem=problem, label_mode=LabelMode.FIXED_COUNTS)
-
-        _fresh_plans(monkeypatch)
+    def test_largest_tables(self):
+        """About the widest row an alias plan can hold: two p = 1/2 axes
+        (sigma pure along x, rho with no copy) sharing the whole cap."""
         m = 1
-        while _is_alias(spec(2 * m)):
+        while 2 * _window_cells(2 * m, 0.5) <= _ALIAS_MAX_CELLS:
             m *= 2
-        assert _fixed_axis_laws(spec(m))[4] == (m, 0.5)
         assert 2 * _window_cells(m, 0.5) > _ALIAS_MAX_CELLS / 2
         self._check([m], 0.5)
 
@@ -669,14 +500,6 @@ class TestAliasTable:
         for m in (0, 1, 2, 5, 1667, 10**6, 10**9):
             for p in (0.0, 1e-300, 1e-9, 0.3, 0.5, 1 - 2**-53, 1.0):
                 assert _window_cells(m, p) == _window_row(m, p)[0].size, (m, p)
-
-    def test_cap_lies_near_a_billion_copies(self, monkeypatch):
-        """The six tables of the README anchor hold at most _ALIAS_MAX_CELLS
-        cells together up to n ~ 1e9."""
-        _fresh_plans(monkeypatch)
-        specs = [TrainingSetSpec(n=n, problem=PLANAR, label_mode=LabelMode.FIXED_COUNTS)
-                 for n in (10**8, 10**9, 2 * 10**9)]
-        assert [_is_alias(spec) for spec in specs] == [True, True, False]
 
 
 def _z(chi2, df):
@@ -719,8 +542,8 @@ class TestFixedLabelDraw:
     @staticmethod
     def _counts(n, trials, seed):
         """(6, trials) counts k_j of fixed-label draws at n, and the (m_j, p_j)."""
-        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS)
-        draw = _alias_sampler(spec)
+        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=FIXED)
+        draw = _plan(spec).draw
         rng = np.random.default_rng(seed)
         est = np.concatenate([draw(rng, 50_000)[0] for _ in range(trials // 50_000)], axis=1)
         laws = _fixed_axis_laws(spec)
@@ -757,38 +580,31 @@ class TestFixedLabelDraw:
 
     @pytest.mark.parametrize("n", [1, 2, 60, 10**4, 10**5])
     def test_one_group_draw_is_the_written_out_draw(self, n):
-        """With fixed labels the alias sampler's draw is, call for call and
-        byte for byte, one (6, size) array of uniforms u, then on each axis
-        x = W u, cell i = floor(x), and the cell's own average where
+        """With fixed labels the plan's draw is, byte for byte and in
+        generator state, one (6, size) array of uniforms u, then on each
+        axis x = W u, cell i = floor(x), and the cell's own average where
         x < i + threshold_i, else its alias's.  The tables are those of the
-        one row at a time build."""
-        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS)
-        draw = _alias_sampler(spec)
+        one row at a time build, not _axis_table's."""
+        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=FIXED)
+        draw = _plan(spec).draw
         for size in (1, 7, 2000, 2 * _KERNEL_BLOCK + 5):
             got, want = np.random.default_rng(size), np.random.default_rng(size)
             est, n0 = draw(got, size)
             oracle = want.random((6, size))
             for out, (m, p) in zip(oracle, _fixed_axis_laws(spec)):
-                thresholds, own, alias = _one_row_alias_table(m, p)
-                x = out * thresholds.size
-                i = np.floor(x).astype(int)
-                out[:] = np.where(x < i + thresholds[i], own[i], alias[i])
+                out[:] = _lookup(out, _one_row_alias_table(m, p)[:, None])
             assert est.tobytes() == oracle.tobytes()
-            assert type(n0) is int and n0 == math.floor(0.4 * n + 0.5)
+            assert type(n0) is int and n0 == _fixed_n0(spec)
             assert got.bit_generator.state == want.bit_generator.state
 
     @pytest.mark.parametrize("n", [10**4, 10**5])
     def test_mean_excess_matches_binomial_draw(self, monkeypatch, n):
         """n E[excess] of the alias draw lies within 4 combined standard
         errors of the per-trial binomial draw's, on another seed."""
-        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=LabelMode.FIXED_COUNTS,
-                               known_priors=True)
-        results = []
-        for build, seed in ((_BUILD, 71), (_binomial_plan, 72)):
-            _fresh_plans(monkeypatch, build=build)
-            assert _is_alias(spec) == (build is not _binomial_plan)
-            results.append(run_experiment(spec, 100_000, seed))
-        alias, binom = results
+        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=FIXED, known_priors=True)
+        alias = run_experiment(spec, 100_000, 71)
+        _forced_binomial_plans(monkeypatch)
+        binom = run_experiment(spec, 100_000, 72)
         se = math.hypot(alias.stderr, binom.stderr)
         assert abs(alias.mean_rescaled_excess - binom.mean_rescaled_excess) <= 4 * se
 
@@ -804,7 +620,7 @@ class TestRandomLabelDraw:
     def _draw(n, trials, seed):
         """(n0, counts k_j, copies m_j), the last two (6, trials), of
         random-label alias draws at n in 50,000-trial chunks."""
-        draw = _alias_sampler(TrainingSetSpec(n=n, problem=SKEWED))
+        draw = _plan(TrainingSetSpec(n=n, problem=SKEWED)).draw
         rng = np.random.default_rng(seed)
         est, n0 = (np.concatenate(parts, axis=-1)
                    for parts in zip(*(draw(rng, 50_000) for _ in range(trials // 50_000))))
@@ -861,14 +677,14 @@ class TestRandomLabelDraw:
         Binomial(m_j, p_j): a row's padding, whose counts lie outside its
         window, never comes out, and neither does another row's cell."""
         problem = ClassificationProblem.from_bloch(SKEWED.r, SKEWED.s, pi0)
-        est, n0 = _alias_sampler(TrainingSetSpec(n=n, problem=problem))(
+        est, n0 = _plan(TrainingSetSpec(n=n, problem=problem)).draw(
             np.random.default_rng(seed), size)
         sizes, _ = _window_row(n, pi0)
         assert sorted(sizes.tolist()) == list(range(sizes.min(), sizes.max() + 1))
         assert est.shape == (6, size) and n0.shape == (size,) and np.isin(n0, sizes).all()
         for est_j, m_j, p in zip(est, _axis_copies(n0, n - n0), _axis_probabilities(problem)):
             k = np.rint((est_j + 1.0) * m_j / 2.0)
-            assert _outcome_average(k, m_j).tobytes() == est_j.tobytes()
+            assert ((2.0 * k - m_j) / np.maximum(m_j, 1)).tobytes() == est_j.tobytes()
             _, lo, hi = qubit_experiment._window_bounds(m_j, p)
             assert np.all((lo <= k) & (k <= hi))
 
@@ -878,7 +694,7 @@ class TestRandomLabelDraw:
         exactly 0; the pure states' own axes, drawn from point masses,
         estimate rho's z as +1 and sigma's x as -1 wherever they have a
         copy."""
-        est, n0 = _alias_sampler(TrainingSetSpec(n=n, problem=PURE_AXES))(
+        est, n0 = _plan(TrainingSetSpec(n=n, problem=PURE_AXES)).draw(
             np.random.default_rng(n), 20_000)
         m = np.array(_axis_copies(n0, n - n0))
         assert (m == 0).any(axis=1).all()
@@ -890,74 +706,201 @@ class TestRandomLabelDraw:
         tables in different orders and give the same result."""
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 50)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        _fresh_plans(monkeypatch)
         spec = TrainingSetSpec(n=300, problem=SKEWED)
         assert len({run_experiment(spec, 3000, 9, workers=w) for w in (1, 2, 2)}) == 1
 
 
-# the process's plan cache, and the build it wraps
-_CACHED_BUILD = qubit_experiment._build_plan
-_BUILD = _CACHED_BUILD.__wrapped__
+def _lookup(u, table, row=0):
+    """The values that uniforms u draw from rows ``row`` of an alias table
+    (thresholds, own values, alias values), each (R, W): x = W u picks
+    cell i = floor(x), which gives its own value where x < i + threshold_i,
+    else its alias's."""
+    thresholds, own, alias = table
+    x = u * thresholds.shape[1]
+    i = np.floor(x).astype(int)
+    return np.where(x < i + thresholds[row, i], own[row, i], alias[row, i])
 
 
-def _fresh_plans(monkeypatch, build=_BUILD, maxsize=_CACHED_BUILD.cache_info().maxsize):
-    """An empty cache of ``maxsize`` plans built by build(*key), in place
-    of the process's; returned for its cache_info()."""
-    cache = functools.lru_cache(maxsize=maxsize)(build)
-    monkeypatch.setattr(qubit_experiment, "_build_plan", cache)
-    return cache
+class _AliasDrawWrittenOut:
+    """The alias draw of a spec, written out from the per-axis law.
+
+    With random labels a chunk's class sizes are one (1, size) array of
+    uniforms looked up in the alias table of the windowed Binomial(n, pi0)
+    row, and each axis has an _axis_table row for every copy count that
+    those sizes reach; with fixed labels each axis has the one row of its
+    copy count.  Then one (6, size) array of uniforms, each looked up in
+    the row of its trial's copy count on its axis."""
+
+    def __init__(self, spec):
+        self.n = spec.n
+        if spec.label_mode is FIXED:
+            self.labels, self.n0 = None, _fixed_n0(spec)
+            sizes = np.array([self.n0])
+        else:
+            self.labels = _alias_table(*_binomial_windows(np.array([spec.n]), spec.pi0))
+            sizes = np.arange(self.labels[1].min(), self.labels[1].max() + 1)
+        self.axes = []
+        for m, p in zip(_axis_copies(sizes, spec.n - sizes), _axis_probabilities(spec.problem)):
+            copies = np.arange(m.min(), m.max() + 1)
+            self.axes.append((_axis_table(copies, p), copies[0]))
+
+    def draw(self, rng, size):
+        n0 = self.n0 if self.labels is None else _lookup(rng.random((1, size))[0], self.labels)
+        est = rng.random((6, size))
+        for out, (table, low), m_j in zip(est, self.axes, _axis_copies(n0, self.n - n0)):
+            out[:] = _lookup(out, table, m_j - low)
+        return est, n0
+
+    def extremes(self):
+        """Each axis's least and greatest value that a lookup can give: the
+        own values of cells with threshold > 0 and the alias values of
+        cells with threshold < 1."""
+        ends = []
+        for (thresholds, own, alias), _ in self.axes:
+            drawable = np.concatenate((own[thresholds > 0.0], alias[thresholds < 1.0]))
+            ends.append((drawable.min(), drawable.max()))
+        return ends
 
 
-def _plan_lookups(monkeypatch) -> list:
-    """The (key, plan) of every _build_plan lookup, cache hits included,
-    recorded around an empty cache of the process's size."""
-    cache, lookups = _fresh_plans(monkeypatch), []
+class _BinomialDrawWrittenOut:
+    """The binomial draw of a spec, written out per trial: the class sizes
+    as one binomial call, sorted (random labels), then each axis's counts
+    against the per-trial copy counts."""
 
-    def spy(*key):
-        lookups.append((key, cache(*key)))
-        return lookups[-1][1]
+    def __init__(self, spec):
+        self.spec = spec
 
-    monkeypatch.setattr(qubit_experiment, "_build_plan", spy)
-    return lookups
+    def draw(self, rng, size):
+        spec = self.spec
+        if spec.label_mode is FIXED:
+            n0 = _fixed_n0(spec)
+            m = np.full(size, n0)
+        else:
+            n0 = m = np.sort(rng.binomial(spec.n, spec.pi0, size))
+        est = np.empty((6, size))
+        for i, (r, m_i) in enumerate(((spec.problem.r, m), (spec.problem.s, spec.n - m))):
+            for j, r_j in enumerate((r.x, r.y, r.z)):
+                m_j = (m_i + 2 - j) // 3
+                k = rng.binomial(m_j, (1 + r_j) / 2)
+                est[3 * i + j] = (2 * k - m_j) / np.maximum(m_j, 1)
+        return est, n0
+
+    def extremes(self):
+        """The ends of every axis's outcome lattice: a binomial count can
+        take every value 0..m_j."""
+        return [(-1.0, 1.0)] * 6
 
 
-def _binomial_plan(*key):
-    """The binomial plan of a key, whichever plan _build_plan gives it."""
-    return qubit_experiment._RunPlan(_binomial_draw(*key), (True, True))
+def _assert_flags_sound(clip, ends):
+    """Each False flag of clip, rho's and then sigma's, is sound: with each
+    axis of its class at the least or the greatest value a draw gives
+    (ends, six (least, greatest) pairs), every corner estimate has float
+    norm^2 at most 1, summed as _clip_to_ball sums it."""
+    for flag, class_ends in zip(clip, (ends[:3], ends[3:])):
+        if not flag:
+            x, y, z = (np.array(axis) for axis in np.meshgrid(*class_ends, indexing="ij"))
+            assert np.all(x * x + y * y + z * z <= 1.0), class_ends
+
+
+class TestRunPlanContract:
+    """Every _RunPlan(draw, clip) that _build_plan returns keeps one
+    contract, checked for each plan kind (the alias draw and the binomial
+    draw, with fixed and with random labels) on chunks of 1, 7 and two
+    kernel blocks plus 5 trials.  A new sampler adds one parameter: its
+    key and its draw written out."""
+
+    @pytest.mark.parametrize("mode, n, problem, written_out", [
+        pytest.param(FIXED, 10**4, SKEWED, _AliasDrawWrittenOut, id="alias-fixed-1e4"),
+        # the README anchor's six tables fit the cap at 1e9, not at 2e9
+        pytest.param(FIXED, 10**9, PLANAR, _AliasDrawWrittenOut, id="alias-fixed-1e9"),
+        pytest.param(FIXED, 2 * 10**9, PLANAR, _BinomialDrawWrittenOut, id="binomial-fixed-2e9"),
+        pytest.param(RANDOM, 300, SKEWED, _AliasDrawWrittenOut, id="alias-random-300"),
+        pytest.param(RANDOM, _RANDOM_ALIAS_MAX_N + 1, SKEWED, _BinomialDrawWrittenOut,
+                     id="binomial-random-1025"),
+        # the edges: n = 1 (rho has no copy with fixed labels, and most
+        # axes none with either), the last n whose random labels draw from
+        # alias tables, larger n, and pure states, whose own axes draw
+        # from point masses
+        pytest.param(FIXED, 1, SKEWED, _AliasDrawWrittenOut, id="alias-fixed-1"),
+        pytest.param(FIXED, 30, PURE_AXES, _AliasDrawWrittenOut, id="alias-fixed-pure-30"),
+        # two point-mass axes leave the pure pair four wide tables, which fit
+        # the cap at 2e9
+        pytest.param(FIXED, 2 * 10**9, PURE_AXES, _AliasDrawWrittenOut,
+                     id="alias-fixed-pure-2e9"),
+        pytest.param(RANDOM, 1, SKEWED, _AliasDrawWrittenOut, id="alias-random-1"),
+        pytest.param(RANDOM, _RANDOM_ALIAS_MAX_N, SKEWED, _AliasDrawWrittenOut,
+                     id="alias-random-1024"),
+        pytest.param(RANDOM, 30, PURE_AXES, _AliasDrawWrittenOut, id="alias-random-pure-30"),
+        pytest.param(RANDOM, 10**6, SKEWED, _BinomialDrawWrittenOut, id="binomial-random-1e6"),
+    ])
+    def test_contract(self, mode, n, problem, written_out):
+        """(est, n0) is a (6, size) float64 array and an int (fixed labels)
+        or one int64 class size per trial (random labels); every estimate
+        is (2k - m_j)/m_j (0 where m_j = 0) for a count k in 0..m_j of its
+        trial's copy count on its axis; equal seeds give equal bytes; the
+        draw is, byte for byte and in generator state, its written-out
+        draw; and a clip flag is False only if no corner of the drawable
+        values of its class's three axes lies outside the ball, summed as
+        _clip_to_ball sums it."""
+        spec = TrainingSetSpec(n=n, problem=problem, label_mode=mode)
+        (draw, clip), oracle = _plan(spec), written_out(spec)
+        assert [type(flag) for flag in clip] == [bool, bool]
+        for size in (1, 7, 2 * _KERNEL_BLOCK + 5):
+            got, want = np.random.default_rng(size), np.random.default_rng(size)
+            est, n0 = draw(got, size)
+            assert est.shape == (6, size) and est.dtype == np.float64
+            if mode is FIXED:
+                assert type(n0) is int and n0 == _fixed_n0(spec)
+            else:
+                assert n0.shape == (size,) and n0.dtype == np.int64
+                assert np.all((0 <= n0) & (n0 <= n))
+            for est_j, m_j in zip(est, _axis_copies(n0, n - n0)):
+                k = np.rint((est_j + 1.0) * m_j / 2.0)
+                assert np.all((0 <= k) & (k <= m_j))
+                assert ((2.0 * k - m_j) / np.maximum(m_j, 1)).tobytes() == est_j.tobytes()
+            again, n0_again = draw(np.random.default_rng(size), size)
+            assert again.tobytes() == est.tobytes() and np.array_equal(n0_again, n0)
+            want_est, want_n0 = oracle.draw(want, size)
+            assert est.tobytes() == want_est.tobytes() and np.array_equal(n0, want_n0)
+            assert got.bit_generator.state == want.bit_generator.state
+        _assert_flags_sound(clip, oracle.extremes())
 
 
 class TestTableCache:
     """_build_plan keeps the last _PLANS_KEPT plans, tables and draws, in a
     functools.lru_cache."""
 
-    def test_least_recently_used_plans_leave_first(self, monkeypatch):
-        """After five distinct keys, alias and binomial, of both label
-        modes, the cache holds four plans, the oldest key is built again
-        (one more miss) and the newest is a hit."""
-        assert _CACHED_BUILD.cache_info().maxsize == _PLANS_KEPT == 4
-        cache = _fresh_plans(monkeypatch)
-        random, fixed = LabelMode.RANDOM_LABELS, LabelMode.FIXED_COUNTS
-        specs = [TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
-                 for mode, n in ((random, 90), (fixed, 90), (random, _RANDOM_ALIAS_MAX_N + 1),
-                                 (fixed, 2 * 10**9), (random, 30))]
-        plans = [_plan(spec) for spec in specs]
-        assert [_is_alias_draw(plan.draw) for plan in plans] == [True, True, False, False, True]
-        assert cache.cache_info()[:2] == (0, 5) and cache.cache_info().currsize == 4
-        assert _plan(specs[-1]) is plans[-1]
-        assert cache.cache_info()[:2] == (1, 5)
-        assert _plan(specs[0]) is not plans[0]
-        assert cache.cache_info()[:2] == (1, 6) and cache.cache_info().currsize == 4
+    def test_memory_holds_the_plans_kept(self):
+        """Runs of twelve random-label keys near n = 1024, whose plans take
+        about 2.4 MiB each: the memory held grows by one plan a key for
+        the first _PLANS_KEPT keys, then stops growing, as the cache drops
+        the oldest.  It keeps at least two, so a benchmark pass, which
+        alternates between two keys, builds each once."""
+        specs = [TrainingSetSpec(n=_RANDOM_ALIAS_MAX_N - i, problem=PLANAR)
+                 for i in range(3 * _PLANS_KEPT)]
+        held = []
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for spec in specs:
+                run_experiment(spec, 10, 1)
+                gc.collect()
+                held.append(tracemalloc.get_traced_memory()[0] - start)
+        finally:
+            tracemalloc.stop()
+        plan = held[1] - held[0]
+        assert plan > 2 << 20 and _PLANS_KEPT >= 2
+        assert held[_PLANS_KEPT - 1] - held[0] > (_PLANS_KEPT - 1.5) * plan, held
+        assert held[-1] - held[_PLANS_KEPT - 1] < plan / 2, held
 
-    def test_threads_share_the_plans(self, monkeypatch):
+    def test_threads_share_the_plans(self):
         """Eight threads, switching often, run overlapping keys, more than
         the cache keeps, through the four-plan cache: each result equals
         the key's serial run."""
-        random, fixed = LabelMode.RANDOM_LABELS, LabelMode.FIXED_COUNTS
         specs = [TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
-                 for mode, n in ((random, 30), (random, 90), (random, _RANDOM_ALIAS_MAX_N + 1),
-                                 (fixed, 90), (fixed, 10**4), (fixed, 2 * 10**9))]
+                 for mode, n in ((RANDOM, 30), (RANDOM, 90), (RANDOM, _RANDOM_ALIAS_MAX_N + 1),
+                                 (FIXED, 90), (FIXED, 10**4), (FIXED, 2 * 10**9))]
         serial = [run_experiment(spec, 200, 5) for spec in specs]
-        cache = _fresh_plans(monkeypatch)
         errors = []
 
         def work(seed):
@@ -977,114 +920,31 @@ class TestTableCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert cache.cache_info().currsize == 4
-
-    def test_large_n_pass_builds_two_plans(self, monkeypatch):
-        """Six runs alternating between the two keys of a qubit_large_n
-        pass (README anchor, fixed labels, known priors, n = 1e4 and 1e5)
-        build two plans: a cache of fewer than two would rebuild one
-        (about 1.6 to 1.9 ms) on every run."""
-        cache = _fresh_plans(monkeypatch)
-        specs = [TrainingSetSpec(n=n, problem=PLANAR, label_mode=LabelMode.FIXED_COUNTS,
-                                 known_priors=True) for n in (10**4, 10**5)]
-        for i in range(6):
-            run_experiment(specs[i % 2], 20, i)
-        assert cache.cache_info().misses == 2
 
     @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
-    def test_runs_do_not_depend_on_the_cache(self, monkeypatch, mode):
-        """A run gives the same result from cold and warm caches, after
-        runs at other n, and from a cache that keeps nothing.  Both label
-        modes keep one entry per run configuration, its _RunPlan."""
+    def test_runs_do_not_depend_on_the_cache(self, mode):
+        """A run gives the same result from a warm cache and, after runs at
+        more other keys than the cache keeps, from a plan built again."""
         spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
-        cache = _fresh_plans(monkeypatch)
-        cold = run_experiment(spec, 5000, 81)
-        assert run_experiment(spec, 5000, 81) == cold
-        for n in (30, 91, 300):
+        first = run_experiment(spec, 5000, 81)
+        assert run_experiment(spec, 5000, 81) == first
+        for n in range(91, 92 + _PLANS_KEPT):
             run_experiment(TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode), 500, 1)
-        assert run_experiment(spec, 5000, 81) == cold
-        assert cache.cache_info()[:2] == (2, 4) and cache.cache_info().currsize == 4
-        assert type(_plan(spec)) is _RunPlan
-        cache = _fresh_plans(monkeypatch, maxsize=0)
-        assert run_experiment(spec, 5000, 81) == cold
-        assert cache.cache_info().currsize == 0
+        assert run_experiment(spec, 5000, 81) == first
 
-    @pytest.mark.parametrize("mode", list(LabelMode), ids=lambda m: m.value)
-    def test_cached_tables_are_read_only(self, monkeypatch, mode):
+    def test_joined_tables_are_read_only(self):
         """Threads and runs share the cached plans, so none may write into
-        them: the tables a plan's draw holds are the ones _joined built for
-        it, the count tables and, with random labels, the class-size table,
-        and every array of them refuses a write.  The draw holds nothing
-        else but ints and None, and the plan nothing else but its flags."""
-        joined = []
-
-        def spy(tables, rows):
-            joined.append(_joined(tables, rows))
-            return joined[-1]
-
-        monkeypatch.setattr(qubit_experiment, "_joined", spy)
-        _fresh_plans(monkeypatch)
-        spec = TrainingSetSpec(n=90, problem=SKEWED, label_mode=mode)
-        draw, clip = _plan(spec)
-        assert callable(draw) and len(joined) == (1 if mode is LabelMode.FIXED_COUNTS else 2)
-        held = [cell.cell_contents for cell in draw.__closure__]
-        assert sorted(map(id, _held_tables(draw))) == sorted(map(id, joined))
-        assert {type(obj) for obj in held if not isinstance(obj, _AliasTables)} <= {
-            int, type(None)}
-        assert [type(flag) for flag in clip] == [bool, bool]
-        for table in joined:
+        them: every array of the tables _joined lays end to end, the
+        count tables of an axis pair and the class-size table alike,
+        refuses a write."""
+        counts = _joined([_axis_table(np.arange(3, 6), p) for p in (0.2, 0.7)],
+                         [[0, 1, 2], [2, 1, 0]])
+        labels = _joined([_alias_table(*_binomial_windows(np.array([90]), 0.4))], [[0]])
+        for table in (counts, labels):
             for array in table:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array.flat[0] = array.flat[0]
-
-
-class TestRunPlan:
-    """One cached plan per key decides how a run draws: a fixed-label
-    key's fit is counted once, and binomial plans are kept by the same
-    cache as alias plans."""
-
-    @pytest.mark.parametrize("n", [10**9, 2 * 10**9], ids=["1e9", "2e9"])
-    def test_fit_is_counted_once_per_key(self, monkeypatch, n):
-        """A spy on _window_cells sees one count across three fixed-label
-        runs of one key, on either side of the README anchor's cap."""
-        counted = []
-
-        def spy(m, p):
-            counted.append(m)
-            return _window_cells(m, p)
-
-        monkeypatch.setattr(qubit_experiment, "_window_cells", spy)
-        _fresh_plans(monkeypatch)
-        spec = TrainingSetSpec(n=n, problem=PLANAR, label_mode=LabelMode.FIXED_COUNTS)
-        assert len({run_experiment(spec, 5, 3) for _ in range(3)}) == 1
-        assert _is_alias(spec) == (n == 10**9)
-        assert len(counted) == 1
-
-    @pytest.mark.parametrize("mode, n", [
-        pytest.param(LabelMode.RANDOM_LABELS, _RANDOM_ALIAS_MAX_N + 1, id="random-1025"),
-        pytest.param(LabelMode.FIXED_COUNTS, 2 * 10**9, id="fixed-2e9"),
-    ])
-    def test_binomial_plan_is_cached(self, monkeypatch, mode, n):
-        """Two runs of one binomial key get the same plan object, which
-        holds no table and clips both classes, and its draw is the
-        binomial draw written out per trial, byte for byte and in
-        generator state, over chunks of 500, 500 and 200 trials."""
-        lookups = _plan_lookups(monkeypatch)
-        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=mode)
-        run_experiment(spec, 10, 1)
-        run_experiment(spec, 10, 2)
-        (_, first), (_, second) = lookups
-        assert first is second
-        assert (_held_tables(first.draw), first.clip) == ([], (True, True))
-        assert not _is_alias_draw(first.draw)
-        got, want = np.random.default_rng(4), np.random.default_rng(4)
-        for size in TestCountSampler.SIZES:
-            est, n0 = first.draw(got, size)
-            oracle, m = _per_trial_binomial_draw(want, spec, size)
-            assert est.tobytes() == oracle.tobytes()
-            np.testing.assert_array_equal(n0, m)
-        assert got.bit_generator.state == want.bit_generator.state
 
 
 # a Bloch component: the axis probabilities 0, 1 and 1 - 2^-53 (at
@@ -1096,8 +956,11 @@ _BLOCH = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).map(
 
 
 def _forced_clip_flags(monkeypatch, clip):
-    """A fresh plan cache whose plans all carry the clip flags ``clip``."""
-    _fresh_plans(monkeypatch, build=lambda *key: _BUILD(*key)._replace(clip=clip))
+    """_build_plan patched to give each key's _RunPlan with the clip flags
+    ``clip``."""
+    build = qubit_experiment._build_plan
+    monkeypatch.setattr(qubit_experiment, "_build_plan",
+                        lambda *key: build(*key)._replace(clip=clip))
 
 
 class TestClipSkip:
@@ -1110,23 +973,11 @@ class TestClipSkip:
     def test_skip_is_exact(self, n, r, s, pi0):
         """Wherever a fixed-label plan says a class cannot leave the ball,
         every corner estimate, each axis at the least or the greatest value
-        a draw gives (read from the one-row-at-a-time table), has float
-        norm^2 at most 1, summed as _clip_to_ball sums it: the clip would
-        divide nothing."""
-        problem = ClassificationProblem.from_bloch(r, s, pi0)
-        plan = _BUILD(LabelMode.FIXED_COUNTS, n, pi0, *_axis_probabilities(problem))
-        laws = _fixed_axis_laws(TrainingSetSpec(n=n, problem=problem,
-                                                label_mode=LabelMode.FIXED_COUNTS))
-        for flag, class_laws in zip(plan.clip, (laws[:3], laws[3:])):
-            if flag:
-                continue
-            ends = []
-            for m, p in class_laws:
-                thresholds, own, alias = _one_row_alias_table(m, p)
-                drawn = np.concatenate((own[thresholds > 0.0], alias[thresholds < 1.0]))
-                ends.append((drawn.min(), drawn.max()))
-            x, y, z = (np.array(axis) for axis in np.meshgrid(*ends, indexing="ij"))
-            assert np.all(x * x + y * y + z * z <= 1.0), ends
+        a draw gives (read from the per-axis law), has float norm^2 at most
+        1, summed as _clip_to_ball sums it: the clip would divide nothing."""
+        spec = TrainingSetSpec(n=n, problem=ClassificationProblem.from_bloch(r, s, pi0),
+                               label_mode=FIXED)
+        _assert_flags_sound(_plan(spec).clip, _AliasDrawWrittenOut(spec).extremes())
 
     @PROPERTY
     @given(m=st.sampled_from([0, 1, 2, 3]) | st.integers(0, 10**7),
@@ -1175,25 +1026,6 @@ class TestClipSkip:
         assert plan == clipped
         if problem is PURE_AXES:
             assert plan != unclipped
-
-    @pytest.mark.parametrize("n, mode, trials, calls", [
-        pytest.param(10**4, LabelMode.FIXED_COUNTS, 2000, 0, id="fixed-1e4"),
-        pytest.param(10**5, LabelMode.FIXED_COUNTS, 2000, 0, id="fixed-1e5"),
-        pytest.param(100, LabelMode.RANDOM_LABELS, (1 << 16) + 100, 4, id="random-100"),
-    ])
-    def test_clip_calls(self, monkeypatch, n, mode, trials, calls):
-        """A spy on _clip_to_ball: the README anchor at n = 1e4 and 1e5
-        with fixed labels never calls it, and random labels at n = 100
-        call it twice per chunk."""
-        seen = []
-
-        def spy(est):
-            seen.append(est.shape)
-            return _clip_to_ball(est)
-
-        monkeypatch.setattr(qubit_experiment, "_clip_to_ball", spy)
-        run_experiment(TrainingSetSpec(n=n, problem=PLANAR, label_mode=mode), trials, 5)
-        assert len(seen) == calls
 
 
 class TestPluginStrategyRun:
@@ -1313,19 +1145,19 @@ class TestVectorisedChunk:
           for n in (1, 2, 3, 30, 300, _RANDOM_ALIAS_MAX_N, _RANDOM_ALIAS_MAX_N + 1)),
         *(pytest.param(n, PURE_AXES, id=f"pure-{n}") for n in (5, 30)),
     ])
-    @pytest.mark.parametrize("mode, build", [
-        pytest.param(LabelMode.RANDOM_LABELS, None, id="random"),
-        pytest.param(LabelMode.FIXED_COUNTS, _BUILD, id="fixed"),
-        pytest.param(LabelMode.FIXED_COUNTS, _binomial_plan, id="fixed-binomial"),
+    @pytest.mark.parametrize("mode, binomial", [
+        pytest.param(RANDOM, False, id="random"),
+        pytest.param(FIXED, False, id="fixed"),
+        pytest.param(FIXED, True, id="fixed-binomial"),
     ])
-    def test_same_distribution_as_per_outcome_oracle(self, monkeypatch, n, problem, mode, build):
+    def test_same_distribution_as_per_outcome_oracle(self, monkeypatch, n, problem, mode,
+                                                     binomial):
         """Mean rescaled excess and the fraction of exact recoveries agree
-        within 4 combined standard errors.  Fixed labels are run with each
-        of their two draws forced: the alias tables and binomials."""
+        within 4 combined standard errors.  Fixed labels are run with their
+        own plans and with the binomial plan forced on every key."""
         spec = TrainingSetSpec(n=n, problem=problem, label_mode=mode)
-        if build is not None:
-            _fresh_plans(monkeypatch, build=build)
-            assert _is_alias(spec) == (build is not _binomial_plan)
+        if binomial:
+            _forced_binomial_plans(monkeypatch)
         fast = run_experiment(spec, 20_000, (101, n))
         rng = np.random.default_rng((102, n))
         oracle = n * np.array([plugin_strategy_run(spec, rng) for _ in range(3000)])
@@ -1490,6 +1322,24 @@ class TestTrivialityBoundaryLayer:
         """At x ~ 18: n E = 7.0116 +- 0.0194, z = -0.3."""
         _, _, z = self.measure(10**7)
         assert abs(z) <= 4
+
+    def test_exact_zeros_rise_on_the_trivial_side(self):
+        """Config A with s0 moved in to |s0| = sqrt((0.197^2 - 0.0324)/0.16),
+        so that |d0| = 0.197 and eps = -0.003: the constant is 0, but the
+        fraction of trials with excess exactly 0 only rises with n (0.535,
+        0.703 and 0.961 at n = 1e4, 1e5 and 1e6, 2^16 trials), and rank
+        flips still give n E = 46.8 at 1e5.  At 1e7 every trial is exactly
+        0."""
+        s0 = (math.sqrt((0.197**2 - 0.0324) / 0.16), 0, 0)
+        assert triviality_check(self.R0, s0, self.PI0) is TrivialityVerdict.TRIVIAL_GUESS_RHO
+        problem = ClassificationProblem.from_bloch(self.R0, s0, self.PI0)
+        runs = [run_experiment(TrainingSetSpec(n=n, problem=problem, label_mode=FIXED,
+                                               known_priors=True), 2**16, (7, n))
+                for n in (10**4, 10**5, 10**6, 10**7)]
+        exact = [res.fraction_exact for res in runs]
+        assert all(a < b for a, b in zip(exact, exact[1:])), exact
+        assert exact[-1] == 1.0 and runs[-1].mean_rescaled_excess == 0.0
+        assert runs[1].mean_rescaled_excess > 20
 
 
 class TestRescaledRiskCurve:
