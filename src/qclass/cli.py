@@ -9,7 +9,8 @@ sweep         closed-form report over a parameter grid
 
 The configuration is a JSON file (see README); fields a command does not
 read are ignored.  ``seed`` and ``trials`` have no defaults and must be
-explicit wherever sampling happens.  Output is CSV (default) or JSON rows
+explicit wherever sampling happens; ``qubit-sim`` runs ``n_list[i]`` at
+seed ``(seed, i)``.  Output is CSV (default) or JSON rows
 with a fixed schema: ``param.*`` columns echo the configuration (sorted
 by name), then ``metric``, ``value``, ``stderr``, ``n``.  Floats are
 printed with 17 significant digits, so a rerun with the same config and
@@ -45,7 +46,7 @@ from .helstrom import (
     triviality_check,
 )
 from .local_geometry import build_frame
-from .qubit_core import ATOL, vector_norm
+from .qubit_core import BlochVector, InvalidStateError
 
 
 class ConfigError(ValueError):
@@ -101,45 +102,46 @@ def _parse_vec3(cfg: dict, key: str) -> tuple[float, float, float]:
     return tuple(map(float, raw))
 
 
-def _parse_problem(cfg: dict) -> tuple[tuple, tuple, float]:
+def _state(name: str, v: tuple) -> BlochVector:
+    try:
+        return BlochVector(*v)
+    except InvalidStateError as exc:
+        raise ConfigError(f"{name} must lie in the Bloch ball: {exc}") from None
+
+
+def _parse_problem(cfg: dict) -> ClassificationProblem:
     problem = _require(cfg, "problem", dict, "an object with r0, s0, pi0")
     r0 = _parse_vec3(problem, "r0")
     s0 = _parse_vec3(problem, "s0")
     pi0 = _require(problem, "pi0", float, "a finite number")
-    if not 0.0 < pi0 < 1.0:
-        raise ConfigError(f"pi0 must lie strictly in (0, 1), got {pi0}")
-    for name, v in (("r0", r0), ("s0", s0)):
-        norm = vector_norm(v)  # the norm and tolerance BlochVector checks
-        if norm > 1.0 + ATOL:
-            raise ConfigError(f"{name} must lie in the Bloch ball, norm is {norm}")
-    return r0, s0, pi0
+    return ClassificationProblem(_state("r0", r0), _state("s0", s0), pi0)
 
 
-def _problem_params(r0, s0, pi0) -> dict:
+def _problem_params(problem: ClassificationProblem) -> dict:
+    (rx, ry, rz), (sx, sy, sz), pi0 = problem
     return {
-        "param.r0_x": float(r0[0]), "param.r0_y": float(r0[1]), "param.r0_z": float(r0[2]),
-        "param.s0_x": float(s0[0]), "param.s0_y": float(s0[1]), "param.s0_z": float(s0[2]),
-        "param.pi0": float(pi0),
+        "param.r0_x": rx, "param.r0_y": ry, "param.r0_z": rz,
+        "param.s0_x": sx, "param.s0_y": sy, "param.s0_z": sz,
+        "param.pi0": pi0,
     }
 
 
-def _report_rows(r0, s0, pi0, params: dict) -> list[ResultRow]:
-    problem = ClassificationProblem.from_bloch(r0, s0, pi0)
-    verdict = triviality_check(problem.r, problem.s, pi0)
+def _report_rows(problem: ClassificationProblem, params: dict) -> list[ResultRow]:
+    verdict = triviality_check(*problem)
     rows = [
         ResultRow(params, "verdict", verdict.value),
         ResultRow(params, "helstrom_risk", helstrom_risk(problem)),
     ]
     if verdict is TrivialityVerdict.NONTRIVIAL:
-        rep = risk_report(build_frame(problem.r, problem.s, pi0), pi0)
+        rep = risk_report(build_frame(*problem), problem.pi0)
         # the RiskReport fields, in their declared order
         rows += [ResultRow(params, name, value) for name, value in rep._asdict().items()]
     return rows
 
 
 def cmd_report(cfg: dict, args) -> list[ResultRow]:
-    r0, s0, pi0 = _parse_problem(cfg)
-    return _report_rows(r0, s0, pi0, _problem_params(r0, s0, pi0))
+    problem = _parse_problem(cfg)
+    return _report_rows(problem, _problem_params(problem))
 
 
 def _parse_strategies(cfg: dict) -> list:
@@ -171,8 +173,9 @@ def _parse_sampling(cfg: dict, args) -> tuple[int, int]:
 
 def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
     from .gaussian_model import StrategyKind, monte_carlo_risks
-    r0, s0, pi0 = _parse_problem(cfg)
-    frame = build_frame(r0, s0, pi0)  # rejects zero-length and trivial problems
+    problem = _parse_problem(cfg)
+    pi0 = problem.pi0
+    frame = build_frame(*problem)  # rejects zero-length and trivial problems
     strategies = _parse_strategies(cfg)
     trials = _require(cfg, "trials", int, "an integer >= 1")
     seed, workers = _parse_sampling(cfg, args)
@@ -183,7 +186,7 @@ def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
         StrategyKind.OPTIMAL_JOINT_UNKNOWN_PRIORS:
             optimal_minimax_risk(frame, pi0) + prior_correction(frame, pi0),
     }
-    base = _problem_params(r0, s0, pi0)
+    base = _problem_params(problem)
     base.update({"param.trials": trials, "param.seed": seed})
     results = monte_carlo_risks(strategies, frame, pi0, trials, seed, workers=workers)
     rows = []
@@ -197,11 +200,13 @@ def cmd_gaussian_sim(cfg: dict, args) -> list[ResultRow]:
 
 
 def cmd_qubit_sim(cfg: dict, args) -> list[ResultRow]:
-    from .qubit_experiment import LabelMode, rescaled_risk_curve
-    r0, s0, pi0 = _parse_problem(cfg)
-    n_list = _require(cfg, "n_list", list, "a nonempty ascending list of integers")
-    if not all(isinstance(n, int) and not isinstance(n, bool) for n in n_list):
-        raise ConfigError(f"n_list must contain integers, got {n_list!r}")
+    from .qubit_experiment import LabelMode, TrainingSetSpec, run_experiment
+    problem = _parse_problem(cfg)
+    what = "a nonempty, strictly ascending list of integers"
+    n_list = _require(cfg, "n_list", list, what)
+    if (not n_list or not all(isinstance(n, int) and not isinstance(n, bool) for n in n_list)
+            or any(b <= a for a, b in zip(n_list, n_list[1:]))):
+        raise ConfigError(f"n_list must be {what}, got {n_list!r}")
     trials = _require(cfg, "trials", int, "an integer >= 1")
     seed, workers = _parse_sampling(cfg, args)
     mode_name = cfg.get("label_mode", "random")
@@ -213,18 +218,16 @@ def cmd_qubit_sim(cfg: dict, args) -> list[ResultRow]:
     if not isinstance(known_priors, bool):
         raise ConfigError(f"known_priors must be a boolean, got {known_priors!r}")
 
-    problem = ClassificationProblem.from_bloch(r0, s0, pi0)
-    results = rescaled_risk_curve(
-        problem, n_list, trials, seed,
-        label_mode=mode, known_priors=known_priors, workers=workers,
-    )
-    params = _problem_params(r0, s0, pi0)
+    # every n is checked before the first one runs
+    specs = [TrainingSetSpec(n, problem, mode, known_priors) for n in n_list]
+    params = _problem_params(problem)
     params.update({
         "param.trials": trials, "param.seed": seed,
         "param.label_mode": mode.value, "param.known_priors": known_priors,
     })
     rows = []
-    for res in results:
+    for i, spec in enumerate(specs):
+        res = run_experiment(spec, trials, (seed, i), workers)
         rows.append(ResultRow(params, "rescaled_excess_mc",
                               res.mean_rescaled_excess, stderr=res.stderr, n=res.n))
         rows.append(ResultRow(params, "fraction_exact", res.fraction_exact, n=res.n))
@@ -239,23 +242,23 @@ def cmd_sweep(cfg: dict, args) -> list[ResultRow]:
         if not isinstance(raw, list) or not raw or not all(_finite_number(x) for x in raw):
             raise ConfigError(f"sweep grid '{key}' must be a nonempty list of finite numbers")
         grids[key] = [float(x) for x in raw]
-    # every grid value is checked before the first row is computed
-    for pi0 in grids["pi0"]:
-        if not 0.0 < pi0 < 1.0:
-            raise ConfigError(f"sweep pi0 values must lie strictly in (0, 1), got {pi0}")
     if not all(0.0 < x <= 1.0 for x in grids["r0_len"] + grids["s0_len"]):
         raise ConfigError("sweep Bloch lengths must lie in (0, 1]")
-    rows = []
+    # every grid point's problem is built before the first row is computed
+    points = []
     for r_len, s_len, angle, pi0 in itertools.product(
         grids["r0_len"], grids["s0_len"], grids["angle"], grids["pi0"]
     ):
-        r0 = (0.0, 0.0, r_len)
-        s0 = (s_len * math.sin(angle), 0.0, s_len * math.cos(angle))
-        params = _problem_params(r0, s0, pi0)
+        problem = ClassificationProblem(
+            (0.0, 0.0, r_len), (s_len * math.sin(angle), 0.0, s_len * math.cos(angle)), pi0)
+        params = _problem_params(problem)
         params.update({
             "param.r0_len": r_len, "param.s0_len": s_len, "param.angle": angle,
         })
-        rows.extend(_report_rows(r0, s0, pi0, params))
+        points.append((problem, params))
+    rows = []
+    for problem, params in points:
+        rows.extend(_report_rows(problem, params))
     return rows
 
 

@@ -548,25 +548,3 @@ def run_experiment(
     [moments] = run_chunked(trials, seed, chunk_fn, workers=workers)
     return summarize(moments, n=spec.n)
 
-
-def rescaled_risk_curve(
-    problem: ClassificationProblem,
-    n_list,
-    trials: int,
-    seed: int,
-    *,
-    label_mode: LabelMode = LabelMode.RANDOM_LABELS,
-    known_priors: bool = False,
-    workers: int = 1,
-) -> list[ExperimentResult]:
-    """One ExperimentResult per n in ascending n_list (independent seeds)."""
-    n_list = list(n_list)
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly ascending")
-    # every n is checked before the first one runs
-    specs = [TrainingSetSpec(n=n, problem=problem, label_mode=label_mode,
-                             known_priors=known_priors) for n in n_list]
-    return [run_experiment(spec, trials, (seed, idx), workers=workers)
-            for idx, spec in enumerate(specs)]

@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import csv
-import functools
 import hashlib
 import importlib
 import io
@@ -22,15 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qclass
-from qclass import RiskReport, TrivialityVerdict, cli, montecarlo, qubit_experiment
+from qclass import (ClassificationProblem, RiskReport, TrivialityVerdict, cli, montecarlo,
+                    qubit_experiment)
 from qclass.cli import _build_parser, main
 from qclass.gaussian_model import StrategyKind
 from qclass.qubit_core import ATOL
-from qclass.qubit_experiment import LabelMode
+from qclass.qubit_experiment import LabelMode, TrainingSetSpec
 from helpers import render_csv_reference
 from strategies import direction, unit
 
 PLANAR_PROBLEM = {"r0": [0.8, 0.0, 0.0], "s0": [0.0, 0.6, 0.0], "pi0": 0.5}
+PLANAR = ClassificationProblem(*PLANAR_PROBLEM.values())
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -79,11 +80,21 @@ class TestReport:
         rows = run_to_rows(tmp_path, "report", cfg)
         assert float(metric_value(rows, "gap")["value"]) == pytest.approx(0.5, abs=1e-9)
 
-    def test_invalid_problem_exits_2(self, tmp_path, capsys):
-        cfg = {"problem": {"r0": [2.0, 0, 0], "s0": [0, 0.5, 0], "pi0": 0.5}}
+    @pytest.mark.parametrize("change, start", [
+        ({"r0": [2.0, 0, 0]}, "error: r0 must lie in the Bloch ball: "),
+        ({"s0": [0, 0.6, 0.9]}, "error: s0 must lie in the Bloch ball: "),
+        ({"pi0": 1.0}, "error: pi0 must lie strictly in (0, 1), got 1.0\n"),
+    ], ids=["r0-outside-ball", "s0-outside-ball", "pi0-one"])
+    def test_invalid_problem_exits_2(self, tmp_path, capsys, change, start):
+        """The library's checks of a problem (BlochVector, ClassificationProblem)
+        are bad configs: a state outside the ball is named with its field, and
+        a pi0 outside (0, 1) gets the library's message."""
+        cfg = {"problem": {**PLANAR_PROBLEM, **change}}
         rc = main(["report", "--config", write_config(tmp_path, cfg)])
         assert rc == 2
-        assert "Bloch ball" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(start)
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["report", "--config", str(tmp_path / "nope.json")]) == 2
@@ -917,12 +928,33 @@ class TestQubitSim:
 
     @pytest.mark.parametrize("n_list", [[400, 200], [], [0], [100, 100], [10.0], [True]])
     def test_bad_n_list_exits_2(self, tmp_path, capsys, n_list):
+        """An empty, unsorted or repeated n_list is named in the message; an
+        n below 1 fails TrainingSetSpec's check of n."""
         cfg = {"problem": PLANAR_PROBLEM, "n_list": n_list,
                "trials": 10, "seed": 1}
         assert main(["qubit-sim", "--config", write_config(tmp_path, cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        if n_list == [0]:
+            assert captured.err.startswith("error: n must be a positive integer")
+        else:
+            assert captured.err.startswith("error: n_list must be ")
+
+    @pytest.mark.parametrize("mode, known_priors", [("random", False), ("fixed", True)])
+    def test_each_n_runs_at_its_own_seed(self, tmp_path, mode, known_priors):
+        """n_list[i] runs at seed (seed, i): its rows hold the result of
+        run_experiment for that n at that seed, every printed digit."""
+        cfg = {"problem": PLANAR_PROBLEM, "n_list": [60, 200, 3000], "trials": 300,
+               "seed": 19, "label_mode": mode, "known_priors": known_priors}
+        rows = run_to_rows(tmp_path, "qubit-sim", cfg)
+        for i, n in enumerate(cfg["n_list"]):
+            spec = TrainingSetSpec(n, PLANAR, LabelMode(mode), known_priors)
+            res = qubit_experiment.run_experiment(spec, 300, (19, i))
+            excess = metric_value(rows, "rescaled_excess_mc", n=str(n))
+            assert float(excess["value"]) == res.mean_rescaled_excess
+            assert float(excess["stderr"]) == res.stderr
+            assert float(metric_value(rows, "fraction_exact", n=str(n))["value"]) == \
+                res.fraction_exact
 
     @pytest.mark.parametrize("n_list", [[2**62], [10**30], [100, 10**12 + 1]],
                              ids=["2**62", "10**30", "just-over-limit"])
@@ -972,15 +1004,15 @@ class TestSweep:
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
 
     @pytest.mark.parametrize("key, grid, message", [
-        ("pi0", [0.5, 1.0], "sweep pi0 values must lie strictly in (0, 1), got 1.0"),
-        ("pi0", [0.5, 0.0], "sweep pi0 values must lie strictly in (0, 1), got 0.0"),
+        ("pi0", [0.5, 1.0], "pi0 must lie strictly in (0, 1), got 1.0"),
+        ("pi0", [0.5, 0.0], "pi0 must lie strictly in (0, 1), got 0.0"),
         ("r0_len", [0.9, 1.5], "sweep Bloch lengths must lie in (0, 1]"),
         ("s0_len", [0.3, 0.0], "sweep Bloch lengths must lie in (0, 1]"),
     ], ids=["pi0-one", "pi0-zero", "r0-len-above-one", "s0-len-zero"])
     def test_bad_grid_value_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch,
                                                    key, grid, message):
-        """Every grid value is checked before the first report is computed,
-        not when the loop reaches it."""
+        """Every grid point's problem is built, and so checked, before the
+        first report is computed, not when the loop reaches it."""
         calls = []
         monkeypatch.setattr(cli, "_report_rows", lambda *args: calls.append(args) or [])
         cfg = {"sweep": {"r0_len": [0.9], "s0_len": [0.3], "angle": [0.0, 1.0],
@@ -1034,9 +1066,11 @@ class TestDeterminismAndFormats:
                                                             capsys, mode):
         """The run plans kept for the process change no output byte:
         cold and warm caches, 1 and 2 workers, and a fresh process agree
-        after other runs in this one.  Two 65,536-trial chunks; fixed
-        labels draw from alias tables at every n here, random labels up to
-        n = 1024 and by a cached binomial plan above."""
+        after other runs in this one.  A cold run follows runs at more
+        other keys than the cache keeps, so each of its plans is built
+        again.  Two 65,536-trial chunks; fixed labels draw from alias
+        tables at every n here, random labels up to n = 1024 and by a
+        cached binomial plan above."""
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         cfg = {"problem": self.PINNED_PROBLEM, "n_list": [30, 900, 20000],
                "trials": 70_000, "seed": 17, "label_mode": mode}
@@ -1045,9 +1079,9 @@ class TestDeterminismAndFormats:
         for workers in ("1", "2"):
             for caches in ("cold", "warm"):
                 if caches == "cold":
-                    cache = qubit_experiment._build_plan
-                    monkeypatch.setattr(qubit_experiment, "_build_plan", functools.lru_cache(
-                        maxsize=cache.cache_info().maxsize)(cache.__wrapped__))
+                    for n in range(31, 32 + qubit_experiment._PLANS_KEPT):
+                        spec = TrainingSetSpec(n, PLANAR, LabelMode(mode))
+                        qubit_experiment.run_experiment(spec, 10, 1)
                 capsys.readouterr()
                 assert main([*argv, "--workers", workers]) == 0
                 outs.append(capsys.readouterr().out)

@@ -46,7 +46,6 @@ from qclass.qubit_experiment import (
     _plugin_excess,
     _RunPlan,
     _window_cells,
-    rescaled_risk_curve,
     run_experiment,
 )
 from helpers import (
@@ -1342,32 +1341,26 @@ class TestTrivialityBoundaryLayer:
         assert runs[1].mean_rescaled_excess > 20
 
 
-class TestRescaledRiskCurve:
+class TestRiskCurve:
+    """The rescaled excess n E over ascending n, each n run at seed (seed, i)
+    as qubit-sim runs n_list[i]."""
+
+    @staticmethod
+    def curve(problem, n_list, trials, seed, **spec):
+        return [run_experiment(TrainingSetSpec(n=n, problem=problem, **spec), trials, (seed, i))
+                for i, n in enumerate(n_list)]
+
     def test_trivial_config_decays(self):
         # n large enough that the rare class keeps >= 3 copies in every trial
-        curve = rescaled_risk_curve(TRIVIAL, [200, 500, 2000], 400, 47)
+        curve = self.curve(TRIVIAL, [200, 500, 2000], 400, 47)
         assert curve[-1].mean_rescaled_excess <= curve[0].mean_rescaled_excess
         assert curve[-1].fraction_exact == 1.0
 
     def test_nontrivial_curve_flat_at_large_n(self):
-        curve = rescaled_risk_curve(
-            PLANAR, [5000, 20000], 1500, 53,
-            label_mode=LabelMode.FIXED_COUNTS, known_priors=True,
-        )
-        a, b = curve[0], curve[1]
+        a, b = self.curve(PLANAR, [5000, 20000], 1500, 53,
+                          label_mode=FIXED, known_priors=True)
         band = 3 * math.hypot(a.stderr, b.stderr)
         assert abs(a.mean_rescaled_excess - b.mean_rescaled_excess) <= band
-
-    def test_same_seed_identical(self):
-        a = rescaled_risk_curve(PLANAR, [200, 400], 200, 59)
-        b = rescaled_risk_curve(PLANAR, [200, 400], 200, 59)
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rescaled_risk_curve(PLANAR, [], 10, 0)
-        with pytest.raises(ValueError):
-            rescaled_risk_curve(PLANAR, [100, 100], 10, 0)
 
 
 class TestClassicalGaussianExample:
