@@ -105,9 +105,10 @@ class BlochVector(namedtuple("BlochVector", "x y z")):
     def __new__(cls, x, y, z):
         self = tuple.__new__(cls, (x, y, z))
         n = vector_norm(self)
-        if not math.isfinite(n):
-            raise InvalidStateError("Bloch vector has non-finite entries")
-        if n > 1.0 + ATOL:
+        if not n <= 1.0 + ATOL:  # a NaN norm fails too
+            # finite entries whose squares overflow give an infinite norm
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise InvalidStateError("Bloch vector has non-finite entries")
             raise InvalidStateError(f"Bloch vector norm {n!r} exceeds 1")
         return self
 

@@ -38,3 +38,17 @@ def _config(v, w, a, b, pi0):
 nontrivial_config = st.builds(_config, direction, direction, _length, _length,
                               st.floats(0.1, 0.9)).filter(
     lambda c: triviality_check(*c) is TrivialityVerdict.NONTRIVIAL)
+
+
+def _margin(c) -> float:
+    """|d0| - |pi0 - pi1|: how far (r0, s0, pi0) lies inside the nontrivial
+    regime."""
+    r, s, pi0 = c
+    return float(np.linalg.norm(pi0 * r - (1.0 - pi0) * s)) - abs(2.0 * pi0 - 1.0)
+
+
+# (r0, s0, pi0) of two mixed states (Bloch lengths 0.05 to 0.95), at least
+# 0.01 inside the nontrivial regime
+mixed_config = st.builds(_config, direction, direction, st.floats(0.05, 0.95),
+                         st.floats(0.05, 0.95), st.floats(0.1, 0.9)).filter(
+    lambda c: _margin(c) >= 0.01)

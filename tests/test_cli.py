@@ -1,4 +1,11 @@
-"""End-to-end tests of the qclass command line driver."""
+"""End-to-end tests of the qclass command line driver.
+
+The tests call ``main`` in process through ``_run``.  A CLI call that must
+fail is one row of ``FAILING_RUNS`` (its command, config, flags, exit code
+and stderr), and ``test_failing_run`` checks each row's exit code, its
+empty stdout and its stderr text; a new config field or flag adds its bad
+values there as rows.
+"""
 
 import argparse
 import contextlib
@@ -40,13 +47,38 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+NO_FILE = object()  # a config path that names no file
+
+
+def _run(tmp_path, command, config, *flags) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of main on [command, --config PATH, *flags],
+    run with tmp_path as the working directory.  config is a JSON value or
+    raw bytes written to PATH, NO_FILE (PATH names no file) or None (no
+    --config option); a command of None is left out.  argparse's SystemExit
+    becomes the exit code."""
+    argv = [] if command is None else [command]
+    if config is not None:
+        path = tmp_path / ("missing.json" if config is NO_FILE else "config.json")
+        if config is not NO_FILE:
+            path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+        argv += ["--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, *flags])
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_to_rows(tmp_path, command, cfg, *extra):
-    cfg_path = write_config(tmp_path, cfg)
-    out = tmp_path / "out.csv"
-    rc = main([command, "--config", cfg_path, "--out", str(out), *extra])
-    assert rc == 0
-    with open(out, newline="") as fh:
-        return list(csv.DictReader(fh))
+    code, out, err = _run(tmp_path, command, cfg, *extra)
+    assert (code, err) == (0, "")
+    return list(csv.DictReader(io.StringIO(out)))
 
 
 def metric_value(rows, metric, **match):
@@ -57,6 +89,136 @@ def metric_value(rows, metric, **match):
     assert got, f"no row with metric={metric} and {match}"
     assert len(got) == 1
     return got[0]
+
+
+def _problem(**change) -> dict:
+    return {"problem": {**PLANAR_PROBLEM, **change}}
+
+
+def _without(cfg: dict, key: str) -> dict:
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+HUGE = 10**400  # a JSON integer too large for a float
+REPORT = {"problem": PLANAR_PROBLEM}
+# a config both simulators run
+SIM = {**REPORT, "strategy": "optimal_joint", "n_list": [10], "trials": 10, "seed": 1}
+USAGE = _build_parser().format_usage() + "qclass: error: "
+REQUIRED = USAGE + "the following arguments are required: "
+BALL = "error: {} must lie in the Bloch ball: Bloch vector norm {} exceeds 1\n"
+STRATEGY = "error: config field 'strategy' must be string or list of strings, got {}\n"
+N_LIST = "error: n_list must be a nonempty, strictly ascending list of integers, got {}\n"
+GRID = "error: sweep grid '{}' must be a nonempty list of finite numbers\n"
+SWEEP = {"r0_len": [0.9], "s0_len": [0.3], "angle": [0.0], "pi0": [0.5]}
+
+# (id, command, config, flags, exit code, stderr).  A stderr that ends in a
+# line break is the whole text; one that does not is a prefix, for a text
+# that goes on with an OS error or a temporary path.
+FAILING_RUNS = [
+    ("usage-empty", None, None, (), 2, REQUIRED + "command, --config\n"),
+    ("usage-no-config", "report", None, (), 2, REQUIRED + "--config\n"),
+    ("usage-no-command", None, NO_FILE, (), 2, REQUIRED + "command\n"),
+    ("usage-unknown-command", "nope", NO_FILE, (), 2,
+     USAGE + "argument command: invalid choice: 'nope' (choose from "
+     + ", ".join(map(repr, cli._COMMANDS)) + ")\n"),
+    ("config-missing", "report", NO_FILE, (), 2, "error: cannot read config: "),
+    ("config-int-literal-too-long", "report",
+     b'{"problem": {"r0": [1' + b"0" * 5000 + b', 0, 0], "s0": [0, 0.6, 0], "pi0": 0.5}}', (),
+     2, "error: cannot read config: Exceeds the limit (4300 digits) for integer string "
+        "conversion: value has 5001 digits; use sys.set_int_max_str_digits() to increase "
+        "the limit\n"),
+    ("config-not-utf8", "report", b'{"problem": "\xff"}', (), 2,
+     "error: cannot read config: 'utf-8' codec can't decode byte 0xff in position 13: "
+     "invalid start byte\n"),
+    ("config-not-an-object", "report", [1, 2], (), 2, "error: config must be a JSON object\n"),
+    ("format", "report", {**REPORT, "format": "xml"}, (), 2,
+     "error: format must be 'csv' or 'json', got 'xml'\n"),
+    *[(f"out-{name}", "report", {**REPORT, "out": out}, (), 2,
+       f"error: config field 'out' must be a nonempty path, got {out!r}\n")
+      for name, out in [("int", 123), ("bool", True), ("empty", ""), ("null", None),
+                        ("list", ["x.csv"])]],
+    # an output path relative to _run's working directory, a temporary one
+    *[(f"unwritable-{target}-{where}", "report", cfg, flags, 2,
+       "error: cannot write output: " + text)
+      for target, path, text in [("missing-dir", "nonexistent/x.csv", ""), ("directory", ".", ""),
+                                 ("nul", "x\0.csv", "embedded null byte\n")]
+      for where, cfg, flags in [("flag", REPORT, ("--out", path)),
+                                ("config", {**REPORT, "out": path}, ())]],
+    ("report-r0-outside-ball", "report", _problem(r0=[2.0, 0, 0]), (), 2, BALL.format("r0", 2.0)),
+    ("report-s0-outside-ball", "report", _problem(s0=[0, 0.6, 0.9]), (), 2,
+     BALL.format("s0", 1.0816653826391966)),
+    # finite entries whose squares overflow
+    ("report-s0-norm-overflows", "report", _problem(s0=[1e308, 1e308, 0]), (), 2,
+     BALL.format("s0", math.inf)),
+    ("report-pi0-one", "report", _problem(pi0=1.0), (), 2,
+     "error: pi0 must lie strictly in (0, 1), got 1.0\n"),
+    ("report-pi0-string", "report", _problem(pi0="0.5"), (), 2,
+     "error: config field 'pi0' must be a finite number, got '0.5'\n"),
+    ("report-d0-overflow", "report",
+     {"problem": {"r0": [1e-310, 0, 0], "s0": [0, 1e-310, 0], "pi0": 0.5}}, (), 3,
+     "numerical error: a risk constant is not finite (|d0| = 7.0710678118656e-311 too small)\n"),
+    ("gaussian-sim-r0-too-large-for-float", "gaussian-sim", {**SIM, **_problem(r0=[HUGE, 0, 0])},
+     (), 2, f"error: config field 'r0' must be a list of 3 finite numbers, got [{HUGE}, 0, 0]\n"),
+    ("gaussian-sim-pi0-too-large-for-float", "gaussian-sim", {**SIM, **_problem(pi0=HUGE)}, (), 2,
+     f"error: config field 'pi0' must be a finite number, got {HUGE}\n"),
+    ("gaussian-sim-zero-length-r0", "gaussian-sim", {**SIM, **_problem(r0=[0, 0, 0])}, (), 2,
+     "error: state Bloch vectors must be nonzero to define a frame\n"),
+    ("gaussian-sim-trivial", "gaussian-sim",
+     {**SIM, "problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9}}, (), 2,
+     "error: configuration is trivial_guess_rho; the local frame needs the nontrivial regime\n"),
+    ("gaussian-sim-no-seed", "gaussian-sim", _without(SIM, "seed"), (), 2,
+     "error: missing required config field 'seed' (an integer)\n"),
+    ("gaussian-sim-no-trials", "gaussian-sim", _without(SIM, "trials"), (), 2,
+     "error: missing required config field 'trials' (an integer >= 1)\n"),
+    ("strategy-missing", "gaussian-sim", _without(SIM, "strategy"), (), 2,
+     "error: missing required config field 'strategy' (string or list of strings)\n"),
+    ("strategy-number", "gaussian-sim", {**SIM, "strategy": 7}, (), 2, STRATEGY.format(7)),
+    ("strategy-object", "gaussian-sim", {**SIM, "strategy": {"a": 1}}, (), 2,
+     STRATEGY.format({"a": 1})),
+    ("strategy-empty", "gaussian-sim", {**SIM, "strategy": []}, (), 2,
+     "error: 'strategy' must be a string or nonempty list, got []\n"),
+    ("strategy-unknown", "gaussian-sim", {**SIM, "strategy": ["optimal_joint", "nope"]}, (), 2,
+     "error: unknown strategy 'nope'; valid: optimal_joint, heterodyne_plugin, "
+     "optimal_joint_unknown_priors\n"),
+    *[(f"{command}-zero-trials", command, {**SIM, "trials": 0}, (), 2,
+       "error: trials must be >= 1, got 0\n") for command in ("gaussian-sim", "qubit-sim")],
+    *[(f"{command}-workers-{name}", command, cfg, flags, 2,
+       f"error: workers must be a positive integer, got {shown}\n")
+      for command in ("gaussian-sim", "qubit-sim")
+      for name, cfg, flags, shown in [("config-0", {**SIM, "workers": 0}, (), "0"),
+                                      ("config-true", {**SIM, "workers": True}, (), "True"),
+                                      ("config-string", {**SIM, "workers": "2"}, (), "'2'"),
+                                      ("flag-0", SIM, ("--workers", "0"), "0")]],
+    *[(f"{command}-negative-seed-{name}", command, cfg, flags, 2,
+       f"error: seed must be a non-negative integer, got {seed}\n")
+      for command in ("gaussian-sim", "qubit-sim")
+      for name, cfg, flags, seed in [("flag", SIM, ("--seed", "-5"), -5),
+                                     ("config", {**SIM, "seed": -3}, (), -3)]],
+    ("qubit-sim-label-mode", "qubit-sim", {**SIM, "label_mode": "both"}, (), 2,
+     "error: label_mode must be 'random' or 'fixed', got 'both'\n"),
+    ("qubit-sim-known-priors-int", "qubit-sim", {**SIM, "known_priors": 1}, (), 2,
+     "error: known_priors must be a boolean, got 1\n"),
+    ("qubit-sim-known-priors-string", "qubit-sim", {**SIM, "known_priors": "true"}, (), 2,
+     "error: known_priors must be a boolean, got 'true'\n"),
+    *[(f"qubit-sim-n-list-{name}", "qubit-sim", {**SIM, "n_list": n_list}, (), 2,
+       N_LIST.format(n_list))
+      for name, n_list in [("descending", [400, 200]), ("empty", []), ("repeated", [100, 100]),
+                           ("float", [10.0]), ("bool", [True])]],
+    ("qubit-sim-n-zero", "qubit-sim", {**SIM, "n_list": [0]}, (), 2,
+     "error: n must be a positive integer, got 0\n"),
+    ("sweep-empty-grid", "sweep", {"sweep": {**SWEEP, "r0_len": []}}, (), 2,
+     GRID.format("r0_len")),
+    ("sweep-angle-too-large-for-float", "sweep", {"sweep": {**SWEEP, "angle": [HUGE]}}, (), 2,
+     GRID.format("angle")),
+]
+
+
+@pytest.mark.parametrize("command, config, flags, code, stderr",
+                         [row[1:] for row in FAILING_RUNS], ids=[row[0] for row in FAILING_RUNS])
+def test_failing_run(tmp_path, command, config, flags, code, stderr):
+    got_code, out, err = _run(tmp_path, command, config, *flags)
+    assert (got_code, out) == (code, "")
+    assert (err if stderr.endswith("\n") else err[:len(stderr)]) == stderr
 
 
 class TestReport:
@@ -79,26 +241,6 @@ class TestReport:
         cfg = {"problem": {"r0": [0, 0, 1.0], "s0": [0, 0, -1.0], "pi0": 0.5}}
         rows = run_to_rows(tmp_path, "report", cfg)
         assert float(metric_value(rows, "gap")["value"]) == pytest.approx(0.5, abs=1e-9)
-
-    @pytest.mark.parametrize("change, start", [
-        ({"r0": [2.0, 0, 0]}, "error: r0 must lie in the Bloch ball: "),
-        ({"s0": [0, 0.6, 0.9]}, "error: s0 must lie in the Bloch ball: "),
-        ({"pi0": 1.0}, "error: pi0 must lie strictly in (0, 1), got 1.0\n"),
-    ], ids=["r0-outside-ball", "s0-outside-ball", "pi0-one"])
-    def test_invalid_problem_exits_2(self, tmp_path, capsys, change, start):
-        """The library's checks of a problem (BlochVector, ClassificationProblem)
-        are bad configs: a state outside the ball is named with its field, and
-        a pi0 outside (0, 1) gets the library's message."""
-        cfg = {"problem": {**PLANAR_PROBLEM, **change}}
-        rc = main(["report", "--config", write_config(tmp_path, cfg)])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(start)
-
-    def test_missing_config_file_exits_2(self, tmp_path):
-        assert main(["report", "--config", str(tmp_path / "nope.json")]) == 2
-
 
 class TestNumericalFailure:
     # runs the CLI with _check_frame fed a frame whose cos(phi1) is off by
@@ -169,6 +311,8 @@ _BLOCH = st.one_of(
     st.tuples(*3 * [st.sampled_from([0.0, 5e-324, -1e-310, 1e-160])]).map(list),
     st.builds(_scaled, direction, st.sampled_from(_EDGE_LENGTHS)),
     st.tuples(*3 * [st.floats(-1.0, 1.0)]).map(list),
+    # finite components whose squares overflow, and zeros
+    st.tuples(*3 * [st.floats(1e200, 1e308) | st.floats(-1e308, -1e200) | st.just(0.0)]).map(list),
 )
 _PAIR = st.one_of(
     st.tuples(_BLOCH, _BLOCH),
@@ -234,193 +378,43 @@ class TestExitCodeFuzz:
     profile's, at least 300 (tests/conftest.py registers one of 3,000)."""
 
     @pytest.fixture(scope="class")
-    def config_path(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("fuzz") / "config.json"
+    def fuzz_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
 
     @settings(max_examples=max(300, settings.default.max_examples), deadline=None,
               derandomize=True, database=None)
     @given(case=_fuzz_case())
-    def test_exit_code_contract(self, config_path, case):
+    def test_exit_code_contract(self, fuzz_dir, case):
         command, cfg, fmt = case
-        config_path.write_text(json.dumps(cfg))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(config_path), "--format", fmt])
-        assert "Traceback" not in err.getvalue()
+        code, out, err = _run(fuzz_dir, command, cfg, "--format", fmt)
+        assert "Traceback" not in err
         if code == 0:
-            numbers = _numbers(out.getvalue(), fmt)
-            assert numbers and all(math.isfinite(x) for x in numbers), out.getvalue()
+            numbers = _numbers(out, fmt)
+            assert numbers and all(math.isfinite(x) for x in numbers), out
         else:
-            assert code in (2, 3), (code, err.getvalue())
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith(("error: ", "numerical error: "))
+            assert code in (2, 3), (code, err)
+            assert out == ""
+            assert err.startswith(("error: ", "numerical error: "))
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("field, value", [
-        ("workers", True),
-    ])
-    def test_bad_gaussian_sim_field_exits_2(self, tmp_path, capsys, field, value):
-        cfg = {"problem": PLANAR_PROBLEM, "strategy": "optimal_joint",
-               "trials": 100, "seed": 1, field: value}
-        assert main(["gaussian-sim", "--config", write_config(tmp_path, cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert field in captured.err
-
-    @pytest.mark.parametrize("command, change", [
-        ("gaussian-sim", {"trials": 0}),
-        ("qubit-sim", {"trials": 0}),
-        ("gaussian-sim", {"problem": {**PLANAR_PROBLEM, "r0": [0, 0, 0]}}),
-        ("gaussian-sim", {"problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9}}),
-    ], ids=["gaussian-zero-trials", "qubit-zero-trials", "zero-length-r0", "trivial"])
-    def test_library_precondition_exits_2(self, tmp_path, capsys, command, change):
-        """Preconditions that the library checks (run_chunked, build_frame)
-        are bad configs, not tracebacks."""
-        cfg = {"problem": PLANAR_PROBLEM, "strategy": "optimal_joint",
-               "n_list": [10], "trials": 10, "seed": 1, **change}
-        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-
-    SIM_CFG = {"problem": PLANAR_PROBLEM, "trials": 10, "seed": 1,
-               "strategy": "optimal_joint", "n_list": [10]}
-
-    @pytest.mark.parametrize("command, cfg, message", [
-        ("report", {"problem": {**PLANAR_PROBLEM, "pi0": "0.5"}},
-         "config field 'pi0' must be a finite number, got '0.5'"),
-        ("report", {"problem": PLANAR_PROBLEM, "format": "xml"},
-         "format must be 'csv' or 'json', got 'xml'"),
-        ("report", [1, 2], "config must be a JSON object"),
-        ("qubit-sim", {**SIM_CFG, "label_mode": "both"},
-         "label_mode must be 'random' or 'fixed', got 'both'"),
-        ("qubit-sim", {**SIM_CFG, "known_priors": 1}, "known_priors must be a boolean, got 1"),
-        ("qubit-sim", {**SIM_CFG, "known_priors": "true"},
-         "known_priors must be a boolean, got 'true'"),
-    ], ids=["pi0-string", "format", "not-an-object", "label-mode", "known-priors-int",
-            "known-priors-string"])
-    def test_bad_value_exits_2_with_its_message(self, tmp_path, capsys, command, cfg,
-                                                message):
-        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-    @pytest.mark.parametrize("command", ["gaussian-sim", "qubit-sim"])
-    @pytest.mark.parametrize("where, workers", [
-        ("config", 0), ("config", True), ("config", "2"), ("flag", "0")])
-    def test_simulators_reject_bad_workers(self, tmp_path, capsys, command, where, workers):
-        """The simulators read workers, so a bad value exits 2 with its message."""
-        argv = [command, "--config"]
-        if where == "flag":
-            argv += [write_config(tmp_path, self.SIM_CFG), "--workers", workers]
-        else:
-            argv += [write_config(tmp_path, {**self.SIM_CFG, "workers": workers})]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: workers must be a positive integer, got ")
-
     @pytest.mark.parametrize("command, cfg", [
-        ("report", {"problem": PLANAR_PROBLEM}),
+        ("report", REPORT),
         ("sweep", {"sweep": {"r0_len": [0.9], "s0_len": [0.3], "angle": [0.0, 2.0],
                              "pi0": [0.4]}}),
     ], ids=["report", "sweep"])
     @pytest.mark.parametrize("where, workers", [
         ("config", 0), ("config", True), ("config", "2"), ("flag", "0")])
-    def test_unread_workers_is_ignored(self, tmp_path, capsys, command, cfg, where, workers):
+    def test_unread_workers_is_ignored(self, tmp_path, command, cfg, where, workers):
         """report and sweep never read workers: whatever its value, in the
         config or as a flag, they print the bytes of a workers 1 run."""
-        plain = write_config(tmp_path, cfg, "plain.json")
-        assert main([command, "--config", plain, "--workers", "1"]) == 0
-        want = capsys.readouterr()
-        argv = [command, "--config"]
+        want = _run(tmp_path, command, cfg, "--workers", "1")
         if where == "flag":
-            argv += [plain, "--workers", workers]
+            got = _run(tmp_path, command, cfg, "--workers", workers)
         else:
-            argv += [write_config(tmp_path, {**cfg, "workers": workers})]
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert want.out and (captured.out, captured.err) == (want.out, "")
-
-    @pytest.mark.parametrize("command", ["gaussian-sim", "qubit-sim"])
-    @pytest.mark.parametrize("where", ["flag", "config"])
-    def test_negative_seed_exits_2(self, tmp_path, capsys, command, where):
-        cfg = {"problem": PLANAR_PROBLEM, "trials": 10, "seed": 1,
-               "strategy": "optimal_joint", "n_list": [10]}
-        argv = [command, "--config"]
-        if where == "flag":
-            argv += [write_config(tmp_path, cfg), "--seed", "-5"]
-        else:
-            argv += [write_config(tmp_path, {**cfg, "seed": -3})]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: seed must be a non-negative integer")
-
-
-    HUGE = 10**400  # a JSON integer too large for a float
-
-    @pytest.mark.parametrize("command, field", [
-        ("gaussian-sim", "r0"), ("gaussian-sim", "pi0"), ("sweep", "angle"),
-    ])
-    def test_integer_too_large_for_float_exits_2(self, tmp_path, capsys, command, field):
-        if command == "sweep":
-            grid = {"r0_len": [0.9], "s0_len": [0.3], "angle": [0.0], "pi0": [0.5]}
-            cfg = {"sweep": {**grid, field: [self.HUGE]}}
-        else:
-            problem = dict(PLANAR_PROBLEM)
-            cfg = {"problem": problem, "strategy": "optimal_joint", "trials": 100, "seed": 1}
-            if field == "r0":
-                problem["r0"] = [self.HUGE, 0, 0]
-            else:
-                problem["pi0"] = self.HUGE
-        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert field in captured.err
-
-
-    @pytest.mark.parametrize("raw", [
-        b'{"problem": {"r0": [1' + b"0" * 5000 + b', 0, 0], "s0": [0, 0.6, 0], "pi0": 0.5}}',
-        b'{"problem": "\xff"}',
-    ], ids=["int-literal-too-long", "not-utf8"])
-    def test_unreadable_config_exits_2(self, tmp_path, capsys, raw):
-        path = tmp_path / "config.json"
-        path.write_bytes(raw)
-        assert main(["report", "--config", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: cannot read config")
-
-
-    @pytest.mark.parametrize("out", [123, True, "", None, ["x.csv"]])
-    def test_bad_out_field_exits_2(self, tmp_path, capsys, out):
-        cfg = {"problem": PLANAR_PROBLEM, "out": out}
-        assert main(["report", "--config", write_config(tmp_path, cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: config field 'out'")
-
-    @pytest.mark.parametrize("where", ["flag", "config"])
-    @pytest.mark.parametrize("target", ["missing-dir", "directory", "nul"])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, where, target):
-        path = {"missing-dir": str(tmp_path / "nonexistent" / "x.csv"),
-                "directory": str(tmp_path),
-                "nul": str(tmp_path / "x\0.csv")}[target]
-        cfg = {"problem": PLANAR_PROBLEM}
-        argv = ["report", "--config"]
-        if where == "flag":
-            argv += [write_config(tmp_path, cfg), "--out", path]
-        else:
-            argv += [write_config(tmp_path, {**cfg, "out": path})]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: cannot write output: ")
+            got = _run(tmp_path, command, {**cfg, "workers": workers})
+        assert want == (0, want[1], "") and want[1]
+        assert got == want
 
 
 class TestImports:
@@ -456,46 +450,31 @@ class TestParserReuse:
     """The argument parser is built once per process; calls stay independent."""
 
     @staticmethod
-    def call(capsys, argv):
-        """(exit code, stdout, stderr, bytes written to --out or None)."""
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-        captured = capsys.readouterr()
-        written = None
-        if "--out" in argv:
-            path = Path(argv[argv.index("--out") + 1])
-            written = path.read_bytes()
-            path.unlink()
-        return rc, captured.out, captured.err, written
+    def call(tmp_path, command, config, *flags):
+        """(exit code, stdout, stderr, bytes written to out.txt or None)."""
+        out = tmp_path / "out.txt"
+        result = _run(tmp_path, command, config, *flags)
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return (*result, written)
+
+    GAUSSIAN = {**REPORT, "trials": 200, "seed": 1, "strategy": "optimal_joint"}
 
     @pytest.mark.parametrize("first, second", [
-        (["report", "--config", "{report}", "--format", "json"],
-         ["report", "--config", "{report}"]),
-        (["gaussian-sim", "--config", "{gaussian}", "--seed", "5"],
-         ["gaussian-sim", "--config", "{gaussian}"]),
-        (["report", "--config", "{report}", "--out", "{out}"],
-         ["report", "--config", "{report}"]),
-        (["nope"], ["report", "--config", "{report}"]),
+        (("report", REPORT, "--format", "json"), ("report", REPORT)),
+        (("gaussian-sim", GAUSSIAN, "--seed", "5"), ("gaussian-sim", GAUSSIAN)),
+        (("report", REPORT, "--out", "out.txt"), ("report", REPORT)),
+        (("nope", None), ("report", REPORT)),
     ], ids=["format-then-default", "seed-then-config-seed", "out-then-stdout",
             "argparse-error-then-report"])
-    def test_each_call_matches_the_call_alone(self, tmp_path, capsys, first, second):
-        paths = {
-            "report": write_config(tmp_path, {"problem": PLANAR_PROBLEM}, "report.json"),
-            "gaussian": write_config(tmp_path, {"problem": PLANAR_PROBLEM, "trials": 200,
-                                                "seed": 1, "strategy": "optimal_joint"},
-                                     "gaussian.json"),
-            "out": str(tmp_path / "out.txt"),
-        }
-        argvs = [[arg.format(**paths) for arg in template] for template in (first, second)]
+    def test_each_call_matches_the_call_alone(self, tmp_path, first, second):
         alone = []
-        for argv in argvs:
+        for call in (first, second):
             _build_parser.cache_clear()
-            alone.append(self.call(capsys, argv))
-        in_sequence = [self.call(capsys, argv) for argv in argvs]
+            alone.append(self.call(tmp_path, *call))
+        in_sequence = [self.call(tmp_path, *call) for call in (first, second)]
         assert in_sequence == alone
-        assert alone[0][0] == (2 if first == ["nope"] else 0)
+        assert alone[0][0] == (2 if first[0] == "nope" else 0)
         assert alone[1][0] == 0
         assert alone[0][1:] != alone[1][1:]
 
@@ -532,18 +511,6 @@ class TestOneParser:
              "--seed", "3", "--workers", "2"])
         assert vars(args) == {"command": command, "config": "c.json", "out": "o",
                               "format": "json", "seed": 3, "workers": 2}
-
-    @pytest.mark.parametrize("argv", [[], ["report"], ["--config", "c.json"],
-                                      ["nope", "--config", "c.json"]],
-                             ids=["empty", "no-config", "no-command", "unknown-command"])
-    def test_usage_error_exits_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("usage: qclass")
-
 
 class TestRowTypes:
     """Every value a row holds is None, bool, int, float or str: the types
@@ -769,7 +736,7 @@ class TestGaussianSim:
             theory = float(row["param.closed_form"])
             assert abs(mean - theory) <= 3 * stderr
 
-    def test_tiny_d0_overflow_exit_3(self, tmp_path, capsys, monkeypatch):
+    def test_tiny_d0_overflow_exit_3(self, tmp_path, monkeypatch):
         """A |d0| so small that 1/(4|d0|) makes the loss overflow fails
         before any draw, naming the strategy and |d0|."""
         def no_draw(*args):
@@ -780,12 +747,9 @@ class TestGaussianSim:
                "strategy": ["optimal_joint", "heterodyne_plugin"], "trials": 1000, "seed": 1}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main(["gaussian-sim", "--config", write_config(tmp_path, cfg)])
-        captured = capsys.readouterr()
-        assert rc == 3
-        assert captured.out == ""
-        assert ("numerical error: strategy optimal_joint: the loss overflows "
-                "(|d0| = 7.071067811865476e-161 too small)") in captured.err
+            result = _run(tmp_path, "gaussian-sim", cfg)
+        assert result == (3, "", "numerical error: strategy optimal_joint: the loss overflows "
+                                 "(|d0| = 7.071067811865476e-161 too small)\n")
 
     @pytest.mark.parametrize("local", [
         {"u": [1e16] * 3, "v": [1e16] * 3},
@@ -802,17 +766,11 @@ class TestGaussianSim:
                             "optimal_joint_unknown_priors"],
                "trials": 10_000, "seed": 1}
 
-        def printed(config, fmt):
-            out = tmp_path / "out.txt"
-            cfg_path = write_config(tmp_path, config)
-            argv = ["gaussian-sim", "--config", cfg_path, "--out", str(out), "--format", fmt]
-            assert main(argv) == 0
-            return out.read_bytes()
-
         for fmt in ("csv", "json"):
-            without = printed(cfg, fmt)
-            assert printed({**cfg, **local}, fmt) == without
-            assert b"param.u_" not in without and b"param.v_" not in without
+            without = _run(tmp_path, "gaussian-sim", cfg, "--format", fmt)
+            assert without[0] == 0
+            assert _run(tmp_path, "gaussian-sim", {**cfg, **local}, "--format", fmt) == without
+            assert "param.u_" not in without[1] and "param.v_" not in without[1]
 
     def test_pure_state_normalised_in_floating_point(self, tmp_path):
         """|r0| = 1 + 2.2e-16 passes the Bloch-ball check; the classical
@@ -829,38 +787,6 @@ class TestGaussianSim:
         assert [r["param.strategy"] for r in rows] == cfg["strategy"]
         assert all(math.isfinite(float(r[k])) for r in rows for k in ("value", "stderr"))
 
-    def test_requires_seed_and_trials(self, tmp_path, capsys):
-        cfg = {"problem": PLANAR_PROBLEM, "strategy": "optimal_joint", "trials": 100}
-        assert main(["gaussian-sim", "--config", write_config(tmp_path, cfg)]) == 2
-        assert "seed" in capsys.readouterr().err
-        cfg = {"problem": PLANAR_PROBLEM, "strategy": "optimal_joint", "seed": 1}
-        assert main(["gaussian-sim", "--config", write_config(tmp_path, cfg)]) == 2
-        assert "trials" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("strategy, message", [
-        (None, "missing required config field 'strategy' (string or list of strings)"),
-        (7, "config field 'strategy' must be string or list of strings, got 7"),
-        ({"a": 1}, "config field 'strategy' must be string or list of strings"),
-        ([], "'strategy' must be a string or nonempty list, got []"),
-        (["optimal_joint", "nope"], "unknown strategy 'nope'; valid: optimal_joint, "),
-    ], ids=["missing", "number", "object", "empty", "unknown"])
-    def test_bad_strategy_exits_2(self, tmp_path, capsys, strategy, message):
-        cfg = {"problem": PLANAR_PROBLEM, "trials": 10, "seed": 1}
-        if strategy is not None:
-            cfg["strategy"] = strategy
-        assert main(["gaussian-sim", "--config", write_config(tmp_path, cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {message}")
-
-    def test_trivial_config_rejected(self, tmp_path, capsys):
-        cfg = {
-            "problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9},
-            "strategy": "optimal_joint", "trials": 10, "seed": 1,
-        }
-        assert main(["gaussian-sim", "--config", write_config(tmp_path, cfg)]) == 2
-        assert "nontrivial" in capsys.readouterr().err
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_strategies_share_their_draws(self, tmp_path, monkeypatch, fmt):
         """Three strategies in one config print the rows of three
@@ -872,10 +798,9 @@ class TestGaussianSim:
                "trials": 1000, "seed": 17, "format": fmt}
 
         def printed(strategy):
-            out = tmp_path / "out.txt"
-            cfg_path = write_config(tmp_path, {**cfg, "strategy": strategy})
-            assert main(["gaussian-sim", "--config", cfg_path, "--out", str(out)]) == 0
-            return out.read_text()
+            code, out, err = _run(tmp_path, "gaussian-sim", {**cfg, "strategy": strategy})
+            assert (code, err) == (0, "")
+            return out
 
         together = printed(strategies)
         alone = [printed([s]) for s in strategies]
@@ -926,20 +851,6 @@ class TestQubitSim:
         assert [r["metric"] for r in rows] == ["rescaled_excess_mc", "fraction_exact"]
         assert all(math.isfinite(float(r["value"])) for r in rows)
 
-    @pytest.mark.parametrize("n_list", [[400, 200], [], [0], [100, 100], [10.0], [True]])
-    def test_bad_n_list_exits_2(self, tmp_path, capsys, n_list):
-        """An empty, unsorted or repeated n_list is named in the message; an
-        n below 1 fails TrainingSetSpec's check of n."""
-        cfg = {"problem": PLANAR_PROBLEM, "n_list": n_list,
-               "trials": 10, "seed": 1}
-        assert main(["qubit-sim", "--config", write_config(tmp_path, cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        if n_list == [0]:
-            assert captured.err.startswith("error: n must be a positive integer")
-        else:
-            assert captured.err.startswith("error: n_list must be ")
-
     @pytest.mark.parametrize("mode, known_priors", [("random", False), ("fixed", True)])
     def test_each_n_runs_at_its_own_seed(self, tmp_path, mode, known_priors):
         """n_list[i] runs at seed (seed, i): its rows hold the result of
@@ -958,7 +869,7 @@ class TestQubitSim:
 
     @pytest.mark.parametrize("n_list", [[2**62], [10**30], [100, 10**12 + 1]],
                              ids=["2**62", "10**30", "just-over-limit"])
-    def test_n_above_limit_exits_2(self, tmp_path, capsys, monkeypatch, n_list):
+    def test_n_above_limit_exits_2(self, tmp_path, monkeypatch, n_list):
         """Above 10**12 the excess risk is lost in rounding: a bad config,
         not a silently wrong result or a numerical failure.  Every n is
         checked before the first one runs."""
@@ -967,10 +878,9 @@ class TestQubitSim:
                             lambda *args, **kwargs: runs.append(args))
         cfg = {"problem": PLANAR_PROBLEM, "n_list": n_list, "trials": 10, "seed": 1,
                "label_mode": "fixed", "known_priors": True}
-        assert main(["qubit-sim", "--config", write_config(tmp_path, cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: n must be at most 10**12")
+        assert _run(tmp_path, "qubit-sim", cfg) == (
+            2, "", "error: n must be at most 10**12 (the excess risk falls to rounding error "
+                   f"above it), got {n_list[-1]}\n")
         assert runs == []
 
 
@@ -998,29 +908,21 @@ class TestSweep:
         # angle 0 with equal unit lengths and equal priors is degenerate
         assert verdicts == ["degenerate", "nontrivial"]
 
-    def test_empty_grid_exits_2(self, tmp_path):
-        cfg = {"sweep": {"r0_len": [], "s0_len": [1.0], "angle": [0.0],
-                         "pi0": [0.5]}}
-        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
-
     @pytest.mark.parametrize("key, grid, message", [
         ("pi0", [0.5, 1.0], "pi0 must lie strictly in (0, 1), got 1.0"),
         ("pi0", [0.5, 0.0], "pi0 must lie strictly in (0, 1), got 0.0"),
         ("r0_len", [0.9, 1.5], "sweep Bloch lengths must lie in (0, 1]"),
         ("s0_len", [0.3, 0.0], "sweep Bloch lengths must lie in (0, 1]"),
     ], ids=["pi0-one", "pi0-zero", "r0-len-above-one", "s0-len-zero"])
-    def test_bad_grid_value_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch,
-                                                   key, grid, message):
+    def test_bad_grid_value_exits_2_before_any_row(self, tmp_path, monkeypatch, key, grid,
+                                                   message):
         """Every grid point's problem is built, and so checked, before the
         first report is computed, not when the loop reaches it."""
         calls = []
         monkeypatch.setattr(cli, "_report_rows", lambda *args: calls.append(args) or [])
         cfg = {"sweep": {"r0_len": [0.9], "s0_len": [0.3], "angle": [0.0, 1.0],
                          "pi0": [0.5], key: grid}}
-        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert _run(tmp_path, "sweep", cfg) == (2, "", f"error: {message}\n")
         assert calls == []
 
 

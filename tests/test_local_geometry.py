@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from qclass import (
     ClassificationProblem,
+    NumericalError,
     TrivialConfigurationError,
     TrivialityVerdict,
     build_frame,
     triviality_check,
 )
+from qclass.local_geometry import _check_frame
 from qclass.qubit_core import as_float3
 
 from helpers import (
@@ -75,6 +77,14 @@ class TestBuildFrame:
         for pi0 in (0.0, 1.0, math.nan):  # checked through ClassificationProblem
             with pytest.raises(ValueError, match=r"pi0 must lie strictly in \(0, 1\)"):
                 build_frame(*PLANAR[:2], pi0)
+
+    def test_check_rejects_a_flipped_l0(self):
+        """Negating both cosines (l0 pointing the other way) keeps every
+        identity of the frame, so only the sign check rejects it."""
+        frame = build_frame(*PLANAR)
+        flipped = frame._replace(cos_phi0=-frame.cos_phi0, cos_phi1=-frame.cos_phi1)
+        with pytest.raises(NumericalError, match=r"negative cos\(phi0\) or cos\(phi1\)"):
+            _check_frame(flipped, PLANAR[2])
 
     def test_random_frame_invariants(self):
         rng = np.random.default_rng(61)

@@ -67,6 +67,11 @@ class TestBlochDensityRoundTrip:
             BlochVector(0.5, 0.0, 0.0)._replace(x=2.0)
         with pytest.raises(InvalidStateError, match="non-finite"):
             BlochVector._make((0.0, math.inf, 0.0))
+        # finite entries whose squares overflow have an infinite norm
+        with pytest.raises(InvalidStateError, match=r"^Bloch vector norm inf exceeds 1$"):
+            BlochVector(1e308, 1e308, 0.0)
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            BlochVector(1e308, 1e308, math.nan)
 
     def test_record_semantics(self):
         """A named tuple: immutable, equal to the tuple of its fields, and
