@@ -35,8 +35,15 @@ tests/helpers.py).
 
 k0 = (p0 x r0_hat)/|...| and l0 = k0 x p0, so r0_hat.l0 = |p0 x r0_hat| >= 0
 and l0 stays orthogonal to p0 to rounding however close r0 comes to
-+/-p0.  Only an exactly zero cross product (parallel to working precision)
-falls back to the first coordinate axis not parallel to p0.
++/-p0.  Where that frame misses one of its identities by 1e-12, k0 comes
+from p0 x s0_hat instead.  That happens when s0 is so short next to r0
+(below about 1e-10 |r0|) that d0 lies along r0 to rounding, so that
+p0 x r0_hat is noise, and when a state's norm is subnormal, so that
+v/|v| is no unit vector.  Both hats are then normalised after scaling,
+and k0 is taken from the shorter of pi0 r0 and pi1 s0: from r0_hat
+again when r0 is the short state.  An exactly zero cross product
+(parallel states) falls back to the first coordinate axis not parallel
+to p0.
 """
 
 from __future__ import annotations
@@ -84,6 +91,14 @@ def _unit(a) -> tuple[float, float, float]:
     return a[0] / n, a[1] / n, a[2] / n
 
 
+def _direction(a) -> tuple[float, float, float]:
+    """a/|a| of a nonzero triple, scaled by its largest component first, so
+    that neither a tiny a's sum of squares nor its subnormal norm loses the
+    digits of the result."""
+    big = max(abs(a[0]), abs(a[1]), abs(a[2]))
+    return _unit((a[0] / big, a[1] / big, a[2] / big))
+
+
 def _fallback_l0(p0) -> tuple[float, float, float]:
     # r0 and s0 parallel: any in-plane choice works, pick the first
     # coordinate axis not parallel to p0 and project p0 out (deterministic);
@@ -116,36 +131,42 @@ def build_frame(r0, s0, pi0: float) -> LocalFrame:
     p0 = (dx / d0n, dy / d0n, dz / d0n)
     r_hat = (r.x / r0n, r.y / r0n, r.z / r0n)
     s_hat = (s.x / s0n, s.y / s0n, s.z / s0n)
-
-    k0 = _cross(p0, r_hat)
-    big = max(abs(k0[0]), abs(k0[1]), abs(k0[2]))
-    if big == 0.0:
-        l0 = _fallback_l0(p0)
-        k0 = _cross(p0, l0)
-    else:
-        # scaled first, so a tiny cross product cannot underflow in _unit
-        k0 = _unit((k0[0] / big, k0[1] / big, k0[2] / big))
-        l0 = _cross(k0, p0)  # r_hat.l0 = |p0 x r_hat| >= 0
-
-    sin_phi0 = _dot(r_hat, p0)
-    cos_phi0 = _dot(r_hat, l0)
-    sin_phi1 = -_dot(s_hat, p0)
-    cos_phi1 = _dot(s_hat, l0)
-
-    frame = LocalFrame(
-        p0=p0, l0=l0, k0=k0,
-        sin_phi0=sin_phi0, cos_phi0=cos_phi0,
-        sin_phi1=sin_phi1, cos_phi1=cos_phi1,
-        d0_norm=d0n, r0_norm=r0n, s0_norm=s0n,
-    )
+    frame = _oriented_frame(p0, r_hat, r_hat, s_hat, d0n, r0n, s0n)
+    if _frame_fault(frame, pi0, 1e-12) is not None:
+        # one state so short next to the other that d0 lies along the long
+        # one to rounding, so p0 x r_hat may be noise: orient by the short
+        # one, and normalise both states after scaling, as a subnormal norm
+        # has too few digits to divide by
+        r_hat, s_hat = _direction(r), _direction(s)
+        toward = s_hat if (1.0 - pi0) * s0n <= pi0 * r0n else r_hat
+        frame = _oriented_frame(p0, toward, r_hat, s_hat, d0n, r0n, s0n)
     _check_frame(frame, pi0)
     return frame
 
 
-def _check_frame(frame: LocalFrame, pi0: float) -> None:
-    """Construction invariants; a violation raises NumericalError."""
+def _oriented_frame(p0, toward, r_hat, s_hat, d0n, r0n, s0n) -> LocalFrame:
+    """The frame whose k0 is (p0 x toward)/|...| and l0 = k0 x p0, so that
+    toward.l0 = |p0 x toward| >= 0; an exactly zero cross product takes
+    _fallback_l0."""
+    k0 = _cross(p0, toward)
+    if k0 == (0.0, 0.0, 0.0):
+        l0 = _fallback_l0(p0)
+        k0 = _cross(p0, l0)
+    else:
+        k0 = _direction(k0)
+        l0 = _cross(k0, p0)
+    return LocalFrame(
+        p0=p0, l0=l0, k0=k0,
+        sin_phi0=_dot(r_hat, p0), cos_phi0=_dot(r_hat, l0),
+        sin_phi1=-_dot(s_hat, p0), cos_phi1=_dot(s_hat, l0),
+        d0_norm=d0n, r0_norm=r0n, s0_norm=s0n,
+    )
+
+
+def _frame_fault(frame: LocalFrame, pi0: float, tol: float) -> str | None:
+    """The first construction invariant the frame misses by tol or more,
+    as an error message, or None."""
     pi1 = 1.0 - pi0
-    tol = 1e-9
     residuals = {
         "sin^2 + cos^2 = 1 for phi0": frame.sin_phi0 ** 2 + frame.cos_phi0 ** 2 - 1.0,
         "sin^2 + cos^2 = 1 for phi1": frame.sin_phi1 ** 2 + frame.cos_phi1 ** 2 - 1.0,
@@ -157,6 +178,14 @@ def _check_frame(frame: LocalFrame, pi0: float) -> None:
     }
     for identity, residual in residuals.items():
         if not abs(residual) < tol:
-            raise NumericalError(f"local frame violates {identity}")
+            return f"local frame violates {identity}"
     if not (frame.cos_phi0 >= -tol and frame.cos_phi1 >= -tol):
-        raise NumericalError("local frame has a negative cos(phi0) or cos(phi1)")
+        return "local frame has a negative cos(phi0) or cos(phi1)"
+    return None
+
+
+def _check_frame(frame: LocalFrame, pi0: float) -> None:
+    """Construction invariants to 1e-9; a violation raises NumericalError."""
+    fault = _frame_fault(frame, pi0, 1e-9)
+    if fault is not None:
+        raise NumericalError(fault)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qclass
@@ -39,6 +39,9 @@ from strategies import direction, unit
 
 PLANAR_PROBLEM = {"r0": [0.8, 0.0, 0.0], "s0": [0.0, 0.6, 0.0], "pi0": 0.5}
 PLANAR = ClassificationProblem(*PLANAR_PROBLEM.values())
+# s0 so short that d0 lies along r0 to rounding (r0 pure, in the limit
+# s0 -> 0 both risks are (2 + 2 pi0)/(4 pi0) = 17/14)
+TINY_S0_PROBLEM = {"r0": [0.6, 0.8, 0.0], "s0": [0.0, 0.0, 1e-13], "pi0": 0.7}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -242,6 +245,13 @@ class TestReport:
         rows = run_to_rows(tmp_path, "report", cfg)
         assert float(metric_value(rows, "gap")["value"]) == pytest.approx(0.5, abs=1e-9)
 
+    def test_tiny_s0_report(self, tmp_path):
+        rows = run_to_rows(tmp_path, "report", {"problem": TINY_S0_PROBLEM})
+        assert metric_value(rows, "verdict")["value"] == "nontrivial"
+        assert len(rows) == 9 and all(math.isfinite(float(r["value"])) for r in rows[1:])
+        for metric in ("optimal_risk", "plugin_risk"):
+            assert float(metric_value(rows, metric)["value"]) == pytest.approx(17 / 14, abs=1e-9)
+
 class TestNumericalFailure:
     # runs the CLI with _check_frame fed a frame whose cos(phi1) is off by
     # 1e-6, so the frame identities fail on purpose
@@ -384,6 +394,7 @@ class TestExitCodeFuzz:
     @settings(max_examples=max(300, settings.default.max_examples), deadline=None,
               derandomize=True, database=None)
     @given(case=_fuzz_case())
+    @example(case=("report", {"problem": TINY_S0_PROBLEM}, "csv"))
     def test_exit_code_contract(self, fuzz_dir, case):
         command, cfg, fmt = case
         code, out, err = _run(fuzz_dir, command, cfg, "--format", fmt)

@@ -14,6 +14,7 @@ from qclass import (
     TrivialConfigurationError,
     TrivialityVerdict,
     build_frame,
+    risk_report,
     triviality_check,
 )
 from qclass.local_geometry import _check_frame
@@ -330,6 +331,21 @@ class TestFrameProperties:
         assume(np.linalg.norm(r0) <= 1.0 + 1e-12 and np.linalg.norm(s0) <= 1.0 + 1e-12)
         assume(triviality_check(r0, s0, pi0) is TrivialityVerdict.NONTRIVIAL)
         assert_frame_identities(r0, s0, pi0)
+
+    @PROPERTY
+    @given(v=direction, other=direction, b=length, pi0=prior,
+           tiny=st.just(5e-324) | st.floats(-323.3, -9.0).map(lambda e: 10.0 ** e),
+           s_tiny=st.booleans())
+    def test_one_tiny_state(self, v, other, b, pi0, tiny, s_tiny):
+        """One state 5e-324 to 1e-9 long, in either role, next to one 0.05
+        to 1 long: d0 lies along the long state to rounding, so the frame
+        is oriented by the short one, whose norm may be subnormal.  The
+        frame passes its checks, and risk_report its decomposition."""
+        long, short = b * unit(v), tiny * unit(other)
+        r0, s0 = (long, short) if s_tiny else (short, long)
+        assume(triviality_check(r0, s0, pi0) is TrivialityVerdict.NONTRIVIAL)
+        frame = assert_frame_identities(r0, s0, pi0)
+        assert all(math.isfinite(value) for value in risk_report(frame, pi0))
 
     @PROPERTY
     @given(v=direction, other=direction, b=length, pi0=prior,

@@ -501,81 +501,11 @@ class TestAliasTable:
                 assert _window_cells(m, p) == _window_row(m, p)[0].size, (m, p)
 
 
-def _z(chi2, df):
-    """Wilson-Hilferty z of a chi-square statistic with df degrees."""
-    return ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
-
-
-def _pooled_chi2(observed, expected):
-    """(chi-square, degrees of freedom) of observed against expected counts
-    over ordered cells, the cells with an expected count below 5 pooled
-    into their tail."""
-    keep = np.flatnonzero(expected >= 5)
-    lo, hi = keep[0], keep[-1]
-    assert lo < hi
-    exp = np.concatenate(([expected[:lo + 1].sum()], expected[lo + 1:hi], [expected[hi:].sum()]))
-    obs = np.concatenate(([observed[:lo + 1].sum()], observed[lo + 1:hi], [observed[hi:].sum()]))
-    return float(np.sum((obs - exp) ** 2 / exp)), exp.size - 1
-
-
-def _independence_chi2(a, b):
-    """(chi-square, degrees of freedom) of the independence of two count
-    samples, each cut at its deciles into at most ten bins; every expected
-    cell count must be at least 5."""
-    bins = []
-    for k in (a, b):
-        edges = np.unique(np.quantile(k, np.linspace(0.1, 0.9, 9)))
-        bins.append(np.searchsorted(edges, k, side="right"))
-    observed = np.zeros((bins[0].max() + 1, bins[1].max() + 1))
-    np.add.at(observed, tuple(bins), 1)
-    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / a.size
-    assert expected.min() >= 5
-    chi2 = float(np.sum((observed - expected) ** 2 / expected))
-    return chi2, (observed.shape[0] - 1) * (observed.shape[1] - 1)
-
-
 class TestFixedLabelDraw:
-    """The fixed-label alias draw has the law of six independent
-    Binomial(m_j, p_j) counts per trial."""
-
-    @staticmethod
-    def _counts(n, trials, seed):
-        """(6, trials) counts k_j of fixed-label draws at n, and the (m_j, p_j)."""
-        spec = TrainingSetSpec(n=n, problem=SKEWED, label_mode=FIXED)
-        draw = _plan(spec).draw
-        rng = np.random.default_rng(seed)
-        est = np.concatenate([draw(rng, 50_000)[0] for _ in range(trials // 50_000)], axis=1)
-        laws = _fixed_axis_laws(spec)
-        m = np.array([m_j for m_j, _ in laws])[:, None]
-        return np.rint((est + 1.0) * m / 2.0).astype(int), laws
-
-    def test_each_axis_is_binomial(self):
-        """Chi-square of each axis's counts against Binomial(m_j, p_j), cells
-        with an expected count below 5 pooled into their tail; the
-        statistic's Wilson-Hilferty z must stay below 4."""
-        trials = 200_000
-        counts, laws = self._counts(9000, trials, 5)
-        for k, (m, p) in zip(counts, laws):
-            assert m >= 1000
-            chi2, df = _pooled_chi2(np.bincount(k, minlength=m + 1),
-                                    trials * _binomial_pmf_rows(np.array([m]), p)[0])
-            assert _z(chi2, df) <= 4.0, (m, p, chi2)
-
-    def test_axes_pairwise_uncorrelated(self):
-        trials = 200_000
-        counts, _ = self._counts(9000, trials, 6)
-        corr = np.corrcoef(counts)
-        for a in range(6):
-            for b in range(a):
-                assert abs(corr[a, b]) * math.sqrt(trials) <= 4.0, (a, b)
-
-    def test_axis_pair_is_independent(self):
-        """Chi-square of independence of rho's x and y counts, each cut at
-        its deciles into ten bins: the 10 x 10 table's z stays below 4."""
-        trials = 200_000
-        counts, _ = self._counts(9000, trials, 7)
-        chi2, df = _independence_chi2(*counts[:2])
-        assert df >= 49 and _z(chi2, df) <= 4.0, chi2
+    """The fixed-label alias draw.  Its law, six independent Binomial(m_j,
+    p_j) counts per trial, is exact: each count is its own uniform looked
+    up in its axis's row (here and TestRunPlanContract), and each row's
+    law is the windowed Binomial row (TestAliasTable, TestBinomialWindow)."""
 
     @pytest.mark.parametrize("n", [1, 2, 60, 10**4, 10**5])
     def test_one_group_draw_is_the_written_out_draw(self, n):
@@ -611,59 +541,10 @@ class TestFixedLabelDraw:
 class TestRandomLabelDraw:
     """The random-label alias draw: a class size n0 from the windowed
     Binomial(n, pi0) row, then, given n0, six independent
-    Binomial(m_j(n0), p_j) counts."""
-
-    N, TRIALS = 300, 200_000
-
-    @staticmethod
-    def _draw(n, trials, seed):
-        """(n0, counts k_j, copies m_j), the last two (6, trials), of
-        random-label alias draws at n in 50,000-trial chunks."""
-        draw = _plan(TrainingSetSpec(n=n, problem=SKEWED)).draw
-        rng = np.random.default_rng(seed)
-        est, n0 = (np.concatenate(parts, axis=-1)
-                   for parts in zip(*(draw(rng, 50_000) for _ in range(trials // 50_000))))
-        m = np.array(_axis_copies(n0, n - n0))
-        return n0, np.rint((est + 1.0) * m / 2.0).astype(int), m
-
-    def test_class_sizes_follow_the_label_window(self):
-        """Chi-square of the drawn n0 against the windowed Binomial(n, pi0)
-        row, tails pooled: Wilson-Hilferty z below 4."""
-        n0, _, _ = self._draw(self.N, self.TRIALS, 11)
-        sizes, pmf = _window_row(self.N, 0.4)
-        order = np.argsort(sizes)
-        observed = np.bincount(n0 - sizes.min(), minlength=sizes.size)
-        assert observed.size == sizes.size  # no class size outside the window
-        chi2, df = _pooled_chi2(observed, self.TRIALS * pmf[order])
-        assert _z(chi2, df) <= 4.0, chi2
-
-    def test_each_axis_is_binomial_given_n0(self):
-        """Per axis, the chi-squares of its counts against
-        Binomial(m_j(n0), p_j), tails pooled, summed over the class sizes
-        drawn at least 2000 times: z below 4."""
-        n0, k, m = self._draw(self.N, self.TRIALS, 12)
-        sizes, hits = np.unique(n0, return_counts=True)
-        sizes = sizes[hits >= 2000]
-        assert sizes.size >= 20
-        for j, p in enumerate(_axis_probabilities(SKEWED)):
-            chi2 = df = 0
-            for size in sizes:
-                given = n0 == size
-                m_j = int(m[j, given][0])
-                terms = _pooled_chi2(np.bincount(k[j, given], minlength=m_j + 1),
-                                     given.sum() * _binomial_pmf_rows(np.array([m_j]), p)[0])
-                chi2, df = chi2 + terms[0], df + terms[1]
-            assert _z(chi2, df) <= 4.0, (j, chi2, df)
-
-    def test_axis_pair_is_independent_given_n0(self):
-        """Given the most frequent class size, rho's x and sigma's x counts,
-        whose copy counts both follow n0, are independent: decile-binned
-        chi-square z below 4."""
-        n0, k, _ = self._draw(self.N, self.TRIALS, 13)
-        sizes, hits = np.unique(n0, return_counts=True)
-        given = n0 == sizes[hits.argmax()]
-        chi2, df = _independence_chi2(k[0, given], k[3, given])
-        assert df >= 16 and _z(chi2, df) <= 4.0, (chi2, df)
+    Binomial(m_j(n0), p_j) counts.  That law is exact, as with fixed labels:
+    one uniform per class size and per count, looked up in the label row
+    or in the row of the trial's own copy count (TestRunPlanContract), each
+    row with its windowed row's law (TestAliasTable)."""
 
     @PROPERTY
     @given(n=st.integers(1, _RANDOM_ALIAS_MAX_N),
