@@ -181,7 +181,7 @@ def risk_report(frame: LocalFrame, pi0: float) -> RiskReport:
     return report
 
 
-def tomography_constant(r0, s0, pi0: float, *, with_prior_term: bool = False) -> float:
+def tomography_constant(r0, s0, pi0: float) -> float:
     """Delta-method constant of the Pauli-tomography plug-in rescaled excess.
 
     Per Cartesian coordinate j the tomography error of r has variance
@@ -210,7 +210,4 @@ def tomography_constant(r0, s0, pi0: float, *, with_prior_term: bool = False) ->
         3.0 * pi0 * sum((1.0 - x * x) * w_j for x, w_j in zip(as_float3(r0), w))
         + 3.0 * pi1 * sum((1.0 - x * x) * w_j for x, w_j in zip(as_float3(s0), w))
     )
-    c = num / (4.0 * frame.d0_norm)
-    if with_prior_term:
-        c += prior_correction(frame, pi0)
-    return c
+    return num / (4.0 * frame.d0_norm)

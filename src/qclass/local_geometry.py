@@ -16,11 +16,12 @@ tests/helpers.py).
 Angle conventions (these pin every sign downstream):
 
     sin(phi0) = r0_hat . p0      cos(phi0) = r0_hat . l0  >= 0
-    sin(phi1) = -s0_hat . p0     cos(phi1) = s0_hat . l0
+    sin(phi1) = -s0_hat . p0     cos(phi1) = s0_hat . l0  >= 0
 
-l0 is oriented so cos(phi0) >= 0, which forces cos(phi1) >= 0 through the
-constraint pi0*r0*cos(phi0) = pi1*s0*cos(phi1) (d0 has no l0 component),
-and gives |d0| = pi0*r0*sin(phi0) + pi1*s0*sin(phi1).  Parallel vectors
+l0 is oriented so that one cosine is >= 0 (below), which forces the other
+to be >= 0 through the constraint pi0*r0*cos(phi0) = pi1*s0*cos(phi1) (d0
+has no l0 component), and gives |d0| = pi0*r0*sin(phi0) +
+pi1*s0*sin(phi1).  Parallel vectors
 pointing the same way get (sin(phi0), sin(phi1)) = (+1, -1); antiparallel
 vectors get (+1, +1).
 
@@ -33,15 +34,16 @@ z_perp collects the (l0, k0) components of pi0*u - pi1*v
 (``relative_perp``; it, the map and the loss are test oracles in
 tests/helpers.py).
 
-k0 = (p0 x r0_hat)/|...| and l0 = k0 x p0, so r0_hat.l0 = |p0 x r0_hat| >= 0
-and l0 stays orthogonal to p0 to rounding however close r0 comes to
-+/-p0.  Where that frame misses one of its identities by 1e-12, k0 comes
-from p0 x s0_hat instead.  That happens when s0 is so short next to r0
-(below about 1e-10 |r0|) that d0 lies along r0 to rounding, so that
-p0 x r0_hat is noise, and when a state's norm is subnormal, so that
-v/|v| is no unit vector.  Both hats are then normalised after scaling,
-and k0 is taken from the shorter of pi0 r0 and pi1 s0: from r0_hat
-again when r0 is the short state.  An exactly zero cross product
+k0 = (p0 x t_hat)/|...| and l0 = k0 x p0, where t_hat is the direction of
+the shorter of pi0 r0 and pi1 s0, so t_hat.l0 = |p0 x t_hat| >= 0 and l0
+stays orthogonal to p0 to rounding however close the states come to
++/-p0.  This one rule is the better conditioned choice for every
+configuration: d0 has no part across p0, so pi0 |r0_perp| = pi1 |s0_perp|
+= h, and |p0 x r0_hat| = h/(pi0 |r0|), |p0 x s0_hat| = h/(pi1 |s0|).  When
+one state is tiny next to the other, d0 lies along the long one to
+rounding and only the short one's cross product is not noise.  Both hats
+are normalised after scaling by their largest component, as a subnormal
+norm has too few digits to divide by.  An exactly zero cross product
 (parallel states) falls back to the first coordinate axis not parallel
 to p0.
 """
@@ -129,44 +131,29 @@ def build_frame(r0, s0, pi0: float) -> LocalFrame:
             "nontrivial regime"
         )
     p0 = (dx / d0n, dy / d0n, dz / d0n)
-    r_hat = (r.x / r0n, r.y / r0n, r.z / r0n)
-    s_hat = (s.x / s0n, s.y / s0n, s.z / s0n)
-    frame = _oriented_frame(p0, r_hat, r_hat, s_hat, d0n, r0n, s0n)
-    if _frame_fault(frame, pi0, 1e-12) is not None:
-        # one state so short next to the other that d0 lies along the long
-        # one to rounding, so p0 x r_hat may be noise: orient by the short
-        # one, and normalise both states after scaling, as a subnormal norm
-        # has too few digits to divide by
-        r_hat, s_hat = _direction(r), _direction(s)
-        toward = s_hat if (1.0 - pi0) * s0n <= pi0 * r0n else r_hat
-        frame = _oriented_frame(p0, toward, r_hat, s_hat, d0n, r0n, s0n)
-    _check_frame(frame, pi0)
-    return frame
-
-
-def _oriented_frame(p0, toward, r_hat, s_hat, d0n, r0n, s0n) -> LocalFrame:
-    """The frame whose k0 is (p0 x toward)/|...| and l0 = k0 x p0, so that
-    toward.l0 = |p0 x toward| >= 0; an exactly zero cross product takes
-    _fallback_l0."""
-    k0 = _cross(p0, toward)
+    r_hat, s_hat = _direction(r), _direction(s)
+    # oriented by the shorter weighted state (see the module docstring)
+    k0 = _cross(p0, s_hat if (1.0 - pi0) * s0n <= pi0 * r0n else r_hat)
     if k0 == (0.0, 0.0, 0.0):
         l0 = _fallback_l0(p0)
         k0 = _cross(p0, l0)
     else:
         k0 = _direction(k0)
         l0 = _cross(k0, p0)
-    return LocalFrame(
+    frame = LocalFrame(
         p0=p0, l0=l0, k0=k0,
         sin_phi0=_dot(r_hat, p0), cos_phi0=_dot(r_hat, l0),
         sin_phi1=-_dot(s_hat, p0), cos_phi1=_dot(s_hat, l0),
         d0_norm=d0n, r0_norm=r0n, s0_norm=s0n,
     )
+    _check_frame(frame, pi0)
+    return frame
 
 
-def _frame_fault(frame: LocalFrame, pi0: float, tol: float) -> str | None:
-    """The first construction invariant the frame misses by tol or more,
-    as an error message, or None."""
+def _check_frame(frame: LocalFrame, pi0: float) -> None:
+    """Construction invariants to 1e-9; a violation raises NumericalError."""
     pi1 = 1.0 - pi0
+    tol = 1e-9
     residuals = {
         "sin^2 + cos^2 = 1 for phi0": frame.sin_phi0 ** 2 + frame.cos_phi0 ** 2 - 1.0,
         "sin^2 + cos^2 = 1 for phi1": frame.sin_phi1 ** 2 + frame.cos_phi1 ** 2 - 1.0,
@@ -178,14 +165,6 @@ def _frame_fault(frame: LocalFrame, pi0: float, tol: float) -> str | None:
     }
     for identity, residual in residuals.items():
         if not abs(residual) < tol:
-            return f"local frame violates {identity}"
+            raise NumericalError(f"local frame violates {identity}")
     if not (frame.cos_phi0 >= -tol and frame.cos_phi1 >= -tol):
-        return "local frame has a negative cos(phi0) or cos(phi1)"
-    return None
-
-
-def _check_frame(frame: LocalFrame, pi0: float) -> None:
-    """Construction invariants to 1e-9; a violation raises NumericalError."""
-    fault = _frame_fault(frame, pi0, 1e-9)
-    if fault is not None:
-        raise NumericalError(fault)
+        raise NumericalError("local frame has a negative cos(phi0) or cos(phi1)")

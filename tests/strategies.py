@@ -52,3 +52,67 @@ def _margin(c) -> float:
 mixed_config = st.builds(_config, direction, direction, st.floats(0.05, 0.95),
                          st.floats(0.05, 0.95), st.floats(0.1, 0.9)).filter(
     lambda c: _margin(c) >= 0.01)
+
+
+# ------------------------------------------------- the frame's stress families
+# Pairs close to (anti)parallel, pure states, one tiny state and pairs just
+# off the |d0| = |pi0 - pi1| boundary, as lengths, priors and tilts, and as
+# whole nontrivial configs.
+
+length = st.floats(0.05, 1.0)
+prior = st.floats(0.05, 0.95)
+tilt = st.floats(-13.0, -3.0).map(lambda e: 10.0 ** e)
+
+
+def orthonormal_pair(v, other):
+    """Unit n along v and unit m orthogonal to n, in the plane of v and other."""
+    n = unit(v)
+    m = np.cross(n, other)
+    if np.linalg.norm(m) < 1e-3:
+        m = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.9 else [0.0, 1.0, 0.0])
+    return n, unit(np.cross(m, n))
+
+
+def _near_parallel(v, other, a, b, pi0, eps, sign):
+    n, m = orthonormal_pair(v, other)
+    return a * n, sign * b * unit(n + eps * m), pi0
+
+
+def _pure(v, other, b, pi0, s_pure, eps):
+    r0 = unit(v)
+    return r0, unit(np.asarray(other) + eps * r0) * (1.0 if s_pure else b), pi0
+
+
+def _one_tiny(v, other, b, pi0, tiny, s_tiny):
+    long, short = b * unit(v), tiny * unit(other)
+    return (long, short, pi0) if s_tiny else (short, long, pi0)
+
+
+def _off_boundary(v, other, b, pi0, gap):
+    """|d0| = |pi0 - pi1| (1 + gap): r0 is solved from d0 and s0."""
+    pi1 = 1.0 - pi0
+    s0 = b * unit(other)
+    d0 = abs(pi0 - pi1) * (1.0 + gap) * unit(v)
+    return (d0 + pi1 * s0) / pi0, s0, pi0
+
+
+def _valid_nontrivial(c) -> bool:
+    return all(np.linalg.norm(state) <= 1.0 + 1e-12 for state in c[:2]) and _margin(c) > 1e-14
+
+
+# (r0, s0, pi0) of one stress family, valid and nontrivial; the tiny state
+# is 5e-324 to 1e-9 long.  At least 1e-14 inside the nontrivial regime, well
+# above the rounding of |d0|, so that float and exact arithmetic agree that
+# the config is nontrivial (a pure pair s0 = r0 sits on the boundary).
+frame_stress_config = st.one_of(
+    st.builds(_near_parallel, direction, direction, length, length, prior, tilt,
+              st.sampled_from([1.0, -1.0])),
+    st.builds(_pure, direction, direction, length, prior, st.booleans(),
+              st.just(0.0) | tilt),
+    st.builds(_one_tiny, direction, direction, length, prior,
+              st.just(5e-324) | st.floats(-323.3, -9.0).map(lambda e: 10.0 ** e),
+              st.booleans()),
+    st.builds(_off_boundary, direction, direction, length,
+              prior.filter(lambda pi0: abs(2.0 * pi0 - 1.0) > 0.02),
+              st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e)),
+).filter(_valid_nontrivial)

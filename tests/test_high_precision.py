@@ -14,6 +14,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
 
 from qclass import (
     ClassificationProblem,
@@ -26,6 +27,7 @@ from qclass import (
 from qclass.cli import main
 
 from helpers import random_nontrivial_config
+from strategies import PROPERTY, frame_stress_config
 
 TOL = 1e-12
 REPORT_NAMES = ("classical_term", "quantum_term", "commutator_c", "optimal_risk",
@@ -120,6 +122,15 @@ def test_seeded_nontrivial_configs():
     for _ in range(200):
         r, s, pi0 = random_nontrivial_config(rng)
         check_library(r, s, pi0, mp_report(r, s, pi0))
+
+
+@PROPERTY
+@given(config=frame_stress_config)
+def test_frame_stress_families(config):
+    """The frame's stress families (tests/strategies.py): near-parallel and
+    antiparallel pairs, pure states, one state 5e-324 to 1e-9 long in
+    either role, and pairs just off |d0| = |pi0 - pi1|."""
+    check_library(*config, mp_report(*config))
 
 
 @pytest.mark.parametrize("tilt", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])

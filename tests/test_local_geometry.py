@@ -30,7 +30,7 @@ from helpers import (
     random_nontrivial_config,
     relative_perp,
 )
-from strategies import PROPERTY, direction, unit
+from strategies import PROPERTY, direction, length, orthonormal_pair, prior, tilt, unit
 
 PLANAR = ((0.8, 0.0, 0.0), (0.0, 0.6, 0.0), 0.5)
 
@@ -283,19 +283,6 @@ class TestLocalExpansion:
 # Property tests over the configurations that stress the frame: pairs close
 # to (anti)parallel, pure states and pairs just off the |d0| = |pi0 - pi1|
 # boundary.  Every nontrivial draw must give a frame whose identities hold.
-
-length = st.floats(0.05, 1.0)
-prior = st.floats(0.05, 0.95)
-tilt = st.floats(-13.0, -3.0).map(lambda e: 10.0 ** e)
-
-
-def orthonormal_pair(v, other):
-    """Unit n along v and unit m orthogonal to n, in the plane of v and other."""
-    n = unit(v)
-    m = np.cross(n, other)
-    if np.linalg.norm(m) < 1e-3:
-        m = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.9 else [0.0, 1.0, 0.0])
-    return n, unit(np.cross(m, n))
 
 
 def assert_frame_identities(r0, s0, pi0):

@@ -10,7 +10,6 @@ import math
 import sys
 import threading
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,8 +20,10 @@ from qclass import (
     BlochVector,
     ClassificationProblem,
     TrivialityVerdict,
+    build_frame,
     helstrom_risk,
     pauli_data,
+    prior_correction,
     tomography_constant,
     triviality_check,
 )
@@ -254,36 +255,6 @@ class TestCountSampler:
             assert grouped.bit_generator.state == per_trial.bit_generator.state
 
 
-def _count_grid(m: np.ndarray, width: int) -> np.ndarray:
-    """(len(m), width) counts: row g holds k = 0..m_g in its last m_g + 1
-    columns, after padding with k < 0."""
-    return np.arange(width) - (width - 1 - m)[:, None]
-
-
-def _binomial_pmf_rows(m: np.ndarray, p: float) -> np.ndarray:
-    """The exact-pmf oracle: Binomial(m_g, p) pmf for each entry m_g of m,
-    one row each, over every count 0..m_g, not a window.
-
-    A (len(m), max(m) + 1) array laid out as _count_grid: row g holds the
-    probabilities of k = 0..m_g in its last m_g + 1 columns, after
-    padding with probability 0.  The log k! come from math.lgamma, which
-    is accurate at the copy counts the tests use.  p in {0, 1} and m_g =
-    0 are exact point masses, and no padding entry is exponentiated.
-    """
-    width = int(m.max()) + 1
-    k = _count_grid(m, width)
-    mk = np.broadcast_to(m[:, None], k.shape)
-    if p == 0.0 or p == 1.0:
-        return (k == (0 if p == 0.0 else mk)).astype(float)
-    log_factorial = np.array([math.lgamma(i + 1.0) for i in range(width)])
-    pmf = np.zeros(k.shape)
-    valid = k >= 0
-    kv, mv = k[valid], mk[valid]
-    pmf[valid] = np.exp(log_factorial[mv] - log_factorial[kv] - log_factorial[mv - kv]
-                        + kv * math.log(p) + (mv - kv) * math.log1p(-p))
-    return pmf / pmf.sum(axis=1, keepdims=True)
-
-
 def _one_row_integer_table(m: int, p: float):
     """Walker's alias table of the windowed Binomial(m, p) row in integers,
     built one row at a time in scalar arithmetic, as the library did
@@ -336,53 +307,6 @@ def _one_row_alias_table(m: int, p: float) -> np.ndarray:
     table[1] = values
     table[2] = values[alias]
     return table
-
-
-def _exact_pmf(m: int, p: float) -> list[float]:
-    """Binomial(m, p) pmf in exact rational arithmetic, rounded once.
-
-    p is the fraction a/d exactly; Python rounds an int quotient correctly.
-    """
-    a, d = Fraction(p).as_integer_ratio()
-    return [math.comb(m, k) * a**k * (d - a) ** (m - k) / d**m for k in range(m + 1)]
-
-
-class TestBinomialPmfRows:
-    """The exact-pmf oracle _binomial_pmf_rows against rational arithmetic."""
-
-    def _check(self, m, p):
-        rows = _binomial_pmf_rows(np.array(m), p)
-        k = _count_grid(np.array(m), max(m) + 1)
-        assert k.shape == rows.shape == (len(m), max(m) + 1)
-        for k_g, row, m_g in zip(k, rows, m):
-            pad = max(m) - m_g
-            assert k_g.tolist() == list(range(-pad, m_g + 1))
-            assert not row[:pad].any()
-            np.testing.assert_allclose(row[pad:], _exact_pmf(m_g, p), rtol=1e-11, atol=1e-300)
-            assert math.fsum(row) == pytest.approx(1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 0.5, 0.7, 0.999, 1.0])
-    def test_against_exact_rational_pmf(self, p):
-        self._check([0, 1, 2, 17, 341], p)
-
-    def test_largest_class_size(self):
-        """The rounding of log k! grows with k; the class sizes reach n."""
-        self._check([_RANDOM_ALIAS_MAX_N], 0.4)
-
-    def test_point_masses_are_exact(self):
-        m = np.array([0, 3, 5])
-        for p, k in ((0.0, 0 * m), (1.0, m)):
-            want = np.zeros((3, 6))
-            want[np.arange(3), k + 5 - m] = 1.0
-            assert _binomial_pmf_rows(m, p).tolist() == want.tolist()
-        # no copies: a point mass at any p
-        assert _binomial_pmf_rows(m, 0.3)[0].tolist() == [0] * 5 + [1]
-
-    @PROPERTY
-    @given(m=st.lists(st.integers(0, 60), min_size=1, max_size=4),
-           p=st.floats(0.0, 1.0))
-    def test_any_probability(self, m, p):
-        self._check(m, p)
 
 
 def _window_row(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -1129,7 +1053,8 @@ class TestRunExperiment:
     def test_estimated_priors_add_prior_correction(self):
         spec = TrainingSetSpec(n=10**4, problem=PLANAR)  # random labels, pi estimated
         res = run_experiment(spec, 4000, 31)
-        oracle = tomography_constant((0.8, 0, 0), (0, 0.6, 0), 0.5, with_prior_term=True)
+        oracle = (tomography_constant((0.8, 0, 0), (0, 0.6, 0), 0.5)
+                  + prior_correction(build_frame((0.8, 0, 0), (0, 0.6, 0), 0.5), 0.5))
         assert res.mean_rescaled_excess == pytest.approx(oracle, rel=0.05)
 
     def test_antipodal_pure_constant(self):
