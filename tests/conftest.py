@@ -14,7 +14,9 @@ bench/test_workloads.py loads bench/workloads.py, so a derandomized
 property test drew other examples in the whole suite than in a run of
 one file or one ``-k`` selection.  Every such module, the ``qclass``
 submodules and bench/workloads.py, is therefore loaded here at session
-start, so each run draws the whole suite's examples.
+start, so each run draws the whole suite's examples, and
+``SESSION_MODULES`` records them for tests/test_cli.py to check that no
+test loads another.
 """
 
 import importlib
@@ -36,3 +38,19 @@ _spec = importlib.util.spec_from_file_location(
     "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
 sys.modules["workloads"] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sys.modules["workloads"])
+
+
+def local_modules() -> frozenset[str]:
+    """Names of the loaded modules of this repository whose literals
+    Hypothesis reads: none in a test directory or named test_*."""
+    root = Path(__file__).resolve().parents[1]
+    names = set()
+    for name, module in list(sys.modules.items()):
+        path = Path(getattr(module, "__file__", None) or "/").resolve()
+        if (path.is_relative_to(root) and not {"test", "tests"} & set(path.parts)
+                and not path.stem.startswith("test_") and not path.stem.endswith("_test")):
+            names.add(name)
+    return frozenset(names)
+
+
+SESSION_MODULES = local_modules()

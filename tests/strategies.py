@@ -100,19 +100,28 @@ def _valid_nontrivial(c) -> bool:
     return all(np.linalg.norm(state) <= 1.0 + 1e-12 for state in c[:2]) and _margin(c) > 1e-14
 
 
-# (r0, s0, pi0) of one stress family, valid and nontrivial; the tiny state
-# is 5e-324 to 1e-9 long.  At least 1e-14 inside the nontrivial regime, well
-# above the rounding of |d0|, so that float and exact arithmetic agree that
-# the config is nontrivial (a pure pair s0 = r0 sits on the boundary).
-frame_stress_config = st.one_of(
-    st.builds(_near_parallel, direction, direction, length, length, prior, tilt,
-              st.sampled_from([1.0, -1.0])),
-    st.builds(_pure, direction, direction, length, prior, st.booleans(),
-              st.just(0.0) | tilt),
-    st.builds(_one_tiny, direction, direction, length, prior,
-              st.just(5e-324) | st.floats(-323.3, -9.0).map(lambda e: 10.0 ** e),
-              st.booleans()),
-    st.builds(_off_boundary, direction, direction, length,
-              prior.filter(lambda pi0: abs(2.0 * pi0 - 1.0) > 0.02),
-              st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e)),
-).filter(_valid_nontrivial)
+# (r0, s0, pi0) of each stress family by name, valid and nontrivial; the
+# tiny state is 5e-324 to 1e-9 long.  At least 1e-14 inside the nontrivial
+# regime, well above the rounding of |d0|, so that float and exact
+# arithmetic agree that the config is nontrivial (a pure pair s0 = r0 sits
+# on the boundary).
+_tiny = st.just(5e-324) | st.floats(-323.3, -9.0).map(lambda e: 10.0 ** e)
+FRAME_STRESS_FAMILIES = {
+    name: strategy.filter(_valid_nontrivial) for name, strategy in {
+        "near_parallel": st.builds(_near_parallel, direction, direction, length, length,
+                                   prior, tilt, st.just(1.0)),
+        "near_antiparallel": st.builds(_near_parallel, direction, direction, length, length,
+                                       prior, tilt, st.just(-1.0)),
+        "pure": st.builds(_pure, direction, direction, length, prior, st.booleans(),
+                          st.just(0.0) | tilt),
+        "tiny_r0": st.builds(_one_tiny, direction, direction, length, prior, _tiny,
+                             st.just(False)),
+        "tiny_s0": st.builds(_one_tiny, direction, direction, length, prior, _tiny,
+                             st.just(True)),
+        "off_boundary": st.builds(_off_boundary, direction, direction, length,
+                                  prior.filter(lambda pi0: abs(2.0 * pi0 - 1.0) > 0.02),
+                                  st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e)),
+    }.items()
+}
+# a config of any stress family
+frame_stress_config = st.one_of(*FRAME_STRESS_FAMILIES.values())

@@ -34,6 +34,7 @@ from qclass.cli import _build_parser, main
 from qclass.gaussian_model import StrategyKind
 from qclass.qubit_core import ATOL
 from qclass.qubit_experiment import LabelMode, TrainingSetSpec
+from conftest import SESSION_MODULES, local_modules
 from helpers import render_csv_reference
 from strategies import direction, unit
 
@@ -406,6 +407,15 @@ class TestExitCodeFuzz:
             assert code in (2, 3), (code, err)
             assert out == ""
             assert err.startswith(("error: ", "numerical error: "))
+
+
+def test_session_loads_every_local_module():
+    """Hypothesis draws examples from the literals of every loaded local
+    module outside the test directories (tests/conftest.py), so the fuzz
+    above draws the same cases in any run only if no test loads such a
+    module that conftest.py has not loaded at session start."""
+    assert local_modules() == SESSION_MODULES
+    assert {"qclass", "qclass.cli", "workloads"} <= SESSION_MODULES
 
 
 class TestConfigValidation:

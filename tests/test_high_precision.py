@@ -14,7 +14,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from qclass import (
     ClassificationProblem,
@@ -27,7 +27,7 @@ from qclass import (
 from qclass.cli import main
 
 from helpers import random_nontrivial_config
-from strategies import PROPERTY, frame_stress_config
+from strategies import FRAME_STRESS_FAMILIES, PROPERTY
 
 TOL = 1e-12
 REPORT_NAMES = ("classical_term", "quantum_term", "commutator_c", "optimal_risk",
@@ -124,13 +124,18 @@ def test_seeded_nontrivial_configs():
         check_library(r, s, pi0, mp_report(r, s, pi0))
 
 
-@PROPERTY
-@given(config=frame_stress_config)
-def test_frame_stress_families(config):
-    """The frame's stress families (tests/strategies.py): near-parallel and
-    antiparallel pairs, pure states, one state 5e-324 to 1e-9 long in
-    either role, and pairs just off |d0| = |pi0 - pi1|."""
-    check_library(*config, mp_report(*config))
+@pytest.mark.parametrize("family", FRAME_STRESS_FAMILIES)
+def test_frame_stress_families(family):
+    """The frame's stress families (tests/strategies.py), one at a time:
+    near-parallel and near-antiparallel pairs, pure states, a tiny r0 or
+    s0 (5e-324 to 1e-9 long) and pairs just off |d0| = |pi0 - pi1|."""
+
+    @settings(PROPERTY, max_examples=60)
+    @given(config=FRAME_STRESS_FAMILIES[family])
+    def check(config):
+        check_library(*config, mp_report(*config))
+
+    check()
 
 
 @pytest.mark.parametrize("tilt", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])

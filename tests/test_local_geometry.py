@@ -30,7 +30,17 @@ from helpers import (
     random_nontrivial_config,
     relative_perp,
 )
-from strategies import PROPERTY, direction, length, orthonormal_pair, prior, tilt, unit
+from strategies import (
+    PROPERTY,
+    direction,
+    frame_stress_config,
+    length,
+    nontrivial_config,
+    orthonormal_pair,
+    prior,
+    tilt,
+    unit,
+)
 
 PLANAR = ((0.8, 0.0, 0.0), (0.0, 0.6, 0.0), 0.5)
 
@@ -347,3 +357,89 @@ class TestFrameProperties:
         assume(np.linalg.norm(r0) <= 1.0)
         assume(triviality_check(r0, s0, pi0) is TrivialityVerdict.NONTRIVIAL)
         assert_frame_identities(r0, s0, pi0)
+
+
+# ------------------------------------------------------ the orientation rule
+# k0 = (p0 x t_hat)/|...| and l0 = k0 x p0, where t_hat is the direction of
+# the shorter of pi0 r0 and pi1 s0, over generic configs and the stress
+# families alike.
+
+frame_config = st.one_of(nontrivial_config, frame_stress_config)
+
+
+def _hat(a) -> np.ndarray:
+    """a/|a|, scaled by its largest component first (a may be subnormal)."""
+    a = np.asarray(a, dtype=float)
+    return unit(a / np.max(np.abs(a)))
+
+
+def orienting_split(r0, s0, pi0):
+    """(t_hat, o_hat): the directions of the shorter and the longer of
+    pi0 r0 and pi1 s0."""
+    if (1.0 - pi0) * math.hypot(*s0) <= pi0 * math.hypot(*r0):
+        return _hat(s0), _hat(r0)
+    return _hat(r0), _hat(s0)
+
+
+def role_swap_pair(r0, s0, pi0):
+    """(r0, s0, pi0) and (s0, r0, 1 - pi0), relabelled so that pi0 >= 0.5:
+    then 1 - pi0 is exact and 1 - (1 - pi0) = pi0, so the two configs are
+    the same problem with the roles of the states swapped."""
+    if pi0 < 0.5:
+        r0, s0, pi0 = s0, r0, 1.0 - pi0
+    return (r0, s0, pi0), (s0, r0, 1.0 - pi0)
+
+
+class TestOrientationRule:
+    @PROPERTY
+    @given(config=frame_config)
+    def test_orienting_state_lies_in_the_p0_l0_plane(self, config):
+        """The shorter weighted state has no k0 part beyond the rounding of
+        its cross product with p0, and an l0 part that is not negative beyond
+        rounding."""
+        f = build_frame(*config)
+        t_hat, _ = orienting_split(*config)
+        p0, l0, k0 = (np.asarray(v) for v in (f.p0, f.l0, f.k0))
+        assert abs(k0 @ t_hat) * np.linalg.norm(np.cross(p0, t_hat)) <= 1e-15
+        assert l0 @ t_hat >= -1e-15
+
+    @PROPERTY
+    @given(config=frame_config)
+    def test_shorter_weighted_state_has_the_larger_cross_product(self, config):
+        """pi0 |r0_perp| = pi1 |s0_perp|, so |p0 x t_hat| >= |p0 x o_hat|:
+        the rule takes the better conditioned state."""
+        p0 = np.asarray(build_frame(*config).p0)
+        t_hat, o_hat = orienting_split(*config)
+        assert (np.linalg.norm(np.cross(p0, t_hat))
+                >= np.linalg.norm(np.cross(p0, o_hat)) - 1e-15)
+
+    @PROPERTY
+    @given(config=frame_config)
+    def test_swapping_the_roles_mirrors_the_frame(self, config):
+        """(s0, r0, pi1) has p0 and k0 negated, the same l0 and the angles
+        of the two states swapped."""
+        config, swapped = role_swap_pair(*config)
+        assume(triviality_check(*swapped) is TrivialityVerdict.NONTRIVIAL)
+        f, g = build_frame(*config), build_frame(*swapped)
+        np.testing.assert_array_equal(g.p0, -np.asarray(f.p0))
+        assert g.d0_norm == f.d0_norm
+        for got, want in ((g.sin_phi0, f.sin_phi1), (g.cos_phi0, f.cos_phi1),
+                          (g.sin_phi1, f.sin_phi0), (g.cos_phi1, f.cos_phi0)):
+            assert got == pytest.approx(want, abs=1e-12)
+        if f.cos_phi0 > 1e-3:  # l0 is well defined
+            np.testing.assert_allclose(g.l0, f.l0, atol=1e-12)
+            np.testing.assert_allclose(g.k0, -np.asarray(f.k0), atol=1e-12)
+
+    @PROPERTY
+    @given(config=frame_config)
+    def test_swapping_the_roles_keeps_the_risks(self, config):
+        """Relabelling the states negates c and leaves every other report
+        constant as it is."""
+        config, swapped = role_swap_pair(*config)
+        assume(triviality_check(*swapped) is TrivialityVerdict.NONTRIVIAL)
+        a = risk_report(build_frame(*config), config[2])
+        b = risk_report(build_frame(*swapped), swapped[2])
+        for name in a._fields:
+            want = -getattr(a, name) if name == "commutator_c" else getattr(a, name)
+            assert getattr(b, name) == pytest.approx(
+                want, rel=1e-12, abs=1e-12), name
