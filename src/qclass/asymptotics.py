@@ -23,7 +23,7 @@ d0 = |d0|:
 
 ``tomography_constant`` is the delta-method constant of the finite-n
 Pauli-tomography plug-in that ``qubit-sim`` simulates when each state is
-mixed or has no Bloch component along l0.  For a pure state with one, the
+mixed or has no Bloch component across p0.  For a pure state with one, the
 clip to the ball acts at first order and the simulated n * excess settles
 below it: 1.2023 against 1.27468 at n = 1e6 for r0 = (.6, 0, .8), s0 =
 (0, .6, -.8), pi0 = 1/2.  It is specific to that measurement and is not
@@ -138,8 +138,8 @@ def prior_correction(frame: LocalFrame, pi0: float) -> float:
     """Additional rescaled risk when the priors are unknown.
 
     pi0 pi1 |(r0 + s0)_perp|^2 / (4 |d0|), with the perp taken against p0;
-    zero exactly when r0 + s0 is parallel to p0.  Both states lie in the
-    (p0, l0) plane, so (r0 + s0)_perp = (r0 cos(phi0) + s0 cos(phi1)) l0.
+    zero exactly when r0 + s0 is parallel to p0.  The states' parts across
+    p0 point the same way, so |(r0 + s0)_perp| = r0 cos(phi0) + s0 cos(phi1).
     """
     pi1 = 1.0 - pi0
     t_l = frame.r0_norm * frame.cos_phi0 + frame.s0_norm * frame.cos_phi1
@@ -186,15 +186,15 @@ def tomography_constant(r0, s0, pi0: float) -> float:
 
     Per Cartesian coordinate j the tomography error of r has variance
     3(1 - r_j^2)/(pi0 n) (a third of the class copies per axis), and only
-    the components along l0 and k0 survive the projection, so
+    the part across p0 survives the projection, so
 
         C = [3 pi0 sum_j (1-r_j^2) w_j + 3 pi1 sum_j (1-s_j^2) w_j] / (4 |d0|)
 
-    with w_j = l0_j^2 + k0_j^2 = 1 - p0_j^2 (the frame is orthonormal).
+    with w_j = 1 - p0_j^2.
     Estimating the prior from the label counts adds ``prior_correction``.
     Takes the Bloch vectors and builds the frame.  It is the limit of
     ``qubit-sim`` only where each state is mixed or has no component
-    along l0 (see the module docstring).
+    across p0 (see the module docstring).
 
     Near the triviality boundary it is the limit only once x = eps
     sqrt(n)/(2 tau) >~ 6, n eps^2 >> tau^2 (eps = |d0| - |pi0 - pi1|,

@@ -7,7 +7,8 @@ R = (Q1, P1, Q2, P2) and covariance
 
     Sigma = diag(1/(2 r0), 1/(2 r0), 1/(2 s0), 1/(2 s0)).
 
-Both strategies estimate the (l0, k0) components of pi0 u - pi1 v from the
+Both strategies estimate the components of pi0 u - pi1 v along l0, the
+unit direction of the states' parts across p0, and k0 = p0 x l0, from the
 classical pair and the same two linear observables a.R and b.R:
 
     a = (sqrt(2 r0 pi0) sin(phi0), 0, sqrt(2 s0 pi1) sin(phi1), 0)

@@ -2,50 +2,30 @@
 
 Around a pair (r0, s0) with prior pi0 satisfying the nontriviality
 condition, the optimal projector has Bloch vector p0 = d0/|d0| with
-d0 = pi0*r0 - pi1*s0.  The orthonormal frame (p0, l0, k0) of unit
-3-vectors in Cartesian coordinates organises the local analysis: l0 spans
-the (r0, s0) plane together with p0, and k0 = p0 x l0 is the plane
-normal.  Local perturbations u of r0 and v of s0 are coordinates in one
-orthonormal frame per state: the third axis along the state, the second
-along k0 and the first in the (r0, s0) plane, with the sign that
-``relative_perp`` in tests/helpers.py fixes.  The library never reads u
-and v: the limit-model loss does not depend on them.  The tests build the
-two frames from a LocalFrame and the two states (``cartesian_frames`` in
-tests/helpers.py).
+d0 = pi0*r0 - pi1*s0.  Every closed-form constant reads the
+configuration only through the angles of the two states against p0 and
+the norms |r0|, |s0|, |d0|, which a LocalFrame holds.  The local-expansion
+oracles (the perturbation frames, the estimate -> projector map and the
+quadratic loss) are test helpers in tests/helpers.py, on axes l0 and k0
+across p0 that ``frame_axes`` there builds from the states.
 
 Angle conventions (these pin every sign downstream):
 
-    sin(phi0) = r0_hat . p0      cos(phi0) = r0_hat . l0  >= 0
-    sin(phi1) = -s0_hat . p0     cos(phi1) = s0_hat . l0  >= 0
+    sin(phi0) = r0_hat . p0      cos(phi0) = |p0 x r0_hat|  >= 0
+    sin(phi1) = -s0_hat . p0     cos(phi1) = |p0 x s0_hat|  >= 0
 
-l0 is oriented so that one cosine is >= 0 (below), which forces the other
-to be >= 0 through the constraint pi0*r0*cos(phi0) = pi1*s0*cos(phi1) (d0
-has no l0 component), and gives |d0| = pi0*r0*sin(phi0) +
-pi1*s0*sin(phi1).  Parallel vectors
-pointing the same way get (sin(phi0), sin(phi1)) = (+1, -1); antiparallel
-vectors get (+1, +1).
+d0 has no part across p0, so the states' parts across it point the same
+way with pi0 |r0| cos(phi0) = pi1 |s0| cos(phi1), and |d0| = pi0 |r0|
+sin(phi0) + pi1 |s0| sin(phi1).  Parallel vectors pointing the same way
+get (sin(phi0), sin(phi1)) = (+1, -1); antiparallel vectors get (+1, +1).
 
-A candidate classifier with per-sample-size n is parametrised by a
-2-vector z_hat in the (l0, k0) plane through
-p_hat = (d0 + z_hat/sqrt(n)) / |...| (the same map that sends the local
-parameters to the oracle direction), and its rescaled excess risk
-converges to the quadratic loss |z_perp - z_hat|^2 / (4|d0|), where
-z_perp collects the (l0, k0) components of pi0*u - pi1*v
-(``relative_perp``; it, the map and the loss are test oracles in
-tests/helpers.py).
-
-k0 = (p0 x t_hat)/|...| and l0 = k0 x p0, where t_hat is the direction of
-the shorter of pi0 r0 and pi1 s0, so t_hat.l0 = |p0 x t_hat| >= 0 and l0
-stays orthogonal to p0 to rounding however close the states come to
-+/-p0.  This one rule is the better conditioned choice for every
-configuration: d0 has no part across p0, so pi0 |r0_perp| = pi1 |s0_perp|
-= h, and |p0 x r0_hat| = h/(pi0 |r0|), |p0 x s0_hat| = h/(pi1 |s0|).  When
-one state is tiny next to the other, d0 lies along the long one to
-rounding and only the short one's cross product is not noise.  Both hats
-are normalised after scaling by their largest component, as a subnormal
-norm has too few digits to divide by.  An exactly zero cross product
-(parallel states) falls back to the first coordinate axis not parallel
-to p0.
+The shorter of pi0 r0 and pi1 s0 has the larger cross product with p0,
+so its cosine is the cross-product norm and the other cosine follows
+from the constraint above.  When one state is tiny next to the other,
+d0 lies along the long one to rounding and only the short one's cross
+product is not noise.  Each hat and the cross product are scaled by
+their largest component before their sum of squares is taken, as a
+subnormal norm has too few digits to divide by.
 """
 
 from __future__ import annotations
@@ -64,13 +44,13 @@ class NumericalError(ArithmeticError):
     """A construction invariant failed: rounding destroyed the result."""
 
 
-class LocalFrame(namedtuple("LocalFrame", "p0 l0 k0 sin_phi0 cos_phi0 sin_phi1 "
-                                           "cos_phi1 d0_norm r0_norm s0_norm")):
-    """Reference frame, angles and norms of a nontrivial configuration.
+class LocalFrame(namedtuple("LocalFrame", "p0 sin_phi0 cos_phi0 sin_phi1 cos_phi1 "
+                                           "d0_norm r0_norm s0_norm")):
+    """Optimal direction, angles and norms of a nontrivial configuration.
 
-    The unit vectors p0, l0, k0 are float triples (x, y, z); the angles
-    sin_phi0 ... cos_phi1 and the norms d0_norm, r0_norm, s0_norm are
-    floats and are all that the closed-form constants read.
+    p0 is a float triple (x, y, z); the angles sin_phi0 ... cos_phi1 and
+    the norms d0_norm, r0_norm, s0_norm are floats and are all that the
+    closed-form constants read.
     """
 
     __slots__ = ()
@@ -88,25 +68,27 @@ def _cross(a, b) -> tuple[float, float, float]:
     )
 
 
-def _unit(a) -> tuple[float, float, float]:
-    n = math.sqrt(_dot(a, a))
-    return a[0] / n, a[1] / n, a[2] / n
+def _scaled(a) -> tuple[tuple[float, float, float], float]:
+    """(a/big, big) of a nonzero triple, big its largest component in size,
+    so that neither a tiny a's sum of squares nor its subnormal norm loses
+    the digits of a result."""
+    big = max(abs(a[0]), abs(a[1]), abs(a[2]))
+    return (a[0] / big, a[1] / big, a[2] / big), big
 
 
 def _direction(a) -> tuple[float, float, float]:
-    """a/|a| of a nonzero triple, scaled by its largest component first, so
-    that neither a tiny a's sum of squares nor its subnormal norm loses the
-    digits of the result."""
-    big = max(abs(a[0]), abs(a[1]), abs(a[2]))
-    return _unit((a[0] / big, a[1] / big, a[2] / big))
+    """a/|a| of a nonzero triple."""
+    b, _ = _scaled(a)
+    n = math.sqrt(_dot(b, b))
+    return b[0] / n, b[1] / n, b[2] / n
 
 
-def _fallback_l0(p0) -> tuple[float, float, float]:
-    # r0 and s0 parallel: any in-plane choice works, pick the first
-    # coordinate axis not parallel to p0 and project p0 out (deterministic);
-    # a unit p0 has some component below 1/sqrt(3) in size
-    j = next(j for j in range(3) if abs(p0[j]) < 1.0 - 1e-9)
-    return _unit(tuple(float(i == j) - p0[j] * p for i, p in enumerate(p0)))
+def _norm(a) -> float:
+    """|a| of a triple."""
+    if a == (0.0, 0.0, 0.0):
+        return 0.0
+    b, big = _scaled(a)
+    return big * math.sqrt(_dot(b, b))
 
 
 def build_frame(r0, s0, pi0: float) -> LocalFrame:
@@ -132,18 +114,19 @@ def build_frame(r0, s0, pi0: float) -> LocalFrame:
         )
     p0 = (dx / d0n, dy / d0n, dz / d0n)
     r_hat, s_hat = _direction(r), _direction(s)
-    # oriented by the shorter weighted state (see the module docstring)
-    k0 = _cross(p0, s_hat if (1.0 - pi0) * s0n <= pi0 * r0n else r_hat)
-    if k0 == (0.0, 0.0, 0.0):
-        l0 = _fallback_l0(p0)
-        k0 = _cross(p0, l0)
+    # the shorter weighted state's cosine is its cross product with p0, the
+    # other's follows from pi0 |r0| cos(phi0) = pi1 |s0| cos(phi1)
+    w_r, w_s = pi0 * r0n, (1.0 - pi0) * s0n
+    if w_s <= w_r:
+        cos_phi1 = _norm(_cross(p0, s_hat))
+        cos_phi0 = cos_phi1 * (w_s / w_r)
     else:
-        k0 = _direction(k0)
-        l0 = _cross(k0, p0)
+        cos_phi0 = _norm(_cross(p0, r_hat))
+        cos_phi1 = cos_phi0 * (w_r / w_s)
     frame = LocalFrame(
-        p0=p0, l0=l0, k0=k0,
-        sin_phi0=_dot(r_hat, p0), cos_phi0=_dot(r_hat, l0),
-        sin_phi1=-_dot(s_hat, p0), cos_phi1=_dot(s_hat, l0),
+        p0=p0,
+        sin_phi0=_dot(r_hat, p0), cos_phi0=cos_phi0,
+        sin_phi1=-_dot(s_hat, p0), cos_phi1=cos_phi1,
         d0_norm=d0n, r0_norm=r0n, s0_norm=s0n,
     )
     _check_frame(frame, pi0)
@@ -153,18 +136,13 @@ def build_frame(r0, s0, pi0: float) -> LocalFrame:
 def _check_frame(frame: LocalFrame, pi0: float) -> None:
     """Construction invariants to 1e-9; a violation raises NumericalError."""
     pi1 = 1.0 - pi0
-    tol = 1e-9
     residuals = {
         "sin^2 + cos^2 = 1 for phi0": frame.sin_phi0 ** 2 + frame.cos_phi0 ** 2 - 1.0,
         "sin^2 + cos^2 = 1 for phi1": frame.sin_phi1 ** 2 + frame.cos_phi1 ** 2 - 1.0,
-        "d0 has no l0 component":
-            pi0 * frame.r0_norm * frame.cos_phi0 - pi1 * frame.s0_norm * frame.cos_phi1,
         "|d0| = pi0 r0 sin(phi0) + pi1 s0 sin(phi1)": frame.d0_norm - (
             pi0 * frame.r0_norm * frame.sin_phi0 + pi1 * frame.s0_norm * frame.sin_phi1
         ),
     }
     for identity, residual in residuals.items():
-        if not abs(residual) < tol:
+        if not abs(residual) < 1e-9:
             raise NumericalError(f"local frame violates {identity}")
-    if not (frame.cos_phi0 >= -tol and frame.cos_phi1 >= -tol):
-        raise NumericalError("local frame has a negative cos(phi0) or cos(phi1)")

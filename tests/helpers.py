@@ -17,9 +17,9 @@ on a single trial, its size-1 case; ``int_rank_plugin_excess`` is the
 plug-in kernel as three calls over int ranks and a nested np.where, which
 the library's boolean-mask kernel must match bit for bit.  The
 local-expansion helpers (the a- and b-frames of the perturbations,
-perturbed states, the estimate -> projector map, the (l0, k0) components
-``relative_perp`` of the local parameters and the quadratic loss) live
-here too, as only the tests use them.
+perturbed states, the axes l0 and k0 across p0, the estimate -> projector
+map, the (l0, k0) components ``relative_perp`` of the local parameters and
+the quadratic loss) live here too, as only the tests use them.
 
 The library's qubit-sim draws six Pauli counts per trial for a whole
 chunk at once, from alias tables or as binomials.  The per-trial plug-in
@@ -197,9 +197,30 @@ def quadratic_loss(z_perp, z_hat, d0_norm: float) -> float:
     return (dl * dl + dk * dk) / (4.0 * d0_norm)
 
 
-def estimator_to_projector(z_hat, frame, n: int) -> Projector:
+def frame_axes(frame, r0, s0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p0, l0, k0): the LocalFrame's p0 and two unit axes across it.
+
+    The states' parts across p0 point the same way (d0 has none); l0 is
+    their unit common direction, so both l0 parts are >= 0, and k0 = p0 x l0.
+    Parallel states get the coordinate axis of least size in p0, p0 projected out.
+    """
+    p0 = np.asarray(frame.p0)
+    both = (np.asarray(r0, dtype=float) / frame.r0_norm
+            + np.asarray(s0, dtype=float) / frame.s0_norm)
+    k0 = np.cross(p0, both)
+    if k0.any():
+        k0 /= np.linalg.norm(k0)
+        return p0, np.cross(k0, p0), k0
+    j = int(np.argmin(np.abs(p0)))
+    l0 = np.eye(3)[j] - p0[j] * p0
+    l0 /= np.linalg.norm(l0)
+    return p0, l0, np.cross(p0, l0)
+
+
+def estimator_to_projector(z_hat, frame, axes, n: int) -> Projector:
     """Rank-1 projector with Bloch vector (d0 + z_hat/sqrt(n)) normalised.
 
+    z_hat holds the components along l0 and k0 of ``axes`` (``frame_axes``).
     The estimate perturbs d0 (not the unit vector p0): the oracle direction
     is (d0 + z/sqrt(n))/|...|, and only the matching parametrisation makes
     n * excess_risk converge to quadratic_loss(z_perp, z_hat).  To leading
@@ -209,7 +230,7 @@ def estimator_to_projector(z_hat, frame, n: int) -> Projector:
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     z_l, z_k = z_hat
-    p0, l0, k0 = np.asarray(frame.p0), np.asarray(frame.l0), np.asarray(frame.k0)
+    p0, l0, k0 = axes
     vec = frame.d0_norm * p0 + (z_l * l0 + z_k * k0) / math.sqrt(n)
     vec = vec / float(np.linalg.norm(vec))
     return Projector(rank=1, bloch=BlochVector.from_array(vec))
@@ -220,9 +241,9 @@ class CartesianFrames(NamedTuple):
 
     a3 and b3 point along r0 and s0, a2 = b2 = k0, and the in-plane axes
     are fixed by a1.l0 = +sin(phi0) and b1.l0 = -sin(phi1), so both frames
-    are right-handed (angles as in qclass.local_geometry).  Local
-    parameters u, v are coordinates in these frames:
-    u = u1*a1 + u2*a2 + u3*a3 and v = v1*b1 + v2*b2 + v3*b3.
+    are right-handed (axes as in ``frame_axes``, angles as in
+    qclass.local_geometry).  Local parameters u, v are coordinates in
+    these frames: u = u1*a1 + u2*a2 + u3*a3 and v = v1*b1 + v2*b2 + v3*b3.
     """
 
     a1: np.ndarray
@@ -249,7 +270,7 @@ def cartesian_frames(frame, r0, s0) -> CartesianFrames:
     """The a- and b-frames of the LocalFrame ``frame`` built from r0 and s0."""
     r0 = np.asarray(r0, dtype=float)
     s0 = np.asarray(s0, dtype=float)
-    p0, l0, k0 = np.asarray(frame.p0), np.asarray(frame.l0), np.asarray(frame.k0)
+    p0, l0, k0 = frame_axes(frame, r0, s0)
     a1 = -frame.cos_phi0 * p0 + frame.sin_phi0 * l0
     b1 = -frame.cos_phi1 * p0 - frame.sin_phi1 * l0
     return CartesianFrames(a1, k0, r0 / frame.r0_norm,

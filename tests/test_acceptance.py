@@ -32,6 +32,7 @@ from helpers import (
     classical_gaussian_example,
     estimator_to_projector,
     excess_risk,
+    frame_axes,
     local_states,
     quadratic_loss,
     random_nontrivial_config,
@@ -146,11 +147,12 @@ def test_criterion_5_local_expansion():
         v *= rng.uniform(0, 2) / max(np.linalg.norm(v), 1e-9)
         z_hat = PerpEstimate(rng.uniform(-2, 2), rng.uniform(-2, 2))
         loss = quadratic_loss(relative_perp(u, v, f, pi0), z_hat, f.d0_norm)
+        axes = frame_axes(f, r, s)
         errs = []
         for n in (10**2, 10**4, 10**6):
             rho_n, sigma_n = local_states(frames, u, v, n)
             prob = ClassificationProblem(rho_n.bloch, sigma_n.bloch, pi0)
-            errs.append(abs(n * excess_risk(estimator_to_projector(z_hat, f, n), prob)
+            errs.append(abs(n * excess_risk(estimator_to_projector(z_hat, f, axes, n), prob)
                             - loss))
         monotone &= errs[0] > errs[1] > errs[2]
         final_ok &= errs[2] < 1e-2 * loss

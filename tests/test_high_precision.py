@@ -49,7 +49,7 @@ def _perp(a, p):
 
 
 def mp_report(r0, s0, pi0) -> dict:
-    """Frame and report at 50 digits; frame vectors only when l0 is well defined."""
+    """Frame and report at 50 digits."""
     with mpmath.workdps(50):
         r = [mpmath.mpf(float(x)) for x in r0]
         s = [mpmath.mpf(float(x)) for x in s0]
@@ -66,9 +66,8 @@ def mp_report(r0, s0, pi0) -> dict:
         s_hat = [x / s0n for x in s]
         sin0 = _dot(r_hat, p0)
         sin1 = -_dot(s_hat, p0)
-        w = _perp(r_hat, p0)
-        cos0 = _norm(w)
-        cos1 = _norm(_perp(s_hat, p0))  # both are >= 0 by the frame's orientation
+        cos0 = _norm(_perp(r_hat, p0))
+        cos1 = _norm(_perp(s_hat, p0))
         c = 2 * (pi0 * r0n * sin0 - pi1 * s0n * sin1)
         upper = pi0 * r0n * (1 - sin0) ** 2 + pi1 * s0n * (1 + sin1) ** 2
         lower = pi0 * r0n * (1 + sin0) ** 2 + pi1 * s0n * (1 - sin1) ** 2
@@ -85,11 +84,6 @@ def mp_report(r0, s0, pi0) -> dict:
             "prior_correction":
                 pi0 * pi1 * _norm(_perp([a + b for a, b in zip(r, s)], p0)) ** 2 / (4 * d0),
         })
-        if cos0 > 1e-3:
-            l0 = [x / cos0 for x in w]
-            out["l0"] = l0
-            out["k0"] = [p0[1] * l0[2] - p0[2] * l0[1], p0[2] * l0[0] - p0[0] * l0[2],
-                         p0[0] * l0[1] - p0[1] * l0[0]]
         return out
 
 
@@ -108,10 +102,8 @@ def check_library(r0, s0, pi0, oracle):
     for name in ("sin_phi0", "cos_phi0", "sin_phi1", "cos_phi1",
                  "d0_norm", "r0_norm", "s0_norm"):
         assert_close(name, getattr(frame, name), oracle[name])
-    for name in ("p0", "l0", "k0"):
-        if name in oracle:
-            for got, want in zip(getattr(frame, name), oracle[name]):
-                assert_close(name, float(got), want)
+    for got, want in zip(frame.p0, oracle["p0"]):
+        assert_close("p0", got, want)
     report = risk_report(frame, pi0)
     for name in REPORT_NAMES:
         assert_close(name, getattr(report, name), oracle[name])
@@ -154,6 +146,17 @@ def test_gap_of_nearly_parallel_pairs(tilt):
         want = float(mp_report(r0, s0, 0.5)["gap"])
         got = risk_report(build_frame(r0, s0, 0.5), 0.5).gap
         assert abs(got - want) <= 1e-8 * want, (got, want)
+
+
+def test_pinned_sweep_angles_at_pi_are_correctly_rounded():
+    """The pinned sweep's point at angle pi (r0 = (0, 0, .9), s0 = .3 (sin pi,
+    0, cos pi), pi0 = .4) is antiparallel up to sin(pi) ~ 1.2e-16, so its
+    cosines are ~1e-16: each of its four angles is the float nearest the
+    50-digit value."""
+    r0, s0 = (0.0, 0.0, 0.9), (0.3 * math.sin(math.pi), 0.0, 0.3 * math.cos(math.pi))
+    frame, oracle = build_frame(r0, s0, 0.4), mp_report(r0, s0, 0.4)
+    for name in ("sin_phi0", "cos_phi0", "sin_phi1", "cos_phi1"):
+        assert getattr(frame, name) == float(oracle[name]), name
 
 
 SWEEP_GRID = {"r0_len": [0.9], "s0_len": [0.3],

@@ -25,6 +25,7 @@ from helpers import (
     cartesian_frames,
     estimator_to_projector,
     excess_risk,
+    frame_axes,
     local_states,
     quadratic_loss,
     random_nontrivial_config,
@@ -50,22 +51,21 @@ class TestBuildFrame:
         f = build_frame(*PLANAR)
         assert f.d0_norm == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(f.p0, [0.8, -0.6, 0.0], atol=1e-12)
-        np.testing.assert_allclose(f.l0, [0.6, 0.8, 0.0], atol=1e-12)
         assert f.sin_phi0 == pytest.approx(0.8, abs=1e-12)
         assert f.cos_phi0 == pytest.approx(0.6, abs=1e-12)
         assert f.sin_phi1 == pytest.approx(0.6, abs=1e-12)
         assert f.cos_phi1 == pytest.approx(0.8, abs=1e-12)
-        # d0 has no l0 component: pi0 r0 cos0 = pi1 s0 cos1
-        assert 0.5 * 0.8 * 0.6 == pytest.approx(0.5 * 0.6 * 0.8)
 
-    def test_antipodal_fallback_axis(self):
-        f = build_frame((0, 0, 1.0), (0, 0, -1.0), 0.5)
-        assert f.d0_norm == pytest.approx(1.0)
-        assert f.sin_phi0 == pytest.approx(1.0)
-        assert f.sin_phi1 == pytest.approx(1.0)
-        assert f.cos_phi0 == pytest.approx(0.0, abs=1e-12)
-        # deterministic tie-break: first coordinate axis not parallel to p0
-        np.testing.assert_allclose(f.l0, [1.0, 0.0, 0.0], atol=1e-12)
+    @pytest.mark.parametrize("s0, cosines", [
+        ((0, 0, -1.0), (0.0, 0.0)),
+        ((0, 0, 0.3), (0.0, 0.0)),
+        # cosines whose squares underflow keep their digits: norms are scaled first
+        ((3e-171, 0, 0.3), (3e-170 / 7, 1e-169 / 7)),
+    ], ids=["antipodal", "parallel", "tilted-1e-170"])
+    def test_cosines_at_and_near_parallel(self, s0, cosines):
+        """An exactly zero cross product gives both cosines exactly 0."""
+        f = build_frame((0, 0, 1.0), s0, 0.5)
+        assert (f.cos_phi0, f.cos_phi1) == pytest.approx(cosines, rel=1e-12, abs=0.0)
 
     def test_parallel_same_direction_signs(self):
         f = build_frame((0, 0, 0.9), (0, 0, 0.3), 0.5)
@@ -89,13 +89,14 @@ class TestBuildFrame:
             with pytest.raises(ValueError, match=r"pi0 must lie strictly in \(0, 1\)"):
                 build_frame(*PLANAR[:2], pi0)
 
-    def test_check_rejects_a_flipped_l0(self):
-        """Negating both cosines (l0 pointing the other way) keeps every
-        identity of the frame, so only the sign check rejects it."""
+    def test_check_rejects_a_perturbed_longer_state(self):
+        """The longer weighted state's cosine is derived from the shorter
+        one's, so its sin^2 + cos^2 check is the check of that derivation:
+        r0 is the longer here, and its sin(phi0) off by 1e-6 fails it."""
         frame = build_frame(*PLANAR)
-        flipped = frame._replace(cos_phi0=-frame.cos_phi0, cos_phi1=-frame.cos_phi1)
-        with pytest.raises(NumericalError, match=r"negative cos\(phi0\) or cos\(phi1\)"):
-            _check_frame(flipped, PLANAR[2])
+        perturbed = frame._replace(sin_phi0=frame.sin_phi0 + 1e-6)
+        with pytest.raises(NumericalError, match=r"sin\^2 \+ cos\^2 = 1 for phi0"):
+            _check_frame(perturbed, PLANAR[2])
 
     def test_random_frame_invariants(self):
         rng = np.random.default_rng(61)
@@ -104,7 +105,7 @@ class TestBuildFrame:
             f = build_frame(r, s, pi0)
             g = cartesian_frames(f, r, s)
             pi1 = 1 - pi0
-            p0, l0, k0 = np.asarray(f.p0), np.asarray(f.l0), np.asarray(f.k0)
+            p0, l0, k0 = frame_axes(f, r, s)
             for triple in ((p0, l0, k0), (g.a1, g.a2, g.a3), (g.b1, g.b2, g.b3)):
                 gram = np.array(triple) @ np.array(triple).T
                 np.testing.assert_allclose(gram, np.eye(3), atol=1e-9)
@@ -167,9 +168,10 @@ class TestRelativePerp:
             v = rng.normal(size=3)
             z_l, z_k = relative_perp(u, v, f, pi0)
             g = cartesian_frames(f, r, s)
+            _, l0, k0 = frame_axes(f, r, s)
             z_cart = pi0 * g.u_to_cartesian(u) - (1 - pi0) * g.v_to_cartesian(v)
-            assert z_l == pytest.approx(float(z_cart @ f.l0), abs=1e-9)
-            assert z_k == pytest.approx(float(z_cart @ f.k0), abs=1e-9)
+            assert z_l == pytest.approx(float(z_cart @ l0), abs=1e-9)
+            assert z_k == pytest.approx(float(z_cart @ k0), abs=1e-9)
 
 
 class TestQuadraticLoss:
@@ -203,14 +205,15 @@ class TestQuadraticLoss:
 class TestEstimatorToProjector:
     def test_zero_estimate_returns_p0(self):
         f = build_frame(*PLANAR)
-        proj = estimator_to_projector(PerpEstimate(0, 0), f, 100)
+        proj = estimator_to_projector(PerpEstimate(0, 0), f, frame_axes(f, *PLANAR[:2]), 100)
         np.testing.assert_allclose(as_float3(proj.bloch), f.p0, atol=1e-12)
 
     def test_direct_formula_at_unit_d0(self):
         # antipodal pure: |d0| = 1, so the perturbation is z_hat/sqrt(n) exactly
         f = build_frame((0, 0, 1.0), (0, 0, -1.0), 0.5)
-        proj = estimator_to_projector(PerpEstimate(1.0, 0.0), f, 10**6)
-        expected = np.asarray(f.p0) + 0.001 * np.asarray(f.l0)
+        p0, l0, _ = axes = frame_axes(f, (0, 0, 1.0), (0, 0, -1.0))
+        proj = estimator_to_projector(PerpEstimate(1.0, 0.0), f, axes, 10**6)
+        expected = p0 + 0.001 * l0
         expected /= np.linalg.norm(expected)
         np.testing.assert_allclose(as_float3(proj.bloch), expected, atol=1e-15)
 
@@ -221,7 +224,7 @@ class TestEstimatorToProjector:
             f = build_frame(r, s, pi0)
             zh = PerpEstimate(rng.normal(), rng.normal())
             n = int(rng.integers(1, 10**6))
-            proj = estimator_to_projector(zh, f, n)
+            proj = estimator_to_projector(zh, f, frame_axes(f, r, s), n)
             vec = np.array(as_float3(proj.bloch))
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
             # within O(|z_hat|/sqrt(n)) of p0
@@ -232,7 +235,7 @@ class TestEstimatorToProjector:
     def test_invalid_n(self):
         f = build_frame(*PLANAR)
         with pytest.raises(ValueError):
-            estimator_to_projector(PerpEstimate(0, 0), f, 0)
+            estimator_to_projector(PerpEstimate(0, 0), f, frame_axes(f, *PLANAR[:2]), 0)
 
 
 class TestLocalStates:
@@ -275,11 +278,12 @@ class TestLocalExpansion:
             v *= rng.uniform(0, 2) / max(np.linalg.norm(v), 1e-9)
             zh = PerpEstimate(rng.uniform(-2, 2), rng.uniform(-2, 2))
             loss = quadratic_loss(relative_perp(u, v, f, pi0), zh, f.d0_norm)
+            axes = frame_axes(f, r, s)
             errs = []
             for n in (10**2, 10**4, 10**6):
                 rho_n, sigma_n = local_states(frames, u, v, n)
                 prob = ClassificationProblem(rho_n.bloch, sigma_n.bloch, pi0)
-                p_hat = estimator_to_projector(zh, f, n)
+                p_hat = estimator_to_projector(zh, f, axes, n)
                 errs.append(abs(n * excess_risk(p_hat, prob) - loss))
             # each decade shrinks the deviation by ~sqrt(n) (slack 1.5); the
             # absolute alternative absorbs tuples whose leading error
@@ -335,9 +339,10 @@ class TestFrameProperties:
            s_tiny=st.booleans())
     def test_one_tiny_state(self, v, other, b, pi0, tiny, s_tiny):
         """One state 5e-324 to 1e-9 long, in either role, next to one 0.05
-        to 1 long: d0 lies along the long state to rounding, so the frame
-        is oriented by the short one, whose norm may be subnormal.  The
-        frame passes its checks, and risk_report its decomposition."""
+        to 1 long: d0 lies along the long state to rounding, so the cosines
+        come from the short one's cross product with p0, and its norm may be
+        subnormal.  The frame passes its checks, and risk_report its
+        decomposition."""
         long, short = b * unit(v), tiny * unit(other)
         r0, s0 = (long, short) if s_tiny else (short, long)
         assume(triviality_check(r0, s0, pi0) is TrivialityVerdict.NONTRIVIAL)
@@ -359,10 +364,10 @@ class TestFrameProperties:
         assert_frame_identities(r0, s0, pi0)
 
 
-# ------------------------------------------------------ the orientation rule
-# k0 = (p0 x t_hat)/|...| and l0 = k0 x p0, where t_hat is the direction of
-# the shorter of pi0 r0 and pi1 s0, over generic configs and the stress
-# families alike.
+# ----------------------------------------------------- the short-state rule
+# The cosine of the shorter of pi0 r0 and pi1 s0 is its cross product with
+# p0, and the other state's follows from it, over generic configs and the
+# stress families alike.
 
 frame_config = st.one_of(nontrivial_config, frame_stress_config)
 
@@ -373,7 +378,7 @@ def _hat(a) -> np.ndarray:
     return unit(a / np.max(np.abs(a)))
 
 
-def orienting_split(r0, s0, pi0):
+def weighted_split(r0, s0, pi0):
     """(t_hat, o_hat): the directions of the shorter and the longer of
     pi0 r0 and pi1 s0."""
     if (1.0 - pi0) * math.hypot(*s0) <= pi0 * math.hypot(*r0):
@@ -390,34 +395,22 @@ def role_swap_pair(r0, s0, pi0):
     return (r0, s0, pi0), (s0, r0, 1.0 - pi0)
 
 
-class TestOrientationRule:
-    @PROPERTY
-    @given(config=frame_config)
-    def test_orienting_state_lies_in_the_p0_l0_plane(self, config):
-        """The shorter weighted state has no k0 part beyond the rounding of
-        its cross product with p0, and an l0 part that is not negative beyond
-        rounding."""
-        f = build_frame(*config)
-        t_hat, _ = orienting_split(*config)
-        p0, l0, k0 = (np.asarray(v) for v in (f.p0, f.l0, f.k0))
-        assert abs(k0 @ t_hat) * np.linalg.norm(np.cross(p0, t_hat)) <= 1e-15
-        assert l0 @ t_hat >= -1e-15
-
+class TestShortStateRule:
     @PROPERTY
     @given(config=frame_config)
     def test_shorter_weighted_state_has_the_larger_cross_product(self, config):
         """pi0 |r0_perp| = pi1 |s0_perp|, so |p0 x t_hat| >= |p0 x o_hat|:
         the rule takes the better conditioned state."""
         p0 = np.asarray(build_frame(*config).p0)
-        t_hat, o_hat = orienting_split(*config)
+        t_hat, o_hat = weighted_split(*config)
         assert (np.linalg.norm(np.cross(p0, t_hat))
                 >= np.linalg.norm(np.cross(p0, o_hat)) - 1e-15)
 
     @PROPERTY
     @given(config=frame_config)
     def test_swapping_the_roles_mirrors_the_frame(self, config):
-        """(s0, r0, pi1) has p0 and k0 negated, the same l0 and the angles
-        of the two states swapped."""
+        """(s0, r0, pi1) has p0 negated and the angles of the two states
+        swapped."""
         config, swapped = role_swap_pair(*config)
         assume(triviality_check(*swapped) is TrivialityVerdict.NONTRIVIAL)
         f, g = build_frame(*config), build_frame(*swapped)
@@ -426,9 +419,6 @@ class TestOrientationRule:
         for got, want in ((g.sin_phi0, f.sin_phi1), (g.cos_phi0, f.cos_phi1),
                           (g.sin_phi1, f.sin_phi0), (g.cos_phi1, f.cos_phi0)):
             assert got == pytest.approx(want, abs=1e-12)
-        if f.cos_phi0 > 1e-3:  # l0 is well defined
-            np.testing.assert_allclose(g.l0, f.l0, atol=1e-12)
-            np.testing.assert_allclose(g.k0, -np.asarray(f.k0), atol=1e-12)
 
     @PROPERTY
     @given(config=frame_config)
