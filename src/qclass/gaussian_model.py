@@ -36,19 +36,22 @@ prior count, the k0 component only the P quadratures.  The loss
 normals, with A = var_l/(4 |d0|) and B = var_k/(4 |d0|); its mean is the
 strategy's closed-form constant.  One draw per chunk serves every
 strategy of a call (common random numbers): a strategy's result does not
-depend on which other strategies share the call.
+depend on which other strategies share the call.  The chunk reduces that
+draw once, to the means of z_l^2 and z_k^2 and their 2x2 co-moment, and
+every strategy's chunk Moments follows from these by exact algebra.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 import numpy as np
 
 from .asymptotics import classical_risk_term
 from .local_geometry import LocalFrame, NumericalError
-from .montecarlo import ExperimentResult, run_chunked, summarize
+from .montecarlo import ExperimentResult, Moments, run_chunked, summarize
 
 
 class StrategyKind(Enum):
@@ -81,8 +84,6 @@ def _residual_variances(strategy: StrategyKind, frame: LocalFrame,
     return var_l, var_b + noise_k
 
 
-# trials per pass of the k0 term, so its temporary stays small
-_BLOCK = 1 << 13
 # numpy's standard_normal never returns |z| above 13.8: its ziggurat tail
 # is r - log(U)/r with r = 3.654 and U >= 2**-53
 _Z_MAX = 14.0
@@ -106,39 +107,47 @@ def monte_carlo_risks(
     row 1 for the k0 residual component, and every strategy's loss is
     A z_l^2 + B z_k^2 with A = var_l/(4 |d0|) and B = var_k/(4 |d0|).
     Before any draw, coefficients whose loss or its trial summary could
-    overflow (a tiny |d0|), or that are not finite, raise NumericalError
-    naming the strategy and |d0|.  The strategies take turns in one loss
-    buffer, each reduced by ``run_chunked`` before the next is computed.
-    One ExperimentResult per entry of ``strategies``, in order; each equals
-    the result of a call with that strategy alone.  Deterministic for fixed
-    seed regardless of ``workers``.
+    overflow (a tiny |d0|, or more trials than the summary can sum), or
+    that are not finite, raise NumericalError naming the strategy and
+    |d0|.  With mu the row means and S the sums of products of the rows
+    centred in place (dz), a strategy's chunk mean is A mu_l + B mu_k and
+    its m2 A^2 S_ll + 2 A B S_lk + B^2 S_kk.  One ExperimentResult per
+    entry of ``strategies``, in order; each equals the result of a call
+    with that strategy alone.  Deterministic for fixed seed regardless of
+    ``workers``.
     """
     inv4d = 1.0 / (4.0 * frame.d0_norm)
     coefficients = []
     for strategy in map(StrategyKind, strategies):
         var_l, var_k = _residual_variances(strategy, frame, pi0)
         a, b = var_l * inv4d, var_k * inv4d
-        # the largest loss a draw can give; trials times its square bounds
-        # every sum the trial summary forms
+        # the largest loss a draw can give.  Each |dz| is at most _Z_MAX^2,
+        # so each term a^2 S_ll, 2ab |S_lk|, b^2 S_kk of a strategy's m2,
+        # and the merged m2, are at most trials * top^2; trials is compared
+        # with a float bound, which Python does exactly for an int of any size
         top = _Z_MAX * _Z_MAX * (a + b)
-        if not math.isfinite(trials * top * top):
+        if not math.isfinite(top * top):
             raise NumericalError(f"strategy {strategy.value}: the loss overflows "
                                  f"(|d0| = {frame.d0_norm!r} too small)")
+        if trials > sys.float_info.max / (top * top):
+            raise NumericalError(f"strategy {strategy.value}: the loss summary overflows "
+                                 f"over {trials} trials (|d0| = {frame.d0_norm!r})")
         coefficients.append((a, b))
 
     def chunk_fn(rng, size):
         z = rng.standard_normal((2, size))
         np.square(z, out=z)
-        z_l, z_k = z
-        loss = np.empty(size)
-        block = np.empty(min(size, _BLOCK))
-        for a, b in coefficients:
-            np.multiply(z_l, a, out=loss)
-            for lo in range(0, size, _BLOCK):
-                term = block[:min(_BLOCK, size - lo)]
-                np.multiply(z_k[lo:lo + _BLOCK], b, out=term)
-                loss[lo:lo + _BLOCK] += term
-            yield loss
+        dz_l, dz_k = z  # the squared rows, centred in place below
+        mean_l, mean_k = float(dz_l.sum() / size), float(dz_k.sum() / size)
+        dz_l -= mean_l
+        dz_k -= mean_k
+        s_lk = float((dz_l * dz_k).sum())
+        np.square(z, out=z)
+        s_ll, s_kk = float(dz_l.sum()), float(dz_k.sum())
+        # zeros is 0: summarize does not read it in the limit model (n None)
+        return [Moments(size, a * mean_l + b * mean_k,
+                        a * a * s_ll + 2.0 * a * b * s_lk + b * b * s_kk, 0)
+                for a, b in coefficients]
 
     moments = run_chunked(trials, seed, chunk_fn, workers=workers)
     return [summarize(m) for m in moments]

@@ -10,13 +10,12 @@ class size, and one drawn from alias tables leaves them in draw order.
 Each chunk is reduced to its Moments inside its task, and the Moments are
 merged in chunk-index order, which makes the result independent of how
 many workers evaluate the chunks; a run holds one chunk's values per
-worker thread, not one value per trial.  A chunk may also yield several
-rows of values from one draw (one row per strategy of a Gaussian-model
-run): each row is reduced before the next is asked for, so a chunk
-function can write every row into one reused buffer, and the run keeps
-one Moments per row; a chunk of one array is the one-row case.  A run
-starts at most one thread per CPU this process may run on (its affinity
-mask, not the machine's CPU count).
+worker thread, not one value per trial.  A chunk function that can reduce
+its own draw returns its Moments instead, one per result (one per strategy
+of a Gaussian-model run, all from one reduction of the shared draw), and
+the run keeps one Moments per result; a chunk of one array is the
+one-result case.  A run starts at most one thread per CPU this process may
+run on (its affinity mask, not the machine's CPU count).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -111,17 +110,16 @@ def _usable_cpus() -> int:
 def run_chunked(
     trials: int,
     seed: Seed,
-    chunk_fn: Callable[[np.random.Generator, int], np.ndarray | Iterable[np.ndarray]],
+    chunk_fn: Callable[[np.random.Generator, int], np.ndarray | list[Moments]],
     workers: int = 1,
 ) -> list[Moments]:
     """Moments of chunk_fn(rng, size) over all chunks, merged in chunk order,
-    one per row.
+    one per result.
 
-    chunk_fn returns an iterable of ``(size,)`` rows that is not an array,
-    or one ``(size,)`` array, the one-row case; every chunk must yield the
-    same number of rows.  Each row is reduced by ``Moments.of`` (which
-    consumes it) before the next is asked for, so a chunk function may
-    yield the same buffer for every row.  At most ``min(workers, chunks,
+    chunk_fn returns one ``(size,)`` array, the one-result case, which
+    ``Moments.of`` reduces (consuming it), or a list of the chunk's own
+    Moments, one per result, each counting ``size`` trials; every chunk
+    must give the same number of results.  At most ``min(workers, chunks,
     CPUs this process may run on)`` threads evaluate the chunks.
     """
     if trials < 1:
@@ -133,18 +131,21 @@ def run_chunked(
     def one(c: int) -> list[Moments]:
         size = min(CHUNK_SIZE, trials - c * CHUNK_SIZE)
         out = chunk_fn(chunk_rng(seed, c), size)
-        moments = []
-        for row in (out,) if isinstance(out, np.ndarray) else out:
-            row = np.asarray(row, dtype=float)
-            if row.shape != (size,):
-                raise ValueError(f"chunk_fn returned shape {row.shape}, expected ({size},)")
-            moments.append(Moments.of(row))
-        return moments
+        if not isinstance(out, np.ndarray):
+            for m in out:
+                if m.count != size:
+                    raise ValueError(f"chunk_fn returned Moments of {m.count} trials, "
+                                     f"expected {size}")
+            return out
+        values = np.asarray(out, dtype=float)
+        if values.shape != (size,):
+            raise ValueError(f"chunk_fn returned shape {values.shape}, expected ({size},)")
+        return [Moments.of(values)]
 
-    def merge(rows: list[Moments], more: list[Moments]) -> list[Moments]:
-        if len(more) != len(rows):
-            raise ValueError(f"chunk_fn returned {len(more)} rows, expected {len(rows)}")
-        return [a.merge(b) for a, b in zip(rows, more)]
+    def merge(results: list[Moments], more: list[Moments]) -> list[Moments]:
+        if len(more) != len(results):
+            raise ValueError(f"chunk_fn returned {len(more)} results, expected {len(results)}")
+        return [a.merge(b) for a, b in zip(results, more)]
 
     # the affinity mask is a system call, asked only when it can matter
     threads = min(workers, n_chunks)

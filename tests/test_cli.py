@@ -170,6 +170,11 @@ FAILING_RUNS = [
     ("gaussian-sim-trivial", "gaussian-sim",
      {**SIM, "problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9}}, (), 2,
      "error: configuration is trivial_guess_rho; the local frame needs the nontrivial regime\n"),
+    # trials past the float range fail the overflow guard by an exact int
+    # and float comparison, not by converting trials to a float
+    ("gaussian-sim-trials-too-large-for-float", "gaussian-sim", {**SIM, "trials": HUGE}, (), 3,
+     f"numerical error: strategy optimal_joint: the loss summary overflows over {HUGE} "
+     "trials (|d0| = 0.5)\n"),
     ("gaussian-sim-no-seed", "gaussian-sim", _without(SIM, "seed"), (), 2,
      "error: missing required config field 'seed' (an integer)\n"),
     ("gaussian-sim-no-trials", "gaussian-sim", _without(SIM, "trials"), (), 2,

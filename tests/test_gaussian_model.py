@@ -493,18 +493,55 @@ class TestMonteCarloRisk:
                 )
 
     def test_chunk_loss_is_estimator_loss(self):
-        """A one-chunk run is the loss A z_l^2 + B z_k^2 evaluated on the
-        chunk's two rows of standard normals, bit for bit (the law itself is
-        checked against the per-channel oracle in TestResidualLaw)."""
+        """A one-chunk run is the loss A z_l^2 + B z_k^2 on the chunk's two
+        rows of standard normals: bit for bit its mean A mu_l + B mu_k and
+        its sum of squared deviations A^2 S_ll + 2 A B S_lk + B^2 S_kk, from
+        the rows' means and 2x2 co-moment, and to 1e-15 the loss array's
+        numpy mean and sd, which sum the loss itself (the law is checked
+        against the per-channel oracle in TestResidualLaw)."""
         f = build_frame(*SKEWED)
         pi0 = SKEWED[2]
         for strategy in StrategyKind:
             res = monte_carlo_risks([strategy], f, pi0, trials=1000, seed=61)[0]
             a, b = loss_coefficients(strategy, f, pi0)
-            z_l, z_k = chunk_rng(61, 0).normal(size=(2, 1000))
-            loss = a * z_l ** 2 + b * z_k ** 2
-            assert res.mean_rescaled_excess == loss.mean()
-            assert res.stderr == loss.std(ddof=1) / math.sqrt(1000)
+            z_l, z_k = chunk_rng(61, 0).normal(size=(2, 1000)) ** 2
+            mu_l, mu_k = z_l.sum() / 1000, z_k.sum() / 1000
+            dz_l, dz_k = z_l - mu_l, z_k - mu_k
+            s_ll, s_lk, s_kk = (dz_l * dz_l).sum(), (dz_l * dz_k).sum(), (dz_k * dz_k).sum()
+            m2 = a * a * s_ll + 2.0 * a * b * s_lk + b * b * s_kk
+            assert res.mean_rescaled_excess == a * mu_l + b * mu_k
+            assert res.stderr == math.sqrt(m2 / 999) / math.sqrt(1000)
+            loss = a * z_l + b * z_k
+            assert res.mean_rescaled_excess == pytest.approx(loss.mean(), rel=1e-15, abs=0)
+            assert res.stderr == pytest.approx(loss.std(ddof=1) / math.sqrt(1000),
+                                               rel=1e-15, abs=0)
+
+    # 1000 trials in chunks of 97: ten full chunks and a ragged one of 30
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("name", ["all", "duplicate"])
+    def test_co_moment_matches_a_loss_array_per_strategy(self, monkeypatch, name, workers):
+        """Over many chunks each strategy's result agrees to 1e-14 with the
+        per-strategy path it replaced: the loss array A z_l^2 + B z_k^2 of
+        every chunk reduced by run_chunked's array path."""
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        f = build_frame(*SKEWED)
+        pi0 = SKEWED[2]
+        strategies = TestSharedDraw.LISTS[name]
+        got = monte_carlo_risks(strategies, f, pi0, trials=1000, seed=23, workers=workers)
+        for strategy, res in zip(strategies, got):
+            a, b = loss_coefficients(strategy, f, pi0)
+
+            def loss(rng, size):
+                z_l, z_k = rng.standard_normal((2, size)) ** 2
+                return a * z_l + b * z_k
+
+            [want] = montecarlo.run_chunked(1000, 23, loss, workers=workers)
+            want = montecarlo.summarize(want)
+            assert res.trials == want.trials == 1000
+            assert res.mean_rescaled_excess == pytest.approx(want.mean_rescaled_excess,
+                                                             rel=1e-14, abs=0)
+            assert res.stderr == pytest.approx(want.stderr, rel=1e-14, abs=0)
 
     @PROPERTY
     @given(config=nontrivial_config, seed=st.integers(0, 2**32 - 1))

@@ -110,11 +110,11 @@ class TestSummary:
 
     def test_one_array_is_the_one_row_case(self, monkeypatch):
         """A chunk function returning a bare array gives a list of one
-        Moments, equal to yielding that array as its only row."""
+        Moments, bit for bit the one of a chunk returning [Moments.of(array)]."""
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
         bare = run_chunked(1000, 3, _values)
         assert isinstance(bare, list) and len(bare) == 1
-        assert bare == run_chunked(1000, 3, lambda rng, size: iter([_values(rng, size)]))
+        assert bare == run_chunked(1000, 3, lambda rng, size: [Moments.of(_values(rng, size))])
 
     def test_chunk_of_wrong_shape_raises(self):
         with pytest.raises(ValueError, match="expected"):
@@ -140,50 +140,38 @@ class TestSummary:
         assert peak < 4 * chunk * 8
 
 
-def _rows(reuse):
-    """A chunk function yielding three scaled copies of one draw, written
-    into one reused buffer or into a fresh array each."""
-
-    def chunk_fn(rng, size):
-        values = _values(rng, size)
-        buffer = np.empty(size)
-        for scale in (0.5, 1.5, 2.5):
-            row = buffer if reuse else np.empty(size)
-            np.multiply(values, scale, out=row)
-            yield row
-
-    return chunk_fn
+def _scaled_moments(rng, size):
+    """A chunk function returning the Moments of three scaled copies of one
+    draw."""
+    values = _values(rng, size)
+    return [Moments.of(values * scale) for scale in (0.5, 1.5, 2.5)]
 
 
 class TestRows:
-    """A chunk function may yield several rows; run_chunked keeps one
-    Moments per row."""
+    """A chunk function may return a list of its own Moments, one per row of
+    results; run_chunked keeps one Moments per row."""
 
-    def test_row_of_wrong_length_raises(self):
+    def test_moments_of_wrong_count_raise(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 4)
+
         def chunk_fn(rng, size):
-            yield np.zeros(size)
-            yield np.zeros(size + 1)
+            return [Moments.of(np.zeros(size)), Moments.of(np.zeros(size + 1))]
 
-        with pytest.raises(ValueError, match="expected"):
-            run_chunked(10, 0, chunk_fn)
+        with pytest.raises(ValueError, match=r"Moments of 5 trials, expected 4$"):
+            run_chunked(6, 0, chunk_fn)
 
     def test_chunks_with_different_row_counts_raise(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 4)
-        with pytest.raises(ValueError, match="expected"):
-            run_chunked(6, 0, lambda rng, size: [np.zeros(size)] * (size // 2))
-
-    def test_reused_buffer_equals_fresh_rows(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
-        fresh = run_chunked(1000, 3, _rows(reuse=False))
-        assert run_chunked(1000, 3, _rows(reuse=True)) == fresh
-        assert len(fresh) == 3
-        assert fresh[1:2] == run_chunked(1000, 3, lambda rng, size: _values(rng, size) * 1.5)
+        with pytest.raises(ValueError, match="returned 1 results, expected 2"):
+            run_chunked(6, 0, lambda rng, size: [Moments.of(np.zeros(size))] * (size // 2))
 
     def test_rows_do_not_depend_on_workers(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 97)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        results = [run_chunked(5000, 4, _rows(reuse=True), workers=w) for w in (1, 2, 3)]
+        results = [run_chunked(5000, 4, _scaled_moments, workers=w) for w in (1, 2, 3)]
         assert results[0] == results[1] == results[2]
+        assert len(results[0]) == 3
+        assert results[0][1:2] == run_chunked(5000, 4, lambda rng, size: _values(rng, size) * 1.5)
 
     def test_moments_of_consumes_its_input(self):
         values = _values(np.random.default_rng(2), 1000)
@@ -192,20 +180,30 @@ class TestRows:
         assert (m.mean, m.m2 / (m.count - 1)) == want
         assert float(values.sum()) == m.m2
 
-    def test_shared_draw_memory(self):
-        """Three strategies over eight chunks hold one (2, size) draw, one
-        loss buffer and a small block at a time, not a row per strategy."""
+    @staticmethod
+    def _gaussian_peak(strategies):
+        """tracemalloc peak of one monte_carlo_risks call over eight chunks."""
         frame = build_frame((0.5, 0.2, -0.3), (-0.1, 0.6, 0.2), 0.4)
-        strategies = list(StrategyKind)
         montecarlo.chunk_rng(0, 0)  # numpy.random loads on first use
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             monte_carlo_risks(strategies, frame, 0.4, trials=8 * montecarlo.CHUNK_SIZE, seed=5)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * 2**20
+
+    def test_shared_draw_memory(self):
+        """Three strategies over eight chunks hold one (2, size) draw and one
+        (size,) product at a time, not a row per strategy."""
+        assert self._gaussian_peak(list(StrategyKind)) < 1.75 * 2**20
+
+    def test_strategy_count_costs_no_memory(self):
+        """A chunk reduces its draw once for every strategy: six strategies
+        hold no more than one, up to their few Moments."""
+        one = self._gaussian_peak([StrategyKind.OPTIMAL_JOINT])
+        six = self._gaussian_peak(list(StrategyKind) * 2)
+        assert abs(six - one) < 16 * 2**10
 
 
 class TestResultTypes:
