@@ -20,11 +20,13 @@ bit-identical to the same trial evaluated alone.
 When |d| < |pi0 - pi1| the operator A is definite and the best strategy is
 to always guess the higher-prior label without measuring; the boundary
 |d| = |pi0 - pi1| is reported as its own verdict because neither open
-regime covers it.
+regime covers it, and so is every configuration whose computed |d| lies
+within rounding of it.  ``regime`` is the one place that decides this.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from enum import Enum
 
@@ -144,27 +146,69 @@ _VERDICT_BY_RANK = (
 )
 
 
+_EPS = sys.float_info.epsilon
+
+
+def _rounding_band(r, s, pi0: float, alpha: float) -> float:
+    """B, a bound on how far the computed |d| - 2|alpha| (``pauli_data``)
+    lies from |d| - |pi0 - pi1| of the float inputs: 4 eps (P + 2|alpha|),
+    plus eps/4 for pi0 < 1/2, plus 2^-1072, with P = pi0 |r| + pi1 |s|.
+
+    With u = eps/2: fl(1 - pi0) is exact for pi0 >= 1/2 (Sterbenz) and
+    errs by at most u/2 below, and fl(pi0 - pi1) adds u |pi0 - pi1|; each
+    d_j = fl(fl(pi0 r_j) - fl(pi1 s_j)) errs by at most 3u (pi0 |r_j| +
+    pi1 |s_j|), so |d| by 3uP; ``vector_norm`` adds 4.5u |d| on either
+    route (2.5u for (x^2 + y^2) + z^2 and the root, 1.5u more from squares
+    below the smallest normal, 4.5u on the rescaled route).  Underflowed
+    products and a subnormal |d| add at most 2.25 * 2^-1074.  To first
+    order that is 7.5uP + u |pi0 - pi1| + u/2 + 2.25 * 2^-1074, and the
+    rest of B (|pi0 - pi1| >= u where pi0 < 1/2) covers the second-order
+    terms and the rounding of B and of the difference itself.
+    """
+    band = 4.0 * _EPS * (pi0 * r.norm + (1.0 - pi0) * s.norm + 2.0 * abs(alpha))
+    return band + (0.25 * _EPS if pi0 < 0.5 else 0.0) + 2.0 ** -1072
+
+
+def regime(r0, s0, pi0: float):
+    """(problem, pauli_data, verdict) of (r0, s0, pi0), the one place that
+    decides the regime; raises as ClassificationProblem does.
+
+    The verdict is DEGENERATE where |fl(|d|) - fl(2|alpha|)| is within the
+    rounding bound B of ``_rounding_band`` (at most 9 eps), and
+    ``verdict_of``'s elsewhere: outside the band the computed regime is the
+    exact regime of the float inputs, and the exact boundary is always
+    DEGENERATE.  Inside it |d| - |pi0 - pi1| is below ~2e-15, where a 1/n
+    constant holds only past n ~ 1e32 (x >~ 6 in ``tomography_constant``).
+    """
+    problem = ClassificationProblem(r0, s0, pi0)
+    r, s = problem.r, problem.s
+    data = alpha, _, dn = pauli_data(r, s, pi0)
+    gap = abs(dn - 2.0 * abs(alpha))
+    # B <= 9 eps: the two norms of B are taken only that close to the boundary
+    if gap <= 9.0 * _EPS and gap <= _rounding_band(r, s, pi0, alpha):
+        return problem, data, TrivialityVerdict.DEGENERATE
+    return problem, data, verdict_of(alpha, dn)
+
+
 def triviality_check(r0, s0, pi0: float) -> TrivialityVerdict:
     """Classify (r0, s0, pi0) by comparing |pi0*r0 - pi1*s0| with |pi0 - pi1|.
 
     Strictly larger means a genuine measurement is needed (NONTRIVIAL);
     strictly smaller means guessing the higher-prior label is optimal; the
-    equality case is DEGENERATE.  The boundary is decided by exact float
-    comparison of the two computed values.  Raises ValueError for a pi0
-    outside (0, 1) and InvalidStateError for an invalid state, through
-    ClassificationProblem.
+    equality case is DEGENERATE, and so is every configuration within
+    rounding of it.  Raises as ``regime`` does.
     """
-    problem = ClassificationProblem(r0, s0, pi0)
-    alpha, _, dn = pauli_data(problem.r, problem.s, pi0)
-    return verdict_of(alpha, dn)
+    return regime(r0, s0, pi0)[2]
 
 
 def verdict_of(alpha: float, dn: float) -> TrivialityVerdict:
-    """Verdict of ``triviality_check`` from the scalar ``pauli_data`` (alpha, |d|)."""
+    """Verdict of the scalar ``pauli_data`` (alpha, |d|) by float comparison:
+    DEGENERATE only where |d| = 2|alpha| exactly (``regime`` widens that to
+    a rounding band)."""
     rank0, rank2 = rank_masks(alpha, dn)
-    # the boundary |d| = 2|alpha| (2|alpha| is |pi0 - pi1| exactly) has a
-    # zero eigenvalue, which rank_masks does not count: there A has rank 0
-    # if alpha <= 0 and rank 1 if alpha > 0
+    # the boundary |d| = 2|alpha| (|pi0 - pi1| up to the rounding of 1 - pi0)
+    # has a zero eigenvalue, which rank_masks does not count: there A has
+    # rank 0 if alpha <= 0 and rank 1 if alpha > 0
     if rank0:
         return TrivialityVerdict.DEGENERATE if dn == -2.0 * alpha else _VERDICT_BY_RANK[0]
     if rank2:

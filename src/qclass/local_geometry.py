@@ -24,8 +24,8 @@ so its cosine is the cross-product norm and the other cosine follows
 from the constraint above.  When one state is tiny next to the other,
 d0 lies along the long one to rounding and only the short one's cross
 product is not noise.  Each hat and the cross product are scaled by
-their largest component before their sum of squares is taken, as a
-subnormal norm has too few digits to divide by.
+their largest component (``qubit_core._scaled``) before their sum of
+squares is taken, as a subnormal norm has too few digits to divide by.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .helstrom import ClassificationProblem, TrivialityVerdict, pauli_data, verdict_of
+from .helstrom import TrivialityVerdict, regime
+from .qubit_core import _rescaled_norm, _scaled
 
 
 class TrivialConfigurationError(ValueError):
@@ -68,45 +69,26 @@ def _cross(a, b) -> tuple[float, float, float]:
     )
 
 
-def _scaled(a) -> tuple[tuple[float, float, float], float]:
-    """(a/big, big) of a nonzero triple, big its largest component in size,
-    so that neither a tiny a's sum of squares nor its subnormal norm loses
-    the digits of a result."""
-    big = max(abs(a[0]), abs(a[1]), abs(a[2]))
-    return (a[0] / big, a[1] / big, a[2] / big), big
-
-
 def _direction(a) -> tuple[float, float, float]:
-    """a/|a| of a nonzero triple."""
-    b, _ = _scaled(a)
-    n = math.sqrt(_dot(b, b))
-    return b[0] / n, b[1] / n, b[2] / n
-
-
-def _norm(a) -> float:
-    """|a| of a triple."""
-    if a == (0.0, 0.0, 0.0):
-        return 0.0
-    b, big = _scaled(a)
-    return big * math.sqrt(_dot(b, b))
+    """a/|a| of a nonzero triple, from a scaled by its largest component."""
+    x, y, z, _ = _scaled(*a)
+    n = math.sqrt(x * x + y * y + z * z)
+    return x / n, y / n, z / n
 
 
 def build_frame(r0, s0, pi0: float) -> LocalFrame:
     """Construct the local frame of a nontrivial configuration.
 
     Raises ValueError for a pi0 outside (0, 1) and InvalidStateError for
-    an invalid state, through ClassificationProblem; ValueError for
+    an invalid state, through ``helstrom.regime``; ValueError for
     zero-length state vectors, TrivialConfigurationError when (r0, s0,
     pi0) is trivial or degenerate, and NumericalError when rounding
     breaks a frame identity.
     """
-    problem = ClassificationProblem(r0, s0, pi0)
-    r, s = problem.r, problem.s
+    (r, s, _), (_, (dx, dy, dz), d0n), verdict = regime(r0, s0, pi0)
     r0n, s0n = r.norm, s.norm
     if r0n == 0.0 or s0n == 0.0:
         raise ValueError("state Bloch vectors must be nonzero to define a frame")
-    alpha, (dx, dy, dz), d0n = pauli_data(r, s, pi0)
-    verdict = verdict_of(alpha, d0n)
     if verdict is not TrivialityVerdict.NONTRIVIAL:
         raise TrivialConfigurationError(
             f"configuration is {verdict.value}; the local frame needs the "
@@ -118,10 +100,10 @@ def build_frame(r0, s0, pi0: float) -> LocalFrame:
     # other's follows from pi0 |r0| cos(phi0) = pi1 |s0| cos(phi1)
     w_r, w_s = pi0 * r0n, (1.0 - pi0) * s0n
     if w_s <= w_r:
-        cos_phi1 = _norm(_cross(p0, s_hat))
+        cos_phi1 = _rescaled_norm(*_cross(p0, s_hat))
         cos_phi0 = cos_phi1 * (w_s / w_r)
     else:
-        cos_phi0 = _norm(_cross(p0, r_hat))
+        cos_phi0 = _rescaled_norm(*_cross(p0, r_hat))
         cos_phi1 = cos_phi0 * (w_r / w_s)
     frame = LocalFrame(
         p0=p0,

@@ -47,14 +47,19 @@ def as_float3(x) -> tuple[float, float, float]:
     raise ValueError(f"expected a 3-vector of real numbers, got {x!r}")
 
 
-def _rescaled_norm(x, y, z):
-    """|v| from v / max_j |v_j|, elementwise over floats or equal-shape arrays;
-    0 for v = 0."""
+def _scaled(x, y, z):
+    """(x, y, z, big) of v/big and big = max_j |v_j| (1 where v = 0),
+    elementwise over floats or equal-shape arrays: a tiny v keeps its digits."""
     ax, ay, az = abs(x), abs(y), abs(z)
     big = (ax >= ay) * ax + (ax < ay) * ay  # exact: one of the terms is 0
     big = (big >= az) * big + (big < az) * az
     big = big + (big == 0.0)  # 1 where v = 0
-    x, y, z = x / big, y / big, z / big
+    return x / big, y / big, z / big, big
+
+
+def _rescaled_norm(x, y, z):
+    """|v| from ``_scaled`` v, elementwise; 0 for v = 0."""
+    x, y, z, big = _scaled(x, y, z)
     ss = x * x + y * y + z * z
     return big * (math.sqrt(ss) if isinstance(ss, float) else ss ** 0.5)
 

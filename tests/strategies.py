@@ -102,9 +102,9 @@ def _valid_nontrivial(c) -> bool:
 
 # (r0, s0, pi0) of each stress family by name, valid and nontrivial; the
 # tiny state is 5e-324 to 1e-9 long.  At least 1e-14 inside the nontrivial
-# regime, well above the rounding of |d0|, so that float and exact
-# arithmetic agree that the config is nontrivial (a pure pair s0 = r0 sits
-# on the boundary).
+# regime, well above the rounding band of helstrom.regime (at most 9 eps),
+# so that float and exact arithmetic agree that the config is nontrivial
+# (a pure pair s0 = r0 sits on the boundary).
 _tiny = st.just(5e-324) | st.floats(-323.3, -9.0).map(lambda e: 10.0 ** e)
 FRAME_STRESS_FAMILIES = {
     name: strategy.filter(_valid_nontrivial) for name, strategy in {
@@ -125,3 +125,19 @@ FRAME_STRESS_FAMILIES = {
 }
 # a config of any stress family
 frame_stress_config = st.one_of(*FRAME_STRESS_FAMILIES.values())
+
+# ------------------------------------- configs within rounding of the boundary
+# r0 = s0 = unit((1, 0, 0.9375)) at pi0 = 0.75: exactly trivial (|r0| = 1 -
+# 6.4e-18), while fl(|d0|) - fl(|pi0 - pi1|) = +1.1e-16 alone reads nontrivial
+ROUNDED_BOUNDARY = ((0.7295372041400852, 0.0, 0.6839411288813297),
+                    (0.7295372041400852, 0.0, 0.6839411288813297), 0.75)
+
+
+def pure_pairs(count=20_000, seed=5):
+    """(r, r, pi0) of a float unit r in a random direction and pi0 uniform in
+    (0.05, 0.95): each on the boundary up to the rounding of |r| = 1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        pi0 = rng.uniform(0.05, 0.95)
+        r = tuple(unit(rng.normal(size=3)).tolist())
+        yield r, r, pi0

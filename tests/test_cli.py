@@ -36,7 +36,7 @@ from qclass.qubit_core import ATOL
 from qclass.qubit_experiment import LabelMode, TrainingSetSpec
 from conftest import SESSION_MODULES, local_modules
 from helpers import render_csv_reference
-from strategies import direction, unit
+from strategies import ROUNDED_BOUNDARY, direction, unit
 
 PLANAR_PROBLEM = {"r0": [0.8, 0.0, 0.0], "s0": [0.0, 0.6, 0.0], "pi0": 0.5}
 PLANAR = ClassificationProblem(*PLANAR_PROBLEM.values())
@@ -170,6 +170,10 @@ FAILING_RUNS = [
     ("gaussian-sim-trivial", "gaussian-sim",
      {**SIM, "problem": {"r0": [0, 0, 0.1], "s0": [0, 0, 0.5], "pi0": 0.9}}, (), 2,
      "error: configuration is trivial_guess_rho; the local frame needs the nontrivial regime\n"),
+    # within rounding of |d0| = |pi0 - pi1|
+    ("gaussian-sim-rounded-boundary", "gaussian-sim",
+     {**SIM, "problem": dict(zip(("r0", "s0", "pi0"), ROUNDED_BOUNDARY))}, (), 2,
+     "error: configuration is degenerate; the local frame needs the nontrivial regime\n"),
     # trials past the float range fail the overflow guard by an exact int
     # and float comparison, not by converting trials to a float
     ("gaussian-sim-trials-too-large-for-float", "gaussian-sim", {**SIM, "trials": HUGE}, (), 3,
@@ -245,6 +249,13 @@ class TestReport:
         assert metric_value(rows, "verdict")["value"] == "trivial_guess_rho"
         assert float(metric_value(rows, "helstrom_risk")["value"]) == pytest.approx(0.1)
         assert {r["metric"] for r in rows} == {"verdict", "helstrom_risk"}
+
+    def test_rounded_boundary_report_emits_verdict_only(self, tmp_path):
+        """Within rounding of |d0| = |pi0 - pi1| no 1/n constant exists."""
+        cfg = {"problem": dict(zip(("r0", "s0", "pi0"), ROUNDED_BOUNDARY))}
+        rows = run_to_rows(tmp_path, "report", cfg)
+        assert [(r["metric"], r["value"]) for r in rows] == [
+            ("verdict", "degenerate"), ("helstrom_risk", "0.25")]
 
     def test_antipodal_gap(self, tmp_path):
         cfg = {"problem": {"r0": [0, 0, 1.0], "s0": [0, 0, -1.0], "pi0": 0.5}}

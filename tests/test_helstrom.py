@@ -5,6 +5,7 @@ projectors come from the oracles in tests/helpers.py."""
 
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qclass import (
     rank_masks,
     triviality_check,
 )
-from qclass.helstrom import verdict_of
+from qclass.helstrom import _rounding_band, regime, verdict_of
 from qclass.qubit_core import as_float3
 
 from helpers import (
@@ -37,6 +38,7 @@ from helpers import (
     trace_norm,
     weighted_operator,
 )
+from strategies import ROUNDED_BOUNDARY, pure_pairs
 
 ANTIPODAL = ClassificationProblem.from_bloch((0, 0, 1), (0, 0, -1), 0.5)
 PLANAR = ClassificationProblem.from_bloch((0.8, 0, 0), (0, 0.6, 0), 0.5)
@@ -303,6 +305,38 @@ class TestTrivialityCheck:
             want = (TrivialityVerdict.DEGENERATE if n == 2.0 * abs(a)
                     else by_rank[int(int_rank(a, n))])
             assert verdict_of(a, n) is want
+
+    def test_rounded_boundary_is_degenerate(self):
+        """A configuration within rounding of |d0| = |pi0 - pi1| is
+        DEGENERATE: ROUNDED_BOUNDARY, which is exactly trivial while
+        verdict_of alone reads its float |d0| as nontrivial, and 20,000 float
+        pure pairs r = s, each on the boundary up to the rounding of |r| = 1."""
+        _, (alpha, _, dn), verdict = regime(*ROUNDED_BOUNDARY)
+        assert verdict_of(alpha, dn) is TrivialityVerdict.NONTRIVIAL
+        assert verdict is TrivialityVerdict.DEGENERATE
+        for config in [ROUNDED_BOUNDARY, *pure_pairs()]:
+            assert triviality_check(*config) is TrivialityVerdict.DEGENERATE, config
+
+    def test_degenerate_exactly_within_the_band(self):
+        """r0 = s0 = (0, 0, 1 - k eps/2) at pi0 = 3/4 lies k eps/4 on the
+        trivial side, and B is about 6 eps there: the verdict is DEGENERATE
+        exactly where the computed gap is within B."""
+        verdicts = set()
+        for k in range(1, 41):
+            state = (0.0, 0.0, 1.0 - k * sys.float_info.epsilon / 2)
+            (r, s, pi0), (alpha, _, dn), verdict = regime(state, state, 0.75)
+            inside = abs(dn - 2.0 * abs(alpha)) <= _rounding_band(r, s, pi0, alpha)
+            assert verdict is (TrivialityVerdict.DEGENERATE if inside
+                               else TrivialityVerdict.TRIVIAL_GUESS_RHO), k
+            verdicts.add(verdict)
+        assert len(verdicts) == 2
+
+    def test_regime_builds_the_problem_and_its_data(self):
+        """regime returns the checked problem and its pauli_data with the verdict."""
+        problem, data, verdict = regime([0.8, 0, 0], (0, 0.6, 0), 0.5)
+        assert problem == PLANAR and type(problem.r) is BlochVector
+        assert data == pauli_data(PLANAR.r, PLANAR.s, 0.5)
+        assert verdict is TrivialityVerdict.NONTRIVIAL
 
     def test_consistency_with_projector_rank(self):
         rng = np.random.default_rng(59)

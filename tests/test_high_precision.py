@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -25,9 +26,10 @@ from qclass import (
     triviality_check,
 )
 from qclass.cli import main
+from qclass.helstrom import _rounding_band, pauli_data
 
 from helpers import random_nontrivial_config
-from strategies import FRAME_STRESS_FAMILIES, PROPERTY
+from strategies import FRAME_STRESS_FAMILIES, PROPERTY, ROUNDED_BOUNDARY, pure_pairs
 
 TOL = 1e-12
 REPORT_NAMES = ("classical_term", "quantum_term", "commutator_c", "optimal_risk",
@@ -126,6 +128,49 @@ def test_frame_stress_families(family):
     @given(config=FRAME_STRESS_FAMILIES[family])
     def check(config):
         check_library(*config, mp_report(*config))
+
+    check()
+
+
+def check_band(r0, s0, pi0):
+    """The computed |d0| - |pi0 - pi1| of ``regime`` lies within its band B
+    of the exact value from the float inputs, and B stays below the 9 eps
+    that ``regime`` tests first, itself below the 1e-14 margin of the
+    stress families."""
+    problem = ClassificationProblem(r0, s0, pi0)
+    alpha, _, dn = pauli_data(problem.r, problem.s, pi0)
+    band = _rounding_band(problem.r, problem.s, pi0, alpha)
+    with mpmath.workdps(50):
+        p = mpmath.mpf(pi0)
+        d = [p * mpmath.mpf(a) - (1 - p) * mpmath.mpf(b) for a, b in zip(problem.r, problem.s)]
+        exact = _norm(d) - abs(2 * p - 1)
+        assert abs(mpmath.mpf(dn) - 2 * abs(mpmath.mpf(alpha)) - exact) <= band
+    assert band <= 9.0 * sys.float_info.epsilon < 1e-14
+
+
+def test_band_bounds_the_rounding_of_pure_pairs():
+    """On the boundary up to the rounding of |r| = 1, and ROUNDED_BOUNDARY."""
+    for config in [ROUNDED_BOUNDARY, *pure_pairs()]:
+        check_band(*config)
+
+
+def test_band_bounds_the_rounding_of_short_states():
+    """States too short to widen B: just below pi0 = 1/2, fl(1 - pi0) errs
+    by up to eps/4 (at odd k), and a product below the smallest normal by
+    up to 2^-1075, which B must hold alone."""
+    short = [(0.0, 0.0, 0.0), (5e-324, 0.0, 0.0), (3e-155, 0.0, 4e-155), (3e-300, 4e-300, 0.0)]
+    for k in range(64):
+        for r0 in short:
+            for s0 in short:
+                check_band(r0, s0, 0.5 - k * 2.0 ** -54)
+
+
+@pytest.mark.parametrize("family", FRAME_STRESS_FAMILIES)
+def test_band_bounds_the_rounding_of_stress_families(family):
+    @settings(PROPERTY, max_examples=100)
+    @given(config=FRAME_STRESS_FAMILIES[family])
+    def check(config):
+        check_band(*config)
 
     check()
 

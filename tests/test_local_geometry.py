@@ -33,6 +33,7 @@ from helpers import (
 )
 from strategies import (
     PROPERTY,
+    ROUNDED_BOUNDARY,
     direction,
     frame_stress_config,
     length,
@@ -85,6 +86,8 @@ class TestBuildFrame:
             build_frame((0, 0, 0.1), (0, 0, 0.5), 0.9)  # trivial
         with pytest.raises(TrivialConfigurationError):
             build_frame((0, 0, 1.0), (0, 0, 1.0), 0.75)  # degenerate boundary
+        with pytest.raises(TrivialConfigurationError, match="configuration is degenerate"):
+            build_frame(*ROUNDED_BOUNDARY)  # within rounding of the boundary
         for pi0 in (0.0, 1.0, math.nan):  # checked through ClassificationProblem
             with pytest.raises(ValueError, match=r"pi0 must lie strictly in \(0, 1\)"):
                 build_frame(*PLANAR[:2], pi0)

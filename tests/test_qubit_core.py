@@ -6,8 +6,8 @@ import pickle
 import numpy as np
 import pytest
 
-from qclass import BlochVector, InvalidStateError, pauli_data
-from qclass.qubit_core import as_float3, vector_norm
+from qclass import BlochVector, InvalidStateError, build_frame, local_geometry, pauli_data
+from qclass.qubit_core import _rescaled_norm, _scaled, as_float3, vector_norm
 
 from helpers import (
     IDENTITY,
@@ -20,6 +20,7 @@ from helpers import (
     density_to_bloch,
     positive_eigenprojector,
     projector_matrix,
+    random_nontrivial_config,
     random_projector,
     random_unit,
     sample_pauli,
@@ -107,7 +108,10 @@ class TestBlochDensityRoundTrip:
         """BlochVector.norm and pauli_data's |d| are vector_norm, whose tiny
         branch is the one scaled norm of the library: they agree bit for
         bit with each other and with the column norms of a (3, B) array,
-        tiny vectors included."""
+        tiny vectors included.  local_geometry has no norm of its own: the
+        frame's cross-product cosine is that scaled norm of the same cross
+        product, also at a 1e-170 tilt, whose squares are subnormal, and
+        for a state 1e-300 long."""
         rng = np.random.default_rng(13)
         zero = BlochVector(0.0, 0.0, 0.0)
         rows = rng.uniform(-0.5, 0.5, (300, 3)) * 10.0 ** rng.integers(-320, 1, (300, 1))
@@ -118,6 +122,18 @@ class TestBlochDensityRoundTrip:
             assert BlochVector(x, y, z).norm == norms[-1]
             assert pauli_data(BlochVector(x, y, z), zero, 1.0)[2] == norms[-1]
         assert vector_norm(rows.T.copy()).tolist() == norms
+        assert (local_geometry._scaled, local_geometry._rescaled_norm) == (_scaled, _rescaled_norm)
+        configs = [random_nontrivial_config(rng) for _ in range(300)] + [
+            ((0.9, 0.0, 0.0), (0.3, 3e-171, 6e-171), 0.5),
+            ((0.9, 0.0, 0.0), (-0.3, 3e-171, 6e-171), 0.5),
+            ((0.8, 0.0, 0.0), (6e-301, 0.0, 8e-301), 0.5),
+        ]
+        for r, s, pi0 in configs:
+            f = build_frame(r, s, pi0)
+            shorter, cos = ((s, f.cos_phi1) if (1.0 - pi0) * f.s0_norm <= pi0 * f.r0_norm
+                            else (r, f.cos_phi0))
+            hat = local_geometry._direction(as_float3(shorter))
+            assert cos == _rescaled_norm(*local_geometry._cross(f.p0, hat)) > 0.0
 
     def test_shape_validation(self):
         """Only three real numbers make a 3-vector: a (3, 1) array, a 3-key
